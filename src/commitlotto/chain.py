@@ -99,21 +99,29 @@ def body_bytes(body: TransactionBody) -> bytes:
     return b"".join(parts)
 
 
+def body_digests(body: TransactionBody) -> tuple[bytes, bytes]:
+    """Encode a body once and return its (ntxid, signature digest).
+
+    The ntxid is the witness-independent transaction id. The signature
+    digest is what a signer commits to for any input: the canonical body
+    already encodes a MultiInput as its full candidate set (the chosen ref
+    lives in the witness), so one signing covers every member of the set,
+    and all inputs of a body share a single digest.
+    """
+    data = body_bytes(body)
+    return sha256(b"ntxid:" + data), sha256(b"sigmsg:" + data)
+
+
 def compute_ntxid(body: TransactionBody) -> bytes:
     """Witness-independent transaction id."""
-    return sha256(b"ntxid:" + body_bytes(body))
+    return body_digests(body)[0]
 
 
 def sig_digest_for(body: TransactionBody, input_index: int) -> bytes:
-    """Digest a signer commits to when authorizing one input.
-
-    The canonical body already encodes a MultiInput as its full candidate
-    set (the chosen ref lives in the witness), so one signing covers every
-    member of the set, and all inputs of a body share a single digest.
-    """
+    """Digest a signer commits to when authorizing one input (all share it)."""
     if not (0 <= input_index < len(body.inputs)):
         raise IndexError(f"input index {input_index} out of range")
-    return sha256(b"sigmsg:" + body_bytes(body))
+    return body_digests(body)[1]
 
 
 class SubmitResult(NamedTuple):
@@ -176,7 +184,7 @@ class Chain:
 
     def submit(self, body: TransactionBody, witness: Witness) -> SubmitResult:
         """Validate and apply atomically at the current height."""
-        ntxid = compute_ntxid(body)
+        ntxid, sig_digest = body_digests(body)
         if len(witness.inputs) != len(body.inputs):
             return SubmitResult(False, None, SCRIPT_FAIL, "witness arity mismatch")
         if body.locktime > self.height:
@@ -221,14 +229,8 @@ class Chain:
                 False, None, VALUE_MISMATCH, f"inputs {in_sum} != outputs {out_sum}"
             )
 
-        for i, (spec, iw) in enumerate(zip(body.inputs, witness.inputs)):
-            ctx = EvalContext(
-                height=self.height,
-                sig_digest=sig_digest_for(body, i),
-                oracle=self.oracle,
-                multi_input_set=spec.refs if isinstance(spec, MultiInput) else None,
-                chosen_ref=iw.chosen_ref,
-            )
+        ctx = EvalContext(height=self.height, sig_digest=sig_digest, oracle=self.oracle)
+        for i, iw in enumerate(witness.inputs):
             ok, why = evaluate_explain(self.utxo[consumed[i]].predicate, iw, ctx)
             if not ok:
                 return SubmitResult(False, None, SCRIPT_FAIL, f"input {i}: {why}")

@@ -13,6 +13,7 @@ import sys
 from .chain import ChainParams
 from .harness import (
     BACKENDS,
+    PLAIN_MATERIALIZE_MAX,
     ConfigError,
     ScenarioConfig,
     check_dominance,
@@ -42,8 +43,6 @@ EXIT_OK = 0
 EXIT_INTERNAL = 1
 EXIT_CONFIG = 2
 EXIT_VIOLATIONS = 3
-
-PLAIN_MATERIALIZE_MAX = 8
 
 
 def _parse_seed(text: str):

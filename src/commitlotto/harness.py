@@ -8,7 +8,7 @@ event-ordered with no hidden iteration-order dependence.
 
 The scaffold driver models knowledge explicitly. A player can broadcast a
 transaction only when it holds every witness ingredient: the signature
-tags exchanged during the ceremony (public among participants) and the
+tags of the scaffold every player approved in the ceremony and the
 preimages it either owns, shares through a coalition, or has seen in an
 on-chain witness. Honest players relay every assemblable transaction, so
 one honest participant keeps the bracket live regardless of who benefits.
@@ -33,8 +33,16 @@ from .chain import (
     sig_digest_for,
 )
 from .contracts import Reverted, Vm, build_tree
-from .primitives import SIG_LAMBDA, OutputRef, Rng
-from .script import InputWitness, KeySign, SignatureOracle, Witness, commitment, parity_bit
+from .primitives import OutputRef, Rng
+from .script import (
+    InputWitness,
+    KeySign,
+    SignatureOracle,
+    Witness,
+    commitment,
+    parity_bit,
+    sig_tag,
+)
 from .scaffold import (
     BRANCH_DEPOSIT_REFUND,
     BRANCH_DEPOSIT_SPEND,
@@ -51,6 +59,7 @@ from .scaffold import (
     Kernel,
     KernelId,
     Tournament,
+    _auth_bytes,
     build_tournament,
     candidates as bracket_candidates,
     kernel_count,
@@ -475,7 +484,7 @@ class ScaffoldRuntime:
             self.private[kernel.right_player][kernel.right_commit] = self.t.secret(kid, 1)
         self.public: dict[bytes, bytes] = {}
 
-        self.tags: dict[tuple[bytes, int], bytes] = {}
+        self.bodies_signed = 0
         self.kstate: dict[KernelId, KernelState] = {}
         self.active: set[KernelId] = set()
         self.match_result: dict[tuple[int, int], tuple[KernelId, int, int]] = {}
@@ -636,7 +645,9 @@ class ScaffoldRuntime:
     # witness assembly
 
     def _all_sigs(self, ntxid: bytes) -> tuple:
-        return tuple((self.keys[j], self.tags[(ntxid, j)]) for j in range(self.cfg.n))
+        """Every player's tag over a scaffold body the ceremony approved."""
+        digest = self.t.sig_digests[ntxid]
+        return tuple((key, sig_tag(key, digest)) for key in self.keys)
 
     def _solo_sig(self, player: int, body: TransactionBody) -> tuple:
         tag = self.oracle.sign(player, self.keys[player], sig_digest_for(body, 0))
@@ -653,11 +664,8 @@ class ScaffoldRuntime:
         t = self.t
         if kind == KIND_DEPOSIT:
             if self.cfg.deposit_option == DEPOSIT_ATOMIC:
-                inputs = tuple(
-                    InputWitness(((self.keys[i], self.tags[(cand.ntxid, i)]),), {}, None, None)
-                    for i in range(self.cfg.n)
-                )
-                return Witness(inputs)
+                sigs = self._all_sigs(cand.ntxid)
+                return Witness(tuple(InputWitness((sig,), {}, None, None) for sig in sigs))
             return Witness((InputWitness(self._solo_sig(player, cand.body), {}, None, None),))
         if kind == KIND_REFUND:
             return Witness(
@@ -786,10 +794,10 @@ class ScaffoldRuntime:
         chain = self.chain
         chain.advance_to(self.SETUP_HEIGHT)
         ceremony = signing_ceremony(self.t, self.strats, self.oracle)
+        self.bodies_signed = ceremony.bodies_signed
         if not ceremony.complete:
             chain.audit()
             return self._result(abort_height=self.SETUP_HEIGHT)
-        self.tags = ceremony.tags
         min_balance = [self.funded] * cfg.n
 
         for h in self._stops():
@@ -1059,10 +1067,6 @@ class CostReport:
         }
 
 
-def _auth_bytes(sig_model: str, n: int) -> int:
-    return n * SIG_LAMBDA if sig_model == "multisig" else SIG_LAMBDA
-
-
 def measure_costs(
     backend: str,
     n: int,
@@ -1152,7 +1156,7 @@ def measure_costs(
     auth = _auth_bytes(sig_model, n)
     accepted = [entry for entry in rt.chain.log if entry.witness is not None]
     onchain_bytes = sum(len(body_bytes(entry.body)) + auth for entry in accepted)
-    signed_per_party = len(rt.tags) // n + (1 if deposit_option == DEPOSIT_HASHLOCKED else 0)
+    signed_per_party = rt.bodies_signed + (1 if deposit_option == DEPOSIT_HASHLOCKED else 0)
     return CostReport(
         backend=backend,
         n=n,

@@ -32,9 +32,9 @@ from .chain import (
     TransactionBody,
     TxOutput,
     body_bytes,
+    body_digests,
     compute_ntxid,
     multi_input,
-    sig_digest_for,
 )
 from .primitives import SIG_LAMBDA, OutputRef, Rng, sha256
 from .script import (
@@ -305,6 +305,8 @@ class Tournament:
     refund_time: Optional[int]
     mpc_digest: Optional[bytes]
     stats: TransactionStats
+    # ntxid -> signature digest of every body, filled in the pass that computes the ntxids
+    sig_digests: dict[bytes, bytes] = field(repr=False)
     secrets: dict[tuple[KernelId, int], bytes] = field(default_factory=dict, repr=False)
 
     @property
@@ -398,37 +400,39 @@ def _kernel_bodies(
     left_ref: OutputRef,
     right_ref: OutputRef,
     out_preds: tuple[Predicate, Predicate, Predicate],
-) -> tuple[TransactionBody, bytes, TransactionBody, bytes, tuple, tuple]:
+) -> tuple[tuple[TransactionBody, ...], tuple[tuple[bytes, bytes], ...]]:
+    """The bodies entry, reveal, outcome a, b and b', and their (ntxid, sig digest)."""
     entry = TransactionBody(
         inputs=(FixedInput(left_ref), FixedInput(right_ref)),
         outputs=(TxOutput(pot, _entry_predicate(master, left_commit, t1)),),
     )
-    entry_id = compute_ntxid(entry)
+    entry_d = body_digests(entry)
     reveal = TransactionBody(
-        inputs=(FixedInput(OutputRef(entry_id, 0)),),
+        inputs=(FixedInput(OutputRef(entry_d[0], 0)),),
         outputs=(TxOutput(pot, _reveal_predicate(master, left_commit, right_commit, t2)),),
     )
-    reveal_id = compute_ntxid(reveal)
+    reveal_d = body_digests(reveal)
     # outcome 0: left wins after the reveal times out at t2
     # outcome 1: right wins after the entry times out at t1 (left never revealed)
     # outcome 2: right wins by revealing odd parity
     tx_a = TransactionBody(
-        inputs=(FixedInput(OutputRef(reveal_id, 0)),),
+        inputs=(FixedInput(OutputRef(reveal_d[0], 0)),),
         outputs=(TxOutput(pot, out_preds[0]),),
         locktime=t2,
     )
     tx_b = TransactionBody(
-        inputs=(FixedInput(OutputRef(entry_id, 0)),),
+        inputs=(FixedInput(OutputRef(entry_d[0], 0)),),
         outputs=(TxOutput(pot, out_preds[1]),),
         locktime=t1,
     )
     tx_bp = TransactionBody(
-        inputs=(FixedInput(OutputRef(reveal_id, 0)),),
+        inputs=(FixedInput(OutputRef(reveal_d[0], 0)),),
         outputs=(TxOutput(pot, out_preds[2]),),
     )
-    outcomes = (tx_a, tx_b, tx_bp)
-    outcome_ids = tuple(compute_ntxid(b) for b in outcomes)
-    return entry, entry_id, reveal, reveal_id, outcomes, outcome_ids
+    return (
+        (entry, reveal, tx_a, tx_b, tx_bp),
+        (entry_d, reveal_d, body_digests(tx_a), body_digests(tx_b), body_digests(tx_bp)),
+    )
 
 
 def build_deposit_atomic(
@@ -530,7 +534,9 @@ def build_tournament(
         deposit_bodies = build_deposit_hashlocked(
             funding, funding_values, bet, master, player_keys, mpc_digest, refund_time
         )
-    deposit_ntxids = tuple(compute_ntxid(b) for b in deposit_bodies)
+    deposit_digests = [body_digests(b) for b in deposit_bodies]
+    deposit_ntxids = tuple(ntxid for ntxid, _ in deposit_digests)
+    sig_digests = dict(deposit_digests)
 
     kernels: dict[KernelId, Kernel] = {}
     compressions: dict[tuple[int, int, int], CompressionTx] = {}
@@ -574,10 +580,11 @@ def build_tournament(
                     )
                 else:
                     out_preds = (master, master, master)
-                entry, entry_id, reveal, reveal_id, outcomes, outcome_ids = _kernel_bodies(
+                left_commit, right_commit = commitment(secret_l), commitment(secret_r)
+                bodies, digests = _kernel_bodies(
                     master,
-                    commitment(secret_l),
-                    commitment(secret_r),
+                    left_commit,
+                    right_commit,
                     t1,
                     t2,
                     pot,
@@ -585,22 +592,19 @@ def build_tournament(
                     stake_ref(level, match, combo, SIDE_RIGHT),
                     out_preds,
                 )
-                kernels[kid] = Kernel(
+                sig_digests.update(digests)
+                kernels[kid] = _kernel(
+                    bodies,
+                    digests,
                     id=kid,
                     left_player=left,
                     right_player=right,
-                    left_commit=commitment(secret_l),
-                    right_commit=commitment(secret_r),
+                    left_commit=left_commit,
+                    right_commit=right_commit,
                     t0=t0,
                     t1=t1,
                     t2=t2,
                     pot=pot,
-                    entry_tx=entry,
-                    reveal_tx=reveal,
-                    outcome_txs=outcomes,
-                    entry_ntxid=entry_id,
-                    reveal_ntxid=reveal_id,
-                    outcome_ntxids=outcome_ids,
                 )
             if mode == MODE_MULTIINPUT:
                 for cand in candidates(n, level, match):
@@ -610,8 +614,10 @@ def build_tournament(
                         inputs=(multi_input(members),),
                         outputs=(TxOutput(pot, pred),),
                     )
+                    ntxid, sig_digest = body_digests(body)
+                    sig_digests[ntxid] = sig_digest
                     compressions[(level, match, cand)] = CompressionTx(
-                        level, match, cand, body, compute_ntxid(body)
+                        level, match, cand, body, ntxid
                     )
 
     stats = _stats_from_build(
@@ -634,7 +640,21 @@ def build_tournament(
         refund_time=refund_time,
         mpc_digest=mpc_digest,
         stats=stats,
+        sig_digests=sig_digests,
         secrets=secrets,
+    )
+
+
+def _kernel(bodies, digests, **fields) -> Kernel:
+    """A Kernel from five bodies and their (ntxid, sig digest) in `_kernel_bodies` order."""
+    return Kernel(
+        entry_tx=bodies[0],
+        reveal_tx=bodies[1],
+        outcome_txs=bodies[2:],
+        entry_ntxid=digests[0][0],
+        reveal_ntxid=digests[1][0],
+        outcome_ntxids=tuple(ntxid for ntxid, _ in digests[2:]),
+        **fields,
     )
 
 
@@ -763,12 +783,12 @@ def scaffold_stats(
             out_preds = (KeySign(dummy_keys[0]), KeySign(dummy_keys[1]), KeySign(dummy_keys[1]))
         else:
             out_preds = (master, master, master)
-        entry, _eid, reveal, _rid, outcomes, _oids = _kernel_bodies(
+        (entry, reveal, outcome_a, *_), _digests = _kernel_bodies(
             master, dummy_digest, sha256(dummy_digest), t0 + tau, t0 + 2 * tau,
             pot, dummy_ref, OutputRef(b"\x22" * 32, 0), out_preds,
         )
         per_match = (
-            len(body_bytes(entry)) + len(body_bytes(reveal)) + len(body_bytes(outcomes[0]))
+            len(body_bytes(entry)) + len(body_bytes(reveal)) + len(body_bytes(outcome_a))
         ) + 3 * auth
         if mode == MODE_MULTIINPUT:
             # representative compression set: a right-side candidate has two
@@ -896,15 +916,12 @@ def verify_as_honest(t: Tournament, me: int = 0) -> list[Violation]:
         except KeyError as e:
             v.append(Violation(kid, "BadWiring", f"missing child transaction: {e}"))
             continue
-        entry, _eid, reveal, _rid, outcomes, _oids = _kernel_bodies(
+        rebuilt_bodies, _digests = _kernel_bodies(
             master, k.left_commit, k.right_commit, t1, t2, pot, left_ref, right_ref, out_preds
         )
-        for role, stored, rebuilt in (
-            (ROLE_ENTRY, k.entry_tx, entry),
-            (ROLE_REVEAL, k.reveal_tx, reveal),
-            (ROLE_OUTCOMES[0], k.outcome_txs[0], outcomes[0]),
-            (ROLE_OUTCOMES[1], k.outcome_txs[1], outcomes[1]),
-            (ROLE_OUTCOMES[2], k.outcome_txs[2], outcomes[2]),
+        stored_bodies = (k.entry_tx, k.reveal_tx) + tuple(k.outcome_txs)
+        for role, stored, rebuilt in zip(
+            (ROLE_ENTRY, ROLE_REVEAL) + ROLE_OUTCOMES, stored_bodies, rebuilt_bodies
         ):
             if stored == rebuilt:
                 continue
@@ -918,6 +935,23 @@ def verify_as_honest(t: Tournament, me: int = 0) -> list[Violation]:
 
     if t.mode == MODE_MULTIINPUT:
         v.extend(_verify_compressions(t, master, levels))
+    v.extend(_verify_digests(t))
+    return v
+
+
+def _verify_digests(t: Tournament) -> list[Violation]:
+    """The stored ntxids and signature digests must be those of the stored bodies.
+
+    The ceremony approves the stored digests and the runtime trusts the
+    stored ntxids, so a mismatch would sign something other than what was
+    checked.
+    """
+    v: list[Violation] = []
+    for item in iter_bodies(t):
+        if body_digests(item.body) != (item.ntxid, t.sig_digests.get(item.ntxid)):
+            kid = item.key if isinstance(item.key, KernelId) else None
+            detail = f"{item.role} {item.key}: stored digests do not match the body"
+            v.append(Violation(kid, "BadDigest", detail))
     return v
 
 
@@ -957,9 +991,6 @@ def _verify_deposits(t: Tournament, master: Predicate) -> list[Violation]:
         for i, (stored, rebuilt) in enumerate(zip(t.deposit_bodies, expected_bodies)):
             if stored != rebuilt:
                 v.append(Violation(None, "BadDeposit", f"deposit {i} diverges from honest construction"))
-    for i, body in enumerate(t.deposit_bodies):
-        if compute_ntxid(body) != t.deposit_ntxids[i]:
-            v.append(Violation(None, "BadDeposit", f"deposit {i} ntxid mismatch"))
     return v
 
 
@@ -986,8 +1017,6 @@ def _verify_compressions(t: Tournament, master: Predicate, levels: int) -> list[
         )
         if c.body != rebuilt:
             v.append(Violation(None, "BadCompression", f"compression {key} diverges"))
-        elif compute_ntxid(c.body) != c.ntxid:
-            v.append(Violation(None, "BadCompression", f"compression {key} ntxid mismatch"))
     return v
 
 
@@ -996,22 +1025,16 @@ def _verify_compressions(t: Tournament, master: Predicate, levels: int) -> list[
 
 @dataclass
 class SigningView:
-    """What a party sees when asked to authorize one scaffold body."""
+    """What a party sees when asked to approve the whole scaffold or the deposit."""
 
     player: int
-    role: str
-    key: object
-    body: TransactionBody
-    ntxid: bytes
-    sequence_index: int
-    total_bodies: int
     tournament: Tournament
+    total_bodies: int  # bodies the approval covers, the atomic deposit included
 
 
 @dataclass
 class CeremonyResult:
     aborted_by: Optional[int]
-    tags: dict[tuple[bytes, int], bytes]
     bodies_signed: int
 
     @property
@@ -1022,40 +1045,36 @@ class CeremonyResult:
 def signing_ceremony(
     t: Tournament, deciders: Sequence, oracle: SignatureOracle
 ) -> CeremonyResult:
-    """Collect every party's signature over every scaffold body.
+    """Each party verifies the whole scaffold, then approves all of it at once.
 
-    Bodies are processed in canonical order with the deposit last (atomic
-    option only; hashlocked deposits are authorized solo by their owners at
-    submission time). A single refusal aborts the ceremony immediately,
-    which has no on-chain effect because nothing spendable exists until the
-    deposit is complete.
+    Every party is asked once (`at_signing`) with a view of the whole
+    scaffold; an honest party checks it with `verify_as_honest`. A single
+    refusal aborts before any key signs anything, which has no on-chain
+    effect because nothing spendable exists until the deposit is complete.
+    Once all approve, each party's key signs the digests of every kernel and
+    compression body in one act (`SignatureOracle.sign_all`). The atomic
+    deposit is asked about (`at_deposit`) and signed last, so no player is
+    ever exposed without a full scaffold; hashlocked deposits are authorized
+    solo by their owners at submission time.
     """
-    include_deposits = t.deposit_option == DEPOSIT_ATOMIC
-    plan = iter_bodies(t, include_deposits=include_deposits)
-    tags: dict[tuple[bytes, int], bytes] = {}
-    signed = 0
-    for idx, item in enumerate(plan):
-        digest = sig_digest_for(item.body, 0)
-        for player in range(t.n):
-            view = SigningView(
-                player=player,
-                role=item.role,
-                key=item.key,
-                body=item.body,
-                ntxid=item.ntxid,
-                sequence_index=idx,
-                total_bodies=len(plan),
-                tournament=t,
-            )
-            decider = deciders[player]
-            agreed = (
-                decider.at_deposit(view) if item.role == ROLE_DEPOSIT else decider.at_signing(view)
-            )
-            if not agreed:
-                return CeremonyResult(aborted_by=player, tags=tags, bodies_signed=signed)
-            tags[(item.ntxid, player)] = oracle.sign(player, t.master_keys[player], digest)
-        signed += 1
-    return CeremonyResult(aborted_by=None, tags=tags, bodies_signed=signed)
+    plan = iter_bodies(t, include_deposits=False)
+    atomic = t.deposit_option == DEPOSIT_ATOMIC
+    total = len(plan) + (1 if atomic else 0)
+    views = [SigningView(player, t, total) for player in range(t.n)]
+    for player, view in enumerate(views):
+        if not deciders[player].at_signing(view):
+            return CeremonyResult(aborted_by=player, bodies_signed=0)
+    digests = frozenset(t.sig_digests[item.ntxid] for item in plan)
+    for player, key in enumerate(t.master_keys):
+        oracle.sign_all(player, key, digests)
+    if atomic:
+        for player, view in enumerate(views):
+            if not deciders[player].at_deposit(view):
+                return CeremonyResult(aborted_by=player, bodies_signed=len(plan))
+        deposit_digest = t.sig_digests[t.deposit_ntxids[0]]
+        for player, key in enumerate(t.master_keys):
+            oracle.sign(player, key, deposit_digest)
+    return CeremonyResult(aborted_by=None, bodies_signed=total)
 
 
 # serialization
@@ -1159,12 +1178,15 @@ def tournament_from_json(obj: dict) -> Tournament:
     if obj.get("format") != FORMAT_TAG:
         raise ValueError(f"not a scaffold file (format {obj.get('format')!r})")
     kernels: dict[KernelId, Kernel] = {}
+    sig_digests: dict[bytes, bytes] = {}
     for rec in obj["kernels"]:
         kid = KernelId(rec["level"], rec["match"], rec["combo"])
-        entry = _body_from_json(rec["entry"])
-        reveal = _body_from_json(rec["reveal"])
-        outcomes = tuple(_body_from_json(b) for b in rec["outcomes"])
-        kernels[kid] = Kernel(
+        bodies = tuple(_body_from_json(b) for b in [rec["entry"], rec["reveal"], *rec["outcomes"]])
+        digests = tuple(body_digests(b) for b in bodies)
+        sig_digests.update(digests)
+        kernels[kid] = _kernel(
+            bodies,
+            digests,
             id=kid,
             left_player=rec["left_player"],
             right_player=rec["right_player"],
@@ -1174,19 +1196,17 @@ def tournament_from_json(obj: dict) -> Tournament:
             t1=rec["t1"],
             t2=rec["t2"],
             pot=rec["pot"],
-            entry_tx=entry,
-            reveal_tx=reveal,
-            outcome_txs=outcomes,  # type: ignore[arg-type]
-            entry_ntxid=compute_ntxid(entry),
-            reveal_ntxid=compute_ntxid(reveal),
-            outcome_ntxids=tuple(compute_ntxid(b) for b in outcomes),  # type: ignore[arg-type]
         )
     compressions = {}
     for rec in obj.get("compressions", []):
         body = _body_from_json(rec["body"])
         key = (rec["level"], rec["match"], rec["candidate"])
-        compressions[key] = CompressionTx(key[0], key[1], key[2], body, compute_ntxid(body))
+        ntxid, sig_digest = body_digests(body)
+        sig_digests[ntxid] = sig_digest
+        compressions[key] = CompressionTx(key[0], key[1], key[2], body, ntxid)
     deposit_bodies = tuple(_body_from_json(b) for b in obj["deposits"])
+    deposit_digests = [body_digests(b) for b in deposit_bodies]
+    sig_digests.update(deposit_digests)
     stats_obj = obj["stats"]
     stats = TransactionStats(
         total_offchain=stats_obj["total_offchain"],
@@ -1211,10 +1231,11 @@ def tournament_from_json(obj: dict) -> Tournament:
         kernels=kernels,
         compressions=compressions,
         deposit_bodies=deposit_bodies,
-        deposit_ntxids=tuple(compute_ntxid(b) for b in deposit_bodies),
+        deposit_ntxids=tuple(ntxid for ntxid, _ in deposit_digests),
         refund_time=obj.get("refund_time"),
         mpc_digest=bytes.fromhex(obj["mpc_digest"]) if obj.get("mpc_digest") else None,
         stats=stats,
+        sig_digests=sig_digests,
         secrets={},
     )
 

@@ -6,9 +6,10 @@ over two revealed preimages, and conjunction/alternation combinators. An
 AnyOf never scans branches; the witness's branch selector picks exactly one,
 so evaluation order can never leak an unintended spend path.
 
-Signatures come from an ideal oracle that records (key, digest) pairs.
-Verification succeeds only for recorded pairs, which models unforgeability
-without real cryptography and keeps runs deterministic.
+Signatures come from an ideal oracle that records (key, digest) pairs, one
+at a time or as a whole digest set per key. Verification succeeds only for
+recorded pairs, which models unforgeability without real cryptography and
+keeps runs deterministic.
 """
 
 from __future__ import annotations
@@ -28,9 +29,19 @@ class KeySign:
 
 @dataclass(frozen=True)
 class AllSign:
-    """Spendable only with a signature from every listed key."""
+    """Spendable only with a signature from every listed key.
+
+    The n-key master predicate sits inside almost every scaffold body, so
+    its canonical encoding is built once here and reused by
+    `predicate_bytes`.
+    """
 
     keys: tuple[bytes, ...]
+    encoded: bytes = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        encoded = _TAG_ALLSIGN + u32(len(self.keys)) + b"".join(lp_bytes(k) for k in self.keys)
+        object.__setattr__(self, "encoded", encoded)
 
 
 @dataclass(frozen=True)
@@ -87,7 +98,7 @@ def predicate_bytes(p: Predicate) -> bytes:
     if isinstance(p, KeySign):
         return _TAG_KEYSIGN + lp_bytes(p.key)
     if isinstance(p, AllSign):
-        return _TAG_ALLSIGN + u32(len(p.keys)) + b"".join(lp_bytes(k) for k in p.keys)
+        return p.encoded
     if isinstance(p, HashPreimage):
         return _TAG_HASHPRE + lp_bytes(p.digest) + lp_str(p.slot)
     if isinstance(p, AfterHeight):
@@ -155,12 +166,29 @@ class NotKeyOwner(Exception):
     """Raised when a party asks the oracle to sign with a key it does not own."""
 
 
+def sig_tag(key: bytes, digest: bytes) -> bytes:
+    """The opaque handle a witness carries for key's signature over digest.
+
+    Verification consults the oracle's records, never the tag, so anyone
+    can compute a tag; only a recorded signing act makes it count.
+    """
+    return sha256(b"sigtag:" + key + digest)[:16]
+
+
 class SignatureOracle:
-    """Ideal signatures: verify(key, digest) is true iff sign() recorded it."""
+    """Ideal signatures: verify(key, digest) is true iff key's owner signed digest.
+
+    An owner signs one digest with `sign`, or a whole digest set in one act
+    with `sign_all`. The scaffold ceremony uses the latter: each player
+    verifies the scaffold, then approves all of it, and from then on the
+    oracle accepts that key's signature over a digest if and only if the
+    digest belongs to the approved set.
+    """
 
     def __init__(self) -> None:
         self._owners: dict[bytes, object] = {}
         self._signed: set[tuple[bytes, bytes]] = set()
+        self._signed_sets: dict[bytes, list[frozenset[bytes]]] = {}
 
     def register_key(self, party, key: bytes) -> None:
         self._owners[key] = party
@@ -168,16 +196,24 @@ class SignatureOracle:
     def owner_of(self, key: bytes):
         return self._owners.get(key)
 
-    def sign(self, party, key: bytes, digest: bytes) -> bytes:
+    def _check_owner(self, party, key: bytes) -> None:
         if self._owners.get(key) != party:
             raise NotKeyOwner(f"{party!r} does not own key {key.hex()[:12]}")
+
+    def sign(self, party, key: bytes, digest: bytes) -> bytes:
+        self._check_owner(party, key)
         self._signed.add((key, digest))
-        # the tag is an opaque handle carried in witnesses; verification
-        # consults the registry, not the tag
-        return sha256(b"sigtag:" + key + digest)[:16]
+        return sig_tag(key, digest)
+
+    def sign_all(self, party, key: bytes, digests: frozenset[bytes]) -> None:
+        """Record key's signature over every digest in the set, in one act."""
+        self._check_owner(party, key)
+        self._signed_sets.setdefault(key, []).append(digests)
 
     def verify(self, key: bytes, digest: bytes) -> bool:
-        return (key, digest) in self._signed
+        if (key, digest) in self._signed:
+            return True
+        return any(digest in signed for signed in self._signed_sets.get(key, ()))
 
     @property
     def entry_count(self) -> int:
@@ -211,8 +247,6 @@ class EvalContext:
     height: int
     sig_digest: bytes
     oracle: SignatureOracle
-    multi_input_set: Optional[tuple[OutputRef, ...]] = None
-    chosen_ref: Optional[OutputRef] = None
 
 
 def evaluate_explain(p: Predicate, w: InputWitness, ctx: EvalContext) -> tuple[bool, Optional[str]]:

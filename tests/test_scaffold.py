@@ -7,7 +7,8 @@ import json
 
 import pytest
 
-from commitlotto.chain import TransactionBody, compute_ntxid
+from commitlotto.chain import FixedInput, TransactionBody, TxOutput, compute_ntxid, sig_digest_for
+from commitlotto.primitives import OutputRef
 from commitlotto.scaffold import (
     BRANCH_DEPOSIT_REFUND,
     BRANCH_DEPOSIT_SPEND,
@@ -346,41 +347,126 @@ def test_mpc_oracle_withholds_until_complete():
 
 
 class YesDecider:
+    """Approves every stage and records the (stage, view) it was asked about."""
+
+    def __init__(self):
+        self.asked = []
+
     def at_signing(self, view):
+        self.asked.append(("signing", view))
         return True
 
     def at_deposit(self, view):
+        self.asked.append(("deposit", view))
         return True
 
 
-class RefuseAt:
-    def __init__(self, stop_index):
-        self.stop_index = stop_index
+class RefuseAt(YesDecider):
+    """Refuses the whole-scaffold view at one stage: "signing" or "deposit"."""
+
+    def __init__(self, stage):
+        super().__init__()
+        self.stage = stage
 
     def at_signing(self, view):
-        return view.sequence_index < self.stop_index
+        return super().at_signing(view) and self.stage != "signing"
 
-    at_deposit = at_signing
+    def at_deposit(self, view):
+        return super().at_deposit(view) and self.stage != "deposit"
+
+
+def keyed_oracle(t):
+    oracle = SignatureOracle()
+    for i, key in enumerate(t.master_keys):
+        oracle.register_key(i, key)
+    return oracle
+
+
+def verifying_keys(oracle, t, body):
+    digest = sig_digest_for(body, 0)
+    return [key for key in t.master_keys if oracle.verify(key, digest)]
 
 
 def test_ceremony_collects_every_signature(plain4):
-    oracle = SignatureOracle()
-    for i, key in enumerate(plain4.master_keys):
-        oracle.register_key(i, key)
-    res = signing_ceremony(plain4, [YesDecider()] * 4, oracle)
+    oracle = keyed_oracle(plain4)
+    deciders = [YesDecider() for _ in range(4)]
+    res = signing_ceremony(plain4, deciders, oracle)
     assert res.complete and res.aborted_by is None
     assert res.bodies_signed == 56
-    assert len(res.tags) == 56 * 4
+    for item in iter_bodies(plain4):
+        assert verifying_keys(oracle, plain4, item.body) == list(plain4.master_keys)
+    # each player is asked once about the whole scaffold, then about the deposit
+    for player, decider in enumerate(deciders):
+        assert [stage for stage, _ in decider.asked] == ["signing", "deposit"]
+        for _, view in decider.asked:
+            assert (view.player, view.total_bodies) == (player, 56)
+            assert view.tournament is plain4
 
 
 def test_ceremony_abort_stops_before_any_exposure(plain4):
-    oracle = SignatureOracle()
-    for i, key in enumerate(plain4.master_keys):
-        oracle.register_key(i, key)
-    deciders = [YesDecider(), YesDecider(), RefuseAt(0), YesDecider()]
+    oracle = keyed_oracle(plain4)
+    deciders = [YesDecider(), YesDecider(), RefuseAt("signing"), YesDecider()]
     res = signing_ceremony(plain4, deciders, oracle)
     assert res.aborted_by == 2
     assert res.bodies_signed == 0
+    assert [len(d.asked) for d in deciders] == [1, 1, 1, 0]
+    for item in iter_bodies(plain4):
+        assert verifying_keys(oracle, plain4, item.body) == []
+
+
+def test_ceremony_deposit_refusal_leaves_deposit_unsigned(plain4):
+    oracle = keyed_oracle(plain4)
+    deciders = [YesDecider(), RefuseAt("deposit"), YesDecider(), YesDecider()]
+    res = signing_ceremony(plain4, deciders, oracle)
+    assert res.aborted_by == 1
+    assert res.bodies_signed == 55
+    assert verifying_keys(oracle, plain4, plain4.deposit_bodies[0]) == []
+
+
+@pytest.mark.parametrize("deposit_option", ["atomic", DEPOSIT_HASHLOCKED])
+def test_oracle_accepts_exactly_the_approved_scaffold(deposit_option):
+    t = small_tournament(4, mode=MODE_MULTIINPUT, deposit_option=deposit_option)
+    oracle = keyed_oracle(t)
+    assert signing_ceremony(t, [YesDecider() for _ in range(4)], oracle).complete
+    atomic = deposit_option == "atomic"
+    for item in iter_bodies(t, include_deposits=atomic):
+        assert verifying_keys(oracle, t, item.body) == list(t.master_keys)
+    k = t.kernels[KernelId(0, 0, 0)]
+    outsiders = [k.entry_tx._replace(locktime=k.entry_tx.locktime + 1)]
+    if not atomic:
+        # hashlocked deposits and their refunds are signed solo at submission
+        outsiders.extend(t.deposit_bodies)
+        outsiders.append(
+            TransactionBody(
+                inputs=(FixedInput(OutputRef(t.deposit_ntxids[0], 0)),),
+                outputs=(TxOutput(t.bet, KeySign(t.master_keys[0])),),
+                locktime=t.refund_time,
+            )
+        )
+    for body in outsiders:
+        assert verifying_keys(oracle, t, body) == []
+
+
+# sha256 over ntxid || sig digest of every body, in iter_bodies order. The
+# constants pin the canonical encoding: any change to it moves every ntxid,
+# every signature digest and so every sweep output.
+GOLDEN_ENCODINGS = {
+    ("plain", "atomic"): (56, "b00d289f3413ddac420f54d1c8e8775fffa625cd277b7f0b4a085a7cacaab420"),
+    ("multiinput", "hashlocked"): (
+        42,
+        "c5ac5e755042818d9eed5a590c9243562fe33cc84975e6bcf0db665ff80ceaea",
+    ),
+}
+
+
+@pytest.mark.parametrize("mode,deposit_option", sorted(GOLDEN_ENCODINGS))
+def test_scaffold_encoding_golden(mode, deposit_option):
+    t = small_tournament(4, mode=mode, deposit_option=deposit_option, seed="golden")
+    h = hashlib.sha256()
+    bodies = iter_bodies(t)
+    for item in bodies:
+        h.update(item.ntxid + sig_digest_for(item.body, 0))
+    assert (len(bodies), h.hexdigest()) == GOLDEN_ENCODINGS[(mode, deposit_option)]
 
 
 def test_ceremony_orders_deposit_last(plain4):
@@ -497,6 +583,13 @@ def test_verify_flags_late_refund_window():
     assert any(
         v.rule == "BadDeposit" and "commit deadline" in v.detail for v in found
     )
+
+
+def test_verify_flags_stale_digests(plain4):
+    t = clone(plain4)
+    k = t.kernels[KernelId(0, 0, 0)]
+    t.sig_digests[k.reveal_ntxid] = b"\x00" * 32
+    assert rules_of(verify_as_honest(t)) == {"BadDigest"}
 
 
 def test_verify_rejects_bad_player_count():

@@ -22,6 +22,7 @@ from commitlotto.script import (
     parity_bit,
     predicate_from_json,
     predicate_to_json,
+    sig_tag,
 )
 
 KEY_A = b"\xaa" * 32
@@ -80,6 +81,21 @@ def test_verify_requires_a_recorded_signing_act():
     # re-signing the same digest is idempotent
     oracle.sign("alice", KEY_A, DIGEST)
     assert oracle.entry_count == 1
+
+
+def test_sign_all_covers_exactly_the_signed_set():
+    oracle = SignatureOracle()
+    oracle.register_key("alice", KEY_A)
+    oracle.register_key("bob", KEY_B)
+    digests = frozenset((DIGEST, b"\x02" * 32))
+    with pytest.raises(NotKeyOwner):
+        oracle.sign_all("bob", KEY_A, digests)
+    oracle.sign_all("alice", KEY_A, digests)
+    assert all(oracle.verify(KEY_A, d) for d in digests)
+    assert not oracle.verify(KEY_A, b"\x03" * 32)
+    assert not any(oracle.verify(KEY_B, d) for d in digests)
+    # the tag is a pure function of key and digest, whichever way it was signed
+    assert oracle.sign("bob", KEY_B, DIGEST) == sig_tag(KEY_B, DIGEST)
 
 
 # predicate evaluation
