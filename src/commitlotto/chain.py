@@ -16,10 +16,10 @@ choice leaves the NTXID and the signature digest unchanged.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import NamedTuple, Optional, Union
 
-from .primitives import NULL_TXID, OutputRef, lp_bytes, sha256, u32, u64
+from .primitives import NULL_TXID, OutputRef, json_field, lp_bytes, sha256, u32, u64
 from .script import (
     EvalContext,
     KeySign,
@@ -28,6 +28,7 @@ from .script import (
     Witness,
     evaluate_explain,
     predicate_bytes,
+    predicate_from_json,
     predicate_to_json,
 )
 
@@ -117,11 +118,49 @@ def compute_ntxid(body: TransactionBody) -> bytes:
     return body_digests(body)[0]
 
 
-def sig_digest_for(body: TransactionBody, input_index: int) -> bytes:
-    """Digest a signer commits to when authorizing one input (all share it)."""
-    if not (0 <= input_index < len(body.inputs)):
-        raise IndexError(f"input index {input_index} out of range")
+def sig_digest_for(body: TransactionBody) -> bytes:
+    """Digest a signer commits to when authorizing any input of a body."""
     return body_digests(body)[1]
+
+
+def body_to_json(body: TransactionBody) -> dict:
+    inputs = [
+        {"kind": "fixed", **spec.ref.to_json()}
+        if isinstance(spec, FixedInput)
+        else {"kind": "multi", "refs": [r.to_json() for r in spec.refs]}
+        for spec in body.inputs
+    ]
+    return {
+        "inputs": inputs,
+        "outputs": [
+            {"value": out.value, "predicate": predicate_to_json(out.predicate)}
+            for out in body.outputs
+        ],
+        "locktime": body.locktime,
+    }
+
+
+def body_from_json(obj: dict, where: str = "body") -> TransactionBody:
+    """Decode `body_to_json` output; malformed input raises ValueError naming `where`."""
+    inputs: list[TxInput] = []
+    for i, spec in enumerate(json_field(obj, "inputs", list, where)):
+        at = f"{where}.inputs[{i}]"
+        kind = json_field(spec, "kind", str, at)
+        if kind == "fixed":
+            inputs.append(FixedInput(OutputRef.from_json(spec, at)))
+        elif kind == "multi":
+            refs = json_field(spec, "refs", list, at)
+            inputs.append(
+                MultiInput(tuple(OutputRef.from_json(r, f"{at}.refs[{j}]") for j, r in enumerate(refs)))
+            )
+        else:
+            raise ValueError(f"{at}.kind: unknown input kind {kind!r}")
+    outputs = []
+    for i, out in enumerate(json_field(obj, "outputs", list, where)):
+        at = f"{where}.outputs[{i}]"
+        pred = predicate_from_json(json_field(out, "predicate", dict, at), f"{at}.predicate")
+        outputs.append(TxOutput(json_field(out, "value", int, at), pred))
+    return TransactionBody(tuple(inputs), tuple(outputs), json_field(obj, "locktime", int, where))
 
 
 class SubmitResult(NamedTuple):
@@ -284,22 +323,6 @@ class Chain:
 
 
 def _log_entry_json(entry: LogEntry) -> dict:
-    body = entry.body
-    inputs = []
-    for i, spec in enumerate(body.inputs):
-        if isinstance(spec, FixedInput):
-            inputs.append({"kind": "fixed", "txid": spec.ref.txid.hex(), "index": spec.ref.index})
-        else:
-            inputs.append(
-                {
-                    "kind": "multi",
-                    "refs": [{"txid": r.txid.hex(), "index": r.index} for r in spec.refs],
-                }
-            )
-    outputs = [
-        {"value": out.value, "predicate": predicate_to_json(out.predicate)}
-        for out in body.outputs
-    ]
     summary: object
     if entry.witness is None:
         summary = "mint"
@@ -309,19 +332,13 @@ def _log_entry_json(entry: LogEntry) -> dict:
                 "signatures": len(iw.signatures),
                 "preimage_slots": sorted(iw.preimages.keys()),
                 "branch": iw.branch,
-                "chosen_ref": (
-                    {"txid": iw.chosen_ref.txid.hex(), "index": iw.chosen_ref.index}
-                    if iw.chosen_ref
-                    else None
-                ),
+                "chosen_ref": iw.chosen_ref.to_json() if iw.chosen_ref else None,
             }
             for iw in entry.witness.inputs
         ]
     return {
         "ntxid": entry.ntxid.hex(),
         "height": entry.height,
-        "locktime": body.locktime,
-        "inputs": inputs,
-        "outputs": outputs,
+        **body_to_json(entry.body),
         "witness": summary,
     }

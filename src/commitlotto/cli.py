@@ -173,7 +173,7 @@ def cmd_build(args) -> int:
 def cmd_verify(args) -> int:
     with open(args.scaffold) as fp:
         t = load_tournament(fp.read())
-    violations = verify_as_honest(t, me=args.player)
+    violations = verify_as_honest(t)
     if not violations:
         print(f"scaffold ok: n={t.n} mode={t.mode} bodies={t.stats.total_offchain}")
         return EXIT_OK
@@ -262,7 +262,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="check a scaffold file against honest construction")
     p.add_argument("scaffold", help="scaffold JSON file")
-    p.add_argument("--player", type=int, default=0, help="verify from this player's seat")
     p.set_defaults(fn=cmd_verify)
 
     p = sub.add_parser("run", help="run one trial and print the result")

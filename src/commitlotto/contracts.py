@@ -19,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, NamedTuple, Optional
 
-from .primitives import sha256
+from .primitives import level_schedule, level_stride, sha256
 
 SECRET_BYTES = 32
 ZERO_HASH = b"\x00" * 32
@@ -71,7 +71,6 @@ class Vm:
         self.balances: dict[str, int] = {}
         self.contracts: dict[str, Any] = {}
         self.trace: list[CallRecord] = []
-        self._depth = 0
 
     def advance(self, blocks: int = 1) -> None:
         if blocks < 0:
@@ -128,7 +127,6 @@ class Vm:
     def call(self, sender: str, address: str, method: str, *args, value: int = 0):
         """Outer transaction: applied atomically, recorded in the trace."""
         snap = self._snapshot()
-        self._depth += 1
         try:
             result = self._invoke(sender, address, method, args, value)
         except Reverted as e:
@@ -137,8 +135,6 @@ class Vm:
                 CallRecord(self.height, sender, address, method, len(args), value, False, e.reason)
             )
             raise
-        finally:
-            self._depth -= 1
         self.trace.append(
             CallRecord(self.height, sender, address, method, len(args), value, True, "")
         )
@@ -374,8 +370,7 @@ class ContractTree:
         return self.lotteries[(level, match)]
 
     def schedule(self, level: int) -> tuple[int, int, int]:
-        t0 = self.t_commit + 2 * self.tau * level
-        return t0, t0 + self.tau, t0 + 2 * self.tau
+        return level_schedule(self.t_commit, level_stride(self.tau), self.tau, level)
 
 
 def build_tree(vm: Vm, n: int, bet: int, tau: int, t_commit: int) -> ContractTree:
@@ -391,11 +386,12 @@ def build_tree(vm: Vm, n: int, bet: int, tau: int, t_commit: int) -> ContractTre
     levels = n.bit_length() - 1
     if tau < 2:
         raise ValueError("windows need tau >= 2 to leave a usable height")
-    t_final = t_commit + 2 * tau * levels
+    stride = level_stride(tau)
+    t_final = level_schedule(t_commit, stride, tau, levels)[0]
     master_addr = vm.create("master", Master(n=n, bet=bet, t_commit=t_commit, t_final=t_final))
     lotteries: dict[tuple[int, int], str] = {}
     for level in range(levels):
-        t0 = t_commit + 2 * tau * level
+        t0, t1, t2 = level_schedule(t_commit, stride, tau, level)
         for match in range(n >> (level + 1)):
             if level == 0:
                 side_a = side_seat(master_addr, 2 * match)
@@ -405,7 +401,7 @@ def build_tree(vm: Vm, n: int, bet: int, tau: int, t_commit: int) -> ContractTre
                 side_b = side_child(lotteries[(level - 1, 2 * match + 1)])
             addr = vm.create(
                 f"lot:{level}:{match}",
-                TwoPartyLottery(t0=t0, t1=t0 + tau, t2=t0 + 2 * tau, side_a=side_a, side_b=side_b),
+                TwoPartyLottery(t0=t0, t1=t1, t2=t2, side_a=side_a, side_b=side_b),
             )
             lotteries[(level, match)] = addr
     final = lotteries[(levels - 1, 0)]

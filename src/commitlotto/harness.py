@@ -17,6 +17,7 @@ one honest participant keeps the bracket live regardless of who benefits.
 from __future__ import annotations
 
 import csv
+import dataclasses
 import json
 import statistics
 from dataclasses import dataclass, field
@@ -33,7 +34,7 @@ from .chain import (
     sig_digest_for,
 )
 from .contracts import Reverted, Vm, build_tree
-from .primitives import OutputRef, Rng
+from .primitives import OutputRef, Rng, level_schedule, level_stride
 from .script import (
     InputWitness,
     KeySign,
@@ -154,15 +155,8 @@ class ScenarioConfig:
 
     def to_json(self) -> dict:
         return {
-            "backend": self.backend,
-            "n": self.n,
+            **dataclasses.asdict(self),
             "strategies": list(self.strategies),
-            "tau": self.tau,
-            "t_commit": self.t_commit,
-            "bet": self.bet,
-            "deposit_option": self.deposit_option,
-            "sig_model": self.sig_model,
-            "trials": self.trials,
             "master_seed": str(self.master_seed),
         }
 
@@ -650,7 +644,7 @@ class ScaffoldRuntime:
         return tuple((key, sig_tag(key, digest)) for key in self.keys)
 
     def _solo_sig(self, player: int, body: TransactionBody) -> tuple:
-        tag = self.oracle.sign(player, self.keys[player], sig_digest_for(body, 0))
+        tag = self.oracle.sign(player, self.keys[player], sig_digest_for(body))
         return ((self.keys[player], tag),)
 
     def _assemble(self, cand: Candidate, player: int) -> Optional[Witness]:
@@ -1051,20 +1045,7 @@ class CostReport:
     materialized: bool
 
     def to_json(self) -> dict:
-        return {
-            "backend": self.backend,
-            "n": self.n,
-            "sig_model": self.sig_model,
-            "deposit_option": self.deposit_option,
-            "collateral_beyond_bet": self.collateral_beyond_bet,
-            "onchain_tx_count": self.onchain_tx_count,
-            "onchain_bytes": self.onchain_bytes,
-            "offchain_signed_per_party": self.offchain_signed_per_party,
-            "offchain_bodies": self.offchain_bodies,
-            "rounds_to_commit": self.rounds_to_commit,
-            "rounds_to_final": self.rounds_to_final,
-            "materialized": self.materialized,
-        }
+        return dataclasses.asdict(self)
 
 
 def measure_costs(
@@ -1136,7 +1117,7 @@ def measure_costs(
             offchain_signed_per_party=stats.kernel_bodies + stats.compression_count + 1,
             offchain_bodies=stats.total_offchain,
             rounds_to_commit=2,  # deposits land at the first block after setup
-            rounds_to_final=t_commit + 2 * tau * num_levels(n),
+            rounds_to_final=level_schedule(t_commit, level_stride(tau), tau, num_levels(n))[0],
             materialized=False,
         )
     cfg = ScenarioConfig(
@@ -1207,24 +1188,10 @@ def write_trials_csv(fp, results: Sequence[TrialResult], n: int) -> None:
 
 
 def summary_to_json(summary: Summary) -> dict:
-    return {
-        "config": summary.config.to_json(),
-        "trials": summary.trials,
-        "committed": summary.committed,
-        "aborted": summary.aborted,
-        "wins": list(summary.wins),
-        "win_freq": list(summary.win_freq),
-        "payoff_min": list(summary.payoff_min),
-        "payoff_max": list(summary.payoff_max),
-        "payoff_mean": list(summary.payoff_mean),
-        "zero_sum_ok": summary.zero_sum_ok,
-        "refunds_ok": summary.refunds_ok,
-        "max_locked_beyond_bet": summary.max_locked_beyond_bet,
-        "onchain_max": summary.onchain_max,
-        "onchain_min": summary.onchain_min,
-        "final_height_max": summary.final_height_max,
-        "abort_height_max": summary.abort_height_max,
-    }
+    """Every Summary field except the per-trial results; tuples become lists."""
+    doc = {f.name: getattr(summary, f.name) for f in dataclasses.fields(Summary) if f.name != "results"}
+    doc = {key: list(v) if isinstance(v, tuple) else v for key, v in doc.items()}
+    return {**doc, "config": summary.config.to_json()}
 
 
 def dump_summary(summary: Summary) -> str:

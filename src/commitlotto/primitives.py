@@ -51,6 +51,64 @@ class OutputRef(NamedTuple):
     def short(self) -> str:
         return f"{self.txid.hex()[:12]}:{self.index}"
 
+    def to_json(self) -> dict:
+        return {"txid": self.txid.hex(), "index": self.index}
+
+    @staticmethod
+    def from_json(obj, where: str) -> "OutputRef":
+        return OutputRef(json_field(obj, "txid", bytes, where), json_field(obj, "index", int, where))
+
+
+def json_value(value, kind: type, where: str):
+    """A decoded JSON value checked against `kind`; ValueError naming `where` if it fails.
+
+    `bytes` means a hex string, returned decoded. `int` means a non-negative
+    integer below 2**32: every integer in a file the program writes (a
+    height, value, count or index) is one, and the bound keeps the heights
+    and pots derived from them inside the 64-bit encodings. Other kinds are
+    isinstance checks.
+    """
+    if kind is bytes:
+        if isinstance(value, str):
+            try:
+                return bytes.fromhex(value)
+            except ValueError:
+                pass
+        expected = "a hex string"
+    elif kind is int:
+        if type(value) is int and 0 <= value < 1 << 32:
+            return value
+        expected = "a non-negative 32-bit integer"
+    elif isinstance(value, kind):
+        return value
+    else:
+        expected = kind.__name__
+    raise ValueError(f"{where}: expected {expected}, got {value!r:.40}")
+
+
+def json_field(obj, key: str, kind: type, where: str):
+    """`obj[key]` checked by `json_value`, where `obj` must be a JSON object that has `key`."""
+    if not isinstance(obj, dict):
+        raise ValueError(f"{where}: expected an object, got {type(obj).__name__}")
+    if key not in obj:
+        raise ValueError(f"{where}: missing field {key!r}")
+    return json_value(obj[key], kind, f"{where}.{key}")
+
+
+def level_stride(tau: int, compressed: bool = False) -> int:
+    """Heights between the starts of consecutive bracket levels.
+
+    A level spends tau on its entry window and tau on its reveal window; a
+    multiinput level leaves as much again for its compression step.
+    """
+    return (4 if compressed else 2) * tau
+
+
+def level_schedule(t_commit: int, stride: int, tau: int, level: int) -> tuple[int, int, int]:
+    """(t0, t1, t2) of a bracket level: its start, entry timeout and reveal timeout."""
+    t0 = t_commit + stride * level
+    return t0, t0 + tau, t0 + 2 * tau
+
 
 class Rng:
     """Deterministic byte stream seeded by an integer, string or bytes.
@@ -88,16 +146,5 @@ class Rng:
             if any(b):
                 return b
 
-    def u256(self) -> int:
-        return int.from_bytes(self.bytes(32), "big")
-
     def nonzero_u256(self) -> int:
         return int.from_bytes(self.nonzero_bytes(32), "big")
-
-    def randrange(self, n: int) -> int:
-        # rejection sampling keeps the draw unbiased
-        limit = (1 << 64) - ((1 << 64) % n)
-        while True:
-            v = int.from_bytes(self.bytes(8), "big")
-            if v < limit:
-                return v % n

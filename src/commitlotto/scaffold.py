@@ -21,22 +21,32 @@ whole tree is wired before the signing ceremony runs.
 
 from __future__ import annotations
 
+import dataclasses
 import json
 from dataclasses import dataclass, field
-from typing import NamedTuple, Optional, Sequence
+from typing import Callable, NamedTuple, Optional, Sequence
 
 from .chain import (
     ChainParams,
     FixedInput,
-    MultiInput,
     TransactionBody,
     TxOutput,
     body_bytes,
     body_digests,
-    compute_ntxid,
+    body_from_json,
+    body_to_json,
     multi_input,
 )
-from .primitives import SIG_LAMBDA, OutputRef, Rng, sha256
+from .primitives import (
+    SIG_LAMBDA,
+    OutputRef,
+    Rng,
+    json_field,
+    json_value,
+    level_schedule,
+    level_stride,
+    sha256,
+)
 from .script import (
     AfterHeight,
     AllOf,
@@ -48,8 +58,6 @@ from .script import (
     SignatureOracle,
     XorParityOdd,
     commitment,
-    predicate_from_json,
-    predicate_to_json,
 )
 
 MODE_PLAIN = "plain"
@@ -273,16 +281,20 @@ class TransactionStats:
     materialized: bool
 
     def to_json(self) -> dict:
-        return {
-            "total_offchain": self.total_offchain,
-            "per_level": list(self.per_level),
-            "kernel_bodies": self.kernel_bodies,
-            "compression_count": self.compression_count,
-            "deposit_count": self.deposit_count,
-            "on_chain_worst_case": self.on_chain_worst_case,
-            "bytes_on_chain": self.bytes_on_chain,
-            "materialized": self.materialized,
-        }
+        return {**dataclasses.asdict(self), "per_level": list(self.per_level)}
+
+    @staticmethod
+    def from_json(obj, where: str) -> "TransactionStats":
+        get = lambda key, kind: json_field(obj, key, kind, where)
+        counts = {f.name for f in dataclasses.fields(TransactionStats)} - {"per_level", "materialized"}
+        per_level = get("per_level", list)
+        return TransactionStats(
+            per_level=tuple(
+                json_value(x, int, f"{where}.per_level[{i}]") for i, x in enumerate(per_level)
+            ),
+            materialized=get("materialized", bool),
+            **{name: get(name, int) for name in counts},
+        )
 
 
 @dataclass
@@ -314,11 +326,7 @@ class Tournament:
         return num_levels(self.n)
 
     def schedule(self, level: int) -> tuple[int, int, int]:
-        t0 = self.t_commit + self.level_stride * level
-        return t0, t0 + self.tau, t0 + 2 * self.tau
-
-    def final_level(self) -> int:
-        return self.levels - 1
+        return level_schedule(self.t_commit, self.level_stride, self.tau, level)
 
     def kernel(self, level: int, match: int, combo: int) -> Kernel:
         return self.kernels[KernelId(level, match, combo)]
@@ -399,9 +407,13 @@ def _kernel_bodies(
     pot: int,
     left_ref: OutputRef,
     right_ref: OutputRef,
-    out_preds: tuple[Predicate, Predicate, Predicate],
+    pay_left: Predicate,
+    pay_right: Predicate,
 ) -> tuple[tuple[TransactionBody, ...], tuple[tuple[bytes, bytes], ...]]:
-    """The bodies entry, reveal, outcome a, b and b', and their (ntxid, sig digest)."""
+    """The bodies entry, reveal, outcome a, b and b', and their (ntxid, sig digest).
+
+    Outcome a pays `pay_left`, b and b' pay `pay_right`.
+    """
     entry = TransactionBody(
         inputs=(FixedInput(left_ref), FixedInput(right_ref)),
         outputs=(TxOutput(pot, _entry_predicate(master, left_commit, t1)),),
@@ -417,22 +429,28 @@ def _kernel_bodies(
     # outcome 2: right wins by revealing odd parity
     tx_a = TransactionBody(
         inputs=(FixedInput(OutputRef(reveal_d[0], 0)),),
-        outputs=(TxOutput(pot, out_preds[0]),),
+        outputs=(TxOutput(pot, pay_left),),
         locktime=t2,
     )
     tx_b = TransactionBody(
         inputs=(FixedInput(OutputRef(entry_d[0], 0)),),
-        outputs=(TxOutput(pot, out_preds[1]),),
+        outputs=(TxOutput(pot, pay_right),),
         locktime=t1,
     )
     tx_bp = TransactionBody(
         inputs=(FixedInput(OutputRef(reveal_d[0], 0)),),
-        outputs=(TxOutput(pot, out_preds[2]),),
+        outputs=(TxOutput(pot, pay_right),),
     )
     return (
         (entry, reveal, tx_a, tx_b, tx_bp),
         (entry_d, reveal_d, body_digests(tx_a), body_digests(tx_b), body_digests(tx_bp)),
     )
+
+
+def _check_funding_values(funding_values: Optional[Sequence[int]], bet: int) -> None:
+    for i, v in enumerate(funding_values or ()):
+        if v != bet:
+            raise ValueError(f"ValueMismatch: funding input {i} carries {v}, expected {bet}")
 
 
 def build_deposit_atomic(
@@ -447,10 +465,7 @@ def build_deposit_atomic(
     body is fixed (and referenced) before anyone signs it; the ceremony
     signs it last so no player is ever exposed without a full scaffold.
     """
-    if funding_values is not None:
-        for i, v in enumerate(funding_values):
-            if v != bet:
-                raise ValueError(f"ValueMismatch: funding input {i} carries {v}, expected {bet}")
+    _check_funding_values(funding_values, bet)
     return TransactionBody(
         inputs=tuple(FixedInput(ref) for ref in funding),
         outputs=tuple(TxOutput(bet, master) for _ in funding),
@@ -459,7 +474,6 @@ def build_deposit_atomic(
 
 def build_deposit_hashlocked(
     funding: Sequence[OutputRef],
-    funding_values: Optional[Sequence[int]],
     bet: int,
     master: Predicate,
     player_keys: Sequence[bytes],
@@ -473,10 +487,6 @@ def build_deposit_hashlocked(
     refund_time passes. The refund branch unlocks exactly at the commit
     deadline, so an aborted run returns every stake within the commit window.
     """
-    if funding_values is not None:
-        for i, v in enumerate(funding_values):
-            if v != bet:
-                raise ValueError(f"ValueMismatch: funding input {i} carries {v}, expected {bet}")
     bodies = []
     for ref, key in zip(funding, player_keys):
         pred = _hashlocked_deposit_predicate(master, mpc_digest, key, refund_time)
@@ -484,6 +494,159 @@ def build_deposit_hashlocked(
             TransactionBody(inputs=(FixedInput(ref),), outputs=(TxOutput(bet, pred),))
         )
     return tuple(bodies)
+
+
+def _payout(master: Predicate, key: bytes, last: bool) -> Predicate:
+    """The bracket's last transaction pays the winner's key; earlier ones keep the stake under the master."""
+    return KeySign(key) if last else master
+
+
+def _param_problem(
+    n: int,
+    keys: Sequence[bytes],
+    funding: Sequence[OutputRef],
+    t_commit: int,
+    mode: str,
+    deposit_option: str,
+    mpc_digest: Optional[bytes],
+) -> Optional[str]:
+    """Why honest construction cannot run on these parameters, or None; n is a power of two."""
+    if len(keys) != n or len(set(keys)) != n:
+        return "need one distinct key per player"
+    if len(funding) != n:
+        return "need one funding output per player"
+    if mode not in (MODE_PLAIN, MODE_MULTIINPUT):
+        return f"unknown mode {mode!r}"
+    if deposit_option not in (DEPOSIT_ATOMIC, DEPOSIT_HASHLOCKED):
+        return f"unknown deposit option {deposit_option!r}"
+    if t_commit < 1:
+        return "t_commit must be >= 1"
+    if deposit_option == DEPOSIT_HASHLOCKED and mpc_digest is None:
+        return "hashlocked deposits need the joint mpc digest"
+    return None
+
+
+def _honest_scaffold(
+    n: int,
+    keys: Sequence[bytes],
+    funding: Sequence[OutputRef],
+    bet: int,
+    tau: int,
+    t_commit: int,
+    mode: str,
+    deposit_option: str,
+    mpc_digest: Optional[bytes],
+    commits: Callable[[KernelId], tuple[bytes, bytes]],
+    stats: TransactionStats,
+) -> Tournament:
+    """The scaffold honest construction gives for these parameters, bottom-up.
+
+    Everything in a scaffold is public except the kernels' commitment
+    digests, which `commits(kid)` supplies as (left, right). Build draws
+    them from fresh secrets; verify passes the ones a scaffold carries, so
+    the result differs from that scaffold exactly where it is not honest.
+    `stats` is stored as given.
+    """
+    levels = num_levels(n)
+    stride = level_stride(tau, mode == MODE_MULTIINPUT)
+    master = AllSign(tuple(keys))
+    refund_time = None
+    if deposit_option == DEPOSIT_ATOMIC:
+        deposit_bodies = (build_deposit_atomic(funding, None, bet, master),)
+        mpc_digest = None
+    else:
+        refund_time = t_commit  # refunds must be live by the commit deadline
+        deposit_bodies = build_deposit_hashlocked(funding, bet, master, keys, mpc_digest, refund_time)
+    deposit_digests = [body_digests(b) for b in deposit_bodies]
+    deposit_ntxids = tuple(ntxid for ntxid, _ in deposit_digests)
+    sig_digests = dict(deposit_digests)
+    kernels: dict[KernelId, Kernel] = {}
+    compressions: dict[tuple[int, int, int], CompressionTx] = {}
+
+    def stake_ref(level: int, match: int, combo: int, side: int) -> OutputRef:
+        """Where one side's stake for kernel (level, match, combo) lives."""
+        if level == 0:
+            player = 2 * match + side
+            if deposit_option == DEPOSIT_ATOMIC:
+                return OutputRef(deposit_ntxids[0], player)
+            return OutputRef(deposit_ntxids[player], 0)
+        child_match = 2 * match + side
+        if mode == MODE_MULTIINPUT:
+            cand = multi_candidate_pair(n, level, match, combo)[side]
+            return OutputRef(compressions[(level - 1, child_match, cand)].ntxid, 0)
+        lk, lt, rk, rt = unpack_index(level, match, combo)
+        child_kernel, child_tx = (lk, lt) if side == SIDE_LEFT else (rk, rt)
+        child = kernels[KernelId(level - 1, child_match, child_kernel)]
+        return OutputRef(child.outcome_ntxids[child_tx], 0)
+
+    for level in range(levels):
+        t0, t1, t2 = level_schedule(t_commit, stride, tau, level)
+        pot = (1 << (level + 1)) * bet
+        final = level == levels - 1
+        last = final and mode == MODE_PLAIN  # multiinput pays out in the compression
+        for match in range(matches_at(n, level)):
+            for combo in range(kernel_count(level, mode)):
+                kid = KernelId(level, match, combo)
+                left, right = players_of(n, level, match, combo, mode)
+                left_commit, right_commit = commits(kid)
+                bodies, digests = _kernel_bodies(
+                    master,
+                    left_commit,
+                    right_commit,
+                    t1,
+                    t2,
+                    pot,
+                    stake_ref(level, match, combo, SIDE_LEFT),
+                    stake_ref(level, match, combo, SIDE_RIGHT),
+                    _payout(master, keys[left], last),
+                    _payout(master, keys[right], last),
+                )
+                sig_digests.update(digests)
+                kernels[kid] = _kernel(
+                    bodies,
+                    digests,
+                    id=kid,
+                    left_player=left,
+                    right_player=right,
+                    left_commit=left_commit,
+                    right_commit=right_commit,
+                    t0=t0,
+                    t1=t1,
+                    t2=t2,
+                    pot=pot,
+                )
+            if mode == MODE_MULTIINPUT:
+                for cand in candidates(n, level, match):
+                    members = _compression_members(kernels, level, match, cand)
+                    body = TransactionBody(
+                        inputs=(multi_input(members),),
+                        outputs=(TxOutput(pot, _payout(master, keys[cand], final)),),
+                    )
+                    ntxid, sig_digest = body_digests(body)
+                    sig_digests[ntxid] = sig_digest
+                    compressions[(level, match, cand)] = CompressionTx(
+                        level, match, cand, body, ntxid
+                    )
+
+    return Tournament(
+        mode=mode,
+        n=n,
+        bet=bet,
+        tau=tau,
+        t_commit=t_commit,
+        level_stride=stride,
+        deposit_option=deposit_option,
+        master_keys=tuple(keys),
+        funding=tuple(funding),
+        kernels=kernels,
+        compressions=compressions,
+        deposit_bodies=deposit_bodies,
+        deposit_ntxids=deposit_ntxids,
+        refund_time=refund_time,
+        mpc_digest=mpc_digest,
+        stats=stats,
+        sig_digests=sig_digests,
+    )
 
 
 def build_tournament(
@@ -506,143 +669,27 @@ def build_tournament(
     returned object carries the secrets for simulation purposes; exports
     strip them.
     """
-    levels = num_levels(n)
-    if len(player_keys) != n or len(set(player_keys)) != n:
-        raise ValueError("need one distinct key per player")
-    if len(funding) != n:
-        raise ValueError("need one funding output per player")
-    if mode not in (MODE_PLAIN, MODE_MULTIINPUT):
-        raise ValueError(f"unknown mode {mode!r}")
-    if deposit_option not in (DEPOSIT_ATOMIC, DEPOSIT_HASHLOCKED):
-        raise ValueError(f"unknown deposit option {deposit_option!r}")
-    if t_commit < 1:
-        raise ValueError("t_commit must be >= 1")
-
-    bet = params.bet_value
-    tau = params.tau
-    stride = 2 * tau if mode == MODE_PLAIN else 4 * tau
-    master = AllSign(tuple(player_keys))
-    refund_time = None
-
-    if deposit_option == DEPOSIT_ATOMIC:
-        deposit_bodies = (build_deposit_atomic(funding, funding_values, bet, master),)
-        mpc_digest = None
-    else:
-        if mpc_digest is None:
-            raise ValueError("hashlocked deposits need the joint mpc digest")
-        refund_time = t_commit  # refunds must be live by the commit deadline
-        deposit_bodies = build_deposit_hashlocked(
-            funding, funding_values, bet, master, player_keys, mpc_digest, refund_time
-        )
-    deposit_digests = [body_digests(b) for b in deposit_bodies]
-    deposit_ntxids = tuple(ntxid for ntxid, _ in deposit_digests)
-    sig_digests = dict(deposit_digests)
-
-    kernels: dict[KernelId, Kernel] = {}
-    compressions: dict[tuple[int, int, int], CompressionTx] = {}
-    secrets: dict[tuple[KernelId, int], bytes] = {}
+    num_levels(n)
+    problem = _param_problem(n, player_keys, funding, t_commit, mode, deposit_option, mpc_digest)
+    if problem:
+        raise ValueError(problem)
+    bet, tau = params.bet_value, params.tau
+    _check_funding_values(funding_values, bet)
     srng = secret_source.child("kernel-secrets")
+    secrets: dict[tuple[KernelId, int], bytes] = {}
 
-    def stake_ref(level: int, match: int, combo: int, side: int) -> OutputRef:
-        """Where one side's stake for kernel (level, match, combo) lives."""
-        if level == 0:
-            player = 2 * match + side
-            if deposit_option == DEPOSIT_ATOMIC:
-                return OutputRef(deposit_ntxids[0], player)
-            return OutputRef(deposit_ntxids[player], 0)
-        child_match = 2 * match + side
-        if mode == MODE_MULTIINPUT:
-            cand = multi_candidate_pair(n, level, match, combo)[side]
-            return OutputRef(compressions[(level - 1, child_match, cand)].ntxid, 0)
-        lk, lt, rk, rt = unpack_index(level, match, combo)
-        child_kernel, child_tx = (lk, lt) if side == SIDE_LEFT else (rk, rt)
-        child = kernels[KernelId(level - 1, child_match, child_kernel)]
-        return OutputRef(child.outcome_ntxids[child_tx], 0)
+    def commits(kid: KernelId) -> tuple[bytes, bytes]:
+        label = f"{kid.level}.{kid.match}.{kid.combo}"
+        left = secrets[(kid, SIDE_LEFT)] = srng.child(f"{label}.L").nonzero_bytes(32)
+        right = secrets[(kid, SIDE_RIGHT)] = srng.child(f"{label}.R").nonzero_bytes(32)
+        return commitment(left), commitment(right)
 
-    for level in range(levels):
-        t0 = t_commit + stride * level
-        t1, t2 = t0 + tau, t0 + 2 * tau
-        pot = (1 << (level + 1)) * bet
-        final = level == levels - 1
-        for match in range(matches_at(n, level)):
-            for combo in range(kernel_count(level, mode)):
-                kid = KernelId(level, match, combo)
-                left, right = players_of(n, level, match, combo, mode)
-                secret_l = srng.child(f"{level}.{match}.{combo}.L").nonzero_bytes(32)
-                secret_r = srng.child(f"{level}.{match}.{combo}.R").nonzero_bytes(32)
-                secrets[(kid, SIDE_LEFT)] = secret_l
-                secrets[(kid, SIDE_RIGHT)] = secret_r
-                if final and mode == MODE_PLAIN:
-                    out_preds = (
-                        KeySign(player_keys[left]),
-                        KeySign(player_keys[right]),
-                        KeySign(player_keys[right]),
-                    )
-                else:
-                    out_preds = (master, master, master)
-                left_commit, right_commit = commitment(secret_l), commitment(secret_r)
-                bodies, digests = _kernel_bodies(
-                    master,
-                    left_commit,
-                    right_commit,
-                    t1,
-                    t2,
-                    pot,
-                    stake_ref(level, match, combo, SIDE_LEFT),
-                    stake_ref(level, match, combo, SIDE_RIGHT),
-                    out_preds,
-                )
-                sig_digests.update(digests)
-                kernels[kid] = _kernel(
-                    bodies,
-                    digests,
-                    id=kid,
-                    left_player=left,
-                    right_player=right,
-                    left_commit=left_commit,
-                    right_commit=right_commit,
-                    t0=t0,
-                    t1=t1,
-                    t2=t2,
-                    pot=pot,
-                )
-            if mode == MODE_MULTIINPUT:
-                for cand in candidates(n, level, match):
-                    pred = KeySign(player_keys[cand]) if final else master
-                    members = _compression_members(kernels, level, match, cand, mode)
-                    body = TransactionBody(
-                        inputs=(multi_input(members),),
-                        outputs=(TxOutput(pot, pred),),
-                    )
-                    ntxid, sig_digest = body_digests(body)
-                    sig_digests[ntxid] = sig_digest
-                    compressions[(level, match, cand)] = CompressionTx(
-                        level, match, cand, body, ntxid
-                    )
-
-    stats = _stats_from_build(
-        n, mode, deposit_option, sig_model, kernels, compressions, deposit_bodies
+    stats = scaffold_stats(n, mode, deposit_option, sig_model, bet, tau, t_commit)
+    t = _honest_scaffold(
+        n, player_keys, funding, bet, tau, t_commit, mode, deposit_option, mpc_digest, commits,
+        dataclasses.replace(stats, materialized=True),
     )
-    return Tournament(
-        mode=mode,
-        n=n,
-        bet=bet,
-        tau=tau,
-        t_commit=t_commit,
-        level_stride=stride,
-        deposit_option=deposit_option,
-        master_keys=tuple(player_keys),
-        funding=tuple(funding),
-        kernels=kernels,
-        compressions=compressions,
-        deposit_bodies=deposit_bodies,
-        deposit_ntxids=deposit_ntxids,
-        refund_time=refund_time,
-        mpc_digest=mpc_digest,
-        stats=stats,
-        sig_digests=sig_digests,
-        secrets=secrets,
-    )
+    return dataclasses.replace(t, secrets=secrets)
 
 
 def _kernel(bodies, digests, **fields) -> Kernel:
@@ -659,11 +706,11 @@ def _kernel(bodies, digests, **fields) -> Kernel:
 
 
 def _compression_members(
-    kernels: dict[KernelId, Kernel], level: int, match: int, candidate: int, mode: str
+    kernels: dict[KernelId, Kernel], level: int, match: int, candidate: int
 ) -> list[OutputRef]:
-    """Every outcome output across a match's kernels that pays `candidate`."""
+    """Every outcome output across a multiinput match's kernels that pays `candidate`."""
     members = []
-    for combo in range(kernel_count(level, mode)):
+    for combo in range(kernel_count(level, MODE_MULTIINPUT)):
         k = kernels[KernelId(level, match, combo)]
         if k.left_player == candidate:
             members.append(OutputRef(k.outcome_ntxids[0], 0))
@@ -673,64 +720,12 @@ def _compression_members(
     return members
 
 
-def build_compression(t: Tournament, level: int, match: int, candidate: int) -> CompressionTx:
-    """Look up (or recompute) the compression body for one candidate winner."""
-    if t.mode != MODE_MULTIINPUT:
-        raise ValueError("compression transactions exist only in multiinput mode")
-    key = (level, match, candidate)
-    if key not in t.compressions:
-        raise IndexOutOfRange(f"no compression for candidate {candidate} at {level}/{match}")
-    return t.compressions[key]
-
-
 # cost model
 
 
 def _auth_bytes(sig_model: str, n: int) -> int:
     # multisig carries one signature per master key; aggregate folds them
     return n * SIG_LAMBDA if sig_model == "multisig" else SIG_LAMBDA
-
-
-def _stats_from_build(n, mode, deposit_option, sig_model, kernels, compressions, deposit_bodies):
-    levels = num_levels(n)
-    per_level = tuple(
-        matches_at(n, level) * kernel_count(level, mode) * 5 for level in range(levels)
-    )
-    kernel_bodies = sum(per_level)
-    compression_count = len(compressions)
-    deposit_count = len(deposit_bodies)
-    auth = _auth_bytes(sig_model, n)
-    txs_per_match = 4 if mode == MODE_MULTIINPUT else 3
-    worst_bytes = sum(len(body_bytes(b)) + auth for b in deposit_bodies)
-    for level in range(levels):
-        # the slowest path through a match publishes entry, reveal and the
-        # reveal-timeout outcome; multiinput adds the winner's compression
-        k = kernels[KernelId(level, 0, 0)]
-        per_match = (
-            len(body_bytes(k.entry_tx))
-            + len(body_bytes(k.reveal_tx))
-            + len(body_bytes(k.outcome_txs[0]))
-            + 3 * auth
-        )
-        if mode == MODE_MULTIINPUT:
-            worst = max(
-                len(body_bytes(compressions[(level, 0, cand)].body))
-                for cand in candidates(n, level, 0)
-            )
-            per_match += worst + auth
-        worst_bytes += per_match * matches_at(n, level)
-    on_chain_worst = txs_per_match * (n - 1) + deposit_count
-    total = kernel_bodies + compression_count + deposit_count
-    return TransactionStats(
-        total_offchain=total,
-        per_level=per_level,
-        kernel_bodies=kernel_bodies,
-        compression_count=compression_count,
-        deposit_count=deposit_count,
-        on_chain_worst_case=on_chain_worst,
-        bytes_on_chain=worst_bytes,
-        materialized=True,
-    )
 
 
 def scaffold_stats(
@@ -745,8 +740,9 @@ def scaffold_stats(
     """Closed-form transaction statistics without materializing the tree.
 
     Representative bodies (one kernel per level, dummy digests) give exact
-    byte sizes because every digest and reference field is fixed-width.
-    Used for player counts whose plain-mode trees are too large to build.
+    byte sizes because every digest and reference field is fixed-width, so
+    a built scaffold carries these same figures. Used alone for player
+    counts whose plain-mode trees are too large to build.
     """
     levels = num_levels(n)
     per_level = tuple(
@@ -770,22 +766,23 @@ def scaffold_stats(
         worst_bytes = len(body_bytes(dep)) + auth
     else:
         deps = build_deposit_hashlocked(
-            [dummy_ref] * n, None, bet, master, dummy_keys, dummy_digest, t_commit + 1
+            [dummy_ref] * n, bet, master, dummy_keys, dummy_digest, t_commit + 1
         )
         worst_bytes = sum(len(body_bytes(b)) + auth for b in deps)
 
-    stride = 2 * tau if mode == MODE_PLAIN else 4 * tau
+    stride = level_stride(tau, mode == MODE_MULTIINPUT)
     for level in range(levels):
-        t0 = t_commit + stride * level
+        _t0, t1, t2 = level_schedule(t_commit, stride, tau, level)
         pot = (1 << (level + 1)) * bet
         final = level == levels - 1
-        if final and mode == MODE_PLAIN:
-            out_preds = (KeySign(dummy_keys[0]), KeySign(dummy_keys[1]), KeySign(dummy_keys[1]))
-        else:
-            out_preds = (master, master, master)
+        last = final and mode == MODE_PLAIN
+        # the slowest path through a match publishes entry, reveal and the
+        # reveal-timeout outcome; multiinput adds the winner's compression
         (entry, reveal, outcome_a, *_), _digests = _kernel_bodies(
-            master, dummy_digest, sha256(dummy_digest), t0 + tau, t0 + 2 * tau,
-            pot, dummy_ref, OutputRef(b"\x22" * 32, 0), out_preds,
+            master, dummy_digest, sha256(dummy_digest), t1, t2, pot, dummy_ref,
+            OutputRef(b"\x22" * 32, 0),
+            _payout(master, dummy_keys[0], last),
+            _payout(master, dummy_keys[1], last),
         )
         per_match = (
             len(body_bytes(entry)) + len(body_bytes(reveal)) + len(body_bytes(outcome_a))
@@ -796,7 +793,7 @@ def scaffold_stats(
             members = [OutputRef(sha256(b"m%d" % i), 0) for i in range(2 * (1 << level))]
             comp = TransactionBody(
                 inputs=(multi_input(members),),
-                outputs=(TxOutput(pot, KeySign(dummy_keys[0]) if final else master),),
+                outputs=(TxOutput(pot, _payout(master, dummy_keys[0], final)),),
             )
             per_match += len(body_bytes(comp)) + auth
         worst_bytes += per_match * matches_at(n, level)
@@ -822,202 +819,112 @@ class Violation(NamedTuple):
     detail: str
 
 
-def verify_as_honest(t: Tournament, me: int = 0) -> list[Violation]:
-    """Check a scaffold against what honest construction would produce.
+def verify_as_honest(t: Tournament) -> list[Violation]:
+    """Rebuild the scaffold honestly from its public fields and diff.
 
-    Everything except the secret preimages is recomputable from public
-    parameters, so the verifier rebuilds each body from the tournament's
-    own public fields and flags any divergence: rewired inputs, altered
-    schedules or predicates, wrong payout keys, and duplicated commitment
-    digests (the replay defense). An empty list means the scaffold is safe
-    to sign.
+    Everything except the secret preimages is public, so the verifier runs
+    honest construction on the tournament's own parameters and the
+    commitment digests it carries, then flags every divergence: rewired
+    inputs, altered schedules or predicates, wrong payout keys, and
+    duplicated commitment digests (the replay defense). An empty list means
+    the scaffold is safe to sign, from every seat.
     """
-    v: list[Violation] = []
     try:
-        levels = num_levels(t.n)
+        num_levels(t.n)
     except NotPowerOfTwo as e:
         return [Violation(None, "BadParams", str(e))]
-    if not (0 <= me < t.n):
-        return [Violation(None, "BadParams", f"player {me} out of range")]
-    if len(t.master_keys) != t.n or len(set(t.master_keys)) != t.n:
-        v.append(Violation(None, "BadParams", "master keys must be one distinct key per player"))
-        return v
-    master = AllSign(t.master_keys)
-    stride = 2 * t.tau if t.mode == MODE_PLAIN else 4 * t.tau
-    if t.level_stride != stride:
-        v.append(Violation(None, "BadSchedule", f"level stride {t.level_stride} != {stride}"))
+    problem = _param_problem(
+        t.n, t.master_keys, t.funding, t.t_commit, t.mode, t.deposit_option, t.mpc_digest
+    )
+    if problem:
+        return [Violation(None, "BadParams", problem)]
 
-    expected_ids = {
-        KernelId(level, match, combo)
-        for level in range(levels)
-        for match in range(matches_at(t.n, level))
-        for combo in range(kernel_count(level, t.mode))
-    }
-    for kid in expected_ids - set(t.kernels):
+    def commits(kid: KernelId) -> tuple[bytes, bytes]:
+        k = t.kernels.get(kid)
+        # a missing kernel gets placeholders: it is reported before anything is compared
+        return (k.left_commit, k.right_commit) if k else (bytes(32), bytes(32))
+
+    h = _honest_scaffold(
+        t.n, t.master_keys, t.funding, t.bet, t.tau, t.t_commit, t.mode, t.deposit_option,
+        t.mpc_digest, commits, t.stats,
+    )
+    v: list[Violation] = []
+    if t.level_stride != h.level_stride:
+        v.append(Violation(None, "BadSchedule", f"level stride {t.level_stride} != {h.level_stride}"))
+    if t.refund_time != h.refund_time:
+        detail = f"refund time {t.refund_time} != {h.refund_time}, the commit deadline"
+        v.append(Violation(None, "BadDeposit", detail))
+    for kid in sorted(h.kernels.keys() - t.kernels.keys()):
         v.append(Violation(kid, "MissingKernel", "kernel absent from scaffold"))
-    for kid in set(t.kernels) - expected_ids:
+    for kid in sorted(t.kernels.keys() - h.kernels.keys()):
         v.append(Violation(kid, "UnexpectedKernel", "kernel not part of the bracket"))
     if any(rule == "MissingKernel" for _, rule, _ in v):
         return v
 
-    # deposits
-    v.extend(_verify_deposits(t, master))
-
     # commitment digests must be pairwise distinct across the whole tree
     seen: dict[bytes, tuple[KernelId, int]] = {}
-    for kid in sorted(expected_ids):
+    for kid in sorted(h.kernels):
         k = t.kernels[kid]
         for side, digest in ((SIDE_LEFT, k.left_commit), (SIDE_RIGHT, k.right_commit)):
             if digest in seen:
-                other = seen[digest]
-                v.append(
-                    Violation(
-                        kid,
-                        "DuplicateCommitment",
-                        f"side {side} repeats commitment of kernel {other[0]} side {other[1]}",
-                    )
-                )
+                other_kid, other_side = seen[digest]
+                detail = f"side {side} repeats commitment of kernel {other_kid} side {other_side}"
+                v.append(Violation(kid, "DuplicateCommitment", detail))
             else:
                 seen[digest] = (kid, side)
 
-    for kid in sorted(expected_ids):
-        k = t.kernels[kid]
-        level, match, combo = kid
-        t0, t1, t2 = t.t_commit + stride * level, 0, 0
-        t1, t2 = t0 + t.tau, t0 + 2 * t.tau
-        if (k.t0, k.t1, k.t2) != (t0, t1, t2):
-            v.append(Violation(kid, "BadSchedule", f"timeouts {(k.t0, k.t1, k.t2)} != {(t0, t1, t2)}"))
-        try:
-            left, right = players_of(t.n, level, match, combo, t.mode)
-        except (IndexOutOfRange, NotPowerOfTwo) as e:
-            v.append(Violation(kid, "BadPlayers", str(e)))
-            continue
-        if (k.left_player, k.right_player) != (left, right):
-            v.append(
-                Violation(
-                    kid,
-                    "BadPlayers",
-                    f"players {(k.left_player, k.right_player)} != {(left, right)}",
-                )
-            )
-        pot = (1 << (level + 1)) * t.bet
-        final = level == levels - 1
-        if final and t.mode == MODE_PLAIN:
-            out_preds = (
-                KeySign(t.master_keys[left]),
-                KeySign(t.master_keys[right]),
-                KeySign(t.master_keys[right]),
-            )
-        else:
-            out_preds = (master, master, master)
-        try:
-            left_ref = _expected_stake_ref(t, level, match, combo, SIDE_LEFT)
-            right_ref = _expected_stake_ref(t, level, match, combo, SIDE_RIGHT)
-        except KeyError as e:
-            v.append(Violation(kid, "BadWiring", f"missing child transaction: {e}"))
-            continue
-        rebuilt_bodies, _digests = _kernel_bodies(
-            master, k.left_commit, k.right_commit, t1, t2, pot, left_ref, right_ref, out_preds
-        )
-        stored_bodies = (k.entry_tx, k.reveal_tx) + tuple(k.outcome_txs)
-        for role, stored, rebuilt in zip(
-            (ROLE_ENTRY, ROLE_REVEAL) + ROLE_OUTCOMES, stored_bodies, rebuilt_bodies
+    for kid in sorted(h.kernels):
+        k, honest = t.kernels[kid], h.kernels[kid]
+        for rule, what, got, want in (
+            ("BadSchedule", "timeouts", (k.t0, k.t1, k.t2), (honest.t0, honest.t1, honest.t2)),
+            ("BadPlayers", "players", (k.left_player, k.right_player),
+             (honest.left_player, honest.right_player)),
+            ("BadScript", "pot", k.pot, honest.pot),
         ):
-            if stored == rebuilt:
-                continue
-            if stored.inputs != rebuilt.inputs:
-                rule = "BadWiring"
-            elif stored.locktime != rebuilt.locktime:
-                rule = "BadTimeout"
-            else:
-                rule = "BadScript"
-            v.append(Violation(kid, rule, f"{role} transaction diverges from honest construction"))
+            if got != want:
+                v.append(Violation(kid, rule, f"{what} {got} != {want}"))
 
-    if t.mode == MODE_MULTIINPUT:
-        v.extend(_verify_compressions(t, master, levels))
-    v.extend(_verify_digests(t))
-    return v
-
-
-def _verify_digests(t: Tournament) -> list[Violation]:
-    """The stored ntxids and signature digests must be those of the stored bodies.
-
-    The ceremony approves the stored digests and the runtime trusts the
-    stored ntxids, so a mismatch would sign something other than what was
-    checked.
-    """
-    v: list[Violation] = []
+    # The ceremony approves the stored digests and the runtime trusts the stored
+    # ntxids, so each must be that of its stored body, or signing would cover
+    # something other than what was checked.
+    stored = {}
     for item in iter_bodies(t):
+        stored[(item.role, item.key)] = item.body
         if body_digests(item.body) != (item.ntxid, t.sig_digests.get(item.ntxid)):
             kid = item.key if isinstance(item.key, KernelId) else None
             detail = f"{item.role} {item.key}: stored digests do not match the body"
             v.append(Violation(kid, "BadDigest", detail))
+    for item in iter_bodies(h):
+        body = stored.pop((item.role, item.key), None)
+        if body != item.body:
+            v.append(_body_divergence(item.role, item.key, body, item.body))
+    for (role, key), body in stored.items():
+        if not isinstance(key, KernelId):  # bodies of extra kernels are reported above
+            v.append(_body_divergence(role, key, body, None))
     return v
 
 
-def _expected_stake_ref(t: Tournament, level: int, match: int, combo: int, side: int) -> OutputRef:
-    if level == 0:
-        player = 2 * match + side
-        if t.deposit_option == DEPOSIT_ATOMIC:
-            return OutputRef(t.deposit_ntxids[0], player)
-        return OutputRef(t.deposit_ntxids[player], 0)
-    child_match = 2 * match + side
-    if t.mode == MODE_MULTIINPUT:
-        cand = multi_candidate_pair(t.n, level, match, combo)[side]
-        return OutputRef(t.compressions[(level - 1, child_match, cand)].ntxid, 0)
-    lk, lt, rk, rt = unpack_index(level, match, combo)
-    child_kernel, child_tx = (lk, lt) if side == SIDE_LEFT else (rk, rt)
-    child = t.kernels[KernelId(level - 1, child_match, child_kernel)]
-    return OutputRef(compute_ntxid(child.outcome_txs[child_tx]), 0)
-
-
-def _verify_deposits(t: Tournament, master: Predicate) -> list[Violation]:
-    v: list[Violation] = []
-    if t.deposit_option == DEPOSIT_ATOMIC:
-        if len(t.deposit_bodies) != 1:
-            return [Violation(None, "BadDeposit", "atomic option needs exactly one deposit body")]
-        expected = build_deposit_atomic(t.funding, None, t.bet, master)
-        if t.deposit_bodies[0] != expected:
-            v.append(Violation(None, "BadDeposit", "deposit body diverges from honest construction"))
+def _body_divergence(
+    role: str, key: object, stored: Optional[TransactionBody], rebuilt: Optional[TransactionBody]
+) -> Violation:
+    """Classify a body that differs from honest construction; None marks a side that lacks it."""
+    kid = key if isinstance(key, KernelId) else None
+    if role == ROLE_DEPOSIT:
+        rule = "BadDeposit"
+    elif role == ROLE_COMPRESSION:
+        rule = "BadCompression"
+    elif stored.inputs != rebuilt.inputs:
+        rule = "BadWiring"
+    elif stored.locktime != rebuilt.locktime:
+        rule = "BadTimeout"
     else:
-        if len(t.deposit_bodies) != t.n:
-            return [Violation(None, "BadDeposit", "hashlocked option needs one deposit per player")]
-        if t.mpc_digest is None or t.refund_time != t.t_commit:
-            v.append(Violation(None, "BadDeposit", "refund time must equal the commit deadline"))
-            return v
-        expected_bodies = build_deposit_hashlocked(
-            t.funding, None, t.bet, master, t.master_keys, t.mpc_digest, t.refund_time
-        )
-        for i, (stored, rebuilt) in enumerate(zip(t.deposit_bodies, expected_bodies)):
-            if stored != rebuilt:
-                v.append(Violation(None, "BadDeposit", f"deposit {i} diverges from honest construction"))
-    return v
-
-
-def _verify_compressions(t: Tournament, master: Predicate, levels: int) -> list[Violation]:
-    v: list[Violation] = []
-    expected_keys = {
-        (level, match, cand)
-        for level in range(levels)
-        for match in range(matches_at(t.n, level))
-        for cand in candidates(t.n, level, match)
-    }
-    for key in expected_keys - set(t.compressions):
-        v.append(Violation(None, "BadCompression", f"missing compression {key}"))
-    for key in set(t.compressions) - expected_keys:
-        v.append(Violation(None, "BadCompression", f"unexpected compression {key}"))
-    for key in sorted(expected_keys & set(t.compressions)):
-        level, match, cand = key
-        c = t.compressions[key]
-        members = _compression_members(t.kernels, level, match, cand, t.mode)
-        pot = (1 << (level + 1)) * t.bet
-        pred = KeySign(t.master_keys[cand]) if level == levels - 1 else master
-        rebuilt = TransactionBody(
-            inputs=(multi_input(members),), outputs=(TxOutput(pot, pred),)
-        )
-        if c.body != rebuilt:
-            v.append(Violation(None, "BadCompression", f"compression {key} diverges"))
-    return v
+        rule = "BadScript"
+    what = f"{role} transaction" if kid else f"{role} {key}"
+    if stored is None:
+        return Violation(kid, rule, f"{what} is missing")
+    if rebuilt is None:
+        return Violation(kid, rule, f"{what} is not part of honest construction")
+    return Violation(kid, rule, f"{what} diverges from honest construction")
 
 
 # signing ceremony
@@ -1080,94 +987,40 @@ def signing_ceremony(
 # serialization
 
 
-def _body_to_json(body: TransactionBody) -> dict:
-    inputs = []
-    for spec in body.inputs:
-        if isinstance(spec, FixedInput):
-            inputs.append({"kind": "fixed", "txid": spec.ref.txid.hex(), "index": spec.ref.index})
-        else:
-            inputs.append(
-                {
-                    "kind": "multi",
-                    "refs": [{"txid": r.txid.hex(), "index": r.index} for r in spec.refs],
-                }
-            )
-    return {
-        "inputs": inputs,
-        "outputs": [
-            {"value": out.value, "predicate": predicate_to_json(out.predicate)}
-            for out in body.outputs
-        ],
-        "locktime": body.locktime,
-    }
-
-
-def _body_from_json(obj: dict) -> TransactionBody:
-    inputs: list = []
-    for spec in obj["inputs"]:
-        if spec["kind"] == "fixed":
-            inputs.append(FixedInput(OutputRef(bytes.fromhex(spec["txid"]), spec["index"])))
-        else:
-            inputs.append(
-                MultiInput(
-                    tuple(OutputRef(bytes.fromhex(r["txid"]), r["index"]) for r in spec["refs"])
-                )
-            )
-    outputs = tuple(
-        TxOutput(out["value"], predicate_from_json(out["predicate"])) for out in obj["outputs"]
-    )
-    return TransactionBody(tuple(inputs), outputs, obj["locktime"])
-
-
 FORMAT_TAG = "tournament-scaffold-v1"
+# integer fields stored in the JSON under their attribute names
+_SCAFFOLD_INTS = ("n", "bet", "tau", "t_commit", "level_stride")
+_KERNEL_INTS = ("left_player", "right_player", "t0", "t1", "t2", "pot")
 
 
 def tournament_to_json(t: Tournament) -> dict:
     """Public scaffold description. Secrets are never exported."""
-    kernels = []
-    for kid in sorted(t.kernels):
-        k = t.kernels[kid]
-        kernels.append(
-            {
-                "level": kid.level,
-                "match": kid.match,
-                "combo": kid.combo,
-                "left_player": k.left_player,
-                "right_player": k.right_player,
-                "left_commit": k.left_commit.hex(),
-                "right_commit": k.right_commit.hex(),
-                "t0": k.t0,
-                "t1": k.t1,
-                "t2": k.t2,
-                "pot": k.pot,
-                "entry": _body_to_json(k.entry_tx),
-                "reveal": _body_to_json(k.reveal_tx),
-                "outcomes": [_body_to_json(b) for b in k.outcome_txs],
-            }
-        )
-    compressions = [
+    kernels = [
         {
-            "level": key[0],
-            "match": key[1],
-            "candidate": key[2],
-            "body": _body_to_json(t.compressions[key].body),
+            **kid._asdict(),
+            **{name: getattr(k, name) for name in _KERNEL_INTS},
+            "left_commit": k.left_commit.hex(),
+            "right_commit": k.right_commit.hex(),
+            "entry": body_to_json(k.entry_tx),
+            "reveal": body_to_json(k.reveal_tx),
+            "outcomes": [body_to_json(b) for b in k.outcome_txs],
         }
-        for key in sorted(t.compressions)
+        for kid, k in sorted(t.kernels.items())
+    ]
+    compressions = [
+        {"level": level, "match": match, "candidate": cand, "body": body_to_json(c.body)}
+        for (level, match, cand), c in sorted(t.compressions.items())
     ]
     return {
         "format": FORMAT_TAG,
+        **{name: getattr(t, name) for name in _SCAFFOLD_INTS},
         "mode": t.mode,
-        "n": t.n,
-        "bet": t.bet,
-        "tau": t.tau,
-        "t_commit": t.t_commit,
-        "level_stride": t.level_stride,
         "deposit_option": t.deposit_option,
         "refund_time": t.refund_time,
         "mpc_digest": t.mpc_digest.hex() if t.mpc_digest else None,
         "master_keys": [k.hex() for k in t.master_keys],
-        "funding": [{"txid": r.txid.hex(), "index": r.index} for r in t.funding],
-        "deposits": [_body_to_json(b) for b in t.deposit_bodies],
+        "funding": [r.to_json() for r in t.funding],
+        "deposits": [body_to_json(b) for b in t.deposit_bodies],
         "kernels": kernels,
         "compressions": compressions,
         "stats": t.stats.to_json(),
@@ -1175,68 +1028,70 @@ def tournament_to_json(t: Tournament) -> dict:
 
 
 def tournament_from_json(obj: dict) -> Tournament:
+    """Decode `tournament_to_json` output; a malformed document raises ValueError naming the field."""
+    if not isinstance(obj, dict):
+        raise ValueError(f"scaffold: expected a JSON object, got {type(obj).__name__}")
     if obj.get("format") != FORMAT_TAG:
         raise ValueError(f"not a scaffold file (format {obj.get('format')!r})")
+    get = lambda key, kind: json_field(obj, key, kind, "scaffold")
+    mode, deposit_option = get("mode", str), get("deposit_option", str)
+    if mode not in (MODE_PLAIN, MODE_MULTIINPUT):
+        raise ValueError(f"scaffold.mode: unknown mode {mode!r}")
+    if deposit_option not in (DEPOSIT_ATOMIC, DEPOSIT_HASHLOCKED):
+        raise ValueError(f"scaffold.deposit_option: unknown deposit option {deposit_option!r}")
     kernels: dict[KernelId, Kernel] = {}
     sig_digests: dict[bytes, bytes] = {}
-    for rec in obj["kernels"]:
-        kid = KernelId(rec["level"], rec["match"], rec["combo"])
-        bodies = tuple(_body_from_json(b) for b in [rec["entry"], rec["reveal"], *rec["outcomes"]])
+    for i, rec in enumerate(get("kernels", list)):
+        where = f"kernels[{i}]"
+        field_of = lambda key, kind: json_field(rec, key, kind, where)
+        outcomes = field_of("outcomes", list)
+        if len(outcomes) != 3:
+            raise ValueError(f"{where}.outcomes: a kernel has 3 outcomes, found {len(outcomes)}")
+        docs = [field_of("entry", dict), field_of("reveal", dict), *outcomes]
+        roles = (ROLE_ENTRY, ROLE_REVEAL) + ROLE_OUTCOMES
+        bodies = tuple(body_from_json(b, f"{where}.{role}") for b, role in zip(docs, roles))
         digests = tuple(body_digests(b) for b in bodies)
         sig_digests.update(digests)
+        kid = KernelId(*(field_of(name, int) for name in KernelId._fields))
         kernels[kid] = _kernel(
             bodies,
             digests,
             id=kid,
-            left_player=rec["left_player"],
-            right_player=rec["right_player"],
-            left_commit=bytes.fromhex(rec["left_commit"]),
-            right_commit=bytes.fromhex(rec["right_commit"]),
-            t0=rec["t0"],
-            t1=rec["t1"],
-            t2=rec["t2"],
-            pot=rec["pot"],
+            left_commit=field_of("left_commit", bytes),
+            right_commit=field_of("right_commit", bytes),
+            **{name: field_of(name, int) for name in _KERNEL_INTS},
         )
     compressions = {}
-    for rec in obj.get("compressions", []):
-        body = _body_from_json(rec["body"])
-        key = (rec["level"], rec["match"], rec["candidate"])
+    for i, rec in enumerate(json_value(obj.get("compressions", []), list, "scaffold.compressions")):
+        where = f"compressions[{i}]"
+        body = body_from_json(json_field(rec, "body", dict, where), f"{where}.body")
+        key = tuple(json_field(rec, k, int, where) for k in ("level", "match", "candidate"))
         ntxid, sig_digest = body_digests(body)
         sig_digests[ntxid] = sig_digest
-        compressions[key] = CompressionTx(key[0], key[1], key[2], body, ntxid)
-    deposit_bodies = tuple(_body_from_json(b) for b in obj["deposits"])
+        compressions[key] = CompressionTx(*key, body, ntxid)
+    deposit_bodies = tuple(
+        body_from_json(b, f"deposits[{i}]") for i, b in enumerate(get("deposits", list))
+    )
     deposit_digests = [body_digests(b) for b in deposit_bodies]
     sig_digests.update(deposit_digests)
-    stats_obj = obj["stats"]
-    stats = TransactionStats(
-        total_offchain=stats_obj["total_offchain"],
-        per_level=tuple(stats_obj["per_level"]),
-        kernel_bodies=stats_obj["kernel_bodies"],
-        compression_count=stats_obj["compression_count"],
-        deposit_count=stats_obj["deposit_count"],
-        on_chain_worst_case=stats_obj["on_chain_worst_case"],
-        bytes_on_chain=stats_obj["bytes_on_chain"],
-        materialized=stats_obj["materialized"],
-    )
+    keys = get("master_keys", list)
+    funding = get("funding", list)
     return Tournament(
-        mode=obj["mode"],
-        n=obj["n"],
-        bet=obj["bet"],
-        tau=obj["tau"],
-        t_commit=obj["t_commit"],
-        level_stride=obj["level_stride"],
-        deposit_option=obj["deposit_option"],
-        master_keys=tuple(bytes.fromhex(k) for k in obj["master_keys"]),
-        funding=tuple(OutputRef(bytes.fromhex(r["txid"]), r["index"]) for r in obj["funding"]),
+        **{name: get(name, int) for name in _SCAFFOLD_INTS},
+        mode=mode,
+        deposit_option=deposit_option,
+        master_keys=tuple(
+            json_value(k, bytes, f"scaffold.master_keys[{i}]") for i, k in enumerate(keys)
+        ),
+        funding=tuple(OutputRef.from_json(r, f"scaffold.funding[{i}]") for i, r in enumerate(funding)),
         kernels=kernels,
         compressions=compressions,
         deposit_bodies=deposit_bodies,
         deposit_ntxids=tuple(ntxid for ntxid, _ in deposit_digests),
-        refund_time=obj.get("refund_time"),
-        mpc_digest=bytes.fromhex(obj["mpc_digest"]) if obj.get("mpc_digest") else None,
-        stats=stats,
+        refund_time=None if obj.get("refund_time") is None else get("refund_time", int),
+        mpc_digest=get("mpc_digest", bytes) if obj.get("mpc_digest") else None,
+        stats=TransactionStats.from_json(get("stats", dict), "scaffold.stats"),
         sig_digests=sig_digests,
-        secrets={},
     )
 
 
@@ -1259,55 +1114,35 @@ def export_dot(t: Tournament) -> str:
         name = f"funding_{i}"
         producer[ref.txid] = name
         lines.append(f'  {name} [label="funding P{i}", shape=ellipse];')
-    for i, ntxid in enumerate(t.deposit_ntxids):
+    nodes: list[tuple[str, str, TransactionBody, bytes]] = []  # name, label, body, ntxid
+    for i, (body, ntxid) in enumerate(zip(t.deposit_bodies, t.deposit_ntxids)):
         name = f"deposit_{i}" if len(t.deposit_ntxids) > 1 else "deposit"
-        producer[ntxid] = name
-        lines.append(f'  {name} [label="{name}"];')
+        nodes.append((name, name, body, ntxid))
     for kid in sorted(t.kernels):
         k = t.kernels[kid]
         base = f"k{kid.level}_{kid.match}_{kid.combo}"
-        for role, ntxid, lock in (
-            ("entry", k.entry_ntxid, 0),
-            ("reveal", k.reveal_ntxid, 0),
-            ("outcome_a", k.outcome_ntxids[0], k.t2),
-            ("outcome_b", k.outcome_ntxids[1], k.t1),
-            ("outcome_bp", k.outcome_ntxids[2], 0),
+        for role, body, ntxid, lock in (
+            ("entry", k.entry_tx, k.entry_ntxid, 0),
+            ("reveal", k.reveal_tx, k.reveal_ntxid, 0),
+            ("outcome_a", k.outcome_txs[0], k.outcome_ntxids[0], k.t2),
+            ("outcome_b", k.outcome_txs[1], k.outcome_ntxids[1], k.t1),
+            ("outcome_bp", k.outcome_txs[2], k.outcome_ntxids[2], 0),
         ):
-            name = f"{base}_{role}"
-            producer[ntxid] = name
-            label = f"{base}.{role}"
-            if lock:
-                label += f"\\nlock={lock}"
-            lines.append(f'  {name} [label="{label}"];')
-    for key in sorted(t.compressions):
-        c = t.compressions[key]
-        name = f"c{key[0]}_{key[1]}_p{key[2]}"
-        producer[c.ntxid] = name
-        lines.append(f'  {name} [label="compress L{key[0]} M{key[1]} -> P{key[2]}"];')
-
-    def edges(body: TransactionBody, target: str):
+            label = f"{base}.{role}" + (f"\\nlock={lock}" if lock else "")
+            nodes.append((f"{base}_{role}", label, body, ntxid))
+    for (level, match, cand), c in sorted(t.compressions.items()):
+        label = f"compress L{level} M{match} -> P{cand}"
+        nodes.append((f"c{level}_{match}_p{cand}", label, c.body, c.ntxid))
+    for name, label, _, ntxid in nodes:
+        producer[ntxid] = name
+        lines.append(f'  {name} [label="{label}"];')
+    for target, _, body, _ in nodes:
         for spec in body.inputs:
-            if isinstance(spec, FixedInput):
-                src = producer.get(spec.ref.txid)
+            fixed = isinstance(spec, FixedInput)
+            for ref in (spec.ref,) if fixed else spec.refs:
+                src = producer.get(ref.txid)
                 if src:
-                    lines.append(f"  {src} -> {target};")
-            else:
-                for ref in spec.refs:
-                    src = producer.get(ref.txid)
-                    if src:
-                        lines.append(f"  {src} -> {target} [style=dashed];")
-
-    for i, body in enumerate(t.deposit_bodies):
-        edges(body, f"deposit_{i}" if len(t.deposit_bodies) > 1 else "deposit")
-    for kid in sorted(t.kernels):
-        k = t.kernels[kid]
-        base = f"k{kid.level}_{kid.match}_{kid.combo}"
-        edges(k.entry_tx, f"{base}_entry")
-        edges(k.reveal_tx, f"{base}_reveal")
-        edges(k.outcome_txs[0], f"{base}_outcome_a")
-        edges(k.outcome_txs[1], f"{base}_outcome_b")
-        edges(k.outcome_txs[2], f"{base}_outcome_bp")
-    for key in sorted(t.compressions):
-        edges(t.compressions[key].body, f"c{key[0]}_{key[1]}_p{key[2]}")
+                    style = "" if fixed else " [style=dashed]"
+                    lines.append(f"  {src} -> {target}{style};")
     lines.append("}")
     return "\n".join(lines) + "\n"

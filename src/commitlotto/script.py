@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Mapping, Optional, Union
 
-from .primitives import OutputRef, lp_bytes, lp_str, sha256, u32, u64
+from .primitives import OutputRef, json_field, json_value, lp_bytes, lp_str, sha256, u32, u64
 
 
 @dataclass(frozen=True)
@@ -134,23 +134,30 @@ def predicate_to_json(p: Predicate) -> dict:
     raise TypeError(f"not a predicate: {p!r}")
 
 
-def predicate_from_json(obj: dict) -> Predicate:
-    op = obj["op"]
+def predicate_from_json(obj: dict, where: str = "predicate") -> Predicate:
+    """Decode `predicate_to_json` output; malformed input raises ValueError naming `where`."""
+    get = lambda key, kind: json_field(obj, key, kind, where)
+    op = get("op", str)
     if op == "key-sign":
-        return KeySign(bytes.fromhex(obj["key"]))
+        return KeySign(get("key", bytes))
     if op == "all-sign":
-        return AllSign(tuple(bytes.fromhex(k) for k in obj["keys"]))
+        keys = get("keys", list)
+        return AllSign(tuple(json_value(k, bytes, f"{where}.keys[{i}]") for i, k in enumerate(keys)))
     if op == "hash-preimage":
-        return HashPreimage(bytes.fromhex(obj["digest"]), obj["slot"])
+        return HashPreimage(get("digest", bytes), get("slot", str))
     if op == "after-height":
-        return AfterHeight(int(obj["height"]))
+        return AfterHeight(get("height", int))
     if op == "xor-parity-odd":
-        return XorParityOdd(obj["slot_a"], obj["slot_b"])
+        return XorParityOdd(get("slot_a", str), get("slot_b", str))
     if op == "all-of":
-        return AllOf(tuple(predicate_from_json(t) for t in obj["terms"]))
+        terms = get("terms", list)
+        return AllOf(tuple(predicate_from_json(t, f"{where}.terms[{i}]") for i, t in enumerate(terms)))
     if op == "any-of":
-        return AnyOf(tuple(predicate_from_json(b) for b in obj["branches"]))
-    raise ValueError(f"unknown predicate op: {op}")
+        branches = get("branches", list)
+        return AnyOf(
+            tuple(predicate_from_json(b, f"{where}.branches[{i}]") for i, b in enumerate(branches))
+        )
+    raise ValueError(f"{where}.op: unknown predicate op {op!r}")
 
 
 def commitment(secret: bytes) -> bytes:
@@ -192,9 +199,6 @@ class SignatureOracle:
 
     def register_key(self, party, key: bytes) -> None:
         self._owners[key] = party
-
-    def owner_of(self, key: bytes):
-        return self._owners.get(key)
 
     def _check_owner(self, party, key: bytes) -> None:
         if self._owners.get(key) != party:

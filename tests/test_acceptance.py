@@ -133,11 +133,13 @@ def test_criterion_01_kernel_counting(criterion):
                 )
                 per_match_ok = per_match_ok and built == kernel_count(level)
     elapsed = time.perf_counter() - t0
+    # wall time shows only on failure, so the PASS line is the same on every run
+    slow = f", but took {elapsed:.2f}s (limit 10s)" if elapsed >= 10.0 else ""
     criterion(
         1,
         ok and per_match_ok and elapsed < 10.0,
         f"kernel counts 1/9/729/4782969, geometric 9^l diverges from level 2, "
-        f"per-match enumeration exact for N<=8 in {elapsed:.2f}s",
+        f"per-match enumeration exact for N<=8{slow}",
     )
 
 
@@ -204,7 +206,8 @@ def test_criterion_04_round_bounds(criterion, round_bound_sweeps):
 
 
 def test_criterion_05_ideal_statistics(criterion, honest_sweeps):
-    ok = honest_sweeps["elapsed"] < 120.0
+    elapsed = honest_sweeps["elapsed"]
+    ok = elapsed < 120.0
     detail = []
     for backend in SWEEP_BACKENDS:
         s = honest_sweeps[backend]
@@ -215,7 +218,8 @@ def test_criterion_05_ideal_statistics(criterion, honest_sweeps):
         5,
         ok,
         f"win frequencies within 0.25+-0.013 over 10000 trials: {'; '.join(detail)}; "
-        f"payoffs zero-sum in every trial; ran in {honest_sweeps['elapsed']:.1f}s",
+        "payoffs zero-sum in every trial"
+        + (f"; ran in {elapsed:.1f}s (limit 120s)" if elapsed >= 120.0 else ""),
     )
 
 

@@ -50,7 +50,7 @@ def signed_spend(chain, oracle, ref, to_key, value, party="alice", key=KEY_A, lo
         outputs=(TxOutput(value, KeySign(to_key)),),
         locktime=locktime,
     )
-    tag = oracle.sign(party, key, sig_digest_for(body, 0))
+    tag = oracle.sign(party, key, sig_digest_for(body))
     return body, Witness((InputWitness(((key, tag),), {}, None, None),))
 
 
@@ -83,7 +83,7 @@ def test_ntxid_ignores_witness():
     ref = chain.mint(1, KeySign(KEY_A))
     body, w1 = signed_spend(chain, oracle, ref, KEY_B, 1)
     # a second, different witness for the same body
-    tag2 = oracle.sign("alice", KEY_A, sig_digest_for(body, 0))
+    tag2 = oracle.sign("alice", KEY_A, sig_digest_for(body))
     w2 = Witness((InputWitness(((KEY_A, tag2), (KEY_A, tag2)), {}, None, None),))
     assert w1 != w2
     res = chain.submit(body, w2)
@@ -99,11 +99,7 @@ def test_sig_digest_shared_across_input_indices():
         inputs=tuple(FixedInput(r) for r in refs),
         outputs=(TxOutput(3, KeySign(KEY_A)),),
     )
-    digests = {sig_digest_for(body, i) for i in range(3)}
-    assert len(digests) == 1
-    assert sig_digest_for(body, 0) == hashlib.sha256(b"sigmsg:" + body_bytes(body)).digest()
-    with pytest.raises(IndexError):
-        sig_digest_for(body, 3)
+    assert sig_digest_for(body) == hashlib.sha256(b"sigmsg:" + body_bytes(body)).digest()
 
 
 # minting
@@ -183,7 +179,7 @@ def test_script_failure_reasons():
     body = TransactionBody(
         inputs=(FixedInput(ref),), outputs=(TxOutput(1, KeySign(KEY_B)),)
     )
-    tag = oracle.sign("bob", KEY_B, sig_digest_for(body, 0))
+    tag = oracle.sign("bob", KEY_B, sig_digest_for(body))
     res = chain.submit(body, Witness((InputWitness(((KEY_B, tag),), {}, None, None),)))
     assert res.reason == SCRIPT_FAIL
 
@@ -199,7 +195,7 @@ def test_forged_tag_fails_verification():
     body = TransactionBody(
         inputs=(FixedInput(ref),), outputs=(TxOutput(1, KeySign(KEY_B)),)
     )
-    forged = hashlib.sha256(b"sigtag:" + KEY_A + sig_digest_for(body, 0)).digest()[:16]
+    forged = hashlib.sha256(b"sigtag:" + KEY_A + sig_digest_for(body)).digest()[:16]
     # correct tag bytes, but the oracle never recorded the signing act
     res = chain.submit(body, Witness((InputWitness(((KEY_A, forged),), {}, None, None),)))
     assert res.reason == SCRIPT_FAIL
@@ -212,7 +208,7 @@ def test_repeated_ref_within_one_body_rejected():
         inputs=(FixedInput(ref), FixedInput(ref)),
         outputs=(TxOutput(2, KeySign(KEY_B)),),
     )
-    tag = oracle.sign("alice", KEY_A, sig_digest_for(body, 0))
+    tag = oracle.sign("alice", KEY_A, sig_digest_for(body))
     iw = InputWitness(((KEY_A, tag),), {}, None, None)
     res = chain.submit(body, Witness((iw, iw)))
     assert res.reason == DOUBLE_SPEND
@@ -231,7 +227,7 @@ def test_multi_input_spends_exactly_the_chosen_ref():
     r1 = chain.mint(1, KeySign(KEY_A))
     r2 = chain.mint(1, KeySign(KEY_A))
     body = multi_body([r1, r2], 1, KEY_B)
-    tag = oracle.sign("alice", KEY_A, sig_digest_for(body, 0))
+    tag = oracle.sign("alice", KEY_A, sig_digest_for(body))
     res = chain.submit(body, Witness((InputWitness(((KEY_A, tag),), {}, None, r1),)))
     assert res.accepted
     assert not chain.is_unspent(r1)
@@ -250,7 +246,7 @@ def test_multi_input_witness_shape_enforced():
     r2 = chain.mint(1, KeySign(KEY_A))
     outsider = chain.mint(1, KeySign(KEY_A))
     body = multi_body([r1, r2], 1, KEY_B)
-    tag = oracle.sign("alice", KEY_A, sig_digest_for(body, 0))
+    tag = oracle.sign("alice", KEY_A, sig_digest_for(body))
 
     res = chain.submit(body, Witness((InputWitness(((KEY_A, tag),), {}, None, None),)))
     assert res.reason == BAD_MULTI_INPUT  # chosenRef required
@@ -261,7 +257,7 @@ def test_multi_input_witness_shape_enforced():
     fixed = TransactionBody(
         inputs=(FixedInput(r1),), outputs=(TxOutput(1, KeySign(KEY_B)),)
     )
-    tag2 = oracle.sign("alice", KEY_A, sig_digest_for(fixed, 0))
+    tag2 = oracle.sign("alice", KEY_A, sig_digest_for(fixed))
     res = chain.submit(fixed, Witness((InputWitness(((KEY_A, tag2),), {}, None, r1),)))
     assert res.reason == BAD_MULTI_INPUT  # chosenRef forbidden on fixed inputs
 
@@ -273,7 +269,7 @@ def test_multi_input_one_signature_covers_either_member():
     r1 = chain.mint(1, KeySign(KEY_A))
     r2 = chain.mint(1, KeySign(KEY_A))
     body = multi_body([r1, r2], 1, KEY_B)
-    tag = oracle.sign("alice", KEY_A, sig_digest_for(body, 0))
+    tag = oracle.sign("alice", KEY_A, sig_digest_for(body))
     res = chain.submit(body, Witness((InputWitness(((KEY_A, tag),), {}, None, r2),)))
     assert res.accepted
 

@@ -106,11 +106,46 @@ def test_verify_rejects_doctored_scaffold(capsys, scaffold_file, tmp_path):
     assert "do not sign" in err
 
 
-def test_verify_from_any_seat(capsys, scaffold_file):
-    for seat in range(4):
-        code, _, _ = run_cli(capsys, "verify", str(scaffold_file), "--player", str(seat))
-        assert code == 0
-    assert run_cli(capsys, "verify", str(scaffold_file), "--player", "7")[0] == 3
+def _drop_kernels(doc):
+    del doc["kernels"]
+
+
+def _drop_ref_txid(doc):
+    del doc["kernels"][0]["entry"]["inputs"][0]["txid"]
+
+
+def _two_outcomes(doc):
+    doc["kernels"][0]["outcomes"].pop()
+
+
+def _word_for_n(doc):
+    doc["n"] = "four"
+
+
+def _unknown_predicate_op(doc):
+    doc["deposits"][0]["outputs"][0]["predicate"]["op"] = "mystery"
+
+
+MALFORMED = {
+    "no-kernels": _drop_kernels,
+    "ref-without-txid": _drop_ref_txid,
+    "two-outcomes": _two_outcomes,
+    "n-as-word": _word_for_n,
+    "unknown-predicate-op": _unknown_predicate_op,
+    "top-level-list": lambda doc: [doc],
+}
+
+
+@pytest.mark.parametrize("name", sorted(MALFORMED))
+def test_verify_malformed_scaffold_is_input_error(capsys, scaffold_file, tmp_path, name):
+    doc = json.loads(scaffold_file.read_text())
+    doc = MALFORMED[name](doc) or doc
+    bad = tmp_path / f"{name}.json"
+    bad.write_text(json.dumps(doc))
+    code, _, err = run_cli(capsys, "verify", str(bad))
+    assert code == 2
+    assert err.startswith("error: ")
+    assert "internal error" not in err
 
 
 # run

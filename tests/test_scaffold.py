@@ -7,7 +7,14 @@ import json
 
 import pytest
 
-from commitlotto.chain import FixedInput, TransactionBody, TxOutput, compute_ntxid, sig_digest_for
+from commitlotto.chain import (
+    FixedInput,
+    TransactionBody,
+    TxOutput,
+    body_bytes,
+    compute_ntxid,
+    sig_digest_for,
+)
 from commitlotto.primitives import OutputRef
 from commitlotto.scaffold import (
     BRANCH_DEPOSIT_REFUND,
@@ -15,6 +22,7 @@ from commitlotto.scaffold import (
     DEPOSIT_HASHLOCKED,
     FORMAT_TAG,
     MODE_MULTIINPUT,
+    ROLE_OUTCOMES,
     SIDE_LEFT,
     SIDE_RIGHT,
     SLOT_MPC,
@@ -134,6 +142,41 @@ def test_stats_match_materialized_build(plain4, multi8):
         a, b = closed.to_json(), built.to_json()
         a.pop("materialized"), b.pop("materialized")
         assert a == b
+
+
+def measured_worst_case_bytes(t, sig_model):
+    """On-chain bytes of the slowest path, measured on the built bodies."""
+    auth = 32 * t.n if sig_model == "multisig" else 32
+    size = lambda body: len(body_bytes(body)) + auth
+    total = sum(size(b) for b in t.deposit_bodies)
+    for level in range(t.levels):
+        k = t.kernel(level, 0, 0)
+        per_match = size(k.entry_tx) + size(k.reveal_tx) + size(k.outcome_txs[0])
+        if t.mode == MODE_MULTIINPUT:
+            per_match += max(
+                size(t.compressions[(level, 0, cand)].body) for cand in candidates(t.n, level, 0)
+            )
+        total += per_match * matches_at(t.n, level)
+    return total
+
+
+@pytest.mark.parametrize(
+    "n,mode,deposit_option,sig_model",
+    [
+        (2, "plain", "atomic", "multisig"),
+        (4, "plain", "hashlocked", "aggregate"),
+        (8, "plain", "atomic", "aggregate"),
+        (4, "multiinput", "atomic", "multisig"),
+        (8, "multiinput", "hashlocked", "multisig"),
+        (16, "multiinput", "atomic", "aggregate"),
+    ],
+)
+def test_built_stats_bytes_match_the_built_bodies(n, mode, deposit_option, sig_model):
+    # a build carries the closed-form figures; the byte count must still be
+    # what its own worst-case path measures
+    t = small_tournament(n, mode=mode, deposit_option=deposit_option, sig_model=sig_model, tau=5)
+    assert t.stats.bytes_on_chain == measured_worst_case_bytes(t, sig_model)
+    assert t.stats.total_offchain == len(iter_bodies(t))
 
 
 # index packing
@@ -383,7 +426,7 @@ def keyed_oracle(t):
 
 
 def verifying_keys(oracle, t, body):
-    digest = sig_digest_for(body, 0)
+    digest = sig_digest_for(body)
     return [key for key in t.master_keys if oracle.verify(key, digest)]
 
 
@@ -465,7 +508,7 @@ def test_scaffold_encoding_golden(mode, deposit_option):
     h = hashlib.sha256()
     bodies = iter_bodies(t)
     for item in bodies:
-        h.update(item.ntxid + sig_digest_for(item.body, 0))
+        h.update(item.ntxid + sig_digest_for(item.body))
     assert (len(bodies), h.hexdigest()) == GOLDEN_ENCODINGS[(mode, deposit_option)]
 
 
@@ -590,6 +633,45 @@ def test_verify_flags_stale_digests(plain4):
     k = t.kernels[KernelId(0, 0, 0)]
     t.sig_digests[k.reveal_ntxid] = b"\x00" * 32
     assert rules_of(verify_as_honest(t)) == {"BadDigest"}
+
+
+def with_body(t, item, body):
+    """A copy of `t` with the body of one iter_bodies item replaced."""
+    t = dataclasses.replace(t, kernels=dict(t.kernels), compressions=dict(t.compressions))
+    if item.role == "deposit":
+        t.deposit_bodies = tuple(body if i == item.key else b for i, b in enumerate(t.deposit_bodies))
+    elif item.role == "compression":
+        t.compressions[item.key] = t.compressions[item.key]._replace(body=body)
+    elif item.role in ("entry", "reveal"):
+        t.kernels[item.key] = dataclasses.replace(t.kernels[item.key], **{f"{item.role}_tx": body})
+    else:
+        k = t.kernels[item.key]
+        idx = ROLE_OUTCOMES.index(item.role)
+        outcomes = tuple(body if i == idx else b for i, b in enumerate(k.outcome_txs))
+        t.kernels[item.key] = dataclasses.replace(k, outcome_txs=outcomes)
+    return t
+
+
+@pytest.mark.parametrize("mode,deposit_option", [("plain", "atomic"), ("multiinput", "hashlocked")])
+def test_verify_flags_every_tampered_body(mode, deposit_option):
+    t = small_tournament(4, mode=mode, deposit_option=deposit_option)
+    expected = {"deposit": "BadDeposit", "compression": "BadCompression"}
+    items = iter_bodies(t)
+    assert {item.role for item in items} >= {"deposit", "entry", "reveal", *ROLE_OUTCOMES}
+    for item in items:
+        bad = with_body(t, item, item.body._replace(locktime=item.body.locktime + 1))
+        rules = rules_of(verify_as_honest(bad))
+        assert expected.get(item.role, "BadTimeout") in rules, (item.role, item.key, rules)
+    assert verify_as_honest(t) == []
+
+
+def test_verify_flags_swapped_players(plain4):
+    t = clone(plain4)
+    k = t.kernels[KernelId(1, 0, 4)]
+    t.kernels[KernelId(1, 0, 4)] = dataclasses.replace(
+        k, left_player=k.right_player, right_player=k.left_player
+    )
+    assert rules_of(verify_as_honest(t)) == {"BadPlayers"}
 
 
 def test_verify_rejects_bad_player_count():
