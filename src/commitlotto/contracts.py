@@ -19,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, NamedTuple, Optional
 
-from .primitives import level_schedule, level_stride, sha256
+from .primitives import level_schedule, level_stride, num_levels, sha256
 
 SECRET_BYTES = 32
 ZERO_HASH = b"\x00" * 32
@@ -381,9 +381,7 @@ def build_tree(vm: Vm, n: int, bet: int, tau: int, t_commit: int) -> ContractTre
     window [t_commit + 2*tau*l, t_commit + 2*tau*(l+1)), so the whole
     bracket settles at t_commit + 2*tau*log2(n).
     """
-    if n < 2 or n & (n - 1):
-        raise ValueError(f"player count {n} is not a power of two >= 2")
-    levels = n.bit_length() - 1
+    levels = num_levels(n)
     if tau < 2:
         raise ValueError("windows need tau >= 2 to leave a usable height")
     stride = level_stride(tau)

@@ -56,9 +56,12 @@ from .scaffold import (
     SLOT_LEFT,
     SLOT_MPC,
     SLOT_RIGHT,
+    SIDE_LEFT,
+    SIDE_RIGHT,
     IdealMpcOracle,
     Kernel,
     KernelId,
+    NotPowerOfTwo,
     Tournament,
     _auth_bytes,
     build_tournament,
@@ -93,7 +96,9 @@ from .strategies import (
 BACKENDS = ALL_BACKENDS
 SIG_MODELS = ("multisig", "aggregate")
 
-# plain mode squares per level; beyond this the scaffold is statistics-only
+# plain mode squares per level; beyond this a plain scaffold is too large to
+# write out or cost by a run, so `build` and `costs` report the closed form
+# (trials still run: they build only the kernels play reaches)
 PLAIN_MATERIALIZE_MAX = 8
 
 
@@ -118,13 +123,10 @@ class ScenarioConfig:
         object.__setattr__(self, "strategies", tuple(self.strategies))
         if self.backend not in BACKENDS:
             raise ConfigError(f"unknown backend {self.backend!r}; known: {', '.join(BACKENDS)}")
-        if self.n < 2 or self.n & (self.n - 1):
-            raise ConfigError(f"player count {self.n} is not a power of two >= 2")
-        if self.backend == "bitcoin-plain" and self.n > PLAIN_MATERIALIZE_MAX:
-            raise ConfigError(
-                f"plain scaffolds materialize every kernel; n={self.n} is statistics-only "
-                f"(max n={PLAIN_MATERIALIZE_MAX}, use the costs command or multiinput mode)"
-            )
+        try:
+            num_levels(self.n)
+        except NotPowerOfTwo as e:
+            raise ConfigError(str(e)) from None
         if len(self.strategies) != self.n:
             raise ConfigError(f"need {self.n} strategies, got {len(self.strategies)}")
         for name in self.strategies:
@@ -471,11 +473,9 @@ class ScaffoldRuntime:
             g if g is not None else frozenset((i,)) for i, g in enumerate(groups)
         ]
 
-        # witness knowledge: commitment digest -> preimage
+        # witness knowledge: commitment digest -> preimage; a kernel's secrets
+        # are registered when it is activated, the first time play needs them
         self.private: list[dict[bytes, bytes]] = [dict() for _ in range(n)]
-        for kid, kernel in self.t.kernels.items():
-            self.private[kernel.left_player][kernel.left_commit] = self.t.secret(kid, 0)
-            self.private[kernel.right_player][kernel.right_commit] = self.t.secret(kid, 1)
         self.public: dict[bytes, bytes] = {}
 
         self.bodies_signed = 0
@@ -741,11 +741,17 @@ class ScaffoldRuntime:
                 self._try_activate_parent(level, match)
         # multiinput waits for the compression before the parent can wire up
 
+    def _activate(self, kid: KernelId) -> None:
+        """Put a kernel in play: build it and give each side its own secret."""
+        kernel = self.t.kernels[kid]
+        self.private[kernel.left_player][kernel.left_commit] = self.t.secret(kid, SIDE_LEFT)
+        self.private[kernel.right_player][kernel.right_commit] = self.t.secret(kid, SIDE_RIGHT)
+        self.active.add(kid)
+        self.kstate[kid] = KernelState()
+
     def _activate_base(self) -> None:
         for match in range(self.cfg.n // 2):
-            kid = KernelId(0, match, 0)
-            self.active.add(kid)
-            self.kstate[kid] = KernelState()
+            self._activate(KernelId(0, match, 0))
 
     def _try_activate_parent(self, level: int, match: int) -> None:
         parent_level, parent_match = level + 1, match // 2
@@ -767,9 +773,7 @@ class ScaffoldRuntime:
             combo = left_cands.index(left_winner) * (1 << parent_level) + right_cands.index(
                 right_winner
             )
-        kid = KernelId(parent_level, parent_match, combo)
-        self.active.add(kid)
-        self.kstate[kid] = KernelState()
+        self._activate(KernelId(parent_level, parent_match, combo))
 
     # main loop
 

@@ -95,6 +95,17 @@ def json_field(obj, key: str, kind: type, where: str):
     return json_value(obj[key], kind, f"{where}.{key}")
 
 
+class NotPowerOfTwo(ValueError):
+    pass
+
+
+def num_levels(n: int) -> int:
+    """Levels of a bracket over n players; n must be a power of two >= 2."""
+    if n < 2 or n & (n - 1):
+        raise NotPowerOfTwo(f"player count {n} is not a power of two >= 2")
+    return n.bit_length() - 1
+
+
 def level_stride(tau: int, compressed: bool = False) -> int:
     """Heights between the starts of consecutive bracket levels.
 

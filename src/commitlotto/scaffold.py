@@ -15,16 +15,25 @@ compression transaction spends whichever outcome output actually paid that
 candidate (a MultiInput set), so the next level only needs one kernel per
 pair of candidate identities, 4^l per match.
 
-Everything here is built unsigned. NTXIDs never cover witness data, so the
-whole tree is wired before the signing ceremony runs.
+Everything here is built unsigned, and NTXIDs never cover witness data. A
+kernel is a pure function of the public parameters, its two commitments
+and its two stake refs, so `Tournament.kernels` builds each kernel the
+first time it is read, from its children's outcome ntxids, and keeps it. A
+trial builds only the kernels play reaches, one per match; iterating the
+table builds the rest, with the same bytes. The signing ceremony approves
+the honest scaffold as a whole: a key's approval is membership in the
+tournament's registry of signature digests, which honest construction
+fills as it builds bodies.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import functools
 import json
+from collections.abc import MutableMapping
 from dataclasses import dataclass, field
-from typing import Callable, NamedTuple, Optional, Sequence
+from typing import Callable, Iterator, NamedTuple, Optional, Sequence
 
 from .chain import (
     ChainParams,
@@ -39,12 +48,14 @@ from .chain import (
 )
 from .primitives import (
     SIG_LAMBDA,
+    NotPowerOfTwo,
     OutputRef,
     Rng,
     json_field,
     json_value,
     level_schedule,
     level_stride,
+    num_levels,
     sha256,
 )
 from .script import (
@@ -86,10 +97,6 @@ SIDE_LEFT = 0
 SIDE_RIGHT = 1
 
 
-class NotPowerOfTwo(ValueError):
-    pass
-
-
 class IndexOutOfRange(IndexError):
     pass
 
@@ -102,12 +109,6 @@ class KernelId(NamedTuple):
     level: int
     match: int
     combo: int
-
-
-def num_levels(n: int) -> int:
-    if n < 2 or n & (n - 1):
-        raise NotPowerOfTwo(f"player count {n} is not a power of two >= 2")
-    return n.bit_length() - 1
 
 
 def matches_at(n: int, level: int) -> int:
@@ -269,7 +270,7 @@ class CompressionTx(NamedTuple):
     ntxid: bytes
 
 
-@dataclass
+@dataclass(frozen=True)
 class TransactionStats:
     total_offchain: int
     per_level: tuple[int, ...]
@@ -299,7 +300,13 @@ class TransactionStats:
 
 @dataclass
 class Tournament:
-    """A built scaffold. Treat as immutable once constructed."""
+    """A scaffold. Treat as immutable once constructed.
+
+    An honestly constructed scaffold builds its kernels on first read (see
+    `KernelTable`); one decoded from a file has them all. The registries
+    `sig_digests`, `scaffold_digests` and `secrets` hold what the built
+    bodies and kernels contribute, so they grow with the kernels.
+    """
 
     mode: str
     n: int
@@ -310,15 +317,17 @@ class Tournament:
     deposit_option: str
     master_keys: tuple[bytes, ...]
     funding: tuple[OutputRef, ...]
-    kernels: dict[KernelId, Kernel]
+    kernels: MutableMapping[KernelId, Kernel]
     compressions: dict[tuple[int, int, int], CompressionTx]
     deposit_bodies: tuple[TransactionBody, ...]
     deposit_ntxids: tuple[bytes, ...]
     refund_time: Optional[int]
     mpc_digest: Optional[bytes]
     stats: TransactionStats
-    # ntxid -> signature digest of every body, filled in the pass that computes the ntxids
+    # ntxid -> signature digest of every built body, filled in the pass that computes the ntxids
     sig_digests: dict[bytes, bytes] = field(repr=False)
+    # signature digests of the built kernel and compression bodies: what the ceremony approves
+    scaffold_digests: set[bytes] = field(repr=False)
     secrets: dict[tuple[KernelId, int], bytes] = field(default_factory=dict, repr=False)
 
     @property
@@ -526,6 +535,187 @@ def _param_problem(
     return None
 
 
+def _kernel(bodies, digests, **fields) -> Kernel:
+    """A Kernel from five bodies and their (ntxid, sig digest) in `_kernel_bodies` order."""
+    return Kernel(
+        entry_tx=bodies[0],
+        reveal_tx=bodies[1],
+        outcome_txs=bodies[2:],
+        entry_ntxid=digests[0][0],
+        reveal_ntxid=digests[1][0],
+        outcome_ntxids=tuple(ntxid for ntxid, _ in digests[2:]),
+        **fields,
+    )
+
+
+def _compression_members(
+    kernels: MutableMapping[KernelId, Kernel], level: int, match: int, candidate: int
+) -> list[OutputRef]:
+    """Every outcome output across a multiinput match's kernels that pays `candidate`."""
+    members = []
+    for combo in range(kernel_count(level, MODE_MULTIINPUT)):
+        k = kernels[KernelId(level, match, combo)]
+        if k.left_player == candidate:
+            members.append(OutputRef(k.outcome_ntxids[0], 0))
+        if k.right_player == candidate:
+            members.append(OutputRef(k.outcome_ntxids[1], 0))
+            members.append(OutputRef(k.outcome_ntxids[2], 0))
+    return members
+
+
+@dataclass
+class _HonestWiring:
+    """What honest construction of one kernel or compression reads and where it registers.
+
+    The parameters are fixed when the scaffold is constructed, so a kernel
+    built later is the one construction would have built then.
+    `commits(kid)` supplies a kernel's (left, right) commitment digests.
+    Every body built goes into `sig_digests` and `scaffold_digests`.
+    """
+
+    n: int
+    keys: tuple[bytes, ...]
+    bet: int
+    tau: int
+    t_commit: int
+    mode: str
+    deposit_option: str
+    master: Predicate
+    deposit_ntxids: tuple[bytes, ...]
+    commits: Callable[[KernelId], tuple[bytes, bytes]]
+    compressions: dict[tuple[int, int, int], CompressionTx]
+    sig_digests: dict[bytes, bytes]
+    scaffold_digests: set[bytes] = field(default_factory=set)
+
+    def __post_init__(self):
+        self.levels = num_levels(self.n)
+        self.stride = level_stride(self.tau, self.mode == MODE_MULTIINPUT)
+
+    def ids(self) -> Iterator[KernelId]:
+        """Every kernel of the bracket, by level, match and combination."""
+        for level in range(self.levels):
+            for match in range(matches_at(self.n, level)):
+                for combo in range(kernel_count(level, self.mode)):
+                    yield KernelId(level, match, combo)
+
+    def has(self, kid) -> bool:
+        level, match, combo = kid
+        return (
+            0 <= level < self.levels
+            and 0 <= match < matches_at(self.n, level)
+            and 0 <= combo < kernel_count(level, self.mode)
+        )
+
+    def _register(self, digests: Sequence[tuple[bytes, bytes]]) -> None:
+        self.sig_digests.update(digests)
+        self.scaffold_digests.update(sig_digest for _, sig_digest in digests)
+
+    def _stake_ref(self, kernels: "KernelTable", kid: KernelId, side: int) -> OutputRef:
+        """Where one side's stake for kernel `kid` lives."""
+        level, match, combo = kid
+        if level == 0:
+            player = 2 * match + side
+            if self.deposit_option == DEPOSIT_ATOMIC:
+                return OutputRef(self.deposit_ntxids[0], player)
+            return OutputRef(self.deposit_ntxids[player], 0)
+        child_match = 2 * match + side
+        if self.mode == MODE_MULTIINPUT:
+            cand = multi_candidate_pair(self.n, level, match, combo)[side]
+            return OutputRef(self.compressions[(level - 1, child_match, cand)].ntxid, 0)
+        lk, lt, rk, rt = unpack_index(level, match, combo)
+        child_kernel, child_tx = (lk, lt) if side == SIDE_LEFT else (rk, rt)
+        child = kernels[KernelId(level - 1, child_match, child_kernel)]
+        return OutputRef(child.outcome_ntxids[child_tx], 0)
+
+    def kernel(self, kernels: "KernelTable", kid: KernelId) -> Kernel:
+        level = kid.level
+        t0, t1, t2 = level_schedule(self.t_commit, self.stride, self.tau, level)
+        pot = (1 << (level + 1)) * self.bet
+        last = level == self.levels - 1 and self.mode == MODE_PLAIN  # multiinput pays out in the compression
+        left, right = players_of(self.n, *kid, self.mode)
+        left_commit, right_commit = self.commits(kid)
+        bodies, digests = _kernel_bodies(
+            self.master,
+            left_commit,
+            right_commit,
+            t1,
+            t2,
+            pot,
+            self._stake_ref(kernels, kid, SIDE_LEFT),
+            self._stake_ref(kernels, kid, SIDE_RIGHT),
+            _payout(self.master, self.keys[left], last),
+            _payout(self.master, self.keys[right], last),
+        )
+        self._register(digests)
+        return _kernel(
+            bodies,
+            digests,
+            id=kid,
+            left_player=left,
+            right_player=right,
+            left_commit=left_commit,
+            right_commit=right_commit,
+            t0=t0,
+            t1=t1,
+            t2=t2,
+            pot=pot,
+        )
+
+    def compression(self, kernels: "KernelTable", level: int, match: int, cand: int) -> CompressionTx:
+        """The multiinput compression paying `cand`; it reads every kernel of its match."""
+        pot = (1 << (level + 1)) * self.bet
+        body = TransactionBody(
+            inputs=(multi_input(_compression_members(kernels, level, match, cand)),),
+            outputs=(TxOutput(pot, _payout(self.master, self.keys[cand], level == self.levels - 1)),),
+        )
+        ntxid, sig_digest = body_digests(body)
+        self._register(((ntxid, sig_digest),))
+        return CompressionTx(level, match, cand, body, ntxid)
+
+
+class KernelTable(MutableMapping):
+    """The kernels of an honestly constructed scaffold, each built the first time it is read.
+
+    Reading a kernel builds it, and the child kernels whose outcomes its
+    stakes spend, and keeps it. Iterating, taking the length or writing
+    first builds every kernel not yet built, in bracket order; from then on
+    the table is a plain dict, so a kernel a write deletes stays deleted.
+    The construction state lives on the table, so a deep copy builds into its
+    own registries.
+    """
+
+    def __init__(self, wiring: _HonestWiring):
+        self._wiring: Optional[_HonestWiring] = wiring  # None once every kernel is built
+        self._built: dict[KernelId, Kernel] = {}
+
+    def __getitem__(self, kid) -> Kernel:
+        kernel = self._built.get(kid)
+        if kernel is None:
+            if self._wiring is None or not self._wiring.has(kid):
+                raise KeyError(kid)
+            kid = KernelId(*kid)
+            kernel = self._built[kid] = self._wiring.kernel(self, kid)
+        return kernel
+
+    def _all(self) -> dict[KernelId, Kernel]:
+        if self._wiring is not None:
+            self._built = {kid: self[kid] for kid in self._wiring.ids()}
+            self._wiring = None
+        return self._built
+
+    def __iter__(self) -> Iterator[KernelId]:
+        return iter(self._all())
+
+    def __len__(self) -> int:
+        return len(self._all())
+
+    def __setitem__(self, kid, kernel: Kernel) -> None:
+        self._all()[kid] = kernel
+
+    def __delitem__(self, kid) -> None:
+        del self._all()[kid]
+
+
 def _honest_scaffold(
     n: int,
     keys: Sequence[bytes],
@@ -539,16 +729,17 @@ def _honest_scaffold(
     commits: Callable[[KernelId], tuple[bytes, bytes]],
     stats: TransactionStats,
 ) -> Tournament:
-    """The scaffold honest construction gives for these parameters, bottom-up.
+    """The scaffold honest construction gives for these parameters.
 
     Everything in a scaffold is public except the kernels' commitment
-    digests, which `commits(kid)` supplies as (left, right). Build draws
-    them from fresh secrets; verify passes the ones a scaffold carries, so
-    the result differs from that scaffold exactly where it is not honest.
+    digests, which `commits(kid)` supplies as (left, right) when kernel
+    `kid` is built. Build draws them from fresh secrets; verify passes the
+    ones a scaffold carries, so the result differs from that scaffold
+    exactly where it is not honest. The deposits are built here and the
+    kernels when first read (`KernelTable`); multiinput compressions are
+    built here, level by level, and read every kernel of their match.
     `stats` is stored as given.
     """
-    levels = num_levels(n)
-    stride = level_stride(tau, mode == MODE_MULTIINPUT)
     master = AllSign(tuple(keys))
     refund_time = None
     if deposit_option == DEPOSIT_ATOMIC:
@@ -558,75 +749,27 @@ def _honest_scaffold(
         refund_time = t_commit  # refunds must be live by the commit deadline
         deposit_bodies = build_deposit_hashlocked(funding, bet, master, keys, mpc_digest, refund_time)
     deposit_digests = [body_digests(b) for b in deposit_bodies]
-    deposit_ntxids = tuple(ntxid for ntxid, _ in deposit_digests)
-    sig_digests = dict(deposit_digests)
-    kernels: dict[KernelId, Kernel] = {}
-    compressions: dict[tuple[int, int, int], CompressionTx] = {}
-
-    def stake_ref(level: int, match: int, combo: int, side: int) -> OutputRef:
-        """Where one side's stake for kernel (level, match, combo) lives."""
-        if level == 0:
-            player = 2 * match + side
-            if deposit_option == DEPOSIT_ATOMIC:
-                return OutputRef(deposit_ntxids[0], player)
-            return OutputRef(deposit_ntxids[player], 0)
-        child_match = 2 * match + side
-        if mode == MODE_MULTIINPUT:
-            cand = multi_candidate_pair(n, level, match, combo)[side]
-            return OutputRef(compressions[(level - 1, child_match, cand)].ntxid, 0)
-        lk, lt, rk, rt = unpack_index(level, match, combo)
-        child_kernel, child_tx = (lk, lt) if side == SIDE_LEFT else (rk, rt)
-        child = kernels[KernelId(level - 1, child_match, child_kernel)]
-        return OutputRef(child.outcome_ntxids[child_tx], 0)
-
-    for level in range(levels):
-        t0, t1, t2 = level_schedule(t_commit, stride, tau, level)
-        pot = (1 << (level + 1)) * bet
-        final = level == levels - 1
-        last = final and mode == MODE_PLAIN  # multiinput pays out in the compression
-        for match in range(matches_at(n, level)):
-            for combo in range(kernel_count(level, mode)):
-                kid = KernelId(level, match, combo)
-                left, right = players_of(n, level, match, combo, mode)
-                left_commit, right_commit = commits(kid)
-                bodies, digests = _kernel_bodies(
-                    master,
-                    left_commit,
-                    right_commit,
-                    t1,
-                    t2,
-                    pot,
-                    stake_ref(level, match, combo, SIDE_LEFT),
-                    stake_ref(level, match, combo, SIDE_RIGHT),
-                    _payout(master, keys[left], last),
-                    _payout(master, keys[right], last),
-                )
-                sig_digests.update(digests)
-                kernels[kid] = _kernel(
-                    bodies,
-                    digests,
-                    id=kid,
-                    left_player=left,
-                    right_player=right,
-                    left_commit=left_commit,
-                    right_commit=right_commit,
-                    t0=t0,
-                    t1=t1,
-                    t2=t2,
-                    pot=pot,
-                )
-            if mode == MODE_MULTIINPUT:
+    wiring = _HonestWiring(
+        n=n,
+        keys=tuple(keys),
+        bet=bet,
+        tau=tau,
+        t_commit=t_commit,
+        mode=mode,
+        deposit_option=deposit_option,
+        master=master,
+        deposit_ntxids=tuple(ntxid for ntxid, _ in deposit_digests),
+        commits=commits,
+        compressions={},
+        sig_digests=dict(deposit_digests),
+    )
+    kernels = KernelTable(wiring)
+    if mode == MODE_MULTIINPUT:
+        for level in range(wiring.levels):
+            for match in range(matches_at(n, level)):
                 for cand in candidates(n, level, match):
-                    members = _compression_members(kernels, level, match, cand)
-                    body = TransactionBody(
-                        inputs=(multi_input(members),),
-                        outputs=(TxOutput(pot, _payout(master, keys[cand], final)),),
-                    )
-                    ntxid, sig_digest = body_digests(body)
-                    sig_digests[ntxid] = sig_digest
-                    compressions[(level, match, cand)] = CompressionTx(
-                        level, match, cand, body, ntxid
-                    )
+                    comp = wiring.compression(kernels, level, match, cand)
+                    wiring.compressions[(level, match, cand)] = comp
 
     return Tournament(
         mode=mode,
@@ -634,19 +777,34 @@ def _honest_scaffold(
         bet=bet,
         tau=tau,
         t_commit=t_commit,
-        level_stride=stride,
+        level_stride=wiring.stride,
         deposit_option=deposit_option,
         master_keys=tuple(keys),
         funding=tuple(funding),
         kernels=kernels,
-        compressions=compressions,
+        compressions=wiring.compressions,
         deposit_bodies=deposit_bodies,
-        deposit_ntxids=deposit_ntxids,
+        deposit_ntxids=wiring.deposit_ntxids,
         refund_time=refund_time,
         mpc_digest=mpc_digest,
         stats=stats,
-        sig_digests=sig_digests,
+        sig_digests=wiring.sig_digests,
+        scaffold_digests=wiring.scaffold_digests,
     )
+
+
+@dataclass
+class _FreshSecrets:
+    """Commitments over fresh kernel secrets, drawn by label from `source` and kept in `secrets`."""
+
+    source: Rng
+    secrets: dict[tuple[KernelId, int], bytes] = field(default_factory=dict)
+
+    def __call__(self, kid: KernelId) -> tuple[bytes, bytes]:
+        label = f"{kid.level}.{kid.match}.{kid.combo}"
+        left = self.secrets[(kid, SIDE_LEFT)] = self.source.child(f"{label}.L").nonzero_bytes(32)
+        right = self.secrets[(kid, SIDE_RIGHT)] = self.source.child(f"{label}.R").nonzero_bytes(32)
+        return commitment(left), commitment(right)
 
 
 def build_tournament(
@@ -662,12 +820,12 @@ def build_tournament(
     mpc_digest: Optional[bytes] = None,
     sig_model: str = "multisig",
 ) -> Tournament:
-    """Build the full unsigned scaffold bottom-up.
+    """Construct the unsigned honest scaffold; its kernels are built when first read.
 
-    Secrets are drawn fresh per kernel per player from `secret_source`;
-    their commitment digests are baked into the spending predicates. The
-    returned object carries the secrets for simulation purposes; exports
-    strip them.
+    Secrets are drawn per kernel per player from `secret_source`, by the
+    kernel's label, when the kernel is built; their commitment digests are
+    baked into the spending predicates. The returned object carries the
+    secrets for simulation purposes; exports strip them.
     """
     num_levels(n)
     problem = _param_problem(n, player_keys, funding, t_commit, mode, deposit_option, mpc_digest)
@@ -675,49 +833,13 @@ def build_tournament(
         raise ValueError(problem)
     bet, tau = params.bet_value, params.tau
     _check_funding_values(funding_values, bet)
-    srng = secret_source.child("kernel-secrets")
-    secrets: dict[tuple[KernelId, int], bytes] = {}
-
-    def commits(kid: KernelId) -> tuple[bytes, bytes]:
-        label = f"{kid.level}.{kid.match}.{kid.combo}"
-        left = secrets[(kid, SIDE_LEFT)] = srng.child(f"{label}.L").nonzero_bytes(32)
-        right = secrets[(kid, SIDE_RIGHT)] = srng.child(f"{label}.R").nonzero_bytes(32)
-        return commitment(left), commitment(right)
-
+    fresh = _FreshSecrets(secret_source.child("kernel-secrets"))
     stats = scaffold_stats(n, mode, deposit_option, sig_model, bet, tau, t_commit)
     t = _honest_scaffold(
-        n, player_keys, funding, bet, tau, t_commit, mode, deposit_option, mpc_digest, commits,
+        n, player_keys, funding, bet, tau, t_commit, mode, deposit_option, mpc_digest, fresh,
         dataclasses.replace(stats, materialized=True),
     )
-    return dataclasses.replace(t, secrets=secrets)
-
-
-def _kernel(bodies, digests, **fields) -> Kernel:
-    """A Kernel from five bodies and their (ntxid, sig digest) in `_kernel_bodies` order."""
-    return Kernel(
-        entry_tx=bodies[0],
-        reveal_tx=bodies[1],
-        outcome_txs=bodies[2:],
-        entry_ntxid=digests[0][0],
-        reveal_ntxid=digests[1][0],
-        outcome_ntxids=tuple(ntxid for ntxid, _ in digests[2:]),
-        **fields,
-    )
-
-
-def _compression_members(
-    kernels: dict[KernelId, Kernel], level: int, match: int, candidate: int
-) -> list[OutputRef]:
-    """Every outcome output across a multiinput match's kernels that pays `candidate`."""
-    members = []
-    for combo in range(kernel_count(level, MODE_MULTIINPUT)):
-        k = kernels[KernelId(level, match, combo)]
-        if k.left_player == candidate:
-            members.append(OutputRef(k.outcome_ntxids[0], 0))
-        if k.right_player == candidate:
-            members.append(OutputRef(k.outcome_ntxids[1], 0))
-            members.append(OutputRef(k.outcome_ntxids[2], 0))
-    return members
+    return dataclasses.replace(t, secrets=fresh.secrets)
 
 
 # cost model
@@ -728,6 +850,7 @@ def _auth_bytes(sig_model: str, n: int) -> int:
     return n * SIG_LAMBDA if sig_model == "multisig" else SIG_LAMBDA
 
 
+@functools.cache
 def scaffold_stats(
     n: int,
     mode: str = MODE_PLAIN,
@@ -742,7 +865,9 @@ def scaffold_stats(
     Representative bodies (one kernel per level, dummy digests) give exact
     byte sizes because every digest and reference field is fixed-width, so
     a built scaffold carries these same figures. Used alone for player
-    counts whose plain-mode trees are too large to build.
+    counts whose plain-mode trees are too large to write out. The figures
+    depend only on the arguments, so they are computed once per argument
+    list; the result is frozen because every caller shares it.
     """
     levels = num_levels(n)
     per_level = tuple(
@@ -826,8 +951,11 @@ def verify_as_honest(t: Tournament) -> list[Violation]:
     honest construction on the tournament's own parameters and the
     commitment digests it carries, then flags every divergence: rewired
     inputs, altered schedules or predicates, wrong payout keys, and
-    duplicated commitment digests (the replay defense). An empty list means
-    the scaffold is safe to sign, from every seat.
+    duplicated commitment digests (the replay defense). The count fields of
+    `stats` must equal the closed form for the same parameters (BadStats);
+    `bytes_on_chain` cannot be checked, because a scaffold does not record
+    the signature model it was sized for. An empty list means the scaffold
+    is safe to sign, from every seat.
     """
     try:
         num_levels(t.n)
@@ -844,9 +972,10 @@ def verify_as_honest(t: Tournament) -> list[Violation]:
         # a missing kernel gets placeholders: it is reported before anything is compared
         return (k.left_commit, k.right_commit) if k else (bytes(32), bytes(32))
 
+    stats = scaffold_stats(t.n, t.mode, t.deposit_option, bet=t.bet, tau=t.tau, t_commit=t.t_commit)
     h = _honest_scaffold(
         t.n, t.master_keys, t.funding, t.bet, t.tau, t.t_commit, t.mode, t.deposit_option,
-        t.mpc_digest, commits, t.stats,
+        t.mpc_digest, commits, stats,
     )
     v: list[Violation] = []
     if t.level_stride != h.level_stride:
@@ -854,6 +983,10 @@ def verify_as_honest(t: Tournament) -> list[Violation]:
     if t.refund_time != h.refund_time:
         detail = f"refund time {t.refund_time} != {h.refund_time}, the commit deadline"
         v.append(Violation(None, "BadDeposit", detail))
+    for f in dataclasses.fields(TransactionStats):
+        got, want = getattr(t.stats, f.name), getattr(stats, f.name)
+        if f.name not in ("bytes_on_chain", "materialized") and got != want:
+            v.append(Violation(None, "BadStats", f"stats.{f.name} {got} != {want}"))
     for kid in sorted(h.kernels.keys() - t.kernels.keys()):
         v.append(Violation(kid, "MissingKernel", "kernel absent from scaffold"))
     for kid in sorted(t.kernels.keys() - h.kernels.keys()):
@@ -884,16 +1017,23 @@ def verify_as_honest(t: Tournament) -> list[Violation]:
             if got != want:
                 v.append(Violation(kid, rule, f"{what} {got} != {want}"))
 
-    # The ceremony approves the stored digests and the runtime trusts the stored
-    # ntxids, so each must be that of its stored body, or signing would cover
-    # something other than what was checked.
+    # The ceremony approves the digest registry and the runtime trusts the
+    # stored ntxids, so each must be that of its stored body, or signing would
+    # cover something other than what was checked.
     stored = {}
+    signable = set()
     for item in iter_bodies(t):
         stored[(item.role, item.key)] = item.body
-        if body_digests(item.body) != (item.ntxid, t.sig_digests.get(item.ntxid)):
+        digests = body_digests(item.body)
+        if digests != (item.ntxid, t.sig_digests.get(item.ntxid)):
             kid = item.key if isinstance(item.key, KernelId) else None
             detail = f"{item.role} {item.key}: stored digests do not match the body"
             v.append(Violation(kid, "BadDigest", detail))
+        if item.role != ROLE_DEPOSIT:
+            signable.add(digests[1])
+    if t.scaffold_digests != signable:
+        detail = "the approved digests are not those of the kernel and compression bodies"
+        v.append(Violation(None, "BadDigest", detail))
     for item in iter_bodies(h):
         body = stored.pop((item.role, item.key), None)
         if body != item.body:
@@ -958,26 +1098,32 @@ def signing_ceremony(
     scaffold; an honest party checks it with `verify_as_honest`. A single
     refusal aborts before any key signs anything, which has no on-chain
     effect because nothing spendable exists until the deposit is complete.
-    Once all approve, each party's key signs the digests of every kernel and
-    compression body in one act (`SignatureOracle.sign_all`). The atomic
-    deposit is asked about (`at_deposit`) and signed last, so no player is
-    ever exposed without a full scaffold; hashlocked deposits are authorized
+    Once all approve, each party's key approves every kernel and
+    compression body in one act (`SignatureOracle.sign_all`): from then on
+    its signature over a digest verifies if and only if the digest is in
+    the tournament's registry `scaffold_digests`. The registry holds the
+    bodies built so far and grows as play builds kernels, but only with
+    bodies of the honest scaffold that was approved, and a body's inputs
+    can be on chain only once play has built its kernel, so this is the
+    same as approving the whole scaffold up front. The count of bodies
+    signed comes from the closed form in `t.stats`. The atomic deposit is
+    asked about (`at_deposit`) and signed last, so no player is ever
+    exposed without a full scaffold; hashlocked deposits are authorized
     solo by their owners at submission time.
     """
-    plan = iter_bodies(t, include_deposits=False)
     atomic = t.deposit_option == DEPOSIT_ATOMIC
-    total = len(plan) + (1 if atomic else 0)
+    scaffold_bodies = t.stats.kernel_bodies + t.stats.compression_count
+    total = scaffold_bodies + (1 if atomic else 0)
     views = [SigningView(player, t, total) for player in range(t.n)]
     for player, view in enumerate(views):
         if not deciders[player].at_signing(view):
             return CeremonyResult(aborted_by=player, bodies_signed=0)
-    digests = frozenset(t.sig_digests[item.ntxid] for item in plan)
     for player, key in enumerate(t.master_keys):
-        oracle.sign_all(player, key, digests)
+        oracle.sign_all(player, key, t.scaffold_digests)
     if atomic:
         for player, view in enumerate(views):
             if not deciders[player].at_deposit(view):
-                return CeremonyResult(aborted_by=player, bodies_signed=len(plan))
+                return CeremonyResult(aborted_by=player, bodies_signed=scaffold_bodies)
         deposit_digest = t.sig_digests[t.deposit_ntxids[0]]
         for player, key in enumerate(t.master_keys):
             oracle.sign(player, key, deposit_digest)
@@ -1069,6 +1215,7 @@ def tournament_from_json(obj: dict) -> Tournament:
         ntxid, sig_digest = body_digests(body)
         sig_digests[ntxid] = sig_digest
         compressions[key] = CompressionTx(*key, body, ntxid)
+    scaffold_digests = set(sig_digests.values())
     deposit_bodies = tuple(
         body_from_json(b, f"deposits[{i}]") for i, b in enumerate(get("deposits", list))
     )
@@ -1092,6 +1239,7 @@ def tournament_from_json(obj: dict) -> Tournament:
         mpc_digest=get("mpc_digest", bytes) if obj.get("mpc_digest") else None,
         stats=TransactionStats.from_json(get("stats", dict), "scaffold.stats"),
         sig_digests=sig_digests,
+        scaffold_digests=scaffold_digests,
     )
 
 

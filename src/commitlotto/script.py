@@ -15,7 +15,7 @@ keeps runs deterministic.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Mapping, Optional, Union
+from typing import Container, Mapping, Optional, Union
 
 from .primitives import OutputRef, json_field, json_value, lp_bytes, lp_str, sha256, u32, u64
 
@@ -189,13 +189,15 @@ class SignatureOracle:
     with `sign_all`. The scaffold ceremony uses the latter: each player
     verifies the scaffold, then approves all of it, and from then on the
     oracle accepts that key's signature over a digest if and only if the
-    digest belongs to the approved set.
+    digest is a member of the approved set. The set is the scaffold's live
+    digest registry, so the test is one membership lookup, and bodies of
+    the approved scaffold that are built after the ceremony are covered.
     """
 
     def __init__(self) -> None:
         self._owners: dict[bytes, object] = {}
         self._signed: set[tuple[bytes, bytes]] = set()
-        self._signed_sets: dict[bytes, list[frozenset[bytes]]] = {}
+        self._signed_sets: dict[bytes, list[Container[bytes]]] = {}
 
     def register_key(self, party, key: bytes) -> None:
         self._owners[key] = party
@@ -209,8 +211,12 @@ class SignatureOracle:
         self._signed.add((key, digest))
         return sig_tag(key, digest)
 
-    def sign_all(self, party, key: bytes, digests: frozenset[bytes]) -> None:
-        """Record key's signature over every digest in the set, in one act."""
+    def sign_all(self, party, key: bytes, digests: Container[bytes]) -> None:
+        """Record key's signature over every digest in `digests`, in one act.
+
+        The container is kept, not copied: a digest it holds when a
+        signature is checked verifies.
+        """
         self._check_owner(party, key)
         self._signed_sets.setdefault(key, []).append(digests)
 

@@ -106,6 +106,19 @@ def test_verify_rejects_doctored_scaffold(capsys, scaffold_file, tmp_path):
     assert "do not sign" in err
 
 
+def test_verify_flags_doctored_stats(capsys, scaffold_file, tmp_path):
+    doc = json.loads(scaffold_file.read_text())
+    doc["stats"]["total_offchain"] = 999
+    doc["stats"]["bytes_on_chain"] = 1  # not checkable: the file has no sig model
+    bad = tmp_path / "stats.json"
+    bad.write_text(json.dumps(doc))
+    code, out, err = run_cli(capsys, "verify", str(bad))
+    assert code == 3
+    assert "VIOLATION BadStats at scaffold: stats.total_offchain 999 != 56" in out
+    assert "bytes_on_chain" not in out
+    assert "scaffold ok" not in out
+
+
 def _drop_kernels(doc):
     del doc["kernels"]
 

@@ -43,7 +43,7 @@ def cfg(backend=ETH, n=4, strategies=None, **kw):
         dict(backend="solana"),
         dict(n=3, strategies=("honest",) * 3),
         dict(n=1, strategies=("honest",)),
-        dict(backend=BTC_PLAIN, n=16, strategies=("honest",) * 16),
+        dict(backend=BTC_PLAIN, n=6, strategies=("honest",) * 6),
         dict(strategies=("honest",) * 3),
         dict(strategies=("honest", "honest", "honest", "force-timeout")),
         dict(tau=1),
@@ -65,6 +65,17 @@ def test_config_accepts_the_boundary():
     cfg(backend=BTC_PLAIN, n=8, strategies=("honest",) * 8)
     cfg(backend=BTC_MULTI, n=16, strategies=("honest",) * 16)
     cfg(backend=BTC_PLAIN, deposit_option="hashlocked", strategies=HONEST4)
+
+
+@pytest.mark.parametrize("n", [16, 32])
+def test_plain_trials_run_beyond_the_materialize_cap(n):
+    # kernels are built on demand, so a trial pays for one kernel per match
+    for i in range(3):
+        r = run_trial(cfg(backend=BTC_PLAIN, n=n, master_seed=f"plain-{n}"), i)
+        assert r.committed and r.winner is not None
+        assert sum(r.payoffs) == 0
+        assert r.payoffs[r.winner] == n - 1
+        assert r.onchain_tx_count <= 3 * (n - 1) + 1
 
 
 def test_mode_follows_backend():

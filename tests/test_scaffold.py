@@ -61,6 +61,10 @@ from commitlotto.script import (
     SignatureOracle,
 )
 
+from commitlotto import scaffold as scaffold_module
+from commitlotto.harness import BTC_PLAIN, ScaffoldRuntime, ScenarioConfig, run_trial, trial_rng
+from commitlotto.strategies import BTC_MULTI
+
 from conftest import small_tournament
 
 
@@ -466,12 +470,20 @@ def test_ceremony_deposit_refusal_leaves_deposit_unsigned(plain4):
     assert verifying_keys(oracle, plain4, plain4.deposit_bodies[0]) == []
 
 
-@pytest.mark.parametrize("deposit_option", ["atomic", DEPOSIT_HASHLOCKED])
-def test_oracle_accepts_exactly_the_approved_scaffold(deposit_option):
-    t = small_tournament(4, mode=MODE_MULTIINPUT, deposit_option=deposit_option)
+@pytest.mark.parametrize(
+    "mode,deposit_option",
+    [
+        pytest.param(MODE_MULTIINPUT, "atomic", id="atomic"),
+        pytest.param(MODE_MULTIINPUT, DEPOSIT_HASHLOCKED, id="hashlocked"),
+        pytest.param("plain", "atomic", id="plain-atomic"),
+    ],
+)
+def test_oracle_accepts_exactly_the_approved_scaffold(mode, deposit_option):
+    t = small_tournament(4, mode=mode, deposit_option=deposit_option)
     oracle = keyed_oracle(t)
     assert signing_ceremony(t, [YesDecider() for _ in range(4)], oracle).complete
     atomic = deposit_option == "atomic"
+    # a plain scaffold's kernels are built here, after the ceremony
     for item in iter_bodies(t, include_deposits=atomic):
         assert verifying_keys(oracle, t, item.body) == list(t.master_keys)
     k = t.kernels[KernelId(0, 0, 0)]
@@ -518,6 +530,83 @@ def test_ceremony_orders_deposit_last(plain4):
     assert len(plan) == 56
     # without the deposit: kernels and nothing else
     assert len(iter_bodies(plain4, include_deposits=False)) == 55
+
+
+# kernels built on demand
+
+
+LAZY_CASES = [
+    (BTC_PLAIN, 4, "atomic"),
+    (BTC_PLAIN, 8, "atomic"),
+    (BTC_PLAIN, 8, DEPOSIT_HASHLOCKED),
+    (BTC_MULTI, 8, "atomic"),
+]
+
+
+@pytest.mark.parametrize("backend,n,deposit_option", LAZY_CASES)
+def test_kernels_built_in_play_equal_an_upfront_build(backend, n, deposit_option):
+    cfg = ScenarioConfig(
+        backend=backend, n=n, strategies=("honest",) * n, deposit_option=deposit_option
+    )
+    upfront = ScaffoldRuntime(cfg, trial_rng(cfg.master_seed, 0)).t
+    eager = dict(upfront.kernels)  # every kernel, before anything else reads one
+    played = ScaffoldRuntime(cfg, trial_rng(cfg.master_seed, 0))
+    assert played.run().committed
+    t = played.t
+    if backend == BTC_PLAIN:
+        assert len(t.secrets) == 2 * (n - 1)  # play built one kernel per match
+    assert dict(t.kernels) == eager  # every field, every body and every ntxid
+    assert t.compressions == upfront.compressions
+    assert t.sig_digests == upfront.sig_digests
+    assert t.scaffold_digests == upfront.scaffold_digests
+    assert t.secrets == upfront.secrets
+    for item in iter_bodies(t):
+        assert t.sig_digests[item.ntxid] == sig_digest_for(item.body)
+    assert verify_as_honest(t) == []
+
+
+def test_honest_plain_trial_builds_one_kernel_per_match(monkeypatch):
+    built = []
+    build_kernel = scaffold_module._HonestWiring.kernel
+
+    def counted(wiring, kernels, kid):
+        built.append(kid)
+        return build_kernel(wiring, kernels, kid)
+
+    monkeypatch.setattr(scaffold_module._HonestWiring, "kernel", counted)
+    cfg = ScenarioConfig(backend=BTC_PLAIN, n=8, strategies=("honest",) * 8)
+    result = run_trial(cfg, 0)
+    assert result.committed and result.onchain_tx_count == 22
+    assert len(built) == len(set(built)) == 7
+    assert sorted(kid.level for kid in built) == [0, 0, 0, 0, 1, 1, 2]
+
+
+def test_copies_of_a_partly_built_scaffold_stay_independent():
+    t = small_tournament(8)
+    top, other = KernelId(2, 0, 500), KernelId(2, 0, 7)
+    t.kernels[top]  # builds it and the child kernels its stakes spend
+    built = (len(t.secrets), len(t.sig_digests), len(t.scaffold_digests))
+    assert built[0] == 2 * 7
+
+    twin = copy.deepcopy(t)
+    twin.kernels[other]
+    assert (len(t.secrets), len(t.sig_digests), len(t.scaffold_digests)) == built
+    assert len(twin.secrets) > built[0]
+    t.kernels[KernelId(1, 1, 3)]
+    assert (KernelId(1, 1, 3), SIDE_LEFT) not in twin.secrets
+    del twin.kernels[top]
+    assert top in t.kernels and top not in twin.kernels
+
+    # the table builds from the parameters it was constructed with, not from
+    # the fields of a tournament that shares it
+    fresh = dict(small_tournament(8).kernels)
+    swapped = dataclasses.replace(t, master_keys=tuple(reversed(t.master_keys)))
+    late = KernelId(2, 0, 8)
+    assert swapped.kernels[late] == fresh[late]
+    flat = dataclasses.replace(t, kernels=dict(t.kernels))
+    flat.kernels[top] = flat.kernels[other]
+    assert t.kernels[top] == fresh[top] != flat.kernels[top]
+    assert dict(t.kernels) == fresh == {**twin.kernels, top: fresh[top]}
 
 
 # honest verification
