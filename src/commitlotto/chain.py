@@ -186,6 +186,7 @@ class Chain:
         self.height = params.genesis_height
         self.utxo: dict[OutputRef, TxOutput] = {}
         self.log: list[LogEntry] = []
+        self.entries: dict[bytes, LogEntry] = {}  # the log by ntxid: "is it on chain?"
         self.minted_total = 0
         self._spent: set[OutputRef] = set()
         self._mint_serial = 0
@@ -219,6 +220,7 @@ class Chain:
         self.utxo[ref] = body.outputs[0]
         self.minted_total += value
         self.log.append(LogEntry(ntxid, body, None, self.height))
+        self.entries[ntxid] = self.log[-1]
         return ref
 
     def submit(self, body: TransactionBody, witness: Witness) -> SubmitResult:
@@ -280,6 +282,7 @@ class Chain:
         for k, out in enumerate(body.outputs):
             self.utxo[OutputRef(ntxid, k)] = out
         self.log.append(LogEntry(ntxid, body, witness, self.height))
+        self.entries[ntxid] = self.log[-1]
         return SubmitResult(True, ntxid, None)
 
     # accounting helpers
@@ -313,6 +316,7 @@ class Chain:
                 assert ref not in seen, f"output {ref.short()} consumed twice"
                 seen.add(ref)
         assert seen == self._spent, "spent set out of sync with log"
+        assert self.entries.keys() == {entry.ntxid for entry in self.log}, "log index out of sync"
 
     def export_log_jsonl(self) -> str:
         """One JSON object per accepted transaction, in order."""

@@ -7,6 +7,7 @@ verification found violations, 1 unexpected internal error.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 
@@ -34,7 +35,6 @@ from .scaffold import (
     dump_tournament,
     export_dot,
     load_tournament,
-    scaffold_stats,
     verify_as_honest,
 )
 from .strategies import strategy_names
@@ -123,30 +123,21 @@ def _scenario_from_args(args, trials: int) -> ScenarioConfig:
 def cmd_build(args) -> int:
     """Emit scaffold statistics, materializing the full body set when feasible.
 
-    Plain scaffolds beyond the size cap fall back to the closed form and are
-    flagged materialized=false; asking for the scaffold file itself is then
-    a configuration error.
+    Plain scaffolds beyond the size cap report the closed form, flagged
+    materialized=false; asking for the scaffold file itself is then a
+    configuration error. The scaffold is constructed (its plain kernels are
+    built only when read) before either branch, so both check the arguments.
     """
-    materialize = args.mode == MODE_MULTIINPUT or args.n <= PLAIN_MATERIALIZE_MAX
-    if not materialize and (args.scaffold_out or args.dot):
-        print(
-            f"plain scaffolds with n={args.n} are statistics-only and cannot be written out",
-            file=sys.stderr,
-        )
-        return EXIT_CONFIG
-    if materialize:
-        t = _build_scaffold(args)
-        stats = t.stats
-    else:
-        t = None
-        stats = scaffold_stats(
-            args.n,
-            mode=args.mode,
-            deposit_option=args.deposit,
-            bet=args.bet,
-            tau=args.tau,
-            t_commit=args.t_commit,
-        )
+    t = _build_scaffold(args)
+    stats = t.stats
+    if args.mode == MODE_PLAIN and args.n > PLAIN_MATERIALIZE_MAX:
+        if args.scaffold_out or args.dot:
+            print(
+                f"plain scaffolds with n={args.n} are statistics-only and cannot be written out",
+                file=sys.stderr,
+            )
+            return EXIT_CONFIG
+        t, stats = None, dataclasses.replace(stats, materialized=False)
     doc = {
         "n": args.n,
         "mode": args.mode,

@@ -6,12 +6,14 @@ strategy assignment, and settlement. Trials are reproducible: the trial
 RNG is derived from the master seed and trial index, and both drivers are
 event-ordered with no hidden iteration-order dependence.
 
-The scaffold driver models knowledge explicitly. A player can broadcast a
-transaction only when it holds every witness ingredient: the signature
-tags of the scaffold every player approved in the ceremony and the
-preimages it either owns, shares through a coalition, or has seen in an
-on-chain witness. Honest players relay every assemblable transaction, so
-one honest participant keeps the bracket live regardless of who benefits.
+The scaffold driver keeps no record of play: the chain is the record,
+and any transaction on it counts, whoever broadcast it. What the driver
+holds is knowledge. A player can broadcast a transaction only when it
+holds every witness ingredient: the signature tags of the scaffold every
+player approved in the ceremony and the preimages it either owns, shares
+through a coalition, or has seen in an on-chain witness. Honest players
+relay every assemblable transaction, so one honest participant keeps the
+bracket live regardless of who benefits.
 """
 
 from __future__ import annotations
@@ -65,9 +67,10 @@ from .scaffold import (
     Tournament,
     _auth_bytes,
     build_tournament,
-    candidates as bracket_candidates,
-    kernel_count,
+    matches_at,
+    multi_combo_index,
     num_levels,
+    pack_index,
     scaffold_stats,
     signing_ceremony,
 )
@@ -414,15 +417,19 @@ PRIORITY = {
 }
 
 
-@dataclass
-class KernelState:
-    entry: bool = False
-    reveal: bool = False
-    outcome: Optional[int] = None  # outcome tx index once one is on chain
-
-
 class ScaffoldRuntime:
-    """One trial against the UTXO backend."""
+    """One trial against the UTXO backend.
+
+    The chain is the only record of play: whether a transaction is on
+    chain, whether the scaffold committed, which kernel each match reached
+    and who won are all read from it. The runtime itself holds knowledge
+    only, the preimages it has seen in on-chain witnesses and the joint
+    preimage once released; a kernel's secret is known to its side's
+    player and that player's allies, and is read from the scaffold when a
+    witness needs it. Facts about a match that can never change again (the
+    kernel it reached, the outcome it settled on) are memoised as the chain
+    reads find them.
+    """
 
     SETUP_HEIGHT = 1  # ceremony and (attempted) deposits happen here
 
@@ -473,36 +480,30 @@ class ScaffoldRuntime:
             g if g is not None else frozenset((i,)) for i, g in enumerate(groups)
         ]
 
-        # witness knowledge: commitment digest -> preimage; a kernel's secrets
-        # are registered when it is activated, the first time play needs them
-        self.private: list[dict[bytes, bytes]] = [dict() for _ in range(n)]
+        # public knowledge: commitment digest -> preimage seen in an on-chain
+        # witness, plus the joint preimage once released
         self.public: dict[bytes, bytes] = {}
-
         self.bodies_signed = 0
-        self.kstate: dict[KernelId, KernelState] = {}
-        self.active: set[KernelId] = set()
-        self.match_result: dict[tuple[int, int], tuple[KernelId, int, int]] = {}
-        self.match_outcome_ref: dict[tuple[int, int], OutputRef] = {}
-        self.compression_done: dict[tuple[int, int], int] = {}
-        self.deposit_onchain = [False] * len(self.t.deposit_bodies)
-        self.refunded = [0] * n
-        self.committed = False
-        self.released = cfg.deposit_option == DEPOSIT_ATOMIC  # hashlocked gates on release
-        self.winner: Optional[int] = None
-        self.final_height: Optional[int] = None
-        self.deposit_complete_h: Optional[int] = None
+        self._multi = cfg.mode == MODE_MULTIINPUT
+        self._levels = cfg.levels
+        # memo of chain reads, facts that never change once found: the kernel
+        # each (level, match) reached, and its `_match_result` once settled
+        self._reached: dict[tuple[int, int], Kernel] = {}
+        self._settled: dict[tuple[int, int], tuple[Kernel, int, int, bytes]] = {}
         self._refund_bodies: dict[int, tuple[TransactionBody, bytes]] = {}
 
     # knowledge
 
-    def _lookup(self, player: int, digest: bytes) -> Optional[bytes]:
+    def _lookup(self, player: int, digest: bytes, kernel: Optional[Kernel]) -> Optional[bytes]:
+        """A preimage the player can supply: public, or a secret of its side or an ally's."""
         pre = self.public.get(digest)
-        if pre is not None:
+        if pre is not None or kernel is None:
             return pre
-        for ally in self.allies[player]:
-            pre = self.private[ally].get(digest)
-            if pre is not None:
-                return pre
+        allies = self.allies[player]
+        if digest == kernel.left_commit and kernel.left_player in allies:
+            return self.t.secret(kernel.id, SIDE_LEFT)
+        if digest == kernel.right_commit and kernel.right_player in allies:
+            return self.t.secret(kernel.id, SIDE_RIGHT)
         return None
 
     def _learn_public(self, witness: Witness) -> None:
@@ -510,119 +511,198 @@ class ScaffoldRuntime:
             for pre in iw.preimages.values():
                 self.public[commitment(pre)] = pre
 
-    # candidate enumeration
+    # play, read from the chain
 
-    def _stake_refs(self, kernel: Kernel) -> list[OutputRef]:
-        return [spec.ref for spec in kernel.entry_tx.inputs]
+    def _committed(self) -> bool:
+        """Atomic: the deposit is on chain. Hashlocked: the joint preimage was released."""
+        if self.mpc is None:
+            return self.t.deposit_ntxids[0] in self.chain.entries
+        return self.t.mpc_digest in self.public
+
+    @property
+    def deposit_complete_h(self) -> Optional[int]:
+        """The height the last deposit landed at, once every deposit is on chain."""
+        entries = self.chain.entries
+        if not all(ntxid in entries for ntxid in self.t.deposit_ntxids):
+            return None
+        return max(entries[ntxid].height for ntxid in self.t.deposit_ntxids)
+
+    def _refunded(self, player: int) -> bool:
+        """A hashlocked deposit has two spenders: its level-0 entry and the owner's refund."""
+        if self.mpc is None:
+            return False
+        if not self.chain.was_spent(OutputRef(self.t.deposit_ntxids[player], 0)):
+            return False
+        kernel = self._kernel_reached(0, player // 2)
+        return kernel is None or kernel.entry_ntxid not in self.chain.entries
+
+    def _kernel_reached(self, level: int, match: int) -> Optional[Kernel]:
+        """The kernel a match reached: combo 0 at level 0 once committed, above
+        that the one its child matches' results enter."""
+        kernel = self._reached.get((level, match))
+        if kernel is not None:
+            return kernel
+        if level == 0:
+            if not self._committed():
+                return None
+            combo = 0
+        else:
+            left = self._match_result(level - 1, 2 * match)
+            right = self._match_result(level - 1, 2 * match + 1) if left else None
+            if right is None:
+                return None
+            if self._multi:
+                combo = multi_combo_index(self.cfg.n, level, match, left[2], right[2])
+            else:
+                combo = pack_index(level, left[0].id.combo, left[1], right[0].id.combo, right[1])
+        kernel = self._reached[(level, match)] = self.t.kernels[KernelId(level, match, combo)]
+        return kernel
+
+    def _outcome(self, kernel: Kernel) -> Optional[tuple[int, int]]:
+        """(outcome index, winner) if one of the kernel's three outcomes is on chain."""
+        for tx_idx, ntxid in enumerate(kernel.outcome_ntxids):
+            if ntxid in self.chain.entries:
+                return tx_idx, kernel.left_player if tx_idx == 0 else kernel.right_player
+        return None
+
+    def _match_result(self, level: int, match: int) -> Optional[tuple[Kernel, int, int, bytes]]:
+        """(kernel, outcome index, winner, ntxid) once the match has settled, that is
+        once `ntxid`, the transaction that carries its pot on, is on chain: plain,
+        the outcome; multiinput, the winner's compression."""
+        result = self._settled.get((level, match))
+        if result is not None:
+            return result
+        kernel = self._kernel_reached(level, match)
+        outcome = self._outcome(kernel) if kernel else None
+        if outcome is None:
+            return None
+        tx_idx, winner = outcome
+        if self._multi:
+            ntxid = self.t.compressions[(level, match, winner)].ntxid
+        else:
+            ntxid = kernel.outcome_ntxids[tx_idx]
+        if ntxid not in self.chain.entries:
+            return None
+        result = self._settled[(level, match)] = (kernel, tx_idx, winner, ntxid)
+        return result
+
+    def _final(self) -> Optional[tuple[int, int]]:
+        """(winner, height) once the final match's result is on chain."""
+        result = self._match_result(self._levels - 1, 0)
+        return None if result is None else (result[2], self.chain.entries[result[3]].height)
+
+    # candidate enumeration
 
     def _candidates(self, h: int) -> list[Candidate]:
         cfg = self.cfg
         t = self.t
+        entries = self.chain.entries
+        committed = self._committed()
         out: list[Candidate] = []
-        if cfg.deposit_option == DEPOSIT_ATOMIC:
-            if not self.deposit_onchain[0]:
+        # one atomic deposit everyone signs, or one hashlocked deposit per owner
+        for i, (body, ntxid) in enumerate(zip(t.deposit_bodies, t.deposit_ntxids)):
+            if ntxid not in entries:
+                owner = None if self.mpc is None else i
                 out.append(
                     Candidate(
                         KIND_DEPOSIT, PRIORITY[KIND_DEPOSIT], -1, -1, None,
-                        t.deposit_bodies[0], t.deposit_ntxids[0], self.SETUP_HEIGHT,
-                        (), None, None, None, None, 0,
+                        body, ntxid, self.SETUP_HEIGHT, (), owner, None, None, owner, i,
                     )
                 )
-        else:
+        if self.mpc is not None and not committed and h >= t.refund_time:
             for i in range(cfg.n):
-                if not self.deposit_onchain[i]:
+                if self.chain.is_unspent(OutputRef(t.deposit_ntxids[i], 0)):
+                    body, ntxid = self._refund_body(i)
                     out.append(
                         Candidate(
-                            KIND_DEPOSIT, PRIORITY[KIND_DEPOSIT], -1, -1, None,
-                            t.deposit_bodies[i], t.deposit_ntxids[i], self.SETUP_HEIGHT,
-                            (), i, None, None, i, i,
+                            KIND_REFUND, PRIORITY[KIND_REFUND], -1, -1, None,
+                            body, ntxid, t.refund_time, (), i, None, None, i, i,
                         )
                     )
-            if not self.committed and h >= (t.refund_time or 0):
-                for i in range(cfg.n):
-                    if self.deposit_onchain[i] and not self.refunded[i]:
-                        ref = OutputRef(t.deposit_ntxids[i], 0)
-                        if self.chain.is_unspent(ref):
-                            body, ntxid = self._refund_body(i)
-                            out.append(
-                                Candidate(
-                                    KIND_REFUND, PRIORITY[KIND_REFUND], -1, -1, None,
-                                    body, ntxid, t.refund_time, (), i, None, None, i, i,
-                                )
-                            )
-        if self.committed:
-            out.extend(self._kernel_candidates(h))
+        if committed:
+            out.extend(self._kernel_candidates())
         out.sort(key=lambda c: (c.priority, c.level, c.match, c.ntxid))
         return out
 
-    def _kernel_candidates(self, h: int) -> list[Candidate]:
+    def _kernel_candidates(self) -> list[Candidate]:
+        """Walk the bracket bottom-up; a level with no settled match stops the walk."""
         t = self.t
+        entries = self.chain.entries
+        reached, settled = self._reached, self._settled  # memo hits skip the calls
         out: list[Candidate] = []
-        for kid in sorted(self.active):
-            kernel = t.kernels[kid]
-            st = self.kstate[kid]
-            level, match = kid.level, kid.match
-            if st.outcome is not None:
-                continue
-            if not st.entry:
-                if all(self.chain.is_unspent(ref) for ref in self._stake_refs(kernel)):
-                    needs = ()
-                    if t.mpc_digest is not None and level == 0:
-                        needs = (t.mpc_digest,)
+        for level in range(self._levels):
+            any_settled = False
+            for match in range(matches_at(self.cfg.n, level)):
+                if (level, match) in settled:
+                    any_settled = True
+                    continue
+                kernel = reached.get((level, match)) or self._kernel_reached(level, match)
+                if kernel is None:
+                    continue
+                kid = kernel.id
+                if kernel.entry_ntxid not in entries:  # every other body spends the entry
+                    if all(self.chain.is_unspent(spec.ref) for spec in kernel.entry_tx.inputs):
+                        needs = ()
+                        if t.mpc_digest is not None and level == 0:
+                            needs = (t.mpc_digest,)
+                        out.append(
+                            Candidate(
+                                KIND_ENTRY, PRIORITY[KIND_ENTRY], level, match, kid,
+                                kernel.entry_tx, kernel.entry_ntxid, kernel.t0,
+                                needs, None, kernel.left_player, kernel.right_player, None,
+                            )
+                        )
+                    continue
+                outcome = self._outcome(kernel)
+                if outcome is not None:
+                    if self._match_result(level, match) is not None:
+                        any_settled = True
+                        continue
+                    tx_idx, winner = outcome  # multiinput: the winner's compression is next
+                    comp = t.compressions[(level, match, winner)]
                     out.append(
                         Candidate(
-                            KIND_ENTRY, PRIORITY[KIND_ENTRY], level, match, kid,
-                            kernel.entry_tx, kernel.entry_ntxid, kernel.t0,
-                            needs, None, kernel.left_player, kernel.right_player, None,
+                            KIND_COMPRESSION, PRIORITY[KIND_COMPRESSION], level, match, kid,
+                            comp.body, comp.ntxid, 0, (), winner, None, None, None,
+                            OutputRef(kernel.outcome_ntxids[tx_idx], 0),
                         )
                     )
-                continue
-            if not st.reveal:
-                out.append(
-                    Candidate(
-                        KIND_REVEAL, PRIORITY[KIND_REVEAL], level, match, kid,
-                        kernel.reveal_tx, kernel.reveal_ntxid, kernel.t0,
-                        (kernel.left_commit,), None,
-                        kernel.left_player, kernel.right_player, None,
+                elif kernel.reveal_ntxid not in entries:
+                    out.append(
+                        Candidate(
+                            KIND_REVEAL, PRIORITY[KIND_REVEAL], level, match, kid,
+                            kernel.reveal_tx, kernel.reveal_ntxid, kernel.t0,
+                            (kernel.left_commit,), None,
+                            kernel.left_player, kernel.right_player, None,
+                        )
                     )
-                )
-                out.append(
-                    Candidate(
-                        KIND_TIMEOUT_B, PRIORITY[KIND_TIMEOUT_B], level, match, kid,
-                        kernel.outcome_txs[1], kernel.outcome_ntxids[1], kernel.t1,
-                        (), kernel.right_player,
-                        kernel.left_player, kernel.right_player, None,
+                    out.append(
+                        Candidate(
+                            KIND_TIMEOUT_B, PRIORITY[KIND_TIMEOUT_B], level, match, kid,
+                            kernel.outcome_txs[1], kernel.outcome_ntxids[1], kernel.t1,
+                            (), kernel.right_player,
+                            kernel.left_player, kernel.right_player, None,
+                        )
                     )
-                )
-            else:
-                out.append(
-                    Candidate(
-                        KIND_TIMEOUT_A, PRIORITY[KIND_TIMEOUT_A], level, match, kid,
-                        kernel.outcome_txs[0], kernel.outcome_ntxids[0], kernel.t2,
-                        (), kernel.left_player,
-                        kernel.left_player, kernel.right_player, None,
+                else:
+                    out.append(
+                        Candidate(
+                            KIND_TIMEOUT_A, PRIORITY[KIND_TIMEOUT_A], level, match, kid,
+                            kernel.outcome_txs[0], kernel.outcome_ntxids[0], kernel.t2,
+                            (), kernel.left_player,
+                            kernel.left_player, kernel.right_player, None,
+                        )
                     )
-                )
-                out.append(
-                    Candidate(
-                        KIND_PARITY_WIN, PRIORITY[KIND_PARITY_WIN], level, match, kid,
-                        kernel.outcome_txs[2], kernel.outcome_ntxids[2], kernel.t0,
-                        (kernel.left_commit, kernel.right_commit), kernel.right_player,
-                        kernel.left_player, kernel.right_player, None,
+                    out.append(
+                        Candidate(
+                            KIND_PARITY_WIN, PRIORITY[KIND_PARITY_WIN], level, match, kid,
+                            kernel.outcome_txs[2], kernel.outcome_ntxids[2], kernel.t0,
+                            (kernel.left_commit, kernel.right_commit), kernel.right_player,
+                            kernel.left_player, kernel.right_player, None,
+                        )
                     )
-                )
-        if self.cfg.mode == MODE_MULTIINPUT:
-            for (level, match), (kid, tx_idx, winner) in self.match_result.items():
-                if (level, match) in self.compression_done:
-                    continue
-                comp = t.compressions[(level, match, winner)]
-                out.append(
-                    Candidate(
-                        KIND_COMPRESSION, PRIORITY[KIND_COMPRESSION], level, match, kid,
-                        comp.body, comp.ntxid, 0, (), winner, None, None, None,
-                        self.match_outcome_ref[(level, match)],
-                    )
-                )
+            if not any_settled:
+                break  # no kernel above this level can have been reached
         return out
 
     def _refund_body(self, player: int) -> tuple[TransactionBody, bytes]:
@@ -648,14 +728,15 @@ class ScaffoldRuntime:
         return ((self.keys[player], tag),)
 
     def _assemble(self, cand: Candidate, player: int) -> Optional[Witness]:
+        t = self.t
+        kernel = t.kernels[cand.kernel_id] if cand.kernel_id else None
         preimages: dict[bytes, bytes] = {}
         for digest in cand.needs:
-            pre = self._lookup(player, digest)
+            pre = self._lookup(player, digest, kernel)
             if pre is None:
                 return None
             preimages[digest] = pre
         kind = cand.kind
-        t = self.t
         if kind == KIND_DEPOSIT:
             if self.cfg.deposit_option == DEPOSIT_ATOMIC:
                 sigs = self._all_sigs(cand.ntxid)
@@ -674,7 +755,6 @@ class ScaffoldRuntime:
             else:
                 iw = InputWitness(sigs, {}, None, None)
             return Witness(tuple(iw for _ in cand.body.inputs))
-        kernel = t.kernels[cand.kernel_id] if cand.kernel_id else None
         if kind == KIND_REVEAL:
             pre = preimages[kernel.left_commit]
             return Witness((InputWitness(sigs, {SLOT_LEFT: pre}, BRANCH_REVEAL, None),))
@@ -691,89 +771,6 @@ class ScaffoldRuntime:
         if kind == KIND_COMPRESSION:
             return Witness((InputWitness(sigs, {}, None, cand.extra),))
         raise AssertionError(f"unhandled candidate kind {kind}")
-
-    # bookkeeping after acceptance
-
-    def _on_accept(self, cand: Candidate, witness: Witness, h: int) -> None:
-        self._learn_public(witness)
-        t = self.t
-        kind = cand.kind
-        if kind == KIND_DEPOSIT:
-            self.deposit_onchain[cand.extra if cand.extra is not None else 0] = True
-            if all(self.deposit_onchain) and self.deposit_complete_h is None:
-                self.deposit_complete_h = h
-            if self.cfg.deposit_option == DEPOSIT_ATOMIC:
-                self.committed = True
-                self._activate_base()
-            return
-        if kind == KIND_REFUND:
-            self.refunded[cand.beneficiary] = self.cfg.bet
-            return
-        st = self.kstate[cand.kernel_id]
-        if kind == KIND_ENTRY:
-            st.entry = True
-            return
-        if kind == KIND_REVEAL:
-            st.reveal = True
-            return
-        if kind == KIND_COMPRESSION:
-            level, match = cand.level, cand.match
-            self.compression_done[(level, match)] = cand.beneficiary
-            if level == self.cfg.levels - 1:
-                self.winner = cand.beneficiary
-                self.final_height = h
-            else:
-                self._try_activate_parent(level, match)
-            return
-        # one of the three outcomes
-        tx_idx = {KIND_TIMEOUT_A: 0, KIND_TIMEOUT_B: 1, KIND_PARITY_WIN: 2}[kind]
-        kernel = t.kernels[cand.kernel_id]
-        winner = kernel.left_player if tx_idx == 0 else kernel.right_player
-        st.outcome = tx_idx
-        level, match = cand.level, cand.match
-        self.match_result[(level, match)] = (cand.kernel_id, tx_idx, winner)
-        self.match_outcome_ref[(level, match)] = OutputRef(kernel.outcome_ntxids[tx_idx], 0)
-        if self.cfg.mode == MODE_PLAIN:
-            if level == self.cfg.levels - 1:
-                self.winner = winner
-                self.final_height = h
-            else:
-                self._try_activate_parent(level, match)
-        # multiinput waits for the compression before the parent can wire up
-
-    def _activate(self, kid: KernelId) -> None:
-        """Put a kernel in play: build it and give each side its own secret."""
-        kernel = self.t.kernels[kid]
-        self.private[kernel.left_player][kernel.left_commit] = self.t.secret(kid, SIDE_LEFT)
-        self.private[kernel.right_player][kernel.right_commit] = self.t.secret(kid, SIDE_RIGHT)
-        self.active.add(kid)
-        self.kstate[kid] = KernelState()
-
-    def _activate_base(self) -> None:
-        for match in range(self.cfg.n // 2):
-            self._activate(KernelId(0, match, 0))
-
-    def _try_activate_parent(self, level: int, match: int) -> None:
-        parent_level, parent_match = level + 1, match // 2
-        left_key = (level, parent_match * 2)
-        right_key = (level, parent_match * 2 + 1)
-        if self.cfg.mode == MODE_PLAIN:
-            if left_key not in self.match_result or right_key not in self.match_result:
-                return
-            (lkid, lt, _), (rkid, rt, _) = self.match_result[left_key], self.match_result[right_key]
-            per_side = 3 * kernel_count(level, MODE_PLAIN)
-            combo = (3 * lkid.combo + lt) * per_side + (3 * rkid.combo + rt)
-        else:
-            if left_key not in self.compression_done or right_key not in self.compression_done:
-                return
-            left_winner = self.compression_done[left_key]
-            right_winner = self.compression_done[right_key]
-            left_cands = bracket_candidates(self.cfg.n, level, parent_match * 2)
-            right_cands = bracket_candidates(self.cfg.n, level, parent_match * 2 + 1)
-            combo = left_cands.index(left_winner) * (1 << parent_level) + right_cands.index(
-                right_winner
-            )
-        self._activate(KernelId(parent_level, parent_match, combo))
 
     # main loop
 
@@ -801,34 +798,29 @@ class ScaffoldRuntime:
         for h in self._stops():
             chain.advance_to(h)
             if (
-                not self.released
+                self.mpc is not None
+                and not self._committed()
                 and h >= cfg.t_commit
-                and all(self.deposit_onchain)
-                and self.mpc is not None
+                and all(ntxid in chain.entries for ntxid in self.t.deposit_ntxids)
             ):
                 # the ideal functionality hands everyone the joint preimage
                 # once the full deposit set is observable
                 self.public[self.t.mpc_digest] = self.mpc.combined()
-                self.released = True
-                self.committed = True
-                self._activate_base()
             self._drain(h)
             for i in range(cfg.n):
                 min_balance[i] = min(min_balance[i], chain.key_balance(self.keys[i]))
-            if self.winner is not None:
+            if self._final() is not None:
                 break
-            if not self.committed and h >= cfg.t_commit and cfg.deposit_option == DEPOSIT_ATOMIC:
+            if not self._committed() and h >= cfg.t_commit and cfg.deposit_option == DEPOSIT_ATOMIC:
                 break  # the all-or-nothing deposit never appeared; nothing is at stake
 
         chain.audit()
         locked = tuple(max(0, self.funded - bal - cfg.bet) for bal in min_balance)
-        if self.committed:
+        if self._committed():
             return self._result(locked=locked)
-        # aborted: funds are home either immediately (atomic) or at refund_time
-        if cfg.deposit_option == DEPOSIT_ATOMIC:
-            abort_h = cfg.t_commit
-        else:
-            abort_h = self.t.refund_time if any(self.deposit_onchain) else cfg.t_commit
+        # aborted: funds are home at refund_time if a (hashlocked) deposit landed, else at once
+        landed = any(d in chain.entries for d in self.t.deposit_ntxids)
+        abort_h = self.t.refund_time if landed else cfg.t_commit
         return self._result(abort_height=abort_h, locked=locked)
 
     def _drain(self, h: int) -> None:
@@ -867,7 +859,7 @@ class ScaffoldRuntime:
                 continue
             res = self.chain.submit(cand.body, witness)
             if res.accepted:
-                self._on_accept(cand, witness, h)
+                self._learn_public(witness)
                 return True
             return False  # structurally rejected; no other player will fare better
         return False
@@ -876,24 +868,21 @@ class ScaffoldRuntime:
         self, abort_height: Optional[int] = None, locked: Optional[tuple[int, ...]] = None
     ) -> TrialResult:
         cfg = self.cfg
-        payoffs = tuple(self.chain.key_balance(self.keys[i]) - self.funded for i in range(cfg.n))
+        chain = self.chain
+        payoffs = tuple(chain.key_balance(self.keys[i]) - self.funded for i in range(cfg.n))
         deposited = tuple(
-            cfg.bet if self.chain.was_spent(self.funding[i]) else 0 for i in range(cfg.n)
+            cfg.bet if chain.was_spent(self.funding[i]) else 0 for i in range(cfg.n)
         )
-        if self.committed:
-            returned = tuple(self.refunded)
-        else:
-            # funds that never left or came back via refund count as returned
-            returned = tuple(
-                self.refunded[i] if deposited[i] else 0 for i in range(cfg.n)
-            )
-        tx_count = sum(1 for entry in self.chain.log if entry.witness is not None)
+        returned = tuple(cfg.bet if self._refunded(i) else 0 for i in range(cfg.n))
+        committed = self._committed()
+        winner, final_height = self._final() or (None, None)
+        tx_count = sum(1 for entry in chain.log if entry.witness is not None)
         return TrialResult(
             trial=self.trial_index,
-            committed=self.committed,
-            winner=self.winner,
-            final_height=self.final_height,
-            abort_height=None if self.committed else abort_height,
+            committed=committed,
+            winner=winner,
+            final_height=final_height,
+            abort_height=None if committed else abort_height,
             payoffs=payoffs,
             deposited=deposited,
             returned=returned,
@@ -1067,20 +1056,22 @@ def measure_costs(
     The scaffold backend is probed with the force-timeout strategy, which
     drives every match through its slowest, largest path. The contract
     backend cost is the honest run; its calls are fixed by the schedule.
+    The scenario is checked before any branch, so the closed-form branch
+    rejects the same arguments as a run.
     """
+    cfg = ScenarioConfig(
+        backend=backend,
+        n=n,
+        strategies=("honest" if backend == ETH else "force-timeout",) * n,
+        tau=tau,
+        t_commit=t_commit,
+        bet=bet,
+        deposit_option=DEPOSIT_ATOMIC if backend == ETH else deposit_option,
+        sig_model=sig_model,
+        trials=1,
+        master_seed=master_seed,
+    )
     if backend == ETH:
-        cfg = ScenarioConfig(
-            backend=backend,
-            n=n,
-            strategies=("honest",) * n,
-            tau=tau,
-            t_commit=t_commit,
-            bet=bet,
-            deposit_option=DEPOSIT_ATOMIC,
-            sig_model=sig_model,
-            trials=1,
-            master_seed=master_seed,
-        )
         rt = ContractRuntime(cfg, trial_rng(cfg.master_seed, 0))
         result = rt.run()
         ok_calls = [rec for rec in rt.vm.trace if rec.ok]
@@ -1124,18 +1115,6 @@ def measure_costs(
             rounds_to_final=level_schedule(t_commit, level_stride(tau), tau, num_levels(n))[0],
             materialized=False,
         )
-    cfg = ScenarioConfig(
-        backend=backend,
-        n=n,
-        strategies=("force-timeout",) * n,
-        tau=tau,
-        t_commit=t_commit,
-        bet=bet,
-        deposit_option=deposit_option,
-        sig_model=sig_model,
-        trials=1,
-        master_seed=master_seed,
-    )
     rt = ScaffoldRuntime(cfg, trial_rng(cfg.master_seed, 0))
     result = rt.run()
     auth = _auth_bytes(sig_model, n)

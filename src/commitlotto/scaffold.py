@@ -159,6 +159,17 @@ def unpack_index(level: int, match: int, combo: int) -> tuple[int, int, int, int
     return (left_idx // 3, left_idx % 3, right_idx // 3, right_idx % 3)
 
 
+def pack_index(level: int, left_kernel: int, left_tx: int, right_kernel: int, right_tx: int) -> int:
+    """Inverse of `unpack_index`: child coordinates -> plain-mode combination index."""
+    if level < 1:
+        raise IndexOutOfRange("level-0 kernels have no child coordinates")
+    child_kernels = kernel_count(level - 1)
+    for kernel, tx in ((left_kernel, left_tx), (right_kernel, right_tx)):
+        if not (0 <= kernel < child_kernels and 0 <= tx < 3):
+            raise IndexOutOfRange(f"child ({kernel}, {tx}) out of range for level {level}")
+    return (3 * left_kernel + left_tx) * 3 * child_kernels + 3 * right_kernel + right_tx
+
+
 def winner_side(tx_index: int) -> int:
     """Which side a kernel outcome pays: outcome 0 pays left, 1 and 2 pay right."""
     if tx_index not in (0, 1, 2):
@@ -183,6 +194,17 @@ def multi_candidate_pair(n: int, level: int, match: int, combo: int) -> tuple[in
     left_cands = candidates(n, level - 1, 2 * match) if level else [2 * match]
     right_cands = candidates(n, level - 1, 2 * match + 1) if level else [2 * match + 1]
     return left_cands[combo // side], right_cands[combo % side]
+
+
+def multi_combo_index(n: int, level: int, match: int, left: int, right: int) -> int:
+    """Inverse of `multi_candidate_pair`: (left, right candidate) -> combination index."""
+    if not (0 <= match < matches_at(n, level)):
+        raise IndexOutOfRange(f"match {match} out of range at level {level}")
+    side = 1 << level
+    left_idx, right_idx = left - 2 * match * side, right - (2 * match + 1) * side
+    if not (0 <= left_idx < side and 0 <= right_idx < side):
+        raise IndexOutOfRange(f"players {left}, {right} do not meet in match {match}")
+    return left_idx * side + right_idx
 
 
 def players_of(n: int, level: int, match: int, combo: int, mode: str = MODE_PLAIN) -> tuple[int, int]:

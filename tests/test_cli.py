@@ -1,5 +1,6 @@
 """CLI: exit codes, output contracts, determinism."""
 
+import hashlib
 import json
 
 import pytest
@@ -205,6 +206,49 @@ def test_sweep_outputs_are_byte_identical_across_runs(capsys, tmp_path):
     assert a["trials"] == 20 and a["zero_sum_ok"] is True
 
 
+# the benchmark's mixed seats (bench/run.py, multi-n8-hashlocked-mixed); n=4 takes the first four
+MIXED_SEATS = (
+    "honest", "force-timeout", "abort-at-open", "coalition",
+    "honest", "coalition", "honest", "honest",
+)
+
+# sha256 over the sweep CSV and summary JSON of each mix in order, recorded
+# from the code before the scaffold runtime read play from the chain
+SWEEP_GOLDEN = {
+    ("bitcoin-plain", 4, "atomic"): "3a3b06f9119adfdd98a56ec7b12436a62de58e8edf7d4c4ad38546b104df236a",
+    ("bitcoin-plain", 4, "hashlocked"): "39492dddeafbf091bc0c0dc814ae11c42cf5cee2bed322c4bb8e40b2ca8d2ad1",
+    ("bitcoin-plain", 8, "atomic"): "f72663900e88497e708aae97a9b1ec951d7d7531437df6478086741862e44c38",
+    ("bitcoin-plain", 8, "hashlocked"): "5d86cba5bdc30b3d33a270af3a6f43585d55139360349e752aa9951fb1a331f4",
+    ("bitcoin-multiinput", 4, "atomic"): "5d43ed5c75870944aa26889328adc751fbc663ab2a50168d3de8138acbc61d12",
+    ("bitcoin-multiinput", 4, "hashlocked"): "a67448bb6b031658ce8fe56948735f5335ce172ad686eba9fba5a514d2b01a41",
+    ("bitcoin-multiinput", 8, "atomic"): "cff54046689b42323faa9d5d4bde664e3b1f3dc8fbf70caf96b1368e609d119b",
+    ("bitcoin-multiinput", 8, "hashlocked"): "bb8da98fb3cbfe44d3fada5bc5bd6bda8d6e146c114a1a0e6742a1297a4f53d7",
+}
+
+
+@pytest.mark.parametrize("backend,n,deposit", sorted(SWEEP_GOLDEN))
+def test_sweep_outputs_match_the_golden_digests(capsys, tmp_path, backend, n, deposit):
+    mixes = (
+        ("honest",) * n,
+        MIXED_SEATS[:n],
+        ("honest",) * (n - 1) + ("abort-at-deposit",),
+        ("honest", "withhold-broadcast") + ("honest",) * (n - 2),
+    )
+    digest = hashlib.sha256()
+    for mix in mixes:
+        csv_path, json_path = tmp_path / "trials.csv", tmp_path / "summary.json"
+        code, _, _ = run_cli(
+            capsys,
+            "sweep", "--backend", backend, "--n", str(n), "--deposit", deposit,
+            "--strategies", ",".join(mix), "--trials", "8", "--seed", "golden",
+            "--csv", str(csv_path), "--json", str(json_path),
+        )
+        assert code == 0
+        digest.update(csv_path.read_bytes())
+        digest.update(json_path.read_bytes())
+    assert digest.hexdigest() == SWEEP_GOLDEN[(backend, n, deposit)]
+
+
 def test_sweep_require_dominance_fails_on_rigged_table(capsys):
     # two colluders against nobody honest at n=2: the lower index always wins,
     # so seat 1 never does; with honest absent the check is vacuous and passes
@@ -260,6 +304,22 @@ def test_costs_statistics_only_for_big_plain(capsys):
     doc = json.loads(out)
     assert doc["materialized"] is False
     assert doc["onchain_tx_count"] == 46
+
+
+@pytest.mark.parametrize("command", ["build", "costs"])
+@pytest.mark.parametrize(
+    "flag",
+    [("--tau", "0"), ("--bet", "0"), ("--t-commit", "0"), ("--bet", "-3"), ("--tau", "-5")],
+    ids=lambda flag: flag[0].lstrip("-") + flag[1],
+)
+def test_statistics_only_branches_reject_bad_input(capsys, command, flag):
+    # plain n=16 takes the closed-form branch; it must check what n=4 checks
+    prefix = (command, "--backend", "bitcoin-plain") if command == "costs" else (command,)
+    small = run_cli(capsys, *prefix, "--n", "4", *flag)
+    big = run_cli(capsys, *prefix, "--n", "16", *flag)
+    assert small[0] == big[0] == 2
+    assert big[2] == small[2] and "internal error" not in big[2]
+    assert big[1] == ""
 
 
 # export-dot

@@ -8,12 +8,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as hs
 
+from commitlotto.chain import FixedInput, TransactionBody, TxOutput, sig_digest_for
+from commitlotto.primitives import OutputRef
+from commitlotto.scaffold import BRANCH_DEPOSIT_REFUND, signing_ceremony
+from commitlotto.script import InputWitness, KeySign, Witness
 from commitlotto.strategies import BTC_MULTI
 from commitlotto.harness import (
     BTC_PLAIN,
     CSV_FIXED_COLUMNS,
     ETH,
     ConfigError,
+    ScaffoldRuntime,
     ScenarioConfig,
     Summary,
     check_dominance,
@@ -152,6 +157,58 @@ def test_hashlocked_abort_refunds_within_commit_window():
     )
     assert s.committed == 0 and s.refunds_ok
     assert s.abort_height_max <= 10
+
+
+# the chain is the runtime's only record of play
+
+
+def owner_witness(rt, player, body, branch=None):
+    """The player's own signature over `body`, spending one output it alone can spend."""
+    tag = rt.oracle.sign(player, rt.keys[player], sig_digest_for(body))
+    return Witness((InputWitness(((rt.keys[player], tag),), {}, branch, None),))
+
+
+@pytest.mark.parametrize("backend", [BTC_PLAIN, BTC_MULTI])
+def test_deposit_broadcast_before_the_run_counts(backend):
+    # the owner puts its hashlocked deposit on chain before the driver runs;
+    # the driver must see it there and play the same trial
+    c = cfg(backend=backend, deposit_option="hashlocked", master_seed="early-deposit")
+    untouched = run_trial(c, 0)
+    rt = ScaffoldRuntime(c, trial_rng(c.master_seed, 0), 0)
+    rt.chain.advance_to(rt.SETUP_HEIGHT)
+    body = rt.t.deposit_bodies[0]
+    assert rt.chain.submit(body, owner_witness(rt, 0, body)).accepted
+    r = rt.run()
+    assert untouched.committed and r.committed
+    assert (r.winner, r.payoffs, r.onchain_tx_count) == (
+        untouched.winner,
+        untouched.payoffs,
+        untouched.onchain_tx_count,
+    )
+
+
+@pytest.mark.xfail(
+    strict=True,
+    reason="ROADMAP 4(b): a hashlocked refund is valid at t_commit, the height the level-0 entries start",
+)
+@pytest.mark.parametrize("backend", [BTC_PLAIN, BTC_MULTI])
+def test_refund_is_rejected_once_every_deposit_is_on_chain(backend):
+    c = cfg(backend=backend, deposit_option="hashlocked", master_seed="refund-race")
+    rt = ScaffoldRuntime(c, trial_rng(c.master_seed, 0), 0)
+    t = rt.t
+    rt.chain.advance_to(rt.SETUP_HEIGHT)
+    assert signing_ceremony(t, rt.strats, rt.oracle).complete
+    for i, body in enumerate(t.deposit_bodies):
+        assert rt.chain.submit(body, owner_witness(rt, i, body)).accepted
+    assert t.refund_time == c.t_commit == t.schedule(0)[0]
+    rt.chain.advance_to(c.t_commit)
+    refund = TransactionBody(
+        inputs=(FixedInput(OutputRef(t.deposit_ntxids[3], 0)),),
+        outputs=(TxOutput(c.bet, KeySign(rt.keys[3])),),
+        locktime=t.refund_time,
+    )
+    res = rt.chain.submit(refund, owner_witness(rt, 3, refund, BRANCH_DEPOSIT_REFUND))
+    assert not res.accepted
 
 
 # transaction-count bounds

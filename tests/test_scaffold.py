@@ -41,7 +41,9 @@ from commitlotto.scaffold import (
     load_tournament,
     matches_at,
     multi_candidate_pair,
+    multi_combo_index,
     num_levels,
+    pack_index,
     players_of,
     scaffold_stats,
     signing_ceremony,
@@ -203,6 +205,28 @@ def test_unpack_index_round_trip():
         unpack_index(0, 0, 0)
     with pytest.raises(IndexOutOfRange):
         unpack_index(1, 0, 81)
+
+
+@pytest.mark.parametrize("level", [1, 2])
+def test_bracket_index_inverses_round_trip(level):
+    n = 8
+    for match in range(matches_at(n, level)):
+        for combo in range(kernel_count(level)):
+            assert pack_index(level, *unpack_index(level, match, combo)) == combo
+        for combo in range(kernel_count(level, MODE_MULTIINPUT)):
+            pair = multi_candidate_pair(n, level, match, combo)
+            assert multi_combo_index(n, level, match, *pair) == combo
+    with pytest.raises(IndexOutOfRange):
+        pack_index(level, kernel_count(level - 1), 0, 0, 0)
+    with pytest.raises(IndexOutOfRange):
+        pack_index(level, 0, 3, 0, 0)
+    with pytest.raises(IndexOutOfRange):
+        pack_index(0, 0, 0, 0, 0)
+    left, right = multi_candidate_pair(n, level, 0, 0)
+    with pytest.raises(IndexOutOfRange):
+        multi_combo_index(n, level, 0, right, left)  # the sides swapped
+    with pytest.raises(IndexOutOfRange):
+        multi_combo_index(n, level, matches_at(n, level), left, right)
 
 
 def test_winner_side_mapping():
