@@ -16,7 +16,6 @@ choice leaves the NTXID and the signature digest unchanged.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from typing import NamedTuple, Optional, Union
 
 from .primitives import NULL_TXID, OutputRef, json_field, lp_bytes, sha256, u32, u64
@@ -39,19 +38,6 @@ SCRIPT_FAIL = "ScriptFail"
 MISSING_INPUT = "MissingInput"
 VALUE_MISMATCH = "ValueMismatch"
 BAD_MULTI_INPUT = "BadMultiInput"
-
-
-@dataclass(frozen=True)
-class ChainParams:
-    tau: int = 6
-    genesis_height: int = 0
-    bet_value: int = 1
-
-    def __post_init__(self):
-        if self.tau < 1:
-            raise ValueError("tau must be >= 1")
-        if self.bet_value <= 0:
-            raise ValueError("bet_value must be positive")
 
 
 class FixedInput(NamedTuple):
@@ -180,10 +166,9 @@ class LogEntry(NamedTuple):
 class Chain:
     """Ledger state: height, UTXO set, spent set and the accepted log."""
 
-    def __init__(self, params: ChainParams, oracle: SignatureOracle):
-        self.params = params
+    def __init__(self, oracle: SignatureOracle):
         self.oracle = oracle
-        self.height = params.genesis_height
+        self.height = 0
         self.utxo: dict[OutputRef, TxOutput] = {}
         self.log: list[LogEntry] = []
         self.entries: dict[bytes, LogEntry] = {}  # the log by ntxid: "is it on chain?"

@@ -11,7 +11,6 @@ import dataclasses
 import json
 import sys
 
-from .chain import ChainParams
 from .harness import (
     BACKENDS,
     PLAIN_MATERIALIZE_MAX,
@@ -49,8 +48,18 @@ def _parse_seed(text: str):
     return int(text) if text.lstrip("-").isdigit() else text
 
 
-def _build_scaffold(args):
-    """Construct a scaffold from CLI parameters with synthetic funding refs."""
+def _statistics_only(args) -> bool:
+    """Whether the scaffold is plain beyond the size cap: reported by closed form, never written out."""
+    return args.mode == MODE_PLAIN and args.n > PLAIN_MATERIALIZE_MAX
+
+
+def _build_scaffold(args, write_out: bool):
+    """Construct a scaffold from CLI parameters with synthetic funding refs.
+
+    Construction checks the parameters first (its plain kernels are built
+    only when read, so this is cheap at any n); then asking to write out
+    (`write_out`) a statistics-only scaffold is a configuration error.
+    """
     rng = Rng(_parse_seed(args.seed))
     n = args.n
     keys = [rng.child(f"key/{i}").bytes(32) for i in range(n)]
@@ -61,18 +70,21 @@ def _build_scaffold(args):
         for i in range(n):
             mpc.collect(i, rng.child(f"mpc/{i}").nonzero_bytes(32))
         mpc_digest = mpc.digest()
-    params = ChainParams(tau=args.tau, bet_value=args.bet)
-    return build_tournament(
+    t = build_tournament(
         n,
         keys,
         funding,
         rng.child("scaffold"),
         args.t_commit,
-        params,
+        args.bet,
+        args.tau,
         mode=args.mode,
         deposit_option=args.deposit,
         mpc_digest=mpc_digest,
     )
+    if write_out and _statistics_only(args):
+        raise ConfigError(f"plain scaffolds with n={n} are statistics-only and cannot be written out")
+    return t
 
 
 def _add_scaffold_args(p: argparse.ArgumentParser):
@@ -125,19 +137,12 @@ def cmd_build(args) -> int:
 
     Plain scaffolds beyond the size cap report the closed form, flagged
     materialized=false; asking for the scaffold file itself is then a
-    configuration error. The scaffold is constructed (its plain kernels are
-    built only when read) before either branch, so both check the arguments.
+    configuration error.
     """
-    t = _build_scaffold(args)
+    t = _build_scaffold(args, write_out=bool(args.scaffold_out or args.dot))
     stats = t.stats
-    if args.mode == MODE_PLAIN and args.n > PLAIN_MATERIALIZE_MAX:
-        if args.scaffold_out or args.dot:
-            print(
-                f"plain scaffolds with n={args.n} are statistics-only and cannot be written out",
-                file=sys.stderr,
-            )
-            return EXIT_CONFIG
-        t, stats = None, dataclasses.replace(stats, materialized=False)
+    if _statistics_only(args):
+        stats = dataclasses.replace(stats, materialized=False)
     doc = {
         "n": args.n,
         "mode": args.mode,
@@ -151,11 +156,11 @@ def cmd_build(args) -> int:
     else:
         with open(args.out, "w") as fp:
             fp.write(text)
-    if t is not None and args.scaffold_out:
+    if args.scaffold_out:
         with open(args.scaffold_out, "w") as fp:
             fp.write(dump_tournament(t))
         print(f"wrote scaffold with {stats.total_offchain} bodies -> {args.scaffold_out}", file=sys.stderr)
-    if t is not None and args.dot:
+    if args.dot:
         with open(args.dot, "w") as fp:
             fp.write(export_dot(t))
     return EXIT_OK
@@ -184,6 +189,8 @@ def cmd_run(args) -> int:
 
 def cmd_sweep(args) -> int:
     cfg = _scenario_from_args(args, trials=args.trials)
+    if not 0 <= args.eps <= 1:
+        raise ConfigError(f"eps must be in [0, 1], got {args.eps}")
     summary = run_monte_carlo(cfg)
     if args.csv:
         with open(args.csv, "w", newline="") as fp:
@@ -224,10 +231,7 @@ def cmd_export_dot(args) -> int:
         with open(args.scaffold) as fp:
             t = load_tournament(fp.read())
     else:
-        if args.mode == MODE_PLAIN and args.n > PLAIN_MATERIALIZE_MAX:
-            print(f"plain scaffolds with n={args.n} are statistics-only", file=sys.stderr)
-            return EXIT_CONFIG
-        t = _build_scaffold(args)
+        t = _build_scaffold(args, write_out=True)
     text = export_dot(t)
     if args.out == "-":
         sys.stdout.write(text)

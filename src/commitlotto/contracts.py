@@ -19,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, NamedTuple, Optional
 
-from .primitives import level_schedule, level_stride, num_levels, sha256
+from .primitives import check_params, level_schedule, level_stride, num_levels, sha256
 
 SECRET_BYTES = 32
 ZERO_HASH = b"\x00" * 32
@@ -66,8 +66,8 @@ class CallContext:
 class Vm:
     """Single-chain account model with per-call rollback."""
 
-    def __init__(self, genesis_height: int = 0):
-        self.height = genesis_height
+    def __init__(self):
+        self.height = 0
         self.balances: dict[str, int] = {}
         self.contracts: dict[str, Any] = {}
         self.trace: list[CallRecord] = []
@@ -381,9 +381,8 @@ def build_tree(vm: Vm, n: int, bet: int, tau: int, t_commit: int) -> ContractTre
     window [t_commit + 2*tau*l, t_commit + 2*tau*(l+1)), so the whole
     bracket settles at t_commit + 2*tau*log2(n).
     """
+    check_params(n, tau, t_commit, bet)
     levels = num_levels(n)
-    if tau < 2:
-        raise ValueError("windows need tau >= 2 to leave a usable height")
     stride = level_stride(tau)
     t_final = level_schedule(t_commit, stride, tau, levels)[0]
     master_addr = vm.create("master", Master(n=n, bet=bet, t_commit=t_commit, t_final=t_final))

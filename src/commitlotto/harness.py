@@ -27,7 +27,6 @@ from typing import NamedTuple, Optional, Sequence
 
 from .chain import (
     Chain,
-    ChainParams,
     FixedInput,
     TransactionBody,
     TxOutput,
@@ -36,7 +35,7 @@ from .chain import (
     sig_digest_for,
 )
 from .contracts import Reverted, Vm, build_tree
-from .primitives import OutputRef, Rng, level_schedule, level_stride
+from .primitives import ConfigError, OutputRef, Rng, check_params, level_schedule, level_stride
 from .script import (
     InputWitness,
     KeySign,
@@ -63,7 +62,6 @@ from .scaffold import (
     IdealMpcOracle,
     Kernel,
     KernelId,
-    NotPowerOfTwo,
     Tournament,
     _auth_bytes,
     build_tournament,
@@ -105,10 +103,6 @@ SIG_MODELS = ("multisig", "aggregate")
 PLAIN_MATERIALIZE_MAX = 8
 
 
-class ConfigError(Exception):
-    pass
-
-
 @dataclass(frozen=True)
 class ScenarioConfig:
     backend: str
@@ -126,21 +120,12 @@ class ScenarioConfig:
         object.__setattr__(self, "strategies", tuple(self.strategies))
         if self.backend not in BACKENDS:
             raise ConfigError(f"unknown backend {self.backend!r}; known: {', '.join(BACKENDS)}")
-        try:
-            num_levels(self.n)
-        except NotPowerOfTwo as e:
-            raise ConfigError(str(e)) from None
+        check_params(self.n, self.tau, self.t_commit, self.bet)
         if len(self.strategies) != self.n:
             raise ConfigError(f"need {self.n} strategies, got {len(self.strategies)}")
         for name in self.strategies:
             if not supports(name, self.backend):
                 raise ConfigError(f"strategy {name!r} is not defined for backend {self.backend}")
-        if self.tau < 2:
-            raise ConfigError("tau must be >= 2 so action windows have usable heights")
-        if self.t_commit < 2:
-            raise ConfigError("t_commit must be >= 2 to leave room for setup")
-        if self.bet < 1:
-            raise ConfigError("bet must be a positive integer")
         if self.deposit_option not in (DEPOSIT_ATOMIC, DEPOSIT_HASHLOCKED):
             raise ConfigError(f"unknown deposit option {self.deposit_option!r}")
         if self.backend == ETH and self.deposit_option != DEPOSIT_ATOMIC:
@@ -438,9 +423,8 @@ class ScaffoldRuntime:
         self.rng = rng
         self.trial_index = trial_index
         n = cfg.n
-        self.params = ChainParams(tau=cfg.tau, bet_value=cfg.bet)
         self.oracle = SignatureOracle()
-        self.chain = Chain(self.params, self.oracle)
+        self.chain = Chain(self.oracle)
         self.keys = [rng.child(f"key/{i}").bytes(32) for i in range(n)]
         for i, key in enumerate(self.keys):
             self.oracle.register_key(i, key)
@@ -463,7 +447,8 @@ class ScaffoldRuntime:
             self.funding,
             rng.child("scaffold"),
             cfg.t_commit,
-            self.params,
+            cfg.bet,
+            cfg.tau,
             mode=cfg.mode,
             deposit_option=cfg.deposit_option,
             funding_values=[cfg.bet] * n,
@@ -1066,7 +1051,7 @@ def measure_costs(
         tau=tau,
         t_commit=t_commit,
         bet=bet,
-        deposit_option=DEPOSIT_ATOMIC if backend == ETH else deposit_option,
+        deposit_option=deposit_option,
         sig_model=sig_model,
         trials=1,
         master_seed=master_seed,
@@ -1080,7 +1065,7 @@ def measure_costs(
             backend=backend,
             n=n,
             sig_model=sig_model,
-            deposit_option=DEPOSIT_ATOMIC,
+            deposit_option=deposit_option,
             collateral_beyond_bet=result.max_locked_beyond_bet,
             onchain_tx_count=len(ok_calls),
             onchain_bytes=onchain_bytes,

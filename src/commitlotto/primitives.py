@@ -95,7 +95,11 @@ def json_field(obj, key: str, kind: type, where: str):
     return json_value(obj[key], kind, f"{where}.{key}")
 
 
-class NotPowerOfTwo(ValueError):
+class ConfigError(ValueError):
+    """Parameters no honest run can use."""
+
+
+class NotPowerOfTwo(ConfigError):
     pass
 
 
@@ -119,6 +123,23 @@ def level_schedule(t_commit: int, stride: int, tau: int, level: int) -> tuple[in
     """(t0, t1, t2) of a bracket level: its start, entry timeout and reveal timeout."""
     t0 = t_commit + stride * level
     return t0, t0 + tau, t0 + 2 * tau
+
+
+def check_params(n: int, tau: int, t_commit: int, bet: int) -> None:
+    """Raise ConfigError unless the bracket parameters leave every window usable.
+
+    The one check of these bounds: every command and both backends' builders
+    call it, and verify reports its message as BadParams. A level's entry
+    and reveal windows each need a height strictly inside them, so tau >= 2;
+    setup and deposits need heights before the commit deadline.
+    """
+    num_levels(n)
+    if tau < 2:
+        raise ConfigError("tau must be >= 2 so action windows have usable heights")
+    if t_commit < 2:
+        raise ConfigError("t_commit must be >= 2 to leave room for setup")
+    if bet < 1:
+        raise ConfigError("bet must be a positive integer")
 
 
 class Rng:

@@ -36,7 +36,6 @@ from dataclasses import dataclass, field
 from typing import Callable, Iterator, NamedTuple, Optional, Sequence
 
 from .chain import (
-    ChainParams,
     FixedInput,
     TransactionBody,
     TxOutput,
@@ -48,9 +47,11 @@ from .chain import (
 )
 from .primitives import (
     SIG_LAMBDA,
-    NotPowerOfTwo,
+    ConfigError,
+    NotPowerOfTwo,  # re-exported with num_levels
     OutputRef,
     Rng,
+    check_params,
     json_field,
     json_value,
     level_schedule,
@@ -536,12 +537,11 @@ def _param_problem(
     n: int,
     keys: Sequence[bytes],
     funding: Sequence[OutputRef],
-    t_commit: int,
     mode: str,
     deposit_option: str,
     mpc_digest: Optional[bytes],
 ) -> Optional[str]:
-    """Why honest construction cannot run on these parameters, or None; n is a power of two."""
+    """Why honest construction cannot run on these inputs, or None; `check_params` has passed."""
     if len(keys) != n or len(set(keys)) != n:
         return "need one distinct key per player"
     if len(funding) != n:
@@ -550,8 +550,6 @@ def _param_problem(
         return f"unknown mode {mode!r}"
     if deposit_option not in (DEPOSIT_ATOMIC, DEPOSIT_HASHLOCKED):
         return f"unknown deposit option {deposit_option!r}"
-    if t_commit < 1:
-        return "t_commit must be >= 1"
     if deposit_option == DEPOSIT_HASHLOCKED and mpc_digest is None:
         return "hashlocked deposits need the joint mpc digest"
     return None
@@ -835,7 +833,8 @@ def build_tournament(
     funding: Sequence[OutputRef],
     secret_source: Rng,
     t_commit: int,
-    params: ChainParams,
+    bet: int,
+    tau: int,
     mode: str = MODE_PLAIN,
     deposit_option: str = DEPOSIT_ATOMIC,
     funding_values: Optional[Sequence[int]] = None,
@@ -849,11 +848,10 @@ def build_tournament(
     baked into the spending predicates. The returned object carries the
     secrets for simulation purposes; exports strip them.
     """
-    num_levels(n)
-    problem = _param_problem(n, player_keys, funding, t_commit, mode, deposit_option, mpc_digest)
+    check_params(n, tau, t_commit, bet)
+    problem = _param_problem(n, player_keys, funding, mode, deposit_option, mpc_digest)
     if problem:
         raise ValueError(problem)
-    bet, tau = params.bet_value, params.tau
     _check_funding_values(funding_values, bet)
     fresh = _FreshSecrets(secret_source.child("kernel-secrets"))
     stats = scaffold_stats(n, mode, deposit_option, sig_model, bet, tau, t_commit)
@@ -980,12 +978,10 @@ def verify_as_honest(t: Tournament) -> list[Violation]:
     is safe to sign, from every seat.
     """
     try:
-        num_levels(t.n)
-    except NotPowerOfTwo as e:
+        check_params(t.n, t.tau, t.t_commit, t.bet)
+    except ConfigError as e:
         return [Violation(None, "BadParams", str(e))]
-    problem = _param_problem(
-        t.n, t.master_keys, t.funding, t.t_commit, t.mode, t.deposit_option, t.mpc_digest
-    )
+    problem = _param_problem(t.n, t.master_keys, t.funding, t.mode, t.deposit_option, t.mpc_digest)
     if problem:
         return [Violation(None, "BadParams", problem)]
 

@@ -4,7 +4,6 @@ import re
 
 import pytest
 
-from commitlotto.chain import ChainParams
 from commitlotto.primitives import OutputRef, Rng
 from commitlotto.scaffold import build_tournament
 
@@ -57,7 +56,8 @@ def small_tournament(n=4, mode="plain", deposit_option="atomic", seed="t", **kw)
         make_funding(n),
         Rng(seed),
         t_commit=kw.pop("t_commit", 10),
-        params=ChainParams(tau=kw.pop("tau", 6)),
+        bet=1,
+        tau=kw.pop("tau", 6),
         mode=mode,
         deposit_option=deposit_option,
         funding_values=kw.pop("funding_values", None),

@@ -11,7 +11,7 @@ import time
 
 import pytest
 
-from commitlotto.chain import Chain, ChainParams
+from commitlotto.chain import Chain
 from commitlotto.cli import main as cli_main
 from commitlotto.harness import (
     BTC_PLAIN,
@@ -275,7 +275,7 @@ def test_criterion_08_replay_defense(criterion, dominance_sweeps, tmp_path, caps
         at_deposit = at_signing
 
     oracle = SignatureOracle()
-    chain = Chain(ChainParams(tau=TAU), oracle)
+    chain = Chain(oracle)
     for i, key in enumerate(doctored.master_keys):
         oracle.register_key(i, key)
         chain.mint(1, KeySign(key))

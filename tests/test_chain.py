@@ -15,7 +15,6 @@ from commitlotto.chain import (
     SCRIPT_FAIL,
     VALUE_MISMATCH,
     Chain,
-    ChainParams,
     FixedInput,
     TransactionBody,
     TxOutput,
@@ -37,11 +36,11 @@ KEY_A = b"\x11" * 32
 KEY_B = b"\x22" * 32
 
 
-def fresh_chain(tau: int = 6) -> tuple[Chain, SignatureOracle]:
+def fresh_chain() -> tuple[Chain, SignatureOracle]:
     oracle = SignatureOracle()
     oracle.register_key("alice", KEY_A)
     oracle.register_key("bob", KEY_B)
-    return Chain(ChainParams(tau=tau), oracle), oracle
+    return Chain(oracle), oracle
 
 
 def signed_spend(chain, oracle, ref, to_key, value, party="alice", key=KEY_A, locktime=0):

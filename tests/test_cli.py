@@ -120,6 +120,18 @@ def test_verify_flags_doctored_stats(capsys, scaffold_file, tmp_path):
     assert "scaffold ok" not in out
 
 
+@pytest.mark.parametrize("field,value", [("tau", 0), ("tau", 1), ("t_commit", 1), ("bet", 0)])
+def test_verify_reports_out_of_range_params(capsys, scaffold_file, tmp_path, field, value):
+    doc = json.loads(scaffold_file.read_text())
+    doc[field] = value
+    bad = tmp_path / "params.json"
+    bad.write_text(json.dumps(doc))
+    code, out, _ = run_cli(capsys, "verify", str(bad))
+    assert code == 3
+    assert out.count("VIOLATION") == 1
+    assert out.startswith(f"VIOLATION BadParams at scaffold: {field} must be ")
+
+
 def _drop_kernels(doc):
     del doc["kernels"]
 
@@ -286,6 +298,16 @@ def test_sweep_dominance_failure_exits_three(capsys):
     assert "dominance check FAILED" in err
 
 
+@pytest.mark.parametrize("eps", ["-5", "1.5", "nan"])
+def test_sweep_rejects_eps_outside_the_unit_interval(capsys, eps):
+    code, out, err = run_cli(
+        capsys, "sweep", "--backend", "ethereum", "--n", "2", "--trials", "1", "--eps", eps
+    )
+    assert code == 2
+    assert out == ""
+    assert err == f"configuration error: eps must be in [0, 1], got {float(eps)}\n"
+
+
 # costs
 
 
@@ -306,20 +328,48 @@ def test_costs_statistics_only_for_big_plain(capsys):
     assert doc["onchain_tx_count"] == 46
 
 
-@pytest.mark.parametrize("command", ["build", "costs"])
+def test_costs_rejects_hashlocked_deposits_on_ethereum(capsys):
+    costs = run_cli(capsys, "costs", "--backend", "ethereum", "--deposit", "hashlocked")
+    run = run_cli(capsys, "run", "--backend", "ethereum", "--deposit", "hashlocked")
+    assert costs[0] == run[0] == 2
+    assert costs[1] == ""
+    assert costs[2] == run[2] == (
+        "configuration error: the contract backend escrows stakes in the master; use atomic\n"
+    )
+
+
+PARAM_COMMANDS = {
+    "build": ("build",),
+    "export-dot": ("export-dot",),
+    "run": ("run", "--backend", "bitcoin-plain"),
+    "sweep": ("sweep", "--backend", "bitcoin-plain", "--trials", "1"),
+    "costs": ("costs", "--backend", "bitcoin-plain"),
+    "costs-multiinput": ("costs", "--backend", "bitcoin-multiinput"),
+    "costs-ethereum": ("costs", "--backend", "ethereum"),
+}
+
+
+@pytest.mark.parametrize("command", sorted(PARAM_COMMANDS))
 @pytest.mark.parametrize(
     "flag",
-    [("--tau", "0"), ("--bet", "0"), ("--t-commit", "0"), ("--bet", "-3"), ("--tau", "-5")],
+    [
+        ("--tau", "0"), ("--bet", "0"), ("--t-commit", "0"), ("--bet", "-3"), ("--tau", "-5"),
+        ("--tau", "1"), ("--t-commit", "1"), ("--n", "3"),
+    ],
     ids=lambda flag: flag[0].lstrip("-") + flag[1],
 )
 def test_statistics_only_branches_reject_bad_input(capsys, command, flag):
-    # plain n=16 takes the closed-form branch; it must check what n=4 checks
-    prefix = (command, "--backend", "bitcoin-plain") if command == "costs" else (command,)
+    # every command rejects the same values with the same message, and
+    # plain n=16 (the closed-form branch of build, export-dot and costs)
+    # checks what n=4 checks
+    reference = run_cli(capsys, "build", *flag)
+    prefix = PARAM_COMMANDS[command]
     small = run_cli(capsys, *prefix, "--n", "4", *flag)
     big = run_cli(capsys, *prefix, "--n", "16", *flag)
-    assert small[0] == big[0] == 2
-    assert big[2] == small[2] and "internal error" not in big[2]
-    assert big[1] == ""
+    assert reference[0] == small[0] == big[0] == 2
+    assert big[2] == small[2] == reference[2]
+    assert small[2].startswith("configuration error: ")
+    assert small[1] == big[1] == ""
 
 
 # export-dot
