@@ -451,7 +451,6 @@ class ScaffoldRuntime:
             cfg.tau,
             mode=cfg.mode,
             deposit_option=cfg.deposit_option,
-            funding_values=[cfg.bet] * n,
             mpc_digest=mpc_digest,
             sig_model=cfg.sig_model,
         )

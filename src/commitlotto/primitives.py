@@ -131,15 +131,22 @@ def check_params(n: int, tau: int, t_commit: int, bet: int) -> None:
     The one check of these bounds: every command and both backends' builders
     call it, and verify reports its message as BadParams. A level's entry
     and reveal windows each need a height strictly inside them, so tau >= 2;
-    setup and deposits need heights before the commit deadline.
+    setup and deposits need heights before the commit deadline. Heights and
+    pots stay below 2**32, the cap of `json_value`, so every scaffold written
+    can be read back; the height bound holds for the wider multiinput stride
+    through the end of the last level, so it does not depend on the mode.
     """
-    num_levels(n)
+    levels = num_levels(n)
     if tau < 2:
         raise ConfigError("tau must be >= 2 so action windows have usable heights")
     if t_commit < 2:
         raise ConfigError("t_commit must be >= 2 to leave room for setup")
     if bet < 1:
         raise ConfigError("bet must be a positive integer")
+    if level_schedule(t_commit, level_stride(tau, True), tau, levels)[0] >= 1 << 32:
+        raise ConfigError("t_commit and tau must keep every height of the schedule below 2^32")
+    if n * bet >= 1 << 32:
+        raise ConfigError("the final pot n * bet must be below 2^32")
 
 
 class Rng:

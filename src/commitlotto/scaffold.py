@@ -17,10 +17,12 @@ pair of candidate identities, 4^l per match.
 
 Everything here is built unsigned, and NTXIDs never cover witness data. A
 kernel is a pure function of the public parameters, its two commitments
-and its two stake refs, so `Tournament.kernels` builds each kernel the
-first time it is read, from its children's outcome ntxids, and keeps it. A
-trial builds only the kernels play reaches, one per match; iterating the
-table builds the rest, with the same bytes. The signing ceremony approves
+and its two stake refs, and a compression of the outcome ntxids that pay
+its candidate, so `Tournament.kernels` and `Tournament.compressions` build
+each entry the first time it is read, with what it spends, and keep it
+(`LazyTable`). A trial builds only what play reaches and what that spends:
+a plain trial one kernel per match; iterating a table builds the rest of
+it, with the same bytes. The signing ceremony approves
 the honest scaffold as a whole: a key's approval is membership in the
 tournament's registry of signature digests, which honest construction
 fills as it builds bodies.
@@ -325,10 +327,10 @@ class TransactionStats:
 class Tournament:
     """A scaffold. Treat as immutable once constructed.
 
-    An honestly constructed scaffold builds its kernels on first read (see
-    `KernelTable`); one decoded from a file has them all. The registries
-    `sig_digests`, `scaffold_digests` and `secrets` hold what the built
-    bodies and kernels contribute, so they grow with the kernels.
+    An honestly constructed scaffold builds its kernels and compressions on
+    first read (see `LazyTable`); one decoded from a file has them all. The
+    registries `sig_digests`, `scaffold_digests` and `secrets` hold what the
+    built bodies and kernels contribute, so they grow with the tables.
     """
 
     mode: str
@@ -341,7 +343,7 @@ class Tournament:
     master_keys: tuple[bytes, ...]
     funding: tuple[OutputRef, ...]
     kernels: MutableMapping[KernelId, Kernel]
-    compressions: dict[tuple[int, int, int], CompressionTx]
+    compressions: MutableMapping[tuple[int, int, int], CompressionTx]
     deposit_bodies: tuple[TransactionBody, ...]
     deposit_ntxids: tuple[bytes, ...]
     refund_time: Optional[int]
@@ -479,25 +481,13 @@ def _kernel_bodies(
     )
 
 
-def _check_funding_values(funding_values: Optional[Sequence[int]], bet: int) -> None:
-    for i, v in enumerate(funding_values or ()):
-        if v != bet:
-            raise ValueError(f"ValueMismatch: funding input {i} carries {v}, expected {bet}")
-
-
-def build_deposit_atomic(
-    funding: Sequence[OutputRef],
-    funding_values: Optional[Sequence[int]],
-    bet: int,
-    master: Predicate,
-) -> TransactionBody:
+def build_deposit_atomic(funding: Sequence[OutputRef], bet: int, master: Predicate) -> TransactionBody:
     """Single all-or-nothing deposit: N bet inputs, N bet stake outputs.
 
     Output 2i and 2i+1 are the stakes consumed by first-round match i. The
     body is fixed (and referenced) before anyone signs it; the ceremony
     signs it last so no player is ever exposed without a full scaffold.
     """
-    _check_funding_values(funding_values, bet)
     return TransactionBody(
         inputs=tuple(FixedInput(ref) for ref in funding),
         outputs=tuple(TxOutput(bet, master) for _ in funding),
@@ -568,29 +558,20 @@ def _kernel(bodies, digests, **fields) -> Kernel:
     )
 
 
-def _compression_members(
-    kernels: MutableMapping[KernelId, Kernel], level: int, match: int, candidate: int
-) -> list[OutputRef]:
-    """Every outcome output across a multiinput match's kernels that pays `candidate`."""
-    members = []
-    for combo in range(kernel_count(level, MODE_MULTIINPUT)):
-        k = kernels[KernelId(level, match, combo)]
-        if k.left_player == candidate:
-            members.append(OutputRef(k.outcome_ntxids[0], 0))
-        if k.right_player == candidate:
-            members.append(OutputRef(k.outcome_ntxids[1], 0))
-            members.append(OutputRef(k.outcome_ntxids[2], 0))
-    return members
+KERNELS = "kernels"
+COMPRESSIONS = "compressions"
 
 
 @dataclass
 class _HonestWiring:
     """What honest construction of one kernel or compression reads and where it registers.
 
-    The parameters are fixed when the scaffold is constructed, so a kernel
+    The parameters are fixed when the scaffold is constructed, so an entry
     built later is the one construction would have built then.
     `commits(kid)` supplies a kernel's (left, right) commitment digests.
-    Every body built goes into `sig_digests` and `scaffold_digests`.
+    Every body built goes into `sig_digests` and `scaffold_digests`, and
+    every entry into `built`, by table; the `LazyTable`s read through here,
+    so nothing the wiring holds refers back to them.
     """
 
     n: int
@@ -603,51 +584,66 @@ class _HonestWiring:
     master: Predicate
     deposit_ntxids: tuple[bytes, ...]
     commits: Callable[[KernelId], tuple[bytes, bytes]]
-    compressions: dict[tuple[int, int, int], CompressionTx]
     sig_digests: dict[bytes, bytes]
     scaffold_digests: set[bytes] = field(default_factory=set)
 
     def __post_init__(self):
         self.levels = num_levels(self.n)
         self.stride = level_stride(self.tau, self.mode == MODE_MULTIINPUT)
+        self.built: dict[str, dict] = {KERNELS: {}, COMPRESSIONS: {}}
 
-    def ids(self) -> Iterator[KernelId]:
-        """Every kernel of the bracket, by level, match and combination."""
+    def _indexes(self, table: str, level: int, match: int) -> range:
+        """The last coordinate of a table's keys in one match: the kernel
+        combinations, or the compression candidates (multiinput only)."""
+        if not (0 <= level < self.levels and 0 <= match < matches_at(self.n, level)):
+            return range(0)
+        if table == KERNELS:
+            return range(kernel_count(level, self.mode))
+        width = 1 << (level + 1) if self.mode == MODE_MULTIINPUT else 0  # plain mode has none
+        return range(match * width, (match + 1) * width)
+
+    def ids(self, table: str) -> Iterator[tuple[int, int, int]]:
+        """Every key of a table, in bracket order."""
         for level in range(self.levels):
             for match in range(matches_at(self.n, level)):
-                for combo in range(kernel_count(level, self.mode)):
-                    yield KernelId(level, match, combo)
+                for index in self._indexes(table, level, match):
+                    yield KernelId(level, match, index) if table == KERNELS else (level, match, index)
 
-    def has(self, kid) -> bool:
-        level, match, combo = kid
-        return (
-            0 <= level < self.levels
-            and 0 <= match < matches_at(self.n, level)
-            and 0 <= combo < kernel_count(level, self.mode)
-        )
+    def get(self, table: str, key):
+        """Entry `key` of `table`, built and kept the first time it is read."""
+        memo = self.built[table]
+        entry = memo.get(key)
+        if entry is None:
+            level, match, index = key
+            if index not in self._indexes(table, level, match):
+                raise KeyError(key)
+            if table == KERNELS:
+                key = KernelId(*key)
+                entry = memo[key] = self.kernel(key)
+            else:
+                entry = memo[key] = self.compression(*key)
+        return entry
 
     def _register(self, digests: Sequence[tuple[bytes, bytes]]) -> None:
         self.sig_digests.update(digests)
         self.scaffold_digests.update(sig_digest for _, sig_digest in digests)
 
-    def _stake_ref(self, kernels: "KernelTable", kid: KernelId, side: int) -> OutputRef:
-        """Where one side's stake for kernel `kid` lives."""
+    def _stake_ref(self, kid: KernelId, side: int, player: int) -> OutputRef:
+        """Where the stake of `player`, on one side of kernel `kid`, lives."""
         level, match, combo = kid
         if level == 0:
-            player = 2 * match + side
             if self.deposit_option == DEPOSIT_ATOMIC:
                 return OutputRef(self.deposit_ntxids[0], player)
             return OutputRef(self.deposit_ntxids[player], 0)
         child_match = 2 * match + side
         if self.mode == MODE_MULTIINPUT:
-            cand = multi_candidate_pair(self.n, level, match, combo)[side]
-            return OutputRef(self.compressions[(level - 1, child_match, cand)].ntxid, 0)
+            return OutputRef(self.get(COMPRESSIONS, (level - 1, child_match, player)).ntxid, 0)
         lk, lt, rk, rt = unpack_index(level, match, combo)
         child_kernel, child_tx = (lk, lt) if side == SIDE_LEFT else (rk, rt)
-        child = kernels[KernelId(level - 1, child_match, child_kernel)]
+        child = self.get(KERNELS, KernelId(level - 1, child_match, child_kernel))
         return OutputRef(child.outcome_ntxids[child_tx], 0)
 
-    def kernel(self, kernels: "KernelTable", kid: KernelId) -> Kernel:
+    def kernel(self, kid: KernelId) -> Kernel:
         level = kid.level
         t0, t1, t2 = level_schedule(self.t_commit, self.stride, self.tau, level)
         pot = (1 << (level + 1)) * self.bet
@@ -661,8 +657,8 @@ class _HonestWiring:
             t1,
             t2,
             pot,
-            self._stake_ref(kernels, kid, SIDE_LEFT),
-            self._stake_ref(kernels, kid, SIDE_RIGHT),
+            self._stake_ref(kid, SIDE_LEFT, left),
+            self._stake_ref(kid, SIDE_RIGHT, right),
             _payout(self.master, self.keys[left], last),
             _payout(self.master, self.keys[right], last),
         )
@@ -681,11 +677,23 @@ class _HonestWiring:
             pot=pot,
         )
 
-    def compression(self, kernels: "KernelTable", level: int, match: int, cand: int) -> CompressionTx:
-        """The multiinput compression paying `cand`; it reads every kernel of its match."""
+    def compression(self, level: int, match: int, cand: int) -> CompressionTx:
+        """The multiinput compression paying `cand`: it spends every outcome
+        output of its match that pays `cand`, so it reads the kernels that do."""
+        side = 1 << level
+        idx = cand - 2 * match * side  # the candidate's place among the match's 2 * side
+        if idx < side:  # a left candidate wins by outcome a of the combos it plays
+            combos, outcomes = range(idx * side, (idx + 1) * side), (0,)
+        else:  # a right candidate wins by outcome b or b'
+            combos, outcomes = range(idx - side, side * side, side), (1, 2)
+        members = [
+            OutputRef(self.get(KERNELS, KernelId(level, match, combo)).outcome_ntxids[tx], 0)
+            for combo in combos
+            for tx in outcomes
+        ]
         pot = (1 << (level + 1)) * self.bet
         body = TransactionBody(
-            inputs=(multi_input(_compression_members(kernels, level, match, cand)),),
+            inputs=(multi_input(members),),
             outputs=(TxOutput(pot, _payout(self.master, self.keys[cand], level == self.levels - 1)),),
         )
         ntxid, sig_digest = body_digests(body)
@@ -693,47 +701,44 @@ class _HonestWiring:
         return CompressionTx(level, match, cand, body, ntxid)
 
 
-class KernelTable(MutableMapping):
-    """The kernels of an honestly constructed scaffold, each built the first time it is read.
+class LazyTable(MutableMapping):
+    """The kernels or the compressions of an honestly constructed scaffold,
+    each built the first time it is read.
 
-    Reading a kernel builds it, and the child kernels whose outcomes its
-    stakes spend, and keeps it. Iterating, taking the length or writing
-    first builds every kernel not yet built, in bracket order; from then on
-    the table is a plain dict, so a kernel a write deletes stays deleted.
-    The construction state lives on the table, so a deep copy builds into its
-    own registries.
+    Reading an entry builds it, and the entries it spends, and keeps it.
+    Iterating, taking the length or writing first builds every entry not
+    yet built, in bracket order; from then on the table is a plain dict, so
+    an entry a write deletes stays deleted. The construction state lives on
+    the table, so a deep copy builds into its own registries.
     """
 
-    def __init__(self, wiring: _HonestWiring):
-        self._wiring: Optional[_HonestWiring] = wiring  # None once every kernel is built
-        self._built: dict[KernelId, Kernel] = {}
+    def __init__(self, wiring: _HonestWiring, table: str):
+        self._wiring: Optional[_HonestWiring] = wiring  # None once `_all` built every entry
+        self._table = table
 
-    def __getitem__(self, kid) -> Kernel:
-        kernel = self._built.get(kid)
-        if kernel is None:
-            if self._wiring is None or not self._wiring.has(kid):
-                raise KeyError(kid)
-            kid = KernelId(*kid)
-            kernel = self._built[kid] = self._wiring.kernel(self, kid)
-        return kernel
+    def __getitem__(self, key):
+        if self._wiring is None:
+            return self._built[key]
+        return self._wiring.get(self._table, key)
 
-    def _all(self) -> dict[KernelId, Kernel]:
+    def _all(self) -> dict:
         if self._wiring is not None:
-            self._built = {kid: self[kid] for kid in self._wiring.ids()}
+            wiring, table = self._wiring, self._table
+            self._built = {key: wiring.get(table, key) for key in wiring.ids(table)}
             self._wiring = None
         return self._built
 
-    def __iter__(self) -> Iterator[KernelId]:
+    def __iter__(self) -> Iterator:
         return iter(self._all())
 
     def __len__(self) -> int:
         return len(self._all())
 
-    def __setitem__(self, kid, kernel: Kernel) -> None:
-        self._all()[kid] = kernel
+    def __setitem__(self, key, entry) -> None:
+        self._all()[key] = entry
 
-    def __delitem__(self, kid) -> None:
-        del self._all()[kid]
+    def __delitem__(self, key) -> None:
+        del self._all()[key]
 
 
 def _honest_scaffold(
@@ -755,15 +760,14 @@ def _honest_scaffold(
     digests, which `commits(kid)` supplies as (left, right) when kernel
     `kid` is built. Build draws them from fresh secrets; verify passes the
     ones a scaffold carries, so the result differs from that scaffold
-    exactly where it is not honest. The deposits are built here and the
-    kernels when first read (`KernelTable`); multiinput compressions are
-    built here, level by level, and read every kernel of their match.
+    exactly where it is not honest. The deposits are built here; kernels
+    and compressions in either mode when first read (`LazyTable`).
     `stats` is stored as given.
     """
     master = AllSign(tuple(keys))
     refund_time = None
     if deposit_option == DEPOSIT_ATOMIC:
-        deposit_bodies = (build_deposit_atomic(funding, None, bet, master),)
+        deposit_bodies = (build_deposit_atomic(funding, bet, master),)
         mpc_digest = None
     else:
         refund_time = t_commit  # refunds must be live by the commit deadline
@@ -780,17 +784,8 @@ def _honest_scaffold(
         master=master,
         deposit_ntxids=tuple(ntxid for ntxid, _ in deposit_digests),
         commits=commits,
-        compressions={},
         sig_digests=dict(deposit_digests),
     )
-    kernels = KernelTable(wiring)
-    if mode == MODE_MULTIINPUT:
-        for level in range(wiring.levels):
-            for match in range(matches_at(n, level)):
-                for cand in candidates(n, level, match):
-                    comp = wiring.compression(kernels, level, match, cand)
-                    wiring.compressions[(level, match, cand)] = comp
-
     return Tournament(
         mode=mode,
         n=n,
@@ -801,8 +796,8 @@ def _honest_scaffold(
         deposit_option=deposit_option,
         master_keys=tuple(keys),
         funding=tuple(funding),
-        kernels=kernels,
-        compressions=wiring.compressions,
+        kernels=LazyTable(wiring, KERNELS),
+        compressions=LazyTable(wiring, COMPRESSIONS),
         deposit_bodies=deposit_bodies,
         deposit_ntxids=wiring.deposit_ntxids,
         refund_time=refund_time,
@@ -837,7 +832,6 @@ def build_tournament(
     tau: int,
     mode: str = MODE_PLAIN,
     deposit_option: str = DEPOSIT_ATOMIC,
-    funding_values: Optional[Sequence[int]] = None,
     mpc_digest: Optional[bytes] = None,
     sig_model: str = "multisig",
 ) -> Tournament:
@@ -852,7 +846,6 @@ def build_tournament(
     problem = _param_problem(n, player_keys, funding, mode, deposit_option, mpc_digest)
     if problem:
         raise ValueError(problem)
-    _check_funding_values(funding_values, bet)
     fresh = _FreshSecrets(secret_source.child("kernel-secrets"))
     stats = scaffold_stats(n, mode, deposit_option, sig_model, bet, tau, t_commit)
     t = _honest_scaffold(
@@ -907,7 +900,7 @@ def scaffold_stats(
     auth = _auth_bytes(sig_model, n)
 
     if deposit_option == DEPOSIT_ATOMIC:
-        dep = build_deposit_atomic([dummy_ref] * n, None, bet, master)
+        dep = build_deposit_atomic([dummy_ref] * n, bet, master)
         worst_bytes = len(body_bytes(dep)) + auth
     else:
         deps = build_deposit_hashlocked(

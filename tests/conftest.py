@@ -60,7 +60,6 @@ def small_tournament(n=4, mode="plain", deposit_option="atomic", seed="t", **kw)
         tau=kw.pop("tau", 6),
         mode=mode,
         deposit_option=deposit_option,
-        funding_values=kw.pop("funding_values", None),
         mpc_digest=mpc_digest,
         **kw,
     )

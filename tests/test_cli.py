@@ -355,6 +355,8 @@ PARAM_COMMANDS = {
     [
         ("--tau", "0"), ("--bet", "0"), ("--t-commit", "0"), ("--bet", "-3"), ("--tau", "-5"),
         ("--tau", "1"), ("--t-commit", "1"), ("--n", "3"),
+        # heights and pots must fit the 32-bit integers of a scaffold file
+        ("--tau", str(2**33)), ("--t-commit", str(2**70)), ("--bet", str(2**32)),
     ],
     ids=lambda flag: flag[0].lstrip("-") + flag[1],
 )

@@ -1,6 +1,7 @@
 """Scenario runner: determinism, payoffs, bounds, dominance, costs."""
 
 import dataclasses
+import gc
 import io
 import json
 
@@ -31,6 +32,10 @@ from commitlotto.harness import (
 )
 
 HONEST4 = ("honest",) * 4
+MIXED8 = (
+    "honest", "force-timeout", "abort-at-open", "coalition",
+    "honest", "coalition", "honest", "honest",
+)
 
 
 def cfg(backend=ETH, n=4, strategies=None, **kw):
@@ -367,3 +372,24 @@ def test_any_two_player_mix_conserves_value(pair, seed):
             assert sorted(r.payoffs) == [-1, 1]
         else:
             assert r.payoffs == (0, 0)
+
+
+@pytest.mark.parametrize(
+    "backend,deposit_option,strategies",
+    [
+        (ETH, "atomic", ("honest",) * 8),
+        (BTC_PLAIN, "atomic", ("honest",) * 8),
+        (BTC_MULTI, "hashlocked", MIXED8),
+    ],
+)
+def test_a_finished_trial_leaves_no_garbage(backend, deposit_option, strategies):
+    # a reference cycle in what a trial builds would leave each trial's
+    # scaffold to the cycle collector, and memory would grow between passes
+    config = cfg(backend, 8, strategies, deposit_option=deposit_option)
+    gc.collect()
+    gc.disable()
+    try:
+        assert run_trial(config, 0).committed
+        assert gc.collect() == 0
+    finally:
+        gc.enable()

@@ -338,9 +338,7 @@ def test_deposit_atomic_shape(plain4):
     assert len(dep.inputs) == 4 and len(dep.outputs) == 4
     master = AllSign(plain4.master_keys)
     assert all(o.predicate == master and o.value == plain4.bet for o in dep.outputs)
-    assert build_deposit_atomic(plain4.funding, None, plain4.bet, master) == dep
-    with pytest.raises(ValueError):
-        build_deposit_atomic(plain4.funding, [2] * 4, 1, master)
+    assert build_deposit_atomic(plain4.funding, plain4.bet, master) == dep
 
 
 def test_deposit_hashlocked_shape():
@@ -575,6 +573,8 @@ def test_kernels_built_in_play_equal_an_upfront_build(backend, n, deposit_option
     upfront = ScaffoldRuntime(cfg, trial_rng(cfg.master_seed, 0)).t
     eager = dict(upfront.kernels)  # every kernel, before anything else reads one
     played = ScaffoldRuntime(cfg, trial_rng(cfg.master_seed, 0))
+    # nothing but the deposits exists before play: no kernel and no compression
+    assert not played.t.scaffold_digests
     assert played.run().committed
     t = played.t
     if backend == BTC_PLAIN:
@@ -589,20 +589,46 @@ def test_kernels_built_in_play_equal_an_upfront_build(backend, n, deposit_option
     assert verify_as_honest(t) == []
 
 
+def count_builds(monkeypatch) -> dict[str, list]:
+    """Record every kernel and compression honest construction builds."""
+    built = {"kernel": [], "compression": []}
+    for name, keys in built.items():
+        build = getattr(scaffold_module._HonestWiring, name)
+
+        def counted(wiring, *key, build=build, keys=keys):
+            keys.append(key)
+            return build(wiring, *key)
+
+        monkeypatch.setattr(scaffold_module._HonestWiring, name, counted)
+    return built
+
+
 def test_honest_plain_trial_builds_one_kernel_per_match(monkeypatch):
-    built = []
-    build_kernel = scaffold_module._HonestWiring.kernel
-
-    def counted(wiring, kernels, kid):
-        built.append(kid)
-        return build_kernel(wiring, kernels, kid)
-
-    monkeypatch.setattr(scaffold_module._HonestWiring, "kernel", counted)
+    built = count_builds(monkeypatch)
     cfg = ScenarioConfig(backend=BTC_PLAIN, n=8, strategies=("honest",) * 8)
     result = run_trial(cfg, 0)
     assert result.committed and result.onchain_tx_count == 22
-    assert len(built) == len(set(built)) == 7
-    assert sorted(kid.level for kid in built) == [0, 0, 0, 0, 1, 1, 2]
+    kernels = built["kernel"]
+    assert len(kernels) == len(set(kernels)) == 7
+    assert sorted(kid.level for (kid,) in kernels) == [0, 0, 0, 0, 1, 1, 2]
+    assert built["compression"] == []
+
+
+@pytest.mark.parametrize("n,kernels,compressions", [(8, 14, 13), (32, 186, 103)])
+def test_honest_multiinput_trial_builds_what_its_compressions_spend(
+    monkeypatch, n, kernels, compressions
+):
+    # a compression spends every outcome that pays its candidate, and each
+    # of those kernels spends the compressions of its opponents, so play
+    # forces more than one kernel and one compression per match; but fewer
+    # than the whole scaffold (28 kernels and 24 compressions at n=8, 496
+    # and 160 at n=32)
+    built = count_builds(monkeypatch)
+    cfg = ScenarioConfig(backend=BTC_MULTI, n=n, strategies=("honest",) * n)
+    result = run_trial(cfg, 0)
+    assert result.committed and result.onchain_tx_count == 4 * (n - 1) + 1
+    assert len(built["kernel"]) == len(set(built["kernel"])) == kernels
+    assert len(built["compression"]) == len(set(built["compression"])) == compressions
 
 
 def test_copies_of_a_partly_built_scaffold_stay_independent():
