@@ -176,15 +176,38 @@ def side_child(lottery: str) -> tuple:
     return ("child", lottery)
 
 
+def match_winner(
+    a: Optional[str], b: Optional[str], commits: dict, opens: dict
+) -> Optional[str]:
+    """Who advances from a match between a and b: the walkover and parity rule.
+
+    Missing actions forfeit: a missing party, a party that never commits,
+    or one that commits but never opens loses to its opponent, with the
+    double-default tie going to b. Two openings go to a when their XOR is
+    even and to b when it is odd. Pure, so a player can ask it about an
+    opening it has not yet made.
+    """
+    if a is None or b is None:
+        return b if a is None else a
+    if a not in commits:
+        return b
+    if b not in commits:
+        return a
+    sa, sb = opens.get(a), opens.get(b)
+    if sa is None:
+        return b
+    if sb is None:
+        return a
+    return a if (sa ^ sb) % 2 == 0 else b
+
+
 @dataclass
 class TwoPartyLottery:
     """Commit-reveal coin flip between two (possibly lazily named) parties.
 
     Timeline, strict windows: commit in (t0, t1), open in (t1, t2), winner
-    readable from t2 on. Missing actions forfeit: a party that never
-    commits, or commits but never opens, loses to its opponent, with the
-    double-default tie going to the second party. Opening requires the
-    preimage to match the commitment bound to the opener's own address.
+    readable from t2 on, by `match_winner`. Opening requires the preimage
+    to match the commitment bound to the opener's own address.
     """
 
     t0: int
@@ -260,23 +283,7 @@ class TwoPartyLottery:
     def get_winner(self, ctx: CallContext) -> Optional[str]:
         if ctx.height < self.t2:
             raise Reverted("TooEarly")
-        a, b = self.player_a(ctx), self.player_b(ctx)
-        if a is None and b is None:
-            return None
-        if a is None:
-            return b
-        if b is None:
-            return a
-        if a not in self.commits:
-            return b
-        if b not in self.commits:
-            return a
-        sa, sb = self.opens.get(a), self.opens.get(b)
-        if sa is None:
-            return b
-        if sb is None:
-            return a
-        return a if (sa ^ sb) % 2 == 0 else b
+        return match_winner(self.player_a(ctx), self.player_b(ctx), self.commits, self.opens)
 
 
 @dataclass

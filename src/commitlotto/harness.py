@@ -6,14 +6,17 @@ strategy assignment, and settlement. Trials are reproducible: the trial
 RNG is derived from the master seed and trial index, and both drivers are
 event-ordered with no hidden iteration-order dependence.
 
-The scaffold driver keeps no record of play: the chain is the record,
-and any transaction on it counts, whoever broadcast it. What the driver
-holds is knowledge. A player can broadcast a transaction only when it
-holds every witness ingredient: the signature tags of the scaffold every
-player approved in the ceremony and the preimages it either owns, shares
-through a coalition, or has seen in an on-chain witness. Honest players
-relay every assemblable transaction, so one honest participant keeps the
-bracket live regardless of who benefits.
+Neither driver keeps a record of play: each reads play from its ledger,
+and any action on it counts, whoever made it. The contract driver reads
+deposits, refunds, the winner and the final height from the VM, and
+builds a player's open-phase view with `contracts.match_winner`, the
+rule `get_winner` applies. The scaffold driver reads play from the
+chain; what it holds is knowledge. A player can broadcast a transaction
+only when it holds every witness ingredient: the signature tags of the
+scaffold every player approved in the ceremony and the preimages it
+either owns, shares through a coalition, or has seen in an on-chain
+witness. Honest players relay every assemblable transaction, so one
+honest participant keeps the bracket live regardless of who benefits.
 """
 
 from __future__ import annotations
@@ -34,7 +37,7 @@ from .chain import (
     compute_ntxid,
     sig_digest_for,
 )
-from .contracts import Reverted, Vm, build_tree
+from .contracts import CallRecord, Vm, build_tree, match_winner
 from .primitives import ConfigError, OutputRef, Rng, check_params, level_schedule, level_stride
 from .script import (
     InputWitness,
@@ -177,7 +180,13 @@ def trial_rng(master_seed, index: int) -> Rng:
 
 
 class ContractRuntime:
-    """One trial against the account-model backend."""
+    """One trial against the account-model backend.
+
+    The VM is the only record of play: who deposited and who was refunded
+    are read from the master, and the winner and final height from the one
+    successful withdraw once the table is complete. The runtime holds the
+    players' secrets and, per match, its two players once resolved.
+    """
 
     def __init__(self, cfg: ScenarioConfig, rng: Rng, trial_index: int = 0):
         self.cfg = cfg
@@ -195,9 +204,19 @@ class ContractRuntime:
             for i in range(cfg.n)
         ]
         self.player_of = {self.accounts[i]: i for i in range(cfg.n)}
-        self.deposit_complete_h: Optional[int] = None
         self._secrets: dict[tuple[int, int, int], int] = {}
         self._participants: dict[tuple[int, int], tuple[Optional[str], Optional[str]]] = {}
+
+    def _master_calls(self, method: str) -> list[CallRecord]:
+        """The successful calls of `method` on the master, in chain order."""
+        master = self.tree.master
+        return [r for r in self.vm.trace if r.ok and r.contract == master and r.method == method]
+
+    @property
+    def deposit_complete_h(self) -> Optional[int]:
+        """Height of the deposit that filled the table; None while a seat is free."""
+        deposits = self._master_calls("deposit")
+        return deposits[-1].height if len(deposits) == self.cfg.n else None
 
     def _secret(self, player: int, level: int, match: int) -> int:
         key = (player, level, match)
@@ -215,142 +234,92 @@ class ContractRuntime:
         key = (level, match)
         if key not in self._participants:
             addr = self.tree.lottery(level, match)
-            try:
-                a = self.vm.static_call("observer", addr, "player_a")
-                b = self.vm.static_call("observer", addr, "player_b")
-            except Reverted:
-                return None, None  # children not settled yet; retry next height
-            self._participants[key] = (a, b)
+            self._participants[key] = (
+                self.vm.static_call("observer", addr, "player_a"),
+                self.vm.static_call("observer", addr, "player_b"),
+            )
         return self._participants[key]
 
-    def _parity_wins(self, i_am_a: bool, mine: int, theirs: int) -> bool:
-        even = (mine ^ theirs) % 2 == 0
-        return even if i_am_a else not even
+    def _play_match(self, level: int, match: int, h: int) -> None:
+        """Offer each player of a match its commit or its opening at height h.
 
-    def _commit_phase(self, level: int, match: int, h: int):
+        Player a is asked first, so b's view shows a's call. A commit is
+        offered until made; an opening is offered to a committed player until
+        made. The open view's flags are `match_winner` with the player's own
+        opening added and as things stand.
+        """
         addr = self.tree.lottery(level, match)
         lot = self.vm.contracts[addr]
+        committing = h < lot.t1
         a, b = self._resolve_participants(level, match)
         for mine, theirs in ((a, b), (b, a)):
-            if mine is None or mine in lot.commits:
-                continue
             player = self.player_of.get(mine)
-            if player is None:
-                continue
-            view = CommitView(
-                player=player,
-                my_address=mine,
-                height=h,
-                level=level,
-                match=match,
-                t0=lot.t0,
-                t1=lot.t1,
-                t2=lot.t2,
-                my_secret=self._secret(player, level, match),
-                opponent_player=self.player_of.get(theirs) if theirs else None,
-                opponent_commit=lot.commits.get(theirs) if theirs else None,
-                last_chance=h == lot.t1 - 1,
-            )
-            chash = self.strats[player].at_commit(view)
-            if chash is not None:
-                self.vm.try_call(mine, addr, "commit", chash)
-
-    def _open_phase(self, level: int, match: int, h: int):
-        addr = self.tree.lottery(level, match)
-        lot = self.vm.contracts[addr]
-        a, b = self._resolve_participants(level, match)
-        for mine, theirs in ((a, b), (b, a)):
-            if mine is None or mine not in lot.commits or mine in lot.opens:
-                continue
-            player = self.player_of.get(mine)
-            if player is None:
-                continue
-            i_am_a = mine == a
-            opp_committed = theirs in lot.commits if theirs else False
-            opp_open = lot.opens.get(theirs) if theirs else None
-            secret = self._secret(player, level, match)
-            if not opp_committed:
-                wins_if_open = True
-                wins_if_silent = True
-            elif opp_open is None:
-                wins_if_open = True
-                wins_if_silent = not i_am_a
+            if committing:
+                offered = mine not in lot.commits
             else:
-                wins_if_open = self._parity_wins(i_am_a, secret, opp_open)
-                wins_if_silent = False
-            view = OpenView(
-                player=player,
-                my_address=mine,
-                height=h,
-                level=level,
-                match=match,
-                t0=lot.t0,
-                t1=lot.t1,
-                t2=lot.t2,
-                my_secret=secret,
-                opponent_player=self.player_of.get(theirs) if theirs else None,
-                opponent_commit=lot.commits.get(theirs) if theirs else None,
-                opponent_open=opp_open,
-                wins_if_open=wins_if_open,
-                wins_if_silent=wins_if_silent,
-                last_chance=h == lot.t2 - 1,
+                offered = mine in lot.commits and mine not in lot.opens
+            if player is None or not offered:
+                continue
+            secret = self._secret(player, level, match)
+            # the fields CommitView and OpenView share, in their order
+            seen = (
+                player, mine, h, level, match, lot.t0, lot.t1, lot.t2, secret,
+                self.player_of.get(theirs), lot.commits.get(theirs),
             )
-            secret_to_open = self.strats[player].at_open(view)
-            if secret_to_open is not None:
-                self.vm.try_call(mine, addr, "open", secret_to_open)
+            if committing:
+                view = CommitView(*seen, last_chance=h == lot.t1 - 1)
+                method, arg = "commit", self.strats[player].at_commit(view)
+            else:
+                opened = {**lot.opens, mine: secret}
+                view = OpenView(
+                    *seen,
+                    opponent_open=lot.opens.get(theirs),
+                    wins_if_open=match_winner(a, b, lot.commits, opened) == mine,
+                    wins_if_silent=match_winner(a, b, lot.commits, lot.opens) == mine,
+                    last_chance=h == lot.t2 - 1,
+                )
+                method, arg = "open", self.strats[player].at_open(view)
+            if arg is not None:
+                self.vm.try_call(mine, addr, method, arg)
 
     def run(self) -> TrialResult:
         cfg = self.cfg
         vm = self.vm
         tree = self.tree
         master = vm.contracts[tree.master]
-        deposited = [0] * cfg.n
-        returned = [0] * cfg.n
+        stride = level_stride(cfg.tau)
         min_balance = [self.funded] * cfg.n
-        final_height: Optional[int] = None
-        winner: Optional[int] = None
 
         for h in range(1, tree.t_final + 1):
             vm.advance_to(h)
-            if h < cfg.t_commit:
+            if h < cfg.t_commit and not master.is_complete():
                 for i, account in enumerate(self.accounts):
-                    if deposited[i]:
+                    if account in master.players:
                         continue
                     view = DepositView(player=i, height=h, t_commit=cfg.t_commit, bet=cfg.bet)
                     if self.strats[i].at_deposit(view):
-                        ok, _ = vm.try_call(account, tree.master, "deposit", value=cfg.bet)
-                        if ok:
-                            deposited[i] = cfg.bet
+                        vm.try_call(account, tree.master, "deposit", value=cfg.bet)
             complete = master.is_complete()
-            if complete and self.deposit_complete_h is None:
-                self.deposit_complete_h = h
             if not complete and h >= cfg.t_commit:
-                for i, account in enumerate(self.accounts):
-                    if deposited[i] and not returned[i]:
-                        ok, amount = vm.try_call(account, tree.master, "withdraw")
-                        if ok:
-                            returned[i] = amount
+                unrefunded = set(master.players) - master.refunded
+                for account in self.accounts:
+                    if account in unrefunded:
+                        vm.try_call(account, tree.master, "withdraw")
             if complete:
-                for (level, match), addr in sorted(tree.lotteries.items()):
-                    lot = vm.contracts[addr]
-                    if lot.t0 < h < lot.t1:
-                        self._commit_phase(level, match, h)
-                    elif lot.t1 < h < lot.t2:
-                        self._open_phase(level, match, h)
-                if h >= tree.t_final and winner is None:
-                    try:
-                        winner_addr = vm.static_call("observer", tree.final, "get_winner")
-                    except Reverted:
-                        winner_addr = None
-                    if winner_addr in self.player_of:
-                        winner = self.player_of[winner_addr]
-                        ok, _ = vm.try_call(winner_addr, tree.master, "withdraw")
-                        if ok:
-                            final_height = h
+                level, offset = divmod(h - cfg.t_commit, stride)
+                if 0 <= level < cfg.levels and offset % cfg.tau:  # inside a commit or open window
+                    for match in range(cfg.n >> (level + 1)):
+                        self._play_match(level, match, h)
+                if h == tree.t_final:
+                    winner = vm.static_call("observer", tree.final, "get_winner")
+                    if winner in self.player_of:
+                        vm.try_call(winner, tree.master, "withdraw")
             for i, account in enumerate(self.accounts):
                 min_balance[i] = min(min_balance[i], vm.balance(account))
 
         committed = master.is_complete()
+        # a complete table admits no refund, so its only withdraw pays the pot
+        payout = self._master_calls("withdraw") if committed else []
         payoffs = tuple(vm.balance(a) - self.funded for a in self.accounts)
         assert sum(vm.balances.values()) == cfg.n * self.funded, "account money leaked"
         locked = tuple(
@@ -359,12 +328,12 @@ class ContractRuntime:
         return TrialResult(
             trial=self.trial_index,
             committed=committed,
-            winner=winner if committed else None,
-            final_height=final_height if committed else None,
+            winner=self.player_of[payout[0].sender] if payout else None,
+            final_height=payout[0].height if payout else None,
             abort_height=None if committed else cfg.t_commit,
             payoffs=payoffs,
-            deposited=tuple(deposited),
-            returned=tuple(returned),
+            deposited=tuple(cfg.bet if a in master.players else 0 for a in self.accounts),
+            returned=tuple(cfg.bet if a in master.refunded else 0 for a in self.accounts),
             locked_beyond_bet=locked,
             onchain_tx_count=sum(1 for rec in vm.trace if rec.ok),
         )

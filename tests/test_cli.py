@@ -224,8 +224,15 @@ MIXED_SEATS = (
     "honest", "coalition", "honest", "honest",
 )
 
+# every contract-only adversary, with two coalition members; n=4 takes the first four
+ETH_MIXED_SEATS = (
+    "honest", "replay-commit", "selective-abort-open", "abort-at-commit",
+    "coalition", "abort-at-open", "coalition", "honest",
+)
+
 # sha256 over the sweep CSV and summary JSON of each mix in order, recorded
-# from the code before the scaffold runtime read play from the chain
+# from the code before the scaffold runtime read play from the chain (bitcoin)
+# and before the contract runtime read play from the VM (ethereum)
 SWEEP_GOLDEN = {
     ("bitcoin-plain", 4, "atomic"): "3a3b06f9119adfdd98a56ec7b12436a62de58e8edf7d4c4ad38546b104df236a",
     ("bitcoin-plain", 4, "hashlocked"): "39492dddeafbf091bc0c0dc814ae11c42cf5cee2bed322c4bb8e40b2ca8d2ad1",
@@ -235,17 +242,26 @@ SWEEP_GOLDEN = {
     ("bitcoin-multiinput", 4, "hashlocked"): "a67448bb6b031658ce8fe56948735f5335ce172ad686eba9fba5a514d2b01a41",
     ("bitcoin-multiinput", 8, "atomic"): "cff54046689b42323faa9d5d4bde664e3b1f3dc8fbf70caf96b1368e609d119b",
     ("bitcoin-multiinput", 8, "hashlocked"): "bb8da98fb3cbfe44d3fada5bc5bd6bda8d6e146c114a1a0e6742a1297a4f53d7",
+    ("ethereum", 4, "atomic"): "8cbd1fb2c905cd4a7c9080dd02464172e0fe61db88ee1fc73e7fc5459e50b498",
+    ("ethereum", 8, "atomic"): "f8b42462f0a128bc8ebfe1207604b2765b9470e18308a8845a035f151c9ca2b3",
 }
 
 
 @pytest.mark.parametrize("backend,n,deposit", sorted(SWEEP_GOLDEN))
 def test_sweep_outputs_match_the_golden_digests(capsys, tmp_path, backend, n, deposit):
-    mixes = (
-        ("honest",) * n,
-        MIXED_SEATS[:n],
-        ("honest",) * (n - 1) + ("abort-at-deposit",),
-        ("honest", "withhold-broadcast") + ("honest",) * (n - 2),
-    )
+    if backend == "ethereum":
+        mixes = (
+            ("honest",) * n,
+            ETH_MIXED_SEATS[:n],
+            ("honest",) * (n - 1) + ("abort-at-deposit",),
+        )
+    else:
+        mixes = (
+            ("honest",) * n,
+            MIXED_SEATS[:n],
+            ("honest",) * (n - 1) + ("abort-at-deposit",),
+            ("honest", "withhold-broadcast") + ("honest",) * (n - 2),
+        )
     digest = hashlib.sha256()
     for mix in mixes:
         csv_path, json_path = tmp_path / "trials.csv", tmp_path / "summary.json"

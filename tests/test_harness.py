@@ -13,12 +13,13 @@ from commitlotto.chain import FixedInput, TransactionBody, TxOutput, sig_digest_
 from commitlotto.primitives import OutputRef
 from commitlotto.scaffold import BRANCH_DEPOSIT_REFUND, signing_ceremony
 from commitlotto.script import InputWitness, KeySign, Witness
-from commitlotto.strategies import BTC_MULTI
+from commitlotto.strategies import BTC_MULTI, Strategy
 from commitlotto.harness import (
     BTC_PLAIN,
     CSV_FIXED_COLUMNS,
     ETH,
     ConfigError,
+    ContractRuntime,
     ScaffoldRuntime,
     ScenarioConfig,
     Summary,
@@ -164,7 +165,7 @@ def test_hashlocked_abort_refunds_within_commit_window():
     assert s.abort_height_max <= 10
 
 
-# the chain is the runtime's only record of play
+# the ledger (chain or VM) is the runtime's only record of play
 
 
 def owner_witness(rt, player, body, branch=None):
@@ -173,23 +174,88 @@ def owner_witness(rt, player, body, branch=None):
     return Witness((InputWitness(((rt.keys[player], tag),), {}, branch, None),))
 
 
-@pytest.mark.parametrize("backend", [BTC_PLAIN, BTC_MULTI])
-def test_deposit_broadcast_before_the_run_counts(backend):
-    # the owner puts its hashlocked deposit on chain before the driver runs;
-    # the driver must see it there and play the same trial
-    c = cfg(backend=backend, deposit_option="hashlocked", master_seed="early-deposit")
-    untouched = run_trial(c, 0)
+def run_with_early_deposit(c):
+    """Play trial 0 after player 0 has put its deposit on the ledger itself."""
+    if c.backend == ETH:
+        rt = ContractRuntime(c, trial_rng(c.master_seed, 0), 0)
+        rt.vm.call(rt.accounts[0], rt.tree.master, "deposit", value=c.bet)
+        return rt.run()
     rt = ScaffoldRuntime(c, trial_rng(c.master_seed, 0), 0)
     rt.chain.advance_to(rt.SETUP_HEIGHT)
     body = rt.t.deposit_bodies[0]
     assert rt.chain.submit(body, owner_witness(rt, 0, body)).accepted
-    r = rt.run()
+    return rt.run()
+
+
+@pytest.mark.parametrize("backend", [ETH, BTC_PLAIN, BTC_MULTI])
+def test_deposit_broadcast_before_the_run_counts(backend):
+    # the owner places its deposit (hashlocked on the UTXO backend) before
+    # the driver runs; the driver must see it there and play the same trial
+    deposit = "atomic" if backend == ETH else "hashlocked"
+    c = cfg(backend=backend, deposit_option=deposit, master_seed="early-deposit")
+    untouched = run_trial(c, 0)
+    r = run_with_early_deposit(c)
     assert untouched.committed and r.committed
-    assert (r.winner, r.payoffs, r.onchain_tx_count) == (
+    assert (r.winner, r.payoffs, r.deposited, r.onchain_tx_count) == (
         untouched.winner,
         untouched.payoffs,
+        untouched.deposited,
         untouched.onchain_tx_count,
     )
+    # a table that never fills refunds the early deposit too
+    c = dataclasses.replace(c, strategies=("honest",) * 3 + ("abort-at-deposit",))
+    r = run_with_early_deposit(c)
+    assert not r.committed
+    assert r.payoffs == (0, 0, 0, 0)
+    assert r.deposited == r.returned == (c.bet,) * 3 + (0,)
+
+
+class Scripted(Strategy):
+    """Commits and opens only as told; a late opener waits for its last opening height."""
+
+    def __init__(self, player, secret, commits, opens, late=False):
+        super().__init__(player, rng=None)
+        self.secret, self.commits, self.opens, self.late = secret, commits, opens, late
+        self.open_views = []
+
+    def choose_secret(self, view):
+        return self.secret
+
+    def at_commit(self, view):
+        return super().at_commit(view) if self.commits else None
+
+    def at_open(self, view):
+        if self.late and not view.last_chance:
+            return None
+        self.open_views.append(view)
+        return view.my_secret if self.opens else None
+
+
+@pytest.mark.parametrize("my_secret", [2, 3])  # odd and even parity against 5
+@pytest.mark.parametrize("opponent", ["uncommitted", "committed", "opened"])
+@pytest.mark.parametrize("seat", [0, 1])
+def test_open_view_flags_agree_with_get_winner(seat, opponent, my_secret):
+    # the player asked last sees the opponent as it stands at the last
+    # opening height; its flags must predict what the contract then decides
+    c = cfg(n=2)
+    flags = {}
+    for opens in (True, False):
+        rt = ContractRuntime(c, trial_rng(c.master_seed, 0), 0)
+        me = Scripted(seat, my_secret, commits=True, opens=opens, late=True)
+        them = Scripted(
+            1 - seat, 5, commits=opponent != "uncommitted", opens=opponent == "opened"
+        )
+        rt.strats[seat], rt.strats[1 - seat] = me, them
+        r = rt.run()
+        (view,) = me.open_views
+        assert (view.opponent_commit is not None) == (opponent != "uncommitted")
+        assert (view.opponent_open is not None) == (opponent == "opened")
+        assert r.winner == rt.player_of[
+            rt.vm.static_call("observer", rt.tree.final, "get_winner")
+        ]
+        flags[opens] = (view.wins_if_open, view.wins_if_silent)
+        assert (view.wins_if_open if opens else view.wins_if_silent) == (r.winner == seat)
+    assert flags[True] == flags[False]  # the flags do not depend on the choice they inform
 
 
 @pytest.mark.xfail(
