@@ -17,12 +17,20 @@ scaffold every player approved in the ceremony and the preimages it
 either owns, shares through a coalition, or has seen in an on-chain
 witness. Honest players relay every assemblable transaction, so one
 honest participant keeps the bracket live regardless of who benefits.
+
+The scaffold driver offers a transaction while every output it spends is
+unspent: the deposits, the bodies of each kernel a match reached, a
+multiinput compression choosing its match's settled outcome, and, while
+the table has not committed, the refunds. `PLAYS` describes a kernel's
+five transactions once, and the candidates and their witnesses derive
+from it; offers go in the order (priority, level, match, ntxid).
 """
 
 from __future__ import annotations
 
 import csv
 import dataclasses
+import functools
 import json
 import statistics
 from dataclasses import dataclass, field
@@ -57,6 +65,14 @@ from .scaffold import (
     DEPOSIT_HASHLOCKED,
     MODE_MULTIINPUT,
     MODE_PLAIN,
+    ROLE_COMPRESSION,
+    ROLE_DEPOSIT,
+    ROLE_ENTRY,
+    ROLE_OUTCOME_A,
+    ROLE_OUTCOME_B,
+    ROLE_OUTCOME_BP,
+    ROLE_REFUND,
+    ROLE_REVEAL,
     SLOT_LEFT,
     SLOT_MPC,
     SLOT_RIGHT,
@@ -79,14 +95,6 @@ from .strategies import (
     ALL_BACKENDS,
     BTC_PLAIN,
     ETH,
-    KIND_COMPRESSION,
-    KIND_DEPOSIT,
-    KIND_ENTRY,
-    KIND_PARITY_WIN,
-    KIND_REFUND,
-    KIND_REVEAL,
-    KIND_TIMEOUT_A,
-    KIND_TIMEOUT_B,
     BroadcastView,
     CommitView,
     DepositView,
@@ -289,6 +297,7 @@ class ContractRuntime:
         master = vm.contracts[tree.master]
         stride = level_stride(cfg.tau)
         min_balance = [self.funded] * cfg.n
+        checked = 0  # trace records already looked at: only a successful call moves money
 
         for h in range(1, tree.t_final + 1):
             vm.advance_to(h)
@@ -314,8 +323,10 @@ class ContractRuntime:
                     winner = vm.static_call("observer", tree.final, "get_winner")
                     if winner in self.player_of:
                         vm.try_call(winner, tree.master, "withdraw")
-            for i, account in enumerate(self.accounts):
-                min_balance[i] = min(min_balance[i], vm.balance(account))
+            if any(rec.ok for rec in vm.trace[checked:]):
+                for i, account in enumerate(self.accounts):
+                    min_balance[i] = min(min_balance[i], vm.balance(account))
+            checked = len(vm.trace)
 
         committed = master.is_complete()
         # a complete table admits no refund, so its only withdraw pays the pot
@@ -342,33 +353,50 @@ class ContractRuntime:
 # scaffold backend driver
 
 
+class Play(NamedTuple):
+    """How one kernel body is offered and witnessed; a row of `PLAYS`."""
+
+    role: str
+    priority: int  # first key of the offer order (priority, level, match, ntxid)
+    opens: tuple[int, ...]  # the sides whose commitments the witness opens
+    branch: Optional[int]  # the AnyOf branch of the spent output's predicate
+    pays: Optional[int]  # the side the body pays
+
+
+# a kernel's five transactions, in `Kernel.bodies` order (entry, reveal,
+# outcome a, b, b'); each is offered from max(t0, its locktime)
+PLAYS = (
+    Play(ROLE_ENTRY, 3, (), None, None),
+    Play(ROLE_REVEAL, 4, (SIDE_LEFT,), BRANCH_REVEAL, None),
+    Play(ROLE_OUTCOME_A, 1, (), BRANCH_TIMEOUT, SIDE_LEFT),
+    Play(ROLE_OUTCOME_B, 1, (), BRANCH_TIMEOUT, SIDE_RIGHT),
+    Play(ROLE_OUTCOME_BP, 5, (SIDE_LEFT, SIDE_RIGHT), BRANCH_REVEAL, SIDE_RIGHT),
+)
+PRIORITY_DEPOSIT, PRIORITY_COMPRESSION, PRIORITY_REFUND = 0, 2, 6
+SIDE_SLOTS = (SLOT_LEFT, SLOT_RIGHT)
+
+
 class Candidate(NamedTuple):
-    kind: str
+    """A scaffold transaction, offered while every output in `spends` is unspent."""
+
+    role: str
     priority: int
-    level: int
+    level: int  # -1 for deposits and refunds
     match: int
-    kernel_id: Optional[KernelId]
-    body: TransactionBody
     ntxid: bytes
+    body: TransactionBody
     not_before: int
-    needs: tuple[bytes, ...]  # commitment digests whose preimages the witness requires
-    beneficiary: Optional[int]
-    left: Optional[int]
-    right: Optional[int]
-    owner_only: Optional[int]
-    extra: object = None  # kind-specific payload (compression winner ref, deposit index)
+    spends: frozenset[OutputRef]
+    kernel: Optional[Kernel] = None  # the kernel of an entry, a reveal or an outcome
+    opens: tuple[tuple[str, bytes], ...] = ()  # (slot, commitment digest) the witness opens
+    branch: Optional[int] = None
+    beneficiary: Optional[int] = None  # the player it pays
+    owner: Optional[int] = None  # the one player who can sign it, alone
+    chosen_ref: Optional[OutputRef] = None  # a compression's member: the settled outcome
 
 
-PRIORITY = {
-    KIND_DEPOSIT: 0,
-    KIND_TIMEOUT_A: 1,
-    KIND_TIMEOUT_B: 1,
-    KIND_COMPRESSION: 2,
-    KIND_ENTRY: 3,
-    KIND_REVEAL: 4,
-    KIND_PARITY_WIN: 5,
-    KIND_REFUND: 6,
-}
+def _spends(body: TransactionBody) -> frozenset[OutputRef]:
+    return frozenset(spec.ref for spec in body.inputs)
 
 
 class ScaffoldRuntime:
@@ -381,8 +409,8 @@ class ScaffoldRuntime:
     preimage once released; a kernel's secret is known to its side's
     player and that player's allies, and is read from the scaffold when a
     witness needs it. Facts about a match that can never change again (the
-    kernel it reached, the outcome it settled on) are memoised as the chain
-    reads find them.
+    kernel it reached, the outcome it settled on, the candidates of that
+    kernel) are memoised as the chain reads find them.
     """
 
     SETUP_HEIGHT = 1  # ceremony and (attempted) deposits happen here
@@ -443,7 +471,7 @@ class ScaffoldRuntime:
         # each (level, match) reached, and its `_match_result` once settled
         self._reached: dict[tuple[int, int], Kernel] = {}
         self._settled: dict[tuple[int, int], tuple[Kernel, int, int, bytes]] = {}
-        self._refund_bodies: dict[int, tuple[TransactionBody, bytes]] = {}
+        self._kernel_plays: dict[KernelId, tuple[Candidate, ...]] = {}
 
     # knowledge
 
@@ -544,43 +572,21 @@ class ScaffoldRuntime:
         result = self._match_result(self._levels - 1, 0)
         return None if result is None else (result[2], self.chain.entries[result[3]].height)
 
-    # candidate enumeration
+    # candidates: a scaffold transaction is offered while its inputs are unspent
 
     def _candidates(self, h: int) -> list[Candidate]:
-        cfg = self.cfg
-        t = self.t
-        entries = self.chain.entries
+        utxo = self.chain.utxo.keys()
         committed = self._committed()
-        out: list[Candidate] = []
-        # one atomic deposit everyone signs, or one hashlocked deposit per owner
-        for i, (body, ntxid) in enumerate(zip(t.deposit_bodies, t.deposit_ntxids)):
-            if ntxid not in entries:
-                owner = None if self.mpc is None else i
-                out.append(
-                    Candidate(
-                        KIND_DEPOSIT, PRIORITY[KIND_DEPOSIT], -1, -1, None,
-                        body, ntxid, self.SETUP_HEIGHT, (), owner, None, None, owner, i,
-                    )
-                )
-        if self.mpc is not None and not committed and h >= t.refund_time:
-            for i in range(cfg.n):
-                if self.chain.is_unspent(OutputRef(t.deposit_ntxids[i], 0)):
-                    body, ntxid = self._refund_body(i)
-                    out.append(
-                        Candidate(
-                            KIND_REFUND, PRIORITY[KIND_REFUND], -1, -1, None,
-                            body, ntxid, t.refund_time, (), i, None, None, i, i,
-                        )
-                    )
+        out = [c for c in self._deposits if c.spends <= utxo]
+        if self.mpc is not None and not committed and h >= self.t.refund_time:
+            out.extend(c for c in self._refunds if c.spends <= utxo)
         if committed:
-            out.extend(self._kernel_candidates())
+            out.extend(self._kernel_candidates(utxo))
         out.sort(key=lambda c: (c.priority, c.level, c.match, c.ntxid))
         return out
 
-    def _kernel_candidates(self) -> list[Candidate]:
+    def _kernel_candidates(self, utxo) -> list[Candidate]:
         """Walk the bracket bottom-up; a level with no settled match stops the walk."""
-        t = self.t
-        entries = self.chain.entries
         reached, settled = self._reached, self._settled  # memo hits skip the calls
         out: list[Candidate] = []
         for level in range(self._levels):
@@ -592,138 +598,114 @@ class ScaffoldRuntime:
                 kernel = reached.get((level, match)) or self._kernel_reached(level, match)
                 if kernel is None:
                     continue
-                kid = kernel.id
-                if kernel.entry_ntxid not in entries:  # every other body spends the entry
-                    if all(self.chain.is_unspent(spec.ref) for spec in kernel.entry_tx.inputs):
-                        needs = ()
-                        if t.mpc_digest is not None and level == 0:
-                            needs = (t.mpc_digest,)
-                        out.append(
-                            Candidate(
-                                KIND_ENTRY, PRIORITY[KIND_ENTRY], level, match, kid,
-                                kernel.entry_tx, kernel.entry_ntxid, kernel.t0,
-                                needs, None, kernel.left_player, kernel.right_player, None,
-                            )
-                        )
-                    continue
-                outcome = self._outcome(kernel)
-                if outcome is not None:
-                    if self._match_result(level, match) is not None:
-                        any_settled = True
-                        continue
-                    tx_idx, winner = outcome  # multiinput: the winner's compression is next
-                    comp = t.compressions[(level, match, winner)]
-                    out.append(
-                        Candidate(
-                            KIND_COMPRESSION, PRIORITY[KIND_COMPRESSION], level, match, kid,
-                            comp.body, comp.ntxid, 0, (), winner, None, None, None,
-                            OutputRef(kernel.outcome_ntxids[tx_idx], 0),
-                        )
-                    )
-                elif kernel.reveal_ntxid not in entries:
-                    out.append(
-                        Candidate(
-                            KIND_REVEAL, PRIORITY[KIND_REVEAL], level, match, kid,
-                            kernel.reveal_tx, kernel.reveal_ntxid, kernel.t0,
-                            (kernel.left_commit,), None,
-                            kernel.left_player, kernel.right_player, None,
-                        )
-                    )
-                    out.append(
-                        Candidate(
-                            KIND_TIMEOUT_B, PRIORITY[KIND_TIMEOUT_B], level, match, kid,
-                            kernel.outcome_txs[1], kernel.outcome_ntxids[1], kernel.t1,
-                            (), kernel.right_player,
-                            kernel.left_player, kernel.right_player, None,
-                        )
-                    )
-                else:
-                    out.append(
-                        Candidate(
-                            KIND_TIMEOUT_A, PRIORITY[KIND_TIMEOUT_A], level, match, kid,
-                            kernel.outcome_txs[0], kernel.outcome_ntxids[0], kernel.t2,
-                            (), kernel.left_player,
-                            kernel.left_player, kernel.right_player, None,
-                        )
-                    )
-                    out.append(
-                        Candidate(
-                            KIND_PARITY_WIN, PRIORITY[KIND_PARITY_WIN], level, match, kid,
-                            kernel.outcome_txs[2], kernel.outcome_ntxids[2], kernel.t0,
-                            (kernel.left_commit, kernel.right_commit), kernel.right_player,
-                            kernel.left_player, kernel.right_player, None,
-                        )
-                    )
+                offered = [c for c in self._plays(kernel) if c.spends <= utxo]
+                out.extend(offered)
+                if not offered and self._match_result(level, match) is not None:
+                    any_settled = True
             if not any_settled:
                 break  # no kernel above this level can have been reached
         return out
 
-    def _refund_body(self, player: int) -> tuple[TransactionBody, bytes]:
-        if player not in self._refund_bodies:
-            t = self.t
+    def _plays(self, kernel: Kernel) -> tuple[Candidate, ...]:
+        """A reached kernel's candidates: one per row of `PLAYS`, and in
+        multiinput mode, once an outcome is on chain, the winner's
+        compression choosing it. A candidate never changes, so each is kept."""
+        plays = self._kernel_plays.get(kernel.id)
+        if plays is None:
+            plays = self._kernel_plays[kernel.id] = tuple(
+                self._play(kernel, row, body, ntxid)
+                for row, body, ntxid in zip(PLAYS, kernel.bodies, kernel.ntxids)
+            )
+        if self._multi and len(plays) == len(PLAYS):  # no compression yet
+            outcome = self._outcome(kernel)
+            if outcome is not None:
+                tx_idx, winner = outcome
+                comp = self.t.compressions[(kernel.id.level, kernel.id.match, winner)]
+                chosen = OutputRef(kernel.outcome_ntxids[tx_idx], 0)
+                compression = Candidate(
+                    ROLE_COMPRESSION, PRIORITY_COMPRESSION, comp.level, comp.match, comp.ntxid,
+                    comp.body, comp.body.locktime, frozenset((chosen,)),
+                    beneficiary=winner, chosen_ref=chosen,
+                )
+                plays = self._kernel_plays[kernel.id] = plays + (compression,)
+        return plays
+
+    def _play(self, kernel: Kernel, row: Play, body: TransactionBody, ntxid: bytes) -> Candidate:
+        level, match, _ = kernel.id
+        commits = (kernel.left_commit, kernel.right_commit)
+        opens = tuple((SIDE_SLOTS[side], commits[side]) for side in row.opens)
+        branch = row.branch
+        if row.role == ROLE_ENTRY and level == 0 and self.mpc is not None:
+            # it spends the hashlocked deposits, which the joint preimage opens
+            opens, branch = ((SLOT_MPC, self.t.mpc_digest),), BRANCH_DEPOSIT_SPEND
+        players = (kernel.left_player, kernel.right_player)
+        return Candidate(
+            row.role, row.priority, level, match, ntxid, body, max(kernel.t0, body.locktime),
+            _spends(body), kernel, opens, branch, None if row.pays is None else players[row.pays],
+        )
+
+    @functools.cached_property
+    def _deposits(self) -> tuple[Candidate, ...]:
+        """One atomic deposit everyone signs, or one hashlocked deposit per owner."""
+        owned = self.mpc is not None
+        return tuple(
+            Candidate(
+                ROLE_DEPOSIT, PRIORITY_DEPOSIT, -1, -1, ntxid, body, body.locktime, _spends(body),
+                beneficiary=i if owned else None, owner=i if owned else None,
+            )
+            for i, (body, ntxid) in enumerate(zip(self.t.deposit_bodies, self.t.deposit_ntxids))
+        )
+
+    @functools.cached_property
+    def _refunds(self) -> tuple[Candidate, ...]:
+        """Each hashlocked deposit's owner taking it back, built when first offered."""
+        t = self.t
+        out = []
+        for player, (ntxid, key) in enumerate(zip(t.deposit_ntxids, self.keys)):
             body = TransactionBody(
-                inputs=(FixedInput(OutputRef(t.deposit_ntxids[player], 0)),),
-                outputs=(TxOutput(self.cfg.bet, KeySign(self.keys[player])),),
+                inputs=(FixedInput(OutputRef(ntxid, 0)),),
+                outputs=(TxOutput(self.cfg.bet, KeySign(key)),),
                 locktime=t.refund_time,
             )
-            self._refund_bodies[player] = (body, compute_ntxid(body))
-        return self._refund_bodies[player]
+            out.append(
+                Candidate(
+                    ROLE_REFUND, PRIORITY_REFUND, -1, -1, compute_ntxid(body), body,
+                    body.locktime, _spends(body), branch=BRANCH_DEPOSIT_REFUND,
+                    beneficiary=player, owner=player,
+                )
+            )
+        return tuple(out)
 
     # witness assembly
 
-    def _all_sigs(self, ntxid: bytes) -> tuple:
-        """Every player's tag over a scaffold body the ceremony approved."""
-        digest = self.t.sig_digests[ntxid]
-        return tuple((key, sig_tag(key, digest)) for key in self.keys)
-
-    def _solo_sig(self, player: int, body: TransactionBody) -> tuple:
-        tag = self.oracle.sign(player, self.keys[player], sig_digest_for(body))
-        return ((self.keys[player], tag),)
-
     def _assemble(self, cand: Candidate, player: int) -> Optional[Witness]:
-        t = self.t
-        kernel = t.kernels[cand.kernel_id] if cand.kernel_id else None
-        preimages: dict[bytes, bytes] = {}
-        for digest in cand.needs:
-            pre = self._lookup(player, digest, kernel)
+        """The witness `player` can give `cand`, or None if it lacks a preimage.
+
+        Every input carries the approved tags of all keys, or its owner's
+        own signature, with the preimages the candidate opens, its branch
+        and its chosen ref. Input i of the atomic deposit carries key i's
+        tag alone, and outcome b' is not assembled on even parity, since
+        its predicate can never pass.
+        """
+        preimages: dict[str, bytes] = {}
+        for slot, digest in cand.opens:
+            pre = self._lookup(player, digest, cand.kernel)
             if pre is None:
                 return None
-            preimages[digest] = pre
-        kind = cand.kind
-        if kind == KIND_DEPOSIT:
-            if self.cfg.deposit_option == DEPOSIT_ATOMIC:
-                sigs = self._all_sigs(cand.ntxid)
+            preimages[slot] = pre
+        if cand.role == ROLE_OUTCOME_BP:
+            if parity_bit(preimages[SLOT_LEFT]) ^ parity_bit(preimages[SLOT_RIGHT]) != 1:
+                return None
+        if cand.owner is not None:
+            key = self.keys[player]
+            sigs = ((key, self.oracle.sign(player, key, sig_digest_for(cand.body))),)
+        else:
+            digest = self.t.sig_digests[cand.ntxid]
+            sigs = tuple((key, sig_tag(key, digest)) for key in self.keys)
+            if cand.role == ROLE_DEPOSIT:  # atomic: input i is key i's funding output
                 return Witness(tuple(InputWitness((sig,), {}, None, None) for sig in sigs))
-            return Witness((InputWitness(self._solo_sig(player, cand.body), {}, None, None),))
-        if kind == KIND_REFUND:
-            return Witness(
-                (InputWitness(self._solo_sig(player, cand.body), {}, BRANCH_DEPOSIT_REFUND, None),)
-            )
-        sigs = self._all_sigs(cand.ntxid)
-        if kind == KIND_ENTRY:
-            if t.mpc_digest is not None and cand.level == 0:
-                iw = InputWitness(
-                    sigs, {SLOT_MPC: preimages[t.mpc_digest]}, BRANCH_DEPOSIT_SPEND, None
-                )
-            else:
-                iw = InputWitness(sigs, {}, None, None)
-            return Witness(tuple(iw for _ in cand.body.inputs))
-        if kind == KIND_REVEAL:
-            pre = preimages[kernel.left_commit]
-            return Witness((InputWitness(sigs, {SLOT_LEFT: pre}, BRANCH_REVEAL, None),))
-        if kind == KIND_TIMEOUT_A or kind == KIND_TIMEOUT_B:
-            return Witness((InputWitness(sigs, {}, BRANCH_TIMEOUT, None),))
-        if kind == KIND_PARITY_WIN:
-            left = preimages[kernel.left_commit]
-            right = preimages[kernel.right_commit]
-            if parity_bit(left) ^ parity_bit(right) != 1:
-                return None  # even parity: this outcome can never validate
-            return Witness(
-                (InputWitness(sigs, {SLOT_LEFT: left, SLOT_RIGHT: right}, BRANCH_REVEAL, None),)
-            )
-        if kind == KIND_COMPRESSION:
-            return Witness((InputWitness(sigs, {}, None, cand.extra),))
-        raise AssertionError(f"unhandled candidate kind {kind}")
+        iw = InputWitness(sigs, preimages, cand.branch, cand.chosen_ref)
+        return Witness((iw,) * len(cand.body.inputs))
 
     # main loop
 
@@ -747,6 +729,7 @@ class ScaffoldRuntime:
             chain.audit()
             return self._result(abort_height=self.SETUP_HEIGHT)
         min_balance = [self.funded] * cfg.n
+        sampled = -1  # log length at the last balance sample: only a new entry moves value
 
         for h in self._stops():
             chain.advance_to(h)
@@ -760,8 +743,10 @@ class ScaffoldRuntime:
                 # once the full deposit set is observable
                 self.public[self.t.mpc_digest] = self.mpc.combined()
             self._drain(h)
-            for i in range(cfg.n):
-                min_balance[i] = min(min_balance[i], chain.key_balance(self.keys[i]))
+            if len(chain.log) != sampled:
+                sampled = len(chain.log)
+                for i in range(cfg.n):
+                    min_balance[i] = min(min_balance[i], chain.key_balance(self.keys[i]))
             if self._final() is not None:
                 break
             if not self._committed() and h >= cfg.t_commit and cfg.deposit_option == DEPOSIT_ATOMIC:
@@ -777,36 +762,25 @@ class ScaffoldRuntime:
         return self._result(abort_height=abort_h, locked=locked)
 
     def _drain(self, h: int) -> None:
-        progressed = True
-        while progressed:
-            progressed = False
-            for cand in self._candidates(h):
-                if h < cand.not_before:
-                    continue
-                if self._offer(cand, h):
-                    progressed = True
-                    break  # state changed; re-enumerate
+        """Offer the candidates in order; after each accept, enumerate them again."""
+        while any(self._offer(cand, h) for cand in self._candidates(h) if h >= cand.not_before):
+            pass
 
     def _offer(self, cand: Candidate, h: int) -> bool:
-        players = (
-            (cand.owner_only,) if cand.owner_only is not None else range(self.cfg.n)
-        )
+        players = (cand.owner,) if cand.owner is not None else range(self.cfg.n)
+        kernel = cand.kernel
+        left, right = (kernel.left_player, kernel.right_player) if kernel else (None, None)
         for player in players:
             witness = self._assemble(cand, player)
             if witness is None:
                 continue
             view = BroadcastView(
                 player=player,
-                kind=cand.kind,
+                kind=cand.role,
                 height=h,
-                not_before=cand.not_before,
-                level=cand.level if cand.level >= 0 else None,
-                match=cand.match if cand.match >= 0 else None,
-                kernel_id=cand.kernel_id,
                 beneficiary=cand.beneficiary,
-                left_player=cand.left,
-                right_player=cand.right,
-                tournament=self.t,
+                left_player=left,
+                right_player=right,
             )
             if not self.strats[player].at_broadcast(view):
                 continue

@@ -92,9 +92,14 @@ BRANCH_DEPOSIT_REFUND = 1
 
 ROLE_ENTRY = "entry"
 ROLE_REVEAL = "reveal"
-ROLE_OUTCOMES = ("outcome-a", "outcome-b", "outcome-bp")
+ROLE_OUTCOME_A = "outcome-a"
+ROLE_OUTCOME_B = "outcome-b"
+ROLE_OUTCOME_BP = "outcome-bp"
+ROLE_OUTCOMES = (ROLE_OUTCOME_A, ROLE_OUTCOME_B, ROLE_OUTCOME_BP)
+ROLE_KERNEL = (ROLE_ENTRY, ROLE_REVEAL) + ROLE_OUTCOMES  # `Kernel.bodies` order
 ROLE_COMPRESSION = "compression"
 ROLE_DEPOSIT = "deposit"
+ROLE_REFUND = "refund"  # a hashlocked deposit's owner taking it back; built in play, never signed
 
 SIDE_LEFT = 0
 SIDE_RIGHT = 1
@@ -286,6 +291,15 @@ class Kernel:
     reveal_ntxid: bytes = b""
     outcome_ntxids: tuple[bytes, bytes, bytes] = (b"", b"", b"")
 
+    @property
+    def bodies(self) -> tuple[TransactionBody, ...]:
+        """Entry, reveal, outcome a, b and b' (`ROLE_KERNEL` order)."""
+        return (self.entry_tx, self.reveal_tx, *self.outcome_txs)
+
+    @property
+    def ntxids(self) -> tuple[bytes, ...]:
+        return (self.entry_ntxid, self.reveal_ntxid, *self.outcome_ntxids)
+
 
 class CompressionTx(NamedTuple):
     level: int
@@ -383,10 +397,8 @@ def iter_bodies(t: Tournament, include_deposits: bool = True) -> list[ScaffoldTx
     out: list[ScaffoldTx] = []
     for kid in sorted(t.kernels):
         k = t.kernels[kid]
-        out.append(ScaffoldTx(ROLE_ENTRY, kid, k.entry_tx, k.entry_ntxid))
-        out.append(ScaffoldTx(ROLE_REVEAL, kid, k.reveal_tx, k.reveal_ntxid))
-        for idx in range(3):
-            out.append(ScaffoldTx(ROLE_OUTCOMES[idx], kid, k.outcome_txs[idx], k.outcome_ntxids[idx]))
+        for role, body, ntxid in zip(ROLE_KERNEL, k.bodies, k.ntxids):
+            out.append(ScaffoldTx(role, kid, body, ntxid))
     for ckey in sorted(t.compressions):
         c = t.compressions[ckey]
         out.append(ScaffoldTx(ROLE_COMPRESSION, ckey, c.body, c.ntxid))
@@ -1205,8 +1217,7 @@ def tournament_from_json(obj: dict) -> Tournament:
         if len(outcomes) != 3:
             raise ValueError(f"{where}.outcomes: a kernel has 3 outcomes, found {len(outcomes)}")
         docs = [field_of("entry", dict), field_of("reveal", dict), *outcomes]
-        roles = (ROLE_ENTRY, ROLE_REVEAL) + ROLE_OUTCOMES
-        bodies = tuple(body_from_json(b, f"{where}.{role}") for b, role in zip(docs, roles))
+        bodies = tuple(body_from_json(b, f"{where}.{role}") for b, role in zip(docs, ROLE_KERNEL))
         digests = tuple(body_digests(b) for b in bodies)
         sig_digests.update(digests)
         kid = KernelId(*(field_of(name, int) for name in KernelId._fields))

@@ -24,7 +24,7 @@ from typing import Optional
 
 from .contracts import commit_digest
 from .primitives import Rng
-from .scaffold import KernelId, Tournament
+from .scaffold import ROLE_DEPOSIT, ROLE_OUTCOME_BP, ROLE_REVEAL
 
 ETH = "ethereum"
 BTC_PLAIN = "bitcoin-plain"
@@ -32,17 +32,8 @@ BTC_MULTI = "bitcoin-multiinput"
 ALL_BACKENDS = (ETH, BTC_PLAIN, BTC_MULTI)
 BTC_BACKENDS = (BTC_PLAIN, BTC_MULTI)
 
-# candidate kinds a broadcast decision can be about
-KIND_DEPOSIT = "deposit"
-KIND_ENTRY = "entry"
-KIND_REVEAL = "reveal"
-KIND_TIMEOUT_A = "outcome-a"
-KIND_TIMEOUT_B = "outcome-b"
-KIND_PARITY_WIN = "outcome-bp"
-KIND_COMPRESSION = "compression"
-KIND_REFUND = "refund"
-
-DISCLOSING_KINDS = (KIND_REVEAL, KIND_PARITY_WIN)
+# the scaffold roles whose witnesses publish a kernel secret
+DISCLOSING_ROLES = (ROLE_REVEAL, ROLE_OUTCOME_BP)
 
 
 @dataclass
@@ -102,19 +93,22 @@ class OpenView:
 
 @dataclass
 class BroadcastView:
-    """Asks whether to put one assembled transaction on chain now."""
+    """Asks whether to put one assembled transaction on chain now.
+
+    `kind` is the transaction's scaffold role (`scaffold.ROLE_*`).
+    `beneficiary` is the player it pays: the paid side of an outcome, the
+    winner of a compression, the owner of a hashlocked deposit or refund,
+    and None for an entry, a reveal or the atomic deposit. `left_player`
+    and `right_player` are the kernel's players for an entry, a reveal or
+    an outcome, and None otherwise.
+    """
 
     player: int
     kind: str
     height: int
-    not_before: int
-    level: Optional[int]
-    match: Optional[int]
-    kernel_id: Optional[KernelId]
     beneficiary: Optional[int]
     left_player: Optional[int]
     right_player: Optional[int]
-    tournament: Optional[Tournament]
 
 
 class Strategy:
@@ -177,7 +171,7 @@ class AbortAtDeposit(Strategy):
         return False
 
     def at_broadcast(self, view: BroadcastView) -> bool:
-        return view.kind != KIND_DEPOSIT
+        return view.kind != ROLE_DEPOSIT
 
 
 class AbortAtCommit(Strategy):
@@ -207,7 +201,7 @@ class AbortAtOpen(Strategy):
         return None
 
     def at_broadcast(self, view: BroadcastView) -> bool:
-        return view.kind not in DISCLOSING_KINDS
+        return view.kind not in DISCLOSING_ROLES
 
 
 class SelectiveAbortOpen(Strategy):
@@ -271,7 +265,7 @@ class ForceTimeout(Strategy):
     backends = BTC_BACKENDS
 
     def at_broadcast(self, view: BroadcastView) -> bool:
-        return view.kind != KIND_PARITY_WIN
+        return view.kind != ROLE_OUTCOME_BP
 
 
 class Coalition(Strategy):
@@ -311,7 +305,7 @@ class Coalition(Strategy):
         return super().at_open(view)
 
     def at_broadcast(self, view: BroadcastView) -> bool:
-        if view.kind in DISCLOSING_KINDS:
+        if view.kind in DISCLOSING_ROLES:
             opponent = None
             if view.left_player == self.player:
                 opponent = view.right_player

@@ -2,6 +2,7 @@
 
 import dataclasses
 import gc
+import hashlib
 import io
 import json
 
@@ -11,7 +12,7 @@ from hypothesis import strategies as hs
 
 from commitlotto.chain import FixedInput, TransactionBody, TxOutput, sig_digest_for
 from commitlotto.primitives import OutputRef
-from commitlotto.scaffold import BRANCH_DEPOSIT_REFUND, signing_ceremony
+from commitlotto.scaffold import BRANCH_DEPOSIT_REFUND, iter_bodies, signing_ceremony
 from commitlotto.script import InputWitness, KeySign, Witness
 from commitlotto.strategies import BTC_MULTI, Strategy
 from commitlotto.harness import (
@@ -459,3 +460,133 @@ def test_a_finished_trial_leaves_no_garbage(backend, deposit_option, strategies)
         assert gc.collect() == 0
     finally:
         gc.enable()
+
+
+# sha256 over `Chain.export_log_jsonl()` of the first three trials of each mix
+# in order, recorded before the scaffold runtime derived its candidates and
+# witnesses from one table of kernel plays; the export records each
+# witness's branch, preimage slots, chosen ref and signature count
+CHAIN_LOG_GOLDEN = {
+    (BTC_MULTI, 4, "atomic"): "73057196ac68d65ea5c22cd140cc0131fa086f267b05bf3f65fcd09ba1da4336",
+    (BTC_MULTI, 4, "hashlocked"): "b26c2bf9afa243724577947138b88b4596010c76fce2ceecb034d1621e0e0728",
+    (BTC_MULTI, 8, "atomic"): "07495caf841edccf7ebebf62d53f27a0460d57f3c33fc9f3d545d1ea57805b9d",
+    (BTC_MULTI, 8, "hashlocked"): "ba08027f76ac30533f169038f537ccc3de43c583d5cd1b02a09a3eed27f9fb56",
+    (BTC_PLAIN, 4, "atomic"): "cd1012a103f5dfe610e40d9b9b7b34ef8d131fb47d29c4a379c9f97b614e5f42",
+    (BTC_PLAIN, 4, "hashlocked"): "f6b1d319af93a220f41612eb7d5a6e2abaa7f0446bb2c10a88cebfb88b8b694a",
+    (BTC_PLAIN, 8, "atomic"): "78f15a0c7e66f60eda3570cdc6e99a2cf629f65279960bdbb3eaa28fbf8de343",
+    (BTC_PLAIN, 8, "hashlocked"): "626dbbba88df4f0b575bb55ef66a2cb276a0ace622c57a80a7dd2d865de8bfe0",
+}
+
+
+@pytest.mark.parametrize("backend,n,deposit_option", sorted(CHAIN_LOG_GOLDEN))
+def test_chain_logs_match_the_golden_digests(backend, n, deposit_option):
+    digest = hashlib.sha256()
+    for mix in (
+        ("honest",) * n,
+        MIXED8[:n],
+        ("honest", "withhold-broadcast") + ("honest",) * (n - 2),
+    ):
+        c = cfg(backend, n, mix, deposit_option=deposit_option, master_seed="golden")
+        for i in range(3):
+            rt = ScaffoldRuntime(c, trial_rng(c.master_seed, i), i)
+            rt.run()
+            digest.update(rt.chain.export_log_jsonl().encode())
+    assert digest.hexdigest() == CHAIN_LOG_GOLDEN[(backend, n, deposit_option)]
+
+
+# the broadcast view
+
+
+def record_offers(rt):
+    """Wrap every strategy's broadcast hook; each offer is kept as
+    (view, its answer, the chain log's length when it was made)."""
+    offers = []
+    for strat in rt.strats:
+        def at_broadcast(view, decide=strat.at_broadcast):
+            answer = decide(view)
+            offers.append((view, answer, len(rt.chain.log)))
+            return answer
+        strat.at_broadcast = at_broadcast
+    return offers
+
+
+def accepted_offers(rt, offers):
+    """(view, log entry) of every offer the chain accepted: an accepted
+    offer ends a pass, so the next offer sees the log one entry longer."""
+    lengths = [length for _, _, length in offers[1:]] + [len(rt.chain.log)]
+    return [
+        (view, rt.chain.log[length])
+        for (view, answer, length), after in zip(offers, lengths)
+        if answer and after == length + 1
+    ]
+
+
+KERNEL_KINDS = {"entry", "reveal", "outcome-a", "outcome-b", "outcome-bp"}
+
+
+@pytest.mark.parametrize(
+    "backend,n,deposit_option,strategies,offered",
+    [
+        (
+            BTC_PLAIN, 4, "atomic", ("honest",) + ("force-timeout",) * 3,
+            {"deposit", "entry", "reveal", "outcome-a", "outcome-bp"},
+        ),
+        (BTC_MULTI, 8, "hashlocked", MIXED8, {"deposit", "compression"} | KERNEL_KINDS),
+        (BTC_MULTI, 4, "hashlocked", HONEST4[:3] + ("abort-at-deposit",), {"deposit", "refund"}),
+    ],
+    ids=["plain-force-timeout", "multiinput-hashlocked-mixed", "multiinput-hashlocked-refund"],
+)
+def test_broadcast_views_name_who_a_transaction_pays_and_who_plays(
+    backend, n, deposit_option, strategies, offered
+):
+    c = cfg(backend, n, strategies, deposit_option=deposit_option, master_seed="views")
+    rt = ScaffoldRuntime(c, trial_rng(c.master_seed, 0), 0)
+    offers = record_offers(rt)
+    rt.run()
+    t = rt.t
+    hashlocked = deposit_option == "hashlocked"
+    on_chain = [k for k in t.kernels.values() if k.entry_ntxid in rt.chain.entries]
+    pairs = {(k.left_player, k.right_player) for k in on_chain}
+    winners = {
+        k.left_player if i == 0 else k.right_player
+        for k in on_chain
+        for i, ntxid in enumerate(k.outcome_ntxids)
+        if ntxid in rt.chain.entries
+    }
+    paid_side = {"outcome-a": 0, "outcome-b": 1, "outcome-bp": 1}  # entry and reveal pay no one
+    for view, _, _ in offers:
+        if view.kind in KERNEL_KINDS:
+            players = (view.left_player, view.right_player)
+            assert players in pairs
+            side = paid_side.get(view.kind)
+            assert view.beneficiary == (None if side is None else players[side])
+            continue
+        assert view.left_player is view.right_player is None
+        if view.kind == "compression":
+            assert view.beneficiary in winners
+        elif view.kind == "refund" or (view.kind == "deposit" and hashlocked):
+            assert view.beneficiary == view.player  # only the owner can sign it
+        else:
+            assert view.kind == "deposit" and view.beneficiary is None
+    # every accepted offer names the parties of the transaction that landed
+    roles = {item.ntxid: item for item in iter_bodies(t)}
+    kinds = set()
+    for view, entry in accepted_offers(rt, offers):
+        kinds.add(view.kind)
+        item = roles.get(entry.ntxid)
+        if item is None:  # a refund: it spends its owner's deposit
+            (spec,) = entry.body.inputs
+            assert view.kind == "refund"
+            assert spec.ref == OutputRef(t.deposit_ntxids[view.beneficiary], 0)
+            continue
+        assert view.kind == item.role
+        if item.role == "deposit":
+            assert view.beneficiary == (item.key if hashlocked else None)
+        elif item.role == "compression":
+            assert view.beneficiary == item.key[2]
+        else:
+            k = t.kernels[item.key]
+            assert (view.left_player, view.right_player) == (k.left_player, k.right_player)
+            assert view.beneficiary in (None, k.left_player, k.right_player)
+    assert {view.kind for view, _, _ in offers} == offered
+    assert kinds <= offered and "deposit" in kinds
