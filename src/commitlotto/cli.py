@@ -29,6 +29,7 @@ from .scaffold import (
     DEPOSIT_HASHLOCKED,
     MODE_MULTIINPUT,
     MODE_PLAIN,
+    SIG_MODELS,
     IdealMpcOracle,
     build_tournament,
     dump_tournament,
@@ -110,7 +111,7 @@ def _add_scenario_args(p: argparse.ArgumentParser):
     p.add_argument("--t-commit", type=int, default=10)
     p.add_argument("--bet", type=int, default=1)
     p.add_argument("--deposit", choices=(DEPOSIT_ATOMIC, DEPOSIT_HASHLOCKED), default=DEPOSIT_ATOMIC)
-    p.add_argument("--sig-model", choices=("multisig", "aggregate"), default="multisig")
+    p.add_argument("--sig-model", choices=SIG_MODELS, default="multisig")
     p.add_argument("--seed", default="commitlotto")
 
 
@@ -280,7 +281,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--t-commit", type=int, default=10)
     p.add_argument("--bet", type=int, default=1)
     p.add_argument("--deposit", choices=(DEPOSIT_ATOMIC, DEPOSIT_HASHLOCKED), default=DEPOSIT_ATOMIC)
-    p.add_argument("--sig-model", choices=("multisig", "aggregate"), default="multisig")
+    p.add_argument("--sig-model", choices=SIG_MODELS, default="multisig")
     p.add_argument("--seed", default="costs")
     p.set_defaults(fn=cmd_costs)
 

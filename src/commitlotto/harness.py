@@ -12,11 +12,12 @@ deposits, refunds, the winner and the final height from the VM, and
 builds a player's open-phase view with `contracts.match_winner`, the
 rule `get_winner` applies. The scaffold driver reads play from the
 chain; what it holds is knowledge. A player can broadcast a transaction
-only when it holds every witness ingredient: the signature tags of the
-scaffold every player approved in the ceremony and the preimages it
-either owns, shares through a coalition, or has seen in an on-chain
-witness. Honest players relay every assemblable transaction, so one
-honest participant keeps the bracket live regardless of who benefits.
+only when it holds every witness ingredient: the signatures of the keys
+its inputs need, recorded when every player approved the scaffold in the
+ceremony or when an owner signs its own, and the preimages it either
+owns, shares through a coalition, or has seen in an on-chain witness.
+Honest players relay every assemblable transaction, so one honest
+participant keeps the bracket live regardless of who benefits.
 
 The scaffold driver offers a transaction while every output it spends is
 unspent: the deposits, the bodies of each kernel a match reached, a
@@ -54,7 +55,6 @@ from .script import (
     Witness,
     commitment,
     parity_bit,
-    sig_tag,
 )
 from .scaffold import (
     BRANCH_DEPOSIT_REFUND,
@@ -78,11 +78,12 @@ from .scaffold import (
     SLOT_RIGHT,
     SIDE_LEFT,
     SIDE_RIGHT,
+    SIG_MODELS,
     IdealMpcOracle,
     Kernel,
     KernelId,
     Tournament,
-    _auth_bytes,
+    auth_bytes,
     build_tournament,
     matches_at,
     multi_combo_index,
@@ -106,7 +107,6 @@ from .strategies import (
 )
 
 BACKENDS = ALL_BACKENDS
-SIG_MODELS = ("multisig", "aggregate")
 
 # plain mode squares per level; beyond this a plain scaffold is too large to
 # write out or cost by a run, so `build` and `costs` report the closed form
@@ -192,7 +192,8 @@ class ContractRuntime:
 
     The VM is the only record of play: who deposited and who was refunded
     are read from the master, and the winner and final height from the one
-    successful withdraw once the table is complete. The runtime holds the
+    successful withdraw once the table is complete. The runtime visits only
+    the heights at which an action can land (`_stops`), and holds the
     players' secrets and, per match, its two players once resolved.
     """
 
@@ -269,37 +270,47 @@ class ContractRuntime:
             if player is None or not offered:
                 continue
             secret = self._secret(player, level, match)
-            # the fields CommitView and OpenView share, in their order
-            seen = (
-                player, mine, h, level, match, lot.t0, lot.t1, lot.t2, secret,
-                self.player_of.get(theirs), lot.commits.get(theirs),
+            seen = dict(
+                player=player, my_address=mine, height=h, level=level, match=match, t0=lot.t0,
+                t1=lot.t1, t2=lot.t2, my_secret=secret, opponent_player=self.player_of.get(theirs),
+                opponent_commit=lot.commits.get(theirs),
             )
             if committing:
-                view = CommitView(*seen, last_chance=h == lot.t1 - 1)
+                view = CommitView(**seen, last_chance=h == lot.t1 - 1)
                 method, arg = "commit", self.strats[player].at_commit(view)
             else:
                 opened = {**lot.opens, mine: secret}
                 view = OpenView(
-                    *seen,
+                    **seen,
+                    last_chance=h == lot.t2 - 1,
                     opponent_open=lot.opens.get(theirs),
                     wins_if_open=match_winner(a, b, lot.commits, opened) == mine,
                     wins_if_silent=match_winner(a, b, lot.commits, lot.opens) == mine,
-                    last_chance=h == lot.t2 - 1,
                 )
                 method, arg = "open", self.strats[player].at_open(view)
             if arg is not None:
                 self.vm.try_call(mine, addr, method, arg)
+
+    def _stops(self) -> list[tuple[int, Optional[int]]]:
+        """Each height at which an action can land, with the level whose window
+        holds it, else None: 1 (deposits), t_commit (refunds), t_final (the
+        payout), and per level the first and last height of the commit and
+        the open window, (t0, t1) and (t1, t2)."""
+        stops = dict.fromkeys((1, self.cfg.t_commit, self.tree.t_final))
+        for level in range(self.cfg.levels):
+            t0, t1, t2 = self.tree.schedule(level)
+            stops.update(dict.fromkeys((t0 + 1, t1 - 1, t1 + 1, t2 - 1), level))
+        return sorted(stops.items())
 
     def run(self) -> TrialResult:
         cfg = self.cfg
         vm = self.vm
         tree = self.tree
         master = vm.contracts[tree.master]
-        stride = level_stride(cfg.tau)
         min_balance = [self.funded] * cfg.n
         checked = 0  # trace records already looked at: only a successful call moves money
 
-        for h in range(1, tree.t_final + 1):
+        for h, level in self._stops():
             vm.advance_to(h)
             if h < cfg.t_commit and not master.is_complete():
                 for i, account in enumerate(self.accounts):
@@ -315,9 +326,8 @@ class ContractRuntime:
                     if account in unrefunded:
                         vm.try_call(account, tree.master, "withdraw")
             if complete:
-                level, offset = divmod(h - cfg.t_commit, stride)
-                if 0 <= level < cfg.levels and offset % cfg.tau:  # inside a commit or open window
-                    for match in range(cfg.n >> (level + 1)):
+                if level is not None:
+                    for match in range(matches_at(cfg.n, level)):
                         self._play_match(level, match, h)
                 if h == tree.t_final:
                     winner = vm.static_call("observer", tree.final, "get_winner")
@@ -422,7 +432,7 @@ class ScaffoldRuntime:
         n = cfg.n
         self.oracle = SignatureOracle()
         self.chain = Chain(self.oracle)
-        self.keys = [rng.child(f"key/{i}").bytes(32) for i in range(n)]
+        self.keys = tuple(rng.child(f"key/{i}").bytes(32) for i in range(n))
         for i, key in enumerate(self.keys):
             self.oracle.register_key(i, key)
         self.funding = [self.chain.mint(cfg.bet, KeySign(key)) for key in self.keys]
@@ -449,7 +459,6 @@ class ScaffoldRuntime:
             mode=cfg.mode,
             deposit_option=cfg.deposit_option,
             mpc_digest=mpc_digest,
-            sig_model=cfg.sig_model,
         )
         shared: dict = {}
         self.strats: list[Strategy] = [
@@ -681,11 +690,11 @@ class ScaffoldRuntime:
     def _assemble(self, cand: Candidate, player: int) -> Optional[Witness]:
         """The witness `player` can give `cand`, or None if it lacks a preimage.
 
-        Every input carries the approved tags of all keys, or its owner's
-        own signature, with the preimages the candidate opens, its branch
-        and its chosen ref. Input i of the atomic deposit carries key i's
-        tag alone, and outcome b' is not assembled on even parity, since
-        its predicate can never pass.
+        Every input names all keys as its signers, whose approval the
+        ceremony recorded, or its owner alone, who signs it here, with the
+        preimages the candidate opens, its branch and its chosen ref. Input
+        i of the atomic deposit names key i alone, and outcome b' is not
+        assembled on even parity, since its predicate can never pass.
         """
         preimages: dict[str, bytes] = {}
         for slot, digest in cand.opens:
@@ -696,15 +705,13 @@ class ScaffoldRuntime:
         if cand.role == ROLE_OUTCOME_BP:
             if parity_bit(preimages[SLOT_LEFT]) ^ parity_bit(preimages[SLOT_RIGHT]) != 1:
                 return None
+        signers = self.keys
         if cand.owner is not None:
-            key = self.keys[player]
-            sigs = ((key, self.oracle.sign(player, key, sig_digest_for(cand.body))),)
-        else:
-            digest = self.t.sig_digests[cand.ntxid]
-            sigs = tuple((key, sig_tag(key, digest)) for key in self.keys)
-            if cand.role == ROLE_DEPOSIT:  # atomic: input i is key i's funding output
-                return Witness(tuple(InputWitness((sig,), {}, None, None) for sig in sigs))
-        iw = InputWitness(sigs, preimages, cand.branch, cand.chosen_ref)
+            signers = (self.keys[player],)
+            self.oracle.sign(player, signers[0], sig_digest_for(cand.body))
+        elif cand.role == ROLE_DEPOSIT:  # atomic: input i is key i's funding output
+            return Witness(tuple(InputWitness((key,)) for key in self.keys))
+        iw = InputWitness(signers, preimages, cand.branch, cand.chosen_ref)
         return Witness((iw,) * len(cand.body.inputs))
 
     # main loop
@@ -1044,7 +1051,7 @@ def measure_costs(
         )
     rt = ScaffoldRuntime(cfg, trial_rng(cfg.master_seed, 0))
     result = rt.run()
-    auth = _auth_bytes(sig_model, n)
+    auth = auth_bytes(sig_model, n)
     accepted = [entry for entry in rt.chain.log if entry.witness is not None]
     onchain_bytes = sum(len(body_bytes(entry.body)) + auth for entry in accepted)
     signed_per_party = rt.bodies_signed + (1 if deposit_option == DEPOSIT_HASHLOCKED else 0)

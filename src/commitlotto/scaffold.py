@@ -45,7 +45,9 @@ from .chain import (
     body_digests,
     body_from_json,
     body_to_json,
+    compute_ntxid,
     multi_input,
+    sig_digest_for,
 )
 from .primitives import (
     SIG_LAMBDA,
@@ -343,8 +345,8 @@ class Tournament:
 
     An honestly constructed scaffold builds its kernels and compressions on
     first read (see `LazyTable`); one decoded from a file has them all. The
-    registries `sig_digests`, `scaffold_digests` and `secrets` hold what the
-    built bodies and kernels contribute, so they grow with the tables.
+    registries `scaffold_digests` and `secrets` hold what the built bodies
+    and kernels contribute, so they grow with the tables.
     """
 
     mode: str
@@ -363,8 +365,6 @@ class Tournament:
     refund_time: Optional[int]
     mpc_digest: Optional[bytes]
     stats: TransactionStats
-    # ntxid -> signature digest of every built body, filled in the pass that computes the ntxids
-    sig_digests: dict[bytes, bytes] = field(repr=False)
     # signature digests of the built kernel and compression bodies: what the ceremony approves
     scaffold_digests: set[bytes] = field(repr=False)
     secrets: dict[tuple[KernelId, int], bytes] = field(default_factory=dict, repr=False)
@@ -581,9 +581,9 @@ class _HonestWiring:
     The parameters are fixed when the scaffold is constructed, so an entry
     built later is the one construction would have built then.
     `commits(kid)` supplies a kernel's (left, right) commitment digests.
-    Every body built goes into `sig_digests` and `scaffold_digests`, and
-    every entry into `built`, by table; the `LazyTable`s read through here,
-    so nothing the wiring holds refers back to them.
+    The signature digest of every body built goes into `scaffold_digests`,
+    and every entry into `built`, by table; the `LazyTable`s read through
+    here, so nothing the wiring holds refers back to them.
     """
 
     n: int
@@ -596,7 +596,6 @@ class _HonestWiring:
     master: Predicate
     deposit_ntxids: tuple[bytes, ...]
     commits: Callable[[KernelId], tuple[bytes, bytes]]
-    sig_digests: dict[bytes, bytes]
     scaffold_digests: set[bytes] = field(default_factory=set)
 
     def __post_init__(self):
@@ -636,10 +635,6 @@ class _HonestWiring:
                 entry = memo[key] = self.compression(*key)
         return entry
 
-    def _register(self, digests: Sequence[tuple[bytes, bytes]]) -> None:
-        self.sig_digests.update(digests)
-        self.scaffold_digests.update(sig_digest for _, sig_digest in digests)
-
     def _stake_ref(self, kid: KernelId, side: int, player: int) -> OutputRef:
         """Where the stake of `player`, on one side of kernel `kid`, lives."""
         level, match, combo = kid
@@ -674,7 +669,7 @@ class _HonestWiring:
             _payout(self.master, self.keys[left], last),
             _payout(self.master, self.keys[right], last),
         )
-        self._register(digests)
+        self.scaffold_digests.update(sig_digest for _, sig_digest in digests)
         return _kernel(
             bodies,
             digests,
@@ -709,7 +704,7 @@ class _HonestWiring:
             outputs=(TxOutput(pot, _payout(self.master, self.keys[cand], level == self.levels - 1)),),
         )
         ntxid, sig_digest = body_digests(body)
-        self._register(((ntxid, sig_digest),))
+        self.scaffold_digests.add(sig_digest)
         return CompressionTx(level, match, cand, body, ntxid)
 
 
@@ -784,7 +779,6 @@ def _honest_scaffold(
     else:
         refund_time = t_commit  # refunds must be live by the commit deadline
         deposit_bodies = build_deposit_hashlocked(funding, bet, master, keys, mpc_digest, refund_time)
-    deposit_digests = [body_digests(b) for b in deposit_bodies]
     wiring = _HonestWiring(
         n=n,
         keys=tuple(keys),
@@ -794,9 +788,8 @@ def _honest_scaffold(
         mode=mode,
         deposit_option=deposit_option,
         master=master,
-        deposit_ntxids=tuple(ntxid for ntxid, _ in deposit_digests),
+        deposit_ntxids=tuple(compute_ntxid(b) for b in deposit_bodies),
         commits=commits,
-        sig_digests=dict(deposit_digests),
     )
     return Tournament(
         mode=mode,
@@ -815,7 +808,6 @@ def _honest_scaffold(
         refund_time=refund_time,
         mpc_digest=mpc_digest,
         stats=stats,
-        sig_digests=wiring.sig_digests,
         scaffold_digests=wiring.scaffold_digests,
     )
 
@@ -845,7 +837,6 @@ def build_tournament(
     mode: str = MODE_PLAIN,
     deposit_option: str = DEPOSIT_ATOMIC,
     mpc_digest: Optional[bytes] = None,
-    sig_model: str = "multisig",
 ) -> Tournament:
     """Construct the unsigned honest scaffold; its kernels are built when first read.
 
@@ -859,7 +850,7 @@ def build_tournament(
     if problem:
         raise ValueError(problem)
     fresh = _FreshSecrets(secret_source.child("kernel-secrets"))
-    stats = scaffold_stats(n, mode, deposit_option, sig_model, bet, tau, t_commit)
+    stats = scaffold_stats(n, mode, deposit_option, bet=bet, tau=tau, t_commit=t_commit)
     t = _honest_scaffold(
         n, player_keys, funding, bet, tau, t_commit, mode, deposit_option, mpc_digest, fresh,
         dataclasses.replace(stats, materialized=True),
@@ -870,8 +861,12 @@ def build_tournament(
 # cost model
 
 
-def _auth_bytes(sig_model: str, n: int) -> int:
-    # multisig carries one signature per master key; aggregate folds them
+SIG_MODELS = ("multisig", "aggregate")
+
+
+def auth_bytes(sig_model: str, n: int) -> int:
+    """On-chain authorization bytes of one transaction: multisig carries one
+    signature per master key, aggregate folds them into one."""
     return n * SIG_LAMBDA if sig_model == "multisig" else SIG_LAMBDA
 
 
@@ -909,7 +904,7 @@ def scaffold_stats(
     master = AllSign(dummy_keys)
     dummy_ref = OutputRef(b"\x11" * 32, 0)
     dummy_digest = sha256(b"size-probe-commit")
-    auth = _auth_bytes(sig_model, n)
+    auth = auth_bytes(sig_model, n)
 
     if deposit_option == DEPOSIT_ATOMIC:
         dep = build_deposit_atomic([dummy_ref] * n, bet, master)
@@ -1040,20 +1035,20 @@ def verify_as_honest(t: Tournament) -> list[Violation]:
             if got != want:
                 v.append(Violation(kid, rule, f"{what} {got} != {want}"))
 
-    # The ceremony approves the digest registry and the runtime trusts the
-    # stored ntxids, so each must be that of its stored body, or signing would
-    # cover something other than what was checked.
+    # The runtime trusts the stored ntxids and the ceremony approves the
+    # digest registry, so each must be that of the stored bodies, or play or
+    # signing would cover something other than what was checked.
     stored = {}
     signable = set()
     for item in iter_bodies(t):
         stored[(item.role, item.key)] = item.body
-        digests = body_digests(item.body)
-        if digests != (item.ntxid, t.sig_digests.get(item.ntxid)):
+        ntxid, sig_digest = body_digests(item.body)
+        if ntxid != item.ntxid:
             kid = item.key if isinstance(item.key, KernelId) else None
-            detail = f"{item.role} {item.key}: stored digests do not match the body"
+            detail = f"{item.role} {item.key}: stored ntxid does not match the body"
             v.append(Violation(kid, "BadDigest", detail))
         if item.role != ROLE_DEPOSIT:
-            signable.add(digests[1])
+            signable.add(sig_digest)
     if t.scaffold_digests != signable:
         detail = "the approved digests are not those of the kernel and compression bodies"
         v.append(Violation(None, "BadDigest", detail))
@@ -1147,7 +1142,7 @@ def signing_ceremony(
         for player, view in enumerate(views):
             if not deciders[player].at_deposit(view):
                 return CeremonyResult(aborted_by=player, bodies_signed=scaffold_bodies)
-        deposit_digest = t.sig_digests[t.deposit_ntxids[0]]
+        deposit_digest = sig_digest_for(t.deposit_bodies[0])
         for player, key in enumerate(t.master_keys):
             oracle.sign(player, key, deposit_digest)
     return CeremonyResult(aborted_by=None, bodies_signed=total)
@@ -1209,7 +1204,7 @@ def tournament_from_json(obj: dict) -> Tournament:
     if deposit_option not in (DEPOSIT_ATOMIC, DEPOSIT_HASHLOCKED):
         raise ValueError(f"scaffold.deposit_option: unknown deposit option {deposit_option!r}")
     kernels: dict[KernelId, Kernel] = {}
-    sig_digests: dict[bytes, bytes] = {}
+    scaffold_digests: set[bytes] = set()
     for i, rec in enumerate(get("kernels", list)):
         where = f"kernels[{i}]"
         field_of = lambda key, kind: json_field(rec, key, kind, where)
@@ -1219,7 +1214,7 @@ def tournament_from_json(obj: dict) -> Tournament:
         docs = [field_of("entry", dict), field_of("reveal", dict), *outcomes]
         bodies = tuple(body_from_json(b, f"{where}.{role}") for b, role in zip(docs, ROLE_KERNEL))
         digests = tuple(body_digests(b) for b in bodies)
-        sig_digests.update(digests)
+        scaffold_digests.update(sig_digest for _, sig_digest in digests)
         kid = KernelId(*(field_of(name, int) for name in KernelId._fields))
         kernels[kid] = _kernel(
             bodies,
@@ -1235,14 +1230,11 @@ def tournament_from_json(obj: dict) -> Tournament:
         body = body_from_json(json_field(rec, "body", dict, where), f"{where}.body")
         key = tuple(json_field(rec, k, int, where) for k in ("level", "match", "candidate"))
         ntxid, sig_digest = body_digests(body)
-        sig_digests[ntxid] = sig_digest
+        scaffold_digests.add(sig_digest)
         compressions[key] = CompressionTx(*key, body, ntxid)
-    scaffold_digests = set(sig_digests.values())
     deposit_bodies = tuple(
         body_from_json(b, f"deposits[{i}]") for i, b in enumerate(get("deposits", list))
     )
-    deposit_digests = [body_digests(b) for b in deposit_bodies]
-    sig_digests.update(deposit_digests)
     keys = get("master_keys", list)
     funding = get("funding", list)
     return Tournament(
@@ -1256,11 +1248,10 @@ def tournament_from_json(obj: dict) -> Tournament:
         kernels=kernels,
         compressions=compressions,
         deposit_bodies=deposit_bodies,
-        deposit_ntxids=tuple(ntxid for ntxid, _ in deposit_digests),
+        deposit_ntxids=tuple(compute_ntxid(b) for b in deposit_bodies),
         refund_time=None if obj.get("refund_time") is None else get("refund_time", int),
         mpc_digest=get("mpc_digest", bytes) if obj.get("mpc_digest") else None,
         stats=TransactionStats.from_json(get("stats", dict), "scaffold.stats"),
-        sig_digests=sig_digests,
         scaffold_digests=scaffold_digests,
     )
 

@@ -7,9 +7,9 @@ AnyOf never scans branches; the witness's branch selector picks exactly one,
 so evaluation order can never leak an unintended spend path.
 
 Signatures come from an ideal oracle that records (key, digest) pairs, one
-at a time or as a whole digest set per key. Verification succeeds only for
-recorded pairs, which models unforgeability without real cryptography and
-keeps runs deterministic.
+at a time or as a whole digest set per key. A witness names the keys that
+sign it, and verification succeeds only for recorded pairs, which models
+unforgeability without real cryptography and keeps runs deterministic.
 """
 
 from __future__ import annotations
@@ -173,15 +173,6 @@ class NotKeyOwner(Exception):
     """Raised when a party asks the oracle to sign with a key it does not own."""
 
 
-def sig_tag(key: bytes, digest: bytes) -> bytes:
-    """The opaque handle a witness carries for key's signature over digest.
-
-    Verification consults the oracle's records, never the tag, so anyone
-    can compute a tag; only a recorded signing act makes it count.
-    """
-    return sha256(b"sigtag:" + key + digest)[:16]
-
-
 class SignatureOracle:
     """Ideal signatures: verify(key, digest) is true iff key's owner signed digest.
 
@@ -206,10 +197,9 @@ class SignatureOracle:
         if self._owners.get(key) != party:
             raise NotKeyOwner(f"{party!r} does not own key {key.hex()[:12]}")
 
-    def sign(self, party, key: bytes, digest: bytes) -> bytes:
+    def sign(self, party, key: bytes, digest: bytes) -> None:
         self._check_owner(party, key)
         self._signed.add((key, digest))
-        return sig_tag(key, digest)
 
     def sign_all(self, party, key: bytes, digests: Container[bytes]) -> None:
         """Record key's signature over every digest in `digests`, in one act.
@@ -234,12 +224,13 @@ class SignatureOracle:
 class InputWitness:
     """Witness material for one transaction input.
 
-    `signatures` holds (key, tag) pairs, `preimages` maps slot labels to
-    revealed byte strings, `branch` selects an AnyOf alternative and
-    `chosen_ref` names the consumed member of a MultiInput set.
+    `signatures` names the keys that sign the input; the oracle's records
+    decide whether each did. `preimages` maps slot labels to revealed byte
+    strings, `branch` selects an AnyOf alternative and `chosen_ref` names
+    the consumed member of a MultiInput set.
     """
 
-    signatures: tuple[tuple[bytes, bytes], ...] = ()
+    signatures: tuple[bytes, ...] = ()
     preimages: Mapping[str, bytes] = field(default_factory=dict)
     branch: Optional[int] = None
     chosen_ref: Optional[OutputRef] = None
@@ -267,13 +258,13 @@ def evaluate_explain(p: Predicate, w: InputWitness, ctx: EvalContext) -> tuple[b
     them for diagnostics.
     """
     if isinstance(p, KeySign):
-        if not any(k == p.key for k, _tag in w.signatures):
+        if p.key not in w.signatures:
             return False, f"missing signature material for key {p.key.hex()[:12]}"
         if not ctx.oracle.verify(p.key, ctx.sig_digest):
             return False, f"signature check failed for key {p.key.hex()[:12]}"
         return True, None
     if isinstance(p, AllSign):
-        supplied = {k for k, _tag in w.signatures}
+        supplied = set(w.signatures)
         for key in p.keys:
             if key not in supplied:
                 return False, f"missing signature material for key {key.hex()[:12]}"

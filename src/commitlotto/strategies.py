@@ -9,6 +9,14 @@ assemble, whoever it pays. That altruistic relay is what keeps brackets
 live when opponents go silent: timeout claims are signed by everyone in
 advance, so any single honest player suffices to push a match forward.
 
+Hooks are asked only at stops, the heights at which an action can land:
+on the contract backend height 1 for deposits and the first and the last
+height of each commit and open window; on the UTXO backend the height
+after setup, each level's start and timeouts, and the refund time. So an
+answer depends on the view's state and `last_chance`, not on the bare
+height: a hook that declines at a window's first height is asked again
+only at its last, with `last_chance` set.
+
 Adversaries deviate in one specific way each, which keeps measured effects
 attributable. They control when to stop participating (abort family),
 whether to disclose secrets (open/broadcast family), or what to commit
@@ -58,6 +66,11 @@ class DepositView:
 
 @dataclass
 class CommitView:
+    """Asks for a commitment to the player's match secret (contract backend).
+
+    `last_chance` is set at the last height of the window.
+    """
+
     player: int
     my_address: str
     height: int
@@ -73,22 +86,14 @@ class CommitView:
 
 
 @dataclass
-class OpenView:
-    player: int
-    my_address: str
-    height: int
-    level: int
-    match: int
-    t0: int
-    t1: int
-    t2: int
-    my_secret: int
-    opponent_player: Optional[int]
-    opponent_commit: Optional[bytes]
+class OpenView(CommitView):
+    """Asks a committed player for its opening. The flags say whether
+    `match_winner` makes the player win with its opening and without it,
+    as things stand."""
+
     opponent_open: Optional[int]
     wins_if_open: bool
     wins_if_silent: bool
-    last_chance: bool
 
 
 @dataclass

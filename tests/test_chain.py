@@ -49,8 +49,8 @@ def signed_spend(chain, oracle, ref, to_key, value, party="alice", key=KEY_A, lo
         outputs=(TxOutput(value, KeySign(to_key)),),
         locktime=locktime,
     )
-    tag = oracle.sign(party, key, sig_digest_for(body))
-    return body, Witness((InputWitness(((key, tag),), {}, None, None),))
+    oracle.sign(party, key, sig_digest_for(body))
+    return body, Witness((InputWitness((key,), {}, None, None),))
 
 
 # identifiers
@@ -82,8 +82,7 @@ def test_ntxid_ignores_witness():
     ref = chain.mint(1, KeySign(KEY_A))
     body, w1 = signed_spend(chain, oracle, ref, KEY_B, 1)
     # a second, different witness for the same body
-    tag2 = oracle.sign("alice", KEY_A, sig_digest_for(body))
-    w2 = Witness((InputWitness(((KEY_A, tag2), (KEY_A, tag2)), {}, None, None),))
+    w2 = Witness((InputWitness((KEY_A, KEY_A), {}, None, None),))
     assert w1 != w2
     res = chain.submit(body, w2)
     assert res.accepted
@@ -178,8 +177,8 @@ def test_script_failure_reasons():
     body = TransactionBody(
         inputs=(FixedInput(ref),), outputs=(TxOutput(1, KeySign(KEY_B)),)
     )
-    tag = oracle.sign("bob", KEY_B, sig_digest_for(body))
-    res = chain.submit(body, Witness((InputWitness(((KEY_B, tag),), {}, None, None),)))
+    oracle.sign("bob", KEY_B, sig_digest_for(body))
+    res = chain.submit(body, Witness((InputWitness((KEY_B,), {}, None, None),)))
     assert res.reason == SCRIPT_FAIL
 
     # arity mismatch is also a script-level failure
@@ -188,16 +187,16 @@ def test_script_failure_reasons():
     assert "arity" in res.detail
 
 
-def test_forged_tag_fails_verification():
+def test_unsigned_key_fails_verification():
     chain, _ = fresh_chain()
     ref = chain.mint(1, KeySign(KEY_A))
     body = TransactionBody(
         inputs=(FixedInput(ref),), outputs=(TxOutput(1, KeySign(KEY_B)),)
     )
-    forged = hashlib.sha256(b"sigtag:" + KEY_A + sig_digest_for(body)).digest()[:16]
-    # correct tag bytes, but the oracle never recorded the signing act
-    res = chain.submit(body, Witness((InputWitness(((KEY_A, forged),), {}, None, None),)))
+    # the witness names the right key, but the oracle never recorded the signing act
+    res = chain.submit(body, Witness((InputWitness((KEY_A,), {}, None, None),)))
     assert res.reason == SCRIPT_FAIL
+    assert "signature check failed" in res.detail
 
 
 def test_repeated_ref_within_one_body_rejected():
@@ -207,8 +206,8 @@ def test_repeated_ref_within_one_body_rejected():
         inputs=(FixedInput(ref), FixedInput(ref)),
         outputs=(TxOutput(2, KeySign(KEY_B)),),
     )
-    tag = oracle.sign("alice", KEY_A, sig_digest_for(body))
-    iw = InputWitness(((KEY_A, tag),), {}, None, None)
+    oracle.sign("alice", KEY_A, sig_digest_for(body))
+    iw = InputWitness((KEY_A,), {}, None, None)
     res = chain.submit(body, Witness((iw, iw)))
     assert res.reason == DOUBLE_SPEND
 
@@ -226,8 +225,8 @@ def test_multi_input_spends_exactly_the_chosen_ref():
     r1 = chain.mint(1, KeySign(KEY_A))
     r2 = chain.mint(1, KeySign(KEY_A))
     body = multi_body([r1, r2], 1, KEY_B)
-    tag = oracle.sign("alice", KEY_A, sig_digest_for(body))
-    res = chain.submit(body, Witness((InputWitness(((KEY_A, tag),), {}, None, r1),)))
+    oracle.sign("alice", KEY_A, sig_digest_for(body))
+    res = chain.submit(body, Witness((InputWitness((KEY_A,), {}, None, r1),)))
     assert res.accepted
     assert not chain.is_unspent(r1)
     assert chain.is_unspent(r2)  # the unchosen member is untouched
@@ -245,19 +244,19 @@ def test_multi_input_witness_shape_enforced():
     r2 = chain.mint(1, KeySign(KEY_A))
     outsider = chain.mint(1, KeySign(KEY_A))
     body = multi_body([r1, r2], 1, KEY_B)
-    tag = oracle.sign("alice", KEY_A, sig_digest_for(body))
+    oracle.sign("alice", KEY_A, sig_digest_for(body))
 
-    res = chain.submit(body, Witness((InputWitness(((KEY_A, tag),), {}, None, None),)))
+    res = chain.submit(body, Witness((InputWitness((KEY_A,), {}, None, None),)))
     assert res.reason == BAD_MULTI_INPUT  # chosenRef required
 
-    res = chain.submit(body, Witness((InputWitness(((KEY_A, tag),), {}, None, outsider),)))
+    res = chain.submit(body, Witness((InputWitness((KEY_A,), {}, None, outsider),)))
     assert res.reason == BAD_MULTI_INPUT  # chosenRef must be a set member
 
     fixed = TransactionBody(
         inputs=(FixedInput(r1),), outputs=(TxOutput(1, KeySign(KEY_B)),)
     )
-    tag2 = oracle.sign("alice", KEY_A, sig_digest_for(fixed))
-    res = chain.submit(fixed, Witness((InputWitness(((KEY_A, tag2),), {}, None, r1),)))
+    oracle.sign("alice", KEY_A, sig_digest_for(fixed))
+    res = chain.submit(fixed, Witness((InputWitness((KEY_A,), {}, None, r1),)))
     assert res.reason == BAD_MULTI_INPUT  # chosenRef forbidden on fixed inputs
 
 
@@ -268,8 +267,8 @@ def test_multi_input_one_signature_covers_either_member():
     r1 = chain.mint(1, KeySign(KEY_A))
     r2 = chain.mint(1, KeySign(KEY_A))
     body = multi_body([r1, r2], 1, KEY_B)
-    tag = oracle.sign("alice", KEY_A, sig_digest_for(body))
-    res = chain.submit(body, Witness((InputWitness(((KEY_A, tag),), {}, None, r2),)))
+    oracle.sign("alice", KEY_A, sig_digest_for(body))
+    res = chain.submit(body, Witness((InputWitness((KEY_A,), {}, None, r2),)))
     assert res.accepted
 
 

@@ -11,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as hs
 
 from commitlotto.chain import FixedInput, TransactionBody, TxOutput, sig_digest_for
+from commitlotto.contracts import Vm
 from commitlotto.primitives import OutputRef
 from commitlotto.scaffold import BRANCH_DEPOSIT_REFUND, iter_bodies, signing_ceremony
 from commitlotto.script import InputWitness, KeySign, Witness
@@ -171,8 +172,8 @@ def test_hashlocked_abort_refunds_within_commit_window():
 
 def owner_witness(rt, player, body, branch=None):
     """The player's own signature over `body`, spending one output it alone can spend."""
-    tag = rt.oracle.sign(player, rt.keys[player], sig_digest_for(body))
-    return Witness((InputWitness(((rt.keys[player], tag),), {}, branch, None),))
+    rt.oracle.sign(player, rt.keys[player], sig_digest_for(body))
+    return Witness((InputWitness((rt.keys[player],), {}, branch, None),))
 
 
 def run_with_early_deposit(c):
@@ -314,6 +315,24 @@ def test_btc_final_height_bound():
     assert s.final_height_max <= 10 + 2 * 6 * 2
     s = run_monte_carlo(cfg(backend=BTC_MULTI, trials=20, master_seed="heights"))
     assert s.final_height_max <= 10 + 4 * 6 * 2
+
+
+def test_contract_trials_visit_the_same_stops_whatever_tau(monkeypatch):
+    # a contract trial visits only the heights at which an action can land,
+    # so its cost does not grow with tau, and the same players win
+    advances = []
+    advance_to = Vm.advance_to
+    monkeypatch.setattr(Vm, "advance_to", lambda vm, h: advances.append(h) or advance_to(vm, h))
+    mix = ("honest", "selective-abort-open", "replay-commit", "coalition")
+    counts, results = {}, {}
+    for tau in (6, 600):
+        advances.clear()
+        results[tau] = run_trial(cfg(strategies=mix, tau=tau, master_seed="stops"), 0)
+        counts[tau] = len(advances)
+    assert counts[6] == counts[600] == 3 + 4 * 2  # deposit, refund, payout; 4 per level
+    short, long = results[6], results[600]
+    assert short.committed and long.committed
+    assert (short.winner, short.payoffs) == (long.winner, long.payoffs)
 
 
 # dominance checks

@@ -178,10 +178,10 @@ def measured_worst_case_bytes(t, sig_model):
     ],
 )
 def test_built_stats_bytes_match_the_built_bodies(n, mode, deposit_option, sig_model):
-    # a build carries the closed-form figures; the byte count must still be
-    # what its own worst-case path measures
-    t = small_tournament(n, mode=mode, deposit_option=deposit_option, sig_model=sig_model, tau=5)
-    assert t.stats.bytes_on_chain == measured_worst_case_bytes(t, sig_model)
+    # the closed-form byte count must be what a build's own worst-case path measures
+    t = small_tournament(n, mode=mode, deposit_option=deposit_option, tau=5)
+    stats = scaffold_stats(n, mode, deposit_option, sig_model, tau=5)
+    assert stats.bytes_on_chain == measured_worst_case_bytes(t, sig_model)
     assert t.stats.total_offchain == len(iter_bodies(t))
 
 
@@ -581,11 +581,10 @@ def test_kernels_built_in_play_equal_an_upfront_build(backend, n, deposit_option
         assert len(t.secrets) == 2 * (n - 1)  # play built one kernel per match
     assert dict(t.kernels) == eager  # every field, every body and every ntxid
     assert t.compressions == upfront.compressions
-    assert t.sig_digests == upfront.sig_digests
     assert t.scaffold_digests == upfront.scaffold_digests
     assert t.secrets == upfront.secrets
-    for item in iter_bodies(t):
-        assert t.sig_digests[item.ntxid] == sig_digest_for(item.body)
+    for item in iter_bodies(t, include_deposits=False):
+        assert sig_digest_for(item.body) in t.scaffold_digests
     assert verify_as_honest(t) == []
 
 
@@ -635,12 +634,12 @@ def test_copies_of_a_partly_built_scaffold_stay_independent():
     t = small_tournament(8)
     top, other = KernelId(2, 0, 500), KernelId(2, 0, 7)
     t.kernels[top]  # builds it and the child kernels its stakes spend
-    built = (len(t.secrets), len(t.sig_digests), len(t.scaffold_digests))
+    built = (len(t.secrets), len(t.scaffold_digests))
     assert built[0] == 2 * 7
 
     twin = copy.deepcopy(t)
     twin.kernels[other]
-    assert (len(t.secrets), len(t.sig_digests), len(t.scaffold_digests)) == built
+    assert (len(t.secrets), len(t.scaffold_digests)) == built
     assert len(twin.secrets) > built[0]
     t.kernels[KernelId(1, 1, 3)]
     assert (KernelId(1, 1, 3), SIDE_LEFT) not in twin.secrets
@@ -769,8 +768,14 @@ def test_verify_flags_late_refund_window():
 
 def test_verify_flags_stale_digests(plain4):
     t = clone(plain4)
-    k = t.kernels[KernelId(0, 0, 0)]
-    t.sig_digests[k.reveal_ntxid] = b"\x00" * 32
+    kid = KernelId(0, 0, 0)
+    t.kernels[kid] = dataclasses.replace(t.kernels[kid], reveal_ntxid=b"\x00" * 32)
+    found = verify_as_honest(t)
+    assert rules_of(found) == {"BadDigest"}
+    assert [v.kernel for v in found] == [kid]
+    # an approval set that covers a body the scaffold lacks
+    t = clone(plain4)
+    t.scaffold_digests.add(b"\x00" * 32)
     assert rules_of(verify_as_honest(t)) == {"BadDigest"}
 
 

@@ -22,7 +22,6 @@ from commitlotto.script import (
     parity_bit,
     predicate_from_json,
     predicate_to_json,
-    sig_tag,
 )
 
 KEY_A = b"\xaa" * 32
@@ -50,13 +49,6 @@ def test_parity_bit_reads_low_bit_of_last_byte():
     assert parity_bit(b"\x00" * 31 + b"\x06") == 0
     assert parity_bit(b"\x00" * 31 + b"\x03") == 1
     assert parity_bit(b"\xff\x02") == 0
-
-
-def test_signature_tag_formula_frozen():
-    oracle = SignatureOracle()
-    oracle.register_key("alice", KEY_A)
-    tag = oracle.sign("alice", KEY_A, DIGEST)
-    assert tag == hashlib.sha256(b"sigtag:" + KEY_A + DIGEST).digest()[:16]
 
 
 # signature oracle
@@ -94,8 +86,6 @@ def test_sign_all_covers_exactly_the_signed_set():
     assert all(oracle.verify(KEY_A, d) for d in digests)
     assert not oracle.verify(KEY_A, b"\x03" * 32)
     assert not any(oracle.verify(KEY_B, d) for d in digests)
-    # the tag is a pure function of key and digest, whichever way it was signed
-    assert oracle.sign("bob", KEY_B, DIGEST) == sig_tag(KEY_B, DIGEST)
 
 
 # predicate evaluation
@@ -107,11 +97,11 @@ def test_keysign_needs_material_and_record():
     p = KeySign(KEY_A)
     ok, why = evaluate_explain(p, witness(), ctx(oracle))
     assert not ok and "missing signature" in why
-    tag = oracle.sign("alice", KEY_A, DIGEST)
-    assert evaluate(p, witness([(KEY_A, tag)]), ctx(oracle))
-    # same material against a different digest fails
+    oracle.sign("alice", KEY_A, DIGEST)
+    assert evaluate(p, witness([KEY_A]), ctx(oracle))
+    # the same signer against a different digest fails
     other = ctx(oracle, digest=b"\x02" * 32)
-    ok, why = evaluate_explain(p, witness([(KEY_A, tag)]), other)
+    ok, why = evaluate_explain(p, witness([KEY_A]), other)
     assert not ok and "signature check failed" in why
 
 
@@ -120,11 +110,14 @@ def test_allsign_requires_every_key():
     oracle.register_key("alice", KEY_A)
     oracle.register_key("bob", KEY_B)
     p = AllSign((KEY_A, KEY_B))
-    ta = oracle.sign("alice", KEY_A, DIGEST)
-    ok, why = evaluate_explain(p, witness([(KEY_A, ta)]), ctx(oracle))
+    oracle.sign("alice", KEY_A, DIGEST)
+    ok, why = evaluate_explain(p, witness([KEY_A]), ctx(oracle))
     assert not ok and "missing signature" in why
-    tb = oracle.sign("bob", KEY_B, DIGEST)
-    assert evaluate(p, witness([(KEY_A, ta), (KEY_B, tb)]), ctx(oracle))
+    # naming a key is not signing with it
+    ok, why = evaluate_explain(p, witness([KEY_A, KEY_B]), ctx(oracle))
+    assert not ok and "signature check failed" in why
+    oracle.sign("bob", KEY_B, DIGEST)
+    assert evaluate(p, witness([KEY_A, KEY_B]), ctx(oracle))
 
 
 def test_hash_preimage_slot_matching():
@@ -168,14 +161,14 @@ def test_allof_reports_first_failing_term():
 def test_anyof_uses_only_the_selected_branch():
     oracle = SignatureOracle()
     oracle.register_key("alice", KEY_A)
-    tag = oracle.sign("alice", KEY_A, DIGEST)
+    oracle.sign("alice", KEY_A, DIGEST)
     p = AnyOf((KeySign(KEY_A), AfterHeight(100)))
     # branch 0 succeeds even though branch 1 cannot
-    assert evaluate(p, witness([(KEY_A, tag)], branch=0), ctx(oracle))
+    assert evaluate(p, witness([KEY_A], branch=0), ctx(oracle))
     # selecting the timeout branch ignores the valid signature
-    ok, why = evaluate_explain(p, witness([(KEY_A, tag)], branch=1), ctx(oracle))
+    ok, why = evaluate_explain(p, witness([KEY_A], branch=1), ctx(oracle))
     assert not ok and "below lock" in why
-    ok, why = evaluate_explain(p, witness([(KEY_A, tag)]), ctx(oracle))
+    ok, why = evaluate_explain(p, witness([KEY_A]), ctx(oracle))
     assert not ok and why == "missing branch selector"
     ok, why = evaluate_explain(p, witness(branch=2), ctx(oracle))
     assert not ok and "out of range" in why
