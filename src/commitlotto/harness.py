@@ -1,30 +1,31 @@
-"""Scenario harness: deterministic trial drivers and measurement.
+"""Scenario harness: deterministic trials, sweeps and measurement.
 
-One trial is a full protocol run on a fresh simulated chain: funding,
+One trial is a full protocol run on a fresh simulated ledger: funding,
 setup (scaffold ceremony or contract deployment), play under the given
 strategy assignment, and settlement. Trials are reproducible: the trial
-RNG is derived from the master seed and trial index, and both drivers are
-event-ordered with no hidden iteration-order dependence.
+RNG is derived from the master seed and trial index, and play is
+event-ordered with no hidden iteration-order dependence. Both backends
+play the same bracket of two-party lotteries and differ only in
+settlement, so one loop, `Runtime._trial`, plays every trial, and each
+runtime supplies only its stops, its step, its done test and what only
+its ledger can tell.
 
-Neither driver keeps a record of play: each reads play from its ledger,
-and any action on it counts, whoever made it. The contract driver reads
-deposits, refunds, the winner and the final height from the VM, and
-builds a player's open-phase view with `contracts.match_winner`, the
-rule `get_winner` applies. The scaffold driver reads play from the
-chain; what it holds is knowledge. A player can broadcast a transaction
-only when it holds every witness ingredient: the signatures of the keys
-its inputs need, recorded when every player approved the scaffold in the
-ceremony or when an owner signs its own, and the preimages it either
-owns, shares through a coalition, or has seen in an on-chain witness.
-Honest players relay every assemblable transaction, so one honest
-participant keeps the bracket live regardless of who benefits.
-
-The scaffold driver offers a transaction while every output it spends is
-unspent: the deposits, the bodies of each kernel a match reached, a
-multiinput compression choosing its match's settled outcome, and, while
-the table has not committed, the refunds. `PLAYS` describes a kernel's
-five transactions once, and the candidates and their witnesses derive
-from it; offers go in the order (priority, level, match, ntxid).
+A runtime keeps no record of play: it reads play from its ledger, and any
+action on it counts, whoever made it. The contract runtime builds a
+player's open-phase view with `contracts.match_winner`, the rule
+`get_winner` applies. The scaffold runtime holds knowledge only. A player
+can broadcast a transaction only when it holds every witness ingredient:
+the signatures of the keys its inputs need, recorded when every player
+approved the scaffold in the ceremony or when an owner chooses to
+broadcast its own, and the preimages it owns, shares through a coalition
+or has seen in an on-chain witness. Honest players relay every
+assemblable transaction, so one honest participant keeps the bracket live
+regardless of who benefits. A transaction is offered while every output
+it spends is unspent: the deposits, the bodies of each kernel a match
+reached, a multiinput compression choosing its match's settled outcome,
+and, while the table has not committed, the refunds. `PLAYS` describes a
+kernel's five transactions once; offers go in the order (priority, level,
+match, ntxid).
 """
 
 from __future__ import annotations
@@ -79,6 +80,7 @@ from .scaffold import (
     SIDE_LEFT,
     SIDE_RIGHT,
     SIG_MODELS,
+    CeremonyResult,
     IdealMpcOracle,
     Kernel,
     KernelId,
@@ -184,37 +186,77 @@ def trial_rng(master_seed, index: int) -> Rng:
     return Rng(master_seed).child("trial").child(str(index))
 
 
-# contract backend driver
+class Runtime:
+    """One trial on one backend, played by `_trial`, the one trial loop.
 
-
-class ContractRuntime:
-    """One trial against the account-model backend.
-
-    The VM is the only record of play: who deposited and who was refunded
-    are read from the master, and the winner and final height from the one
-    successful withdraw once the table is complete. The runtime visits only
-    the heights at which an action can land (`_stops`), and holds the
-    players' secrets and, per match, its two players once resolved.
+    A runtime supplies `stops()`, the heights at which an action can land;
+    `step(h)`, which advances its ledger to h and offers every action that
+    can land there; `done(h)`; `ledger`, its record (`Vm.trace` or
+    `Chain.log`); `balances()`; and `_fields()`, the result fields only it
+    can read.
     """
 
     def __init__(self, cfg: ScenarioConfig, rng: Rng, trial_index: int = 0):
         self.cfg = cfg
         self.rng = rng
         self.trial_index = trial_index
-        self.vm = Vm()
-        self.accounts = [f"P{i}" for i in range(cfg.n)]
-        self.funded = 2 * cfg.bet  # one bet to stake plus untouched margin
-        for account in self.accounts:
-            self.vm.fund(account, self.funded)
-        self.tree = build_tree(self.vm, cfg.n, cfg.bet, cfg.tau, cfg.t_commit)
-        shared: dict = {}
+        self.funded = 2 * cfg.bet  # one bet to stake plus an untouched margin
+        shared: dict = {}  # what a coalition's members share
         self.strats: list[Strategy] = [
             make_strategy(cfg.strategies[i], i, rng.child(f"strategy/{i}"), shared)
             for i in range(cfg.n)
         ]
+
+    def _trial(self) -> TrialResult:
+        """Step through the stops until done, sampling every balance after a
+        stop at which the ledger's record grew."""
+        cfg = self.cfg
+        min_balance = [self.funded] * cfg.n
+        sampled = -1  # ledger length at the last sample: only a new record moves value
+        for h in self.stops():
+            self.step(h)
+            if len(self.ledger) != sampled:
+                sampled = len(self.ledger)
+                min_balance = list(map(min, min_balance, self.balances()))
+            if self.done(h):
+                break
+        return TrialResult(
+            trial=self.trial_index,
+            payoffs=tuple(bal - self.funded for bal in self.balances()),
+            # how far a balance ever fell below the margin
+            locked_beyond_bet=tuple(max(0, self.funded - bal - cfg.bet) for bal in min_balance),
+            **self._fields(),
+        )
+
+
+# contract backend
+
+
+class ContractRuntime(Runtime):
+    """One trial against the account-model backend.
+
+    The VM is the only record of play: who deposited and who was refunded
+    are read from the master, and the winner and final height from the one
+    successful withdraw once the table is complete. The runtime visits only
+    the heights at which an action can land (`stops`), and holds the
+    players' secrets and, per match, its two players once resolved.
+    """
+
+    def __init__(self, cfg: ScenarioConfig, rng: Rng, trial_index: int = 0):
+        super().__init__(cfg, rng, trial_index)
+        self.vm = Vm()
+        self.ledger = self.vm.trace
+        self.accounts = [f"P{i}" for i in range(cfg.n)]
+        for account in self.accounts:
+            self.vm.fund(account, self.funded)
+        self.tree = build_tree(self.vm, cfg.n, cfg.bet, cfg.tau, cfg.t_commit)
+        self.master = self.vm.contracts[self.tree.master]
         self.player_of = {self.accounts[i]: i for i in range(cfg.n)}
         self._secrets: dict[tuple[int, int, int], int] = {}
         self._participants: dict[tuple[int, int], tuple[Optional[str], Optional[str]]] = {}
+
+    def balances(self) -> list[int]:
+        return [self.vm.balance(account) for account in self.accounts]
 
     def _master_calls(self, method: str) -> list[CallRecord]:
         """The successful calls of `method` on the master, in chain order."""
@@ -291,76 +333,72 @@ class ContractRuntime:
             if arg is not None:
                 self.vm.try_call(mine, addr, method, arg)
 
-    def _stops(self) -> list[tuple[int, Optional[int]]]:
-        """Each height at which an action can land, with the level whose window
-        holds it, else None: 1 (deposits), t_commit (refunds), t_final (the
-        payout), and per level the first and last height of the commit and
-        the open window, (t0, t1) and (t1, t2)."""
-        stops = dict.fromkeys((1, self.cfg.t_commit, self.tree.t_final))
+    def stops(self) -> list[int]:
+        """Each height at which an action can land: 1 (deposits), t_commit
+        (refunds), t_final (the payout), and per level the first and last
+        height of the commit and the open window, (t0, t1) and (t1, t2)."""
+        stops = {1, self.cfg.t_commit, self.tree.t_final}
         for level in range(self.cfg.levels):
             t0, t1, t2 = self.tree.schedule(level)
-            stops.update(dict.fromkeys((t0 + 1, t1 - 1, t1 + 1, t2 - 1), level))
-        return sorted(stops.items())
+            stops.update((t0 + 1, t1 - 1, t1 + 1, t2 - 1))
+        return sorted(stops)
+
+    def step(self, h: int) -> None:
+        """Deposits before t_commit, refunds from t_commit if the table never
+        filled; once it has, the commits and openings of the level whose
+        window (t0, t2) holds h, and the payout at t_final."""
+        cfg, vm, tree, master = self.cfg, self.vm, self.tree, self.master
+        vm.advance_to(h)
+        if h < cfg.t_commit and not master.is_complete():
+            for i, account in enumerate(self.accounts):
+                if account in master.players:
+                    continue
+                view = DepositView(player=i, height=h, t_commit=cfg.t_commit, bet=cfg.bet)
+                if self.strats[i].at_deposit(view):
+                    vm.try_call(account, tree.master, "deposit", value=cfg.bet)
+        if not master.is_complete():
+            if h >= cfg.t_commit:
+                for account in self.accounts:
+                    if account in master.players and account not in master.refunded:
+                        vm.try_call(account, tree.master, "withdraw")
+            return
+        for level in range(cfg.levels):
+            t0, _, t2 = tree.schedule(level)
+            if t0 < h < t2:
+                for match in range(matches_at(cfg.n, level)):
+                    self._play_match(level, match, h)
+        if h == tree.t_final:
+            winner = vm.static_call("observer", tree.final, "get_winner")
+            if winner in self.player_of:
+                vm.try_call(winner, tree.master, "withdraw")
+
+    def done(self, h: int) -> bool:
+        """A table that never filled refunds every deposit at t_commit; nothing
+        can land after that."""
+        return h >= self.cfg.t_commit and not self.master.is_complete()
 
     def run(self) -> TrialResult:
-        cfg = self.cfg
-        vm = self.vm
-        tree = self.tree
-        master = vm.contracts[tree.master]
-        min_balance = [self.funded] * cfg.n
-        checked = 0  # trace records already looked at: only a successful call moves money
+        """The trial loop; each runtime has its own `run`, which bench/tracer.py times."""
+        return self._trial()
 
-        for h, level in self._stops():
-            vm.advance_to(h)
-            if h < cfg.t_commit and not master.is_complete():
-                for i, account in enumerate(self.accounts):
-                    if account in master.players:
-                        continue
-                    view = DepositView(player=i, height=h, t_commit=cfg.t_commit, bet=cfg.bet)
-                    if self.strats[i].at_deposit(view):
-                        vm.try_call(account, tree.master, "deposit", value=cfg.bet)
-            complete = master.is_complete()
-            if not complete and h >= cfg.t_commit:
-                unrefunded = set(master.players) - master.refunded
-                for account in self.accounts:
-                    if account in unrefunded:
-                        vm.try_call(account, tree.master, "withdraw")
-            if complete:
-                if level is not None:
-                    for match in range(matches_at(cfg.n, level)):
-                        self._play_match(level, match, h)
-                if h == tree.t_final:
-                    winner = vm.static_call("observer", tree.final, "get_winner")
-                    if winner in self.player_of:
-                        vm.try_call(winner, tree.master, "withdraw")
-            if any(rec.ok for rec in vm.trace[checked:]):
-                for i, account in enumerate(self.accounts):
-                    min_balance[i] = min(min_balance[i], vm.balance(account))
-            checked = len(vm.trace)
-
+    def _fields(self) -> dict:
+        cfg, vm, master = self.cfg, self.vm, self.master
+        assert sum(vm.balances.values()) == cfg.n * self.funded, "account money leaked"
         committed = master.is_complete()
         # a complete table admits no refund, so its only withdraw pays the pot
         payout = self._master_calls("withdraw") if committed else []
-        payoffs = tuple(vm.balance(a) - self.funded for a in self.accounts)
-        assert sum(vm.balances.values()) == cfg.n * self.funded, "account money leaked"
-        locked = tuple(
-            max(0, self.funded - bal - cfg.bet) for bal in min_balance
-        )
-        return TrialResult(
-            trial=self.trial_index,
+        return dict(
             committed=committed,
             winner=self.player_of[payout[0].sender] if payout else None,
             final_height=payout[0].height if payout else None,
             abort_height=None if committed else cfg.t_commit,
-            payoffs=payoffs,
             deposited=tuple(cfg.bet if a in master.players else 0 for a in self.accounts),
             returned=tuple(cfg.bet if a in master.refunded else 0 for a in self.accounts),
-            locked_beyond_bet=locked,
             onchain_tx_count=sum(1 for rec in vm.trace if rec.ok),
         )
 
 
-# scaffold backend driver
+# scaffold backend
 
 
 class Play(NamedTuple):
@@ -409,7 +447,7 @@ def _spends(body: TransactionBody) -> frozenset[OutputRef]:
     return frozenset(spec.ref for spec in body.inputs)
 
 
-class ScaffoldRuntime:
+class ScaffoldRuntime(Runtime):
     """One trial against the UTXO backend.
 
     The chain is the only record of play: whether a transaction is on
@@ -426,19 +464,17 @@ class ScaffoldRuntime:
     SETUP_HEIGHT = 1  # ceremony and (attempted) deposits happen here
 
     def __init__(self, cfg: ScenarioConfig, rng: Rng, trial_index: int = 0):
-        self.cfg = cfg
-        self.rng = rng
-        self.trial_index = trial_index
+        super().__init__(cfg, rng, trial_index)
         n = cfg.n
         self.oracle = SignatureOracle()
         self.chain = Chain(self.oracle)
+        self.ledger = self.chain.log
         self.keys = tuple(rng.child(f"key/{i}").bytes(32) for i in range(n))
         for i, key in enumerate(self.keys):
             self.oracle.register_key(i, key)
         self.funding = [self.chain.mint(cfg.bet, KeySign(key)) for key in self.keys]
         for key in self.keys:
-            self.chain.mint(cfg.bet, KeySign(key))  # untouched margin, see locked metric
-        self.funded = 2 * cfg.bet
+            self.chain.mint(cfg.bet, KeySign(key))  # the untouched margin
 
         self.mpc: Optional[IdealMpcOracle] = None
         mpc_digest = None
@@ -460,11 +496,6 @@ class ScaffoldRuntime:
             deposit_option=cfg.deposit_option,
             mpc_digest=mpc_digest,
         )
-        shared: dict = {}
-        self.strats: list[Strategy] = [
-            make_strategy(cfg.strategies[i], i, rng.child(f"strategy/{i}"), shared)
-            for i in range(n)
-        ]
         groups = [s.coalition_members() for s in self.strats]
         self.allies: list[frozenset] = [
             g if g is not None else frozenset((i,)) for i, g in enumerate(groups)
@@ -473,7 +504,7 @@ class ScaffoldRuntime:
         # public knowledge: commitment digest -> preimage seen in an on-chain
         # witness, plus the joint preimage once released
         self.public: dict[bytes, bytes] = {}
-        self.bodies_signed = 0
+        self.ceremony: Optional[CeremonyResult] = None  # held at the setup height by `run`
         self._multi = cfg.mode == MODE_MULTIINPUT
         self._levels = cfg.levels
         # memo of chain reads, facts that never change once found: the kernel
@@ -691,7 +722,8 @@ class ScaffoldRuntime:
         """The witness `player` can give `cand`, or None if it lacks a preimage.
 
         Every input names all keys as its signers, whose approval the
-        ceremony recorded, or its owner alone, who signs it here, with the
+        ceremony recorded, or its owner alone, who signs it once it chooses
+        to broadcast (`_offer`), with the
         preimages the candidate opens, its branch and its chosen ref. Input
         i of the atomic deposit names key i alone, and outcome b' is not
         assembled on even parity, since its predicate can never pass.
@@ -708,15 +740,21 @@ class ScaffoldRuntime:
         signers = self.keys
         if cand.owner is not None:
             signers = (self.keys[player],)
-            self.oracle.sign(player, signers[0], sig_digest_for(cand.body))
         elif cand.role == ROLE_DEPOSIT:  # atomic: input i is key i's funding output
             return Witness(tuple(InputWitness((key,)) for key in self.keys))
         iw = InputWitness(signers, preimages, cand.branch, cand.chosen_ref)
         return Witness((iw,) * len(cand.body.inputs))
 
-    # main loop
+    # the trial
 
-    def _stops(self) -> list[int]:
+    def balances(self) -> list[int]:
+        return [self.chain.key_balance(key) for key in self.keys]
+
+    def stops(self) -> list[int]:
+        """The first block after setup, each level's t0, t1 and t2, and the
+        refund time; none if the ceremony was refused."""
+        if not self.ceremony.complete:
+            return []
         t = self.t
         stops = {self.SETUP_HEIGHT + 1}
         for level in range(self.cfg.levels):
@@ -726,47 +764,24 @@ class ScaffoldRuntime:
             stops.add(t.refund_time)
         return sorted(stops)
 
-    def run(self) -> TrialResult:
-        cfg = self.cfg
-        chain = self.chain
-        chain.advance_to(self.SETUP_HEIGHT)
-        ceremony = signing_ceremony(self.t, self.strats, self.oracle)
-        self.bodies_signed = ceremony.bodies_signed
-        if not ceremony.complete:
-            chain.audit()
-            return self._result(abort_height=self.SETUP_HEIGHT)
-        min_balance = [self.funded] * cfg.n
-        sampled = -1  # log length at the last balance sample: only a new entry moves value
-
-        for h in self._stops():
-            chain.advance_to(h)
-            if (
-                self.mpc is not None
-                and not self._committed()
-                and h >= cfg.t_commit
-                and all(ntxid in chain.entries for ntxid in self.t.deposit_ntxids)
-            ):
+    def step(self, h: int) -> None:
+        self.chain.advance_to(h)
+        if self.mpc is not None and h >= self.cfg.t_commit and not self._committed():
+            if self.deposit_complete_h is not None:
                 # the ideal functionality hands everyone the joint preimage
                 # once the full deposit set is observable
                 self.public[self.t.mpc_digest] = self.mpc.combined()
-            self._drain(h)
-            if len(chain.log) != sampled:
-                sampled = len(chain.log)
-                for i in range(cfg.n):
-                    min_balance[i] = min(min_balance[i], chain.key_balance(self.keys[i]))
-            if self._final() is not None:
-                break
-            if not self._committed() and h >= cfg.t_commit and cfg.deposit_option == DEPOSIT_ATOMIC:
-                break  # the all-or-nothing deposit never appeared; nothing is at stake
+        self._drain(h)
 
-        chain.audit()
-        locked = tuple(max(0, self.funded - bal - cfg.bet) for bal in min_balance)
-        if self._committed():
-            return self._result(locked=locked)
-        # aborted: funds are home at refund_time if a (hashlocked) deposit landed, else at once
-        landed = any(d in chain.entries for d in self.t.deposit_ntxids)
-        abort_h = self.t.refund_time if landed else cfg.t_commit
-        return self._result(abort_height=abort_h, locked=locked)
+    def done(self, h: int) -> bool:
+        """The final match settled, or the atomic deposit is missing at t_commit."""
+        missing = self.mpc is None and h >= self.cfg.t_commit and not self._committed()
+        return missing or self._final() is not None
+
+    def run(self) -> TrialResult:
+        self.chain.advance_to(self.SETUP_HEIGHT)
+        self.ceremony = signing_ceremony(self.t, self.strats, self.oracle)
+        return self._trial()
 
     def _drain(self, h: int) -> None:
         """Offer the candidates in order; after each accept, enumerate them again."""
@@ -791,6 +806,8 @@ class ScaffoldRuntime:
             )
             if not self.strats[player].at_broadcast(view):
                 continue
+            if cand.owner is not None:  # an owner signs only what it chose to broadcast
+                self.oracle.sign(player, self.keys[player], sig_digest_for(cand.body))
             res = self.chain.submit(cand.body, witness)
             if res.accepted:
                 self._learn_public(witness)
@@ -798,30 +815,27 @@ class ScaffoldRuntime:
             return False  # structurally rejected; no other player will fare better
         return False
 
-    def _result(
-        self, abort_height: Optional[int] = None, locked: Optional[tuple[int, ...]] = None
-    ) -> TrialResult:
-        cfg = self.cfg
-        chain = self.chain
-        payoffs = tuple(chain.key_balance(self.keys[i]) - self.funded for i in range(cfg.n))
-        deposited = tuple(
-            cfg.bet if chain.was_spent(self.funding[i]) else 0 for i in range(cfg.n)
-        )
-        returned = tuple(cfg.bet if self._refunded(i) else 0 for i in range(cfg.n))
+    def _fields(self) -> dict:
+        """Aborted, the funds are home at once, at refund_time if a (hashlocked)
+        deposit landed, and at the setup height if the ceremony was refused."""
+        cfg, chain = self.cfg, self.chain
+        chain.audit()
         committed = self._committed()
         winner, final_height = self._final() or (None, None)
-        tx_count = sum(1 for entry in chain.log if entry.witness is not None)
-        return TrialResult(
-            trial=self.trial_index,
+        if not self.ceremony.complete:
+            abort_height = self.SETUP_HEIGHT
+        elif any(d in chain.entries for d in self.t.deposit_ntxids):
+            abort_height = self.t.refund_time
+        else:
+            abort_height = cfg.t_commit
+        return dict(
             committed=committed,
             winner=winner,
             final_height=final_height,
             abort_height=None if committed else abort_height,
-            payoffs=payoffs,
-            deposited=deposited,
-            returned=returned,
-            locked_beyond_bet=locked if locked is not None else (0,) * cfg.n,
-            onchain_tx_count=tx_count,
+            deposited=tuple(cfg.bet if chain.was_spent(ref) else 0 for ref in self.funding),
+            returned=tuple(cfg.bet if self._refunded(i) else 0 for i in range(cfg.n)),
+            onchain_tx_count=sum(1 for entry in chain.log if entry.witness is not None),
         )
 
 
@@ -829,10 +843,8 @@ class ScaffoldRuntime:
 
 
 def run_trial(cfg: ScenarioConfig, index: int = 0) -> TrialResult:
-    rng = trial_rng(cfg.master_seed, index)
-    if cfg.backend == ETH:
-        return ContractRuntime(cfg, rng, index).run()
-    return ScaffoldRuntime(cfg, rng, index).run()
+    runtime = ContractRuntime if cfg.backend == ETH else ScaffoldRuntime
+    return runtime(cfg, trial_rng(cfg.master_seed, index), index).run()
 
 
 @dataclass
@@ -1005,25 +1017,6 @@ def measure_costs(
         trials=1,
         master_seed=master_seed,
     )
-    if backend == ETH:
-        rt = ContractRuntime(cfg, trial_rng(cfg.master_seed, 0))
-        result = rt.run()
-        ok_calls = [rec for rec in rt.vm.trace if rec.ok]
-        onchain_bytes = sum(32 * (1 + rec.arg_count) + 32 for rec in ok_calls)
-        return CostReport(
-            backend=backend,
-            n=n,
-            sig_model=sig_model,
-            deposit_option=deposit_option,
-            collateral_beyond_bet=result.max_locked_beyond_bet,
-            onchain_tx_count=len(ok_calls),
-            onchain_bytes=onchain_bytes,
-            offchain_signed_per_party=0,
-            offchain_bodies=0,
-            rounds_to_commit=rt.deposit_complete_h or t_commit,
-            rounds_to_final=result.final_height,
-            materialized=True,
-        )
     if backend == BTC_PLAIN and n > PLAIN_MATERIALIZE_MAX:
         # too large to enumerate; every figure comes from the closed forms
         stats = scaffold_stats(
@@ -1049,22 +1042,28 @@ def measure_costs(
             rounds_to_final=level_schedule(t_commit, level_stride(tau), tau, num_levels(n))[0],
             materialized=False,
         )
-    rt = ScaffoldRuntime(cfg, trial_rng(cfg.master_seed, 0))
+    runtime = ContractRuntime if backend == ETH else ScaffoldRuntime
+    rt = runtime(cfg, trial_rng(cfg.master_seed, 0))
     result = rt.run()
-    auth = auth_bytes(sig_model, n)
-    accepted = [entry for entry in rt.chain.log if entry.witness is not None]
-    onchain_bytes = sum(len(body_bytes(entry.body)) + auth for entry in accepted)
-    signed_per_party = rt.bodies_signed + (1 if deposit_option == DEPOSIT_HASHLOCKED else 0)
+    if backend == ETH:
+        onchain_bytes = sum(32 * (1 + rec.arg_count) + 32 for rec in rt.vm.trace if rec.ok)
+        signed_per_party = offchain_bodies = 0
+    else:
+        auth = auth_bytes(sig_model, n)
+        accepted = [entry for entry in rt.chain.log if entry.witness is not None]
+        onchain_bytes = sum(len(body_bytes(entry.body)) + auth for entry in accepted)
+        signed_per_party = rt.ceremony.bodies_signed + (1 if deposit_option == DEPOSIT_HASHLOCKED else 0)
+        offchain_bodies = rt.t.stats.total_offchain
     return CostReport(
         backend=backend,
         n=n,
         sig_model=sig_model,
         deposit_option=deposit_option,
         collateral_beyond_bet=result.max_locked_beyond_bet,
-        onchain_tx_count=len(accepted),
+        onchain_tx_count=result.onchain_tx_count,
         onchain_bytes=onchain_bytes,
         offchain_signed_per_party=signed_per_party,
-        offchain_bodies=rt.t.stats.total_offchain,
+        offchain_bodies=offchain_bodies,
         rounds_to_commit=rt.deposit_complete_h or t_commit,
         rounds_to_final=result.final_height,
         materialized=True,

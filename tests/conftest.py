@@ -37,6 +37,13 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
         terminalreporter.write_line(line)
 
 
+# every contract-only adversary, with two coalition members; n=4 takes the first four
+ETH_MIXED_SEATS = (
+    "honest", "replay-commit", "selective-abort-open", "abort-at-commit",
+    "coalition", "abort-at-open", "coalition", "honest",
+)
+
+
 def make_keys(n):
     return [bytes([0x40 + i]) * 32 for i in range(n)]
 

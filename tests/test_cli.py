@@ -8,6 +8,8 @@ import pytest
 from commitlotto.cli import main
 from commitlotto.scaffold import KernelId, load_tournament, tournament_to_json
 
+from conftest import ETH_MIXED_SEATS
+
 
 def run_cli(capsys, *argv):
     code = main(list(argv))
@@ -222,12 +224,6 @@ def test_sweep_outputs_are_byte_identical_across_runs(capsys, tmp_path):
 MIXED_SEATS = (
     "honest", "force-timeout", "abort-at-open", "coalition",
     "honest", "coalition", "honest", "honest",
-)
-
-# every contract-only adversary, with two coalition members; n=4 takes the first four
-ETH_MIXED_SEATS = (
-    "honest", "replay-commit", "selective-abort-open", "abort-at-commit",
-    "coalition", "abort-at-open", "coalition", "honest",
 )
 
 # sha256 over the sweep CSV and summary JSON of each mix in order, recorded

@@ -25,6 +25,7 @@ from commitlotto.harness import (
     ScaffoldRuntime,
     ScenarioConfig,
     Summary,
+    TrialResult,
     check_dominance,
     measure_costs,
     run_monte_carlo,
@@ -33,6 +34,8 @@ from commitlotto.harness import (
     trial_rng,
     write_trials_csv,
 )
+
+from conftest import ETH_MIXED_SEATS
 
 HONEST4 = ("honest",) * 4
 MIXED8 = (
@@ -165,6 +168,36 @@ def test_hashlocked_abort_refunds_within_commit_window():
     )
     assert s.committed == 0 and s.refunds_ok
     assert s.abort_height_max <= 10
+
+
+@pytest.mark.parametrize("deposit_option", ["atomic", "hashlocked"])
+@pytest.mark.parametrize("backend", [BTC_PLAIN, BTC_MULTI])
+def test_a_refused_ceremony_ends_the_trial_at_setup(backend, deposit_option):
+    # no key signs anything and nothing reaches the chain, so the trial
+    # aborts at the setup height with every stake untouched
+    mix = ("honest", "honest", "abort-at-signing", "honest")
+    c = cfg(backend, 4, mix, deposit_option=deposit_option, master_seed="golden")
+    zeros = (0,) * 4
+    for i in range(3):
+        assert run_trial(c, i) == TrialResult(
+            trial=i, committed=False, winner=None, final_height=None, abort_height=1,
+            payoffs=zeros, deposited=zeros, returned=zeros, locked_beyond_bet=zeros,
+            onchain_tx_count=0,
+        )
+
+
+@pytest.mark.parametrize("backend", [BTC_PLAIN, BTC_MULTI])
+def test_a_declined_deposit_was_never_signed(backend):
+    # a signature exists only once its owner chooses to broadcast, so no one
+    # can put a hashlocked deposit on chain that its owner declined
+    mix = ("honest",) * 3 + ("abort-at-deposit",)
+    c = cfg(backend, 4, mix, deposit_option="hashlocked", master_seed="consent")
+    rt = ScaffoldRuntime(c, trial_rng(c.master_seed, 0), 0)
+    r = rt.run()
+    assert not r.committed and r.deposited == (1, 1, 1, 0)
+    res = rt.chain.submit(rt.t.deposit_bodies[3], Witness((InputWitness((rt.keys[3],)),)))
+    assert not res.accepted
+    assert "signature check failed" in res.detail
 
 
 # the ledger (chain or VM) is the runtime's only record of play
@@ -511,6 +544,31 @@ def test_chain_logs_match_the_golden_digests(backend, n, deposit_option):
             rt.run()
             digest.update(rt.chain.export_log_jsonl().encode())
     assert digest.hexdigest() == CHAIN_LOG_GOLDEN[(backend, n, deposit_option)]
+
+
+# sha256 over the repr of every `Vm.trace` record of the first three trials of
+# each mix in order, recorded before both runtimes shared one trial loop
+VM_TRACE_GOLDEN = {
+    4: "192f03ad73ea95dad3d39c7bf392d174accc3265f843dd2c379b86195cdaac4b",
+    8: "f2c4e376bd9e2589aa3fb43c08564faa1aa385ea8820cedfd73eecb2641f98da",
+}
+
+
+@pytest.mark.parametrize("n", sorted(VM_TRACE_GOLDEN))
+def test_vm_traces_match_the_golden_digests(n):
+    digest = hashlib.sha256()
+    for mix in (
+        ("honest",) * n,
+        ETH_MIXED_SEATS[:n],
+        ("honest",) * (n - 1) + ("abort-at-deposit",),
+    ):
+        c = cfg(ETH, n, mix, master_seed="golden")
+        for i in range(3):
+            rt = ContractRuntime(c, trial_rng(c.master_seed, i), i)
+            rt.run()
+            for rec in rt.vm.trace:
+                digest.update(repr(rec).encode())
+    assert digest.hexdigest() == VM_TRACE_GOLDEN[n]
 
 
 # the broadcast view
