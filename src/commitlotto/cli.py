@@ -7,13 +7,11 @@ verification found violations, 1 unexpected internal error.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import sys
 
 from .harness import (
     BACKENDS,
-    PLAIN_MATERIALIZE_MAX,
     ConfigError,
     ScenarioConfig,
     check_dominance,
@@ -49,17 +47,13 @@ def _parse_seed(text: str):
     return int(text) if text.lstrip("-").isdigit() else text
 
 
-def _statistics_only(args) -> bool:
-    """Whether the scaffold is plain beyond the size cap: reported by closed form, never written out."""
-    return args.mode == MODE_PLAIN and args.n > PLAIN_MATERIALIZE_MAX
-
-
 def _build_scaffold(args, write_out: bool):
     """Construct a scaffold from CLI parameters with synthetic funding refs.
 
-    Construction checks the parameters first (its plain kernels are built
-    only when read, so this is cheap at any n); then asking to write out
-    (`write_out`) a statistics-only scaffold is a configuration error.
+    Construction checks the parameters first (its kernels are built only
+    when read, so this is cheap at any n); then asking to write out
+    (`write_out`) a scaffold that is not materialized is a configuration
+    error.
     """
     rng = Rng(_parse_seed(args.seed))
     n = args.n
@@ -83,8 +77,8 @@ def _build_scaffold(args, write_out: bool):
         deposit_option=args.deposit,
         mpc_digest=mpc_digest,
     )
-    if write_out and _statistics_only(args):
-        raise ConfigError(f"plain scaffolds with n={n} are statistics-only and cannot be written out")
+    if write_out and not t.stats.materialized:
+        raise ConfigError(f"{t.mode} scaffolds with n={n} are statistics-only and cannot be written out")
     return t
 
 
@@ -134,16 +128,13 @@ def _scenario_from_args(args, trials: int) -> ScenarioConfig:
 
 
 def cmd_build(args) -> int:
-    """Emit scaffold statistics, materializing the full body set when feasible.
+    """Emit the scaffold's closed-form statistics, and write it out on request.
 
-    Plain scaffolds beyond the size cap report the closed form, flagged
-    materialized=false; asking for the scaffold file itself is then a
-    configuration error.
+    A scaffold too large to write out is flagged materialized=false;
+    asking for the scaffold file itself is then a configuration error.
     """
     t = _build_scaffold(args, write_out=bool(args.scaffold_out or args.dot))
     stats = t.stats
-    if _statistics_only(args):
-        stats = dataclasses.replace(stats, materialized=False)
     doc = {
         "n": args.n,
         "mode": args.mode,

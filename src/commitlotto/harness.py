@@ -48,7 +48,7 @@ from .chain import (
     sig_digest_for,
 )
 from .contracts import CallRecord, Vm, build_tree, match_winner
-from .primitives import ConfigError, OutputRef, Rng, check_params, level_schedule, level_stride
+from .primitives import ConfigError, OutputRef, Rng, check_params
 from .script import (
     InputWitness,
     KeySign,
@@ -91,7 +91,6 @@ from .scaffold import (
     multi_combo_index,
     num_levels,
     pack_index,
-    scaffold_stats,
     signing_ceremony,
 )
 from .strategies import (
@@ -109,11 +108,6 @@ from .strategies import (
 )
 
 BACKENDS = ALL_BACKENDS
-
-# plain mode squares per level; beyond this a plain scaffold is too large to
-# write out or cost by a run, so `build` and `costs` report the closed form
-# (trials still run: they build only the kernels play reaches)
-PLAIN_MATERIALIZE_MAX = 8
 
 
 @dataclass(frozen=True)
@@ -1002,8 +996,7 @@ def measure_costs(
     The scaffold backend is probed with the force-timeout strategy, which
     drives every match through its slowest, largest path. The contract
     backend cost is the honest run; its calls are fixed by the schedule.
-    The scenario is checked before any branch, so the closed-form branch
-    rejects the same arguments as a run.
+    `materialized` says whether `build` can write the scaffold out.
     """
     cfg = ScenarioConfig(
         backend=backend,
@@ -1017,43 +1010,20 @@ def measure_costs(
         trials=1,
         master_seed=master_seed,
     )
-    if backend == BTC_PLAIN and n > PLAIN_MATERIALIZE_MAX:
-        # too large to enumerate; every figure comes from the closed forms
-        stats = scaffold_stats(
-            n,
-            mode=MODE_PLAIN,
-            deposit_option=deposit_option,
-            sig_model=sig_model,
-            bet=bet,
-            tau=tau,
-            t_commit=t_commit,
-        )
-        return CostReport(
-            backend=backend,
-            n=n,
-            sig_model=sig_model,
-            deposit_option=deposit_option,
-            collateral_beyond_bet=0,
-            onchain_tx_count=stats.on_chain_worst_case,
-            onchain_bytes=stats.bytes_on_chain,
-            offchain_signed_per_party=stats.kernel_bodies + stats.compression_count + 1,
-            offchain_bodies=stats.total_offchain,
-            rounds_to_commit=2,  # deposits land at the first block after setup
-            rounds_to_final=level_schedule(t_commit, level_stride(tau), tau, num_levels(n))[0],
-            materialized=False,
-        )
     runtime = ContractRuntime if backend == ETH else ScaffoldRuntime
     rt = runtime(cfg, trial_rng(cfg.master_seed, 0))
     result = rt.run()
     if backend == ETH:
         onchain_bytes = sum(32 * (1 + rec.arg_count) + 32 for rec in rt.vm.trace if rec.ok)
         signed_per_party = offchain_bodies = 0
+        materialized = True
     else:
         auth = auth_bytes(sig_model, n)
         accepted = [entry for entry in rt.chain.log if entry.witness is not None]
         onchain_bytes = sum(len(body_bytes(entry.body)) + auth for entry in accepted)
         signed_per_party = rt.ceremony.bodies_signed + (1 if deposit_option == DEPOSIT_HASHLOCKED else 0)
         offchain_bodies = rt.t.stats.total_offchain
+        materialized = rt.t.stats.materialized
     return CostReport(
         backend=backend,
         n=n,
@@ -1066,7 +1036,7 @@ def measure_costs(
         offchain_bodies=offchain_bodies,
         rounds_to_commit=rt.deposit_complete_h or t_commit,
         rounds_to_final=result.final_height,
-        materialized=True,
+        materialized=materialized,
     )
 
 

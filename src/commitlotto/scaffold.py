@@ -320,7 +320,7 @@ class TransactionStats:
     deposit_count: int
     on_chain_worst_case: int
     bytes_on_chain: int
-    materialized: bool
+    materialized: bool  # `build` can write this scaffold out
 
     def to_json(self) -> dict:
         return {**dataclasses.asdict(self), "per_level": list(self.per_level)}
@@ -826,6 +826,17 @@ class _FreshSecrets:
         return commitment(left), commitment(right)
 
 
+# a plain match at level l has 9^(2^l - 1) kernels, so beyond this player
+# count a plain scaffold is too large to write out or verify (n=16 has
+# 23,922,356 bodies); trials still run, as they build only what play reaches
+PLAIN_MATERIALIZE_MAX = 8
+
+
+def _writable(n: int, mode: str) -> bool:
+    """Whether the whole scaffold for n players in `mode` can be built and written out."""
+    return mode != MODE_PLAIN or n <= PLAIN_MATERIALIZE_MAX
+
+
 def build_tournament(
     n: int,
     player_keys: Sequence[bytes],
@@ -843,7 +854,8 @@ def build_tournament(
     Secrets are drawn per kernel per player from `secret_source`, by the
     kernel's label, when the kernel is built; their commitment digests are
     baked into the spending predicates. The returned object carries the
-    secrets for simulation purposes; exports strip them.
+    secrets for simulation purposes; exports strip them. Its stats are the
+    closed form, with `materialized` telling whether it can be written out.
     """
     check_params(n, tau, t_commit, bet)
     problem = _param_problem(n, player_keys, funding, mode, deposit_option, mpc_digest)
@@ -853,7 +865,7 @@ def build_tournament(
     stats = scaffold_stats(n, mode, deposit_option, bet=bet, tau=tau, t_commit=t_commit)
     t = _honest_scaffold(
         n, player_keys, funding, bet, tau, t_commit, mode, deposit_option, mpc_digest, fresh,
-        dataclasses.replace(stats, materialized=True),
+        dataclasses.replace(stats, materialized=_writable(n, mode)),
     )
     return dataclasses.replace(t, secrets=fresh.secrets)
 
@@ -884,10 +896,9 @@ def scaffold_stats(
 
     Representative bodies (one kernel per level, dummy digests) give exact
     byte sizes because every digest and reference field is fixed-width, so
-    a built scaffold carries these same figures. Used alone for player
-    counts whose plain-mode trees are too large to write out. The figures
-    depend only on the arguments, so they are computed once per argument
-    list; the result is frozen because every caller shares it.
+    a built scaffold carries these same figures. The figures depend only
+    on the arguments, so they are computed once per argument list; the
+    result is frozen because every caller shares it.
     """
     levels = num_levels(n)
     per_level = tuple(
@@ -974,8 +985,9 @@ def verify_as_honest(t: Tournament) -> list[Violation]:
     duplicated commitment digests (the replay defense). The count fields of
     `stats` must equal the closed form for the same parameters (BadStats);
     `bytes_on_chain` cannot be checked, because a scaffold does not record
-    the signature model it was sized for. An empty list means the scaffold
-    is safe to sign, from every seat.
+    the signature model it was sized for. A scaffold too large to write
+    out is refused as it stands, before anything is rebuilt. An empty list
+    means the scaffold is safe to sign, from every seat.
     """
     try:
         check_params(t.n, t.tau, t.t_commit, t.bet)
@@ -984,6 +996,8 @@ def verify_as_honest(t: Tournament) -> list[Violation]:
     problem = _param_problem(t.n, t.master_keys, t.funding, t.mode, t.deposit_option, t.mpc_digest)
     if problem:
         return [Violation(None, "BadParams", problem)]
+    if not _writable(t.n, t.mode):
+        return [Violation(None, "BadParams", f"{t.mode} scaffolds with n={t.n} are too large to verify")]
 
     def commits(kid: KernelId) -> tuple[bytes, bytes]:
         k = t.kernels.get(kid)
@@ -1110,12 +1124,14 @@ class CeremonyResult:
 def signing_ceremony(
     t: Tournament, deciders: Sequence, oracle: SignatureOracle
 ) -> CeremonyResult:
-    """Each party verifies the whole scaffold, then approves all of it at once.
+    """Each party is asked about the whole scaffold, then approves all of it at once.
 
     Every party is asked once (`at_signing`) with a view of the whole
-    scaffold; an honest party checks it with `verify_as_honest`. A single
-    refusal aborts before any key signs anything, which has no on-chain
-    effect because nothing spendable exists until the deposit is complete.
+    scaffold. A party may check it with `verify_as_honest`, but no
+    catalogued strategy does: the runtime builds the scaffold honestly, so
+    `honest` approves it as it stands. A single refusal aborts before any
+    key signs anything, which has no on-chain effect because nothing
+    spendable exists until the deposit is complete.
     Once all approve, each party's key approves every kernel and
     compression body in one act (`SignatureOracle.sign_all`): from then on
     its signature over a digest verifies if and only if the digest is in

@@ -5,6 +5,7 @@ import json
 
 import pytest
 
+from commitlotto import scaffold
 from commitlotto.cli import main
 from commitlotto.scaffold import KernelId, load_tournament, tournament_to_json
 
@@ -132,6 +133,37 @@ def test_verify_reports_out_of_range_params(capsys, scaffold_file, tmp_path, fie
     assert code == 3
     assert out.count("VIOLATION") == 1
     assert out.startswith(f"VIOLATION BadParams at scaffold: {field} must be ")
+
+
+def test_verify_refuses_a_plain_scaffold_too_large_to_write_out(
+    capsys, scaffold_file, tmp_path, monkeypatch
+):
+    # an n=4 file relabelled n=16: honest plain construction at that size
+    # has 23,922,356 bodies, so verify must refuse before it rebuilds any
+    doc = json.loads(scaffold_file.read_text())
+    doc["n"] = 16
+    doc["master_keys"] = [hashlib.sha256(b"key%d" % i).hexdigest() for i in range(16)]
+    doc["funding"] = [
+        {"txid": hashlib.sha256(b"funding%d" % i).hexdigest(), "index": 0} for i in range(16)
+    ]
+    big = tmp_path / "n16.json"
+    big.write_text(json.dumps(doc))
+    built = []
+    honest_kernel = scaffold._HonestWiring.kernel
+
+    def kernel(wiring, kid):
+        built.append(kid)
+        if len(built) > 1000:
+            raise RuntimeError("verify is rebuilding the whole bracket")
+        return honest_kernel(wiring, kid)
+
+    monkeypatch.setattr(scaffold._HonestWiring, "kernel", kernel)
+    code, out, err = run_cli(capsys, "verify", str(big))
+    assert code == 3
+    assert out.count("VIOLATION") == 1
+    assert out.startswith("VIOLATION BadParams at scaffold: ")
+    assert "do not sign" in err
+    assert built == []
 
 
 def _drop_kernels(doc):

@@ -12,8 +12,15 @@ from hypothesis import strategies as hs
 
 from commitlotto.chain import FixedInput, TransactionBody, TxOutput, sig_digest_for
 from commitlotto.contracts import Vm
-from commitlotto.primitives import OutputRef
-from commitlotto.scaffold import BRANCH_DEPOSIT_REFUND, iter_bodies, signing_ceremony
+from commitlotto.primitives import OutputRef, level_schedule, level_stride, num_levels
+from commitlotto.scaffold import (
+    BRANCH_DEPOSIT_REFUND,
+    MODE_PLAIN,
+    SIG_MODELS,
+    iter_bodies,
+    scaffold_stats,
+    signing_ceremony,
+)
 from commitlotto.script import InputWitness, KeySign, Witness
 from commitlotto.strategies import BTC_MULTI, Strategy
 from commitlotto.harness import (
@@ -317,6 +324,19 @@ def test_refund_is_rejected_once_every_deposit_is_on_chain(backend):
     assert not res.accepted
 
 
+@pytest.mark.xfail(
+    strict=True,
+    reason="ROADMAP 4(b): at t_commit = 2 the deposits land at refund_time, and each honest "
+    "refund lands in the same drain, before the joint preimage is released; every trial "
+    "ends committed, with no winner and every stake returned",
+)
+@pytest.mark.parametrize("backend", [BTC_PLAIN, BTC_MULTI])
+def test_an_honest_hashlocked_table_at_the_earliest_commit_height_has_a_winner(backend):
+    s = run_monte_carlo(cfg(backend=backend, deposit_option="hashlocked", t_commit=2, trials=20))
+    assert all(r.winner is not None for r in s.results)
+    assert check_dominance(s).ok
+
+
 # transaction-count bounds
 
 
@@ -450,6 +470,49 @@ def test_cost_report_json_round_trip():
     json.dumps(doc)
     assert doc["collateral_beyond_bet"] == 0
     assert doc["backend"] == ETH
+
+
+# sha256 over `costs`' JSON at n = 2..32 for every deposit option the backend
+# takes, both signature models and two (tau, t_commit, bet) schedules, in
+# that nesting order; recorded while plain n > 8 still came from a closed form
+COSTS_GOLDEN = {
+    BTC_MULTI: "0b7201e7a9696ff0c15be6e99c1ecda603ad88d419e2920e470626af7a2700df",
+    BTC_PLAIN: "271a139194e290ac5bb97fc824079d63b76971923cdb269dcec2c3bef3b8b64b",
+    ETH: "c567534968be46e9f0a9c67421a175b0b44829eb5396d81c88e4e7604c9590b3",
+}
+
+
+@pytest.mark.parametrize("backend", sorted(COSTS_GOLDEN))
+def test_cost_reports_match_the_golden_digests(backend):
+    digest = hashlib.sha256()
+    for n in (2, 4, 8, 16, 32):
+        for deposit_option in ("atomic",) if backend == ETH else ("atomic", "hashlocked"):
+            for sig_model in SIG_MODELS:
+                for tau, t_commit, bet in ((6, 10, 1), (3, 7, 5)):
+                    r = measure_costs(
+                        backend, n, tau=tau, t_commit=t_commit, bet=bet,
+                        deposit_option=deposit_option, sig_model=sig_model,
+                    )
+                    digest.update(json.dumps(r.to_json(), indent=2).encode())
+    assert digest.hexdigest() == COSTS_GOLDEN[backend]
+
+
+@pytest.mark.parametrize("sig_model", SIG_MODELS)
+@pytest.mark.parametrize("deposit_option", ["atomic", "hashlocked"])
+@pytest.mark.parametrize("n", [16, 32])
+def test_plain_costs_beyond_the_write_out_cap_equal_the_closed_form(n, deposit_option, sig_model):
+    # the force-timeout trial publishes the slowest path of every match, so
+    # what it puts on chain is the closed form's worst case, byte for byte
+    r = measure_costs(BTC_PLAIN, n, deposit_option=deposit_option, sig_model=sig_model)
+    stats = scaffold_stats(n, MODE_PLAIN, deposit_option, sig_model)
+    assert r.collateral_beyond_bet == 0
+    assert r.onchain_tx_count == stats.on_chain_worst_case
+    assert r.onchain_bytes == stats.bytes_on_chain
+    assert r.offchain_signed_per_party == stats.kernel_bodies + stats.compression_count + 1
+    assert r.offchain_bodies == stats.total_offchain
+    assert r.rounds_to_commit == 2
+    assert r.rounds_to_final == level_schedule(10, level_stride(6), 6, num_levels(n))[0]
+    assert not r.materialized
 
 
 # csv export
