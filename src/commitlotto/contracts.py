@@ -3,9 +3,13 @@
 The VM is just enough to express the protocol honestly: accounts with
 balances, contracts with state, height-gated calls with value transfer,
 and transactional semantics (an outer call that reverts leaves no trace of
-its nested effects). There is no gas and no real cryptography; commitment
-hashes use sha256 and bind the committer's address so a copied commitment
-can never be opened by anyone else.
+its nested effects). Each outer call opens an undo journal that records a
+contract's snapshot when the call first enters it and an account's old
+balance, or its absence, when the call first moves it; a reverted `call`
+replays the journal and a `static_call` always does, so a call costs what
+it touches rather than what is deployed. There is no gas and no real
+cryptography; commitment hashes use sha256 and bind the committer's
+address so a copied commitment can never be opened by anyone else.
 
 Money flows through a single Master contract per tournament. The per-match
 TwoPartyLottery contracts carry no value; they only fix who advances. A
@@ -64,13 +68,24 @@ class CallContext:
 
 
 class Vm:
-    """Single-chain account model with per-call rollback."""
+    """Single-chain account model with per-call rollback by an undo journal.
+
+    `call` and `static_call` each open an empty journal: a contract's
+    `snapshot()` the first time the call enters it, and an account's old
+    balance (None when the account had no entry) the first time the call
+    moves it. A revert in `call`, and every `static_call`, replays the
+    journal, so the contracts and the exact set of balance keys return to
+    where the call found them. A call pays for what it touches, not for
+    everything deployed.
+    """
 
     def __init__(self):
         self.height = 0
         self.balances: dict[str, int] = {}
         self.contracts: dict[str, Any] = {}
         self.trace: list[CallRecord] = []
+        # (contract states, balances) as the open outer call found them
+        self._journal: tuple[dict[str, Any], dict[str, Optional[int]]] = ({}, {})
 
     def advance(self, blocks: int = 1) -> None:
         if blocks < 0:
@@ -93,23 +108,15 @@ class Vm:
         contract.address = address
         return address
 
-    def _snapshot(self):
-        return (
-            dict(self.balances),
-            {addr: c.snapshot() for addr, c in self.contracts.items()},
-        )
-
-    def _restore(self, snap) -> None:
-        balances, states = snap
-        self.balances = balances
-        for addr, state in states.items():
-            self.contracts[addr].restore(state)
-
     def _transfer(self, frm: str, to: str, amount: int) -> None:
         if amount < 0:
             raise Reverted("NegativeValue")
         if self.balances.get(frm, 0) < amount:
             raise Reverted("InsufficientFunds")
+        saved = self._journal[1]
+        for account in (frm, to):
+            if account not in saved:
+                saved[account] = self.balances.get(account)  # None: absent
         self.balances[frm] = self.balances.get(frm, 0) - amount
         self.balances[to] = self.balances.get(to, 0) + amount
 
@@ -119,18 +126,32 @@ class Vm:
             raise Reverted("NoSuchContract")
         if method.startswith("_") or method not in getattr(contract, "METHODS", ()):
             raise Reverted("NoSuchMethod")
+        states = self._journal[0]
+        if address not in states:
+            states[address] = contract.snapshot()
         if value:
             self._transfer(sender, address, value)
         ctx = CallContext(vm=self, sender=sender, this=address, value=value)
         return getattr(contract, method)(ctx, *args)
 
+    def _undo(self) -> None:
+        """Put back every contract state and balance the open call changed."""
+        states, saved = self._journal
+        for address, state in states.items():
+            self.contracts[address].restore(state)
+        for account, amount in saved.items():
+            if amount is None:
+                del self.balances[account]
+            else:
+                self.balances[account] = amount
+
     def call(self, sender: str, address: str, method: str, *args, value: int = 0):
         """Outer transaction: applied atomically, recorded in the trace."""
-        snap = self._snapshot()
+        self._journal = ({}, {})
         try:
             result = self._invoke(sender, address, method, args, value)
         except Reverted as e:
-            self._restore(snap)
+            self._undo()
             self.trace.append(
                 CallRecord(self.height, sender, address, method, len(args), value, False, e.reason)
             )
@@ -149,11 +170,11 @@ class Vm:
 
     def static_call(self, sender: str, address: str, method: str, *args):
         """Read-only call: state is always rolled back, nothing is traced."""
-        snap = self._snapshot()
+        self._journal = ({}, {})
         try:
             return self._invoke(sender, address, method, args, 0)
         finally:
-            self._restore(snap)
+            self._undo()
 
 
 def commit_digest(address: str, secret: int) -> bytes:

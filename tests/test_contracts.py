@@ -111,6 +111,85 @@ def test_static_call_rolls_back_and_leaves_no_trace():
     assert len(vm.trace) == before
 
 
+class Relay:
+    """Test contract: records a payee, pays it, then enters another contract twice."""
+
+    METHODS = ("relay",)
+
+    def __init__(self):
+        self.payees = []
+        self.address = ""
+
+    def snapshot(self):
+        return list(self.payees)
+
+    def restore(self, state):
+        self.payees = list(state)
+
+    def relay(self, ctx, payee, target, blow_up):
+        self.payees.append(payee)
+        ctx.pay(payee, 1)
+        ctx.call(target, "poke")  # a write the second entry must not re-snapshot
+        return ctx.call(target, "poke", None, blow_up)
+
+
+def relay_vm():
+    vm = Vm()
+    vm.create("r", Relay())
+    vm.create("f", Flaky())
+    vm.fund("r", 5)
+    vm.fund("alice", 3)
+    vm.fund("dave", 0)  # a key held at zero must stay a key
+    return vm
+
+
+@pytest.mark.parametrize("payee", ["carol", "dave"])
+def test_revert_restores_every_contract_and_the_exact_balance_keys(payee):
+    vm = relay_vm()
+    before = dict(vm.balances)
+    with reverts("Boom"):
+        vm.call("alice", "r", "relay", payee, "f", True, value=1)
+    assert vm.contracts["r"].payees == []
+    assert vm.contracts["f"].count == 0
+    assert vm.balances == before
+    if payee not in before:
+        vm.create(payee, Flaky())  # the address a reverted call paid is still free
+    assert (vm.trace[-1].ok, vm.trace[-1].info) == (False, "Boom")
+
+
+def test_static_call_of_a_nested_write_leaves_both_contracts_unchanged():
+    vm = relay_vm()
+    before = dict(vm.balances)
+    assert vm.static_call("alice", "r", "relay", "carol", "f", False) == 2
+    assert vm.contracts["r"].payees == []
+    assert vm.contracts["f"].count == 0
+    assert vm.balances == before
+    assert vm.trace == []
+    vm.create("carol", Flaky())
+
+
+def test_a_call_snapshots_only_the_contracts_it_enters(monkeypatch):
+    # one call's rollback cost follows what it touches, not what is deployed
+    entered = []
+    for cls in (Relay, Flaky):
+        snapshot = cls.snapshot
+        monkeypatch.setattr(
+            cls, "snapshot", lambda c, snapshot=snapshot: entered.append(c.address) or snapshot(c)
+        )
+    counts = {}
+    for others in (1, 200):
+        vm = relay_vm()
+        for i in range(others):
+            vm.create(f"other{i}", Flaky())
+        entered.clear()
+        vm.call("alice", "r", "relay", "carol", "f", False)
+        vm.static_call("alice", "r", "relay", "carol", "f", False)
+        with reverts("Boom"):
+            vm.call("alice", "r", "relay", "carol", "f", True)
+        counts[others] = sorted(entered)
+    assert counts[1] == counts[200] == ["f", "f", "f", "r", "r", "r"]
+
+
 def test_vm_guards():
     vm = Vm()
     vm.create("f", Flaky())

@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as hs
 
 from commitlotto.chain import FixedInput, TransactionBody, TxOutput, sig_digest_for
-from commitlotto.contracts import Vm
+from commitlotto.contracts import Master, TwoPartyLottery, Vm
 from commitlotto.primitives import OutputRef, level_schedule, level_stride, num_levels
 from commitlotto.scaffold import (
     BRANCH_DEPOSIT_REFUND,
@@ -386,6 +386,24 @@ def test_contract_trials_visit_the_same_stops_whatever_tau(monkeypatch):
     short, long = results[6], results[600]
     assert short.committed and long.committed
     assert (short.winner, short.payoffs) == (long.winner, long.payoffs)
+
+
+def test_contract_rollback_cost_grows_with_what_a_trial_touches(monkeypatch):
+    # ROADMAP 2's scaling gate as an exact count: doubling the table from 64
+    # to 128 seats may at most 2.5x the contract snapshots a trial takes
+    snapshots = []
+    for cls in (Master, TwoPartyLottery):
+        snapshot = cls.snapshot
+        monkeypatch.setattr(
+            cls, "snapshot", lambda c, snapshot=snapshot: snapshots.append(1) or snapshot(c)
+        )
+    counts = {}
+    for n in (64, 128):
+        snapshots.clear()
+        result = run_trial(cfg(n=n, master_seed="rollback"), 0)
+        assert result.committed and result.winner is not None
+        counts[n] = len(snapshots)
+    assert counts[128] <= 2.5 * counts[64], counts
 
 
 # dominance checks
