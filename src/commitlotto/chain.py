@@ -174,6 +174,7 @@ class Chain:
         self.entries: dict[bytes, LogEntry] = {}  # the log by ntxid: "is it on chain?"
         self.minted_total = 0
         self._spent: set[OutputRef] = set()
+        self._key_value: dict[bytes, int] = {}  # unspent KeySign value per key
         self._mint_serial = 0
 
     def advance(self, blocks: int = 1) -> int:
@@ -203,6 +204,7 @@ class Chain:
         ntxid = compute_ntxid(body)
         ref = OutputRef(ntxid, 0)
         self.utxo[ref] = body.outputs[0]
+        self._credit(body.outputs[0], 1)
         self.minted_total += value
         self.log.append(LogEntry(ntxid, body, None, self.height))
         self.entries[ntxid] = self.log[-1]
@@ -262,26 +264,33 @@ class Chain:
                 return SubmitResult(False, None, SCRIPT_FAIL, f"input {i}: {why}")
 
         for ref in consumed:
-            del self.utxo[ref]
+            self._credit(self.utxo.pop(ref), -1)
             self._spent.add(ref)
         for k, out in enumerate(body.outputs):
             self.utxo[OutputRef(ntxid, k)] = out
+            self._credit(out, 1)
         self.log.append(LogEntry(ntxid, body, witness, self.height))
         self.entries[ntxid] = self.log[-1]
         return SubmitResult(True, ntxid, None)
 
     # accounting helpers
 
+    def _credit(self, out: TxOutput, sign: int) -> None:
+        """Add (sign 1) or remove (sign -1) an output's value from its key's sum."""
+        if isinstance(out.predicate, KeySign):
+            key = out.predicate.key
+            value = self._key_value.get(key, 0) + sign * out.value
+            if value:
+                self._key_value[key] = value
+            else:
+                del self._key_value[key]
+
     def total_utxo_value(self) -> int:
         return sum(out.value for out in self.utxo.values())
 
     def key_balance(self, key: bytes) -> int:
         """Value spendable unilaterally by one key."""
-        return sum(
-            out.value
-            for out in self.utxo.values()
-            if isinstance(out.predicate, KeySign) and out.predicate.key == key
-        )
+        return self._key_value.get(key, 0)
 
     def is_unspent(self, ref: OutputRef) -> bool:
         return ref in self.utxo
@@ -292,6 +301,11 @@ class Chain:
     def audit(self) -> None:
         """Assert ledger invariants; used by tests after every scenario."""
         assert self.total_utxo_value() == self.minted_total, "value conservation broken"
+        by_key: dict[bytes, int] = {}
+        for out in self.utxo.values():
+            if isinstance(out.predicate, KeySign):
+                by_key[out.predicate.key] = by_key.get(out.predicate.key, 0) + out.value
+        assert by_key == self._key_value, "key balances out of sync with the UTXO set"
         seen: set[OutputRef] = set()
         for entry in self.log:
             if entry.witness is None:

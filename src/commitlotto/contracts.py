@@ -16,6 +16,12 @@ TwoPartyLottery contracts carry no value; they only fix who advances. A
 match above the first level names its players lazily, as "the winner of
 that child lottery", which is resolvable by the time its commit window
 opens because schedules are staggered by two timeout periods per level.
+A lottery resolves its winner once it is final and keeps it: from t2 on
+its commits and opens can no longer change, a child's t2 is at most its
+parent's t0, and a complete master never changes, so a later read
+returns the kept value instead of walking the subtree again. The kept
+value is a cache of final state, not state, so the journal never
+records or rolls it back.
 """
 
 from __future__ import annotations
@@ -229,6 +235,15 @@ class TwoPartyLottery:
     Timeline, strict windows: commit in (t0, t1), open in (t1, t2), winner
     readable from t2 on, by `match_winner`. Opening requires the preimage
     to match the commitment bound to the opener's own address.
+
+    The first read from t2 on that names a winner keeps it in `_winner`,
+    and every later read returns it. That is safe because nothing it
+    depends on can change by then: commits and opens are closed at t2, a
+    child match settles by this match's t0 (an unsettled child reverts,
+    and then nothing is kept), and a seat resolves only once the master
+    is complete. A `None` winner, a table that never filled, is never
+    kept. `_winner` is outside `snapshot`/`restore`, equality and repr: a
+    rolled-back read still leaves the right answer behind.
     """
 
     t0: int
@@ -239,6 +254,8 @@ class TwoPartyLottery:
     address: str = ""
     commits: dict = field(default_factory=dict)
     opens: dict = field(default_factory=dict)
+    # the winner once final; a cache of final state, so never journaled
+    _winner: Optional[str] = field(default=None, init=False, repr=False, compare=False)
 
     METHODS = ("commit", "open", "get_winner", "player_a", "player_b")
 
@@ -304,7 +321,11 @@ class TwoPartyLottery:
     def get_winner(self, ctx: CallContext) -> Optional[str]:
         if ctx.height < self.t2:
             raise Reverted("TooEarly")
-        return match_winner(self.player_a(ctx), self.player_b(ctx), self.commits, self.opens)
+        if self._winner is None:
+            self._winner = match_winner(
+                self.player_a(ctx), self.player_b(ctx), self.commits, self.opens
+            )
+        return self._winner
 
 
 @dataclass

@@ -120,6 +120,20 @@ def test_mint_conservation_and_distinct_refs():
     chain.audit()
 
 
+def test_key_balance_follows_mints_spends_and_rejections():
+    chain, oracle = fresh_chain()
+    ref = chain.mint(3, KeySign(KEY_A))
+    chain.mint(2, AfterHeight(4))  # spendable by no one key
+    assert (chain.key_balance(KEY_A), chain.key_balance(KEY_B)) == (3, 0)
+    body, w = signed_spend(chain, oracle, ref, KEY_B, 2)
+    assert chain.submit(body, w).reason == VALUE_MISMATCH
+    assert (chain.key_balance(KEY_A), chain.key_balance(KEY_B)) == (3, 0)
+    body, w = signed_spend(chain, oracle, ref, KEY_B, 3)
+    assert chain.submit(body, w).accepted
+    assert (chain.key_balance(KEY_A), chain.key_balance(KEY_B)) == (0, 3)
+    chain.audit()
+
+
 def test_mint_rejects_nonpositive_value():
     chain, _ = fresh_chain()
     with pytest.raises(ValueError):
@@ -302,6 +316,7 @@ def test_value_conservation_holds_under_random_activity(data):
             assert res.accepted
         chain.audit()
         assert chain.total_utxo_value() == chain.minted_total
+        assert chain.key_balance(KEY_A) + chain.key_balance(KEY_B) == chain.minted_total
     # no output ref is consumed twice across the accepted log
     spent = []
     for entry in chain.log:

@@ -3,6 +3,8 @@
 import hashlib
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as hs
 
 from commitlotto.contracts import (
     Master,
@@ -11,6 +13,7 @@ from commitlotto.contracts import (
     Vm,
     build_tree,
     commit_digest,
+    match_winner,
     side_addr,
     side_seat,
 )
@@ -509,3 +512,192 @@ def test_later_round_resolves_child_winner_lazily():
     vm.advance_to(tree.t_final)
     # 9^4 = 13, odd -> p2
     assert vm.call("p2", tree.master, "withdraw") == 4
+
+
+# a settled match's winner
+
+
+class Peek:
+    """Test contract: reads a lottery's winner inside a call, then maybe reverts."""
+
+    METHODS = ("peek",)
+
+    def __init__(self):
+        self.address = ""
+
+    def snapshot(self):
+        return None
+
+    def restore(self, state):
+        pass
+
+    def peek(self, ctx, target, blow_up):
+        winner = ctx.call(target, "get_winner")
+        if blow_up:
+            raise Reverted("Boom")
+        return winner
+
+
+def fresh_winner(vm, address):
+    """`match_winner` over the lottery's players, commits and opens, read afresh."""
+    lot = vm.contracts[address]
+
+    def player(side):
+        if side[0] == "addr":
+            return side[1]
+        if side[0] == "seat":
+            master = vm.contracts[side[1]]
+            return master.players[side[2]] if master.is_complete() else None
+        return fresh_winner(vm, side[1])
+
+    return match_winner(player(lot.side_a), player(lot.side_b), lot.commits, lot.opens)
+
+
+def kept(vm, address):
+    """The winner a lottery keeps from earlier reads; None when it keeps none."""
+    return getattr(vm.contracts[address], "_winner", None)
+
+
+def test_an_early_read_keeps_nothing_and_the_read_at_t2_is_final():
+    for bob_opens, expected in ((True, "bob"), (False, "alice")):  # 6 ^ 3 odd; walkover
+        vm = fresh_match()
+        vm.advance_to(T_COMMIT + 1)
+        commit(vm, "alice", 6)
+        commit(vm, "bob", 3)
+        vm.advance_to(T_COMMIT + TAU + 1)
+        vm.call("alice", "m", "open", 6)
+        vm.advance_to(T_COMMIT + 2 * TAU - 1)
+        with reverts("TooEarly"):
+            vm.call("carol", "m", "get_winner")
+        with reverts("TooEarly"):
+            vm.static_call("carol", "m", "get_winner")
+        assert kept(vm, "m") is None
+        if bob_opens:
+            vm.call("bob", "m", "open", 3)  # the last open height, after the early reads
+        vm.advance_to(T_COMMIT + 2 * TAU)
+        assert vm.static_call("carol", "m", "get_winner") == expected
+        assert vm.call("carol", "m", "get_winner") == expected
+        assert kept(vm, "m") in (None, expected)
+
+
+def played_tree(n, deposits=None):
+    """A tree whose first `deposits` seats filled and whose matches all played."""
+    vm = Vm()
+    tree = build_tree(vm, n, bet=1, tau=TAU, t_commit=T_COMMIT)
+    vm.create("peek", Peek())
+    for i in range(n if deposits is None else deposits):
+        vm.fund(f"p{i}", 1)
+        vm.call(f"p{i}", tree.master, "deposit", value=1)
+    secret = lambda who, level: int(who[1:]) + level + 1
+    for level in range(n.bit_length() - 1):
+        t0, t1, _ = tree.schedule(level)
+        lotteries = [tree.lottery(level, match) for match in range(n >> (level + 1))]
+        vm.advance_to(t0 + 1)
+        for addr in lotteries:
+            for who in (vm.static_call("x", addr, "player_a"), vm.static_call("x", addr, "player_b")):
+                if who is not None:
+                    vm.call(who, addr, "commit", commit_digest(who, secret(who, level)))
+        vm.advance_to(t1 + 1)
+        for addr in lotteries:
+            for who in list(vm.contracts[addr].commits):
+                vm.call(who, addr, "open", secret(who, level))
+    vm.advance_to(tree.t_final)
+    return vm, tree
+
+
+def test_a_tree_read_below_t2_reverts_and_keeps_nothing():
+    vm = Vm()
+    tree = build_tree(vm, 4, bet=1, tau=TAU, t_commit=T_COMMIT)
+    for i in range(4):
+        vm.fund(f"p{i}", 1)
+        vm.call(f"p{i}", tree.master, "deposit", value=1)
+    _, _, t2 = tree.schedule(0)
+    vm.advance_to(t2)  # level 0 is settled, the final is not
+    with reverts("TooEarly"):
+        vm.static_call("x", tree.final, "get_winner")
+    assert kept(vm, tree.final) is None
+    for match in (0, 1):
+        addr = tree.lottery(0, match)
+        assert vm.static_call("x", addr, "get_winner") == fresh_winner(vm, addr)
+
+
+@pytest.mark.parametrize("how", ["reverted call", "static call"])
+def test_a_read_that_is_rolled_back_keeps_the_fresh_winner(how):
+    vm, tree = played_tree(4)
+    if how == "reverted call":
+        with reverts("Boom"):
+            vm.call("x", "peek", "peek", tree.final, True)
+    else:
+        assert vm.static_call("x", "peek", "peek", tree.final, False) == fresh_winner(vm, tree.final)
+    for addr in tree.lotteries.values():
+        winner = fresh_winner(vm, addr)
+        assert winner is not None
+        assert kept(vm, addr) in (None, winner)
+        assert vm.static_call("x", addr, "get_winner") == winner
+    assert vm.call("x", "peek", "peek", tree.final, False) == fresh_winner(vm, tree.final)
+
+
+def test_a_table_that_never_filled_has_no_winner_and_keeps_none():
+    vm, tree = played_tree(4, deposits=3)
+    for addr in tree.lotteries.values():
+        assert vm.static_call("x", addr, "get_winner") is None
+        assert vm.call("x", addr, "get_winner") is None
+        assert kept(vm, addr) is None
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    choices=hs.lists(
+        hs.tuples(hs.booleans(), hs.booleans(), hs.booleans(), hs.integers(1, 15)),
+        min_size=14,
+        max_size=14,
+    ),
+    reads=hs.lists(hs.sampled_from(["static", "call", "reverted"]), min_size=1, max_size=8),
+    top_down=hs.booleans(),
+)
+def test_every_winner_read_from_t2_on_equals_a_fresh_recomputation(choices, reads, top_down):
+    # per (match, side): commit?, open?, act on the window's first height?, secret
+    n = 8
+    vm = Vm()
+    tree = build_tree(vm, n, bet=1, tau=TAU, t_commit=T_COMMIT)
+    vm.create("peek", Peek())
+    for i in range(n):
+        vm.fund(f"p{i}", 1)
+        vm.call(f"p{i}", tree.master, "deposit", value=1)
+    order = sorted(tree.lotteries, reverse=top_down)
+    stops = sorted(
+        {h for level in range(3) for t0, t1, t2 in [tree.schedule(level)]
+         for h in (t0 + 1, t1 - 1, t1 + 1, t2 - 1, t2)}
+    )
+    count = 0
+    for h in stops:
+        vm.advance_to(h)
+        for k, (level, match) in enumerate(sorted(tree.lotteries)):
+            addr = tree.lottery(level, match)
+            lot = vm.contracts[addr]
+            if not lot.t0 < h < lot.t2:
+                continue
+            players = (vm.static_call("x", addr, "player_a"), vm.static_call("x", addr, "player_b"))
+            for side, who in enumerate(players):
+                commits, opens, early, secret = choices[2 * k + side]
+                at = (lot.t0 + 1, lot.t1 + 1) if early else (lot.t1 - 1, lot.t2 - 1)
+                if h == at[0] and commits:
+                    vm.call(who, addr, "commit", commit_digest(who, secret))
+                if h == at[1] and opens and who in lot.commits:
+                    vm.call(who, addr, "open", secret)
+        for level, match in order:
+            addr = tree.lottery(level, match)
+            if h < vm.contracts[addr].t2:
+                continue
+            expected = fresh_winner(vm, addr)
+            how = reads[count % len(reads)]
+            count += 1
+            if how == "static":
+                assert vm.static_call("x", addr, "get_winner") == expected
+            elif how == "call":
+                assert vm.call("x", "peek", "peek", addr, False) == expected
+            else:
+                with reverts("Boom"):
+                    vm.call("x", "peek", "peek", addr, True)
+            assert kept(vm, addr) in (None, expected)
+            assert vm.static_call("x", addr, "get_winner") == expected

@@ -11,7 +11,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as hs
 
 from commitlotto.chain import FixedInput, TransactionBody, TxOutput, sig_digest_for
-from commitlotto.contracts import Master, TwoPartyLottery, Vm
+from commitlotto import contracts
+from commitlotto.contracts import Master, TwoPartyLottery, Vm, match_winner
 from commitlotto.primitives import OutputRef, level_schedule, level_stride, num_levels
 from commitlotto.scaffold import (
     BRANCH_DEPOSIT_REFUND,
@@ -404,6 +405,36 @@ def test_contract_rollback_cost_grows_with_what_a_trial_touches(monkeypatch):
         assert result.committed and result.winner is not None
         counts[n] = len(snapshots)
     assert counts[128] <= 2.5 * counts[64], counts
+
+
+def test_a_settled_match_is_resolved_once_per_trial(monkeypatch):
+    # ROADMAP 2: a read of a late match must not re-walk its subtree, so the
+    # winner reads of a trial grow with the bracket, not with its depth
+    reads, evaluated, entered = [], [], []
+    get_winner = TwoPartyLottery.get_winner
+
+    def counted_get_winner(lot, ctx):
+        reads.append(lot.address)
+        entered.append(lot.address)
+        try:
+            return get_winner(lot, ctx)
+        finally:
+            entered.pop()
+
+    def counted_match_winner(*args):
+        evaluated.append(entered[-1])
+        return match_winner(*args)
+
+    monkeypatch.setattr(TwoPartyLottery, "get_winner", counted_get_winner)
+    monkeypatch.setattr(contracts, "match_winner", counted_match_winner)
+    counts = {}
+    for n in (64, 128):
+        reads.clear(), evaluated.clear()
+        result = run_trial(cfg(n=n, master_seed="rollback"), 0)
+        assert result.committed and result.winner is not None
+        assert len(evaluated) == len(set(evaluated)) == n - 1
+        counts[n] = len(reads)
+    assert counts[128] <= 2.1 * counts[64], counts
 
 
 # dominance checks
