@@ -82,31 +82,45 @@ def _build_scaffold(args, write_out: bool):
     return t
 
 
-def _add_scaffold_args(p: argparse.ArgumentParser):
+def _add_bracket_args(p: argparse.ArgumentParser, seed: str = "commitlotto"):
+    """The bracket's parameters, which every command but verify takes."""
     p.add_argument("--n", type=int, default=4, help="player count (power of two)")
-    p.add_argument("--mode", choices=(MODE_PLAIN, MODE_MULTIINPUT), default=MODE_PLAIN)
-    p.add_argument("--deposit", choices=(DEPOSIT_ATOMIC, DEPOSIT_HASHLOCKED), default=DEPOSIT_ATOMIC)
     p.add_argument("--tau", type=int, default=6, help="timeout period in heights")
     p.add_argument("--t-commit", type=int, default=10, help="height the bracket starts")
     p.add_argument("--bet", type=int, default=1)
-    p.add_argument("--seed", default="commitlotto")
+    p.add_argument("--deposit", choices=(DEPOSIT_ATOMIC, DEPOSIT_HASHLOCKED), default=DEPOSIT_ATOMIC)
+    p.add_argument("--seed", default=seed)
+
+
+def _add_backend_args(p: argparse.ArgumentParser):
+    """The backend a trial plays on and the signature model its costs count."""
+    p.add_argument("--backend", choices=BACKENDS, required=True)
+    p.add_argument("--sig-model", choices=SIG_MODELS, default="multisig")
+
+
+def _add_scaffold_args(p: argparse.ArgumentParser):
+    _add_bracket_args(p)
+    p.add_argument("--mode", choices=(MODE_PLAIN, MODE_MULTIINPUT), default=MODE_PLAIN)
 
 
 def _add_scenario_args(p: argparse.ArgumentParser):
-    p.add_argument("--backend", choices=BACKENDS, required=True)
-    p.add_argument("--n", type=int, default=4)
+    _add_backend_args(p)
+    _add_bracket_args(p)
     p.add_argument(
         "--strategies",
         default="honest",
         help="comma-separated per-player strategies, or one name for all "
         f"(known: {', '.join(strategy_names())})",
     )
-    p.add_argument("--tau", type=int, default=6)
-    p.add_argument("--t-commit", type=int, default=10)
-    p.add_argument("--bet", type=int, default=1)
-    p.add_argument("--deposit", choices=(DEPOSIT_ATOMIC, DEPOSIT_HASHLOCKED), default=DEPOSIT_ATOMIC)
-    p.add_argument("--sig-model", choices=SIG_MODELS, default="multisig")
-    p.add_argument("--seed", default="commitlotto")
+
+
+def _write(path: str, text: str) -> None:
+    """Write `text` to the file at `path`, or to stdout if `path` is -."""
+    if path == "-":
+        sys.stdout.write(text)
+    else:
+        with open(path, "w") as fp:
+            fp.write(text)
 
 
 def _scenario_from_args(args, trials: int) -> ScenarioConfig:
@@ -142,12 +156,7 @@ def cmd_build(args) -> int:
         "materialized": stats.materialized,
         "stats": stats.to_json(),
     }
-    text = json.dumps(doc, indent=2, sort_keys=True) + "\n"
-    if args.out == "-":
-        sys.stdout.write(text)
-    else:
-        with open(args.out, "w") as fp:
-            fp.write(text)
+    _write(args.out, json.dumps(doc, indent=2, sort_keys=True) + "\n")
     if args.scaffold_out:
         with open(args.scaffold_out, "w") as fp:
             fp.write(dump_tournament(t))
@@ -187,12 +196,7 @@ def cmd_sweep(args) -> int:
     if args.csv:
         with open(args.csv, "w", newline="") as fp:
             write_trials_csv(fp, summary.results, cfg.n)
-    text = dump_summary(summary)
-    if args.json and args.json != "-":
-        with open(args.json, "w") as fp:
-            fp.write(text)
-    else:
-        sys.stdout.write(text)
+    _write(args.json or "-", dump_summary(summary))
     report = check_dominance(summary, eps=args.eps)
     # keep stdout parseable when the summary goes there
     for line in report.lines:
@@ -224,12 +228,7 @@ def cmd_export_dot(args) -> int:
             t = load_tournament(fp.read())
     else:
         t = _build_scaffold(args, write_out=True)
-    text = export_dot(t)
-    if args.out == "-":
-        sys.stdout.write(text)
-    else:
-        with open(args.out, "w") as fp:
-            fp.write(text)
+    _write(args.out, export_dot(t))
     return EXIT_OK
 
 
@@ -266,14 +265,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_sweep)
 
     p = sub.add_parser("costs", help="measure on-chain and off-chain footprint")
-    p.add_argument("--backend", choices=BACKENDS, required=True)
-    p.add_argument("--n", type=int, default=4)
-    p.add_argument("--tau", type=int, default=6)
-    p.add_argument("--t-commit", type=int, default=10)
-    p.add_argument("--bet", type=int, default=1)
-    p.add_argument("--deposit", choices=(DEPOSIT_ATOMIC, DEPOSIT_HASHLOCKED), default=DEPOSIT_ATOMIC)
-    p.add_argument("--sig-model", choices=SIG_MODELS, default="multisig")
-    p.add_argument("--seed", default="costs")
+    _add_backend_args(p)
+    _add_bracket_args(p, seed="costs")
     p.set_defaults(fn=cmd_costs)
 
     p = sub.add_parser("export-dot", help="render the scaffold spend graph as Graphviz")

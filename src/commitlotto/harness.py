@@ -25,7 +25,10 @@ it spends is unspent: the deposits, the bodies of each kernel a match
 reached, a multiinput compression choosing its match's settled outcome,
 and, while the table has not committed, the refunds. `PLAYS` describes a
 kernel's five transactions once; offers go in the order (priority, level,
-match, ntxid).
+match, ntxid). Each reached match has one record: its kernel, its
+candidates and, once settled, its result. A settled match offers nothing,
+as each of its transactions spends an output already spent, so no walk of
+the bracket is needed: play offers what the unsettled records hold.
 """
 
 from __future__ import annotations
@@ -83,7 +86,6 @@ from .scaffold import (
     CeremonyResult,
     IdealMpcOracle,
     Kernel,
-    KernelId,
     Tournament,
     auth_bytes,
     build_tournament,
@@ -95,6 +97,7 @@ from .scaffold import (
 )
 from .strategies import (
     ALL_BACKENDS,
+    BTC_MULTI,
     BTC_PLAIN,
     ETH,
     BroadcastView,
@@ -144,7 +147,7 @@ class ScenarioConfig:
 
     @property
     def mode(self) -> str:
-        return MODE_MULTIINPUT if self.backend == "bitcoin-multiinput" else MODE_PLAIN
+        return MODE_MULTIINPUT if self.backend == BTC_MULTI else MODE_PLAIN
 
     @property
     def levels(self) -> int:
@@ -441,6 +444,16 @@ def _spends(body: TransactionBody) -> frozenset[OutputRef]:
     return frozenset(spec.ref for spec in body.inputs)
 
 
+@dataclass
+class MatchRecord:
+    """A reached match: its kernel, that kernel's candidates and, once the
+    match has settled, its result (outcome index, winner, carrier ntxid)."""
+
+    kernel: Kernel
+    candidates: list[Candidate]
+    result: Optional[tuple[int, int, bytes]] = None
+
+
 class ScaffoldRuntime(Runtime):
     """One trial against the UTXO backend.
 
@@ -450,9 +463,11 @@ class ScaffoldRuntime(Runtime):
     only, the preimages it has seen in on-chain witnesses and the joint
     preimage once released; a kernel's secret is known to its side's
     player and that player's allies, and is read from the scaffold when a
-    witness needs it. Facts about a match that can never change again (the
-    kernel it reached, the outcome it settled on, the candidates of that
-    kernel) are memoised as the chain reads find them.
+    witness needs it. What the chain says of a match never changes once
+    found, so a reached match keeps one `MatchRecord`: the kernel it
+    reached and its candidates, made by `_reach` once both child matches
+    have settled, and its result, found by `_result` once the transaction
+    carrying its pot on is on chain.
     """
 
     SETUP_HEIGHT = 1  # ceremony and (attempted) deposits happen here
@@ -500,12 +515,7 @@ class ScaffoldRuntime(Runtime):
         self.public: dict[bytes, bytes] = {}
         self.ceremony: Optional[CeremonyResult] = None  # held at the setup height by `run`
         self._multi = cfg.mode == MODE_MULTIINPUT
-        self._levels = cfg.levels
-        # memo of chain reads, facts that never change once found: the kernel
-        # each (level, match) reached, and its `_match_result` once settled
-        self._reached: dict[tuple[int, int], Kernel] = {}
-        self._settled: dict[tuple[int, int], tuple[Kernel, int, int, bytes]] = {}
-        self._kernel_plays: dict[KernelId, tuple[Candidate, ...]] = {}
+        self._matches: dict[tuple[int, int], MatchRecord] = {}  # the one memo of chain reads
 
     # knowledge
 
@@ -544,125 +554,94 @@ class ScaffoldRuntime(Runtime):
 
     def _refunded(self, player: int) -> bool:
         """A hashlocked deposit has two spenders: its level-0 entry and the owner's refund."""
-        if self.mpc is None:
+        if self.mpc is None or not self.chain.was_spent(OutputRef(self.t.deposit_ntxids[player], 0)):
             return False
-        if not self.chain.was_spent(OutputRef(self.t.deposit_ntxids[player], 0)):
-            return False
-        kernel = self._kernel_reached(0, player // 2)
-        return kernel is None or kernel.entry_ntxid not in self.chain.entries
+        record = self._matches.get((0, player // 2))  # reached once the table committed
+        return record is None or record.kernel.entry_ntxid not in self.chain.entries
 
-    def _kernel_reached(self, level: int, match: int) -> Optional[Kernel]:
-        """The kernel a match reached: combo 0 at level 0 once committed, above
-        that the one its child matches' results enter."""
-        kernel = self._reached.get((level, match))
-        if kernel is not None:
-            return kernel
-        if level == 0:
-            if not self._committed():
-                return None
-            combo = 0
-        else:
-            left = self._match_result(level - 1, 2 * match)
-            right = self._match_result(level - 1, 2 * match + 1) if left else None
+    def _reach(self, level: int, match: int) -> Optional[MatchRecord]:
+        """A match's record, made when play reaches it: at level 0, combo 0;
+        above, once both child matches have settled, the kernel their results
+        enter. Its candidates are the kernel's `PLAYS` rows."""
+        record = self._matches.get((level, match))
+        if record is not None:
+            return record
+        combo = 0
+        if level > 0:
+            left = self._result(level - 1, 2 * match)
+            right = self._result(level - 1, 2 * match + 1) if left else None
             if right is None:
-                return None
+                return None  # a child is unsettled, or the final match has no parent
             if self._multi:
-                combo = multi_combo_index(self.cfg.n, level, match, left[2], right[2])
+                combo = multi_combo_index(self.cfg.n, level, match, left.result[1], right.result[1])
             else:
-                combo = pack_index(level, left[0].id.combo, left[1], right[0].id.combo, right[1])
-        kernel = self._reached[(level, match)] = self.t.kernels[KernelId(level, match, combo)]
-        return kernel
+                lk, rk = left.kernel.id.combo, right.kernel.id.combo
+                combo = pack_index(level, lk, left.result[0], rk, right.result[0])
+        kernel = self.t.kernel(level, match, combo)
+        plays = [self._play(kernel, *play) for play in zip(PLAYS, kernel.bodies, kernel.ntxids)]
+        record = self._matches[(level, match)] = MatchRecord(kernel, plays)
+        return record
 
-    def _outcome(self, kernel: Kernel) -> Optional[tuple[int, int]]:
-        """(outcome index, winner) if one of the kernel's three outcomes is on chain."""
-        for tx_idx, ntxid in enumerate(kernel.outcome_ntxids):
-            if ntxid in self.chain.entries:
-                return tx_idx, kernel.left_player if tx_idx == 0 else kernel.right_player
-        return None
-
-    def _match_result(self, level: int, match: int) -> Optional[tuple[Kernel, int, int, bytes]]:
-        """(kernel, outcome index, winner, ntxid) once the match has settled, that is
-        once `ntxid`, the transaction that carries its pot on, is on chain: plain,
-        the outcome; multiinput, the winner's compression."""
-        result = self._settled.get((level, match))
-        if result is not None:
-            return result
-        kernel = self._kernel_reached(level, match)
-        outcome = self._outcome(kernel) if kernel else None
-        if outcome is None:
+    def _result(self, level: int, match: int) -> Optional[MatchRecord]:
+        """A reached match's record once its carrier, the transaction that
+        carries its pot on, is on chain: plain, the outcome; multiinput, the
+        winner's compression, which joins the candidates once the outcome has."""
+        record = self._matches.get((level, match))
+        if record is None or record.result is not None:
+            return record
+        kernel, entries = record.kernel, self.chain.entries
+        tx_idx = next((i for i, ntxid in enumerate(kernel.outcome_ntxids) if ntxid in entries), None)
+        if tx_idx is None:
             return None
-        tx_idx, winner = outcome
+        winner = kernel.left_player if tx_idx == 0 else kernel.right_player
+        carrier = kernel.outcome_ntxids[tx_idx]
         if self._multi:
-            ntxid = self.t.compressions[(level, match, winner)].ntxid
-        else:
-            ntxid = kernel.outcome_ntxids[tx_idx]
-        if ntxid not in self.chain.entries:
+            comp = self.t.compressions[(level, match, winner)]
+            if len(record.candidates) == len(PLAYS):
+                chosen = OutputRef(carrier, 0)
+                record.candidates.append(Candidate(
+                    ROLE_COMPRESSION, PRIORITY_COMPRESSION, level, match, comp.ntxid, comp.body,
+                    comp.body.locktime, frozenset((chosen,)), beneficiary=winner, chosen_ref=chosen,
+                ))
+            carrier = comp.ntxid
+        if carrier not in entries:
             return None
-        result = self._settled[(level, match)] = (kernel, tx_idx, winner, ntxid)
-        return result
+        record.result = (tx_idx, winner, carrier)
+        return record
 
     def _final(self) -> Optional[tuple[int, int]]:
         """(winner, height) once the final match's result is on chain."""
-        result = self._match_result(self._levels - 1, 0)
-        return None if result is None else (result[2], self.chain.entries[result[3]].height)
+        record = self._result(self.cfg.levels - 1, 0)
+        return record and (record.result[1], self.chain.entries[record.result[2]].height)
 
     # candidates: a scaffold transaction is offered while its inputs are unspent
 
     def _candidates(self, h: int) -> list[Candidate]:
+        """The live deposits, refunds and unsettled matches' candidates; a match
+        with no live candidate has settled, and its parent may now be reached."""
         utxo = self.chain.utxo.keys()
         committed = self._committed()
         out = [c for c in self._deposits if c.spends <= utxo]
         if self.mpc is not None and not committed and h >= self.t.refund_time:
             out.extend(c for c in self._refunds if c.spends <= utxo)
-        if committed:
-            out.extend(self._kernel_candidates(utxo))
+        if committed:  # every level-0 match is reached once the table commits
+            records = list(self._matches.values()) or [
+                self._reach(0, match) for match in range(matches_at(self.cfg.n, 0))
+            ]
+            for record in records:  # grows by each parent a settling match reaches
+                if record.result is not None:
+                    continue
+                level, match, _ = record.kernel.id
+                if self._multi and len(record.candidates) == len(PLAYS):
+                    self._result(level, match)  # adds the compression once an outcome lands
+                live = [c for c in record.candidates if c.spends <= utxo]
+                out.extend(live)
+                if not live and self._result(level, match):
+                    parent = self._reach(level + 1, match // 2)
+                    if parent is not None:
+                        records.append(parent)
         out.sort(key=lambda c: (c.priority, c.level, c.match, c.ntxid))
         return out
-
-    def _kernel_candidates(self, utxo) -> list[Candidate]:
-        """Walk the bracket bottom-up; a level with no settled match stops the walk."""
-        reached, settled = self._reached, self._settled  # memo hits skip the calls
-        out: list[Candidate] = []
-        for level in range(self._levels):
-            any_settled = False
-            for match in range(matches_at(self.cfg.n, level)):
-                if (level, match) in settled:
-                    any_settled = True
-                    continue
-                kernel = reached.get((level, match)) or self._kernel_reached(level, match)
-                if kernel is None:
-                    continue
-                offered = [c for c in self._plays(kernel) if c.spends <= utxo]
-                out.extend(offered)
-                if not offered and self._match_result(level, match) is not None:
-                    any_settled = True
-            if not any_settled:
-                break  # no kernel above this level can have been reached
-        return out
-
-    def _plays(self, kernel: Kernel) -> tuple[Candidate, ...]:
-        """A reached kernel's candidates: one per row of `PLAYS`, and in
-        multiinput mode, once an outcome is on chain, the winner's
-        compression choosing it. A candidate never changes, so each is kept."""
-        plays = self._kernel_plays.get(kernel.id)
-        if plays is None:
-            plays = self._kernel_plays[kernel.id] = tuple(
-                self._play(kernel, row, body, ntxid)
-                for row, body, ntxid in zip(PLAYS, kernel.bodies, kernel.ntxids)
-            )
-        if self._multi and len(plays) == len(PLAYS):  # no compression yet
-            outcome = self._outcome(kernel)
-            if outcome is not None:
-                tx_idx, winner = outcome
-                comp = self.t.compressions[(kernel.id.level, kernel.id.match, winner)]
-                chosen = OutputRef(kernel.outcome_ntxids[tx_idx], 0)
-                compression = Candidate(
-                    ROLE_COMPRESSION, PRIORITY_COMPRESSION, comp.level, comp.match, comp.ntxid,
-                    comp.body, comp.body.locktime, frozenset((chosen,)),
-                    beneficiary=winner, chosen_ref=chosen,
-                )
-                plays = self._kernel_plays[kernel.id] = plays + (compression,)
-        return plays
 
     def _play(self, kernel: Kernel, row: Play, body: TransactionBody, ntxid: bytes) -> Candidate:
         level, match, _ = kernel.id
@@ -836,9 +815,14 @@ class ScaffoldRuntime(Runtime):
 # monte carlo
 
 
-def run_trial(cfg: ScenarioConfig, index: int = 0) -> TrialResult:
+def _runtime(cfg: ScenarioConfig, index: int = 0) -> Runtime:
+    """The runtime of trial `index` on the config's backend, seeded from its master seed."""
     runtime = ContractRuntime if cfg.backend == ETH else ScaffoldRuntime
-    return runtime(cfg, trial_rng(cfg.master_seed, index), index).run()
+    return runtime(cfg, trial_rng(cfg.master_seed, index), index)
+
+
+def run_trial(cfg: ScenarioConfig, index: int = 0) -> TrialResult:
+    return _runtime(cfg, index).run()
 
 
 @dataclass
@@ -1007,11 +991,9 @@ def measure_costs(
         bet=bet,
         deposit_option=deposit_option,
         sig_model=sig_model,
-        trials=1,
         master_seed=master_seed,
     )
-    runtime = ContractRuntime if backend == ETH else ScaffoldRuntime
-    rt = runtime(cfg, trial_rng(cfg.master_seed, 0))
+    rt = _runtime(cfg)
     result = rt.run()
     if backend == ETH:
         onchain_bytes = sum(32 * (1 + rec.arg_count) + 32 for rec in rt.vm.trace if rec.ok)

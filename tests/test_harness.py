@@ -626,6 +626,27 @@ def test_a_finished_trial_leaves_no_garbage(backend, deposit_option, strategies)
         gc.enable()
 
 
+@pytest.mark.parametrize("backend,deposit_option", [(BTC_PLAIN, "atomic"), (BTC_MULTI, "hashlocked")])
+def test_a_settled_match_has_nothing_left_to_offer(backend, deposit_option):
+    # the scaffold runtime offers only the candidates of unsettled matches,
+    # which holds because every transaction of a settled match's kernel, and
+    # its compression, spends an output that is already spent
+    c = cfg(backend, 8, MIXED8, deposit_option=deposit_option, master_seed="settled")
+    for i in range(2):
+        rt = ScaffoldRuntime(c, trial_rng(c.master_seed, i), i)
+        assert rt.run().winner is not None
+        entries, utxo = rt.chain.entries, rt.chain.utxo.keys()
+        outcomes = [
+            (k, ntxid) for k in rt.t.kernels.values() for ntxid in k.outcome_ntxids if ntxid in entries
+        ]
+        assert len(outcomes) == 7  # one per match of the bracket
+        for k, ntxid in outcomes:
+            for body in k.bodies:
+                assert not {spec.ref for spec in body.inputs} <= utxo
+            if backend == BTC_MULTI:  # the compression choosing the outcome spent it
+                assert OutputRef(ntxid, 0) not in utxo
+
+
 # sha256 over `Chain.export_log_jsonl()` of the first three trials of each mix
 # in order, recorded before the scaffold runtime derived its candidates and
 # witnesses from one table of kernel plays; the export records each
@@ -656,6 +677,41 @@ def test_chain_logs_match_the_golden_digests(backend, n, deposit_option):
             rt.run()
             digest.update(rt.chain.export_log_jsonl().encode())
     assert digest.hexdigest() == CHAIN_LOG_GOLDEN[(backend, n, deposit_option)]
+
+
+# sha256 over every offer `record_offers` sees (the view's repr, the answer and
+# the chain log's length) in the first three trials of each mix in order,
+# recorded before the scaffold runtime kept one record per reached match; it
+# pins declined offers too, which no chain log shows
+OFFER_GOLDEN = {
+    (BTC_MULTI, 4, "atomic"): "28d8ac1d6841309f10f5d216abbca5f6a6773fdbdf48954dcf30fe396ae8ed92",
+    (BTC_MULTI, 4, "hashlocked"): "b5f754d06a55fe6954ef54840480bb3a77958eacd5019e4722605b07b913d846",
+    (BTC_MULTI, 8, "atomic"): "defed4509127072842c275e5f24f3096de8e19bcc5ece7af021b06871e335846",
+    (BTC_MULTI, 8, "hashlocked"): "b4ea3255dcb024a1cd2b9cc97a6c7aa418282fda81b38ecf1ca27f6cdda7d498",
+    (BTC_PLAIN, 4, "atomic"): "ce839023ddd7ec5a374e762cc1e7b1c310db1b9f4a154352e18aaa70f37ad102",
+    (BTC_PLAIN, 4, "hashlocked"): "5c6957f9ef211173e27f571c4e5b6a8dcef500dae0d05a81336637bf613887d9",
+    (BTC_PLAIN, 8, "atomic"): "8bccf10ca390a2f35323775740c2042344f66801008c2de9c0e5919efc093a83",
+    (BTC_PLAIN, 8, "hashlocked"): "95b3196949a6a981a6130fc4274352ab25837e802ae40ae4fc5a90ba1188673f",
+}
+
+
+@pytest.mark.parametrize("backend,n,deposit_option", sorted(OFFER_GOLDEN))
+def test_offer_sequences_match_the_golden_digests(backend, n, deposit_option):
+    digest = hashlib.sha256()
+    for mix in (
+        ("honest",) * n,
+        MIXED8[:n],
+        ("honest", "withhold-broadcast") + ("honest",) * (n - 2),
+        ("honest",) * (n - 1) + ("abort-at-deposit",),
+    ):
+        c = cfg(backend, n, mix, deposit_option=deposit_option, master_seed="golden")
+        for i in range(3):
+            rt = ScaffoldRuntime(c, trial_rng(c.master_seed, i), i)
+            offers = record_offers(rt)
+            rt.run()
+            for view, answer, length in offers:
+                digest.update(f"{view!r} {answer} {length}\n".encode())
+    assert digest.hexdigest() == OFFER_GOLDEN[(backend, n, deposit_option)]
 
 
 # sha256 over the repr of every `Vm.trace` record of the first three trials of
