@@ -15,6 +15,7 @@ choice leaves the NTXID and the signature digest unchanged.
 
 from __future__ import annotations
 
+import functools
 import json
 from typing import NamedTuple, Optional, Union
 
@@ -64,10 +65,29 @@ class TxOutput(NamedTuple):
     predicate: Predicate
 
 
-class TransactionBody(NamedTuple):
+class _BodyFields(NamedTuple):
     inputs: tuple[TxInput, ...]
     outputs: tuple[TxOutput, ...]
     locktime: int = 0
+
+
+class TransactionBody(_BodyFields):
+    """An unsigned transaction: inputs, outputs and an absolute locktime.
+
+    A body is immutable and carries its own digests (`digests`), computed
+    from its canonical bytes the first time anyone reads them and kept
+    with it, so each body is encoded once whoever asks first. A forged or
+    `_replace`d body is a new object and is encoded afresh.
+    """
+
+    @functools.cached_property
+    def digests(self) -> tuple[bytes, bytes]:
+        """(ntxid, signature digest), from one encoding of this body."""
+        data = body_bytes(self)
+        return sha256(b"ntxid:" + data), sha256(b"sigmsg:" + data)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"TransactionBody is immutable: cannot set {name!r}")
 
 
 def body_bytes(body: TransactionBody) -> bytes:
@@ -87,26 +107,26 @@ def body_bytes(body: TransactionBody) -> bytes:
 
 
 def body_digests(body: TransactionBody) -> tuple[bytes, bytes]:
-    """Encode a body once and return its (ntxid, signature digest).
+    """A body's (ntxid, signature digest), read from the body (`TransactionBody.digests`).
 
     The ntxid is the witness-independent transaction id. The signature
     digest is what a signer commits to for any input: the canonical body
     already encodes a MultiInput as its full candidate set (the chosen ref
     lives in the witness), so one signing covers every member of the set,
-    and all inputs of a body share a single digest.
+    and all inputs of a body share a single digest. Both come from one
+    encoding, made the first time any caller reads them.
     """
-    data = body_bytes(body)
-    return sha256(b"ntxid:" + data), sha256(b"sigmsg:" + data)
+    return body.digests
 
 
 def compute_ntxid(body: TransactionBody) -> bytes:
     """Witness-independent transaction id."""
-    return body_digests(body)[0]
+    return body.digests[0]
 
 
 def sig_digest_for(body: TransactionBody) -> bytes:
     """Digest a signer commits to when authorizing any input of a body."""
-    return body_digests(body)[1]
+    return body.digests[1]
 
 
 def body_to_json(body: TransactionBody) -> dict:
@@ -201,7 +221,7 @@ class Chain:
             outputs=(TxOutput(value, predicate),),
         )
         self._mint_serial += 1
-        ntxid = compute_ntxid(body)
+        ntxid = body.digests[0]
         ref = OutputRef(ntxid, 0)
         self.utxo[ref] = body.outputs[0]
         self._credit(body.outputs[0], 1)
@@ -211,8 +231,12 @@ class Chain:
         return ref
 
     def submit(self, body: TransactionBody, witness: Witness) -> SubmitResult:
-        """Validate and apply atomically at the current height."""
-        ntxid, sig_digest = body_digests(body)
+        """Validate and apply atomically at the current height.
+
+        The digests are the body's own, computed from its bytes the first
+        time they were read, so a body built elsewhere is not encoded again.
+        """
+        ntxid, sig_digest = body.digests
         if len(witness.inputs) != len(body.inputs):
             return SubmitResult(False, None, SCRIPT_FAIL, "witness arity mismatch")
         if body.locktime > self.height:

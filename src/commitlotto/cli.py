@@ -115,8 +115,8 @@ def _add_scenario_args(p: argparse.ArgumentParser):
 
 
 def _write(path: str, text: str) -> None:
-    """Write `text` to the file at `path`, or to stdout if `path` is -."""
-    if path == "-":
+    """Write `text` to the file at `path`, or to stdout if `path` is - or empty."""
+    if path in ("-", ""):
         sys.stdout.write(text)
     else:
         with open(path, "w") as fp:
@@ -196,7 +196,7 @@ def cmd_sweep(args) -> int:
     if args.csv:
         with open(args.csv, "w", newline="") as fp:
             write_trials_csv(fp, summary.results, cfg.n)
-    _write(args.json or "-", dump_summary(summary))
+    _write(args.json, dump_summary(summary))
     report = check_dominance(summary, eps=args.eps)
     # keep stdout parseable when the summary goes there
     for line in report.lines:

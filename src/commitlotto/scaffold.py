@@ -455,8 +455,8 @@ def _kernel_bodies(
     right_ref: OutputRef,
     pay_left: Predicate,
     pay_right: Predicate,
-) -> tuple[tuple[TransactionBody, ...], tuple[tuple[bytes, bytes], ...]]:
-    """The bodies entry, reveal, outcome a, b and b', and their (ntxid, sig digest).
+) -> tuple[TransactionBody, ...]:
+    """The bodies entry, reveal, outcome a, b and b'.
 
     Outcome a pays `pay_left`, b and b' pay `pay_right`.
     """
@@ -464,33 +464,30 @@ def _kernel_bodies(
         inputs=(FixedInput(left_ref), FixedInput(right_ref)),
         outputs=(TxOutput(pot, _entry_predicate(master, left_commit, t1)),),
     )
-    entry_d = body_digests(entry)
+    entry_ref = OutputRef(entry.digests[0], 0)
     reveal = TransactionBody(
-        inputs=(FixedInput(OutputRef(entry_d[0], 0)),),
+        inputs=(FixedInput(entry_ref),),
         outputs=(TxOutput(pot, _reveal_predicate(master, left_commit, right_commit, t2)),),
     )
-    reveal_d = body_digests(reveal)
+    reveal_ref = OutputRef(reveal.digests[0], 0)
     # outcome 0: left wins after the reveal times out at t2
     # outcome 1: right wins after the entry times out at t1 (left never revealed)
     # outcome 2: right wins by revealing odd parity
     tx_a = TransactionBody(
-        inputs=(FixedInput(OutputRef(reveal_d[0], 0)),),
+        inputs=(FixedInput(reveal_ref),),
         outputs=(TxOutput(pot, pay_left),),
         locktime=t2,
     )
     tx_b = TransactionBody(
-        inputs=(FixedInput(OutputRef(entry_d[0], 0)),),
+        inputs=(FixedInput(entry_ref),),
         outputs=(TxOutput(pot, pay_right),),
         locktime=t1,
     )
     tx_bp = TransactionBody(
-        inputs=(FixedInput(OutputRef(reveal_d[0], 0)),),
+        inputs=(FixedInput(reveal_ref),),
         outputs=(TxOutput(pot, pay_right),),
     )
-    return (
-        (entry, reveal, tx_a, tx_b, tx_bp),
-        (entry_d, reveal_d, body_digests(tx_a), body_digests(tx_b), body_digests(tx_bp)),
-    )
+    return entry, reveal, tx_a, tx_b, tx_bp
 
 
 def build_deposit_atomic(funding: Sequence[OutputRef], bet: int, master: Predicate) -> TransactionBody:
@@ -557,15 +554,15 @@ def _param_problem(
     return None
 
 
-def _kernel(bodies, digests, **fields) -> Kernel:
-    """A Kernel from five bodies and their (ntxid, sig digest) in `_kernel_bodies` order."""
+def _kernel(bodies, **fields) -> Kernel:
+    """A Kernel from five bodies in `_kernel_bodies` order, with the bodies' own ntxids."""
     return Kernel(
         entry_tx=bodies[0],
         reveal_tx=bodies[1],
         outcome_txs=bodies[2:],
-        entry_ntxid=digests[0][0],
-        reveal_ntxid=digests[1][0],
-        outcome_ntxids=tuple(ntxid for ntxid, _ in digests[2:]),
+        entry_ntxid=bodies[0].digests[0],
+        reveal_ntxid=bodies[1].digests[0],
+        outcome_ntxids=tuple(b.digests[0] for b in bodies[2:]),
         **fields,
     )
 
@@ -657,7 +654,7 @@ class _HonestWiring:
         last = level == self.levels - 1 and self.mode == MODE_PLAIN  # multiinput pays out in the compression
         left, right = players_of(self.n, *kid, self.mode)
         left_commit, right_commit = self.commits(kid)
-        bodies, digests = _kernel_bodies(
+        bodies = _kernel_bodies(
             self.master,
             left_commit,
             right_commit,
@@ -669,10 +666,9 @@ class _HonestWiring:
             _payout(self.master, self.keys[left], last),
             _payout(self.master, self.keys[right], last),
         )
-        self.scaffold_digests.update(sig_digest for _, sig_digest in digests)
+        self.scaffold_digests.update(b.digests[1] for b in bodies)
         return _kernel(
             bodies,
-            digests,
             id=kid,
             left_player=left,
             right_player=right,
@@ -934,7 +930,7 @@ def scaffold_stats(
         last = final and mode == MODE_PLAIN
         # the slowest path through a match publishes entry, reveal and the
         # reveal-timeout outcome; multiinput adds the winner's compression
-        (entry, reveal, outcome_a, *_), _digests = _kernel_bodies(
+        entry, reveal, outcome_a, *_ = _kernel_bodies(
             master, dummy_digest, sha256(dummy_digest), t1, t2, pot, dummy_ref,
             OutputRef(b"\x22" * 32, 0),
             _payout(master, dummy_keys[0], last),
@@ -1229,12 +1225,10 @@ def tournament_from_json(obj: dict) -> Tournament:
             raise ValueError(f"{where}.outcomes: a kernel has 3 outcomes, found {len(outcomes)}")
         docs = [field_of("entry", dict), field_of("reveal", dict), *outcomes]
         bodies = tuple(body_from_json(b, f"{where}.{role}") for b, role in zip(docs, ROLE_KERNEL))
-        digests = tuple(body_digests(b) for b in bodies)
-        scaffold_digests.update(sig_digest for _, sig_digest in digests)
+        scaffold_digests.update(b.digests[1] for b in bodies)
         kid = KernelId(*(field_of(name, int) for name in KernelId._fields))
         kernels[kid] = _kernel(
             bodies,
-            digests,
             id=kid,
             left_commit=field_of("left_commit", bytes),
             right_commit=field_of("right_commit", bytes),

@@ -7,9 +7,10 @@ AnyOf never scans branches; the witness's branch selector picks exactly one,
 so evaluation order can never leak an unintended spend path.
 
 Signatures come from an ideal oracle that records (key, digest) pairs, one
-at a time or as a whole digest set per key. A witness names the keys that
-sign it, and verification succeeds only for recorded pairs, which models
-unforgeability without real cryptography and keeps runs deterministic.
+at a time or as a whole digest registry per key. A witness names the keys
+that sign it, and verification succeeds only for recorded pairs, which
+models unforgeability without real cryptography and keeps runs
+deterministic.
 """
 
 from __future__ import annotations
@@ -176,19 +177,24 @@ class NotKeyOwner(Exception):
 class SignatureOracle:
     """Ideal signatures: verify(key, digest) is true iff key's owner signed digest.
 
-    An owner signs one digest with `sign`, or a whole digest set in one act
-    with `sign_all`. The scaffold ceremony uses the latter: each player
-    verifies the scaffold, then approves all of it, and from then on the
-    oracle accepts that key's signature over a digest if and only if the
-    digest is a member of the approved set. The set is the scaffold's live
-    digest registry, so the test is one membership lookup, and bodies of
-    the approved scaffold that are built after the ceremony are covered.
+    An owner signs one digest with `sign`, or a whole digest registry in
+    one act with `sign_all`. The scaffold ceremony uses the latter: each
+    player verifies the scaffold, then approves all of it, and from then on
+    the oracle accepts that key's signature over a digest if and only if
+    the digest is a member of the approved registry. The registry is the
+    scaffold's live digest set, so the test is one membership lookup, and
+    bodies of the approved scaffold that are built after the ceremony are
+    covered. The oracle keeps, per registry, the keys that approved it, so
+    "did every listed key approve this digest" (`verify_all`) is one probe
+    of a registry they all approved.
     """
 
     def __init__(self) -> None:
         self._owners: dict[bytes, object] = {}
         self._signed: set[tuple[bytes, bytes]] = set()
-        self._signed_sets: dict[bytes, list[Container[bytes]]] = {}
+        # id(registry) -> (registry, the keys that approved it); holding the
+        # registry keeps its id from being reused
+        self._registries: dict[int, tuple[Container[bytes], set[bytes]]] = {}
 
     def register_key(self, party, key: bytes) -> None:
         self._owners[key] = party
@@ -208,12 +214,26 @@ class SignatureOracle:
         signature is checked verifies.
         """
         self._check_owner(party, key)
-        self._signed_sets.setdefault(key, []).append(digests)
+        self._registries.setdefault(id(digests), (digests, set()))[1].add(key)
 
     def verify(self, key: bytes, digest: bytes) -> bool:
         if (key, digest) in self._signed:
             return True
-        return any(digest in signed for signed in self._signed_sets.get(key, ()))
+        return any(
+            key in approvers and digest in registry
+            for registry, approvers in self._registries.values()
+        )
+
+    def verify_all(self, keys: tuple[bytes, ...], digest: bytes) -> bool:
+        """True if every key in `keys` approved one registry that holds `digest`.
+
+        False does not mean a key failed: approvals split across registries,
+        or made one digest at a time, are found only by `verify`, key by key.
+        """
+        return any(
+            digest in registry and approvers.issuperset(keys)
+            for registry, approvers in self._registries.values()
+        )
 
     @property
     def entry_count(self) -> int:
@@ -265,6 +285,9 @@ def evaluate_explain(p: Predicate, w: InputWitness, ctx: EvalContext) -> tuple[b
         return True, None
     if isinstance(p, AllSign):
         supplied = set(w.signatures)
+        if supplied.issuperset(p.keys) and ctx.oracle.verify_all(p.keys, ctx.sig_digest):
+            return True, None
+        # find the first key that fails, and say why
         for key in p.keys:
             if key not in supplied:
                 return False, f"missing signature material for key {key.hex()[:12]}"

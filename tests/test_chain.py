@@ -19,6 +19,7 @@ from commitlotto.chain import (
     TransactionBody,
     TxOutput,
     body_bytes,
+    body_digests,
     compute_ntxid,
     multi_input,
     sig_digest_for,
@@ -75,6 +76,36 @@ def test_ntxid_matches_tagged_hash_of_canonical_bytes():
     )
     expect = hashlib.sha256(b"ntxid:" + body_bytes(body)).digest()
     assert compute_ntxid(body) == expect
+
+
+def test_a_body_carries_its_own_digests():
+    # the digests are computed from the body's own bytes and kept with it; a
+    # rebuilt or `_replace`d body is a new object and is encoded afresh
+    body = TransactionBody(
+        inputs=(FixedInput(OutputRef(b"\x04" * 32, 1)),),
+        outputs=(TxOutput(5, KeySign(KEY_A)),),
+        locktime=3,
+    )
+    data = body_bytes(body)
+    want = (hashlib.sha256(b"ntxid:" + data).digest(), hashlib.sha256(b"sigmsg:" + data).digest())
+    assert body.digests == want
+    assert body_digests(body) == (compute_ntxid(body), sig_digest_for(body)) == want
+    same = body._replace(locktime=3)
+    rebuilt = TransactionBody(body.inputs, body.outputs, 3)
+    for other in (same, rebuilt):
+        assert other is not body and "digests" not in vars(other)
+        assert other.digests == want
+    assert compute_ntxid(body._replace(locktime=4)) != want[0]
+    assert compute_ntxid(body._replace(outputs=(TxOutput(5, KeySign(KEY_B)),))) != want[0]
+
+
+@pytest.mark.parametrize("name", ["digests", "locktime", "anything"])
+def test_a_body_refuses_every_assignment(name):
+    body = TransactionBody(inputs=(FixedInput(OutputRef(b"\x05" * 32, 0)),), outputs=())
+    want = body.digests
+    with pytest.raises(AttributeError):
+        setattr(body, name, (b"\x00" * 32, b"\x00" * 32))
+    assert body.digests == want and body.locktime == 0
 
 
 def test_ntxid_ignores_witness():

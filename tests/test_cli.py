@@ -438,3 +438,22 @@ def test_export_dot_from_file(capsys, scaffold_file, tmp_path):
 
 def test_export_dot_refuses_unbuildable_size(capsys):
     assert run_cli(capsys, "export-dot", "--n", "16")[0] == 2
+
+
+# one rule for output paths: "-" and "" both mean stdout
+
+
+@pytest.mark.parametrize(
+    "argv, flag",
+    [
+        (("build", "--n", "4"), "--out"),
+        (("export-dot", "--n", "2"), "--out"),
+        (("sweep", "--backend", "bitcoin-plain", "--n", "2", "--trials", "3"), "--json"),
+    ],
+    ids=["build", "export-dot", "sweep"],
+)
+def test_an_empty_output_path_writes_to_stdout_like_dash(capsys, argv, flag):
+    dash = run_cli(capsys, *argv, flag, "-")
+    empty = run_cli(capsys, *argv, flag, "")
+    assert dash[0] == empty[0] == 0
+    assert empty[1] and empty[1] == dash[1]

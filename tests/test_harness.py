@@ -10,8 +10,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as hs
 
-from commitlotto.chain import FixedInput, TransactionBody, TxOutput, sig_digest_for
-from commitlotto import contracts
+from commitlotto.chain import SCRIPT_FAIL, FixedInput, TransactionBody, TxOutput, sig_digest_for
+from commitlotto import chain, contracts, harness, scaffold
 from commitlotto.contracts import Master, TwoPartyLottery, Vm, match_winner
 from commitlotto.primitives import OutputRef, level_schedule, level_stride, num_levels
 from commitlotto.scaffold import (
@@ -435,6 +435,63 @@ def test_a_settled_match_is_resolved_once_per_trial(monkeypatch):
         assert len(evaluated) == len(set(evaluated)) == n - 1
         counts[n] = len(reads)
     assert counts[128] <= 2.1 * counts[64], counts
+
+
+@pytest.mark.parametrize("deposit_option", ["atomic", "hashlocked"])
+@pytest.mark.parametrize("backend", [BTC_PLAIN, BTC_MULTI])
+def test_each_body_is_encoded_at_most_once_per_trial(monkeypatch, backend, deposit_option):
+    # ROADMAP 12: a body carries its digests, so neither the scaffold nor
+    # Chain.submit encodes a body that someone has already encoded
+    config = cfg(backend, 8, deposit_option=deposit_option, master_seed="encode-once")
+    run_trial(config, 0)  # fills the per-process closed-form stats cache
+    encoded, built = [], []  # the bodies themselves, so no id() is reused
+    body_bytes, body_cls = chain.body_bytes, chain.TransactionBody
+
+    def recording_body_bytes(body):
+        encoded.append(body)
+        return body_bytes(body)
+
+    def counted_body(*args, **kwargs):
+        body = body_cls(*args, **kwargs)
+        built.append(body)
+        return body
+
+    for module in (chain, scaffold, harness):
+        if getattr(module, "body_bytes", None) is body_bytes:
+            monkeypatch.setattr(module, "body_bytes", recording_body_bytes)
+    for module in (scaffold, harness):  # chain builds only mints
+        monkeypatch.setattr(module, "TransactionBody", counted_body)
+    rt = ScaffoldRuntime(config, trial_rng(config.master_seed, 1), 1)
+    assert rt.run().winner is not None
+    mints = sum(1 for entry in rt.chain.log if entry.witness is None)
+    assert len({id(body) for body in encoded}) == len(encoded), "a body was encoded twice"
+    assert len(encoded) <= len(built) + mints
+
+
+def test_a_forged_outcome_is_encoded_afresh_and_rejected():
+    # the chain trusts only digests computed from a body's own bytes: an
+    # outcome redirected to another key is a new body, whose signature
+    # digest no one approved
+    c = cfg(BTC_PLAIN, 4, ("force-timeout",) * 4, master_seed="forge")
+    rt = ScaffoldRuntime(c, trial_rng(c.master_seed, 0), 0)
+    rt.chain.advance_to(rt.SETUP_HEIGHT)
+    rt.ceremony = signing_ceremony(rt.t, rt.strats, rt.oracle)
+    t0, _, t2 = rt.t.schedule(0)
+    for h in rt.stops():
+        if h <= t0:  # the deposit, then the level-0 entries and reveals
+            rt.step(h)
+    rt.chain.advance_to(t2)
+    k = rt.t.kernel(0, 0, 0)
+    genuine = k.outcome_txs[0]
+    assert k.reveal_ntxid in rt.chain.entries and k.outcome_ntxids[0] not in rt.chain.entries
+    thief = KeySign(rt.keys[k.right_player])
+    forged = genuine._replace(outputs=(genuine.outputs[0]._replace(predicate=thief),))
+    assert "digests" not in vars(forged)
+    timed_out = Witness((InputWitness(rt.keys, {}, 1, None),))  # the reveal's timeout branch
+    res = rt.chain.submit(forged, timed_out)
+    assert res.reason == SCRIPT_FAIL and "signature check failed" in res.detail
+    assert forged.digests[0] != k.outcome_ntxids[0]
+    assert rt.chain.submit(genuine, timed_out).ntxid == k.outcome_ntxids[0]
 
 
 # dominance checks

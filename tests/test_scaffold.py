@@ -58,9 +58,12 @@ from commitlotto.script import (
     AllOf,
     AllSign,
     AnyOf,
+    EvalContext,
     HashPreimage,
+    InputWitness,
     KeySign,
     SignatureOracle,
+    evaluate_explain,
 )
 
 from commitlotto import scaffold as scaffold_module
@@ -470,6 +473,20 @@ def test_ceremony_collects_every_signature(plain4):
         for _, view in decider.asked:
             assert (view.player, view.total_bodies) == (player, 56)
             assert view.tournament is plain4
+
+
+def test_ceremony_approvals_pass_the_all_key_check_by_either_path(plain4):
+    # the scaffold's bodies pass by one probe of the approved registry; the
+    # atomic deposit, signed key by key with `sign`, passes by the per-key check
+    oracle = keyed_oracle(plain4)
+    assert signing_ceremony(plain4, [YesDecider() for _ in range(4)], oracle).complete
+    keys = plain4.master_keys
+    master, named = AllSign(keys), InputWitness(keys)
+    entry = sig_digest_for(plain4.kernel(0, 0, 0).entry_tx)
+    deposit = sig_digest_for(plain4.deposit_bodies[0])
+    assert oracle.verify_all(keys, entry) and not oracle.verify_all(keys, deposit)
+    for digest in (entry, deposit):
+        assert evaluate_explain(master, named, EvalContext(0, digest, oracle)) == (True, None)
 
 
 def test_ceremony_abort_stops_before_any_exposure(plain4):

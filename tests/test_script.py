@@ -26,6 +26,7 @@ from commitlotto.script import (
 
 KEY_A = b"\xaa" * 32
 KEY_B = b"\xbb" * 32
+KEY_C = b"\xcc" * 32
 DIGEST = b"\x01" * 32
 
 
@@ -118,6 +119,97 @@ def test_allsign_requires_every_key():
     assert not ok and "signature check failed" in why
     oracle.sign("bob", KEY_B, DIGEST)
     assert evaluate(p, witness([KEY_A, KEY_B]), ctx(oracle))
+
+
+# the one-probe AllSign path
+
+
+KEYS3 = (KEY_A, KEY_B, KEY_C)
+OTHER = b"\x02" * 32
+
+
+def keyed_oracle(keys=KEYS3):
+    oracle = SignatureOracle()
+    for i, key in enumerate(keys):
+        oracle.register_key(i, key)
+    return oracle
+
+
+def per_key(p, w, oracle, digest=DIGEST):
+    """AllSign as one oracle check per key, with the reasons evaluate_explain gives."""
+    for key in p.keys:
+        if key not in w.signatures:
+            return False, f"missing signature material for key {key.hex()[:12]}"
+        if not oracle.verify(key, digest):
+            return False, f"signature check failed for key {key.hex()[:12]}"
+    return True, None
+
+
+def test_verify_all_probes_a_registry_every_key_approved():
+    oracle = keyed_oracle()
+    registry = {DIGEST}
+    for i, key in enumerate(KEYS3):
+        assert not oracle.verify_all(KEYS3, DIGEST)
+        oracle.sign_all(i, key, registry)
+    assert oracle.verify_all(KEYS3, DIGEST)
+    assert not oracle.verify_all(KEYS3, OTHER)
+    registry.add(OTHER)  # the registry is kept, not copied
+    assert oracle.verify_all(KEYS3, OTHER)
+
+
+def test_allsign_keeps_the_per_key_semantics_and_reasons():
+    p, w = AllSign(KEYS3), witness(KEYS3)
+    # key C approved only a different registry
+    oracle = keyed_oracle()
+    approved = {DIGEST}
+    oracle.sign_all(0, KEY_A, approved)
+    oracle.sign_all(1, KEY_B, approved)
+    oracle.sign_all(2, KEY_C, {OTHER})
+    want = (False, f"signature check failed for key {KEY_C.hex()[:12]}")
+    assert evaluate_explain(p, w, ctx(oracle)) == want
+    # every key approved the registry, but one is missing from the witness
+    oracle.sign_all(2, KEY_C, approved)
+    assert evaluate_explain(p, w, ctx(oracle)) == (True, None)
+    want = (False, f"missing signature material for key {KEY_B.hex()[:12]}")
+    assert evaluate_explain(p, witness((KEY_A, KEY_C)), ctx(oracle)) == want
+    # approvals split across two registries that both hold the digest: no
+    # one registry has every key, so the probe says no and each key passes
+    oracle = keyed_oracle()
+    oracle.sign_all(0, KEY_A, {DIGEST, OTHER})
+    oracle.sign_all(1, KEY_B, {DIGEST, OTHER})
+    oracle.sign_all(2, KEY_C, frozenset((DIGEST,)))
+    assert not oracle.verify_all(KEYS3, DIGEST)
+    assert evaluate_explain(p, w, ctx(oracle)) == (True, None)
+    # as for the atomic deposit: each key signs the one digest with `sign`
+    oracle = keyed_oracle()
+    for i, key in enumerate(KEYS3):
+        oracle.sign(i, key, DIGEST)
+    assert not oracle.verify_all(KEYS3, DIGEST)
+    assert evaluate_explain(p, w, ctx(oracle)) == (True, None)
+    want = (False, f"signature check failed for key {KEY_A.hex()[:12]}")
+    assert evaluate_explain(p, w, ctx(oracle, digest=OTHER)) == want
+
+
+def test_allsign_agrees_with_one_check_per_key_on_every_approval_mix():
+    # each key approves nothing, a shared registry, a registry of its own, or
+    # the digest alone; the witness names any subset of the keys
+    shared, own = {DIGEST, OTHER}, {DIGEST}
+    p = AllSign(KEYS3)
+    for mix in range(4 ** len(KEYS3)):
+        oracle = keyed_oracle()
+        for i, key in enumerate(KEYS3):
+            how = (mix >> (2 * i)) & 3
+            if how == 1:
+                oracle.sign_all(i, key, shared)
+            elif how == 2:
+                oracle.sign_all(i, key, set(own))
+            elif how == 3:
+                oracle.sign(i, key, DIGEST)
+        for named in range(1 << len(KEYS3)):
+            w = witness([key for i, key in enumerate(KEYS3) if named >> i & 1])
+            for digest in (DIGEST, OTHER):
+                want = per_key(p, w, oracle, digest)
+                assert evaluate_explain(p, w, ctx(oracle, digest=digest)) == want, (mix, named)
 
 
 def test_hash_preimage_slot_matching():
