@@ -4,12 +4,14 @@ The VM is just enough to express the protocol honestly: accounts with
 balances, contracts with state, height-gated calls with value transfer,
 and transactional semantics (an outer call that reverts leaves no trace of
 its nested effects). Each outer call opens an undo journal that records a
-contract's snapshot when the call first enters it and an account's old
-balance, or its absence, when the call first moves it; a reverted `call`
-replays the journal and a `static_call` always does, so a call costs what
-it touches rather than what is deployed. There is no gas and no real
-cryptography; commitment hashes use sha256 and bind the committer's
-address so a copied commitment can never be opened by anyone else.
+contract's snapshot when a non-view method first enters it and an
+account's old balance, or its absence, when the call first moves it; a
+reverted `call` replays the journal and a `static_call` always does, so a
+call costs what it can write rather than what is deployed. A view, a
+method a contract names in `VIEWS`, writes no state, so entering one
+enters no journal. There is no gas and no real cryptography; commitment
+hashes use sha256 and bind the committer's address so a copied
+commitment can never be opened by anyone else.
 
 Money flows through a single Master contract per tournament. The per-match
 TwoPartyLottery contracts carry no value; they only fix who advances. A
@@ -77,12 +79,14 @@ class Vm:
     """Single-chain account model with per-call rollback by an undo journal.
 
     `call` and `static_call` each open an empty journal: a contract's
-    `snapshot()` the first time the call enters it, and an account's old
-    balance (None when the account had no entry) the first time the call
-    moves it. A revert in `call`, and every `static_call`, replays the
-    journal, so the contracts and the exact set of balance keys return to
-    where the call found them. A call pays for what it touches, not for
-    everything deployed.
+    `snapshot()` the first time a non-view method of it is entered, and an
+    account's old balance (None when the account had no entry) the first
+    time the call moves it. A revert in `call`, and every `static_call`,
+    replays the journal, so the contracts and the exact set of balance keys
+    return to where the call found them. A view (a name in the contract's
+    `VIEWS`, which must also be in its `METHODS`) changes no state, so it
+    enters no journal, and a `static_call` of a view has nothing to undo.
+    A call pays for what it can write, not for everything deployed.
     """
 
     def __init__(self):
@@ -133,7 +137,7 @@ class Vm:
         if method.startswith("_") or method not in getattr(contract, "METHODS", ()):
             raise Reverted("NoSuchMethod")
         states = self._journal[0]
-        if address not in states:
+        if address not in states and method not in getattr(contract, "VIEWS", ()):
             states[address] = contract.snapshot()
         if value:
             self._transfer(sender, address, value)
@@ -257,7 +261,8 @@ class TwoPartyLottery:
     # the winner once final; a cache of final state, so never journaled
     _winner: Optional[str] = field(default=None, init=False, repr=False, compare=False)
 
-    METHODS = ("commit", "open", "get_winner", "player_a", "player_b")
+    METHODS = ("commit", "open", "get_winner", "player_a", "player_b", "participants")
+    VIEWS = ("get_winner", "player_a", "player_b", "participants")
 
     def snapshot(self):
         return dict(self.commits), dict(self.opens)
@@ -284,6 +289,9 @@ class TwoPartyLottery:
     def player_b(self, ctx: CallContext) -> Optional[str]:
         return self._resolve(ctx, self.side_b)
 
+    def participants(self, ctx: CallContext) -> tuple[Optional[str], Optional[str]]:
+        return self.player_a(ctx), self.player_b(ctx)
+
     def commit(self, ctx: CallContext, chash: bytes) -> None:
         if ctx.value:
             raise Reverted("WrongValue")
@@ -293,8 +301,7 @@ class TwoPartyLottery:
             raise Reverted("TooLate")
         if not isinstance(chash, bytes) or len(chash) != 32 or chash == ZERO_HASH:
             raise Reverted("BadCommitment")
-        a, b = self.player_a(ctx), self.player_b(ctx)
-        if ctx.sender not in (a, b):
+        if ctx.sender not in self.participants(ctx):
             raise Reverted("NotAPlayer")
         if ctx.sender in self.commits:
             raise Reverted("AlreadyCommitted")
@@ -322,9 +329,7 @@ class TwoPartyLottery:
         if ctx.height < self.t2:
             raise Reverted("TooEarly")
         if self._winner is None:
-            self._winner = match_winner(
-                self.player_a(ctx), self.player_b(ctx), self.commits, self.opens
-            )
+            self._winner = match_winner(*self.participants(ctx), self.commits, self.opens)
         return self._winner
 
 
@@ -349,6 +354,7 @@ class Master:
     refunded: set = field(default_factory=set)
 
     METHODS = ("deposit", "withdraw", "get_player", "is_complete")
+    VIEWS = ("get_player", "is_complete")
 
     def snapshot(self):
         return list(self.players), set(self.refunded), self.final_lottery

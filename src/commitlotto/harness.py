@@ -282,10 +282,7 @@ class ContractRuntime(Runtime):
         key = (level, match)
         if key not in self._participants:
             addr = self.tree.lottery(level, match)
-            self._participants[key] = (
-                self.vm.static_call("observer", addr, "player_a"),
-                self.vm.static_call("observer", addr, "player_b"),
-            )
+            self._participants[key] = self.vm.static_call("observer", addr, "participants")
         return self._participants[key]
 
     def _play_match(self, level: int, match: int, h: int) -> None:
@@ -309,18 +306,22 @@ class ContractRuntime(Runtime):
             if player is None or not offered:
                 continue
             secret = self._secret(player, level, match)
-            seen = dict(
-                player=player, my_address=mine, height=h, level=level, match=match, t0=lot.t0,
-                t1=lot.t1, t2=lot.t2, my_secret=secret, opponent_player=self.player_of.get(theirs),
-                opponent_commit=lot.commits.get(theirs),
-            )
             if committing:
-                view = CommitView(**seen, last_chance=h == lot.t1 - 1)
+                view = CommitView(
+                    player=player, my_address=mine, height=h, level=level, match=match,
+                    t0=lot.t0, t1=lot.t1, t2=lot.t2, my_secret=secret,
+                    opponent_player=self.player_of.get(theirs),
+                    opponent_commit=lot.commits.get(theirs),
+                    last_chance=h == lot.t1 - 1,
+                )
                 method, arg = "commit", self.strats[player].at_commit(view)
             else:
                 opened = {**lot.opens, mine: secret}
                 view = OpenView(
-                    **seen,
+                    player=player, my_address=mine, height=h, level=level, match=match,
+                    t0=lot.t0, t1=lot.t1, t2=lot.t2, my_secret=secret,
+                    opponent_player=self.player_of.get(theirs),
+                    opponent_commit=lot.commits.get(theirs),
                     last_chance=h == lot.t2 - 1,
                     opponent_open=lot.opens.get(theirs),
                     wins_if_open=match_winner(a, b, lot.commits, opened) == mine,

@@ -167,8 +167,9 @@ class Rng:
         self._counter = 0
 
     def child(self, label) -> "Rng":
-        r = Rng(b"")
+        r = Rng.__new__(Rng)
         r._key = sha256(self._key + b"/" + str(label).encode("utf-8"))
+        r._counter = 0
         return r
 
     def bytes(self, n: int) -> bytes:

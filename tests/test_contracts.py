@@ -701,3 +701,58 @@ def test_every_winner_read_from_t2_on_equals_a_fresh_recomputation(choices, read
                     vm.call("x", "peek", "peek", addr, True)
             assert kept(vm, addr) in (None, expected)
             assert vm.static_call("x", addr, "get_winner") == expected
+
+
+# views: methods that write no state and so enter no undo journal
+
+
+@pytest.mark.parametrize("cls", [TwoPartyLottery, Master])
+def test_every_view_is_a_method(cls):
+    assert cls.VIEWS
+    assert set(cls.VIEWS) <= set(cls.METHODS)
+
+
+def test_participants_reads_both_players_in_one_call():
+    vm, tree = played_tree(4)
+    for addr in tree.lotteries.values():
+        assert vm.static_call("x", addr, "participants") == (
+            vm.static_call("x", addr, "player_a"),
+            vm.static_call("x", addr, "player_b"),
+        )
+
+
+def test_a_reverted_commit_that_read_child_winners_leaves_everything_as_it_found_it(monkeypatch):
+    # the final's commit reads both child winners through `get_winner`, a view,
+    # then reverts; only the final itself, entered by a write, is journaled
+    vm = Vm()
+    tree = build_tree(vm, 4, bet=1, tau=TAU, t_commit=T_COMMIT)
+    for i in range(4):
+        vm.fund(f"p{i}", 1)
+        vm.call(f"p{i}", tree.master, "deposit", value=1)
+    t0, t1, _ = tree.schedule(0)
+    vm.advance_to(t0 + 1)
+    for match in (0, 1):
+        addr = tree.lottery(0, match)
+        for who in vm.static_call("x", addr, "participants"):
+            vm.call(who, addr, "commit", commit_digest(who, 1))
+    vm.advance_to(t1 + 1)
+    for match in (0, 1):
+        addr = tree.lottery(0, match)
+        for who in list(vm.contracts[addr].commits):
+            vm.call(who, addr, "open", 1)
+    vm.advance_to(tree.schedule(1)[0] + 1)
+    snapshots = {addr: c.snapshot() for addr, c in vm.contracts.items()}
+    balances, calls = dict(vm.balances), len(vm.trace)
+    entered = []
+    for cls in (Master, TwoPartyLottery):
+        snapshot = cls.snapshot
+        monkeypatch.setattr(
+            cls, "snapshot", lambda c, snapshot=snapshot: entered.append(c.address) or snapshot(c)
+        )
+    with reverts("NotAPlayer"):
+        vm.call("outsider", tree.final, "commit", commit_digest("outsider", 1))
+    assert entered == [tree.final]
+    monkeypatch.undo()
+    assert {addr: c.snapshot() for addr, c in vm.contracts.items()} == snapshots
+    assert vm.balances == balances
+    assert len(vm.trace) == calls + 1 and vm.trace[-1].info == "NotAPlayer"

@@ -5,6 +5,8 @@ import gc
 import hashlib
 import io
 import json
+import os
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -435,6 +437,82 @@ def test_a_settled_match_is_resolved_once_per_trial(monkeypatch):
         assert len(evaluated) == len(set(evaluated)) == n - 1
         counts[n] = len(reads)
     assert counts[128] <= 2.1 * counts[64], counts
+
+
+def test_a_contract_trial_journals_only_its_state_changing_calls(monkeypatch):
+    # ROADMAP 2 as an exact count: a view enters no journal, so an honest
+    # n=64 trial takes one snapshot per state-changing call (64 deposits, 126
+    # commits, 126 opens, one payout) and reads each match's players once
+    snapshots, static_calls = [], []
+    for cls in (Master, TwoPartyLottery):
+        snapshot = cls.snapshot
+        monkeypatch.setattr(
+            cls, "snapshot", lambda c, snapshot=snapshot: snapshots.append(1) or snapshot(c)
+        )
+    static_call = Vm.static_call
+    monkeypatch.setattr(
+        Vm, "static_call", lambda vm, *args: static_calls.append(args[2]) or static_call(vm, *args)
+    )
+    c = cfg(n=64, master_seed="rollback")
+    rt = ContractRuntime(c, trial_rng(c.master_seed, 0), 0)
+    result = rt.run()
+    assert result.committed and result.winner is not None
+    assert all(rec.ok for rec in rt.vm.trace)
+    assert len(snapshots) == len(rt.vm.trace) == 317
+    assert len(static_calls) == 64
+    assert static_calls.count("participants") == 63
+
+
+class ViewProbe(ContractRuntime):
+    """A contract runtime that, after every stop, reads every view of every
+    contract through `static_call` and checks that the read changed nothing."""
+
+    def step(self, h):
+        super().step(h)
+        vm = self.vm
+        seats = [(i,) for i in range(self.cfg.n + 1)]  # and one past the table
+        for addr, contract in vm.contracts.items():
+            for method in contract.VIEWS:
+                for args in seats if method == "get_player" else [()]:
+                    before = {a: c.snapshot() for a, c in vm.contracts.items()}
+                    balances, calls = dict(vm.balances), len(vm.trace)
+                    try:
+                        vm.static_call("observer", addr, method, *args)
+                    except contracts.Reverted:
+                        pass  # an early winner read or an empty seat
+                    assert {a: c.snapshot() for a, c in vm.contracts.items()} == before
+                    assert vm.balances == balances and len(vm.trace) == calls
+
+
+@pytest.mark.parametrize("mix", [("honest",) * 8, ETH_MIXED_SEATS], ids=["honest", "mixed"])
+def test_every_view_read_at_every_stop_changes_nothing(mix):
+    c = cfg(n=8, strategies=mix, master_seed="views")
+    for i in range(3):
+        probed = ViewProbe(c, trial_rng(c.master_seed, i), i)
+        plain = ContractRuntime(c, trial_rng(c.master_seed, i), i)
+        assert probed.run() == plain.run()  # the reads do not change play either
+        assert probed.vm.trace == plain.vm.trace
+
+
+def test_contract_trials_keep_no_python_memory():
+    # ROADMAP 2: once warm, contract trials leave nothing behind in the
+    # package's own allocations; allocator growth is outside this heap
+    config = cfg(n=16, master_seed="memory")
+    for i in range(50):
+        run_trial(config, i)
+    package = os.path.join(os.path.dirname(harness.__file__), "*")
+    tracemalloc.start()
+    try:
+        gc.collect()
+        before = tracemalloc.take_snapshot().filter_traces([tracemalloc.Filter(True, package)])
+        for i in range(200):
+            run_trial(config, 50 + i)
+        gc.collect()
+        after = tracemalloc.take_snapshot().filter_traces([tracemalloc.Filter(True, package)])
+    finally:
+        tracemalloc.stop()
+    growth = sum(stat.size_diff for stat in after.compare_to(before, "filename"))
+    assert growth < 1024, growth
 
 
 @pytest.mark.parametrize("deposit_option", ["atomic", "hashlocked"])

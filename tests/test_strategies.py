@@ -1,7 +1,10 @@
 """Strategy registry and decision rules that don't need a full run."""
 
+import hashlib
+
 import pytest
 
+from commitlotto import primitives
 from commitlotto.primitives import Rng
 from commitlotto.strategies import (
     adversary_library,
@@ -84,3 +87,22 @@ def test_coalition_throws_to_lowest_index():
     assert not s1._throws_to(2)  # the lower index plays to win
     assert not s2._throws_to(0)  # outsiders get an honest game
     assert not s2._throws_to(None)
+
+
+# the coins every strategy draws from
+
+
+def test_a_child_rng_is_keyed_by_its_parent_and_label_with_one_hash(monkeypatch):
+    parent = Rng(7)
+    assert parent._key == hashlib.sha256(b"rng-seed:7").digest()
+    parent.bytes(40)  # how far a parent has read does not move its children
+    hashes = []
+    sha256 = primitives.sha256
+    monkeypatch.setattr(primitives, "sha256", lambda data: hashes.append(data) or sha256(data))
+    child = parent.child("secret/3/1/0")
+    key = hashlib.sha256(parent._key + b"/secret/3/1/0").digest()
+    assert hashes == [parent._key + b"/secret/3/1/0"]
+    assert child._key == key
+    assert child.bytes(40) == b"".join(
+        hashlib.sha256(key + i.to_bytes(8, "little")).digest() for i in range(2)
+    )[:40]
