@@ -82,7 +82,14 @@ class TransactionBody(_BodyFields):
 
     @functools.cached_property
     def digests(self) -> tuple[bytes, bytes]:
-        """(ntxid, signature digest), from one encoding of this body."""
+        """(ntxid, signature digest), from one encoding of this body.
+
+        The ntxid is the witness-independent transaction id. The signature
+        digest is what a signer commits to for any input: the canonical body
+        already encodes a MultiInput as its full candidate set (the chosen ref
+        lives in the witness), so one signing covers every member of the set,
+        and all inputs of a body share a single digest.
+        """
         data = body_bytes(self)
         return sha256(b"ntxid:" + data), sha256(b"sigmsg:" + data)
 
@@ -104,19 +111,6 @@ def body_bytes(body: TransactionBody) -> bytes:
         parts.append(lp_bytes(predicate_bytes(out.predicate)))
     parts.append(u64(body.locktime))
     return b"".join(parts)
-
-
-def body_digests(body: TransactionBody) -> tuple[bytes, bytes]:
-    """A body's (ntxid, signature digest), read from the body (`TransactionBody.digests`).
-
-    The ntxid is the witness-independent transaction id. The signature
-    digest is what a signer commits to for any input: the canonical body
-    already encodes a MultiInput as its full candidate set (the chosen ref
-    lives in the witness), so one signing covers every member of the set,
-    and all inputs of a body share a single digest. Both come from one
-    encoding, made the first time any caller reads them.
-    """
-    return body.digests
 
 
 def compute_ntxid(body: TransactionBody) -> bytes:
@@ -177,10 +171,13 @@ class SubmitResult(NamedTuple):
 
 
 class LogEntry(NamedTuple):
-    ntxid: bytes
     body: TransactionBody
     witness: Optional[Witness]  # None marks a mint
     height: int
+
+    @property
+    def ntxid(self) -> bytes:
+        return self.body.digests[0]
 
 
 class Chain:
@@ -221,13 +218,12 @@ class Chain:
             outputs=(TxOutput(value, predicate),),
         )
         self._mint_serial += 1
-        ntxid = body.digests[0]
-        ref = OutputRef(ntxid, 0)
+        ref = OutputRef(body.digests[0], 0)
         self.utxo[ref] = body.outputs[0]
         self._credit(body.outputs[0], 1)
         self.minted_total += value
-        self.log.append(LogEntry(ntxid, body, None, self.height))
-        self.entries[ntxid] = self.log[-1]
+        self.log.append(LogEntry(body, None, self.height))
+        self.entries[ref.txid] = self.log[-1]
         return ref
 
     def submit(self, body: TransactionBody, witness: Witness) -> SubmitResult:
@@ -293,7 +289,7 @@ class Chain:
         for k, out in enumerate(body.outputs):
             self.utxo[OutputRef(ntxid, k)] = out
             self._credit(out, 1)
-        self.log.append(LogEntry(ntxid, body, witness, self.height))
+        self.log.append(LogEntry(body, witness, self.height))
         self.entries[ntxid] = self.log[-1]
         return SubmitResult(True, ntxid, None)
 

@@ -664,10 +664,10 @@ class ScaffoldRuntime(Runtime):
         owned = self.mpc is not None
         return tuple(
             Candidate(
-                ROLE_DEPOSIT, PRIORITY_DEPOSIT, -1, -1, ntxid, body, body.locktime, _spends(body),
-                beneficiary=i if owned else None, owner=i if owned else None,
+                ROLE_DEPOSIT, PRIORITY_DEPOSIT, -1, -1, body.digests[0], body, body.locktime,
+                _spends(body), beneficiary=i if owned else None, owner=i if owned else None,
             )
-            for i, (body, ntxid) in enumerate(zip(self.t.deposit_bodies, self.t.deposit_ntxids))
+            for i, body in enumerate(self.t.deposit_bodies)
         )
 
     @functools.cached_property

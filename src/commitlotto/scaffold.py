@@ -15,7 +15,9 @@ compression transaction spends whichever outcome output actually paid that
 candidate (a MultiInput set), so the next level only needs one kernel per
 pair of candidate identities, 4^l per match.
 
-Everything here is built unsigned, and NTXIDs never cover witness data. A
+Everything here is built unsigned, and NTXIDs never cover witness data.
+No record takes an id: kernels, compressions and deposits derive theirs
+from their bodies (`TransactionBody.digests`), so none can disagree. A
 kernel is a pure function of the public parameters, its two commitments
 and its two stake refs, and a compression of the outcome ntxids that pay
 its candidate, so `Tournament.kernels` and `Tournament.compressions` build
@@ -42,10 +44,8 @@ from .chain import (
     TransactionBody,
     TxOutput,
     body_bytes,
-    body_digests,
     body_from_json,
     body_to_json,
-    compute_ntxid,
     multi_input,
     sig_digest_for,
 )
@@ -273,9 +273,10 @@ class IdealMpcOracle:
         return sha256(self.combined())
 
 
-@dataclass
+@dataclass(frozen=True)
 class Kernel:
-    """One five-transaction match kernel, fully wired and unsigned."""
+    """One five-transaction match kernel, fully wired and unsigned. Its ids are
+    not arguments: each is derived from its body, also by `dataclasses.replace`."""
 
     id: KernelId
     left_player: int
@@ -289,9 +290,15 @@ class Kernel:
     entry_tx: TransactionBody
     reveal_tx: TransactionBody
     outcome_txs: tuple[TransactionBody, TransactionBody, TransactionBody]
-    entry_ntxid: bytes = b""
-    reveal_ntxid: bytes = b""
-    outcome_ntxids: tuple[bytes, bytes, bytes] = (b"", b"", b"")
+    entry_ntxid: bytes = field(init=False)
+    reveal_ntxid: bytes = field(init=False)
+    outcome_ntxids: tuple[bytes, bytes, bytes] = field(init=False)
+
+    def __post_init__(self):
+        derive = functools.partial(object.__setattr__, self)  # the dataclass is frozen
+        derive("entry_ntxid", self.entry_tx.digests[0])
+        derive("reveal_ntxid", self.reveal_tx.digests[0])
+        derive("outcome_ntxids", tuple(b.digests[0] for b in self.outcome_txs))
 
     @property
     def bodies(self) -> tuple[TransactionBody, ...]:
@@ -308,7 +315,10 @@ class CompressionTx(NamedTuple):
     match: int
     candidate: int
     body: TransactionBody
-    ntxid: bytes
+
+    @property
+    def ntxid(self) -> bytes:
+        return self.body.digests[0]
 
 
 @dataclass(frozen=True)
@@ -346,7 +356,9 @@ class Tournament:
     An honestly constructed scaffold builds its kernels and compressions on
     first read (see `LazyTable`); one decoded from a file has them all. The
     registries `scaffold_digests` and `secrets` hold what the built bodies
-    and kernels contribute, so they grow with the tables.
+    and kernels contribute, so they grow with the tables. No id is an
+    argument: `deposit_ntxids` is derived from `deposit_bodies` whenever
+    they are set, and the kernels and compressions derive theirs.
     """
 
     mode: str
@@ -361,13 +373,20 @@ class Tournament:
     kernels: MutableMapping[KernelId, Kernel]
     compressions: MutableMapping[tuple[int, int, int], CompressionTx]
     deposit_bodies: tuple[TransactionBody, ...]
-    deposit_ntxids: tuple[bytes, ...]
     refund_time: Optional[int]
     mpc_digest: Optional[bytes]
     stats: TransactionStats
     # signature digests of the built kernel and compression bodies: what the ceremony approves
     scaffold_digests: set[bytes] = field(repr=False)
     secrets: dict[tuple[KernelId, int], bytes] = field(default_factory=dict, repr=False)
+    deposit_ntxids: tuple[bytes, ...] = field(init=False, repr=False, compare=False)
+
+    def __setattr__(self, name, value):
+        super().__setattr__(name, value)
+        # the ids follow the bodies whenever they are set; kept, not a
+        # property, because play reads them many times per trial
+        if name == "deposit_bodies":
+            super().__setattr__("deposit_ntxids", tuple(b.digests[0] for b in value))
 
     @property
     def levels(self) -> int:
@@ -389,22 +408,21 @@ class ScaffoldTx(NamedTuple):
     role: str
     key: object  # KernelId, (level, match, candidate) or deposit index
     body: TransactionBody
-    ntxid: bytes
+
+    @property
+    def ntxid(self) -> bytes:
+        return self.body.digests[0]
 
 
 def iter_bodies(t: Tournament, include_deposits: bool = True) -> list[ScaffoldTx]:
     """All scaffold bodies in deterministic order; deposits come last."""
     out: list[ScaffoldTx] = []
     for kid in sorted(t.kernels):
-        k = t.kernels[kid]
-        for role, body, ntxid in zip(ROLE_KERNEL, k.bodies, k.ntxids):
-            out.append(ScaffoldTx(role, kid, body, ntxid))
+        out.extend(ScaffoldTx(role, kid, b) for role, b in zip(ROLE_KERNEL, t.kernels[kid].bodies))
     for ckey in sorted(t.compressions):
-        c = t.compressions[ckey]
-        out.append(ScaffoldTx(ROLE_COMPRESSION, ckey, c.body, c.ntxid))
+        out.append(ScaffoldTx(ROLE_COMPRESSION, ckey, t.compressions[ckey].body))
     if include_deposits:
-        for i, body in enumerate(t.deposit_bodies):
-            out.append(ScaffoldTx(ROLE_DEPOSIT, i, body, t.deposit_ntxids[i]))
+        out.extend(ScaffoldTx(ROLE_DEPOSIT, i, body) for i, body in enumerate(t.deposit_bodies))
     return out
 
 
@@ -555,16 +573,8 @@ def _param_problem(
 
 
 def _kernel(bodies, **fields) -> Kernel:
-    """A Kernel from five bodies in `_kernel_bodies` order, with the bodies' own ntxids."""
-    return Kernel(
-        entry_tx=bodies[0],
-        reveal_tx=bodies[1],
-        outcome_txs=bodies[2:],
-        entry_ntxid=bodies[0].digests[0],
-        reveal_ntxid=bodies[1].digests[0],
-        outcome_ntxids=tuple(b.digests[0] for b in bodies[2:]),
-        **fields,
-    )
+    """A Kernel from five bodies in `_kernel_bodies` order."""
+    return Kernel(entry_tx=bodies[0], reveal_tx=bodies[1], outcome_txs=bodies[2:], **fields)
 
 
 KERNELS = "kernels"
@@ -699,9 +709,8 @@ class _HonestWiring:
             inputs=(multi_input(members),),
             outputs=(TxOutput(pot, _payout(self.master, self.keys[cand], level == self.levels - 1)),),
         )
-        ntxid, sig_digest = body_digests(body)
-        self.scaffold_digests.add(sig_digest)
-        return CompressionTx(level, match, cand, body, ntxid)
+        self.scaffold_digests.add(body.digests[1])
+        return CompressionTx(level, match, cand, body)
 
 
 class LazyTable(MutableMapping):
@@ -784,7 +793,7 @@ def _honest_scaffold(
         mode=mode,
         deposit_option=deposit_option,
         master=master,
-        deposit_ntxids=tuple(compute_ntxid(b) for b in deposit_bodies),
+        deposit_ntxids=tuple(b.digests[0] for b in deposit_bodies),
         commits=commits,
     )
     return Tournament(
@@ -800,7 +809,6 @@ def _honest_scaffold(
         kernels=LazyTable(wiring, KERNELS),
         compressions=LazyTable(wiring, COMPRESSIONS),
         deposit_bodies=deposit_bodies,
-        deposit_ntxids=wiring.deposit_ntxids,
         refund_time=refund_time,
         mpc_digest=mpc_digest,
         stats=stats,
@@ -1045,20 +1053,14 @@ def verify_as_honest(t: Tournament) -> list[Violation]:
             if got != want:
                 v.append(Violation(kid, rule, f"{what} {got} != {want}"))
 
-    # The runtime trusts the stored ntxids and the ceremony approves the
-    # digest registry, so each must be that of the stored bodies, or play or
-    # signing would cover something other than what was checked.
+    # The ceremony approves the digest registry, so it must be that of the
+    # stored bodies, or signing would cover something other than what was checked.
     stored = {}
     signable = set()
     for item in iter_bodies(t):
         stored[(item.role, item.key)] = item.body
-        ntxid, sig_digest = body_digests(item.body)
-        if ntxid != item.ntxid:
-            kid = item.key if isinstance(item.key, KernelId) else None
-            detail = f"{item.role} {item.key}: stored ntxid does not match the body"
-            v.append(Violation(kid, "BadDigest", detail))
         if item.role != ROLE_DEPOSIT:
-            signable.add(sig_digest)
+            signable.add(item.body.digests[1])
     if t.scaffold_digests != signable:
         detail = "the approved digests are not those of the kernel and compression bodies"
         v.append(Violation(None, "BadDigest", detail))
@@ -1227,6 +1229,8 @@ def tournament_from_json(obj: dict) -> Tournament:
         bodies = tuple(body_from_json(b, f"{where}.{role}") for b, role in zip(docs, ROLE_KERNEL))
         scaffold_digests.update(b.digests[1] for b in bodies)
         kid = KernelId(*(field_of(name, int) for name in KernelId._fields))
+        if kid in kernels:
+            raise ValueError(f"{where}: repeats kernel {tuple(kid)}")
         kernels[kid] = _kernel(
             bodies,
             id=kid,
@@ -1239,9 +1243,10 @@ def tournament_from_json(obj: dict) -> Tournament:
         where = f"compressions[{i}]"
         body = body_from_json(json_field(rec, "body", dict, where), f"{where}.body")
         key = tuple(json_field(rec, k, int, where) for k in ("level", "match", "candidate"))
-        ntxid, sig_digest = body_digests(body)
-        scaffold_digests.add(sig_digest)
-        compressions[key] = CompressionTx(*key, body, ntxid)
+        if key in compressions:
+            raise ValueError(f"{where}: repeats compression {key}")
+        scaffold_digests.add(body.digests[1])
+        compressions[key] = CompressionTx(*key, body)
     deposit_bodies = tuple(
         body_from_json(b, f"deposits[{i}]") for i, b in enumerate(get("deposits", list))
     )
@@ -1258,7 +1263,6 @@ def tournament_from_json(obj: dict) -> Tournament:
         kernels=kernels,
         compressions=compressions,
         deposit_bodies=deposit_bodies,
-        deposit_ntxids=tuple(compute_ntxid(b) for b in deposit_bodies),
         refund_time=None if obj.get("refund_time") is None else get("refund_time", int),
         mpc_digest=get("mpc_digest", bytes) if obj.get("mpc_digest") else None,
         stats=TransactionStats.from_json(get("stats", dict), "scaffold.stats"),
@@ -1292,14 +1296,10 @@ def export_dot(t: Tournament) -> str:
     for kid in sorted(t.kernels):
         k = t.kernels[kid]
         base = f"k{kid.level}_{kid.match}_{kid.combo}"
-        for role, body, ntxid, lock in (
-            ("entry", k.entry_tx, k.entry_ntxid, 0),
-            ("reveal", k.reveal_tx, k.reveal_ntxid, 0),
-            ("outcome_a", k.outcome_txs[0], k.outcome_ntxids[0], k.t2),
-            ("outcome_b", k.outcome_txs[1], k.outcome_ntxids[1], k.t1),
-            ("outcome_bp", k.outcome_txs[2], k.outcome_ntxids[2], 0),
-        ):
-            label = f"{base}.{role}" + (f"\\nlock={lock}" if lock else "")
+        for role, body, ntxid in zip(ROLE_KERNEL, k.bodies, k.ntxids):
+            role = role.replace("-", "_")
+            # outcome a waits for t2 and b for t1: exactly their locktimes
+            label = f"{base}.{role}" + (f"\\nlock={body.locktime}" if body.locktime else "")
             nodes.append((f"{base}_{role}", label, body, ntxid))
     for (level, match, cand), c in sorted(t.compressions.items()):
         label = f"compress L{level} M{match} -> P{cand}"

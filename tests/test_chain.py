@@ -19,7 +19,6 @@ from commitlotto.chain import (
     TransactionBody,
     TxOutput,
     body_bytes,
-    body_digests,
     compute_ntxid,
     multi_input,
     sig_digest_for,
@@ -89,7 +88,7 @@ def test_a_body_carries_its_own_digests():
     data = body_bytes(body)
     want = (hashlib.sha256(b"ntxid:" + data).digest(), hashlib.sha256(b"sigmsg:" + data).digest())
     assert body.digests == want
-    assert body_digests(body) == (compute_ntxid(body), sig_digest_for(body)) == want
+    assert body.digests == (compute_ntxid(body), sig_digest_for(body)) == want
     same = body._replace(locktime=3)
     rebuilt = TransactionBody(body.inputs, body.outputs, 3)
     for other in (same, rebuilt):

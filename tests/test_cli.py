@@ -1,5 +1,6 @@
 """CLI: exit codes, output contracts, determinism."""
 
+import copy
 import hashlib
 import json
 
@@ -206,6 +207,34 @@ def test_verify_malformed_scaffold_is_input_error(capsys, scaffold_file, tmp_pat
     assert code == 2
     assert err.startswith("error: ")
     assert "internal error" not in err
+
+
+@pytest.mark.parametrize(
+    "command", [("verify",), ("export-dot", "--scaffold")], ids=["verify", "export-dot"]
+)
+@pytest.mark.parametrize(
+    "table, mode, body, key",
+    [
+        ("kernels", "plain", "entry", "kernel (0, 0, 0)"),
+        ("compressions", "multiinput", "body", "compression (0, 0, 0)"),
+    ],
+    ids=["kernels", "compressions"],
+)
+def test_a_repeated_record_is_malformed_input(capsys, tmp_path, command, table, mode, body, key):
+    # a tampered copy placed before the genuine record must not be dropped
+    # silently: the file names two records for one key
+    path = tmp_path / "scaffold.json"
+    argv = ("build", "--n", "4", "--mode", mode, "--out", str(tmp_path / "s.json"))
+    assert run_cli(capsys, *argv, "--scaffold-out", str(path))[0] == 0
+    doc = json.loads(path.read_text())
+    tampered = copy.deepcopy(doc[table][0])
+    tampered[body]["locktime"] += 1
+    doc[table].insert(0, tampered)
+    bad = tmp_path / "repeated.json"
+    bad.write_text(json.dumps(doc))
+    code, out, err = run_cli(capsys, *command, str(bad))
+    assert (code, out) == (2, "")
+    assert err == f"error: {table}[1]: repeats {key}\n"
 
 
 # run
@@ -438,6 +467,24 @@ def test_export_dot_from_file(capsys, scaffold_file, tmp_path):
 
 def test_export_dot_refuses_unbuildable_size(capsys):
     assert run_cli(capsys, "export-dot", "--n", "16")[0] == 2
+
+
+# sha256 of the Graphviz output of a fresh build: every node, label, lock
+# and edge of the spend graph, byte for byte
+DOT_GOLDEN = [
+    (("--n", "4"), "6f4962e956095712c907cd7ead4e64873e46b1e1d5ac90432c69551484572b73"),
+    (
+        ("--n", "8", "--mode", "multiinput", "--deposit", "hashlocked"),
+        "3e54b744876a909b27a6bfabad5a6324842f2b16939196826a4580a93a2f195b",
+    ),
+]
+
+
+@pytest.mark.parametrize("argv, digest", DOT_GOLDEN, ids=["plain-n4", "multiinput-n8-hashlocked"])
+def test_export_dot_golden(capsys, argv, digest):
+    code, out, _ = run_cli(capsys, "export-dot", *argv)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 # one rule for output paths: "-" and "" both mean stdout

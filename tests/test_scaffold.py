@@ -9,6 +9,7 @@ import pytest
 
 from commitlotto.chain import (
     FixedInput,
+    LogEntry,
     TransactionBody,
     TxOutput,
     body_bytes,
@@ -28,6 +29,7 @@ from commitlotto.scaffold import (
     SLOT_MPC,
     IdealMpcOracle,
     IndexOutOfRange,
+    Kernel,
     KernelId,
     MpcIncomplete,
     NotPowerOfTwo,
@@ -784,16 +786,40 @@ def test_verify_flags_late_refund_window():
 
 
 def test_verify_flags_stale_digests(plain4):
-    t = clone(plain4)
-    kid = KernelId(0, 0, 0)
-    t.kernels[kid] = dataclasses.replace(t.kernels[kid], reveal_ntxid=b"\x00" * 32)
-    found = verify_as_honest(t)
-    assert rules_of(found) == {"BadDigest"}
-    assert [v.kernel for v in found] == [kid]
     # an approval set that covers a body the scaffold lacks
     t = clone(plain4)
     t.scaffold_digests.add(b"\x00" * 32)
     assert rules_of(verify_as_honest(t)) == {"BadDigest"}
+
+
+def test_a_replaced_body_brings_its_own_id(multi8):
+    # no record stores an id beside its body, so none can go stale
+    k = multi8.kernel(1, 0, 0)
+    forged = k.entry_tx._replace(locktime=k.entry_tx.locktime + 1)
+    want = forged.digests[0]
+    assert dataclasses.replace(k, entry_tx=forged).entry_ntxid == want != k.entry_ntxid
+    assert dataclasses.replace(k, reveal_tx=forged).reveal_ntxid == want
+    for i in range(3):
+        outcomes = tuple(forged if j == i else b for j, b in enumerate(k.outcome_txs))
+        got = dataclasses.replace(k, outcome_txs=outcomes).outcome_ntxids
+        assert got == tuple(want if j == i else n for j, n in enumerate(k.outcome_ntxids))
+    comp = multi8.compressions[(0, 0, 0)]
+    assert comp._replace(body=forged).ntxid == want != comp.ntxid
+    item = iter_bodies(multi8)[0]
+    assert item._replace(body=forged).ntxid == want != item.ntxid
+    assert LogEntry(comp.body, None, 0)._replace(body=forged).ntxid == want
+    deposits = (forged,) + multi8.deposit_bodies[1:]
+    t = dataclasses.replace(multi8, deposit_bodies=deposits)
+    assert t.deposit_ntxids == tuple(b.digests[0] for b in deposits) != multi8.deposit_ntxids
+    t = clone(multi8)
+    t.deposit_bodies = deposits
+    assert t.deposit_ntxids[0] == want
+    # an id cannot be passed in, nor set on a kernel afterwards
+    fields = {f.name: getattr(k, f.name) for f in dataclasses.fields(k) if f.init}
+    with pytest.raises(TypeError):
+        Kernel(**fields, entry_ntxid=want)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        k.entry_ntxid = want
 
 
 def with_body(t, item, body):
