@@ -61,10 +61,7 @@ def _build_scaffold(args, write_out: bool):
     funding = [OutputRef(rng.child(f"funding/{i}").bytes(32), 0) for i in range(n)]
     mpc_digest = None
     if args.deposit == DEPOSIT_HASHLOCKED:
-        mpc = IdealMpcOracle(n)
-        for i in range(n):
-            mpc.collect(i, rng.child(f"mpc/{i}").nonzero_bytes(32))
-        mpc_digest = mpc.digest()
+        mpc_digest = IdealMpcOracle.seeded(n, rng).digest()
     t = build_tournament(
         n,
         keys,

@@ -462,13 +462,13 @@ class ScaffoldRuntime(Runtime):
     chain, whether the scaffold committed, which kernel each match reached
     and who won are all read from it. The runtime itself holds knowledge
     only, the preimages it has seen in on-chain witnesses and the joint
-    preimage once released; a kernel's secret is known to its side's
-    player and that player's allies, and is read from the scaffold when a
-    witness needs it. What the chain says of a match never changes once
-    found, so a reached match keeps one `MatchRecord`: the kernel it
-    reached and its candidates, made by `_reach` once both child matches
-    have settled, and its result, found by `_result` once the transaction
-    carrying its pot on is on chain.
+    preimage once released; a kernel's secret is held by its side's player
+    and that player's allies. A witness is built once per offer and asked
+    only of the players who hold every preimage it opens. What the chain
+    says of a match never changes once found, so a reached match keeps one
+    `MatchRecord`: the kernel it reached and its candidates, made by
+    `_reach` once both child matches have settled, and its result, found
+    by `_result` once the transaction carrying its pot on is on chain.
     """
 
     SETUP_HEIGHT = 1  # ceremony and (attempted) deposits happen here
@@ -489,9 +489,7 @@ class ScaffoldRuntime(Runtime):
         self.mpc: Optional[IdealMpcOracle] = None
         mpc_digest = None
         if cfg.deposit_option == DEPOSIT_HASHLOCKED:
-            self.mpc = IdealMpcOracle(n)
-            for i in range(n):
-                self.mpc.collect(i, rng.child(f"mpc/{i}").nonzero_bytes(32))
+            self.mpc = IdealMpcOracle.seeded(n, rng)
             mpc_digest = self.mpc.digest()
 
         self.t: Tournament = build_tournament(
@@ -519,18 +517,6 @@ class ScaffoldRuntime(Runtime):
         self._matches: dict[tuple[int, int], MatchRecord] = {}  # the one memo of chain reads
 
     # knowledge
-
-    def _lookup(self, player: int, digest: bytes, kernel: Optional[Kernel]) -> Optional[bytes]:
-        """A preimage the player can supply: public, or a secret of its side or an ally's."""
-        pre = self.public.get(digest)
-        if pre is not None or kernel is None:
-            return pre
-        allies = self.allies[player]
-        if digest == kernel.left_commit and kernel.left_player in allies:
-            return self.t.secret(kernel.id, SIDE_LEFT)
-        if digest == kernel.right_commit and kernel.right_player in allies:
-            return self.t.secret(kernel.id, SIDE_RIGHT)
-        return None
 
     def _learn_public(self, witness: Witness) -> None:
         for iw in witness.inputs:
@@ -692,32 +678,41 @@ class ScaffoldRuntime(Runtime):
 
     # witness assembly
 
-    def _assemble(self, cand: Candidate, player: int) -> Optional[Witness]:
-        """The witness `player` can give `cand`, or None if it lacks a preimage.
+    def _witness(self, cand: Candidate) -> Optional[tuple[Witness, Sequence[int]]]:
+        """The witness `cand` takes, whoever gives it, and the players who
+        can give it, in seat order; None if no one can.
 
-        Every input names all keys as its signers, whose approval the
-        ceremony recorded, or its owner alone, who signs it once it chooses
-        to broadcast (`_offer`), with the
-        preimages the candidate opens, its branch and its chosen ref. Input
-        i of the atomic deposit names key i alone, and outcome b' is not
-        assembled on even parity, since its predicate can never pass.
+        Each preimage it opens is public, or a kernel side's secret, held by
+        that side's player and its allies; the joint preimage is no one's
+        until released. Every input names all keys as its signers, whose
+        approval the ceremony recorded, or its owner alone, who signs it
+        once it chooses to broadcast (`_offer`). Input i of the atomic
+        deposit names key i alone, and outcome b' is not assembled on even
+        parity, since its predicate can never pass.
         """
+        players = (cand.owner,) if cand.owner is not None else range(self.cfg.n)
+        kernel = cand.kernel
         preimages: dict[str, bytes] = {}
         for slot, digest in cand.opens:
-            pre = self._lookup(player, digest, cand.kernel)
+            pre = self.public.get(digest)
             if pre is None:
-                return None
+                if slot == SLOT_MPC:
+                    return None
+                side = SIDE_SLOTS.index(slot)
+                holders = self.allies[(kernel.left_player, kernel.right_player)[side]]
+                players = [p for p in players if p in holders]
+                pre = self.t.secret(kernel.id, side)
             preimages[slot] = pre
         if cand.role == ROLE_OUTCOME_BP:
             if parity_bit(preimages[SLOT_LEFT]) ^ parity_bit(preimages[SLOT_RIGHT]) != 1:
                 return None
         signers = self.keys
         if cand.owner is not None:
-            signers = (self.keys[player],)
+            signers = (self.keys[cand.owner],)
         elif cand.role == ROLE_DEPOSIT:  # atomic: input i is key i's funding output
-            return Witness(tuple(InputWitness((key,)) for key in self.keys))
+            return Witness(tuple(InputWitness((key,)) for key in self.keys)), players
         iw = InputWitness(signers, preimages, cand.branch, cand.chosen_ref)
-        return Witness((iw,) * len(cand.body.inputs))
+        return Witness((iw,) * len(cand.body.inputs)), players
 
     # the trial
 
@@ -763,13 +758,10 @@ class ScaffoldRuntime(Runtime):
             pass
 
     def _offer(self, cand: Candidate, h: int) -> bool:
-        players = (cand.owner,) if cand.owner is not None else range(self.cfg.n)
+        witness, players = self._witness(cand) or (None, ())
         kernel = cand.kernel
         left, right = (kernel.left_player, kernel.right_player) if kernel else (None, None)
         for player in players:
-            witness = self._assemble(cand, player)
-            if witness is None:
-                continue
             view = BroadcastView(
                 player=player,
                 kind=cand.role,

@@ -252,6 +252,14 @@ class IdealMpcOracle:
         self.n = n
         self._inputs: dict[int, bytes] = {}
 
+    @classmethod
+    def seeded(cls, n: int, rng: Rng) -> "IdealMpcOracle":
+        """Every player's input collected, input i drawn from `rng.child("mpc/i")`."""
+        mpc = cls(n)
+        for i in range(n):
+            mpc.collect(i, rng.child(f"mpc/{i}").nonzero_bytes(32))
+        return mpc
+
     def collect(self, player: int, secret: bytes) -> None:
         if len(secret) != 32 or not any(secret):
             raise ValueError("mpc inputs are nonzero 32-byte strings")
@@ -561,8 +569,8 @@ def _param_problem(
     """Why honest construction cannot run on these inputs, or None; `check_params` has passed."""
     if len(keys) != n or len(set(keys)) != n:
         return "need one distinct key per player"
-    if len(funding) != n:
-        return "need one funding output per player"
+    if len(funding) != n or len(set(funding)) != n:
+        return "need one distinct funding output per player"
     if mode not in (MODE_PLAIN, MODE_MULTIINPUT):
         return f"unknown mode {mode!r}"
     if deposit_option not in (DEPOSIT_ATOMIC, DEPOSIT_HASHLOCKED):
@@ -1016,6 +1024,8 @@ def verify_as_honest(t: Tournament) -> list[Violation]:
     v: list[Violation] = []
     if t.level_stride != h.level_stride:
         v.append(Violation(None, "BadSchedule", f"level stride {t.level_stride} != {h.level_stride}"))
+    if t.mpc_digest != h.mpc_digest:
+        v.append(Violation(None, "BadDeposit", "atomic deposits take no joint mpc digest"))
     if t.refund_time != h.refund_time:
         detail = f"refund time {t.refund_time} != {h.refund_time}, the commit deadline"
         v.append(Violation(None, "BadDeposit", detail))

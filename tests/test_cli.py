@@ -124,6 +124,40 @@ def test_verify_flags_doctored_stats(capsys, scaffold_file, tmp_path):
     assert "scaffold ok" not in out
 
 
+def _repeat_a_funding_ref(doc):
+    # the deposit spends funding 0 twice, so the chain would never accept it
+    doc["funding"][1] = doc["funding"][0]
+    inputs = doc["deposits"][0]["inputs"]
+    inputs[1] = dict(inputs[0])
+
+
+def _give_an_atomic_scaffold_a_joint_digest(doc):
+    assert doc["mpc_digest"] is None  # honest atomic construction writes none
+    doc["mpc_digest"] = "ab" * 32
+
+
+@pytest.mark.parametrize(
+    "edit,line",
+    [
+        (_repeat_a_funding_ref,
+         "VIOLATION BadParams at scaffold: need one distinct funding output per player"),
+        (_give_an_atomic_scaffold_a_joint_digest,
+         "VIOLATION BadDeposit at scaffold: atomic deposits take no joint mpc digest"),
+    ],
+)
+def test_verify_flags_deposit_inputs_honest_construction_never_writes(
+    capsys, scaffold_file, tmp_path, edit, line
+):
+    doc = json.loads(scaffold_file.read_text())
+    edit(doc)
+    bad = tmp_path / "edited.json"
+    bad.write_text(json.dumps(doc))
+    code, out, err = run_cli(capsys, "verify", str(bad))
+    assert code == 3
+    assert out.splitlines() == [line]
+    assert "do not sign" in err
+
+
 @pytest.mark.parametrize("field,value", [("tau", 0), ("tau", 1), ("t_commit", 1), ("bet", 0)])
 def test_verify_reports_out_of_range_params(capsys, scaffold_file, tmp_path, field, value):
     doc = json.loads(scaffold_file.read_text())

@@ -4,6 +4,7 @@ import dataclasses
 import gc
 import hashlib
 import io
+import itertools
 import json
 import os
 import tracemalloc
@@ -19,12 +20,14 @@ from commitlotto.primitives import OutputRef, level_schedule, level_stride, num_
 from commitlotto.scaffold import (
     BRANCH_DEPOSIT_REFUND,
     MODE_PLAIN,
+    SIDE_LEFT,
+    SIDE_RIGHT,
     SIG_MODELS,
     iter_bodies,
     scaffold_stats,
     signing_ceremony,
 )
-from commitlotto.script import InputWitness, KeySign, Witness
+from commitlotto.script import InputWitness, KeySign, Witness, parity_bit
 from commitlotto.strategies import BTC_MULTI, Strategy
 from commitlotto.harness import (
     BTC_PLAIN,
@@ -847,6 +850,70 @@ def test_offer_sequences_match_the_golden_digests(backend, n, deposit_option):
             for view, answer, length in offers:
                 digest.update(f"{view!r} {answer} {length}\n".encode())
     assert digest.hexdigest() == OFFER_GOLDEN[(backend, n, deposit_option)]
+
+
+def seats_with_every_preimage(rt, cand):
+    """The seats the per-seat rule serves, in order: a seat can give `cand`
+    when each digest it opens is public or a secret of a kernel side among
+    that seat's allies."""
+
+    def lookup(player, digest):
+        pre = rt.public.get(digest)
+        if pre is not None or cand.kernel is None:
+            return pre
+        k, allies = cand.kernel, rt.allies[player]
+        if digest == k.left_commit and k.left_player in allies:
+            return rt.t.secret(k.id, SIDE_LEFT)
+        if digest == k.right_commit and k.right_player in allies:
+            return rt.t.secret(k.id, SIDE_RIGHT)
+        return None
+
+    seats = (cand.owner,) if cand.owner is not None else range(rt.cfg.n)
+    return [p for p in seats if all(lookup(p, digest) is not None for _, digest in cand.opens)]
+
+
+@pytest.mark.parametrize("deposit_option", ["atomic", "hashlocked"])
+@pytest.mark.parametrize("backend", [BTC_PLAIN, BTC_MULTI])
+def test_a_witness_is_asked_of_exactly_the_seats_holding_its_preimages(backend, deposit_option):
+    # a withholding seat never broadcasts its own hashlocked deposit, so with
+    # it that table is only ever offered deposits and refunds
+    withholding = MIXED8[:7] + ("withhold-broadcast",)
+    served = set()
+    for mix, i in itertools.product((withholding * 2, MIXED8 * 2), range(4)):
+        c = cfg(backend, 16, mix, deposit_option=deposit_option, master_seed="holders")
+        rt = ScaffoldRuntime(c, trial_rng(c.master_seed, i), i)
+
+        def witness(cand, build=rt._witness, rt=rt):
+            want = seats_with_every_preimage(rt, cand)
+            given = build(cand)
+            if given is None:
+                if want:  # only outcome b' on even parity is refused to seats that hold it
+                    assert cand.role == "outcome-bp"
+                    left, right = (rt.t.secret(cand.kernel.id, side) for side in (SIDE_LEFT, SIDE_RIGHT))
+                    assert parity_bit(left) == parity_bit(right)
+            else:
+                assert list(given[1]) == want
+                served.add(len(want))
+            return given
+
+        rt._witness = witness
+        rt.run()
+    # lone sides, the coalition of four and the whole table were all asked
+    assert {1, 4, 16} <= served
+
+
+def test_a_plain_n64_trial_builds_one_witness_per_offer(monkeypatch):
+    calls = {"_witness": 0, "_offer": 0}
+    for name in calls:
+        def counted(self, *args, method=getattr(ScaffoldRuntime, name), name=name):
+            calls[name] += 1
+            return method(self, *args)
+        monkeypatch.setattr(ScaffoldRuntime, name, counted)
+    c = cfg(BTC_PLAIN, 64, master_seed=1)
+    rt = ScaffoldRuntime(c, trial_rng(c.master_seed, 0), 0)
+    assert rt.run().winner is not None
+    submitted = sum(1 for entry in rt.chain.log if entry.witness is not None)
+    assert calls["_witness"] == calls["_offer"] <= 3 * submitted
 
 
 # sha256 over the repr of every `Vm.trace` record of the first three trials of

@@ -16,7 +16,7 @@ from commitlotto.chain import (
     compute_ntxid,
     sig_digest_for,
 )
-from commitlotto.primitives import OutputRef
+from commitlotto.primitives import OutputRef, Rng
 from commitlotto.scaffold import (
     BRANCH_DEPOSIT_REFUND,
     BRANCH_DEPOSIT_SPEND,
@@ -34,6 +34,7 @@ from commitlotto.scaffold import (
     MpcIncomplete,
     NotPowerOfTwo,
     build_deposit_atomic,
+    build_tournament,
     candidates,
     dump_tournament,
     export_dot,
@@ -72,7 +73,7 @@ from commitlotto import scaffold as scaffold_module
 from commitlotto.harness import BTC_PLAIN, ScaffoldRuntime, ScenarioConfig, run_trial, trial_rng
 from commitlotto.strategies import BTC_MULTI
 
-from conftest import small_tournament
+from conftest import make_funding, make_keys, small_tournament
 
 
 # counting
@@ -282,6 +283,15 @@ def test_build_rejects_bad_params():
         small_tournament(4, deposit_option="escrow")
 
 
+def test_funding_refs_must_be_distinct():
+    # a deposit spending one ref twice would pass every other check, yet no
+    # chain accepts it
+    funding = make_funding(4)
+    funding[1] = funding[0]
+    with pytest.raises(ValueError, match="^need one distinct funding output per player$"):
+        build_tournament(4, make_keys(4), funding, Rng("t"), t_commit=10, bet=1, tau=6)
+
+
 def test_kernel_population_matches_counts(plain4):
     for level in range(plain4.levels):
         for match in range(matches_at(4, level)):
@@ -403,6 +413,15 @@ def test_mpc_oracle_digest_is_hash_of_xor():
     combined = bytes(a ^ b ^ c for a, b, c in zip(*inputs))
     assert mpc.combined() == combined
     assert mpc.digest() == hashlib.sha256(combined).digest()
+
+
+def test_a_seeded_mpc_oracle_draws_input_i_from_its_mpc_child():
+    mpc = IdealMpcOracle.seeded(3, Rng("mpc"))
+    assert mpc.complete
+    want = IdealMpcOracle(3)
+    for i in range(3):
+        want.collect(i, Rng("mpc").child(f"mpc/{i}").nonzero_bytes(32))
+    assert mpc.combined() == want.combined()
 
 
 def test_mpc_oracle_withholds_until_complete():
