@@ -7,6 +7,7 @@ verification found violations, 1 unexpected internal error.
 from __future__ import annotations
 
 import argparse
+import io
 import json
 import sys
 
@@ -112,11 +113,15 @@ def _add_scenario_args(p: argparse.ArgumentParser):
 
 
 def _write(path: str, text: str) -> None:
-    """Write `text` to the file at `path`, or to stdout if `path` is - or empty."""
+    """Write `text` to the file at `path`, or to stdout if `path` is - or empty.
+
+    Every output flag goes through here. A file gets the text's characters
+    as they are, with no newline translation.
+    """
     if path in ("-", ""):
         sys.stdout.write(text)
     else:
-        with open(path, "w") as fp:
+        with open(path, "w", newline="") as fp:
             fp.write(text)
 
 
@@ -144,7 +149,7 @@ def cmd_build(args) -> int:
     A scaffold too large to write out is flagged materialized=false;
     asking for the scaffold file itself is then a configuration error.
     """
-    t = _build_scaffold(args, write_out=bool(args.scaffold_out or args.dot))
+    t = _build_scaffold(args, write_out=args.scaffold_out is not None or args.dot is not None)
     stats = t.stats
     doc = {
         "n": args.n,
@@ -154,13 +159,11 @@ def cmd_build(args) -> int:
         "stats": stats.to_json(),
     }
     _write(args.out, json.dumps(doc, indent=2, sort_keys=True) + "\n")
-    if args.scaffold_out:
-        with open(args.scaffold_out, "w") as fp:
-            fp.write(dump_tournament(t))
+    if args.scaffold_out is not None:
+        _write(args.scaffold_out, dump_tournament(t))
         print(f"wrote scaffold with {stats.total_offchain} bodies -> {args.scaffold_out}", file=sys.stderr)
-    if args.dot:
-        with open(args.dot, "w") as fp:
-            fp.write(export_dot(t))
+    if args.dot is not None:
+        _write(args.dot, export_dot(t))
     return EXIT_OK
 
 
@@ -190,9 +193,10 @@ def cmd_sweep(args) -> int:
     if not 0 <= args.eps <= 1:
         raise ConfigError(f"eps must be in [0, 1], got {args.eps}")
     summary = run_monte_carlo(cfg)
-    if args.csv:
-        with open(args.csv, "w", newline="") as fp:
-            write_trials_csv(fp, summary.results, cfg.n)
+    if args.csv is not None:
+        rows = io.StringIO()
+        write_trials_csv(rows, summary.results, cfg.n)
+        _write(args.csv, rows.getvalue())
     _write(args.json, dump_summary(summary))
     report = check_dominance(summary, eps=args.eps)
     # keep stdout parseable when the summary goes there
@@ -239,8 +243,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("build", help="construct a pre-signed scaffold and report its statistics")
     _add_scaffold_args(p)
     p.add_argument("--out", default="-", help="stats JSON path, - for stdout")
-    p.add_argument("--scaffold-out", default=None, help="also write the full scaffold JSON here")
-    p.add_argument("--dot", default=None, help="also write the spend graph as Graphviz")
+    p.add_argument("--scaffold-out", default=None, help="also write the full scaffold JSON here, - for stdout")
+    p.add_argument("--dot", default=None, help="also write the spend graph as Graphviz, - for stdout")
     p.set_defaults(fn=cmd_build)
 
     p = sub.add_parser("verify", help="check a scaffold file against honest construction")
@@ -255,7 +259,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("sweep", help="run many trials; write CSV rows and a JSON summary")
     _add_scenario_args(p)
     p.add_argument("--trials", type=int, default=1000)
-    p.add_argument("--csv", default=None, help="write per-trial rows here")
+    p.add_argument("--csv", default=None, help="write per-trial rows here, - for stdout")
     p.add_argument("--json", default="-", help="summary path, - for stdout")
     p.add_argument("--eps", type=float, default=0.02, help="win-frequency tolerance")
     p.add_argument("--require-dominance", action="store_true")

@@ -15,9 +15,11 @@ commitment can never be opened by anyone else.
 
 Money flows through a single Master contract per tournament. The per-match
 TwoPartyLottery contracts carry no value; they only fix who advances. A
-match above the first level names its players lazily, as "the winner of
-that child lottery", which is resolvable by the time its commit window
-opens because schedules are staggered by two timeout periods per level.
+first-level match is played by two of the master's seats, and every later
+match by the winners of its two child matches; `participants` is the one
+read of both. A child's winner is readable by the time its parent's commit
+window opens because schedules are staggered by two timeout periods per
+level.
 A lottery resolves its winner once it is final and keeps it: from t2 on
 its commits and opens can no longer change, a child's t2 is at most its
 parent's t0, and a complete master never changes, so a later read
@@ -194,19 +196,6 @@ def commit_digest(address: str, secret: int) -> bytes:
     return sha256(address.encode() + secret.to_bytes(SECRET_BYTES, "big"))
 
 
-# side descriptors for lazily resolved match participants
-def side_addr(addr: str) -> tuple:
-    return ("addr", addr)
-
-
-def side_seat(master: str, index: int) -> tuple:
-    return ("seat", master, index)
-
-
-def side_child(lottery: str) -> tuple:
-    return ("child", lottery)
-
-
 def match_winner(
     a: Optional[str], b: Optional[str], commits: dict, opens: dict
 ) -> Optional[str]:
@@ -234,7 +223,8 @@ def match_winner(
 
 @dataclass
 class TwoPartyLottery:
-    """Commit-reveal coin flip between two (possibly lazily named) parties.
+    """Commit-reveal coin flip between two seats of `master` (level 0) or
+    the winners of two `children` (above).
 
     Timeline, strict windows: commit in (t0, t1), open in (t1, t2), winner
     readable from t2 on, by `match_winner`. Opening requires the preimage
@@ -253,16 +243,18 @@ class TwoPartyLottery:
     t0: int
     t1: int
     t2: int
-    side_a: tuple
-    side_b: tuple
+    # level 0: the master whose two seats play; above: the two child lotteries
+    master: str = ""
+    seats: tuple = ()
+    children: tuple = ()
     address: str = ""
     commits: dict = field(default_factory=dict)
     opens: dict = field(default_factory=dict)
     # the winner once final; a cache of final state, so never journaled
     _winner: Optional[str] = field(default=None, init=False, repr=False, compare=False)
 
-    METHODS = ("commit", "open", "get_winner", "player_a", "player_b", "participants")
-    VIEWS = ("get_winner", "player_a", "player_b", "participants")
+    METHODS = ("commit", "open", "get_winner", "participants")
+    VIEWS = ("get_winner", "participants")
 
     def snapshot(self):
         return dict(self.commits), dict(self.opens)
@@ -270,27 +262,17 @@ class TwoPartyLottery:
     def restore(self, state) -> None:
         self.commits, self.opens = dict(state[0]), dict(state[1])
 
-    def _resolve(self, ctx: CallContext, side: tuple) -> Optional[str]:
-        kind = side[0]
-        if kind == "addr":
-            return side[1]
-        if kind == "seat":
-            master = ctx.vm.contracts[side[1]]
-            if not master.is_complete():
-                return None
-            return master.players[side[2]]
-        if kind == "child":
-            return ctx.call(side[1], "get_winner")
-        raise Reverted("BadSide")
-
-    def player_a(self, ctx: CallContext) -> Optional[str]:
-        return self._resolve(ctx, self.side_a)
-
-    def player_b(self, ctx: CallContext) -> Optional[str]:
-        return self._resolve(ctx, self.side_b)
-
     def participants(self, ctx: CallContext) -> tuple[Optional[str], Optional[str]]:
-        return self.player_a(ctx), self.player_b(ctx)
+        """The two players: the children's winners, or the master's two
+        seats once its table is full (None, None before)."""
+        if self.children:
+            a, b = self.children
+            return ctx.call(a, "get_winner"), ctx.call(b, "get_winner")
+        master = ctx.vm.contracts[self.master]
+        if not master.is_complete():
+            return None, None
+        a, b = self.seats
+        return master.players[a], master.players[b]
 
     def commit(self, ctx: CallContext, chash: bytes) -> None:
         if ctx.value:
@@ -353,8 +335,8 @@ class Master:
     players: list = field(default_factory=list)
     refunded: set = field(default_factory=set)
 
-    METHODS = ("deposit", "withdraw", "get_player", "is_complete")
-    VIEWS = ("get_player", "is_complete")
+    METHODS = ("deposit", "withdraw", "is_complete")
+    VIEWS = ("is_complete",)
 
     def snapshot(self):
         return list(self.players), set(self.refunded), self.final_lottery
@@ -368,11 +350,6 @@ class Master:
 
     def is_complete(self, ctx: CallContext = None) -> bool:
         return len(self.players) == self.n
-
-    def get_player(self, ctx: CallContext, index: int) -> str:
-        if not (0 <= index < len(self.players)):
-            raise Reverted("NoSuchSeat")
-        return self.players[index]
 
     def deposit(self, ctx: CallContext) -> None:
         if ctx.value != self.bet:
@@ -429,7 +406,7 @@ class ContractTree:
 
 
 def build_tree(vm: Vm, n: int, bet: int, tau: int, t_commit: int) -> ContractTree:
-    """Deploy master and bracket in one shot, wired by seat and child refs.
+    """Deploy master and bracket in one shot, wired by seats and children.
 
     First-round matches name their players as master seats (deposit order);
     later matches name theirs as child-match winners. Level l runs in the
@@ -446,15 +423,11 @@ def build_tree(vm: Vm, n: int, bet: int, tau: int, t_commit: int) -> ContractTre
         t0, t1, t2 = level_schedule(t_commit, stride, tau, level)
         for match in range(n >> (level + 1)):
             if level == 0:
-                side_a = side_seat(master_addr, 2 * match)
-                side_b = side_seat(master_addr, 2 * match + 1)
+                lot = TwoPartyLottery(t0, t1, t2, master=master_addr, seats=(2 * match, 2 * match + 1))
             else:
-                side_a = side_child(lotteries[(level - 1, 2 * match)])
-                side_b = side_child(lotteries[(level - 1, 2 * match + 1)])
-            addr = vm.create(
-                f"lot:{level}:{match}",
-                TwoPartyLottery(t0=t0, t1=t1, t2=t2, side_a=side_a, side_b=side_b),
-            )
+                children = (lotteries[(level - 1, 2 * match)], lotteries[(level - 1, 2 * match + 1)])
+                lot = TwoPartyLottery(t0, t1, t2, children=children)
+            addr = vm.create(f"lot:{level}:{match}", lot)
             lotteries[(level, match)] = addr
     final = lotteries[(levels - 1, 0)]
     vm.contracts[master_addr].final_lottery = final

@@ -104,7 +104,6 @@ from .strategies import (
     CommitView,
     DepositView,
     OpenView,
-    SecretView,
     Strategy,
     make_strategy,
     supports,
@@ -200,8 +199,7 @@ class Runtime:
         self.funded = 2 * cfg.bet  # one bet to stake plus an untouched margin
         shared: dict = {}  # what a coalition's members share
         self.strats: list[Strategy] = [
-            make_strategy(cfg.strategies[i], i, rng.child(f"strategy/{i}"), shared)
-            for i in range(cfg.n)
+            make_strategy(cfg.strategies[i], i, shared) for i in range(cfg.n)
         ]
 
     def _trial(self) -> TrialResult:
@@ -269,13 +267,8 @@ class ContractRuntime(Runtime):
     def _secret(self, player: int, level: int, match: int) -> int:
         key = (player, level, match)
         if key not in self._secrets:
-            view = SecretView(
-                player=player,
-                level=level,
-                match=match,
-                rng=self.rng.child(f"secret/{player}/{level}/{match}"),
-            )
-            self._secrets[key] = self.strats[player].choose_secret(view)
+            rng = self.rng.child(f"secret/{player}/{level}/{match}")
+            self._secrets[key] = self.strats[player].choose_secret(rng)
         return self._secrets[key]
 
     def _resolve_participants(self, level: int, match: int):
@@ -308,18 +301,15 @@ class ContractRuntime(Runtime):
             secret = self._secret(player, level, match)
             if committing:
                 view = CommitView(
-                    player=player, my_address=mine, height=h, level=level, match=match,
-                    t0=lot.t0, t1=lot.t1, t2=lot.t2, my_secret=secret,
+                    my_address=mine, my_secret=secret,
                     opponent_player=self.player_of.get(theirs),
                     opponent_commit=lot.commits.get(theirs),
-                    last_chance=h == lot.t1 - 1,
                 )
                 method, arg = "commit", self.strats[player].at_commit(view)
             else:
                 opened = {**lot.opens, mine: secret}
                 view = OpenView(
-                    player=player, my_address=mine, height=h, level=level, match=match,
-                    t0=lot.t0, t1=lot.t1, t2=lot.t2, my_secret=secret,
+                    my_address=mine, my_secret=secret,
                     opponent_player=self.player_of.get(theirs),
                     opponent_commit=lot.commits.get(theirs),
                     last_chance=h == lot.t2 - 1,

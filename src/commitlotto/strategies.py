@@ -3,6 +3,9 @@
 A strategy is a bundle of decision hooks the trial driver consults at each
 protocol step. Hooks never touch chain state directly; they see a view
 object describing the decision and answer with an action (or decline).
+A view carries only what some strategy reads. A strategy holds no coins of
+its own: its one draw, a contract match's secret, comes from the rng that
+`choose_secret` receives, the trial rng's child for that seat and match.
 The honest strategy acts at the first opportunity and, on the UTXO
 backend, also rebroadcasts every mature pre-signed transaction it can
 assemble, whoever it pays. That altruistic relay is what keeps brackets
@@ -13,9 +16,9 @@ Hooks are asked only at stops, the heights at which an action can land:
 on the contract backend height 1 for deposits and the first and the last
 height of each commit and open window; on the UTXO backend the height
 after setup, each level's start and timeouts, and the refund time. So an
-answer depends on the view's state and `last_chance`, not on the bare
-height: a hook that declines at a window's first height is asked again
-only at its last, with `last_chance` set.
+answer depends on the view's state, not on the bare height: a hook that
+declines at a window's first height is asked again only at its last, which
+an open view marks with `last_chance`.
 
 Adversaries deviate in one specific way each, which keeps measured effects
 attributable. They control when to stop participating (abort family),
@@ -45,16 +48,6 @@ DISCLOSING_ROLES = (ROLE_REVEAL, ROLE_OUTCOME_BP)
 
 
 @dataclass
-class SecretView:
-    """Asks the player for a match secret (contract backend)."""
-
-    player: int
-    level: int
-    match: int
-    rng: Rng
-
-
-@dataclass
 class DepositView:
     """Asks whether to place the stake now (contract backend)."""
 
@@ -66,31 +59,24 @@ class DepositView:
 
 @dataclass
 class CommitView:
-    """Asks for a commitment to the player's match secret (contract backend).
+    """Asks for a commitment to the player's match secret (contract backend)."""
 
-    `last_chance` is set at the last height of the window.
-    """
-
-    player: int
     my_address: str
-    height: int
-    level: int
-    match: int
-    t0: int
-    t1: int
-    t2: int
     my_secret: int
     opponent_player: Optional[int]
     opponent_commit: Optional[bytes]
-    last_chance: bool
 
 
 @dataclass
 class OpenView(CommitView):
-    """Asks a committed player for its opening. The flags say whether
-    `match_winner` makes the player win with its opening and without it,
-    as things stand."""
+    """Asks a committed player for its opening (contract backend).
 
+    `last_chance` is set at the last height of the open window. The flags
+    say whether `match_winner` makes the player win with its opening and
+    without it, as things stand.
+    """
+
+    last_chance: bool
     opponent_open: Optional[int]
     wins_if_open: bool
     wins_if_silent: bool
@@ -122,17 +108,17 @@ class Strategy:
     name = "honest"
     backends = ALL_BACKENDS
 
-    def __init__(self, player: int, rng: Rng, shared: Optional[dict] = None):
+    def __init__(self, player: int, shared: Optional[dict] = None):
         self.player = player
-        self.rng = rng
         self.shared = shared if shared is not None else {}
 
     def coalition_members(self) -> Optional[frozenset]:
         return None
 
     # secret choice (contract backend; scaffold secrets are drawn at build)
-    def choose_secret(self, view: SecretView) -> int:
-        return view.rng.nonzero_u256()
+    def choose_secret(self, rng: Rng) -> int:
+        """A match secret drawn from `rng`, the match's own child stream."""
+        return rng.nonzero_u256()
 
     # scaffold ceremony
     def at_signing(self, view) -> bool:
@@ -285,8 +271,8 @@ class Coalition(Strategy):
     name = "coalition"
     backends = ALL_BACKENDS
 
-    def __init__(self, player: int, rng: Rng, shared: Optional[dict] = None):
-        super().__init__(player, rng, shared)
+    def __init__(self, player: int, shared: Optional[dict] = None):
+        super().__init__(player, shared)
         self.shared.setdefault("coalition-members", set()).add(player)
 
     def coalition_members(self) -> Optional[frozenset]:
@@ -347,11 +333,11 @@ def supports(name: str, backend: str) -> bool:
     return cls is not None and backend in cls.backends
 
 
-def make_strategy(name: str, player: int, rng: Rng, shared: dict) -> Strategy:
+def make_strategy(name: str, player: int, shared: dict) -> Strategy:
     cls = REGISTRY.get(name)
     if cls is None:
         raise ValueError(f"unknown strategy {name!r}; known: {', '.join(strategy_names())}")
-    return cls(player, rng, shared)
+    return cls(player, shared)
 
 
 def adversary_library() -> list[tuple[str, tuple[str, ...]]]:

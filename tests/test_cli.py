@@ -368,6 +368,35 @@ def test_sweep_outputs_match_the_golden_digests(capsys, tmp_path, backend, n, de
     assert digest.hexdigest() == SWEEP_GOLDEN[(backend, n, deposit)]
 
 
+# sha256 of the summary each console-script sweep in .github/workflows/tests.yml
+# writes to stdout, run here in-process with the same flags
+WORKFLOW_SWEEP_GOLDEN = [
+    (
+        ("--backend", "ethereum", "--n", "64", "--strategies", ",".join(ETH_MIXED_SEATS * 8)),
+        "2abfb3160663532d9e5de07a05971aaac32b53ed6398720d7b0ff2c025d3ce83",
+    ),
+    (
+        ("--backend", "bitcoin-plain", "--deposit", "atomic", "--n", "32",
+         "--strategies", ",".join(MIXED_SEATS * 4)),
+        "33721c1be9223822348f9d7646b22c6bbccefe795cc625d3cd064f16843770bd",
+    ),
+    (
+        ("--backend", "bitcoin-multiinput", "--deposit", "hashlocked", "--n", "32",
+         "--strategies", ",".join(MIXED_SEATS * 4)),
+        "f1ae6616d291d5731efb8766a0506d095b54a0d9bd419c25946e532d745c56a1",
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "argv, digest", WORKFLOW_SWEEP_GOLDEN, ids=["ethereum-n64", "plain-n32", "multiinput-n32"]
+)
+def test_the_workflow_sweeps_match_their_pinned_digests(capsys, argv, digest):
+    code, out, _ = run_cli(capsys, "sweep", *argv, "--trials", "20", "--json", "-")
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
 def test_sweep_require_dominance_fails_on_rigged_table(capsys):
     # two colluders against nobody honest at n=2: the lower index always wins,
     # so seat 1 never does; with honest absent the check is vacuous and passes
@@ -521,20 +550,27 @@ def test_export_dot_golden(capsys, argv, digest):
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
-# one rule for output paths: "-" and "" both mean stdout
+# one rule for output paths: "-" and "" both mean stdout, and never name a file
 
 
 @pytest.mark.parametrize(
     "argv, flag",
     [
         (("build", "--n", "4"), "--out"),
+        (("build", "--n", "4", "--out", "stats.json"), "--scaffold-out"),
+        (("build", "--n", "4", "--out", "stats.json"), "--dot"),
         (("export-dot", "--n", "2"), "--out"),
         (("sweep", "--backend", "bitcoin-plain", "--n", "2", "--trials", "3"), "--json"),
+        (("sweep", "--backend", "bitcoin-plain", "--n", "2", "--trials", "3", "--json", "s.json"), "--csv"),
     ],
-    ids=["build", "export-dot", "sweep"],
+    ids=["build", "build-scaffold-out", "build-dot", "export-dot", "sweep", "sweep-csv"],
 )
-def test_an_empty_output_path_writes_to_stdout_like_dash(capsys, argv, flag):
-    dash = run_cli(capsys, *argv, flag, "-")
-    empty = run_cli(capsys, *argv, flag, "")
-    assert dash[0] == empty[0] == 0
-    assert empty[1] and empty[1] == dash[1]
+def test_an_empty_output_path_writes_to_stdout_like_dash(capsys, tmp_path, monkeypatch, argv, flag):
+    monkeypatch.chdir(tmp_path)
+    assert run_cli(capsys, *argv, flag, "file.out")[0] == 0
+    expected = (tmp_path / "file.out").read_bytes().decode()
+    for path in ("-", ""):
+        code, out, _ = run_cli(capsys, *argv, flag, path)
+        assert code == 0
+        assert out and out == expected
+    assert not (tmp_path / "-").exists()

@@ -14,8 +14,6 @@ from commitlotto.contracts import (
     build_tree,
     commit_digest,
     match_winner,
-    side_addr,
-    side_seat,
 )
 
 TAU = 6
@@ -223,16 +221,17 @@ def test_value_transfer_conserves_total():
 # two-party lottery
 
 
-def fresh_match(vm=None):
-    vm = vm or Vm()
+def fresh_match():
+    """A lone match "m" between alice and bob, the two seats of a full master."""
+    vm = Vm()
+    vm.create("master", Master(n=2, bet=1, t_commit=T_COMMIT, t_final=T_COMMIT + 2 * TAU))
+    for who in ("alice", "bob"):
+        vm.fund(who, 1)
+        vm.call(who, "master", "deposit", value=1)
     vm.create(
         "m",
         TwoPartyLottery(
-            t0=T_COMMIT,
-            t1=T_COMMIT + TAU,
-            t2=T_COMMIT + 2 * TAU,
-            side_a=side_addr("alice"),
-            side_b=side_addr("bob"),
+            t0=T_COMMIT, t1=T_COMMIT + TAU, t2=T_COMMIT + 2 * TAU, master="master", seats=(0, 1)
         ),
     )
     return vm
@@ -348,17 +347,6 @@ def test_winner_unreadable_before_t2():
         vm.call("carol", "m", "get_winner")
 
 
-def test_bad_side_descriptor():
-    vm = Vm()
-    vm.create(
-        "m",
-        TwoPartyLottery(t0=1, t1=5, t2=9, side_a=("mystery",), side_b=side_addr("bob")),
-    )
-    vm.advance_to(2)
-    with reverts("BadSide"):
-        vm.call("alice", "m", "commit", commit_digest("alice", 6))
-
-
 def test_seat_side_unresolved_until_table_fills():
     vm = Vm()
     vm.create("master", Master(n=2, bet=1, t_commit=T_COMMIT, t_final=99))
@@ -368,17 +356,16 @@ def test_seat_side_unresolved_until_table_fills():
             t0=T_COMMIT,
             t1=T_COMMIT + TAU,
             t2=T_COMMIT + 2 * TAU,
-            side_a=side_seat("master", 0),
-            side_b=side_seat("master", 1),
+            master="master",
+            seats=(1, 0),
         ),
     )
-    assert vm.static_call("x", "m", "player_a") is None
+    assert vm.static_call("x", "m", "participants") == (None, None)
     vm.fund("alice", 1), vm.fund("bob", 1)
     vm.call("alice", "master", "deposit", value=1)
-    assert vm.static_call("x", "m", "player_a") is None  # still short one seat
+    assert vm.static_call("x", "m", "participants") == (None, None)  # still short one seat
     vm.call("bob", "master", "deposit", value=1)
-    assert vm.static_call("x", "m", "player_a") == "alice"
-    assert vm.static_call("x", "m", "player_b") == "bob"
+    assert vm.static_call("x", "m", "participants") == ("bob", "alice")  # in seat order
 
 
 # master contract
@@ -405,9 +392,7 @@ def test_deposit_rules():
     with reverts("Full"):
         vm.call("p2", "master", "deposit", value=5)
     assert vm.static_call("x", "master", "is_complete")
-    assert vm.static_call("x", "master", "get_player", 0) == "p0"
-    with reverts("NoSuchSeat"):
-        vm.call("x", "master", "get_player", 2)
+    assert vm.contracts["master"].players == ["p0", "p1"]
 
 
 def test_deposit_closes_at_commit_deadline():
@@ -472,8 +457,11 @@ def test_build_tree_shape_and_schedule():
             lot = vm.contracts[tree.lottery(level, match)]
             assert (lot.t0, lot.t1, lot.t2) == (t0, t1, t2)
     # level-0 matches are seat-wired, later ones child-wired
-    assert vm.contracts[tree.lottery(0, 0)].side_a == ("seat", "master", 0)
-    assert vm.contracts[tree.lottery(1, 1)].side_a == ("child", tree.lottery(0, 2))
+    for match in range(4):
+        lot = vm.contracts[tree.lottery(0, match)]
+        assert (lot.master, lot.seats, lot.children) == (tree.master, (2 * match, 2 * match + 1), ())
+    lot = vm.contracts[tree.lottery(1, 1)]
+    assert (lot.master, lot.seats, lot.children) == ("", (), (tree.lottery(0, 2), tree.lottery(0, 3)))
 
 
 def test_build_tree_rejects_bad_params():
@@ -502,8 +490,7 @@ def test_later_round_resolves_child_winner_lazily():
     # 6^3 odd -> p1; 8^2 even -> p2
     t0, t1, t2 = tree.schedule(1)
     vm.advance_to(t0 + 1)
-    assert vm.static_call("x", tree.final, "player_a") == "p1"
-    assert vm.static_call("x", tree.final, "player_b") == "p2"
+    assert vm.static_call("x", tree.final, "participants") == ("p1", "p2")
     vm.call("p1", tree.final, "commit", commit_digest("p1", 9))
     vm.call("p2", tree.final, "commit", commit_digest("p2", 4))
     vm.advance_to(t1 + 1)
@@ -538,19 +525,19 @@ class Peek:
         return winner
 
 
+def fresh_players(vm, address):
+    """A lottery's two players, read afresh from its seats or its children."""
+    lot = vm.contracts[address]
+    if lot.children:
+        return tuple(fresh_winner(vm, child) for child in lot.children)
+    master = vm.contracts[lot.master]
+    return tuple(master.players[seat] if master.is_complete() else None for seat in lot.seats)
+
+
 def fresh_winner(vm, address):
     """`match_winner` over the lottery's players, commits and opens, read afresh."""
     lot = vm.contracts[address]
-
-    def player(side):
-        if side[0] == "addr":
-            return side[1]
-        if side[0] == "seat":
-            master = vm.contracts[side[1]]
-            return master.players[side[2]] if master.is_complete() else None
-        return fresh_winner(vm, side[1])
-
-    return match_winner(player(lot.side_a), player(lot.side_b), lot.commits, lot.opens)
+    return match_winner(*fresh_players(vm, address), lot.commits, lot.opens)
 
 
 def kept(vm, address):
@@ -594,7 +581,7 @@ def played_tree(n, deposits=None):
         lotteries = [tree.lottery(level, match) for match in range(n >> (level + 1))]
         vm.advance_to(t0 + 1)
         for addr in lotteries:
-            for who in (vm.static_call("x", addr, "player_a"), vm.static_call("x", addr, "player_b")):
+            for who in vm.static_call("x", addr, "participants"):
                 if who is not None:
                     vm.call(who, addr, "commit", commit_digest(who, secret(who, level)))
         vm.advance_to(t1 + 1)
@@ -677,8 +664,7 @@ def test_every_winner_read_from_t2_on_equals_a_fresh_recomputation(choices, read
             lot = vm.contracts[addr]
             if not lot.t0 < h < lot.t2:
                 continue
-            players = (vm.static_call("x", addr, "player_a"), vm.static_call("x", addr, "player_b"))
-            for side, who in enumerate(players):
+            for side, who in enumerate(vm.static_call("x", addr, "participants")):
                 commits, opens, early, secret = choices[2 * k + side]
                 at = (lot.t0 + 1, lot.t1 + 1) if early else (lot.t1 - 1, lot.t2 - 1)
                 if h == at[0] and commits:
@@ -712,13 +698,17 @@ def test_every_view_is_a_method(cls):
     assert set(cls.VIEWS) <= set(cls.METHODS)
 
 
+def test_a_match_reads_its_players_one_way():
+    assert TwoPartyLottery.METHODS == ("commit", "open", "get_winner", "participants")
+    assert Master.METHODS == ("deposit", "withdraw", "is_complete")
+
+
 def test_participants_reads_both_players_in_one_call():
     vm, tree = played_tree(4)
     for addr in tree.lotteries.values():
-        assert vm.static_call("x", addr, "participants") == (
-            vm.static_call("x", addr, "player_a"),
-            vm.static_call("x", addr, "player_b"),
-        )
+        players = fresh_players(vm, addr)
+        assert None not in players
+        assert vm.static_call("x", addr, "participants") == players
 
 
 def test_a_reverted_commit_that_read_child_winners_leaves_everything_as_it_found_it(monkeypatch):

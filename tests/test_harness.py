@@ -16,7 +16,7 @@ from hypothesis import strategies as hs
 from commitlotto.chain import SCRIPT_FAIL, FixedInput, TransactionBody, TxOutput, sig_digest_for
 from commitlotto import chain, contracts, harness, scaffold
 from commitlotto.contracts import Master, TwoPartyLottery, Vm, match_winner
-from commitlotto.primitives import OutputRef, level_schedule, level_stride, num_levels
+from commitlotto.primitives import OutputRef, Rng, level_schedule, level_stride, num_levels
 from commitlotto.scaffold import (
     BRANCH_DEPOSIT_REFUND,
     MODE_PLAIN,
@@ -28,7 +28,7 @@ from commitlotto.scaffold import (
     signing_ceremony,
 )
 from commitlotto.script import InputWitness, KeySign, Witness, parity_bit
-from commitlotto.strategies import BTC_MULTI, Strategy
+from commitlotto.strategies import BTC_MULTI, Strategy, make_strategy, strategy_names
 from commitlotto.harness import (
     BTC_PLAIN,
     CSV_FIXED_COLUMNS,
@@ -262,11 +262,11 @@ class Scripted(Strategy):
     """Commits and opens only as told; a late opener waits for its last opening height."""
 
     def __init__(self, player, secret, commits, opens, late=False):
-        super().__init__(player, rng=None)
+        super().__init__(player)
         self.secret, self.commits, self.opens, self.late = secret, commits, opens, late
         self.open_views = []
 
-    def choose_secret(self, view):
+    def choose_secret(self, rng):
         return self.secret
 
     def at_commit(self, view):
@@ -304,6 +304,32 @@ def test_open_view_flags_agree_with_get_winner(seat, opponent, my_secret):
         flags[opens] = (view.wins_if_open, view.wins_if_silent)
         assert (view.wins_if_open if opens else view.wins_if_silent) == (r.winner == seat)
     assert flags[True] == flags[False]  # the flags do not depend on the choice they inform
+
+
+def test_a_match_secret_comes_only_from_the_rng_choose_secret_receives():
+    # ROADMAP 10 and 14 rest on this: no strategy holds coins of its own, and a
+    # contract secret is drawn from the trial rng's child for its seat and match
+    for name in strategy_names():
+        strategy = make_strategy(name, 0, {})
+        assert not any(isinstance(value, Rng) for value in vars(strategy).values()), name
+    drawn = []
+
+    class Drawing(Strategy):
+        def choose_secret(self, rng):
+            drawn.append(rng.bytes(32))
+            return int.from_bytes(drawn[-1], "big")
+
+    c = cfg(n=4)
+    for i in range(3):
+        drawn.clear()
+        rt = ContractRuntime(c, trial_rng(c.master_seed, i), i)
+        rt.strats = [Drawing(p) for p in range(c.n)]
+        assert rt.run() == run_trial(c, i)  # the honest secrets are these bytes
+        assert len(drawn) == len(rt._secrets) == 6
+        assert drawn == [
+            trial_rng(c.master_seed, i).child(f"secret/{p}/{level}/{match}").bytes(32)
+            for p, level, match in rt._secrets
+        ]
 
 
 @pytest.mark.xfail(
@@ -473,18 +499,16 @@ class ViewProbe(ContractRuntime):
     def step(self, h):
         super().step(h)
         vm = self.vm
-        seats = [(i,) for i in range(self.cfg.n + 1)]  # and one past the table
         for addr, contract in vm.contracts.items():
             for method in contract.VIEWS:
-                for args in seats if method == "get_player" else [()]:
-                    before = {a: c.snapshot() for a, c in vm.contracts.items()}
-                    balances, calls = dict(vm.balances), len(vm.trace)
-                    try:
-                        vm.static_call("observer", addr, method, *args)
-                    except contracts.Reverted:
-                        pass  # an early winner read or an empty seat
-                    assert {a: c.snapshot() for a, c in vm.contracts.items()} == before
-                    assert vm.balances == balances and len(vm.trace) == calls
+                before = {a: c.snapshot() for a, c in vm.contracts.items()}
+                balances, calls = dict(vm.balances), len(vm.trace)
+                try:
+                    vm.static_call("observer", addr, method)
+                except contracts.Reverted:
+                    pass  # an early winner read
+                assert {a: c.snapshot() for a, c in vm.contracts.items()} == before
+                assert vm.balances == balances and len(vm.trace) == calls
 
 
 @pytest.mark.parametrize("mix", [("honest",) * 8, ETH_MIXED_SEATS], ids=["honest", "mixed"])

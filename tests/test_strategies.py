@@ -56,33 +56,33 @@ def test_supports_matrix():
 
 def test_make_strategy_unknown_name():
     with pytest.raises(ValueError):
-        make_strategy("mystery", 0, Rng("x"), {})
+        make_strategy("mystery", 0, {})
 
 
 def test_make_strategy_builds_each_registered_name():
     shared = {}
     for name in strategy_names():
-        s = make_strategy(name, 0, Rng(name), shared)
+        s = make_strategy(name, 0, shared)
         assert s.player == 0
         assert s.name == name
 
 
 def test_coalition_membership_accumulates_via_shared_dict():
     shared = {}
-    members = [make_strategy("coalition", i, Rng(f"c{i}"), shared) for i in (1, 2, 3)]
-    lone_honest = make_strategy("honest", 0, Rng("h"), shared)
+    members = [make_strategy("coalition", i, shared) for i in (1, 2, 3)]
+    lone_honest = make_strategy("honest", 0, shared)
     assert lone_honest.coalition_members() is None
     for s in members:
         assert s.coalition_members() == frozenset({1, 2, 3})
     # separate runs don't leak membership
-    other = make_strategy("coalition", 5, Rng("c5"), {})
+    other = make_strategy("coalition", 5, {})
     assert other.coalition_members() == frozenset({5})
 
 
 def test_coalition_throws_to_lowest_index():
     shared = {}
-    s1 = make_strategy("coalition", 1, Rng("a"), shared)
-    s2 = make_strategy("coalition", 2, Rng("b"), shared)
+    s1 = make_strategy("coalition", 1, shared)
+    s2 = make_strategy("coalition", 2, shared)
     assert s2._throws_to(1)  # internal match, higher index defers
     assert not s1._throws_to(2)  # the lower index plays to win
     assert not s2._throws_to(0)  # outsiders get an honest game
