@@ -10,6 +10,7 @@ import argparse
 import io
 import json
 import sys
+from typing import Optional
 
 from .harness import (
     BACKENDS,
@@ -112,13 +113,23 @@ def _add_scenario_args(p: argparse.ArgumentParser):
     )
 
 
+STDOUT_PATHS = ("-", "")
+
+
+def _one_stdout(**paths: Optional[str]) -> None:
+    """Refuse two outputs aimed at stdout: their texts would run together."""
+    aimed = [f"--{flag.replace('_', '-')}" for flag, path in paths.items() if path in STDOUT_PATHS]
+    if len(aimed) > 1:
+        raise ConfigError(f"{' and '.join(aimed)} cannot share stdout; send all but one to a file")
+
+
 def _write(path: str, text: str) -> None:
     """Write `text` to the file at `path`, or to stdout if `path` is - or empty.
 
     Every output flag goes through here. A file gets the text's characters
     as they are, with no newline translation.
     """
-    if path in ("-", ""):
+    if path in STDOUT_PATHS:
         sys.stdout.write(text)
     else:
         with open(path, "w", newline="") as fp:
@@ -149,6 +160,7 @@ def cmd_build(args) -> int:
     A scaffold too large to write out is flagged materialized=false;
     asking for the scaffold file itself is then a configuration error.
     """
+    _one_stdout(out=args.out, scaffold_out=args.scaffold_out, dot=args.dot)
     t = _build_scaffold(args, write_out=args.scaffold_out is not None or args.dot is not None)
     stats = t.stats
     doc = {
@@ -189,6 +201,7 @@ def cmd_run(args) -> int:
 
 
 def cmd_sweep(args) -> int:
+    _one_stdout(csv=args.csv, json=args.json)
     cfg = _scenario_from_args(args, trials=args.trials)
     if not 0 <= args.eps <= 1:
         raise ConfigError(f"eps must be in [0, 1], got {args.eps}")

@@ -20,12 +20,14 @@ match by the winners of its two child matches; `participants` is the one
 read of both. A child's winner is readable by the time its parent's commit
 window opens because schedules are staggered by two timeout periods per
 level.
-A lottery resolves its winner once it is final and keeps it: from t2 on
-its commits and opens can no longer change, a child's t2 is at most its
-parent's t0, and a complete master never changes, so a later read
-returns the kept value instead of walking the subtree again. The kept
-value is a cache of final state, not state, so the journal never
-records or rolls it back.
+A lottery resolves its players and its winner once each is final and
+keeps them. Its players are final from its t0 on: deposits revert from
+t_commit, which is the first level's t0, and a child's t2 is at most its
+parent's t0. Its winner is final from t2 on, when its commits and opens
+can no longer change. So a later read returns the kept value instead of
+asking the master or walking the subtree again. A kept value is a cache
+of final state, not state, so the journal never records or rolls it
+back.
 """
 
 from __future__ import annotations
@@ -96,6 +98,8 @@ class Vm:
         self.balances: dict[str, int] = {}
         self.contracts: dict[str, Any] = {}
         self.trace: list[CallRecord] = []
+        # transfers applied, reverted ones included: if it has not grown, no balance moved
+        self.transfers = 0
         # (contract states, balances) as the open outer call found them
         self._journal: tuple[dict[str, Any], dict[str, Optional[int]]] = ({}, {})
 
@@ -129,6 +133,7 @@ class Vm:
         for account in (frm, to):
             if account not in saved:
                 saved[account] = self.balances.get(account)  # None: absent
+        self.transfers += 1
         self.balances[frm] = self.balances.get(frm, 0) - amount
         self.balances[to] = self.balances.get(to, 0) + amount
 
@@ -143,8 +148,7 @@ class Vm:
             states[address] = contract.snapshot()
         if value:
             self._transfer(sender, address, value)
-        ctx = CallContext(vm=self, sender=sender, this=address, value=value)
-        return getattr(contract, method)(ctx, *args)
+        return getattr(contract, method)(CallContext(self, sender, address, value), *args)
 
     def _undo(self) -> None:
         """Put back every contract state and balance the open call changed."""
@@ -230,14 +234,20 @@ class TwoPartyLottery:
     readable from t2 on, by `match_winner`. Opening requires the preimage
     to match the commitment bound to the opener's own address.
 
-    The first read from t2 on that names a winner keeps it in `_winner`,
-    and every later read returns it. That is safe because nothing it
-    depends on can change by then: commits and opens are closed at t2, a
-    child match settles by this match's t0 (an unsettled child reverts,
-    and then nothing is kept), and a seat resolves only once the master
-    is complete. A `None` winner, a table that never filled, is never
-    kept. `_winner` is outside `snapshot`/`restore`, equality and repr: a
-    rolled-back read still leaves the right answer behind.
+    The first `participants` read from t0 on that names two players keeps
+    the pair in `_players`, and the first winner read from t2 on that
+    names a winner keeps it in `_winner`; every later read returns what
+    was kept. That is safe because nothing either depends on can change
+    by then. From t0 on, deposits are closed (they revert from t_commit,
+    the first level's t0) and each child match has settled (its t2 is at
+    most this match's t0; an unsettled child reverts, and then nothing is
+    kept). From t2 on, commits and opens are closed too. A pair read
+    before t0 is never kept: a call that deposits the last stake, reads
+    the pair and reverts would leave behind players who never played.
+    Nor is what a table that never filled reads, a pair with a `None`
+    player or a `None` winner. `_players` and `_winner` are outside
+    `snapshot`/`restore`, equality and repr: a rolled-back read still
+    leaves the right answer behind.
     """
 
     t0: int
@@ -250,7 +260,8 @@ class TwoPartyLottery:
     address: str = ""
     commits: dict = field(default_factory=dict)
     opens: dict = field(default_factory=dict)
-    # the winner once final; a cache of final state, so never journaled
+    # the players and the winner once final; caches of final state, so never journaled
+    _players: Optional[tuple] = field(default=None, init=False, repr=False, compare=False)
     _winner: Optional[str] = field(default=None, init=False, repr=False, compare=False)
 
     METHODS = ("commit", "open", "get_winner", "participants")
@@ -264,15 +275,22 @@ class TwoPartyLottery:
 
     def participants(self, ctx: CallContext) -> tuple[Optional[str], Optional[str]]:
         """The two players: the children's winners, or the master's two
-        seats once its table is full (None, None before)."""
+        seats once its table is full (None, None before). A pair of two
+        players read from t0 on is final and kept."""
+        if self._players is not None:
+            return self._players
         if self.children:
             a, b = self.children
-            return ctx.call(a, "get_winner"), ctx.call(b, "get_winner")
-        master = ctx.vm.contracts[self.master]
-        if not master.is_complete():
-            return None, None
-        a, b = self.seats
-        return master.players[a], master.players[b]
+            players = ctx.call(a, "get_winner"), ctx.call(b, "get_winner")
+        else:
+            master = ctx.vm.contracts[self.master]
+            if not master.is_complete():
+                return None, None
+            a, b = self.seats
+            players = master.players[a], master.players[b]
+        if ctx.height >= self.t0 and None not in players:
+            self._players = players
+        return players
 
     def commit(self, ctx: CallContext, chash: bytes) -> None:
         if ctx.value:

@@ -187,9 +187,10 @@ class Runtime:
 
     A runtime supplies `stops()`, the heights at which an action can land;
     `step(h)`, which advances its ledger to h and offers every action that
-    can land there; `done(h)`; `ledger`, its record (`Vm.trace` or
-    `Chain.log`); `balances()`; and `_fields()`, the result fields only it
-    can read.
+    can land there; `done(h)`; `value_moves`, a count that grows whenever
+    a balance may have moved (the VM's applied transfers, or the length of
+    the chain log); `balances()`; and `_fields()`, the result fields only
+    it can read.
     """
 
     def __init__(self, cfg: ScenarioConfig, rng: Rng, trial_index: int = 0):
@@ -204,14 +205,14 @@ class Runtime:
 
     def _trial(self) -> TrialResult:
         """Step through the stops until done, sampling every balance after a
-        stop at which the ledger's record grew."""
+        stop at which value may have moved."""
         cfg = self.cfg
         min_balance = [self.funded] * cfg.n
-        sampled = -1  # ledger length at the last sample: only a new record moves value
+        sampled = -1  # `value_moves` at the last sample: a balance moves only when it grows
         for h in self.stops():
             self.step(h)
-            if len(self.ledger) != sampled:
-                sampled = len(self.ledger)
+            if self.value_moves != sampled:
+                sampled = self.value_moves
                 min_balance = list(map(min, min_balance, self.balances()))
             if self.done(h):
                 break
@@ -240,7 +241,6 @@ class ContractRuntime(Runtime):
     def __init__(self, cfg: ScenarioConfig, rng: Rng, trial_index: int = 0):
         super().__init__(cfg, rng, trial_index)
         self.vm = Vm()
-        self.ledger = self.vm.trace
         self.accounts = [f"P{i}" for i in range(cfg.n)]
         for account in self.accounts:
             self.vm.fund(account, self.funded)
@@ -250,8 +250,13 @@ class ContractRuntime(Runtime):
         self._secrets: dict[tuple[int, int, int], int] = {}
         self._participants: dict[tuple[int, int], tuple[Optional[str], Optional[str]]] = {}
 
+    @property
+    def value_moves(self) -> int:
+        return self.vm.transfers
+
     def balances(self) -> list[int]:
-        return [self.vm.balance(account) for account in self.accounts]
+        balances = self.vm.balances
+        return [balances[account] for account in self.accounts]
 
     def _master_calls(self, method: str) -> list[CallRecord]:
         """The successful calls of `method` on the master, in chain order."""
@@ -283,12 +288,16 @@ class ContractRuntime(Runtime):
 
         Player a is asked first, so b's view shows a's call. A commit is
         offered until made; an opening is offered to a committed player until
-        made. The open view's flags are `match_winner` with the player's own
-        opening added and as things stand.
+        made, so a visit after both players have acted returns at once. The
+        open view's flags are `match_winner` with the player's own opening
+        added and as things stand.
         """
         addr = self.tree.lottery(level, match)
         lot = self.vm.contracts[addr]
         committing = h < lot.t1
+        # only players commit and only committers open: two entries mean both have acted
+        if len(lot.commits if committing else lot.opens) == 2:
+            return
         a, b = self._resolve_participants(level, match)
         for mine, theirs in ((a, b), (b, a)):
             player = self.player_of.get(mine)
@@ -468,7 +477,6 @@ class ScaffoldRuntime(Runtime):
         n = cfg.n
         self.oracle = SignatureOracle()
         self.chain = Chain(self.oracle)
-        self.ledger = self.chain.log
         self.keys = tuple(rng.child(f"key/{i}").bytes(32) for i in range(n))
         for i, key in enumerate(self.keys):
             self.oracle.register_key(i, key)
@@ -705,6 +713,10 @@ class ScaffoldRuntime(Runtime):
         return Witness((iw,) * len(cand.body.inputs)), players
 
     # the trial
+
+    @property
+    def value_moves(self) -> int:
+        return len(self.chain.log)
 
     def balances(self) -> list[int]:
         return [self.chain.key_balance(key) for key in self.keys]

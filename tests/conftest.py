@@ -4,6 +4,7 @@ import re
 
 import pytest
 
+from commitlotto.contracts import match_winner
 from commitlotto.primitives import OutputRef, Rng
 from commitlotto.scaffold import build_tournament
 
@@ -42,6 +43,21 @@ ETH_MIXED_SEATS = (
     "honest", "replay-commit", "selective-abort-open", "abort-at-commit",
     "coalition", "abort-at-open", "coalition", "honest",
 )
+
+
+def fresh_players(vm, address):
+    """A lottery's two players, read afresh from its seats or its children."""
+    lot = vm.contracts[address]
+    if lot.children:
+        return tuple(fresh_winner(vm, child) for child in lot.children)
+    master = vm.contracts[lot.master]
+    return tuple(master.players[seat] if master.is_complete() else None for seat in lot.seats)
+
+
+def fresh_winner(vm, address):
+    """`match_winner` over the lottery's players, commits and opens, read afresh."""
+    lot = vm.contracts[address]
+    return match_winner(*fresh_players(vm, address), lot.commits, lot.opens)
 
 
 def make_keys(n):

@@ -574,3 +574,25 @@ def test_an_empty_output_path_writes_to_stdout_like_dash(capsys, tmp_path, monke
         assert code == 0
         assert out and out == expected
     assert not (tmp_path / "-").exists()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("build", "--n", "2", "--scaffold-out", "-"),
+        ("build", "--n", "2", "--out", "", "--dot", "-"),
+        ("build", "--n", "2", "--out", "s.json", "--scaffold-out", "", "--dot", "-"),
+        ("build", "--n", "2", "--scaffold-out", "-", "--dot", "-"),
+        ("sweep", "--backend", "ethereum", "--n", "2", "--trials", "2", "--csv", "-"),
+        ("sweep", "--backend", "ethereum", "--n", "2", "--trials", "2", "--csv", "", "--json", "-"),
+    ],
+    ids=["build-scaffold", "build-dot", "scaffold-and-dot", "all-three", "sweep", "sweep-empty"],
+)
+def test_two_outputs_aimed_at_stdout_are_refused(capsys, tmp_path, monkeypatch, argv):
+    # their texts would run together, so the stream would parse as neither
+    monkeypatch.chdir(tmp_path)
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("configuration error: ") and "cannot share stdout" in err
+    assert list(tmp_path.iterdir()) == []

@@ -16,6 +16,8 @@ from commitlotto.contracts import (
     match_winner,
 )
 
+from conftest import fresh_players, fresh_winner
+
 TAU = 6
 T_COMMIT = 10
 
@@ -525,21 +527,6 @@ class Peek:
         return winner
 
 
-def fresh_players(vm, address):
-    """A lottery's two players, read afresh from its seats or its children."""
-    lot = vm.contracts[address]
-    if lot.children:
-        return tuple(fresh_winner(vm, child) for child in lot.children)
-    master = vm.contracts[lot.master]
-    return tuple(master.players[seat] if master.is_complete() else None for seat in lot.seats)
-
-
-def fresh_winner(vm, address):
-    """`match_winner` over the lottery's players, commits and opens, read afresh."""
-    lot = vm.contracts[address]
-    return match_winner(*fresh_players(vm, address), lot.commits, lot.opens)
-
-
 def kept(vm, address):
     """The winner a lottery keeps from earlier reads; None when it keeps none."""
     return getattr(vm.contracts[address], "_winner", None)
@@ -709,6 +696,60 @@ def test_participants_reads_both_players_in_one_call():
         players = fresh_players(vm, addr)
         assert None not in players
         assert vm.static_call("x", addr, "participants") == players
+
+
+class Squatter:
+    """Test contract: deposits the last stake, reads a lottery's players, then maybe reverts."""
+
+    METHODS = ("squat",)
+
+    def __init__(self):
+        self.address = ""
+
+    def snapshot(self):
+        return None
+
+    def restore(self, state):
+        pass
+
+    def squat(self, ctx, master, lottery, bet, blow_up):
+        ctx.call(master, "deposit", value=bet)
+        players = ctx.call(lottery, "participants")
+        if blow_up:
+            raise Reverted("Boom")
+        return players
+
+
+@pytest.mark.parametrize("how", ["reverted call", "static call"])
+def test_players_read_before_t0_by_a_rolled_back_deposit_are_not_kept(how):
+    # before t_commit a deposit can still be rolled back, so a pair read then
+    # may name a player who never played; only a read from t0 on is kept
+    vm = Vm()
+    tree = build_tree(vm, 4, bet=1, tau=TAU, t_commit=T_COMMIT)
+    vm.create("squatter", Squatter())
+    vm.fund("squatter", 1)
+    for i in range(4):
+        vm.fund(f"p{i}", 1)
+    for i in range(3):
+        vm.call(f"p{i}", tree.master, "deposit", value=1)
+    addr = tree.lottery(0, 1)
+    vm.advance_to(T_COMMIT - 1)
+    args = ("squatter", "squatter", "squat", tree.master, addr, 1)
+    if how == "reverted call":
+        with reverts("Boom"):
+            vm.call(*args, True)
+    else:
+        assert vm.static_call(*args, False) == ("p2", "squatter")
+    assert vm.contracts[addr]._players is None
+    assert vm.contracts[tree.master].players == ["p0", "p1", "p2"]
+    vm.call("p3", tree.master, "deposit", value=1)
+    vm.advance_to(tree.schedule(0)[0])
+    assert vm.static_call("x", addr, "participants") == ("p2", "p3")
+    assert vm.contracts[addr]._players == ("p2", "p3")
+    vm.advance_to(tree.schedule(0)[0] + 1)
+    with reverts("NotAPlayer"):
+        vm.call("squatter", addr, "commit", commit_digest("squatter", 1))
+    vm.call("p3", addr, "commit", commit_digest("p3", 1))
 
 
 def test_a_reverted_commit_that_read_child_winners_leaves_everything_as_it_found_it(monkeypatch):

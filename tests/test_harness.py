@@ -48,7 +48,7 @@ from commitlotto.harness import (
     write_trials_csv,
 )
 
-from conftest import ETH_MIXED_SEATS
+from conftest import ETH_MIXED_SEATS, fresh_players
 
 HONEST4 = ("honest",) * 4
 MIXED8 = (
@@ -492,6 +492,80 @@ def test_a_contract_trial_journals_only_its_state_changing_calls(monkeypatch):
     assert static_calls.count("participants") == 63
 
 
+def test_an_honest_contract_trial_enters_the_vm_only_for_its_calls_and_reads(monkeypatch):
+    # an exact count: a match reads its players from its children once and
+    # keeps them, so a commit re-enters the VM for nothing; balances are
+    # sampled only after the deposits, after the payout and for the payoffs
+    invokes, samples = [], []
+    invoke = Vm._invoke
+    monkeypatch.setattr(Vm, "_invoke", lambda vm, *args: invokes.append(1) or invoke(vm, *args))
+    balances = ContractRuntime.balances
+    monkeypatch.setattr(ContractRuntime, "balances", lambda rt: samples.append(1) or balances(rt))
+    result = run_trial(cfg(n=64, master_seed="rollback"), 0)
+    assert result.committed and result.winner is not None
+    # 317 calls and 64 static calls; 31 matches above level 0 read two
+    # child winners each, once; the payout reads the final's winner
+    assert len(invokes) == 317 + 64 + 31 * 2 + 1 == 444
+    assert len(samples) == 3
+
+
+class Vault:
+    """Test contract: holds what a sender sends and pays it back on request."""
+
+    METHODS = ("hold", "release")
+
+    def __init__(self):
+        self.address = ""
+        self.held = {}
+
+    def snapshot(self):
+        return dict(self.held)
+
+    def restore(self, state):
+        self.held = dict(state)
+
+    def hold(self, ctx):
+        self.held[ctx.sender] = self.held.get(ctx.sender, 0) + ctx.value
+
+    def release(self, ctx):
+        ctx.pay(ctx.sender, self.held.pop(ctx.sender))
+
+
+class Lender(ContractRuntime):
+    """A contract runtime whose seat 0 sends `amount` to a vault just before
+    the stop `lend_at` is played and takes it back just after the stop
+    `repay_at`."""
+
+    def __init__(self, cfg, rng, index, loan):
+        super().__init__(cfg, rng, index)
+        self.lend_at, self.repay_at, self.amount = loan
+        self.vm.create("vault", Vault())
+
+    def step(self, h):
+        if h == self.lend_at:
+            self.vm.call(self.accounts[0], "vault", "hold", value=self.amount)
+        super().step(h)
+        if h == self.repay_at:
+            self.vm.call(self.accounts[0], "vault", "release")
+
+
+@pytest.mark.parametrize("during", ["deposits", "play"])
+def test_a_balance_that_falls_between_samples_is_measured(during):
+    # a positive control for the locked-beyond-bet sampler: seat 0 holds
+    # nothing for a while, one bet beyond its stake. Lent at the first stop,
+    # its whole funding of two bets leaves it unable to deposit, and it is
+    # repaid at t_commit; lent at the first commit stop, the bet it kept
+    # beside its stake is repaid at the first open stop
+    c = cfg(n=4, bet=3, master_seed="lender")
+    t0, t1, _ = level_schedule(c.t_commit, level_stride(c.tau), c.tau, 0)
+    loan = (1, c.t_commit, 2 * c.bet) if during == "deposits" else (t0 + 1, t1 + 1, c.bet)
+    rt = Lender(c, trial_rng(c.master_seed, 0), 0, loan)
+    result = rt.run()
+    assert result.committed == (during == "play")
+    assert sum(result.payoffs) == 0 and rt.vm.balance("vault") == 0
+    assert result.locked_beyond_bet == (3, 0, 0, 0)
+
+
 class ViewProbe(ContractRuntime):
     """A contract runtime that, after every stop, reads every view of every
     contract through `static_call` and checks that the read changed nothing."""
@@ -519,6 +593,41 @@ def test_every_view_read_at_every_stop_changes_nothing(mix):
         plain = ContractRuntime(c, trial_rng(c.master_seed, i), i)
         assert probed.run() == plain.run()  # the reads do not change play either
         assert probed.vm.trace == plain.vm.trace
+
+
+class PlayersProbe(ContractRuntime):
+    """A contract runtime that, after every stop, reads every lottery's
+    players and checks each pair a lottery keeps against a fresh read."""
+
+    def step(self, h):
+        super().step(h)
+        vm = self.vm
+        for addr in self.tree.lotteries.values():
+            try:
+                vm.static_call("observer", addr, "participants")
+            except contracts.Reverted:
+                pass  # a child match has not settled
+        for addr in self.tree.lotteries.values():
+            lot = vm.contracts[addr]
+            if lot._players is not None:
+                assert h >= lot.t0
+                assert lot._players == fresh_players(vm, addr)
+
+
+@pytest.mark.parametrize("mix", [("honest",) * 8, ETH_MIXED_SEATS], ids=["honest", "mixed"])
+def test_every_kept_pair_of_players_equals_a_fresh_read(mix):
+    c = cfg(n=8, strategies=mix, master_seed="players")
+    for i in range(3):
+        probed = PlayersProbe(c, trial_rng(c.master_seed, i), i)
+        plain = ContractRuntime(c, trial_rng(c.master_seed, i), i)
+        result = probed.run()
+        assert result == plain.run() and probed.vm.trace == plain.vm.trace
+        assert result.committed
+        # every match of a full table was played, so each keeps its pair
+        for runtime in (probed, plain):
+            vm = runtime.vm
+            for addr in runtime.tree.lotteries.values():
+                assert vm.contracts[addr]._players == fresh_players(vm, addr)
 
 
 def test_contract_trials_keep_no_python_memory():
