@@ -15,7 +15,6 @@ choice leaves the NTXID and the signature digest unchanged.
 
 from __future__ import annotations
 
-import functools
 import json
 from typing import NamedTuple, Optional, Union
 
@@ -71,6 +70,28 @@ class _BodyFields(NamedTuple):
     locktime: int = 0
 
 
+class _kept:
+    """An attribute computed from its instance the first time it is read.
+
+    The value goes into the instance dict, which answers every later read
+    without calling back here. This is `functools.cached_property` without
+    the per-instance lock that it takes on Python 3.10 and 3.11.
+    """
+
+    def __init__(self, compute):
+        self.compute = compute
+        self.__doc__ = compute.__doc__
+
+    def __set_name__(self, owner, name):
+        self.name = name
+
+    def __get__(self, instance, owner=None):
+        if instance is None:
+            return self
+        value = instance.__dict__[self.name] = self.compute(instance)
+        return value
+
+
 class TransactionBody(_BodyFields):
     """An unsigned transaction: inputs, outputs and an absolute locktime.
 
@@ -80,7 +101,7 @@ class TransactionBody(_BodyFields):
     `_replace`d body is a new object and is encoded afresh.
     """
 
-    @functools.cached_property
+    @_kept
     def digests(self) -> tuple[bytes, bytes]:
         """(ntxid, signature digest), from one encoding of this body.
 
@@ -98,17 +119,17 @@ class TransactionBody(_BodyFields):
 
 
 def body_bytes(body: TransactionBody) -> bytes:
+    """Canonical serialization: the counts, each input and output as one part, the locktime."""
     parts = [u32(len(body.inputs))]
     for spec in body.inputs:
         if isinstance(spec, FixedInput):
-            parts.append(b"\x00" + spec.ref.encode())
+            parts.append(b"\x00" + spec.ref.txid + u32(spec.ref.index))
         else:
-            parts.append(b"\x01" + u32(len(spec.refs)))
-            parts.extend(r.encode() for r in spec.refs)
+            refs = b"".join([r.txid + u32(r.index) for r in spec.refs])
+            parts.append(b"\x01" + u32(len(spec.refs)) + refs)
     parts.append(u32(len(body.outputs)))
     for out in body.outputs:
-        parts.append(u64(out.value))
-        parts.append(lp_bytes(predicate_bytes(out.predicate)))
+        parts.append(u64(out.value) + lp_bytes(predicate_bytes(out.predicate)))
     parts.append(u64(body.locktime))
     return b"".join(parts)
 

@@ -2,7 +2,8 @@
 
 Canonical encodings are length-prefixed fields in declaration order with
 fixed-width little-endian integers, so every digest in the system is a pure
-function of the encoded structure. The deterministic RNG is a SHA-256
+function of the encoded structure; `u32` and `u64` pack those integers
+through one compiled `struct.Struct` each. The deterministic RNG is a SHA-256
 counter stream; child streams are derived by label so independent consumers
 never share state and replays are bit-exact across platforms.
 """
@@ -22,12 +23,10 @@ def sha256(data: bytes) -> bytes:
     return hashlib.sha256(data).digest()
 
 
-def u32(n: int) -> bytes:
-    return struct.pack("<I", n)
-
-
-def u64(n: int) -> bytes:
-    return struct.pack("<Q", n)
+# fixed-width little-endian integers: the bound `pack` of one compiled
+# Struct each, so an encoder calls the packer with no wrapper in between
+u32 = struct.Struct("<I").pack
+u64 = struct.Struct("<Q").pack
 
 
 def lp_bytes(data: bytes) -> bytes:
@@ -36,7 +35,8 @@ def lp_bytes(data: bytes) -> bytes:
 
 
 def lp_str(s: str) -> bytes:
-    return lp_bytes(s.encode("utf-8"))
+    data = s.encode("utf-8")
+    return u32(len(data)) + data
 
 
 class OutputRef(NamedTuple):
@@ -44,9 +44,6 @@ class OutputRef(NamedTuple):
 
     txid: bytes
     index: int
-
-    def encode(self) -> bytes:
-        return self.txid + u32(self.index)
 
     def short(self) -> str:
         return f"{self.txid.hex()[:12]}:{self.index}"
@@ -65,8 +62,10 @@ def json_value(value, kind: type, where: str):
     `bytes` means a hex string, returned decoded. `int` means a non-negative
     integer below 2**32: every integer in a file the program writes (a
     height, value, count or index) is one, and the bound keeps the heights
-    and pots derived from them inside the 64-bit encodings. Other kinds are
-    isinstance checks.
+    and pots derived from them inside the 64-bit encodings. `str` means a
+    string UTF-8 can encode, as a slot name must be to enter the canonical
+    encoding; a JSON escape such as `\\udc80` decodes to a lone surrogate,
+    which it cannot. Other kinds are isinstance checks.
     """
     if kind is bytes:
         if isinstance(value, str):
@@ -75,6 +74,14 @@ def json_value(value, kind: type, where: str):
             except ValueError:
                 pass
         expected = "a hex string"
+    elif kind is str:
+        if isinstance(value, str):
+            try:
+                value.encode("utf-8")
+                return value
+            except UnicodeEncodeError:
+                pass
+        expected = "a string UTF-8 can encode"
     elif kind is int:
         if type(value) is int and 0 <= value < 1 << 32:
             return value

@@ -303,10 +303,10 @@ class Kernel:
     outcome_ntxids: tuple[bytes, bytes, bytes] = field(init=False)
 
     def __post_init__(self):
-        derive = functools.partial(object.__setattr__, self)  # the dataclass is frozen
-        derive("entry_ntxid", self.entry_tx.digests[0])
-        derive("reveal_ntxid", self.reveal_tx.digests[0])
-        derive("outcome_ntxids", tuple(b.digests[0] for b in self.outcome_txs))
+        ids = vars(self)  # the dataclass is frozen, so the ids go straight into its dict
+        ids["entry_ntxid"] = self.entry_tx.digests[0]
+        ids["reveal_ntxid"] = self.reveal_tx.digests[0]
+        ids["outcome_ntxids"] = tuple(b.digests[0] for b in self.outcome_txs)
 
     @property
     def bodies(self) -> tuple[TransactionBody, ...]:
@@ -773,6 +773,7 @@ def _honest_scaffold(
     mpc_digest: Optional[bytes],
     commits: Callable[[KernelId], tuple[bytes, bytes]],
     stats: TransactionStats,
+    secrets: dict[tuple[KernelId, int], bytes],
 ) -> Tournament:
     """The scaffold honest construction gives for these parameters.
 
@@ -782,7 +783,7 @@ def _honest_scaffold(
     ones a scaffold carries, so the result differs from that scaffold
     exactly where it is not honest. The deposits are built here; kernels
     and compressions in either mode when first read (`LazyTable`).
-    `stats` is stored as given.
+    `stats` and `secrets` are stored as given.
     """
     master = AllSign(tuple(keys))
     refund_time = None
@@ -821,6 +822,7 @@ def _honest_scaffold(
         mpc_digest=mpc_digest,
         stats=stats,
         scaffold_digests=wiring.scaffold_digests,
+        secrets=secrets,
     )
 
 
@@ -875,11 +877,10 @@ def build_tournament(
         raise ValueError(problem)
     fresh = _FreshSecrets(secret_source.child("kernel-secrets"))
     stats = scaffold_stats(n, mode, deposit_option, bet=bet, tau=tau, t_commit=t_commit)
-    t = _honest_scaffold(
+    return _honest_scaffold(
         n, player_keys, funding, bet, tau, t_commit, mode, deposit_option, mpc_digest, fresh,
-        dataclasses.replace(stats, materialized=_writable(n, mode)),
+        dataclasses.replace(stats, materialized=_writable(n, mode)), fresh.secrets,
     )
-    return dataclasses.replace(t, secrets=fresh.secrets)
 
 
 # cost model
@@ -1019,7 +1020,7 @@ def verify_as_honest(t: Tournament) -> list[Violation]:
     stats = scaffold_stats(t.n, t.mode, t.deposit_option, bet=t.bet, tau=t.tau, t_commit=t.t_commit)
     h = _honest_scaffold(
         t.n, t.master_keys, t.funding, t.bet, t.tau, t.t_commit, t.mode, t.deposit_option,
-        t.mpc_digest, commits, stats,
+        t.mpc_digest, commits, stats, {},
     )
     v: list[Violation] = []
     if t.level_stride != h.level_stride:

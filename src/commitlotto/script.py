@@ -4,7 +4,8 @@ Predicates form a small semantic AST instead of a byte-level script VM:
 N-of-N multisig, hash locks, absolute time locks, a one-bit XOR parity check
 over two revealed preimages, and conjunction/alternation combinators. An
 AnyOf never scans branches; the witness's branch selector picks exactly one,
-so evaluation order can never leak an unintended spend path.
+so evaluation order can never leak an unintended spend path. Each node
+class has one canonical encoder (`_ENCODERS`), picked by one lookup.
 
 Signatures come from an ideal oracle that records (key, digest) pairs, one
 at a time or as a whole digest registry per key. A witness names the keys
@@ -15,6 +16,7 @@ deterministic.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field
 from typing import Container, Mapping, Optional, Union
 
@@ -95,26 +97,37 @@ _TAG_ANYOF = b"\x07"
 
 
 def predicate_bytes(p: Predicate) -> bytes:
-    """Canonical serialization, the basis of all transaction digests."""
-    if isinstance(p, KeySign):
-        return _TAG_KEYSIGN + lp_bytes(p.key)
-    if isinstance(p, AllSign):
-        return p.encoded
-    if isinstance(p, HashPreimage):
-        return _TAG_HASHPRE + lp_bytes(p.digest) + lp_str(p.slot)
-    if isinstance(p, AfterHeight):
-        return _TAG_AFTER + u64(p.height)
-    if isinstance(p, XorParityOdd):
-        return _TAG_XOR + lp_str(p.slot_a) + lp_str(p.slot_b)
-    if isinstance(p, AllOf):
-        return _TAG_ALLOF + u32(len(p.terms)) + b"".join(
-            lp_bytes(predicate_bytes(t)) for t in p.terms
-        )
-    if isinstance(p, AnyOf):
-        return _TAG_ANYOF + u32(len(p.branches)) + b"".join(
-            lp_bytes(predicate_bytes(b)) for b in p.branches
-        )
+    """Canonical serialization, the basis of all transaction digests.
+
+    One lookup in `_ENCODERS` by the node's class picks its encoder, here
+    and for each child of a compound node, so anything that is not a
+    predicate raises TypeError at whatever depth it sits.
+    """
+    return _ENCODERS.get(type(p), _not_a_predicate)(p)
+
+
+def _not_a_predicate(p) -> bytes:
     raise TypeError(f"not a predicate: {p!r}")
+
+
+def _compound(tag: bytes, nodes: tuple) -> bytes:
+    """`tag`, the child count and each child's length-prefixed encoding, in one join."""
+    parts = [tag, u32(len(nodes))]
+    for node in nodes:
+        data = _ENCODERS.get(type(node), _not_a_predicate)(node)
+        parts += (u32(len(data)), data)
+    return b"".join(parts)
+
+
+_ENCODERS = {
+    KeySign: lambda p: _TAG_KEYSIGN + lp_bytes(p.key),
+    AllSign: operator.attrgetter("encoded"),
+    HashPreimage: lambda p: _TAG_HASHPRE + lp_bytes(p.digest) + lp_str(p.slot),
+    AfterHeight: lambda p: _TAG_AFTER + u64(p.height),
+    XorParityOdd: lambda p: _TAG_XOR + lp_str(p.slot_a) + lp_str(p.slot_b),
+    AllOf: lambda p: _compound(_TAG_ALLOF, p.terms),
+    AnyOf: lambda p: _compound(_TAG_ANYOF, p.branches),
+}
 
 
 def predicate_to_json(p: Predicate) -> dict:

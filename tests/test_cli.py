@@ -246,6 +246,25 @@ def test_verify_malformed_scaffold_is_input_error(capsys, scaffold_file, tmp_pat
 @pytest.mark.parametrize(
     "command", [("verify",), ("export-dot", "--scaffold")], ids=["verify", "export-dot"]
 )
+def test_a_slot_utf8_cannot_encode_is_malformed_input(capsys, scaffold_file, tmp_path, command):
+    # the JSON escape "\udc80" decodes to a lone surrogate, which the
+    # canonical encoding cannot take; the error names the field, not the codec
+    doc = json.loads(scaffold_file.read_text())
+    term = doc["kernels"][0]["entry"]["outputs"][0]["predicate"]["branches"][0]["terms"][1]
+    assert term["op"] == "hash-preimage"
+    term["slot"] = "\udc80"
+    bad = tmp_path / "surrogate.json"
+    bad.write_text(json.dumps(doc))
+    assert '"\\udc80"' in bad.read_text()
+    code, out, err = run_cli(capsys, *command, str(bad))
+    assert (code, out) == (2, "")
+    where = "kernels[0].entry.outputs[0].predicate.branches[0].terms[1].slot"
+    assert err == f"error: {where}: expected a string UTF-8 can encode, got '\\udc80'\n"
+
+
+@pytest.mark.parametrize(
+    "command", [("verify",), ("export-dot", "--scaffold")], ids=["verify", "export-dot"]
+)
 @pytest.mark.parametrize(
     "table, mode, body, key",
     [
@@ -511,6 +530,20 @@ def test_statistics_only_branches_reject_bad_input(capsys, command, flag):
 
 
 # export-dot
+
+
+# sha256 of the 16-key scaffold file the workflow builds and verifies,
+# recorded before the canonical encoder became table-driven
+MULTI16_SCAFFOLD_GOLDEN = "725c4ea3584be415b9a3cfbb7237124d202470d4ad70f152d241e82a385e79cd"
+
+
+def test_a_sixteen_key_scaffold_file_matches_its_pinned_digest(capsys, tmp_path):
+    path = tmp_path / "multi16.json"
+    argv = ("build", "--n", "16", "--mode", "multiinput", "--deposit", "hashlocked")
+    argv += ("--out", str(tmp_path / "s.json"), "--scaffold-out", str(path))
+    assert run_cli(capsys, *argv)[0] == 0
+    assert run_cli(capsys, "verify", str(path))[0] == 0
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == MULTI16_SCAFFOLD_GOLDEN
 
 
 def test_export_dot_from_fresh_build(capsys):
