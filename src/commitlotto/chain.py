@@ -252,6 +252,7 @@ class Chain:
 
         The digests are the body's own, computed from its bytes the first
         time they were read, so a body built elsewhere is not encoded again.
+        Each consumed output is looked up once, for the value and script checks.
         """
         ntxid, sig_digest = body.digests
         if len(witness.inputs) != len(body.inputs):
@@ -262,6 +263,8 @@ class Chain:
             )
 
         consumed: list[OutputRef] = []
+        spent: list[TxOutput] = []  # the output each consumed ref names, looked up once
+        in_sum = 0
         for i, (spec, iw) in enumerate(zip(body.inputs, witness.inputs)):
             if isinstance(spec, FixedInput):
                 if iw.chosen_ref is not None:
@@ -281,17 +284,24 @@ class Chain:
                 ref = iw.chosen_ref
             if ref in consumed:
                 return SubmitResult(False, None, DOUBLE_SPEND, f"input {i}: repeated ref")
-            if ref not in self.utxo:
+            prev = self.utxo.get(ref)
+            if prev is None:
                 if ref in self._spent:
                     return SubmitResult(
                         False, None, DOUBLE_SPEND, f"input {i}: {ref.short()} already spent"
                     )
                 return SubmitResult(False, None, MISSING_INPUT, f"input {i}: unknown {ref.short()}")
             consumed.append(ref)
+            spent.append(prev)
+            in_sum += prev.value
 
-        in_sum = sum(self.utxo[ref].value for ref in consumed)
-        out_sum = sum(out.value for out in body.outputs)
-        if not body.outputs or any(out.value <= 0 for out in body.outputs):
+        out_sum = 0
+        for out in body.outputs:
+            if out.value <= 0:
+                out_sum = 0
+                break
+            out_sum += out.value
+        if not out_sum:  # no output, or one that carries nothing
             return SubmitResult(False, None, VALUE_MISMATCH, "outputs must carry positive value")
         if in_sum != out_sum:
             return SubmitResult(
@@ -299,13 +309,14 @@ class Chain:
             )
 
         ctx = EvalContext(height=self.height, sig_digest=sig_digest, oracle=self.oracle)
-        for i, iw in enumerate(witness.inputs):
-            ok, why = evaluate_explain(self.utxo[consumed[i]].predicate, iw, ctx)
+        for i, (iw, prev) in enumerate(zip(witness.inputs, spent)):
+            ok, why = evaluate_explain(prev.predicate, iw, ctx)
             if not ok:
                 return SubmitResult(False, None, SCRIPT_FAIL, f"input {i}: {why}")
 
-        for ref in consumed:
-            self._credit(self.utxo.pop(ref), -1)
+        for ref, prev in zip(consumed, spent):
+            del self.utxo[ref]
+            self._credit(prev, -1)
             self._spent.add(ref)
         for k, out in enumerate(body.outputs):
             self.utxo[OutputRef(ntxid, k)] = out

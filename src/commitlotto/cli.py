@@ -9,6 +9,7 @@ from __future__ import annotations
 import argparse
 import io
 import json
+import re
 import sys
 from typing import Optional
 
@@ -46,7 +47,13 @@ EXIT_VIOLATIONS = 3
 
 
 def _parse_seed(text: str):
-    return int(text) if text.lstrip("-").isdigit() else text
+    """An integer in ASCII digits, or else text; digits outside ASCII, and
+    text UTF-8 cannot encode (a lone surrogate), are refused."""
+    if re.fullmatch("-?[0-9]+", text):
+        return int(text)
+    if text.lstrip("-").isdigit() or re.search("[\ud800-\udfff]", text):
+        raise ConfigError(f"--seed: expected -?[0-9]+ in ASCII, or other text UTF-8 can encode, got {text!r}")
+    return text
 
 
 def _build_scaffold(args, write_out: bool):

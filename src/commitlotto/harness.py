@@ -441,7 +441,7 @@ class Candidate(NamedTuple):
 
 
 def _spends(body: TransactionBody) -> frozenset[OutputRef]:
-    return frozenset(spec.ref for spec in body.inputs)
+    return frozenset([spec.ref for spec in body.inputs])
 
 
 @dataclass
@@ -563,8 +563,7 @@ class ScaffoldRuntime(Runtime):
                 lk, rk = left.kernel.id.combo, right.kernel.id.combo
                 combo = pack_index(level, lk, left.result[0], rk, right.result[0])
         kernel = self.t.kernel(level, match, combo)
-        plays = [self._play(kernel, *play) for play in zip(PLAYS, kernel.bodies, kernel.ntxids)]
-        record = self._matches[(level, match)] = MatchRecord(kernel, plays)
+        record = self._matches[(level, match)] = MatchRecord(kernel, self._rows(kernel))
         return record
 
     def _result(self, level: int, match: int) -> Optional[MatchRecord]:
@@ -602,14 +601,16 @@ class ScaffoldRuntime(Runtime):
     # candidates: a scaffold transaction is offered while its inputs are unspent
 
     def _candidates(self, h: int) -> list[Candidate]:
-        """The live deposits, refunds and unsettled matches' candidates; a match
-        with no live candidate has settled, and its parent may now be reached."""
+        """The live deposits and refunds until the table commits, when every deposit
+        is on chain; then the unsettled matches' candidates. A match with no live
+        candidate has settled, and its parent may now be reached."""
         utxo = self.chain.utxo.keys()
-        committed = self._committed()
-        out = [c for c in self._deposits if c.spends <= utxo]
-        if self.mpc is not None and not committed and h >= self.t.refund_time:
-            out.extend(c for c in self._refunds if c.spends <= utxo)
-        if committed:  # every level-0 match is reached once the table commits
+        if not self._committed():
+            out = [c for c in self._deposits if c.spends <= utxo]
+            if self.mpc is not None and h >= self.t.refund_time:
+                out.extend(c for c in self._refunds if c.spends <= utxo)
+        else:  # every level-0 match is reached once the table commits
+            out = []
             records = list(self._matches.values()) or [
                 self._reach(0, match) for match in range(matches_at(self.cfg.n, 0))
             ]
@@ -628,19 +629,24 @@ class ScaffoldRuntime(Runtime):
         out.sort(key=lambda c: (c.priority, c.level, c.match, c.ntxid))
         return out
 
-    def _play(self, kernel: Kernel, row: Play, body: TransactionBody, ntxid: bytes) -> Candidate:
+    def _rows(self, kernel: Kernel) -> list[Candidate]:
+        """A reached kernel's five candidates, one per `PLAYS` row."""
         level, match, _ = kernel.id
-        commits = (kernel.left_commit, kernel.right_commit)
-        opens = tuple((SIDE_SLOTS[side], commits[side]) for side in row.opens)
-        branch = row.branch
-        if row.role == ROLE_ENTRY and level == 0 and self.mpc is not None:
-            # it spends the hashlocked deposits, which the joint preimage opens
-            opens, branch = ((SLOT_MPC, self.t.mpc_digest),), BRANCH_DEPOSIT_SPEND
-        players = (kernel.left_player, kernel.right_player)
-        return Candidate(
-            row.role, row.priority, level, match, ntxid, body, max(kernel.t0, body.locktime),
-            _spends(body), kernel, opens, branch, None if row.pays is None else players[row.pays],
-        )
+        left, right = (SLOT_LEFT, kernel.left_commit), (SLOT_RIGHT, kernel.right_commit)
+        opens = {(): (), (SIDE_LEFT,): (left,), (SIDE_LEFT, SIDE_RIGHT): (left, right)}
+        pays = {None: None, SIDE_LEFT: kernel.left_player, SIDE_RIGHT: kernel.right_player}
+        rows = [
+            Candidate(
+                row.role, row.priority, level, match, ntxid, body, max(kernel.t0, body.locktime),
+                _spends(body), kernel, opens[row.opens], row.branch, pays[row.pays],
+            )
+            for row, body, ntxid in zip(PLAYS, kernel.bodies, kernel.ntxids)
+        ]
+        if level == 0 and self.mpc is not None:
+            # the entry spends the hashlocked deposits, which the joint preimage opens
+            opens = ((SLOT_MPC, self.t.mpc_digest),)
+            rows[0] = rows[0]._replace(opens=opens, branch=BRANCH_DEPOSIT_SPEND)
+        return rows
 
     @functools.cached_property
     def _deposits(self) -> tuple[Candidate, ...]:

@@ -180,6 +180,9 @@ class Rng:
         return r
 
     def bytes(self, n: int) -> bytes:
+        if 0 < n <= 32:  # one block, cut
+            self._counter += 1
+            return sha256(self._key + u64(self._counter - 1))[:n]
         out = bytearray()
         while len(out) < n:
             out += sha256(self._key + u64(self._counter))

@@ -236,10 +236,6 @@ def players_of(n: int, level: int, match: int, combo: int, mode: str = MODE_PLAI
     return left_pair[winner_side(lt)], right_pair[winner_side(rt)]
 
 
-def _xor(a: bytes, b: bytes) -> bytes:
-    return bytes(x ^ y for x, y in zip(a, b))
-
-
 class IdealMpcOracle:
     """Ideal multiparty computation of hash(x1 xor ... xor xN).
 
@@ -272,10 +268,10 @@ class IdealMpcOracle:
     def combined(self) -> bytes:
         if not self.complete:
             raise MpcIncomplete(f"{len(self._inputs)}/{self.n} inputs collected")
-        acc = b"\x00" * 32
+        acc = 0
         for player in sorted(self._inputs):
-            acc = _xor(acc, self._inputs[player])
-        return acc
+            acc ^= int.from_bytes(self._inputs[player], "big")
+        return acc.to_bytes(32, "big")
 
     def digest(self) -> bytes:
         return sha256(self.combined())

@@ -7,7 +7,7 @@ import json
 import pytest
 
 from commitlotto import scaffold
-from commitlotto.cli import main
+from commitlotto.cli import _parse_seed, main
 from commitlotto.scaffold import KernelId, load_tournament, tournament_to_json
 
 from conftest import ETH_MIXED_SEATS
@@ -629,3 +629,37 @@ def test_two_outputs_aimed_at_stdout_are_refused(capsys, tmp_path, monkeypatch, 
     assert out == ""
     assert err.startswith("configuration error: ") and "cannot share stdout" in err
     assert list(tmp_path.iterdir()) == []
+
+
+SEED_COMMANDS = {
+    "build": ("build", "--n", "2"),
+    "run": ("run", "--backend", "ethereum", "--n", "2"),
+    "sweep": ("sweep", "--backend", "ethereum", "--n", "2", "--trials", "2"),
+    "costs": ("costs", "--backend", "ethereum", "--n", "2"),
+    "export-dot": ("export-dot", "--n", "2"),
+}
+
+
+@pytest.mark.parametrize("command", sorted(SEED_COMMANDS))
+@pytest.mark.parametrize(
+    "seed",
+    ["--5", "²", "١٢", "-１", "\udcff"],
+    ids=["two-signs", "superscript", "arabic-indic", "fullwidth", "not-utf8"],
+)
+def test_a_seed_neither_an_ascii_integer_nor_utf8_text_names_the_flag(capsys, command, seed):
+    # digits outside ASCII once became int() errors or, worse, a different seed;
+    # "\udcff" is how Python hands over the argv byte 0xff, which is not UTF-8
+    code, out, err = run_cli(capsys, *SEED_COMMANDS[command], f"--seed={seed}")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("configuration error: --seed: ")
+
+
+@pytest.mark.parametrize(
+    "text,seed",
+    [("12", 12), ("-12", -12), ("007", 7), ("commitlotto", "commitlotto"), ("1 2", "1 2"),
+     ("-", "-"), ("5-", "5-"), ("süß", "süß")],
+)
+def test_a_seed_is_an_integer_only_in_ascii_digits(text, seed):
+    got = _parse_seed(text)
+    assert got == seed and type(got) is type(seed)

@@ -6,6 +6,8 @@ import hashlib
 import json
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as hs
 
 from commitlotto.chain import (
     FixedInput,
@@ -413,6 +415,26 @@ def test_mpc_oracle_digest_is_hash_of_xor():
     combined = bytes(a ^ b ^ c for a, b, c in zip(*inputs))
     assert mpc.combined() == combined
     assert mpc.digest() == hashlib.sha256(combined).digest()
+
+
+# a nonzero 32-byte input, its first 0 to 31 bytes zero
+MPC_INPUTS = hs.tuples(hs.integers(0, 31), hs.binary(min_size=32, max_size=32)).map(
+    lambda t: bytes(t[0]) + t[1][t[0]:]
+).filter(any)
+
+
+@settings(max_examples=200, deadline=None)
+@given(hs.lists(MPC_INPUTS, min_size=1, max_size=64))
+@example([b"\x01" * 32, b"\x01" * 32])
+@example([bytes(31) + b"\x01", b"\x80" + bytes(31), b"\x80" + bytes(30) + b"\x02"])
+def test_the_joint_preimage_is_the_bytewise_xor_of_every_input(inputs):
+    mpc = IdealMpcOracle(len(inputs))
+    for i, secret in enumerate(inputs):
+        mpc.collect(i, secret)
+    acc = bytes(32)
+    for secret in inputs:
+        acc = bytes(x ^ y for x, y in zip(acc, secret))
+    assert mpc.combined() == acc
 
 
 def test_a_seeded_mpc_oracle_draws_input_i_from_its_mpc_child():

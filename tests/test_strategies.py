@@ -106,3 +106,16 @@ def test_a_child_rng_is_keyed_by_its_parent_and_label_with_one_hash(monkeypatch)
     assert child.bytes(40) == b"".join(
         hashlib.sha256(key + i.to_bytes(8, "little")).digest() for i in range(2)
     )[:40]
+
+
+@pytest.mark.parametrize("counter", [0, 1, 7, 2**32 + 5])
+def test_a_draw_is_its_counter_blocks_joined_and_cut(counter):
+    key = Rng(7)._key
+    for n in range(101):
+        rng = Rng(7)
+        rng._counter = counter
+        blocks = -(-n // 32)
+        assert rng.bytes(n) == b"".join(
+            hashlib.sha256(key + (counter + i).to_bytes(8, "little")).digest() for i in range(blocks)
+        )[:n]
+        assert rng._counter == counter + blocks
