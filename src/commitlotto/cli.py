@@ -24,17 +24,17 @@ from .harness import (
     run_trial,
     write_trials_csv,
 )
-from .primitives import OutputRef, Rng
+from .primitives import OutputRef, Rng, sha256
 from .scaffold import (
     DEPOSIT_ATOMIC,
     DEPOSIT_HASHLOCKED,
     MODE_MULTIINPUT,
     MODE_PLAIN,
     SIG_MODELS,
-    IdealMpcOracle,
     build_tournament,
     dump_tournament,
     export_dot,
+    joint_preimage,
     load_tournament,
     verify_as_honest,
 )
@@ -68,9 +68,7 @@ def _build_scaffold(args, write_out: bool):
     n = args.n
     keys = [rng.child(f"key/{i}").bytes(32) for i in range(n)]
     funding = [OutputRef(rng.child(f"funding/{i}").bytes(32), 0) for i in range(n)]
-    mpc_digest = None
-    if args.deposit == DEPOSIT_HASHLOCKED:
-        mpc_digest = IdealMpcOracle.seeded(n, rng).digest()
+    mpc_digest = sha256(joint_preimage(n, rng)) if args.deposit == DEPOSIT_HASHLOCKED else None
     t = build_tournament(
         n,
         keys,
@@ -306,6 +304,9 @@ def main(argv=None) -> int:
     except SystemExit as e:
         return EXIT_CONFIG if e.code not in (0, None) else EXIT_OK
     try:
+        for dest, value in vars(args).items():
+            if isinstance(value, list):  # argparse hands a flag given `--` over as []
+                raise ConfigError(f"--{dest.replace('_', '-')}: expected a value, got '--'")
         return args.fn(args)
     except ConfigError as e:
         print(f"configuration error: {e}", file=sys.stderr)

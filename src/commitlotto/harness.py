@@ -23,7 +23,10 @@ assemblable transaction, so one honest participant keeps the bracket live
 regardless of who benefits. A transaction is offered while every output
 it spends is unspent: the deposits, the bodies of each kernel a match
 reached, a multiinput compression choosing its match's settled outcome,
-and, while the table has not committed, the refunds. `PLAYS` describes a
+and, while the table has not committed, the refunds. Every body offered
+is built by `scaffold`, the refunds too (`build_refunds`); of the
+hashlocked deposits, play decides only when the joint preimage is
+released (`ScaffoldRuntime.step`). `PLAYS` describes a
 kernel's five transactions once; offers go in the order (priority, level,
 match, ntxid). Each reached match has one record: its kernel, its
 candidates and, once settled, its result. A settled match offers nothing,
@@ -41,17 +44,9 @@ import statistics
 from dataclasses import dataclass, field
 from typing import NamedTuple, Optional, Sequence
 
-from .chain import (
-    Chain,
-    FixedInput,
-    TransactionBody,
-    TxOutput,
-    body_bytes,
-    compute_ntxid,
-    sig_digest_for,
-)
+from .chain import Chain, TransactionBody, body_bytes, sig_digest_for
 from .contracts import CallRecord, Vm, build_tree, match_winner
-from .primitives import ConfigError, OutputRef, Rng, check_params
+from .primitives import ConfigError, OutputRef, Rng, check_params, sha256
 from .script import (
     InputWitness,
     KeySign,
@@ -84,11 +79,12 @@ from .scaffold import (
     SIDE_RIGHT,
     SIG_MODELS,
     CeremonyResult,
-    IdealMpcOracle,
     Kernel,
     Tournament,
     auth_bytes,
+    build_refunds,
     build_tournament,
+    joint_preimage,
     matches_at,
     multi_combo_index,
     num_levels,
@@ -484,11 +480,8 @@ class ScaffoldRuntime(Runtime):
         for key in self.keys:
             self.chain.mint(cfg.bet, KeySign(key))  # the untouched margin
 
-        self.mpc: Optional[IdealMpcOracle] = None
-        mpc_digest = None
-        if cfg.deposit_option == DEPOSIT_HASHLOCKED:
-            self.mpc = IdealMpcOracle.seeded(n, rng)
-            mpc_digest = self.mpc.digest()
+        # the joint preimage that hashlocked deposits lock on, no one's until `step` releases it
+        self.mpc = joint_preimage(n, rng) if cfg.deposit_option == DEPOSIT_HASHLOCKED else None
 
         self.t: Tournament = build_tournament(
             n,
@@ -500,7 +493,7 @@ class ScaffoldRuntime(Runtime):
             cfg.tau,
             mode=cfg.mode,
             deposit_option=cfg.deposit_option,
-            mpc_digest=mpc_digest,
+            mpc_digest=None if self.mpc is None else sha256(self.mpc),
         )
         groups = [s.coalition_members() for s in self.strats]
         self.allies: list[frozenset] = [
@@ -584,10 +577,10 @@ class ScaffoldRuntime(Runtime):
             if len(record.candidates) == len(PLAYS):
                 chosen = OutputRef(carrier, 0)
                 record.candidates.append(Candidate(
-                    ROLE_COMPRESSION, PRIORITY_COMPRESSION, level, match, comp.ntxid, comp.body,
-                    comp.body.locktime, frozenset((chosen,)), beneficiary=winner, chosen_ref=chosen,
+                    ROLE_COMPRESSION, PRIORITY_COMPRESSION, level, match, comp.digests[0], comp,
+                    comp.locktime, frozenset((chosen,)), beneficiary=winner, chosen_ref=chosen,
                 ))
-            carrier = comp.ntxid
+            carrier = comp.digests[0]
         if carrier not in entries:
             return None
         record.result = (tx_idx, winner, carrier)
@@ -663,22 +656,13 @@ class ScaffoldRuntime(Runtime):
     @functools.cached_property
     def _refunds(self) -> tuple[Candidate, ...]:
         """Each hashlocked deposit's owner taking it back, built when first offered."""
-        t = self.t
-        out = []
-        for player, (ntxid, key) in enumerate(zip(t.deposit_ntxids, self.keys)):
-            body = TransactionBody(
-                inputs=(FixedInput(OutputRef(ntxid, 0)),),
-                outputs=(TxOutput(self.cfg.bet, KeySign(key)),),
-                locktime=t.refund_time,
+        return tuple(
+            Candidate(
+                ROLE_REFUND, PRIORITY_REFUND, -1, -1, body.digests[0], body, body.locktime,
+                _spends(body), branch=BRANCH_DEPOSIT_REFUND, beneficiary=player, owner=player,
             )
-            out.append(
-                Candidate(
-                    ROLE_REFUND, PRIORITY_REFUND, -1, -1, compute_ntxid(body), body,
-                    body.locktime, _spends(body), branch=BRANCH_DEPOSIT_REFUND,
-                    beneficiary=player, owner=player,
-                )
-            )
-        return tuple(out)
+            for player, body in enumerate(build_refunds(self.t))
+        )
 
     # witness assembly
 
@@ -747,7 +731,7 @@ class ScaffoldRuntime(Runtime):
             if self.deposit_complete_h is not None:
                 # the ideal functionality hands everyone the joint preimage
                 # once the full deposit set is observable
-                self.public[self.t.mpc_digest] = self.mpc.combined()
+                self.public[self.t.mpc_digest] = self.mpc
         self._drain(h)
 
     def done(self, h: int) -> bool:

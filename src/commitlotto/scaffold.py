@@ -16,18 +16,23 @@ candidate (a MultiInput set), so the next level only needs one kernel per
 pair of candidate identities, 4^l per match.
 
 Everything here is built unsigned, and NTXIDs never cover witness data.
-No record takes an id: kernels, compressions and deposits derive theirs
-from their bodies (`TransactionBody.digests`), so none can disagree. A
-kernel is a pure function of the public parameters, its two commitments
-and its two stake refs, and a compression of the outcome ntxids that pay
-its candidate, so `Tournament.kernels` and `Tournament.compressions` build
-each entry the first time it is read, with what it spends, and keep it
-(`LazyTable`). A trial builds only what play reaches and what that spends:
-a plain trial one kernel per match; iterating a table builds the rest of
-it, with the same bytes. The signing ceremony approves
-the honest scaffold as a whole: a key's approval is membership in the
-tournament's registry of signature digests, which honest construction
-fills as it builds bodies.
+No record takes an id: a compression is its body, and kernels and
+deposits derive theirs from their bodies (`TransactionBody.digests`), so
+none can disagree. A kernel is a pure function of the public parameters,
+its two commitments and its two stake refs, and a compression of the
+outcome ntxids that pay its candidate, so `Tournament.kernels` and
+`Tournament.compressions` build each entry the first time it is read,
+with what it spends, and keep it (`LazyTable`). A trial builds only what
+play reaches and what that spends: a plain trial one kernel per match;
+iterating a table builds the rest of it, with the same bytes. The signing
+ceremony approves the honest scaffold as a whole: a key's approval is
+membership in the tournament's registry of signature digests, which
+honest construction fills as it builds bodies.
+
+Each fact of the hashlocked deposits is stated once, here: the joint
+preimage they lock on (`joint_preimage`), the height their refund branch
+unlocks (`refund_time_for`), and the refunds that spend them
+(`build_refunds`). When the preimage is released is play's decision.
 """
 
 from __future__ import annotations
@@ -101,17 +106,13 @@ ROLE_OUTCOMES = (ROLE_OUTCOME_A, ROLE_OUTCOME_B, ROLE_OUTCOME_BP)
 ROLE_KERNEL = (ROLE_ENTRY, ROLE_REVEAL) + ROLE_OUTCOMES  # `Kernel.bodies` order
 ROLE_COMPRESSION = "compression"
 ROLE_DEPOSIT = "deposit"
-ROLE_REFUND = "refund"  # a hashlocked deposit's owner taking it back; built in play, never signed
+ROLE_REFUND = "refund"  # a hashlocked deposit's owner taking it back (`build_refunds`); never signed
 
 SIDE_LEFT = 0
 SIDE_RIGHT = 1
 
 
 class IndexOutOfRange(IndexError):
-    pass
-
-
-class MpcIncomplete(Exception):
     pass
 
 
@@ -236,45 +237,17 @@ def players_of(n: int, level: int, match: int, combo: int, mode: str = MODE_PLAI
     return left_pair[winner_side(lt)], right_pair[winner_side(rt)]
 
 
-class IdealMpcOracle:
-    """Ideal multiparty computation of hash(x1 xor ... xor xN).
+def joint_preimage(n: int, rng: Rng) -> bytes:
+    """The ideal multiparty computation's output, x1 xor ... xor xN.
 
-    Parties contribute private inputs; the oracle publishes only the digest.
-    The combined preimage is available once every input arrived, modelling
-    the fact that no strict subset of parties can learn it early.
+    Input i is drawn from `rng.child("mpc/i")`; a hashlocked deposit locks
+    on its hash. No strict subset of the players can learn it, so it is
+    no one's until the runtime releases it.
     """
-
-    def __init__(self, n: int):
-        self.n = n
-        self._inputs: dict[int, bytes] = {}
-
-    @classmethod
-    def seeded(cls, n: int, rng: Rng) -> "IdealMpcOracle":
-        """Every player's input collected, input i drawn from `rng.child("mpc/i")`."""
-        mpc = cls(n)
-        for i in range(n):
-            mpc.collect(i, rng.child(f"mpc/{i}").nonzero_bytes(32))
-        return mpc
-
-    def collect(self, player: int, secret: bytes) -> None:
-        if len(secret) != 32 or not any(secret):
-            raise ValueError("mpc inputs are nonzero 32-byte strings")
-        self._inputs[player] = secret
-
-    @property
-    def complete(self) -> bool:
-        return len(self._inputs) == self.n
-
-    def combined(self) -> bytes:
-        if not self.complete:
-            raise MpcIncomplete(f"{len(self._inputs)}/{self.n} inputs collected")
-        acc = 0
-        for player in sorted(self._inputs):
-            acc ^= int.from_bytes(self._inputs[player], "big")
-        return acc.to_bytes(32, "big")
-
-    def digest(self) -> bytes:
-        return sha256(self.combined())
+    acc = 0
+    for i in range(n):
+        acc ^= int.from_bytes(rng.child(f"mpc/{i}").nonzero_bytes(32), "big")
+    return acc.to_bytes(32, "big")
 
 
 @dataclass(frozen=True)
@@ -314,17 +287,6 @@ class Kernel:
         return (self.entry_ntxid, self.reveal_ntxid, *self.outcome_ntxids)
 
 
-class CompressionTx(NamedTuple):
-    level: int
-    match: int
-    candidate: int
-    body: TransactionBody
-
-    @property
-    def ntxid(self) -> bytes:
-        return self.body.digests[0]
-
-
 @dataclass(frozen=True)
 class TransactionStats:
     total_offchain: int
@@ -362,7 +324,7 @@ class Tournament:
     registries `scaffold_digests` and `secrets` hold what the built bodies
     and kernels contribute, so they grow with the tables. No id is an
     argument: `deposit_ntxids` is derived from `deposit_bodies` whenever
-    they are set, and the kernels and compressions derive theirs.
+    they are set, the kernels derive theirs, and a compression is its body.
     """
 
     mode: str
@@ -375,7 +337,7 @@ class Tournament:
     master_keys: tuple[bytes, ...]
     funding: tuple[OutputRef, ...]
     kernels: MutableMapping[KernelId, Kernel]
-    compressions: MutableMapping[tuple[int, int, int], CompressionTx]
+    compressions: MutableMapping[tuple[int, int, int], TransactionBody]  # (level, match, candidate)
     deposit_bodies: tuple[TransactionBody, ...]
     refund_time: Optional[int]
     mpc_digest: Optional[bytes]
@@ -418,15 +380,14 @@ class ScaffoldTx(NamedTuple):
         return self.body.digests[0]
 
 
-def iter_bodies(t: Tournament, include_deposits: bool = True) -> list[ScaffoldTx]:
+def iter_bodies(t: Tournament) -> list[ScaffoldTx]:
     """All scaffold bodies in deterministic order; deposits come last."""
     out: list[ScaffoldTx] = []
     for kid in sorted(t.kernels):
         out.extend(ScaffoldTx(role, kid, b) for role, b in zip(ROLE_KERNEL, t.kernels[kid].bodies))
     for ckey in sorted(t.compressions):
-        out.append(ScaffoldTx(ROLE_COMPRESSION, ckey, t.compressions[ckey].body))
-    if include_deposits:
-        out.extend(ScaffoldTx(ROLE_DEPOSIT, i, body) for i, body in enumerate(t.deposit_bodies))
+        out.append(ScaffoldTx(ROLE_COMPRESSION, ckey, t.compressions[ckey]))
+    out.extend(ScaffoldTx(ROLE_DEPOSIT, i, body) for i, body in enumerate(t.deposit_bodies))
     return out
 
 
@@ -525,6 +486,13 @@ def build_deposit_atomic(funding: Sequence[OutputRef], bet: int, master: Predica
     )
 
 
+def refund_time_for(t_commit: int) -> int:
+    """The height from which a hashlocked deposit's refund branch unlocks:
+    the commit deadline, so an aborted run returns every stake within the
+    commit window."""
+    return t_commit
+
+
 def build_deposit_hashlocked(
     funding: Sequence[OutputRef],
     bet: int,
@@ -537,8 +505,7 @@ def build_deposit_hashlocked(
 
     Each output either feeds a first-round entry (all signatures plus the
     preimage of the jointly computed digest) or refunds its owner once
-    refund_time passes. The refund branch unlocks exactly at the commit
-    deadline, so an aborted run returns every stake within the commit window.
+    refund_time passes (`build_refunds`).
     """
     bodies = []
     for ref, key in zip(funding, player_keys):
@@ -547,6 +514,19 @@ def build_deposit_hashlocked(
             TransactionBody(inputs=(FixedInput(ref),), outputs=(TxOutput(bet, pred),))
         )
     return tuple(bodies)
+
+
+def build_refunds(t: Tournament) -> tuple[TransactionBody, ...]:
+    """Each hashlocked deposit's owner taking its bet back, through the
+    deposit's refund branch, from `t.refund_time`."""
+    return tuple(
+        TransactionBody(
+            inputs=(FixedInput(OutputRef(ntxid, 0)),),
+            outputs=(TxOutput(t.bet, KeySign(key)),),
+            locktime=t.refund_time,
+        )
+        for ntxid, key in zip(t.deposit_ntxids, t.master_keys)
+    )
 
 
 def _payout(master: Predicate, key: bytes, last: bool) -> Predicate:
@@ -655,7 +635,7 @@ class _HonestWiring:
             return OutputRef(self.deposit_ntxids[player], 0)
         child_match = 2 * match + side
         if self.mode == MODE_MULTIINPUT:
-            return OutputRef(self.get(COMPRESSIONS, (level - 1, child_match, player)).ntxid, 0)
+            return OutputRef(self.get(COMPRESSIONS, (level - 1, child_match, player)).digests[0], 0)
         lk, lt, rk, rt = unpack_index(level, match, combo)
         child_kernel, child_tx = (lk, lt) if side == SIDE_LEFT else (rk, rt)
         child = self.get(KERNELS, KernelId(level - 1, child_match, child_kernel))
@@ -694,7 +674,7 @@ class _HonestWiring:
             pot=pot,
         )
 
-    def compression(self, level: int, match: int, cand: int) -> CompressionTx:
+    def compression(self, level: int, match: int, cand: int) -> TransactionBody:
         """The multiinput compression paying `cand`: it spends every outcome
         output of its match that pays `cand`, so it reads the kernels that do."""
         side = 1 << level
@@ -714,7 +694,7 @@ class _HonestWiring:
             outputs=(TxOutput(pot, _payout(self.master, self.keys[cand], level == self.levels - 1)),),
         )
         self.scaffold_digests.add(body.digests[1])
-        return CompressionTx(level, match, cand, body)
+        return body
 
 
 class LazyTable(MutableMapping):
@@ -787,7 +767,7 @@ def _honest_scaffold(
         deposit_bodies = (build_deposit_atomic(funding, bet, master),)
         mpc_digest = None
     else:
-        refund_time = t_commit  # refunds must be live by the commit deadline
+        refund_time = refund_time_for(t_commit)
         deposit_bodies = build_deposit_hashlocked(funding, bet, master, keys, mpc_digest, refund_time)
     wiring = _HonestWiring(
         n=n,
@@ -931,7 +911,7 @@ def scaffold_stats(
         worst_bytes = len(body_bytes(dep)) + auth
     else:
         deps = build_deposit_hashlocked(
-            [dummy_ref] * n, bet, master, dummy_keys, dummy_digest, t_commit + 1
+            [dummy_ref] * n, bet, master, dummy_keys, dummy_digest, refund_time_for(t_commit)
         )
         worst_bytes = sum(len(body_bytes(b)) + auth for b in deps)
 
@@ -1193,8 +1173,8 @@ def tournament_to_json(t: Tournament) -> dict:
         for kid, k in sorted(t.kernels.items())
     ]
     compressions = [
-        {"level": level, "match": match, "candidate": cand, "body": body_to_json(c.body)}
-        for (level, match, cand), c in sorted(t.compressions.items())
+        {"level": level, "match": match, "candidate": cand, "body": body_to_json(body)}
+        for (level, match, cand), body in sorted(t.compressions.items())
     ]
     return {
         "format": FORMAT_TAG,
@@ -1253,7 +1233,7 @@ def tournament_from_json(obj: dict) -> Tournament:
         if key in compressions:
             raise ValueError(f"{where}: repeats compression {key}")
         scaffold_digests.add(body.digests[1])
-        compressions[key] = CompressionTx(*key, body)
+        compressions[key] = body
     deposit_bodies = tuple(
         body_from_json(b, f"deposits[{i}]") for i, b in enumerate(get("deposits", list))
     )
@@ -1296,25 +1276,23 @@ def export_dot(t: Tournament) -> str:
         name = f"funding_{i}"
         producer[ref.txid] = name
         lines.append(f'  {name} [label="funding P{i}", shape=ellipse];')
-    nodes: list[tuple[str, str, TransactionBody, bytes]] = []  # name, label, body, ntxid
-    for i, (body, ntxid) in enumerate(zip(t.deposit_bodies, t.deposit_ntxids)):
-        name = f"deposit_{i}" if len(t.deposit_ntxids) > 1 else "deposit"
-        nodes.append((name, name, body, ntxid))
+    nodes: list[tuple[str, str, TransactionBody]] = []  # name, label, body
+    for i, body in enumerate(t.deposit_bodies):
+        name = f"deposit_{i}" if len(t.deposit_bodies) > 1 else "deposit"
+        nodes.append((name, name, body))
     for kid in sorted(t.kernels):
-        k = t.kernels[kid]
         base = f"k{kid.level}_{kid.match}_{kid.combo}"
-        for role, body, ntxid in zip(ROLE_KERNEL, k.bodies, k.ntxids):
+        for role, body in zip(ROLE_KERNEL, t.kernels[kid].bodies):
             role = role.replace("-", "_")
             # outcome a waits for t2 and b for t1: exactly their locktimes
             label = f"{base}.{role}" + (f"\\nlock={body.locktime}" if body.locktime else "")
-            nodes.append((f"{base}_{role}", label, body, ntxid))
-    for (level, match, cand), c in sorted(t.compressions.items()):
-        label = f"compress L{level} M{match} -> P{cand}"
-        nodes.append((f"c{level}_{match}_p{cand}", label, c.body, c.ntxid))
-    for name, label, _, ntxid in nodes:
-        producer[ntxid] = name
+            nodes.append((f"{base}_{role}", label, body))
+    for (level, match, cand), body in sorted(t.compressions.items()):
+        nodes.append((f"c{level}_{match}_p{cand}", f"compress L{level} M{match} -> P{cand}", body))
+    for name, label, body in nodes:
+        producer[body.digests[0]] = name
         lines.append(f'  {name} [label="{label}"];')
-    for target, _, body, _ in nodes:
+    for target, _, body in nodes:
         for spec in body.inputs:
             fixed = isinstance(spec, FixedInput)
             for ref in (spec.ref,) if fixed else spec.refs:

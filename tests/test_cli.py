@@ -663,3 +663,37 @@ def test_a_seed_neither_an_ascii_integer_nor_utf8_text_names_the_flag(capsys, co
 def test_a_seed_is_an_integer_only_in_ascii_digits(text, seed):
     got = _parse_seed(text)
     assert got == seed and type(got) is type(seed)
+
+
+RUN = ("run", "--backend", "ethereum", "--n", "2")
+SWEEP = ("sweep", "--backend", "ethereum", "--n", "2", "--trials", "2")
+# (command line, the flag given `--`), which argparse hands over as an empty list
+DASHDASH = [
+    (RUN + ("--seed=--",), "--seed"),
+    (RUN + ("--tau=--",), "--tau"),
+    (RUN + ("--trial=--",), "--trial"),
+    (("costs", "--backend", "ethereum", "--n", "2", "--bet=--"), "--bet"),
+    (("build", "--n", "2", "--out=--"), "--out"),
+    (("build", "--n", "2", "--dot=--"), "--dot"),
+    (("build", "--n", "2", "--scaffold-out=--"), "--scaffold-out"),
+    (SWEEP + ("--json=--",), "--json"),
+    (SWEEP + ("--csv=--",), "--csv"),
+    (SWEEP + ("--strategies=--",), "--strategies"),
+    (("export-dot", "--n", "2", "--scaffold=--", "--out", "f.dot"), "--scaffold"),
+]
+
+
+@pytest.mark.parametrize(
+    "argv,flag", DASHDASH, ids=[f"{argv[0]}{flag}" for argv, flag in DASHDASH]
+)
+def test_a_flag_given_dashdash_never_plays_and_names_the_flag(
+    capsys, tmp_path, monkeypatch, argv, flag
+):
+    # once, --out=-- crashed as an internal error, --trial=-- played trial []
+    # and export-dot --scaffold=-- built a scaffold instead of reading one
+    monkeypatch.chdir(tmp_path)
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err == f"configuration error: {flag}: expected a value, got '--'\n"
+    assert list(tmp_path.iterdir()) == []

@@ -4,6 +4,7 @@ import copy
 import dataclasses
 import hashlib
 import json
+import types
 
 import pytest
 from hypothesis import example, given, settings
@@ -29,18 +30,18 @@ from commitlotto.scaffold import (
     SIDE_LEFT,
     SIDE_RIGHT,
     SLOT_MPC,
-    IdealMpcOracle,
     IndexOutOfRange,
     Kernel,
     KernelId,
-    MpcIncomplete,
     NotPowerOfTwo,
     build_deposit_atomic,
+    build_refunds,
     build_tournament,
     candidates,
     dump_tournament,
     export_dot,
     iter_bodies,
+    joint_preimage,
     kernel_count,
     kernel_count_geometric,
     load_tournament,
@@ -168,7 +169,7 @@ def measured_worst_case_bytes(t, sig_model):
         per_match = size(k.entry_tx) + size(k.reveal_tx) + size(k.outcome_txs[0])
         if t.mode == MODE_MULTIINPUT:
             per_match += max(
-                size(t.compressions[(level, 0, cand)].body) for cand in candidates(t.n, level, 0)
+                size(t.compressions[(level, 0, cand)]) for cand in candidates(t.n, level, 0)
             )
         total += per_match * matches_at(t.n, level)
     return total
@@ -379,20 +380,20 @@ def test_multiinput_compressions_gather_candidate_wins(multi8):
     k = multi8.kernel(1, 0, 0)
     assert all(isinstance(spec, FixedInput) for spec in k.entry_tx.inputs)
     a, b = multi_candidate_pair(8, 1, 0, 0)
-    assert k.entry_tx.inputs[0].ref.txid == multi8.compressions[(0, 0, a)].ntxid
-    assert k.entry_tx.inputs[1].ref.txid == multi8.compressions[(0, 1, b)].ntxid
+    assert k.entry_tx.inputs[0].ref.txid == multi8.compressions[(0, 0, a)].digests[0]
+    assert k.entry_tx.inputs[1].ref.txid == multi8.compressions[(0, 1, b)].digests[0]
 
     # one compression per (match, candidate); its choice set holds every
     # outcome of that match paying the candidate, and exactly one can land
     comp = multi8.compressions[(1, 0, 0)]
-    assert isinstance(comp.body.inputs[0], MultiInput)
-    assert len(comp.body.inputs[0].refs) == 2  # candidate 0 is left in 2 of 4 combos
+    assert isinstance(comp.inputs[0], MultiInput)
+    assert len(comp.inputs[0].refs) == 2  # candidate 0 is left in 2 of 4 combos
 
     # the root-level compression pays the candidate directly
     final = multi8.compressions[(2, 0, 5)]
-    assert final.body.outputs[0].predicate == KeySign(multi8.master_keys[5])
+    assert final.outputs[0].predicate == KeySign(multi8.master_keys[5])
     # non-final compressions stay in the joint custody of the group
-    assert comp.body.outputs[0].predicate == AllSign(multi8.master_keys)
+    assert comp.outputs[0].predicate == AllSign(multi8.master_keys)
 
 
 def test_secrets_are_fresh_per_kernel_per_side(plain4):
@@ -404,17 +405,33 @@ def test_secrets_are_fresh_per_kernel_per_side(plain4):
         assert hashlib.sha256(plain4.secret(kid, SIDE_RIGHT)).digest() == k.right_commit
 
 
-# mpc oracle
+# the joint preimage and the refunds
 
 
-def test_mpc_oracle_digest_is_hash_of_xor():
-    mpc = IdealMpcOracle(3)
-    inputs = [bytes([i + 1]) * 32 for i in range(3)]
-    for i, s in enumerate(inputs):
-        mpc.collect(i, s)
-    combined = bytes(a ^ b ^ c for a, b, c in zip(*inputs))
-    assert mpc.combined() == combined
-    assert mpc.digest() == hashlib.sha256(combined).digest()
+# sha256 over joint_preimage(n, Rng(seed)) for the seeds 1, "commitlotto"
+# and "mpc" and n = 1..64, recorded when an oracle object collected the
+# inputs one by one before combining them
+JOINT_PREIMAGE_GOLDEN = "191c82fa4765b8f7d7ff7a8c87ce24910604ff74c28937ebbf51f5c9288dc88c"
+
+
+def test_the_joint_preimage_keeps_its_bytes():
+    h = hashlib.sha256()
+    for seed in (1, "commitlotto", "mpc"):
+        for n in range(1, 65):
+            h.update(joint_preimage(n, Rng(seed)))
+    assert h.hexdigest() == JOINT_PREIMAGE_GOLDEN
+
+
+class Draws:
+    """An Rng stand-in: child `mpc/i` draws `inputs[i]`; the labels asked for are kept."""
+
+    def __init__(self, inputs):
+        self.inputs, self.labels = inputs, []
+
+    def child(self, label):
+        self.labels.append(label)
+        secret = self.inputs[int(label.removeprefix("mpc/"))]
+        return types.SimpleNamespace(nonzero_bytes=lambda size: secret[:size])
 
 
 # a nonzero 32-byte input, its first 0 to 31 bytes zero
@@ -427,35 +444,40 @@ MPC_INPUTS = hs.tuples(hs.integers(0, 31), hs.binary(min_size=32, max_size=32)).
 @given(hs.lists(MPC_INPUTS, min_size=1, max_size=64))
 @example([b"\x01" * 32, b"\x01" * 32])
 @example([bytes(31) + b"\x01", b"\x80" + bytes(31), b"\x80" + bytes(30) + b"\x02"])
-def test_the_joint_preimage_is_the_bytewise_xor_of_every_input(inputs):
-    mpc = IdealMpcOracle(len(inputs))
-    for i, secret in enumerate(inputs):
-        mpc.collect(i, secret)
+def test_the_joint_preimage_is_the_bytewise_xor_of_its_draws(inputs):
+    rng = Draws(inputs)
+    got = joint_preimage(len(inputs), rng)
+    assert rng.labels == [f"mpc/{i}" for i in range(len(inputs))]
     acc = bytes(32)
     for secret in inputs:
         acc = bytes(x ^ y for x, y in zip(acc, secret))
-    assert mpc.combined() == acc
+    assert got == acc
 
 
-def test_a_seeded_mpc_oracle_draws_input_i_from_its_mpc_child():
-    mpc = IdealMpcOracle.seeded(3, Rng("mpc"))
-    assert mpc.complete
-    want = IdealMpcOracle(3)
-    for i in range(3):
-        want.collect(i, Rng("mpc").child(f"mpc/{i}").nonzero_bytes(32))
-    assert mpc.combined() == want.combined()
+# sha256 over the ntxid of every seat's refund, in seat order, for hashlocked
+# plain then multiinput tables with n = 2, 4, 8, 16 whose seat 0 never
+# deposits; recorded when the runtime built the refund bodies itself
+REFUND_GOLDEN = (60, "8bfd054c69fef79e6fb6b243c3d1d9660015f12a56ee16da073840fc4899ec2d")
 
 
-def test_mpc_oracle_withholds_until_complete():
-    mpc = IdealMpcOracle(2)
-    mpc.collect(0, b"\x01" * 32)
-    assert not mpc.complete
-    with pytest.raises(MpcIncomplete):
-        mpc.combined()
-    with pytest.raises(ValueError):
-        mpc.collect(1, b"\x00" * 32)
-    with pytest.raises(ValueError):
-        mpc.collect(1, b"\x01" * 16)
+def test_refunds_keep_their_ntxids():
+    h = hashlib.sha256()
+    count = 0
+    for backend in (BTC_PLAIN, BTC_MULTI):
+        for n in (2, 4, 8, 16):
+            seats = ("abort-at-deposit",) + ("honest",) * (n - 1)
+            cfg = ScenarioConfig(
+                backend=backend, n=n, strategies=seats, deposit_option=DEPOSIT_HASHLOCKED
+            )
+            rt = ScaffoldRuntime(cfg, trial_rng(cfg.master_seed, 0))
+            result = rt.run()
+            assert not result.committed and result.returned == (0,) + (cfg.bet,) * (n - 1)
+            ntxids = [body.digests[0] for body in build_refunds(rt.t)]
+            assert sum(entry.ntxid in ntxids for entry in rt.chain.log) == n - 1
+            for ntxid in ntxids:
+                h.update(ntxid)
+                count += 1
+    assert (count, h.hexdigest()) == REFUND_GOLDEN
 
 
 # signing ceremony
@@ -566,7 +588,9 @@ def test_oracle_accepts_exactly_the_approved_scaffold(mode, deposit_option):
     assert signing_ceremony(t, [YesDecider() for _ in range(4)], oracle).complete
     atomic = deposit_option == "atomic"
     # a plain scaffold's kernels are built here, after the ceremony
-    for item in iter_bodies(t, include_deposits=atomic):
+    for item in iter_bodies(t):
+        if item.role == "deposit" and not atomic:
+            continue
         assert verifying_keys(oracle, t, item.body) == list(t.master_keys)
     k = t.kernels[KernelId(0, 0, 0)]
     outsiders = [k.entry_tx._replace(locktime=k.entry_tx.locktime + 1)]
@@ -607,11 +631,11 @@ def test_scaffold_encoding_golden(mode, deposit_option):
 
 
 def test_ceremony_orders_deposit_last(plain4):
-    plan = iter_bodies(plain4, include_deposits=True)
+    plan = iter_bodies(plain4)
     assert plan[-1].role == "deposit"
     assert len(plan) == 56
     # without the deposit: kernels and nothing else
-    assert len(iter_bodies(plain4, include_deposits=False)) == 55
+    assert sum(item.role != "deposit" for item in plan) == 55
 
 
 # kernels built on demand
@@ -643,7 +667,9 @@ def test_kernels_built_in_play_equal_an_upfront_build(backend, n, deposit_option
     assert t.compressions == upfront.compressions
     assert t.scaffold_digests == upfront.scaffold_digests
     assert t.secrets == upfront.secrets
-    for item in iter_bodies(t, include_deposits=False):
+    for item in iter_bodies(t):
+        if item.role == "deposit":
+            continue
         assert sig_digest_for(item.body) in t.scaffold_digests
     assert verify_as_honest(t) == []
 
@@ -844,11 +870,9 @@ def test_a_replaced_body_brings_its_own_id(multi8):
         outcomes = tuple(forged if j == i else b for j, b in enumerate(k.outcome_txs))
         got = dataclasses.replace(k, outcome_txs=outcomes).outcome_ntxids
         assert got == tuple(want if j == i else n for j, n in enumerate(k.outcome_ntxids))
-    comp = multi8.compressions[(0, 0, 0)]
-    assert comp._replace(body=forged).ntxid == want != comp.ntxid
     item = iter_bodies(multi8)[0]
     assert item._replace(body=forged).ntxid == want != item.ntxid
-    assert LogEntry(comp.body, None, 0)._replace(body=forged).ntxid == want
+    assert LogEntry(item.body, None, 0)._replace(body=forged).ntxid == want
     deposits = (forged,) + multi8.deposit_bodies[1:]
     t = dataclasses.replace(multi8, deposit_bodies=deposits)
     assert t.deposit_ntxids == tuple(b.digests[0] for b in deposits) != multi8.deposit_ntxids
@@ -869,7 +893,7 @@ def with_body(t, item, body):
     if item.role == "deposit":
         t.deposit_bodies = tuple(body if i == item.key else b for i, b in enumerate(t.deposit_bodies))
     elif item.role == "compression":
-        t.compressions[item.key] = t.compressions[item.key]._replace(body=body)
+        t.compressions[item.key] = body
     elif item.role in ("entry", "reveal"):
         t.kernels[item.key] = dataclasses.replace(t.kernels[item.key], **{f"{item.role}_tx": body})
     else:
