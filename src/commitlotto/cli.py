@@ -86,30 +86,29 @@ def _build_scaffold(args, write_out: bool):
     return t
 
 
-def _add_bracket_args(p: argparse.ArgumentParser, seed: str = "commitlotto"):
-    """The bracket's parameters, which every command but verify takes."""
+def _add_bracket_args(p: argparse.ArgumentParser):
+    """The bracket's size, schedule and deposits, which every command but verify takes."""
     p.add_argument("--n", type=int, default=4, help="player count (power of two)")
     p.add_argument("--tau", type=int, default=6, help="timeout period in heights")
     p.add_argument("--t-commit", type=int, default=10, help="height the bracket starts")
-    p.add_argument("--bet", type=int, default=1)
     p.add_argument("--deposit", choices=(DEPOSIT_ATOMIC, DEPOSIT_HASHLOCKED), default=DEPOSIT_ATOMIC)
-    p.add_argument("--seed", default=seed)
 
 
-def _add_backend_args(p: argparse.ArgumentParser):
-    """The backend a trial plays on and the signature model its costs count."""
-    p.add_argument("--backend", choices=BACKENDS, required=True)
-    p.add_argument("--sig-model", choices=SIG_MODELS, default="multisig")
+def _add_seeded_bracket_args(p: argparse.ArgumentParser):
+    """The bracket's flags plus the bet and the seed, which a built or played bracket reads."""
+    _add_bracket_args(p)
+    p.add_argument("--bet", type=int, default=1)
+    p.add_argument("--seed", default="commitlotto")
 
 
 def _add_scaffold_args(p: argparse.ArgumentParser):
-    _add_bracket_args(p)
+    _add_seeded_bracket_args(p)
     p.add_argument("--mode", choices=(MODE_PLAIN, MODE_MULTIINPUT), default=MODE_PLAIN)
 
 
 def _add_scenario_args(p: argparse.ArgumentParser):
-    _add_backend_args(p)
-    _add_bracket_args(p)
+    p.add_argument("--backend", choices=BACKENDS, required=True)
+    _add_seeded_bracket_args(p)
     p.add_argument(
         "--strategies",
         default="honest",
@@ -153,7 +152,6 @@ def _scenario_from_args(args, trials: int) -> ScenarioConfig:
         t_commit=args.t_commit,
         bet=args.bet,
         deposit_option=args.deposit,
-        sig_model=args.sig_model,
         trials=trials,
         master_seed=_parse_seed(args.seed),
     )
@@ -232,10 +230,8 @@ def cmd_costs(args) -> int:
         args.n,
         tau=args.tau,
         t_commit=args.t_commit,
-        bet=args.bet,
         deposit_option=args.deposit,
         sig_model=args.sig_model,
-        master_seed=_parse_seed(args.seed),
     )
     print(json.dumps(report.to_json(), indent=2))
     return EXIT_OK
@@ -284,8 +280,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_sweep)
 
     p = sub.add_parser("costs", help="measure on-chain and off-chain footprint")
-    _add_backend_args(p)
-    _add_bracket_args(p, seed="costs")
+    p.add_argument("--backend", choices=BACKENDS, required=True)
+    _add_bracket_args(p)
+    p.add_argument("--sig-model", choices=SIG_MODELS, default="multisig", help="sizes authorization bytes")
     p.set_defaults(fn=cmd_costs)
 
     p = sub.add_parser("export-dot", help="render the scaffold spend graph as Graphviz")

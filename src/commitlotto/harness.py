@@ -117,7 +117,6 @@ class ScenarioConfig:
     t_commit: int = 10
     bet: int = 1
     deposit_option: str = DEPOSIT_ATOMIC
-    sig_model: str = "multisig"
     trials: int = 1
     master_seed: object = "commitlotto"
 
@@ -135,8 +134,6 @@ class ScenarioConfig:
             raise ConfigError(f"unknown deposit option {self.deposit_option!r}")
         if self.backend == ETH and self.deposit_option != DEPOSIT_ATOMIC:
             raise ConfigError("the contract backend escrows stakes in the master; use atomic")
-        if self.sig_model not in SIG_MODELS:
-            raise ConfigError(f"unknown signature model {self.sig_model!r}")
         if self.trials < 1:
             raise ConfigError("trials must be >= 1")
 
@@ -153,6 +150,7 @@ class ScenarioConfig:
             **dataclasses.asdict(self),
             "strategies": list(self.strategies),
             "master_seed": str(self.master_seed),
+            "sig_model": "multisig",  # every trial's witnesses name all n master keys
         }
 
 
@@ -955,28 +953,28 @@ def measure_costs(
     n: int,
     tau: int = 6,
     t_commit: int = 10,
-    bet: int = 1,
     deposit_option: str = DEPOSIT_ATOMIC,
     sig_model: str = "multisig",
-    master_seed: object = "costs",
 ) -> CostReport:
     """Worst-case on-chain load plus total off-chain footprint.
 
     The scaffold backend is probed with the force-timeout strategy, which
     drives every match through its slowest, largest path. The contract
     backend cost is the honest run; its calls are fixed by the schedule.
-    `materialized` says whether `build` can write the scaffold out.
+    `materialized` says whether `build` can write the scaffold out. The
+    probe plays the default bet under the seed "costs", as neither moves a
+    figure; `sig_model` sizes only the authorization bytes.
     """
+    if sig_model not in SIG_MODELS:
+        raise ConfigError(f"unknown signature model {sig_model!r}")
     cfg = ScenarioConfig(
         backend=backend,
         n=n,
         strategies=("honest" if backend == ETH else "force-timeout",) * n,
         tau=tau,
         t_commit=t_commit,
-        bet=bet,
         deposit_option=deposit_option,
-        sig_model=sig_model,
-        master_seed=master_seed,
+        master_seed="costs",
     )
     rt = _runtime(cfg)
     result = rt.run()

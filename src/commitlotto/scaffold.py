@@ -852,7 +852,7 @@ def build_tournament(
     if problem:
         raise ValueError(problem)
     fresh = _FreshSecrets(secret_source.child("kernel-secrets"))
-    stats = scaffold_stats(n, mode, deposit_option, bet=bet, tau=tau, t_commit=t_commit)
+    stats = scaffold_stats(n, mode, deposit_option)
     return _honest_scaffold(
         n, player_keys, funding, bet, tau, t_commit, mode, deposit_option, mpc_digest, fresh,
         dataclasses.replace(stats, materialized=_writable(n, mode)), fresh.secrets,
@@ -877,18 +877,17 @@ def scaffold_stats(
     mode: str = MODE_PLAIN,
     deposit_option: str = DEPOSIT_ATOMIC,
     sig_model: str = "multisig",
-    bet: int = 1,
-    tau: int = 6,
-    t_commit: int = 10,
 ) -> TransactionStats:
     """Closed-form transaction statistics without materializing the tree.
 
     Representative bodies (one kernel per level, dummy digests) give exact
-    byte sizes because every digest and reference field is fixed-width, so
-    a built scaffold carries these same figures. The figures depend only
-    on the arguments, so they are computed once per argument list; the
-    result is frozen because every caller shares it.
+    byte sizes because every height, value, digest and reference field is
+    fixed-width, so they are sized at one fixed valid schedule and stake,
+    and a built scaffold carries these same figures whatever its own. The
+    figures depend only on the arguments, so they are computed once per
+    argument list; the result is frozen because every caller shares it.
     """
+    bet, tau, t_commit = 1, 6, 10
     levels = num_levels(n)
     per_level = tuple(
         matches_at(n, level) * kernel_count(level, mode) * 5 for level in range(levels)
@@ -971,12 +970,12 @@ def verify_as_honest(t: Tournament) -> list[Violation]:
     honest construction on the tournament's own parameters and the
     commitment digests it carries, then flags every divergence: rewired
     inputs, altered schedules or predicates, wrong payout keys, and
-    duplicated commitment digests (the replay defense). The count fields of
-    `stats` must equal the closed form for the same parameters (BadStats);
-    `bytes_on_chain` cannot be checked, because a scaffold does not record
-    the signature model it was sized for. A scaffold too large to write
-    out is refused as it stands, before anything is rebuilt. An empty list
-    means the scaffold is safe to sign, from every seat.
+    duplicated commitment digests (the replay defense). Every figure of
+    `stats` must equal the closed form for the same parameters (BadStats),
+    `bytes_on_chain` sized for multisig as `build` writes it. A scaffold
+    too large to write out is refused as it stands, before anything is
+    rebuilt. An empty list means the scaffold is safe to sign, from every
+    seat.
     """
     try:
         check_params(t.n, t.tau, t.t_commit, t.bet)
@@ -993,7 +992,7 @@ def verify_as_honest(t: Tournament) -> list[Violation]:
         # a missing kernel gets placeholders: it is reported before anything is compared
         return (k.left_commit, k.right_commit) if k else (bytes(32), bytes(32))
 
-    stats = scaffold_stats(t.n, t.mode, t.deposit_option, bet=t.bet, tau=t.tau, t_commit=t.t_commit)
+    stats = scaffold_stats(t.n, t.mode, t.deposit_option)
     h = _honest_scaffold(
         t.n, t.master_keys, t.funding, t.bet, t.tau, t.t_commit, t.mode, t.deposit_option,
         t.mpc_digest, commits, stats, {},
@@ -1008,7 +1007,7 @@ def verify_as_honest(t: Tournament) -> list[Violation]:
         v.append(Violation(None, "BadDeposit", detail))
     for f in dataclasses.fields(TransactionStats):
         got, want = getattr(t.stats, f.name), getattr(stats, f.name)
-        if f.name not in ("bytes_on_chain", "materialized") and got != want:
+        if f.name != "materialized" and got != want:
             v.append(Violation(None, "BadStats", f"stats.{f.name} {got} != {want}"))
     for kid in sorted(h.kernels.keys() - t.kernels.keys()):
         v.append(Violation(kid, "MissingKernel", "kernel absent from scaffold"))
@@ -1262,7 +1261,11 @@ def dump_tournament(t: Tournament) -> str:
 
 
 def load_tournament(text: str) -> Tournament:
-    return tournament_from_json(json.loads(text))
+    """Decode a scaffold file; malformed input, nesting too deep to decode included, raises ValueError."""
+    try:
+        return tournament_from_json(json.loads(text))
+    except RecursionError:
+        raise ValueError("scaffold: nested too deeply to decode") from None
 
 
 # DAG export

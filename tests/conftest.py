@@ -79,7 +79,7 @@ def small_tournament(n=4, mode="plain", deposit_option="atomic", seed="t", **kw)
         make_funding(n),
         Rng(seed),
         t_commit=kw.pop("t_commit", 10),
-        bet=1,
+        bet=kw.pop("bet", 1),
         tau=kw.pop("tau", 6),
         mode=mode,
         deposit_option=deposit_option,

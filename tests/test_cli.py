@@ -6,7 +6,7 @@ import json
 
 import pytest
 
-from commitlotto import scaffold
+from commitlotto import cli, scaffold
 from commitlotto.cli import _parse_seed, main
 from commitlotto.scaffold import KernelId, load_tournament, tournament_to_json
 
@@ -113,14 +113,15 @@ def test_verify_rejects_doctored_scaffold(capsys, scaffold_file, tmp_path):
 
 def test_verify_flags_doctored_stats(capsys, scaffold_file, tmp_path):
     doc = json.loads(scaffold_file.read_text())
+    want = doc["stats"]["bytes_on_chain"]
     doc["stats"]["total_offchain"] = 999
-    doc["stats"]["bytes_on_chain"] = 1  # not checkable: the file has no sig model
+    doc["stats"]["bytes_on_chain"] = 1  # `build` sizes every file for multisig
     bad = tmp_path / "stats.json"
     bad.write_text(json.dumps(doc))
     code, out, err = run_cli(capsys, "verify", str(bad))
     assert code == 3
     assert "VIOLATION BadStats at scaffold: stats.total_offchain 999 != 56" in out
-    assert "bytes_on_chain" not in out
+    assert f"VIOLATION BadStats at scaffold: stats.bytes_on_chain 1 != {want}" in out
     assert "scaffold ok" not in out
 
 
@@ -290,6 +291,37 @@ def test_a_repeated_record_is_malformed_input(capsys, tmp_path, command, table, 
     assert err == f"error: {table}[1]: repeats {key}\n"
 
 
+def _deep_predicate(scaffold_file):
+    # a scaffold whose first entry output nests its predicate in 5,000 all-of levels
+    doc = json.loads(scaffold_file.read_text())
+    out = doc["kernels"][0]["entry"]["outputs"][0]
+    predicate, out["predicate"] = json.dumps(out["predicate"]), "DEEP"
+    levels = 5000
+    deep = '{"op": "all-of", "terms": [' * levels + predicate + "]}" * levels
+    return json.dumps(doc).replace('"DEEP"', deep)
+
+
+NESTED_TOO_DEEP = {
+    "arrays": lambda scaffold_file: "[" * 100000 + "]" * 100000,
+    "predicate": _deep_predicate,
+}
+
+
+@pytest.mark.parametrize(
+    "command", [("verify",), ("export-dot", "--scaffold")], ids=["verify", "export-dot"]
+)
+@pytest.mark.parametrize("nesting", sorted(NESTED_TOO_DEEP))
+def test_input_nested_too_deeply_to_decode_is_malformed_input(
+    capsys, scaffold_file, tmp_path, command, nesting
+):
+    # once a RecursionError, reported as an internal error
+    bad = tmp_path / "deep.json"
+    bad.write_text(NESTED_TOO_DEEP[nesting](scaffold_file))
+    code, out, err = run_cli(capsys, *command, str(bad))
+    assert (code, out) == (2, "")
+    assert err == "error: scaffold: nested too deeply to decode\n"
+
+
 # run
 
 
@@ -332,6 +364,7 @@ def test_sweep_outputs_are_byte_identical_across_runs(capsys, tmp_path):
     b = json.loads((tmp_path / "b.csv.json").read_text())
     assert a == b
     assert a["trials"] == 20 and a["zero_sum_ok"] is True
+    assert a["config"]["sig_model"] == "multisig"  # the one model every trial plays
 
 
 # the benchmark's mixed seats (bench/run.py, multi-n8-hashlocked-mixed); n=4 takes the first four
@@ -502,18 +535,23 @@ PARAM_COMMANDS = {
     "costs-multiinput": ("costs", "--backend", "bitcoin-multiinput"),
     "costs-ethereum": ("costs", "--backend", "ethereum"),
 }
+PARAM_FLAGS = [
+    ("--tau", "0"), ("--bet", "0"), ("--t-commit", "0"), ("--bet", "-3"), ("--tau", "-5"),
+    ("--tau", "1"), ("--t-commit", "1"), ("--n", "3"),
+    # heights and pots must fit the 32-bit integers of a scaffold file
+    ("--tau", str(2**33)), ("--t-commit", str(2**70)), ("--bet", str(2**32)),
+]
+# costs probes at the default bet, so it takes no --bet
+PARAM_CASES = [
+    (flag, command) for flag in PARAM_FLAGS for command in sorted(PARAM_COMMANDS)
+    if not (flag[0] == "--bet" and PARAM_COMMANDS[command][0] == "costs")
+]
 
 
-@pytest.mark.parametrize("command", sorted(PARAM_COMMANDS))
 @pytest.mark.parametrize(
-    "flag",
-    [
-        ("--tau", "0"), ("--bet", "0"), ("--t-commit", "0"), ("--bet", "-3"), ("--tau", "-5"),
-        ("--tau", "1"), ("--t-commit", "1"), ("--n", "3"),
-        # heights and pots must fit the 32-bit integers of a scaffold file
-        ("--tau", str(2**33)), ("--t-commit", str(2**70)), ("--bet", str(2**32)),
-    ],
-    ids=lambda flag: flag[0].lstrip("-") + flag[1],
+    "flag,command",
+    PARAM_CASES,
+    ids=[f"{flag[0].lstrip('-')}{flag[1]}-{command}" for flag, command in PARAM_CASES],
 )
 def test_statistics_only_branches_reject_bad_input(capsys, command, flag):
     # every command rejects the same values with the same message, and
@@ -635,7 +673,6 @@ SEED_COMMANDS = {
     "build": ("build", "--n", "2"),
     "run": ("run", "--backend", "ethereum", "--n", "2"),
     "sweep": ("sweep", "--backend", "ethereum", "--n", "2", "--trials", "2"),
-    "costs": ("costs", "--backend", "ethereum", "--n", "2"),
     "export-dot": ("export-dot", "--n", "2"),
 }
 
@@ -672,7 +709,7 @@ DASHDASH = [
     (RUN + ("--seed=--",), "--seed"),
     (RUN + ("--tau=--",), "--tau"),
     (RUN + ("--trial=--",), "--trial"),
-    (("costs", "--backend", "ethereum", "--n", "2", "--bet=--"), "--bet"),
+    (("costs", "--backend", "ethereum", "--n", "2", "--tau=--"), "--tau"),
     (("build", "--n", "2", "--out=--"), "--out"),
     (("build", "--n", "2", "--dot=--"), "--dot"),
     (("build", "--n", "2", "--scaffold-out=--"), "--scaffold-out"),
@@ -697,3 +734,33 @@ def test_a_flag_given_dashdash_never_plays_and_names_the_flag(
     assert out == ""
     assert err == f"configuration error: {flag}: expected a value, got '--'\n"
     assert list(tmp_path.iterdir()) == []
+
+
+# flags that once changed no output: a scenario's signature model, and the
+# seed and bet of the costs probe
+REMOVED_FLAGS = [
+    RUN + ("--sig-model", "multisig"),
+    SWEEP + ("--sig-model", "aggregate"),
+    ("costs", "--backend", "ethereum", "--n", "2", "--seed", "1"),
+    ("costs", "--backend", "ethereum", "--n", "2", "--bet", "2"),
+]
+
+
+@pytest.mark.parametrize("argv", REMOVED_FLAGS, ids=[f"{a[0]}{a[-2]}" for a in REMOVED_FLAGS])
+def test_a_removed_flag_is_refused_and_plays_nothing(capsys, monkeypatch, argv):
+    played = []
+    for name in ("run_trial", "run_monte_carlo", "measure_costs"):
+        monkeypatch.setattr(cli, name, lambda *a, **kw: played.append(a))
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out, played) == (2, "", [])
+    assert f"unrecognized arguments: {' '.join(argv[-2:])}" in err
+
+
+def test_costs_sizes_authorization_by_its_signature_model(capsys):
+    argv = ("costs", "--backend", "bitcoin-plain", "--n", "4")
+    multisig = json.loads(run_cli(capsys, *argv)[1])
+    aggregate = json.loads(run_cli(capsys, *argv, "--sig-model", "aggregate")[1])
+    assert (multisig["sig_model"], aggregate["sig_model"]) == ("multisig", "aggregate")
+    # each of the 10 transactions carries one 32-byte signature instead of four
+    assert multisig["onchain_tx_count"] == 10
+    assert multisig["onchain_bytes"] - aggregate["onchain_bytes"] == 10 * 3 * 32

@@ -19,7 +19,7 @@ from commitlotto.chain import (
     compute_ntxid,
     sig_digest_for,
 )
-from commitlotto.primitives import OutputRef, Rng
+from commitlotto.primitives import OutputRef, Rng, level_stride
 from commitlotto.scaffold import (
     BRANCH_DEPOSIT_REFUND,
     BRANCH_DEPOSIT_SPEND,
@@ -175,6 +175,17 @@ def measured_worst_case_bytes(t, sig_model):
     return total
 
 
+# (bet, tau, t_commit) per player count: the defaults, a small schedule, and
+# the caps of `check_params`, a final pot n * bet and a schedule that each end
+# just below 2**32
+SCHEDULES = {
+    "defaults": lambda n: (1, 6, 10),
+    "small": lambda n: (5, 3, 7),
+    "caps": lambda n: ((2**32 - 1) // n, 6, 2**32 - 1 - level_stride(6, True) * num_levels(n)),
+}
+
+
+@pytest.mark.parametrize("schedule", sorted(SCHEDULES))
 @pytest.mark.parametrize(
     "n,mode,deposit_option,sig_model",
     [
@@ -186,10 +197,12 @@ def measured_worst_case_bytes(t, sig_model):
         (16, "multiinput", "atomic", "aggregate"),
     ],
 )
-def test_built_stats_bytes_match_the_built_bodies(n, mode, deposit_option, sig_model):
-    # the closed-form byte count must be what a build's own worst-case path measures
-    t = small_tournament(n, mode=mode, deposit_option=deposit_option, tau=5)
-    stats = scaffold_stats(n, mode, deposit_option, sig_model, tau=5)
+def test_built_stats_bytes_match_the_built_bodies(n, mode, deposit_option, sig_model, schedule):
+    # the closed-form byte count must be what a build's own worst-case path
+    # measures, whatever its schedule and stake: the closed form takes neither
+    bet, tau, t_commit = SCHEDULES[schedule](n)
+    t = small_tournament(n, mode=mode, deposit_option=deposit_option, bet=bet, tau=tau, t_commit=t_commit)
+    stats = scaffold_stats(n, mode, deposit_option, sig_model)
     assert stats.bytes_on_chain == measured_worst_case_bytes(t, sig_model)
     assert t.stats.total_offchain == len(iter_bodies(t))
 
