@@ -215,12 +215,6 @@ class Chain:
         self._key_value: dict[bytes, int] = {}  # unspent KeySign value per key
         self._mint_serial = 0
 
-    def advance(self, blocks: int = 1) -> int:
-        if blocks < 1:
-            raise ValueError("advance by at least one block")
-        self.height += blocks
-        return self.height
-
     def advance_to(self, height: int) -> int:
         if height > self.height:
             self.height = height
@@ -343,9 +337,6 @@ class Chain:
     def key_balance(self, key: bytes) -> int:
         """Value spendable unilaterally by one key."""
         return self._key_value.get(key, 0)
-
-    def is_unspent(self, ref: OutputRef) -> bool:
-        return ref in self.utxo
 
     def was_spent(self, ref: OutputRef) -> bool:
         return ref in self._spent

@@ -56,13 +56,11 @@ def _parse_seed(text: str):
     return text
 
 
-def _build_scaffold(args, write_out: bool):
+def _build_scaffold(args):
     """Construct a scaffold from CLI parameters with synthetic funding refs.
 
-    Construction checks the parameters first (its kernels are built only
-    when read, so this is cheap at any n); then asking to write out
-    (`write_out`) a scaffold that is not materialized is a configuration
-    error.
+    Construction checks the parameters (its kernels are built only when
+    read, so this is cheap at any n).
     """
     rng = Rng(_parse_seed(args.seed))
     n = args.n
@@ -81,13 +79,11 @@ def _build_scaffold(args, write_out: bool):
         deposit_option=args.deposit,
         mpc_digest=mpc_digest,
     )
-    if write_out and not t.stats.materialized:
-        raise ConfigError(f"{t.mode} scaffolds with n={n} are statistics-only and cannot be written out")
     return t
 
 
 def _add_bracket_args(p: argparse.ArgumentParser):
-    """The bracket's size, schedule and deposits, which every command but verify takes."""
+    """The bracket's size, schedule and deposits, which build, run, sweep and costs take."""
     p.add_argument("--n", type=int, default=4, help="player count (power of two)")
     p.add_argument("--tau", type=int, default=6, help="timeout period in heights")
     p.add_argument("--t-commit", type=int, default=10, help="height the bracket starts")
@@ -95,15 +91,10 @@ def _add_bracket_args(p: argparse.ArgumentParser):
 
 
 def _add_seeded_bracket_args(p: argparse.ArgumentParser):
-    """The bracket's flags plus the bet and the seed, which a built or played bracket reads."""
+    """The bracket's flags plus the bet and the seed, which build, run and sweep read."""
     _add_bracket_args(p)
     p.add_argument("--bet", type=int, default=1)
     p.add_argument("--seed", default="commitlotto")
-
-
-def _add_scaffold_args(p: argparse.ArgumentParser):
-    _add_seeded_bracket_args(p)
-    p.add_argument("--mode", choices=(MODE_PLAIN, MODE_MULTIINPUT), default=MODE_PLAIN)
 
 
 def _add_scenario_args(p: argparse.ArgumentParser):
@@ -164,8 +155,10 @@ def cmd_build(args) -> int:
     asking for the scaffold file itself is then a configuration error.
     """
     _one_stdout(out=args.out, scaffold_out=args.scaffold_out, dot=args.dot)
-    t = _build_scaffold(args, write_out=args.scaffold_out is not None or args.dot is not None)
+    t = _build_scaffold(args)
     stats = t.stats
+    if not stats.materialized and (args.scaffold_out is not None or args.dot is not None):
+        raise ConfigError(f"{t.mode} scaffolds with n={args.n} are statistics-only and cannot be written out")
     doc = {
         "n": args.n,
         "mode": args.mode,
@@ -238,11 +231,8 @@ def cmd_costs(args) -> int:
 
 
 def cmd_export_dot(args) -> int:
-    if args.scaffold:
-        with open(args.scaffold) as fp:
-            t = load_tournament(fp.read())
-    else:
-        t = _build_scaffold(args, write_out=True)
+    with open(args.scaffold) as fp:
+        t = load_tournament(fp.read())
     _write(args.out, export_dot(t))
     return EXIT_OK
 
@@ -255,7 +245,8 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("build", help="construct a pre-signed scaffold and report its statistics")
-    _add_scaffold_args(p)
+    _add_seeded_bracket_args(p)
+    p.add_argument("--mode", choices=(MODE_PLAIN, MODE_MULTIINPUT), default=MODE_PLAIN)
     p.add_argument("--out", default="-", help="stats JSON path, - for stdout")
     p.add_argument("--scaffold-out", default=None, help="also write the full scaffold JSON here, - for stdout")
     p.add_argument("--dot", default=None, help="also write the spend graph as Graphviz, - for stdout")
@@ -285,9 +276,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--sig-model", choices=SIG_MODELS, default="multisig", help="sizes authorization bytes")
     p.set_defaults(fn=cmd_costs)
 
-    p = sub.add_parser("export-dot", help="render the scaffold spend graph as Graphviz")
-    _add_scaffold_args(p)
-    p.add_argument("--scaffold", default=None, help="read this scaffold file instead of building")
+    p = sub.add_parser("export-dot", help="render a scaffold file's spend graph as Graphviz")
+    p.add_argument("--scaffold", required=True, help="scaffold JSON file, as build --scaffold-out writes")
     p.add_argument("--out", default="-", help="output path, - for stdout")
     p.set_defaults(fn=cmd_export_dot)
 

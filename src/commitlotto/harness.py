@@ -77,7 +77,6 @@ from .scaffold import (
     SLOT_RIGHT,
     SIDE_LEFT,
     SIDE_RIGHT,
-    SIG_MODELS,
     CeremonyResult,
     Kernel,
     Tournament,
@@ -283,8 +282,8 @@ class ContractRuntime(Runtime):
         Player a is asked first, so b's view shows a's call. A commit is
         offered until made; an opening is offered to a committed player until
         made, so a visit after both players have acted returns at once. The
-        open view's flags are `match_winner` with the player's own opening
-        added and as things stand.
+        open view's flag is `match_winner` with the player's own opening
+        added.
         """
         addr = self.tree.lottery(level, match)
         lot = self.vm.contracts[addr]
@@ -316,9 +315,7 @@ class ContractRuntime(Runtime):
                     opponent_player=self.player_of.get(theirs),
                     opponent_commit=lot.commits.get(theirs),
                     last_chance=h == lot.t2 - 1,
-                    opponent_open=lot.opens.get(theirs),
                     wins_if_open=match_winner(a, b, lot.commits, opened) == mine,
-                    wins_if_silent=match_winner(a, b, lot.commits, lot.opens) == mine,
                 )
                 method, arg = "open", self.strats[player].at_open(view)
             if arg is not None:
@@ -965,8 +962,7 @@ def measure_costs(
     probe plays the default bet under the seed "costs", as neither moves a
     figure; `sig_model` sizes only the authorization bytes.
     """
-    if sig_model not in SIG_MODELS:
-        raise ConfigError(f"unknown signature model {sig_model!r}")
+    auth = auth_bytes(sig_model, n)  # an unknown model is refused before the probe plays
     cfg = ScenarioConfig(
         backend=backend,
         n=n,
@@ -983,7 +979,6 @@ def measure_costs(
         signed_per_party = offchain_bodies = 0
         materialized = True
     else:
-        auth = auth_bytes(sig_model, n)
         accepted = [entry for entry in rt.chain.log if entry.witness is not None]
         onchain_bytes = sum(len(body_bytes(entry.body)) + auth for entry in accepted)
         signed_per_party = rt.ceremony.bodies_signed + (1 if deposit_option == DEPOSIT_HASHLOCKED else 0)

@@ -142,17 +142,6 @@ def kernel_count(level: int, mode: str = MODE_PLAIN) -> int:
     return count
 
 
-def kernel_count_geometric(level: int) -> int:
-    """The tempting per-level closed form 9^l.
-
-    It matches the squaring recurrence only for levels 0 and 1; from level 2
-    on it undercounts (729 vs 81 at level 2) because each parent kernel must
-    name a concrete child kernel, not just a child outcome class. Exposed so
-    the discrepancy stays documented by tests.
-    """
-    return 9**level
-
-
 def unpack_index(level: int, match: int, combo: int) -> tuple[int, int, int, int]:
     """Split a plain-mode combination index into child coordinates.
 
@@ -862,29 +851,28 @@ def build_tournament(
 # cost model
 
 
-SIG_MODELS = ("multisig", "aggregate")
+# signatures one transaction carries for n master keys, per signature model:
+# multisig carries one per key, aggregate folds them into one
+SIG_MODELS: dict[str, Callable[[int], int]] = {"multisig": lambda n: n, "aggregate": lambda n: 1}
 
 
 def auth_bytes(sig_model: str, n: int) -> int:
-    """On-chain authorization bytes of one transaction: multisig carries one
-    signature per master key, aggregate folds them into one."""
-    return n * SIG_LAMBDA if sig_model == "multisig" else SIG_LAMBDA
+    """On-chain authorization bytes of one transaction under `sig_model`."""
+    if sig_model not in SIG_MODELS:
+        raise ConfigError(f"unknown signature model {sig_model!r}")
+    return SIG_MODELS[sig_model](n) * SIG_LAMBDA
 
 
 @functools.cache
-def scaffold_stats(
-    n: int,
-    mode: str = MODE_PLAIN,
-    deposit_option: str = DEPOSIT_ATOMIC,
-    sig_model: str = "multisig",
-) -> TransactionStats:
+def scaffold_stats(n: int, mode: str = MODE_PLAIN, deposit_option: str = DEPOSIT_ATOMIC) -> TransactionStats:
     """Closed-form transaction statistics without materializing the tree.
 
     Representative bodies (one kernel per level, dummy digests) give exact
     byte sizes because every height, value, digest and reference field is
     fixed-width, so they are sized at one fixed valid schedule and stake,
-    and a built scaffold carries these same figures whatever its own. The
-    figures depend only on the arguments, so they are computed once per
+    and a built scaffold carries these same figures whatever its own. Every
+    transaction is authorized by multisig, as every trial's witnesses are.
+    The figures depend only on the arguments, so they are computed once per
     argument list; the result is frozen because every caller shares it.
     """
     bet, tau, t_commit = 1, 6, 10
@@ -903,7 +891,7 @@ def scaffold_stats(
     master = AllSign(dummy_keys)
     dummy_ref = OutputRef(b"\x11" * 32, 0)
     dummy_digest = sha256(b"size-probe-commit")
-    auth = auth_bytes(sig_model, n)
+    auth = auth_bytes("multisig", n)
 
     if deposit_option == DEPOSIT_ATOMIC:
         dep = build_deposit_atomic([dummy_ref] * n, bet, master)
@@ -1092,7 +1080,6 @@ class SigningView:
 
     player: int
     tournament: Tournament
-    total_bodies: int  # bodies the approval covers, the atomic deposit included
 
 
 @dataclass
@@ -1132,7 +1119,7 @@ def signing_ceremony(
     atomic = t.deposit_option == DEPOSIT_ATOMIC
     scaffold_bodies = t.stats.kernel_bodies + t.stats.compression_count
     total = scaffold_bodies + (1 if atomic else 0)
-    views = [SigningView(player, t, total) for player in range(t.n)]
+    views = [SigningView(player, t) for player in range(t.n)]
     for player, view in enumerate(views):
         if not deciders[player].at_signing(view):
             return CeremonyResult(aborted_by=player, bodies_signed=0)

@@ -248,10 +248,6 @@ class SignatureOracle:
             for registry, approvers in self._registries.values()
         )
 
-    @property
-    def entry_count(self) -> int:
-        return len(self._signed)
-
 
 @dataclass
 class InputWitness:
@@ -340,8 +336,3 @@ def evaluate_explain(p: Predicate, w: InputWitness, ctx: EvalContext) -> tuple[b
             return False, f"branch selector {w.branch} out of range"
         return evaluate_explain(p.branches[w.branch], w, ctx)
     raise TypeError(f"not a predicate: {p!r}")
-
-
-def evaluate(p: Predicate, w: InputWitness, ctx: EvalContext) -> bool:
-    ok, _why = evaluate_explain(p, w, ctx)
-    return ok

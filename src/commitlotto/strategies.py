@@ -71,15 +71,13 @@ class CommitView:
 class OpenView(CommitView):
     """Asks a committed player for its opening (contract backend).
 
-    `last_chance` is set at the last height of the open window. The flags
-    say whether `match_winner` makes the player win with its opening and
-    without it, as things stand.
+    `last_chance` is set at the last height of the open window.
+    `wins_if_open` says whether `match_winner` makes the player win with
+    its opening, as things stand.
     """
 
     last_chance: bool
-    opponent_open: Optional[int]
     wins_if_open: bool
-    wins_if_silent: bool
 
 
 @dataclass

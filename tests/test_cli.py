@@ -528,7 +528,6 @@ def test_costs_rejects_hashlocked_deposits_on_ethereum(capsys):
 
 PARAM_COMMANDS = {
     "build": ("build",),
-    "export-dot": ("export-dot",),
     "run": ("run", "--backend", "bitcoin-plain"),
     "sweep": ("sweep", "--backend", "bitcoin-plain", "--trials", "1"),
     "costs": ("costs", "--backend", "bitcoin-plain"),
@@ -555,8 +554,8 @@ PARAM_CASES = [
 )
 def test_statistics_only_branches_reject_bad_input(capsys, command, flag):
     # every command rejects the same values with the same message, and
-    # plain n=16 (the closed-form branch of build, export-dot and costs)
-    # checks what n=4 checks
+    # plain n=16 (the closed-form branch of build and costs) checks what
+    # n=4 checks
     reference = run_cli(capsys, "build", *flag)
     prefix = PARAM_COMMANDS[command]
     small = run_cli(capsys, *prefix, "--n", "4", *flag)
@@ -584,12 +583,6 @@ def test_a_sixteen_key_scaffold_file_matches_its_pinned_digest(capsys, tmp_path)
     assert hashlib.sha256(path.read_bytes()).hexdigest() == MULTI16_SCAFFOLD_GOLDEN
 
 
-def test_export_dot_from_fresh_build(capsys):
-    code, out, _ = run_cli(capsys, "export-dot", "--n", "2")
-    assert code == 0
-    assert out.startswith("digraph")
-
-
 def test_export_dot_from_file(capsys, scaffold_file, tmp_path):
     out_path = tmp_path / "g.dot"
     code, _, _ = run_cli(
@@ -599,8 +592,12 @@ def test_export_dot_from_file(capsys, scaffold_file, tmp_path):
     assert "k1_0_8" in out_path.read_text()
 
 
-def test_export_dot_refuses_unbuildable_size(capsys):
-    assert run_cli(capsys, "export-dot", "--n", "16")[0] == 2
+def test_build_dot_refuses_unbuildable_size(capsys, tmp_path):
+    argv = ("build", "--n", "16", "--out", str(tmp_path / "s.json"), "--dot", str(tmp_path / "g.dot"))
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert "statistics-only" in err
+    assert list(tmp_path.iterdir()) == []
 
 
 # sha256 of the Graphviz output of a fresh build: every node, label, lock
@@ -615,8 +612,8 @@ DOT_GOLDEN = [
 
 
 @pytest.mark.parametrize("argv, digest", DOT_GOLDEN, ids=["plain-n4", "multiinput-n8-hashlocked"])
-def test_export_dot_golden(capsys, argv, digest):
-    code, out, _ = run_cli(capsys, "export-dot", *argv)
+def test_build_dot_golden(capsys, tmp_path, argv, digest):
+    code, out, _ = run_cli(capsys, "build", *argv, "--out", str(tmp_path / "s.json"), "--dot", "-")
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
@@ -630,11 +627,10 @@ def test_export_dot_golden(capsys, argv, digest):
         (("build", "--n", "4"), "--out"),
         (("build", "--n", "4", "--out", "stats.json"), "--scaffold-out"),
         (("build", "--n", "4", "--out", "stats.json"), "--dot"),
-        (("export-dot", "--n", "2"), "--out"),
         (("sweep", "--backend", "bitcoin-plain", "--n", "2", "--trials", "3"), "--json"),
         (("sweep", "--backend", "bitcoin-plain", "--n", "2", "--trials", "3", "--json", "s.json"), "--csv"),
     ],
-    ids=["build", "build-scaffold-out", "build-dot", "export-dot", "sweep", "sweep-csv"],
+    ids=["build", "build-scaffold-out", "build-dot", "sweep", "sweep-csv"],
 )
 def test_an_empty_output_path_writes_to_stdout_like_dash(capsys, tmp_path, monkeypatch, argv, flag):
     monkeypatch.chdir(tmp_path)
@@ -673,7 +669,6 @@ SEED_COMMANDS = {
     "build": ("build", "--n", "2"),
     "run": ("run", "--backend", "ethereum", "--n", "2"),
     "sweep": ("sweep", "--backend", "ethereum", "--n", "2", "--trials", "2"),
-    "export-dot": ("export-dot", "--n", "2"),
 }
 
 
@@ -716,7 +711,7 @@ DASHDASH = [
     (SWEEP + ("--json=--",), "--json"),
     (SWEEP + ("--csv=--",), "--csv"),
     (SWEEP + ("--strategies=--",), "--strategies"),
-    (("export-dot", "--n", "2", "--scaffold=--", "--out", "f.dot"), "--scaffold"),
+    (("export-dot", "--scaffold=--", "--out", "f.dot"), "--scaffold"),
 ]
 
 
@@ -736,13 +731,15 @@ def test_a_flag_given_dashdash_never_plays_and_names_the_flag(
     assert list(tmp_path.iterdir()) == []
 
 
-# flags that once changed no output: a scenario's signature model, and the
-# seed and bet of the costs probe
+# flags that once changed no output: a scenario's signature model, the
+# seed and bet of the costs probe, and export-dot's bracket flags, which
+# the scaffold file it reads fixes
 REMOVED_FLAGS = [
     RUN + ("--sig-model", "multisig"),
     SWEEP + ("--sig-model", "aggregate"),
     ("costs", "--backend", "ethereum", "--n", "2", "--seed", "1"),
     ("costs", "--backend", "ethereum", "--n", "2", "--bet", "2"),
+    ("export-dot", "--scaffold", "plain4.json", "--n", "64"),
 ]
 
 

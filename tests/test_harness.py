@@ -23,6 +23,7 @@ from commitlotto.scaffold import (
     SIDE_LEFT,
     SIDE_RIGHT,
     SIG_MODELS,
+    auth_bytes,
     iter_bodies,
     scaffold_stats,
     signing_ceremony,
@@ -296,13 +297,13 @@ def test_open_view_flags_agree_with_get_winner(seat, opponent, my_secret):
         r = rt.run()
         (view,) = me.open_views
         assert (view.opponent_commit is not None) == (opponent != "uncommitted")
-        assert (view.opponent_open is not None) == (opponent == "opened")
         assert r.winner == rt.player_of[
             rt.vm.static_call("observer", rt.tree.final, "get_winner")
         ]
-        flags[opens] = (view.wins_if_open, view.wins_if_silent)
-        assert (view.wins_if_open if opens else view.wins_if_silent) == (r.winner == seat)
-    assert flags[True] == flags[False]  # the flags do not depend on the choice they inform
+        flags[opens] = view.wins_if_open
+        if opens:
+            assert view.wins_if_open == (r.winner == seat)
+    assert flags[True] == flags[False]  # the flag does not depend on the choice it informs
 
 
 def test_a_match_secret_comes_only_from_the_rng_choose_secret_receives():
@@ -824,15 +825,26 @@ def test_plain_costs_beyond_the_write_out_cap_equal_the_closed_form(n, deposit_o
     # the force-timeout trial publishes the slowest path of every match, so
     # what it puts on chain is the closed form's worst case, byte for byte
     r = measure_costs(BTC_PLAIN, n, deposit_option=deposit_option, sig_model=sig_model)
-    stats = scaffold_stats(n, MODE_PLAIN, deposit_option, sig_model)
+    stats = scaffold_stats(n, MODE_PLAIN, deposit_option)
+    saved = auth_bytes("multisig", n) - auth_bytes(sig_model, n)  # the closed form sizes multisig
     assert r.collateral_beyond_bet == 0
     assert r.onchain_tx_count == stats.on_chain_worst_case
-    assert r.onchain_bytes == stats.bytes_on_chain
+    assert r.onchain_bytes == stats.bytes_on_chain - stats.on_chain_worst_case * saved
     assert r.offchain_signed_per_party == stats.kernel_bodies + stats.compression_count + 1
     assert r.offchain_bodies == stats.total_offchain
     assert r.rounds_to_commit == 2
     assert r.rounds_to_final == level_schedule(10, level_stride(6), 6, num_levels(n))[0]
     assert not r.materialized
+
+
+def test_an_unknown_signature_model_is_refused_before_the_probe_plays(monkeypatch):
+    # it was once sized as aggregate
+    with pytest.raises(ConfigError, match="unknown signature model 'schnorr'"):
+        auth_bytes("schnorr", 4)
+    monkeypatch.setattr(harness, "_runtime", lambda cfg: pytest.fail("the probe played"))
+    for backend in (ETH, BTC_PLAIN):
+        with pytest.raises(ConfigError, match="unknown signature model 'schnorr'"):
+            measure_costs(backend, 4, sig_model="schnorr")
 
 
 # csv export

@@ -34,6 +34,7 @@ from commitlotto.scaffold import (
     Kernel,
     KernelId,
     NotPowerOfTwo,
+    auth_bytes,
     build_deposit_atomic,
     build_refunds,
     build_tournament,
@@ -43,7 +44,6 @@ from commitlotto.scaffold import (
     iter_bodies,
     joint_preimage,
     kernel_count,
-    kernel_count_geometric,
     load_tournament,
     matches_at,
     multi_candidate_pair,
@@ -97,11 +97,9 @@ def test_kernel_count_recurrence():
 def test_geometric_count_diverges_at_level_two():
     # the geometric guess 9**level undercounts because child multiplicity
     # compounds, not the per-level factor
-    assert [kernel_count_geometric(l) for l in range(4)] == [1, 9, 81, 729]
-    assert kernel_count_geometric(0) == kernel_count(0)
-    assert kernel_count_geometric(1) == kernel_count(1)
+    assert [9**level for level in range(2)] == [kernel_count(level) for level in range(2)]
     for level in range(2, 5):
-        assert kernel_count_geometric(level) < kernel_count(level)
+        assert 9**level < kernel_count(level)
 
 
 def test_bracket_shape():
@@ -199,11 +197,14 @@ SCHEDULES = {
 )
 def test_built_stats_bytes_match_the_built_bodies(n, mode, deposit_option, sig_model, schedule):
     # the closed-form byte count must be what a build's own worst-case path
-    # measures, whatever its schedule and stake: the closed form takes neither
+    # measures, whatever its schedule and stake: the closed form takes neither;
+    # it sizes multisig, so another model's figure is its own per-transaction
+    # authorization on each worst-case transaction
     bet, tau, t_commit = SCHEDULES[schedule](n)
     t = small_tournament(n, mode=mode, deposit_option=deposit_option, bet=bet, tau=tau, t_commit=t_commit)
-    stats = scaffold_stats(n, mode, deposit_option, sig_model)
-    assert stats.bytes_on_chain == measured_worst_case_bytes(t, sig_model)
+    stats = scaffold_stats(n, mode, deposit_option)
+    saved = auth_bytes("multisig", n) - auth_bytes(sig_model, n)
+    assert stats.bytes_on_chain - stats.on_chain_worst_case * saved == measured_worst_case_bytes(t, sig_model)
     assert t.stats.total_offchain == len(iter_bodies(t))
 
 
@@ -549,7 +550,7 @@ def test_ceremony_collects_every_signature(plain4):
     for player, decider in enumerate(deciders):
         assert [stage for stage, _ in decider.asked] == ["signing", "deposit"]
         for _, view in decider.asked:
-            assert (view.player, view.total_bodies) == (player, 56)
+            assert view.player == player
             assert view.tournament is plain4
 
 

@@ -17,7 +17,6 @@ from commitlotto.script import (
     SignatureOracle,
     XorParityOdd,
     commitment,
-    evaluate,
     evaluate_explain,
     parity_bit,
     predicate_from_json,
@@ -70,10 +69,9 @@ def test_verify_requires_a_recorded_signing_act():
     oracle.sign("alice", KEY_A, DIGEST)
     assert oracle.verify(KEY_A, DIGEST)
     assert not oracle.verify(KEY_A, b"\x02" * 32)
-    assert oracle.entry_count == 1
-    # re-signing the same digest is idempotent
+    # re-signing the same digest changes nothing
     oracle.sign("alice", KEY_A, DIGEST)
-    assert oracle.entry_count == 1
+    assert oracle.verify(KEY_A, DIGEST) and not oracle.verify(KEY_A, b"\x02" * 32)
 
 
 def test_sign_all_covers_exactly_the_signed_set():
@@ -99,7 +97,7 @@ def test_keysign_needs_material_and_record():
     ok, why = evaluate_explain(p, witness(), ctx(oracle))
     assert not ok and "missing signature" in why
     oracle.sign("alice", KEY_A, DIGEST)
-    assert evaluate(p, witness([KEY_A]), ctx(oracle))
+    assert evaluate_explain(p, witness([KEY_A]), ctx(oracle))[0]
     # the same signer against a different digest fails
     other = ctx(oracle, digest=b"\x02" * 32)
     ok, why = evaluate_explain(p, witness([KEY_A]), other)
@@ -118,7 +116,7 @@ def test_allsign_requires_every_key():
     ok, why = evaluate_explain(p, witness([KEY_A, KEY_B]), ctx(oracle))
     assert not ok and "signature check failed" in why
     oracle.sign("bob", KEY_B, DIGEST)
-    assert evaluate(p, witness([KEY_A, KEY_B]), ctx(oracle))
+    assert evaluate_explain(p, witness([KEY_A, KEY_B]), ctx(oracle))[0]
 
 
 # the one-probe AllSign path
@@ -215,7 +213,7 @@ def test_allsign_agrees_with_one_check_per_key_on_every_approval_mix():
 def test_hash_preimage_slot_matching():
     secret = b"\x05" * 32
     p = HashPreimage(commitment(secret), "s")
-    assert evaluate(p, witness(preimages={"s": secret}), ctx())
+    assert evaluate_explain(p, witness(preimages={"s": secret}), ctx())[0]
     ok, why = evaluate_explain(p, witness(), ctx())
     assert not ok and "missing preimage" in why
     ok, why = evaluate_explain(p, witness(preimages={"s": b"\x06" * 32}), ctx())
@@ -224,16 +222,16 @@ def test_hash_preimage_slot_matching():
 
 def test_after_height_boundary_inclusive():
     p = AfterHeight(7)
-    assert not evaluate(p, witness(), ctx(height=6))
-    assert evaluate(p, witness(), ctx(height=7))
-    assert evaluate(p, witness(), ctx(height=8))
+    assert not evaluate_explain(p, witness(), ctx(height=6))[0]
+    assert evaluate_explain(p, witness(), ctx(height=7))[0]
+    assert evaluate_explain(p, witness(), ctx(height=8))[0]
 
 
 def test_xor_parity_odd():
     even = b"\x00" * 31 + b"\x06"  # low bit 0
     odd = b"\x00" * 31 + b"\x03"  # low bit 1
     p = XorParityOdd("l", "r")
-    assert evaluate(p, witness(preimages={"l": even, "r": odd}), ctx())
+    assert evaluate_explain(p, witness(preimages={"l": even, "r": odd}), ctx())[0]
     ok, why = evaluate_explain(p, witness(preimages={"l": even, "r": even}), ctx())
     assert not ok and why == "xor parity is even"
     ok, why = evaluate_explain(p, witness(preimages={"l": even}), ctx())
@@ -247,7 +245,7 @@ def test_allof_reports_first_failing_term():
     ok, why = evaluate_explain(p, witness(), ctx(height=3))
     assert not ok and "missing preimage" in why
     w = witness(preimages={"s": b"\x01" * 32})
-    assert evaluate(p, w, ctx(height=3))
+    assert evaluate_explain(p, w, ctx(height=3))[0]
 
 
 def test_anyof_uses_only_the_selected_branch():
@@ -256,7 +254,7 @@ def test_anyof_uses_only_the_selected_branch():
     oracle.sign("alice", KEY_A, DIGEST)
     p = AnyOf((KeySign(KEY_A), AfterHeight(100)))
     # branch 0 succeeds even though branch 1 cannot
-    assert evaluate(p, witness([KEY_A], branch=0), ctx(oracle))
+    assert evaluate_explain(p, witness([KEY_A], branch=0), ctx(oracle))[0]
     # selecting the timeout branch ignores the valid signature
     ok, why = evaluate_explain(p, witness([KEY_A], branch=1), ctx(oracle))
     assert not ok and "below lock" in why
@@ -268,7 +266,7 @@ def test_anyof_uses_only_the_selected_branch():
 
 def test_evaluate_rejects_non_predicate():
     with pytest.raises(TypeError):
-        evaluate("not a predicate", witness(), ctx())
+        evaluate_explain("not a predicate", witness(), ctx())
 
 
 # serialization
