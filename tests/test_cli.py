@@ -618,6 +618,40 @@ def test_build_dot_golden(capsys, tmp_path, argv, digest):
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
+# export-dot takes no bracket flags: the file it reads fixes the bracket, so
+# it draws what build --dot drew for that file, byte for byte
+DOT_BUILDS = [
+    ("--n", "2"),
+    ("--n", "4"),
+    ("--n", "4", "--deposit", "hashlocked"),
+    ("--n", "4", "--tau", "3", "--t-commit", "7", "--bet", "5", "--seed", "9"),
+    ("--n", "8"),
+    ("--n", "2", "--mode", "multiinput"),
+    ("--n", "8", "--mode", "multiinput", "--deposit", "hashlocked"),
+    ("--n", "16", "--mode", "multiinput"),
+]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    DOT_BUILDS,
+    ids=["plain-n2", "plain-n4", "plain-n4-hashlocked", "plain-n4-schedule-bet-seed", "plain-n8",
+         "multiinput-n2", "multiinput-n8-hashlocked", "multiinput-n16"],
+)
+def test_export_dot_of_a_built_file_draws_what_build_dot_drew(capsys, tmp_path, monkeypatch, argv):
+    monkeypatch.chdir(tmp_path)
+    code, drawn, _ = run_cli(
+        capsys, "build", *argv, "--out", "s.json", "--scaffold-out", "t.json", "--dot", "-"
+    )
+    assert code == 0
+    assert drawn.startswith("digraph")
+    assert run_cli(capsys, "export-dot", "--scaffold", "t.json", "--out", "g.dot")[0] == 0
+    assert (tmp_path / "g.dot").read_bytes().decode() == drawn
+    for path in ("-", ""):
+        assert run_cli(capsys, "export-dot", "--scaffold", "t.json", "--out", path)[:2] == (0, drawn)
+    assert not (tmp_path / "-").exists()
+
+
 # one rule for output paths: "-" and "" both mean stdout, and never name a file
 
 
@@ -739,7 +773,13 @@ REMOVED_FLAGS = [
     SWEEP + ("--sig-model", "aggregate"),
     ("costs", "--backend", "ethereum", "--n", "2", "--seed", "1"),
     ("costs", "--backend", "ethereum", "--n", "2", "--bet", "2"),
-    ("export-dot", "--scaffold", "plain4.json", "--n", "64"),
+    *[
+        ("export-dot", "--scaffold", "plain4.json") + flag
+        for flag in (
+            ("--n", "64"), ("--tau", "6"), ("--t-commit", "10"), ("--deposit", "atomic"),
+            ("--bet", "1"), ("--seed", "commitlotto"), ("--mode", "plain"),
+        )
+    ],
 ]
 
 
@@ -751,6 +791,17 @@ def test_a_removed_flag_is_refused_and_plays_nothing(capsys, monkeypatch, argv):
     code, out, err = run_cli(capsys, *argv)
     assert (code, out, played) == (2, "", [])
     assert f"unrecognized arguments: {' '.join(argv[-2:])}" in err
+
+
+def test_costs_takes_exactly_the_signature_models_of_the_table(capsys):
+    argv = ("costs", "--backend", "bitcoin-plain", "--n", "4")
+    for model in scaffold.SIG_MODELS:
+        code, out, _ = run_cli(capsys, *argv, "--sig-model", model)
+        assert code == 0
+        assert json.loads(out)["sig_model"] == model
+    code, out, err = run_cli(capsys, *argv, "--sig-model", "schnorr")
+    assert (code, out) == (2, "")
+    assert "invalid choice: 'schnorr'" in err
 
 
 def test_costs_sizes_authorization_by_its_signature_model(capsys):
