@@ -411,7 +411,6 @@ class ContractTree:
     master: str
     lotteries: dict[tuple[int, int], str]
     final: str
-    n: int
     t_commit: int
     t_final: int
     tau: int
@@ -453,7 +452,6 @@ def build_tree(vm: Vm, n: int, bet: int, tau: int, t_commit: int) -> ContractTre
         master=master_addr,
         lotteries=lotteries,
         final=final,
-        n=n,
         t_commit=t_commit,
         t_final=t_final,
         tau=tau,

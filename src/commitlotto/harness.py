@@ -97,7 +97,6 @@ from .strategies import (
     ETH,
     BroadcastView,
     CommitView,
-    DepositView,
     OpenView,
     Strategy,
     make_strategy,
@@ -341,8 +340,7 @@ class ContractRuntime(Runtime):
             for i, account in enumerate(self.accounts):
                 if account in master.players:
                     continue
-                view = DepositView(player=i, height=h, t_commit=cfg.t_commit, bet=cfg.bet)
-                if self.strats[i].at_deposit(view):
+                if self.strats[i].at_deposit(None):
                     vm.try_call(account, tree.master, "deposit", value=cfg.bet)
         if not master.is_complete():
             if h >= cfg.t_commit:
@@ -953,11 +951,15 @@ def measure_costs(
     deposit_option: str = DEPOSIT_ATOMIC,
     sig_model: str = "multisig",
 ) -> CostReport:
-    """Worst-case on-chain load plus total off-chain footprint.
+    """On-chain load of the slowest path plus total off-chain footprint.
 
-    The scaffold backend is probed with the force-timeout strategy, which
-    drives every match through its slowest, largest path. The contract
-    backend cost is the honest run; its calls are fixed by the schedule.
+    The scaffold backends are probed with the force-timeout strategy, which
+    drives every match through its slowest path: the worst case in rounds
+    and transactions, and in plain mode in bytes. In multiinput mode each
+    compression it lands is a left candidate's, with half the members of a
+    right candidate's, so `onchain_bytes` is 36 * levels * n/2 below the
+    closed form's `bytes_on_chain`. The contract backend cost is the honest
+    run; its calls are fixed by the schedule.
     `materialized` says whether `build` can write the scaffold out. The
     probe plays the default bet under the seed "costs", as neither moves a
     figure; `sig_model` sizes only the authorization bytes.

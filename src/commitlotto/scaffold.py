@@ -290,23 +290,11 @@ class TransactionStats:
     def to_json(self) -> dict:
         return {**dataclasses.asdict(self), "per_level": list(self.per_level)}
 
-    @staticmethod
-    def from_json(obj, where: str) -> "TransactionStats":
-        get = lambda key, kind: json_field(obj, key, kind, where)
-        counts = {f.name for f in dataclasses.fields(TransactionStats)} - {"per_level", "materialized"}
-        per_level = get("per_level", list)
-        return TransactionStats(
-            per_level=tuple(
-                json_value(x, int, f"{where}.per_level[{i}]") for i, x in enumerate(per_level)
-            ),
-            materialized=get("materialized", bool),
-            **{name: get(name, int) for name in counts},
-        )
-
 
 @dataclass
 class Tournament:
-    """A scaffold. Treat as immutable once constructed.
+    """A scaffold: public parameters, commitments and bodies. Treat as
+    immutable once constructed.
 
     An honestly constructed scaffold builds its kernels and compressions on
     first read (see `LazyTable`); one decoded from a file has them all. The
@@ -314,6 +302,9 @@ class Tournament:
     and kernels contribute, so they grow with the tables. No id is an
     argument: `deposit_ntxids` is derived from `deposit_bodies` whenever
     they are set, the kernels derive theirs, and a compression is its body.
+    Nor is any fact that the parameters fix: `level_stride`, `refund_time`
+    and `stats` are derived from them when read, so none is stored,
+    written to a file or checked by `verify_as_honest`.
     """
 
     mode: str
@@ -321,16 +312,13 @@ class Tournament:
     bet: int
     tau: int
     t_commit: int
-    level_stride: int
     deposit_option: str
     master_keys: tuple[bytes, ...]
     funding: tuple[OutputRef, ...]
     kernels: MutableMapping[KernelId, Kernel]
     compressions: MutableMapping[tuple[int, int, int], TransactionBody]  # (level, match, candidate)
     deposit_bodies: tuple[TransactionBody, ...]
-    refund_time: Optional[int]
     mpc_digest: Optional[bytes]
-    stats: TransactionStats
     # signature digests of the built kernel and compression bodies: what the ceremony approves
     scaffold_digests: set[bytes] = field(repr=False)
     secrets: dict[tuple[KernelId, int], bytes] = field(default_factory=dict, repr=False)
@@ -346,6 +334,19 @@ class Tournament:
     @property
     def levels(self) -> int:
         return num_levels(self.n)
+
+    @property
+    def level_stride(self) -> int:
+        return level_stride(self.tau, self.mode == MODE_MULTIINPUT)
+
+    @property
+    def refund_time(self) -> Optional[int]:
+        """The height a hashlocked deposit's refund branch unlocks; None for the atomic deposit."""
+        return refund_time_for(self.t_commit) if self.deposit_option == DEPOSIT_HASHLOCKED else None
+
+    @property
+    def stats(self) -> TransactionStats:
+        return scaffold_stats(self.n, self.mode, self.deposit_option)
 
     def schedule(self, level: int) -> tuple[int, int, int]:
         return level_schedule(self.t_commit, self.level_stride, self.tau, level)
@@ -737,7 +738,6 @@ def _honest_scaffold(
     deposit_option: str,
     mpc_digest: Optional[bytes],
     commits: Callable[[KernelId], tuple[bytes, bytes]],
-    stats: TransactionStats,
     secrets: dict[tuple[KernelId, int], bytes],
 ) -> Tournament:
     """The scaffold honest construction gives for these parameters.
@@ -748,16 +748,17 @@ def _honest_scaffold(
     ones a scaffold carries, so the result differs from that scaffold
     exactly where it is not honest. The deposits are built here; kernels
     and compressions in either mode when first read (`LazyTable`).
-    `stats` and `secrets` are stored as given.
+    `secrets` is stored as given; what the parameters fix is derived by
+    the `Tournament` itself.
     """
     master = AllSign(tuple(keys))
-    refund_time = None
     if deposit_option == DEPOSIT_ATOMIC:
         deposit_bodies = (build_deposit_atomic(funding, bet, master),)
         mpc_digest = None
     else:
-        refund_time = refund_time_for(t_commit)
-        deposit_bodies = build_deposit_hashlocked(funding, bet, master, keys, mpc_digest, refund_time)
+        deposit_bodies = build_deposit_hashlocked(
+            funding, bet, master, keys, mpc_digest, refund_time_for(t_commit)
+        )
     wiring = _HonestWiring(
         n=n,
         keys=tuple(keys),
@@ -776,16 +777,13 @@ def _honest_scaffold(
         bet=bet,
         tau=tau,
         t_commit=t_commit,
-        level_stride=wiring.stride,
         deposit_option=deposit_option,
         master_keys=tuple(keys),
         funding=tuple(funding),
         kernels=LazyTable(wiring, KERNELS),
         compressions=LazyTable(wiring, COMPRESSIONS),
         deposit_bodies=deposit_bodies,
-        refund_time=refund_time,
         mpc_digest=mpc_digest,
-        stats=stats,
         scaffold_digests=wiring.scaffold_digests,
         secrets=secrets,
     )
@@ -833,18 +831,17 @@ def build_tournament(
     Secrets are drawn per kernel per player from `secret_source`, by the
     kernel's label, when the kernel is built; their commitment digests are
     baked into the spending predicates. The returned object carries the
-    secrets for simulation purposes; exports strip them. Its stats are the
-    closed form, with `materialized` telling whether it can be written out.
+    secrets for simulation purposes; exports strip them. Its schedule
+    stride, refund height and stats follow from the parameters (`Tournament`).
     """
     check_params(n, tau, t_commit, bet)
     problem = _param_problem(n, player_keys, funding, mode, deposit_option, mpc_digest)
     if problem:
         raise ValueError(problem)
     fresh = _FreshSecrets(secret_source.child("kernel-secrets"))
-    stats = scaffold_stats(n, mode, deposit_option)
     return _honest_scaffold(
         n, player_keys, funding, bet, tau, t_commit, mode, deposit_option, mpc_digest, fresh,
-        dataclasses.replace(stats, materialized=_writable(n, mode)), fresh.secrets,
+        fresh.secrets,
     )
 
 
@@ -870,8 +867,9 @@ def scaffold_stats(n: int, mode: str = MODE_PLAIN, deposit_option: str = DEPOSIT
     Representative bodies (one kernel per level, dummy digests) give exact
     byte sizes because every height, value, digest and reference field is
     fixed-width, so they are sized at one fixed valid schedule and stake,
-    and a built scaffold carries these same figures whatever its own. Every
+    and a scaffold's `stats` are these figures whatever its own. Every
     transaction is authorized by multisig, as every trial's witnesses are.
+    `materialized` tells whether the whole scaffold can be written out.
     The figures depend only on the arguments, so they are computed once per
     argument list; the result is frozen because every caller shares it.
     """
@@ -938,7 +936,7 @@ def scaffold_stats(n: int, mode: str = MODE_PLAIN, deposit_option: str = DEPOSIT
         deposit_count=deposit_count,
         on_chain_worst_case=on_chain_worst,
         bytes_on_chain=worst_bytes,
-        materialized=False,
+        materialized=_writable(n, mode),
     )
 
 
@@ -957,13 +955,13 @@ def verify_as_honest(t: Tournament) -> list[Violation]:
     Everything except the secret preimages is public, so the verifier runs
     honest construction on the tournament's own parameters and the
     commitment digests it carries, then flags every divergence: rewired
-    inputs, altered schedules or predicates, wrong payout keys, and
-    duplicated commitment digests (the replay defense). Every figure of
-    `stats` must equal the closed form for the same parameters (BadStats),
-    `bytes_on_chain` sized for multisig as `build` writes it. A scaffold
-    too large to write out is refused as it stands, before anything is
-    rebuilt. An empty list means the scaffold is safe to sign, from every
-    seat.
+    inputs, altered schedules or predicates (a deposit's refund height
+    included), wrong payout keys, and duplicated commitment digests (the
+    replay defense). What the parameters fix (`level_stride`,
+    `refund_time`, `stats`) is derived, not carried, so there is no copy
+    of it to check. A scaffold too large to write out is refused as it
+    stands, before anything is rebuilt. An empty list means the scaffold
+    is safe to sign, from every seat.
     """
     try:
         check_params(t.n, t.tau, t.t_commit, t.bet)
@@ -980,23 +978,13 @@ def verify_as_honest(t: Tournament) -> list[Violation]:
         # a missing kernel gets placeholders: it is reported before anything is compared
         return (k.left_commit, k.right_commit) if k else (bytes(32), bytes(32))
 
-    stats = scaffold_stats(t.n, t.mode, t.deposit_option)
     h = _honest_scaffold(
         t.n, t.master_keys, t.funding, t.bet, t.tau, t.t_commit, t.mode, t.deposit_option,
-        t.mpc_digest, commits, stats, {},
+        t.mpc_digest, commits, {},
     )
     v: list[Violation] = []
-    if t.level_stride != h.level_stride:
-        v.append(Violation(None, "BadSchedule", f"level stride {t.level_stride} != {h.level_stride}"))
     if t.mpc_digest != h.mpc_digest:
         v.append(Violation(None, "BadDeposit", "atomic deposits take no joint mpc digest"))
-    if t.refund_time != h.refund_time:
-        detail = f"refund time {t.refund_time} != {h.refund_time}, the commit deadline"
-        v.append(Violation(None, "BadDeposit", detail))
-    for f in dataclasses.fields(TransactionStats):
-        got, want = getattr(t.stats, f.name), getattr(stats, f.name)
-        if f.name != "materialized" and got != want:
-            v.append(Violation(None, "BadStats", f"stats.{f.name} {got} != {want}"))
     for kid in sorted(h.kernels.keys() - t.kernels.keys()):
         v.append(Violation(kid, "MissingKernel", "kernel absent from scaffold"))
     for kid in sorted(t.kernels.keys() - h.kernels.keys()):
@@ -1138,14 +1126,16 @@ def signing_ceremony(
 # serialization
 
 
-FORMAT_TAG = "tournament-scaffold-v1"
+# v2 drops v1's `level_stride`, `refund_time` and `stats`, which the parameters fix
+FORMAT_TAG = "tournament-scaffold-v2"
 # integer fields stored in the JSON under their attribute names
-_SCAFFOLD_INTS = ("n", "bet", "tau", "t_commit", "level_stride")
+_SCAFFOLD_INTS = ("n", "bet", "tau", "t_commit")
 _KERNEL_INTS = ("left_player", "right_player", "t0", "t1", "t2", "pot")
 
 
 def tournament_to_json(t: Tournament) -> dict:
-    """Public scaffold description. Secrets are never exported."""
+    """Public scaffold description: parameters, commitments and bodies.
+    Secrets are never exported, nor anything the parameters fix."""
     kernels = [
         {
             **kid._asdict(),
@@ -1167,14 +1157,12 @@ def tournament_to_json(t: Tournament) -> dict:
         **{name: getattr(t, name) for name in _SCAFFOLD_INTS},
         "mode": t.mode,
         "deposit_option": t.deposit_option,
-        "refund_time": t.refund_time,
         "mpc_digest": t.mpc_digest.hex() if t.mpc_digest else None,
         "master_keys": [k.hex() for k in t.master_keys],
         "funding": [r.to_json() for r in t.funding],
         "deposits": [body_to_json(b) for b in t.deposit_bodies],
         "kernels": kernels,
         "compressions": compressions,
-        "stats": t.stats.to_json(),
     }
 
 
@@ -1236,9 +1224,7 @@ def tournament_from_json(obj: dict) -> Tournament:
         kernels=kernels,
         compressions=compressions,
         deposit_bodies=deposit_bodies,
-        refund_time=None if obj.get("refund_time") is None else get("refund_time", int),
         mpc_digest=get("mpc_digest", bytes) if obj.get("mpc_digest") else None,
-        stats=TransactionStats.from_json(get("stats", dict), "scaffold.stats"),
         scaffold_digests=scaffold_digests,
     )
 

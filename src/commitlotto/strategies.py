@@ -48,16 +48,6 @@ DISCLOSING_ROLES = (ROLE_REVEAL, ROLE_OUTCOME_BP)
 
 
 @dataclass
-class DepositView:
-    """Asks whether to place the stake now (contract backend)."""
-
-    player: int
-    height: int
-    t_commit: int
-    bet: int
-
-
-@dataclass
 class CommitView:
     """Asks for a commitment to the player's match secret (contract backend)."""
 
@@ -123,6 +113,8 @@ class Strategy:
         return True
 
     def at_deposit(self, view) -> bool:
+        """Whether to stake now. The scaffold's ceremony passes its
+        `SigningView`; the contract backend passes no view (None)."""
         return True
 
     # contract backend actions; None means "not now"
@@ -247,7 +239,10 @@ class ForceTimeout(Strategy):
 
     As the left player it reveals on schedule but the right player version
     never claims the parity win, so matches always settle by the reveal
-    timeout. Used to realize worst-case round counts and on-chain load.
+    timeout. Used to realize worst-case round and transaction counts. At an
+    all-force-timeout table each match pays its left player, whose
+    multiinput compression spends half the outputs of a right player's,
+    so the bytes on chain are the worst case in plain mode only.
     """
 
     name = "force-timeout"

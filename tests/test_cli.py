@@ -3,6 +3,8 @@
 import copy
 import hashlib
 import json
+import re
+from pathlib import Path
 
 import pytest
 
@@ -111,18 +113,23 @@ def test_verify_rejects_doctored_scaffold(capsys, scaffold_file, tmp_path):
     assert "do not sign" in err
 
 
-def test_verify_flags_doctored_stats(capsys, scaffold_file, tmp_path):
+# sha256 of the version-1 file `build --n 4 --scaffold-out` wrote while a
+# scaffold file also stored its level stride, refund time and stats
+V1_PLAIN4_DIGEST = "6e5166a9d8d7d6d9b6d5b988936db5699240f04b10d2d2dcf5371bc2e1ca96cd"
+
+
+def test_verify_refuses_a_version_1_scaffold_file(capsys, scaffold_file, tmp_path):
+    # a version-1 file is the version-2 one plus three keys under the old tag
     doc = json.loads(scaffold_file.read_text())
-    want = doc["stats"]["bytes_on_chain"]
-    doc["stats"]["total_offchain"] = 999
-    doc["stats"]["bytes_on_chain"] = 1  # `build` sizes every file for multisig
-    bad = tmp_path / "stats.json"
-    bad.write_text(json.dumps(doc))
-    code, out, err = run_cli(capsys, "verify", str(bad))
-    assert code == 3
-    assert "VIOLATION BadStats at scaffold: stats.total_offchain 999 != 56" in out
-    assert f"VIOLATION BadStats at scaffold: stats.bytes_on_chain 1 != {want}" in out
-    assert "scaffold ok" not in out
+    stats = json.loads(run_cli(capsys, "build", "--n", "4")[1])["stats"]
+    doc.update(format="tournament-scaffold-v1", level_stride=12, refund_time=None, stats=stats)
+    text = json.dumps(doc, indent=2, sort_keys=True) + "\n"
+    assert hashlib.sha256(text.encode()).hexdigest() == V1_PLAIN4_DIGEST
+    old = tmp_path / "v1.json"
+    old.write_text(text)
+    code, out, err = run_cli(capsys, "verify", str(old))
+    assert (code, out) == (2, "")
+    assert err == "error: not a scaffold file (format 'tournament-scaffold-v1')\n"
 
 
 def _repeat_a_funding_ref(doc):
@@ -516,6 +523,27 @@ def test_costs_statistics_only_for_big_plain(capsys):
     assert doc["onchain_tx_count"] == 46
 
 
+# sha256 of each costs report the workflow writes, run here in-process with
+# the same flags
+WORKFLOW_COSTS_GOLDEN = [
+    (("--backend", "bitcoin-plain", "--n", "16"),
+     "faff7dbe888e23179e3171d36487ef2e19ee08f80290b9dbfe39d8ea818053ce"),
+    (("--backend", "bitcoin-multiinput", "--n", "64", "--deposit", "hashlocked"),
+     "1e621c64f725ba8151f56123db7dcf822e7f0e430a91dae03534ba0510b98e32"),
+    (("--backend", "ethereum", "--n", "128"),
+     "75adba71eca19cf88c8f5204b381f8491ac1c6650fd4ae2e32bda6cf2d421da4"),
+]
+
+
+@pytest.mark.parametrize(
+    "argv, digest", WORKFLOW_COSTS_GOLDEN, ids=["plain-n16", "multiinput-n64-hashlocked", "ethereum-n128"]
+)
+def test_the_workflow_costs_reports_match_their_pinned_digests(capsys, argv, digest):
+    code, out, _ = run_cli(capsys, "costs", *argv)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
 def test_costs_rejects_hashlocked_deposits_on_ethereum(capsys):
     costs = run_cli(capsys, "costs", "--backend", "ethereum", "--deposit", "hashlocked")
     run = run_cli(capsys, "run", "--backend", "ethereum", "--deposit", "hashlocked")
@@ -569,18 +597,30 @@ def test_statistics_only_branches_reject_bad_input(capsys, command, flag):
 # export-dot
 
 
-# sha256 of the 16-key scaffold file the workflow builds and verifies,
-# recorded before the canonical encoder became table-driven
-MULTI16_SCAFFOLD_GOLDEN = "725c4ea3584be415b9a3cfbb7237124d202470d4ad70f152d241e82a385e79cd"
+# sha256 of each scaffold file the workflow builds and verifies, recorded
+# when the format became version 2: each is the version-1 file minus its
+# level_stride, refund_time and stats, under the new format tag
+WORKFLOW_SCAFFOLD_GOLDEN = {
+    "plain4": (("--n", "4"), "b44038aeaf82dadd7215524125224d07772525b4ecebf4c85d7b662bba9fe94e"),
+    "multi8": (
+        ("--n", "8", "--mode", "multiinput", "--deposit", "hashlocked"),
+        "704fda7493bf9af86d27ea5f55d55921637077c80fabdc865f12a0e07e8b0b7c",
+    ),
+    "multi16": (
+        ("--n", "16", "--mode", "multiinput", "--deposit", "hashlocked"),
+        "caabdb449c1b0808bcedd82d12dbb580412892956a4db258db80fc984441955e",
+    ),
+}
 
 
-def test_a_sixteen_key_scaffold_file_matches_its_pinned_digest(capsys, tmp_path):
-    path = tmp_path / "multi16.json"
-    argv = ("build", "--n", "16", "--mode", "multiinput", "--deposit", "hashlocked")
+@pytest.mark.parametrize("name", sorted(WORKFLOW_SCAFFOLD_GOLDEN))
+def test_the_workflow_scaffold_files_match_their_pinned_digests(capsys, tmp_path, name):
+    argv, digest = WORKFLOW_SCAFFOLD_GOLDEN[name]
+    path = tmp_path / f"{name}.json"
     argv += ("--out", str(tmp_path / "s.json"), "--scaffold-out", str(path))
-    assert run_cli(capsys, *argv)[0] == 0
+    assert run_cli(capsys, "build", *argv)[0] == 0
     assert run_cli(capsys, "verify", str(path))[0] == 0
-    assert hashlib.sha256(path.read_bytes()).hexdigest() == MULTI16_SCAFFOLD_GOLDEN
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
 
 
 def test_export_dot_from_file(capsys, scaffold_file, tmp_path):
@@ -616,6 +656,18 @@ def test_build_dot_golden(capsys, tmp_path, argv, digest):
     code, out, _ = run_cli(capsys, "build", *argv, "--out", str(tmp_path / "s.json"), "--dot", "-")
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+WORKFLOW = Path(__file__).resolve().parent.parent / ".github" / "workflows" / "tests.yml"
+
+
+def test_every_digest_the_workflow_pins_is_checked_in_process():
+    # the workflow runs only in CI, so each output it pins has a golden here
+    pinned = set(re.findall(r"\b[0-9a-f]{64}\b", WORKFLOW.read_text()))
+    goldens = {digest for _, digest in WORKFLOW_SWEEP_GOLDEN + WORKFLOW_COSTS_GOLDEN + DOT_GOLDEN}
+    goldens |= {digest for _, digest in WORKFLOW_SCAFFOLD_GOLDEN.values()}
+    assert pinned, "no digest found in the workflow"
+    assert pinned - goldens == set()
 
 
 # export-dot takes no bracket flags: the file it reads fixes the bracket, so

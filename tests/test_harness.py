@@ -19,6 +19,7 @@ from commitlotto.contracts import Master, TwoPartyLottery, Vm, match_winner
 from commitlotto.primitives import OutputRef, Rng, level_schedule, level_stride, num_levels
 from commitlotto.scaffold import (
     BRANCH_DEPOSIT_REFUND,
+    MODE_MULTIINPUT,
     MODE_PLAIN,
     SIDE_LEFT,
     SIDE_RIGHT,
@@ -835,6 +836,32 @@ def test_plain_costs_beyond_the_write_out_cap_equal_the_closed_form(n, deposit_o
     assert r.rounds_to_commit == 2
     assert r.rounds_to_final == level_schedule(10, level_stride(6), 6, num_levels(n))[0]
     assert not r.materialized
+
+
+@pytest.mark.parametrize("sig_model", SIG_MODELS)
+@pytest.mark.parametrize("deposit_option", ["atomic", "hashlocked"])
+@pytest.mark.parametrize("n", [2, 4, 8, 16, 32])
+def test_multiinput_costs_fall_short_of_the_closed_form_by_the_left_winners_members(
+    n, deposit_option, sig_model
+):
+    # the force-timeout trial settles every match by outcome a, so each
+    # compression it lands is a left candidate's: half the MultiInput members
+    # of the right candidate's that the closed form sizes. Per level that is
+    # n/2 members of 36 bytes (an OutputRef) fewer than the closed form.
+    r = measure_costs(BTC_MULTI, n, deposit_option=deposit_option, sig_model=sig_model)
+    stats = scaffold_stats(n, MODE_MULTIINPUT, deposit_option)
+    saved = auth_bytes("multisig", n) - auth_bytes(sig_model, n)  # the closed form sizes multisig
+    levels = num_levels(n)
+    assert r.collateral_beyond_bet == 0
+    assert r.onchain_tx_count == stats.on_chain_worst_case
+    closed_form = stats.bytes_on_chain - stats.on_chain_worst_case * saved
+    assert closed_form - r.onchain_bytes == 36 * levels * n // 2
+    assert r.offchain_signed_per_party == stats.kernel_bodies + stats.compression_count + 1
+    assert r.offchain_bodies == stats.total_offchain
+    assert r.rounds_to_commit == 2
+    # the final compression lands with outcome a, at the last level's t2
+    assert r.rounds_to_final == level_schedule(10, level_stride(6, True), 6, levels - 1)[2]
+    assert r.materialized
 
 
 def test_an_unknown_signature_model_is_refused_before_the_probe_plays(monkeypatch):

@@ -147,14 +147,23 @@ def test_worst_case_onchain_counts():
         assert hl.deposit_count == n
 
 
-def test_stats_match_materialized_build(plain4, multi8):
-    for t in (plain4, multi8):
-        closed = scaffold_stats(t.n, t.mode, t.deposit_option)
-        built = t.stats
-        assert built.materialized and not closed.materialized
-        a, b = closed.to_json(), built.to_json()
-        a.pop("materialized"), b.pop("materialized")
-        assert a == b
+@pytest.mark.parametrize("deposit_option", ["atomic", "hashlocked"])
+@pytest.mark.parametrize("mode", ["plain", "multiinput"])
+def test_a_scaffold_derives_what_its_parameters_fix(mode, deposit_option):
+    # level_stride, refund_time and stats are read off the parameters, the
+    # same for a build and for the file it writes, and none can be set
+    multi = mode == MODE_MULTIINPUT
+    built = small_tournament(4, mode=mode, deposit_option=deposit_option, tau=3, t_commit=7)
+    for t in (built, load_tournament(dump_tournament(built))):
+        assert t.level_stride == level_stride(3, multi) == (4 if multi else 2) * 3
+        assert t.refund_time == (7 if deposit_option == DEPOSIT_HASHLOCKED else None)
+        assert t.stats is scaffold_stats(4, mode, deposit_option)
+        for name in ("level_stride", "refund_time", "stats"):
+            with pytest.raises(AttributeError):
+                setattr(t, name, getattr(t, name))
+    # materialized is false only where a plain scaffold is too large to write out
+    for n in (2, 4, 8, 16, 32, 64):
+        assert scaffold_stats(n, mode, deposit_option).materialized == (multi or n <= 8)
 
 
 def measured_worst_case_bytes(t, sig_model):
@@ -790,10 +799,6 @@ def test_verify_flags_schedule_tampering(plain4):
     t.kernels[KernelId(0, 0, 0)] = dataclasses.replace(k, t1=k.t1 + 1)
     assert "BadSchedule" in rules_of(verify_as_honest(t))
 
-    t = clone(plain4)
-    t.level_stride += 1
-    assert "BadSchedule" in rules_of(verify_as_honest(t))
-
 
 def test_verify_flags_timeout_tampering(plain4):
     t = clone(plain4)
@@ -857,13 +862,18 @@ def test_verify_flags_deposit_tampering(plain4):
     assert "BadDeposit" in rules_of(verify_as_honest(t))
 
 
-def test_verify_flags_late_refund_window():
+def test_verify_flags_a_late_refund_branch():
+    # the refund height lives in each hashlocked deposit's predicate, on chain
     t = clone(small_tournament(4, deposit_option=DEPOSIT_HASHLOCKED))
-    t.refund_time = t.t_commit + 5
-    found = verify_as_honest(t)
-    assert any(
-        v.rule == "BadDeposit" and "commit deadline" in v.detail for v in found
-    )
+    dep = t.deposit_bodies[2]
+    spend, refund = dep.outputs[0].predicate.branches
+    owner = KeySign(t.master_keys[2])
+    assert refund == AllOf((owner, AfterHeight(t.t_commit)))
+    late = dep.outputs[0]._replace(predicate=AnyOf((spend, AllOf((owner, AfterHeight(t.t_commit + 5))))))
+    t.deposit_bodies = t.deposit_bodies[:2] + (dep._replace(outputs=(late,)),) + t.deposit_bodies[3:]
+    assert verify_as_honest(t) == [
+        scaffold_module.Violation(None, "BadDeposit", "deposit 2 diverges from honest construction")
+    ]
 
 
 def test_verify_flags_stale_digests(plain4):
@@ -965,7 +975,6 @@ def test_json_round_trip_preserves_public_state(plain4):
 def test_dump_load_text_round_trip(multi8):
     text = dump_tournament(multi8)
     back = load_tournament(text)
-    assert back.stats.to_json() == multi8.stats.to_json()
     assert back.compressions.keys() == multi8.compressions.keys()
     assert verify_as_honest(back) == []
 
