@@ -88,7 +88,9 @@ from .scaffold import (
     multi_combo_index,
     num_levels,
     pack_index,
+    players_of,
     signing_ceremony,
+    winner_side,
 )
 from .strategies import (
     ALL_BACKENDS,
@@ -435,10 +437,12 @@ def _spends(body: TransactionBody) -> frozenset[OutputRef]:
 
 @dataclass
 class MatchRecord:
-    """A reached match: its kernel, that kernel's candidates and, once the
-    match has settled, its result (outcome index, winner, carrier ntxid)."""
+    """A reached match: its kernel, that kernel's (left, right) players and
+    candidates and, once the match has settled, its result (outcome index,
+    winner, carrier ntxid)."""
 
     kernel: Kernel
+    players: tuple[int, int]
     candidates: list[Candidate]
     result: Optional[tuple[int, int, bytes]] = None
 
@@ -454,7 +458,7 @@ class ScaffoldRuntime(Runtime):
     and that player's allies. A witness is built once per offer and asked
     only of the players who hold every preimage it opens. What the chain
     says of a match never changes once found, so a reached match keeps one
-    `MatchRecord`: the kernel it reached and its candidates, made by
+    `MatchRecord`: the kernel it reached, its players and its candidates, made by
     `_reach` once both child matches have settled, and its result, found
     by `_result` once the transaction carrying its pot on is on chain.
     """
@@ -533,7 +537,8 @@ class ScaffoldRuntime(Runtime):
     def _reach(self, level: int, match: int) -> Optional[MatchRecord]:
         """A match's record, made when play reaches it: at level 0, combo 0;
         above, once both child matches have settled, the kernel their results
-        enter. Its candidates are the kernel's `PLAYS` rows."""
+        enter. Its players are that kernel's, found once here, and its
+        candidates the kernel's `PLAYS` rows."""
         record = self._matches.get((level, match))
         if record is not None:
             return record
@@ -549,7 +554,8 @@ class ScaffoldRuntime(Runtime):
                 lk, rk = left.kernel.id.combo, right.kernel.id.combo
                 combo = pack_index(level, lk, left.result[0], rk, right.result[0])
         kernel = self.t.kernel(level, match, combo)
-        record = self._matches[(level, match)] = MatchRecord(kernel, self._rows(kernel))
+        players = players_of(self.cfg.n, level, match, combo, self.cfg.mode)
+        record = self._matches[(level, match)] = MatchRecord(kernel, players, self._rows(kernel, players))
         return record
 
     def _result(self, level: int, match: int) -> Optional[MatchRecord]:
@@ -563,7 +569,7 @@ class ScaffoldRuntime(Runtime):
         tx_idx = next((i for i, ntxid in enumerate(kernel.outcome_ntxids) if ntxid in entries), None)
         if tx_idx is None:
             return None
-        winner = kernel.left_player if tx_idx == 0 else kernel.right_player
+        winner = record.players[winner_side(tx_idx)]
         carrier = kernel.outcome_ntxids[tx_idx]
         if self._multi:
             comp = self.t.compressions[(level, match, winner)]
@@ -615,15 +621,17 @@ class ScaffoldRuntime(Runtime):
         out.sort(key=lambda c: (c.priority, c.level, c.match, c.ntxid))
         return out
 
-    def _rows(self, kernel: Kernel) -> list[Candidate]:
-        """A reached kernel's five candidates, one per `PLAYS` row."""
+    def _rows(self, kernel: Kernel, players: tuple[int, int]) -> list[Candidate]:
+        """A reached kernel's five candidates, one per `PLAYS` row, each
+        offered from its level's t0 or its locktime, whichever is later."""
         level, match, _ = kernel.id
+        t0 = self.t.schedule(level)[0]
         left, right = (SLOT_LEFT, kernel.left_commit), (SLOT_RIGHT, kernel.right_commit)
         opens = {(): (), (SIDE_LEFT,): (left,), (SIDE_LEFT, SIDE_RIGHT): (left, right)}
-        pays = {None: None, SIDE_LEFT: kernel.left_player, SIDE_RIGHT: kernel.right_player}
+        pays = {None: None, SIDE_LEFT: players[0], SIDE_RIGHT: players[1]}
         rows = [
             Candidate(
-                row.role, row.priority, level, match, ntxid, body, max(kernel.t0, body.locktime),
+                row.role, row.priority, level, match, ntxid, body, max(t0, body.locktime),
                 _spends(body), kernel, opens[row.opens], row.branch, pays[row.pays],
             )
             for row, body, ntxid in zip(PLAYS, kernel.bodies, kernel.ntxids)
@@ -680,7 +688,7 @@ class ScaffoldRuntime(Runtime):
                 if slot == SLOT_MPC:
                     return None
                 side = SIDE_SLOTS.index(slot)
-                holders = self.allies[(kernel.left_player, kernel.right_player)[side]]
+                holders = self.allies[self._matches[(cand.level, cand.match)].players[side]]
                 players = [p for p in players if p in holders]
                 pre = self.t.secret(kernel.id, side)
             preimages[slot] = pre
@@ -739,18 +747,15 @@ class ScaffoldRuntime(Runtime):
 
     def _drain(self, h: int) -> None:
         """Offer the candidates in order; after each accept, enumerate them again."""
-        while any(self._offer(cand, h) for cand in self._candidates(h) if h >= cand.not_before):
+        while any(self._offer(cand) for cand in self._candidates(h) if h >= cand.not_before):
             pass
 
-    def _offer(self, cand: Candidate, h: int) -> bool:
+    def _offer(self, cand: Candidate) -> bool:
         witness, players = self._witness(cand) or (None, ())
-        kernel = cand.kernel
-        left, right = (kernel.left_player, kernel.right_player) if kernel else (None, None)
+        left, right = self._matches[(cand.level, cand.match)].players if cand.kernel else (None, None)
         for player in players:
             view = BroadcastView(
-                player=player,
                 kind=cand.role,
-                height=h,
                 beneficiary=cand.beneficiary,
                 left_player=left,
                 right_player=right,

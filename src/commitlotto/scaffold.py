@@ -18,8 +18,12 @@ pair of candidate identities, 4^l per match.
 Everything here is built unsigned, and NTXIDs never cover witness data.
 No record takes an id: a compression is its body, and kernels and
 deposits derive theirs from their bodies (`TransactionBody.digests`), so
-none can disagree. A kernel is a pure function of the public parameters,
-its two commitments and its two stake refs, and a compression of the
+none can disagree. Nor does a record hold a fact its key and the
+parameters fix: a kernel is its id, its two commitments and its five
+bodies, and its players, heights and pot are `players_of` its id,
+`Tournament.schedule` of its level and `(2 << level) * bet`. A kernel is
+a pure function of the public parameters, its two commitments and its
+two stake refs, and a compression of the
 outcome ntxids that pay its candidate, so `Tournament.kernels` and
 `Tournament.compressions` build each entry the first time it is read,
 with what it spends, and keep it (`LazyTable`). A trial builds only what
@@ -241,18 +245,16 @@ def joint_preimage(n: int, rng: Rng) -> bytes:
 
 @dataclass(frozen=True)
 class Kernel:
-    """One five-transaction match kernel, fully wired and unsigned. Its ids are
-    not arguments: each is derived from its body, also by `dataclasses.replace`."""
+    """One five-transaction match kernel, fully wired and unsigned: its id,
+    its two commitment digests and its bodies. Its ids are not arguments:
+    each is derived from its body, also by `dataclasses.replace`. What the
+    id fixes is not held: the players are `players_of` the id, the heights
+    the level's `Tournament.schedule`, and t1, t2 and the pot are in the
+    bodies' locktimes, predicates and output values."""
 
     id: KernelId
-    left_player: int
-    right_player: int
     left_commit: bytes
     right_commit: bytes
-    t0: int
-    t1: int
-    t2: int
-    pot: int
     entry_tx: TransactionBody
     reveal_tx: TransactionBody
     outcome_txs: tuple[TransactionBody, TransactionBody, TransactionBody]
@@ -302,9 +304,10 @@ class Tournament:
     and kernels contribute, so they grow with the tables. No id is an
     argument: `deposit_ntxids` is derived from `deposit_bodies` whenever
     they are set, the kernels derive theirs, and a compression is its body.
-    Nor is any fact that the parameters fix: `level_stride`, `refund_time`
-    and `stats` are derived from them when read, so none is stored,
-    written to a file or checked by `verify_as_honest`.
+    Nor is any fact that the parameters fix: `level_stride`, `refund_time`,
+    `stats` and `schedule`, and a kernel's players and pot, are derived
+    from them when read, so none is stored, written to a file or checked
+    by `verify_as_honest`.
     """
 
     mode: str
@@ -616,27 +619,30 @@ class _HonestWiring:
                 entry = memo[key] = self.compression(*key)
         return entry
 
-    def _stake_ref(self, kid: KernelId, side: int, player: int) -> OutputRef:
-        """Where the stake of `player`, on one side of kernel `kid`, lives."""
+    def _stake_ref(self, kid: KernelId, side: int) -> OutputRef:
+        """Where the stake on one side of kernel `kid` lives: plain, above
+        level 0, the child outcome its combination names; otherwise the
+        deposit output or the child compression of that side's player."""
         level, match, combo = kid
-        if level == 0:
-            if self.deposit_option == DEPOSIT_ATOMIC:
-                return OutputRef(self.deposit_ntxids[0], player)
-            return OutputRef(self.deposit_ntxids[player], 0)
         child_match = 2 * match + side
-        if self.mode == MODE_MULTIINPUT:
+        if level > 0 and self.mode == MODE_PLAIN:
+            lk, lt, rk, rt = unpack_index(level, match, combo)
+            child_kernel, child_tx = (lk, lt) if side == SIDE_LEFT else (rk, rt)
+            child = self.get(KERNELS, KernelId(level - 1, child_match, child_kernel))
+            return OutputRef(child.outcome_ntxids[child_tx], 0)
+        player = players_of(self.n, *kid, self.mode)[side]
+        if level > 0:
             return OutputRef(self.get(COMPRESSIONS, (level - 1, child_match, player)).digests[0], 0)
-        lk, lt, rk, rt = unpack_index(level, match, combo)
-        child_kernel, child_tx = (lk, lt) if side == SIDE_LEFT else (rk, rt)
-        child = self.get(KERNELS, KernelId(level - 1, child_match, child_kernel))
-        return OutputRef(child.outcome_ntxids[child_tx], 0)
+        if self.deposit_option == DEPOSIT_ATOMIC:
+            return OutputRef(self.deposit_ntxids[0], player)
+        return OutputRef(self.deposit_ntxids[player], 0)
 
     def kernel(self, kid: KernelId) -> Kernel:
         level = kid.level
-        t0, t1, t2 = level_schedule(self.t_commit, self.stride, self.tau, level)
-        pot = (1 << (level + 1)) * self.bet
-        last = level == self.levels - 1 and self.mode == MODE_PLAIN  # multiinput pays out in the compression
-        left, right = players_of(self.n, *kid, self.mode)
+        _t0, t1, t2 = level_schedule(self.t_commit, self.stride, self.tau, level)
+        pays = (self.master, self.master)
+        if level == self.levels - 1 and self.mode == MODE_PLAIN:  # multiinput pays out in the compression
+            pays = tuple(KeySign(self.keys[p]) for p in players_of(self.n, *kid, self.mode))
         left_commit, right_commit = self.commits(kid)
         bodies = _kernel_bodies(
             self.master,
@@ -644,25 +650,13 @@ class _HonestWiring:
             right_commit,
             t1,
             t2,
-            pot,
-            self._stake_ref(kid, SIDE_LEFT, left),
-            self._stake_ref(kid, SIDE_RIGHT, right),
-            _payout(self.master, self.keys[left], last),
-            _payout(self.master, self.keys[right], last),
+            (1 << (level + 1)) * self.bet,
+            self._stake_ref(kid, SIDE_LEFT),
+            self._stake_ref(kid, SIDE_RIGHT),
+            *pays,
         )
         self.scaffold_digests.update(b.digests[1] for b in bodies)
-        return _kernel(
-            bodies,
-            id=kid,
-            left_player=left,
-            right_player=right,
-            left_commit=left_commit,
-            right_commit=right_commit,
-            t0=t0,
-            t1=t1,
-            t2=t2,
-            pot=pot,
-        )
+        return _kernel(bodies, id=kid, left_commit=left_commit, right_commit=right_commit)
 
     def compression(self, level: int, match: int, cand: int) -> TransactionBody:
         """The multiinput compression paying `cand`: it spends every outcome
@@ -955,11 +949,15 @@ def verify_as_honest(t: Tournament) -> list[Violation]:
     Everything except the secret preimages is public, so the verifier runs
     honest construction on the tournament's own parameters and the
     commitment digests it carries, then flags every divergence: rewired
-    inputs, altered schedules or predicates (a deposit's refund height
-    included), wrong payout keys, and duplicated commitment digests (the
+    inputs, altered locktimes or predicates (a deposit's refund height
+    included), pots or payout keys, and duplicated commitment digests (the
     replay defense). What the parameters fix (`level_stride`,
-    `refund_time`, `stats`) is derived, not carried, so there is no copy
-    of it to check. A scaffold too large to write out is refused as it
+    `refund_time`, `stats`, and each kernel's players, heights and pot) is
+    derived, not carried, so there is no copy of it to check: a kernel's
+    t1 and t2 are in its bodies' locktimes and `AfterHeight` predicates,
+    its pot in their output values and its payees in the `KeySign`
+    payouts, all compared body by body, and t0 is in no body at all.
+    A scaffold too large to write out is refused as it
     stands, before anything is rebuilt. An empty list means the scaffold
     is safe to sign, from every seat.
     """
@@ -1003,17 +1001,6 @@ def verify_as_honest(t: Tournament) -> list[Violation]:
                 v.append(Violation(kid, "DuplicateCommitment", detail))
             else:
                 seen[digest] = (kid, side)
-
-    for kid in sorted(h.kernels):
-        k, honest = t.kernels[kid], h.kernels[kid]
-        for rule, what, got, want in (
-            ("BadSchedule", "timeouts", (k.t0, k.t1, k.t2), (honest.t0, honest.t1, honest.t2)),
-            ("BadPlayers", "players", (k.left_player, k.right_player),
-             (honest.left_player, honest.right_player)),
-            ("BadScript", "pot", k.pot, honest.pot),
-        ):
-            if got != want:
-                v.append(Violation(kid, rule, f"{what} {got} != {want}"))
 
     # The ceremony approves the digest registry, so it must be that of the
     # stored bodies, or signing would cover something other than what was checked.
@@ -1126,11 +1113,11 @@ def signing_ceremony(
 # serialization
 
 
-# v2 drops v1's `level_stride`, `refund_time` and `stats`, which the parameters fix
-FORMAT_TAG = "tournament-scaffold-v2"
+# v2 drops v1's `level_stride`, `refund_time` and `stats`, and v3 each
+# kernel's players, heights and pot: the parameters fix them all
+FORMAT_TAG = "tournament-scaffold-v3"
 # integer fields stored in the JSON under their attribute names
 _SCAFFOLD_INTS = ("n", "bet", "tau", "t_commit")
-_KERNEL_INTS = ("left_player", "right_player", "t0", "t1", "t2", "pot")
 
 
 def tournament_to_json(t: Tournament) -> dict:
@@ -1139,7 +1126,6 @@ def tournament_to_json(t: Tournament) -> dict:
     kernels = [
         {
             **kid._asdict(),
-            **{name: getattr(k, name) for name in _KERNEL_INTS},
             "left_commit": k.left_commit.hex(),
             "right_commit": k.right_commit.hex(),
             "entry": body_to_json(k.entry_tx),
@@ -1197,7 +1183,6 @@ def tournament_from_json(obj: dict) -> Tournament:
             id=kid,
             left_commit=field_of("left_commit", bytes),
             right_commit=field_of("right_commit", bytes),
-            **{name: field_of(name, int) for name in _KERNEL_INTS},
         )
     compressions = {}
     for i, rec in enumerate(json_value(obj.get("compressions", []), list, "scaffold.compressions")):

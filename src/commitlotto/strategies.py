@@ -82,9 +82,7 @@ class BroadcastView:
     an outcome, and None otherwise.
     """
 
-    player: int
     kind: str
-    height: int
     beneficiary: Optional[int]
     left_player: Optional[int]
     right_player: Optional[int]

@@ -113,23 +113,42 @@ def test_verify_rejects_doctored_scaffold(capsys, scaffold_file, tmp_path):
     assert "do not sign" in err
 
 
-# sha256 of the version-1 file `build --n 4 --scaffold-out` wrote while a
-# scaffold file also stored its level stride, refund time and stats
-V1_PLAIN4_DIGEST = "6e5166a9d8d7d6d9b6d5b988936db5699240f04b10d2d2dcf5371bc2e1ca96cd"
+# sha256 of files `build --scaffold-out` wrote in older formats: versions 1
+# and 2 also stored each kernel's players, heights and pot, and version 1
+# the level stride, refund time and stats; the version-2 digests are the
+# ones the workflow pinned then
+OLD_SCAFFOLD_FILES = {
+    "v1-plain4": (1, "plain4", "6e5166a9d8d7d6d9b6d5b988936db5699240f04b10d2d2dcf5371bc2e1ca96cd"),
+    "v2-plain4": (2, "plain4", "b44038aeaf82dadd7215524125224d07772525b4ecebf4c85d7b662bba9fe94e"),
+    "v2-multi8": (2, "multi8", "704fda7493bf9af86d27ea5f55d55921637077c80fabdc865f12a0e07e8b0b7c"),
+}
 
 
-def test_verify_refuses_a_version_1_scaffold_file(capsys, scaffold_file, tmp_path):
-    # a version-1 file is the version-2 one plus three keys under the old tag
-    doc = json.loads(scaffold_file.read_text())
-    stats = json.loads(run_cli(capsys, "build", "--n", "4")[1])["stats"]
-    doc.update(format="tournament-scaffold-v1", level_stride=12, refund_time=None, stats=stats)
+@pytest.mark.parametrize("old", sorted(OLD_SCAFFOLD_FILES))
+def test_verify_refuses_a_version_1_scaffold_file(capsys, tmp_path, old):
+    # an older file is the current one plus what the parameters fix, under
+    # its old tag; that it hashes to the old pin shows the derived facts
+    # are the ones a file used to store
+    version, name, digest = OLD_SCAFFOLD_FILES[old]
+    path = tmp_path / f"{name}.json"
+    argv = ("--out", str(tmp_path / "s.json"), "--scaffold-out", str(path))
+    assert run_cli(capsys, "build", *WORKFLOW_SCAFFOLD_GOLDEN[name][0], *argv)[0] == 0
+    doc = json.loads(path.read_text())
+    t = load_tournament(path.read_text())
+    for k in doc["kernels"]:
+        kid = (k["level"], k["match"], k["combo"])
+        k["left_player"], k["right_player"] = scaffold.players_of(t.n, *kid, t.mode)
+        k["t0"], k["t1"], k["t2"] = t.schedule(k["level"])
+        k["pot"] = (2 << k["level"]) * t.bet
+    if version == 1:
+        doc.update(level_stride=t.level_stride, refund_time=t.refund_time, stats=t.stats.to_json())
+    doc["format"] = f"tournament-scaffold-v{version}"
     text = json.dumps(doc, indent=2, sort_keys=True) + "\n"
-    assert hashlib.sha256(text.encode()).hexdigest() == V1_PLAIN4_DIGEST
-    old = tmp_path / "v1.json"
-    old.write_text(text)
-    code, out, err = run_cli(capsys, "verify", str(old))
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
+    path.write_text(text)
+    code, out, err = run_cli(capsys, "verify", str(path))
     assert (code, out) == (2, "")
-    assert err == "error: not a scaffold file (format 'tournament-scaffold-v1')\n"
+    assert err == f"error: not a scaffold file (format 'tournament-scaffold-v{version}')\n"
 
 
 def _repeat_a_funding_ref(doc):
@@ -598,17 +617,17 @@ def test_statistics_only_branches_reject_bad_input(capsys, command, flag):
 
 
 # sha256 of each scaffold file the workflow builds and verifies, recorded
-# when the format became version 2: each is the version-1 file minus its
-# level_stride, refund_time and stats, under the new format tag
+# when the format became version 3: each is the version-2 file minus each
+# kernel's players, heights and pot, under the new format tag
 WORKFLOW_SCAFFOLD_GOLDEN = {
-    "plain4": (("--n", "4"), "b44038aeaf82dadd7215524125224d07772525b4ecebf4c85d7b662bba9fe94e"),
+    "plain4": (("--n", "4"), "59aafba1e228e2d7594cde60eccfc1d02a1afa12ce0f8688090d7e89a28535c8"),
     "multi8": (
         ("--n", "8", "--mode", "multiinput", "--deposit", "hashlocked"),
-        "704fda7493bf9af86d27ea5f55d55921637077c80fabdc865f12a0e07e8b0b7c",
+        "d8f167769ff76165667ed3d4ff50d9e795583cce379472e4a5b1b3490d4b4370",
     ),
     "multi16": (
         ("--n", "16", "--mode", "multiinput", "--deposit", "hashlocked"),
-        "caabdb449c1b0808bcedd82d12dbb580412892956a4db258db80fc984441955e",
+        "1f58d187631f9f6abe928967950cefb4cd4aba47dd8d0d709ef580d6aa9ea837",
     ),
 }
 

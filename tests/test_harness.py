@@ -26,8 +26,10 @@ from commitlotto.scaffold import (
     SIG_MODELS,
     auth_bytes,
     iter_bodies,
+    players_of,
     scaffold_stats,
     signing_ceremony,
+    winner_side,
 )
 from commitlotto.script import InputWitness, KeySign, Witness, parity_bit
 from commitlotto.strategies import BTC_MULTI, Strategy, make_strategy, strategy_names
@@ -699,7 +701,7 @@ def test_a_forged_outcome_is_encoded_afresh_and_rejected():
     k = rt.t.kernel(0, 0, 0)
     genuine = k.outcome_txs[0]
     assert k.reveal_ntxid in rt.chain.entries and k.outcome_ntxids[0] not in rt.chain.entries
-    thief = KeySign(rt.keys[k.right_player])
+    thief = KeySign(rt.keys[players_of(4, 0, 0, 0)[1]])
     forged = genuine._replace(outputs=(genuine.outputs[0]._replace(predicate=thief),))
     assert "digests" not in vars(forged)
     timed_out = Witness((InputWitness(rt.keys, {}, 1, None),))  # the reveal's timeout branch
@@ -990,18 +992,18 @@ def test_chain_logs_match_the_golden_digests(backend, n, deposit_option):
 
 
 # sha256 over every offer `record_offers` sees (the view's repr, the answer and
-# the chain log's length) in the first three trials of each mix in order,
-# recorded before the scaffold runtime kept one record per reached match; it
-# pins declined offers too, which no chain log shows
+# the chain log's length) in the first three trials of each mix in order; it
+# pins declined offers too, which no chain log shows. Re-recorded when the
+# view lost its unread `player` and `height`, with only that deletion applied
 OFFER_GOLDEN = {
-    (BTC_MULTI, 4, "atomic"): "28d8ac1d6841309f10f5d216abbca5f6a6773fdbdf48954dcf30fe396ae8ed92",
-    (BTC_MULTI, 4, "hashlocked"): "b5f754d06a55fe6954ef54840480bb3a77958eacd5019e4722605b07b913d846",
-    (BTC_MULTI, 8, "atomic"): "defed4509127072842c275e5f24f3096de8e19bcc5ece7af021b06871e335846",
-    (BTC_MULTI, 8, "hashlocked"): "b4ea3255dcb024a1cd2b9cc97a6c7aa418282fda81b38ecf1ca27f6cdda7d498",
-    (BTC_PLAIN, 4, "atomic"): "ce839023ddd7ec5a374e762cc1e7b1c310db1b9f4a154352e18aaa70f37ad102",
-    (BTC_PLAIN, 4, "hashlocked"): "5c6957f9ef211173e27f571c4e5b6a8dcef500dae0d05a81336637bf613887d9",
-    (BTC_PLAIN, 8, "atomic"): "8bccf10ca390a2f35323775740c2042344f66801008c2de9c0e5919efc093a83",
-    (BTC_PLAIN, 8, "hashlocked"): "95b3196949a6a981a6130fc4274352ab25837e802ae40ae4fc5a90ba1188673f",
+    (BTC_MULTI, 4, "atomic"): "ed2f58969da59a2afb7fd16952d39f080d50dcbb84a4ab09bf767820242a7691",
+    (BTC_MULTI, 4, "hashlocked"): "2c9056942626e72962ae537504a0e77eebdbe7a570ebbbddbfd28319a41ad6b5",
+    (BTC_MULTI, 8, "atomic"): "ab55d760669c89a6bac42638f14da6f6bbba2ec8c97257e40b4c946fe8a44dd7",
+    (BTC_MULTI, 8, "hashlocked"): "4e1867bc0cdc3404032e0b49da6c2da7e3dd281f021516da9f863f54f9a25d5c",
+    (BTC_PLAIN, 4, "atomic"): "99b3bd373a60febff1006c93a3ad85e720e3d87b25fc2c85392f7f664d822ff5",
+    (BTC_PLAIN, 4, "hashlocked"): "4629574bdedf542d515a0d4e0953e723260682a187cb3690739c07e5dd89cbbf",
+    (BTC_PLAIN, 8, "atomic"): "9327376ce87181a7cddc9f4a76fc20e4feedb6b8e7db5fe6e82eacc6d37ff38f",
+    (BTC_PLAIN, 8, "hashlocked"): "673c5d4ef8ab979efcdd403b199ee5ebbb925e0c763c2e5eaaa4880ca26f5d01",
 }
 
 
@@ -1019,7 +1021,7 @@ def test_offer_sequences_match_the_golden_digests(backend, n, deposit_option):
             rt = ScaffoldRuntime(c, trial_rng(c.master_seed, i), i)
             offers = record_offers(rt)
             rt.run()
-            for view, answer, length in offers:
+            for _, view, answer, length in offers:
                 digest.update(f"{view!r} {answer} {length}\n".encode())
     assert digest.hexdigest() == OFFER_GOLDEN[(backend, n, deposit_option)]
 
@@ -1034,9 +1036,10 @@ def seats_with_every_preimage(rt, cand):
         if pre is not None or cand.kernel is None:
             return pre
         k, allies = cand.kernel, rt.allies[player]
-        if digest == k.left_commit and k.left_player in allies:
+        left, right = players_of(rt.cfg.n, *k.id, rt.cfg.mode)
+        if digest == k.left_commit and left in allies:
             return rt.t.secret(k.id, SIDE_LEFT)
-        if digest == k.right_commit and k.right_player in allies:
+        if digest == k.right_commit and right in allies:
             return rt.t.secret(k.id, SIDE_RIGHT)
         return None
 
@@ -1117,13 +1120,13 @@ def test_vm_traces_match_the_golden_digests(n):
 
 
 def record_offers(rt):
-    """Wrap every strategy's broadcast hook; each offer is kept as
-    (view, its answer, the chain log's length when it was made)."""
+    """Wrap every strategy's broadcast hook; each offer is kept as (the seat
+    asked, the view, its answer, the chain log's length when it was made)."""
     offers = []
-    for strat in rt.strats:
-        def at_broadcast(view, decide=strat.at_broadcast):
+    for seat, strat in enumerate(rt.strats):
+        def at_broadcast(view, decide=strat.at_broadcast, seat=seat):
             answer = decide(view)
-            offers.append((view, answer, len(rt.chain.log)))
+            offers.append((seat, view, answer, len(rt.chain.log)))
             return answer
         strat.at_broadcast = at_broadcast
     return offers
@@ -1132,10 +1135,10 @@ def record_offers(rt):
 def accepted_offers(rt, offers):
     """(view, log entry) of every offer the chain accepted: an accepted
     offer ends a pass, so the next offer sees the log one entry longer."""
-    lengths = [length for _, _, length in offers[1:]] + [len(rt.chain.log)]
+    lengths = [length for *_, length in offers[1:]] + [len(rt.chain.log)]
     return [
         (view, rt.chain.log[length])
-        for (view, answer, length), after in zip(offers, lengths)
+        for (_, view, answer, length), after in zip(offers, lengths)
         if answer and after == length + 1
     ]
 
@@ -1164,16 +1167,19 @@ def test_broadcast_views_name_who_a_transaction_pays_and_who_plays(
     rt.run()
     t = rt.t
     hashlocked = deposit_option == "hashlocked"
-    on_chain = [k for k in t.kernels.values() if k.entry_ntxid in rt.chain.entries]
-    pairs = {(k.left_player, k.right_player) for k in on_chain}
+    on_chain = {
+        kid: players_of(n, *kid, t.mode) for kid, k in t.kernels.items()
+        if k.entry_ntxid in rt.chain.entries
+    }
+    pairs = set(on_chain.values())
     winners = {
-        k.left_player if i == 0 else k.right_player
-        for k in on_chain
-        for i, ntxid in enumerate(k.outcome_ntxids)
+        pair[winner_side(i)]
+        for kid, pair in on_chain.items()
+        for i, ntxid in enumerate(t.kernels[kid].outcome_ntxids)
         if ntxid in rt.chain.entries
     }
     paid_side = {"outcome-a": 0, "outcome-b": 1, "outcome-bp": 1}  # entry and reveal pay no one
-    for view, _, _ in offers:
+    for seat, view, _, _ in offers:
         if view.kind in KERNEL_KINDS:
             players = (view.left_player, view.right_player)
             assert players in pairs
@@ -1184,7 +1190,7 @@ def test_broadcast_views_name_who_a_transaction_pays_and_who_plays(
         if view.kind == "compression":
             assert view.beneficiary in winners
         elif view.kind == "refund" or (view.kind == "deposit" and hashlocked):
-            assert view.beneficiary == view.player  # only the owner can sign it
+            assert view.beneficiary == seat  # only the owner can sign it
         else:
             assert view.kind == "deposit" and view.beneficiary is None
     # every accepted offer names the parties of the transaction that landed
@@ -1204,8 +1210,8 @@ def test_broadcast_views_name_who_a_transaction_pays_and_who_plays(
         elif item.role == "compression":
             assert view.beneficiary == item.key[2]
         else:
-            k = t.kernels[item.key]
-            assert (view.left_player, view.right_player) == (k.left_player, k.right_player)
-            assert view.beneficiary in (None, k.left_player, k.right_player)
-    assert {view.kind for view, _, _ in offers} == offered
+            pair = players_of(n, *item.key, t.mode)
+            assert (view.left_player, view.right_player) == pair
+            assert view.beneficiary in (None, *pair)
+    assert {view.kind for _, view, _, _ in offers} == offered
     assert kinds <= offered and "deposit" in kinds

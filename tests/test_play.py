@@ -21,6 +21,7 @@ from commitlotto.scaffold import (
     SLOT_LEFT,
     SLOT_MPC,
     SLOT_RIGHT,
+    players_of,
 )
 
 # The reference: `ScaffoldRuntime._play` as it stood when `OFFER_GOLDEN`
@@ -36,9 +37,10 @@ def ref_play(rt, kernel, row, body, ntxid):
     branch = row.branch
     if row.role == ROLE_ENTRY and level == 0 and rt.mpc is not None:
         opens, branch = ((SLOT_MPC, rt.t.mpc_digest),), BRANCH_DEPOSIT_SPEND
-    players = (kernel.left_player, kernel.right_player)
+    players = players_of(rt.cfg.n, *kernel.id, rt.cfg.mode)
+    t0 = rt.t.schedule(level)[0]
     return Candidate(
-        row.role, row.priority, level, match, ntxid, body, max(kernel.t0, body.locktime),
+        row.role, row.priority, level, match, ntxid, body, max(t0, body.locktime),
         frozenset(spec.ref for spec in body.inputs), kernel, opens, branch,
         None if row.pays is None else players[row.pays],
     )

@@ -50,3 +50,31 @@ def test_every_kept_name_is_defined_and_still_unreached():
     # a kept name that the package starts to use, or deletes, leaves the list
     defined, used = definitions_and_uses()
     assert {name for name in KEEP if name in defined and name not in used} == set(KEEP)
+
+
+# the views a strategy is asked with; `SigningView` lives in `scaffold` and
+# carries the whole tournament for a verifying signer
+VIEWS = ("CommitView", "OpenView", "BroadcastView")
+
+
+def test_every_view_field_is_read_by_a_strategy():
+    # "a view carries only what some strategy reads": a runtime passes view
+    # fields by keyword, so the name-based check above cannot see them
+    tree = ast.parse((PACKAGE / "strategies.py").read_text())
+    fields = {
+        f"{node.name}.{stmt.target.id}": stmt.target.id
+        for node in tree.body
+        if isinstance(node, ast.ClassDef) and node.name in VIEWS
+        for stmt in node.body
+        if isinstance(stmt, ast.AnnAssign)
+    }
+    assert {name.split(".")[0] for name in fields} == set(VIEWS)
+    read = {
+        node.attr
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute)
+        and isinstance(node.value, ast.Name)
+        and node.value.id == "view"
+    }
+    unread = sorted(name for name, attr in fields.items() if attr not in read)
+    assert not unread, f"no strategy reads {unread}"

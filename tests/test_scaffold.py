@@ -336,8 +336,9 @@ def test_schedule_and_stride(plain4, multi8):
                 t.t_commit + t.level_stride * level + t.tau,
                 t.t_commit + t.level_stride * level + 2 * t.tau,
             )
+            # a kernel holds no heights: t1 and t2 are its outcomes' locktimes
             k = t.kernel(level, 0, 0)
-            assert (k.t0, k.t1, k.t2) == (t0, t1, t2)
+            assert (k.outcome_txs[1].locktime, k.outcome_txs[0].locktime) == (t1, t2)
 
 
 def test_kernel_wiring_plain(plain4):
@@ -352,15 +353,13 @@ def test_kernel_wiring_plain(plain4):
     assert refs[0].txid == compute_ntxid(left_child.outcome_txs[lt])
     assert refs[1].txid == compute_ntxid(right_child.outcome_txs[rt])
     # pot doubles per level, outcomes each pay the full pot to one side
-    assert k.pot == 4 * plain4.bet
     for tx in k.outcome_txs:
-        assert sum(o.value for o in tx.outputs) == k.pot
+        assert sum(o.value for o in tx.outputs) == 4 * plain4.bet
 
 
 def test_final_level_outcomes_pay_single_key(plain4):
     k = plain4.kernel(1, 0, 0)
-    left_key = plain4.master_keys[k.left_player]
-    right_key = plain4.master_keys[k.right_player]
+    left_key, right_key = (plain4.master_keys[p] for p in players_of(4, 1, 0, 0))
     assert k.outcome_txs[0].outputs[0].predicate == KeySign(left_key)
     assert k.outcome_txs[1].outputs[0].predicate == KeySign(right_key)
     assert k.outcome_txs[2].outputs[0].predicate == KeySign(right_key)
@@ -368,8 +367,9 @@ def test_final_level_outcomes_pay_single_key(plain4):
 
 def test_outcome_locktimes_follow_kernel_windows(plain4):
     for k in plain4.kernels.values():
-        assert k.outcome_txs[0].locktime == k.t2  # left wins by waiting out t2
-        assert k.outcome_txs[1].locktime == k.t1  # right wins on silence at t1
+        _, t1, t2 = plain4.schedule(k.id.level)
+        assert k.outcome_txs[0].locktime == t2  # left wins by waiting out t2
+        assert k.outcome_txs[1].locktime == t1  # right wins on silence at t1
         assert k.outcome_txs[2].locktime == 0  # parity win is immediate
         assert k.entry_tx.locktime == 0  # entries gate on availability, not height
 
@@ -793,13 +793,6 @@ def test_verify_flags_duplicate_commitment(plain4):
     assert "DuplicateCommitment" in rules_of(verify_as_honest(t))
 
 
-def test_verify_flags_schedule_tampering(plain4):
-    t = clone(plain4)
-    k = t.kernels[KernelId(0, 0, 0)]
-    t.kernels[KernelId(0, 0, 0)] = dataclasses.replace(k, t1=k.t1 + 1)
-    assert "BadSchedule" in rules_of(verify_as_honest(t))
-
-
 def test_verify_flags_timeout_tampering(plain4):
     t = clone(plain4)
     k = t.kernels[KernelId(0, 0, 0)]
@@ -832,7 +825,7 @@ def test_verify_flags_payout_redirection(plain4):
     stolen = k.outcome_txs[1]._replace(
         outputs=(
             k.outcome_txs[1].outputs[0]._replace(
-                predicate=KeySign(t.master_keys[k.left_player])
+                predicate=KeySign(t.master_keys[players_of(4, *k.id)[0]])
             ),
         )
     )
@@ -939,15 +932,6 @@ def test_verify_flags_every_tampered_body(mode, deposit_option):
         rules = rules_of(verify_as_honest(bad))
         assert expected.get(item.role, "BadTimeout") in rules, (item.role, item.key, rules)
     assert verify_as_honest(t) == []
-
-
-def test_verify_flags_swapped_players(plain4):
-    t = clone(plain4)
-    k = t.kernels[KernelId(1, 0, 4)]
-    t.kernels[KernelId(1, 0, 4)] = dataclasses.replace(
-        k, left_player=k.right_player, right_player=k.left_player
-    )
-    assert rules_of(verify_as_honest(t)) == {"BadPlayers"}
 
 
 def test_verify_rejects_bad_player_count():
