@@ -18,8 +18,11 @@ from __future__ import annotations
 import json
 from typing import NamedTuple, Optional, Union
 
-from .primitives import NULL_TXID, OutputRef, json_field, lp_bytes, sha256, u32, u64
+from .primitives import (
+    NULL_TXID, REF_JSON, ListOf, Nullable, OutputRef, Record, Tagged, lp_bytes, sha256, to_json, u32, u64,
+)
 from .script import (
+    PREDICATE_JSON,
     EvalContext,
     KeySign,
     Predicate,
@@ -27,8 +30,6 @@ from .script import (
     Witness,
     evaluate_explain,
     predicate_bytes,
-    predicate_from_json,
-    predicate_to_json,
 )
 
 # rejection reasons
@@ -50,6 +51,12 @@ class MultiInput(NamedTuple):
 
 TxInput = Union[FixedInput, MultiInput]
 
+# a fixed input's record holds its ref's fields, beside "kind": "fixed"
+INPUT_JSON = Tagged("kind", {
+    "fixed": (FixedInput, Record(REF_JSON.fields, lambda *ref: FixedInput(OutputRef(*ref)), lambda i: i.ref)),
+    "multi": (MultiInput, Record({"refs": ListOf(REF_JSON)}, MultiInput)),
+})
+
 
 def multi_input(refs) -> MultiInput:
     """Normalize a candidate set: sorted, deduplicated, non-empty."""
@@ -62,6 +69,9 @@ def multi_input(refs) -> MultiInput:
 class TxOutput(NamedTuple):
     value: int
     predicate: Predicate
+
+
+OUTPUT_JSON = Record({"value": int, "predicate": PREDICATE_JSON}, TxOutput)
 
 
 class _BodyFields(NamedTuple):
@@ -118,6 +128,11 @@ class TransactionBody(_BodyFields):
         raise AttributeError(f"TransactionBody is immutable: cannot set {name!r}")
 
 
+BODY_JSON = Record(
+    {"inputs": ListOf(INPUT_JSON), "outputs": ListOf(OUTPUT_JSON), "locktime": int}, TransactionBody
+)
+
+
 def body_bytes(body: TransactionBody) -> bytes:
     """Canonical serialization: the counts, each input and output as one part, the locktime."""
     parts = [u32(len(body.inputs))]
@@ -142,46 +157,6 @@ def compute_ntxid(body: TransactionBody) -> bytes:
 def sig_digest_for(body: TransactionBody) -> bytes:
     """Digest a signer commits to when authorizing any input of a body."""
     return body.digests[1]
-
-
-def body_to_json(body: TransactionBody) -> dict:
-    inputs = [
-        {"kind": "fixed", **spec.ref.to_json()}
-        if isinstance(spec, FixedInput)
-        else {"kind": "multi", "refs": [r.to_json() for r in spec.refs]}
-        for spec in body.inputs
-    ]
-    return {
-        "inputs": inputs,
-        "outputs": [
-            {"value": out.value, "predicate": predicate_to_json(out.predicate)}
-            for out in body.outputs
-        ],
-        "locktime": body.locktime,
-    }
-
-
-def body_from_json(obj: dict, where: str = "body") -> TransactionBody:
-    """Decode `body_to_json` output; malformed input raises ValueError naming `where`."""
-    inputs: list[TxInput] = []
-    for i, spec in enumerate(json_field(obj, "inputs", list, where)):
-        at = f"{where}.inputs[{i}]"
-        kind = json_field(spec, "kind", str, at)
-        if kind == "fixed":
-            inputs.append(FixedInput(OutputRef.from_json(spec, at)))
-        elif kind == "multi":
-            refs = json_field(spec, "refs", list, at)
-            inputs.append(
-                MultiInput(tuple(OutputRef.from_json(r, f"{at}.refs[{j}]") for j, r in enumerate(refs)))
-            )
-        else:
-            raise ValueError(f"{at}.kind: unknown input kind {kind!r}")
-    outputs = []
-    for i, out in enumerate(json_field(obj, "outputs", list, where)):
-        at = f"{where}.outputs[{i}]"
-        pred = predicate_from_json(json_field(out, "predicate", dict, at), f"{at}.predicate")
-        outputs.append(TxOutput(json_field(out, "value", int, at), pred))
-    return TransactionBody(tuple(inputs), tuple(outputs), json_field(obj, "locktime", int, where))
 
 
 class SubmitResult(NamedTuple):
@@ -378,13 +353,13 @@ def _log_entry_json(entry: LogEntry) -> dict:
                 "signatures": len(iw.signatures),
                 "preimage_slots": sorted(iw.preimages.keys()),
                 "branch": iw.branch,
-                "chosen_ref": iw.chosen_ref.to_json() if iw.chosen_ref else None,
+                "chosen_ref": to_json(iw.chosen_ref, Nullable(REF_JSON)),
             }
             for iw in entry.witness.inputs
         ]
     return {
         "ntxid": entry.ntxid.hex(),
         "height": entry.height,
-        **body_to_json(entry.body),
+        **to_json(entry.body, BODY_JSON),
         "witness": summary,
     }

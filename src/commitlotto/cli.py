@@ -85,16 +85,16 @@ def _build_scaffold(args):
 def _add_bracket_args(p: argparse.ArgumentParser):
     """The bracket's size, schedule and deposits, which build, run, sweep and costs take."""
     p.add_argument("--n", type=int, default=4, help="player count (power of two)")
-    p.add_argument("--tau", type=int, default=6, help="timeout period in heights")
-    p.add_argument("--t-commit", type=int, default=10, help="height the bracket starts")
+    p.add_argument("--tau", type=int, default=ScenarioConfig.tau, help="timeout period in heights")
+    p.add_argument("--t-commit", type=int, default=ScenarioConfig.t_commit, help="height the bracket starts")
     p.add_argument("--deposit", choices=(DEPOSIT_ATOMIC, DEPOSIT_HASHLOCKED), default=DEPOSIT_ATOMIC)
 
 
 def _add_seeded_bracket_args(p: argparse.ArgumentParser):
     """The bracket's flags plus the bet and the seed, which build, run and sweep read."""
     _add_bracket_args(p)
-    p.add_argument("--bet", type=int, default=1)
-    p.add_argument("--seed", default="commitlotto")
+    p.add_argument("--bet", type=int, default=ScenarioConfig.bet)
+    p.add_argument("--seed", default=ScenarioConfig.master_seed)
 
 
 def _add_scenario_args(p: argparse.ArgumentParser):

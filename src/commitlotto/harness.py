@@ -951,8 +951,8 @@ class CostReport:
 def measure_costs(
     backend: str,
     n: int,
-    tau: int = 6,
-    t_commit: int = 10,
+    tau: int = ScenarioConfig.tau,
+    t_commit: int = ScenarioConfig.t_commit,
     deposit_option: str = DEPOSIT_ATOMIC,
     sig_model: str = "multisig",
 ) -> CostReport:

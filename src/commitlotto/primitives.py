@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import hashlib
 import struct
-from typing import NamedTuple
+from typing import Callable, NamedTuple, Optional
 
 HASH_BYTES = 32
 SIG_LAMBDA = 32  # nominal signature size in bytes, used for cost accounting
@@ -48,58 +48,145 @@ class OutputRef(NamedTuple):
     def short(self) -> str:
         return f"{self.txid.hex()[:12]}:{self.index}"
 
-    def to_json(self) -> dict:
-        return {"txid": self.txid.hex(), "index": self.index}
 
-    @staticmethod
-    def from_json(obj, where: str) -> "OutputRef":
-        return OutputRef(json_field(obj, "txid", bytes, where), json_field(obj, "index", int, where))
+# The JSON codec. A kind is `int`, `str`, `bytes` (a hex string) or one of
+# the classes below; `to_json` writes a value of a kind and `json_value`
+# reads it back, so each file record is described once, by its `Record`
+# table, for both directions.
 
 
-def json_value(value, kind: type, where: str):
-    """A decoded JSON value checked against `kind`; ValueError naming `where` if it fails.
+class ListOf(NamedTuple):
+    item: object  # read as a tuple
 
-    `bytes` means a hex string, returned decoded. `int` means a non-negative
-    integer below 2**32: every integer in a file the program writes (a
-    height, value, count or index) is one, and the bound keeps the heights
-    and pots derived from them inside the 64-bit encodings. `str` means a
-    string UTF-8 can encode, as a slot name must be to enter the canonical
-    encoding; a JSON escape such as `\\udc80` decodes to a lone surrogate,
-    which it cannot. Other kinds are isinstance checks.
-    """
+
+class Sized(NamedTuple):
+    kind: object  # `bytes` or a `ListOf`, of exactly `length` bytes or items
+    length: int
+
+
+class Nullable(NamedTuple):
+    kind: object  # or null, read as None
+
+
+class Record(NamedTuple):
+    """A JSON object: its keys in order, each with the kind of its value.
+    `build` makes the object from those values and `parts` takes it apart
+    into them, by default the attributes the keys name. A key the table
+    does not name is refused."""
+
+    fields: dict
+    build: Callable
+    parts: Optional[Callable] = None
+
+
+class Tagged(NamedTuple):
+    """One of several records, named by its key `tag`: `cases` maps each
+    name to the class written under it and that class's `Record`."""
+
+    tag: str
+    cases: dict
+
+
+REF_JSON = Record({"txid": Sized(bytes, HASH_BYTES), "index": int}, OutputRef)
+
+
+def to_json(value, kind):
+    """`value` as the JSON value of `kind` that `json_value` reads back."""
+    if type(kind) is Sized:
+        kind = kind.kind
     if kind is bytes:
-        if isinstance(value, str):
-            try:
-                return bytes.fromhex(value)
-            except ValueError:
-                pass
-        expected = "a hex string"
+        return value.hex()
+    if type(kind) is ListOf:
+        return [to_json(item, kind.item) for item in value]
+    if type(kind) is Nullable:
+        return None if value is None else to_json(value, kind.kind)
+    if type(kind) is Tagged:
+        for name, (cls, record) in kind.cases.items():
+            if type(value) is cls:
+                return {kind.tag: name, **to_json(value, record)}
+        raise TypeError(f"no {kind.tag} is written for {value!r:.40}")
+    if type(kind) is Record:
+        parts = kind.parts(value) if kind.parts else [getattr(value, key) for key in kind.fields]
+        return {key: to_json(part, sub) for (key, sub), part in zip(kind.fields.items(), parts)}
+    return value
+
+
+class _Fault(Exception):
+    """Raised with (path, problem) for a part of a JSON value that is not of its kind."""
+
+
+def json_value(value, kind, where: str):
+    """A decoded JSON value read as `kind`; ValueError naming the part at
+    fault, by its path inside `value` (`kernels[0].entry`), or `where`.
+
+    `int` means a non-negative integer below 2**32: every integer in a file
+    the program writes (a height, value, count or index) is one, and the
+    bound keeps the heights and pots derived from them inside the 64-bit
+    encodings. `str` means a string UTF-8 can encode, as a slot name must
+    be to enter the canonical encoding; a JSON escape such as `\\udc80`
+    decodes to a lone surrogate, which it cannot.
+    """
+    try:
+        return _read(value, kind, "")
+    except _Fault as fault:
+        path, problem = fault.args
+        raise ValueError(f"{path or where}: {problem}") from None
+
+
+def _read(value, kind, path: str):
+    if kind is int:
+        if type(value) is int and 0 <= value < 1 << 32:
+            return value
+        expected = "a non-negative 32-bit integer"
     elif kind is str:
-        if isinstance(value, str):
+        if type(value) is str:
             try:
                 value.encode("utf-8")
                 return value
             except UnicodeEncodeError:
                 pass
         expected = "a string UTF-8 can encode"
-    elif kind is int:
-        if type(value) is int and 0 <= value < 1 << 32:
-            return value
-        expected = "a non-negative 32-bit integer"
-    elif isinstance(value, kind):
-        return value
+    elif kind is bytes:
+        try:
+            return bytes.fromhex(value)
+        except (TypeError, ValueError):
+            expected = "a hex string"
+    elif type(kind) is ListOf:
+        if type(value) is list:
+            return tuple([_read(item, kind.item, f"{path}[{i}]") for i, item in enumerate(value)])
+        expected = "a list"
+    elif type(kind) is Sized:
+        got = _read(value, kind.kind, path)
+        if len(got) != kind.length:
+            unit = "bytes" if kind.kind is bytes else "items"
+            raise _Fault(path, f"expected {kind.length} {unit}, got {len(got)}")
+        return got
+    elif type(kind) is Nullable:
+        return None if value is None else _read(value, kind.kind, path)
+    elif type(value) is not dict:
+        expected = "an object"
+    elif type(kind) is Tagged:
+        if kind.tag not in value:
+            raise _Fault(path, f"missing field {kind.tag!r}")
+        name = value[kind.tag]
+        if type(name) is not str or name not in kind.cases:
+            raise _Fault(path, f"unknown {kind.tag} {name!r:.40}")
+        return _read_record(value, kind.cases[name][1], path, kind.tag)
     else:
-        expected = kind.__name__
-    raise ValueError(f"{where}: expected {expected}, got {value!r:.40}")
+        return _read_record(value, kind, path)
+    raise _Fault(path, f"expected {expected}, got {value!r:.40}")
 
 
-def json_field(obj, key: str, kind: type, where: str):
-    """`obj[key]` checked by `json_value`, where `obj` must be a JSON object that has `key`."""
-    if not isinstance(obj, dict):
-        raise ValueError(f"{where}: expected an object, got {type(obj).__name__}")
-    if key not in obj:
-        raise ValueError(f"{where}: missing field {key!r}")
-    return json_value(obj[key], kind, f"{where}.{key}")
+def _read_record(value: dict, record: Record, path: str, tag: Optional[str] = None):
+    fields = record.fields
+    for key in value:
+        if key not in fields and key != tag:
+            raise _Fault(path, f"unknown field {key!r}")
+    for key in fields:
+        if key not in value:
+            raise _Fault(path, f"missing field {key!r}")
+    parts = [_read(value[key], kind, f"{path}.{key}" if path else key) for key, kind in fields.items()]
+    return record.build(*parts)
 
 
 class ConfigError(ValueError):

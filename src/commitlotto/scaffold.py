@@ -49,28 +49,32 @@ from dataclasses import dataclass, field
 from typing import Callable, Iterator, NamedTuple, Optional, Sequence
 
 from .chain import (
+    BODY_JSON,
     FixedInput,
     TransactionBody,
     TxOutput,
     body_bytes,
-    body_from_json,
-    body_to_json,
     multi_input,
     sig_digest_for,
 )
 from .primitives import (
+    REF_JSON,
     SIG_LAMBDA,
     ConfigError,
+    ListOf,
     NotPowerOfTwo,  # re-exported with num_levels
+    Nullable,
     OutputRef,
+    Record,
     Rng,
+    Sized,
     check_params,
-    json_field,
     json_value,
     level_schedule,
     level_stride,
     num_levels,
     sha256,
+    to_json,
 )
 from .script import (
     AfterHeight,
@@ -276,6 +280,14 @@ class Kernel:
     @property
     def ntxids(self) -> tuple[bytes, ...]:
         return (self.entry_ntxid, self.reveal_ntxid, *self.outcome_ntxids)
+
+
+KERNEL_JSON = Record(
+    {"level": int, "match": int, "combo": int, "left_commit": bytes, "right_commit": bytes,
+     "entry": BODY_JSON, "reveal": BODY_JSON, "outcomes": Sized(ListOf(BODY_JSON), len(ROLE_OUTCOMES))},
+    lambda level, match, combo, *rest: Kernel(KernelId(level, match, combo), *rest),
+    lambda k: (*k.id, k.left_commit, k.right_commit, k.entry_tx, k.reveal_tx, k.outcome_txs),
+)
 
 
 @dataclass(frozen=True)
@@ -549,11 +561,6 @@ def _param_problem(
     return None
 
 
-def _kernel(bodies, **fields) -> Kernel:
-    """A Kernel from five bodies in `_kernel_bodies` order."""
-    return Kernel(entry_tx=bodies[0], reveal_tx=bodies[1], outcome_txs=bodies[2:], **fields)
-
-
 KERNELS = "kernels"
 COMPRESSIONS = "compressions"
 
@@ -656,7 +663,7 @@ class _HonestWiring:
             *pays,
         )
         self.scaffold_digests.update(b.digests[1] for b in bodies)
-        return _kernel(bodies, id=kid, left_commit=left_commit, right_commit=right_commit)
+        return Kernel(kid, left_commit, right_commit, bodies[0], bodies[1], bodies[2:])
 
     def compression(self, level: int, match: int, cand: int) -> TransactionBody:
         """The multiinput compression paying `cand`: it spends every outcome
@@ -1116,114 +1123,75 @@ def signing_ceremony(
 # v2 drops v1's `level_stride`, `refund_time` and `stats`, and v3 each
 # kernel's players, heights and pot: the parameters fix them all
 FORMAT_TAG = "tournament-scaffold-v3"
-# integer fields stored in the JSON under their attribute names
-_SCAFFOLD_INTS = ("n", "bet", "tau", "t_commit")
+
+# a compression record is one ((level, match, candidate), body) item of `Tournament.compressions`
+COMPRESSION_JSON = Record(
+    {"level": int, "match": int, "candidate": int, "body": BODY_JSON},
+    lambda level, match, candidate, body: ((level, match, candidate), body),
+    lambda item: (*item[0], item[1]),
+)
 
 
-def tournament_to_json(t: Tournament) -> dict:
-    """Public scaffold description: parameters, commitments and bodies.
-    Secrets are never exported, nor anything the parameters fix."""
-    kernels = [
-        {
-            **kid._asdict(),
-            "left_commit": k.left_commit.hex(),
-            "right_commit": k.right_commit.hex(),
-            "entry": body_to_json(k.entry_tx),
-            "reveal": body_to_json(k.reveal_tx),
-            "outcomes": [body_to_json(b) for b in k.outcome_txs],
-        }
-        for kid, k in sorted(t.kernels.items())
-    ]
-    compressions = [
-        {"level": level, "match": match, "candidate": cand, "body": body_to_json(body)}
-        for (level, match, cand), body in sorted(t.compressions.items())
-    ]
-    return {
-        "format": FORMAT_TAG,
-        **{name: getattr(t, name) for name in _SCAFFOLD_INTS},
-        "mode": t.mode,
-        "deposit_option": t.deposit_option,
-        "mpc_digest": t.mpc_digest.hex() if t.mpc_digest else None,
-        "master_keys": [k.hex() for k in t.master_keys],
-        "funding": [r.to_json() for r in t.funding],
-        "deposits": [body_to_json(b) for b in t.deposit_bodies],
-        "kernels": kernels,
-        "compressions": compressions,
-    }
+def _keyed(items, table: str, what: str) -> dict:
+    """(key, entry) items as a dict; a key given twice is refused, naming the record that repeats it."""
+    keyed = {}
+    for i, (key, entry) in enumerate(items):
+        if key in keyed:
+            raise ValueError(f"{table}[{i}]: repeats {what} {tuple(key)}")
+        keyed[key] = entry
+    return keyed
 
 
-def tournament_from_json(obj: dict) -> Tournament:
-    """Decode `tournament_to_json` output; a malformed document raises ValueError naming the field."""
-    if not isinstance(obj, dict):
-        raise ValueError(f"scaffold: expected a JSON object, got {type(obj).__name__}")
-    if obj.get("format") != FORMAT_TAG:
-        raise ValueError(f"not a scaffold file (format {obj.get('format')!r})")
-    get = lambda key, kind: json_field(obj, key, kind, "scaffold")
-    mode, deposit_option = get("mode", str), get("deposit_option", str)
-    if mode not in (MODE_PLAIN, MODE_MULTIINPUT):
-        raise ValueError(f"scaffold.mode: unknown mode {mode!r}")
-    if deposit_option not in (DEPOSIT_ATOMIC, DEPOSIT_HASHLOCKED):
-        raise ValueError(f"scaffold.deposit_option: unknown deposit option {deposit_option!r}")
-    kernels: dict[KernelId, Kernel] = {}
-    scaffold_digests: set[bytes] = set()
-    for i, rec in enumerate(get("kernels", list)):
-        where = f"kernels[{i}]"
-        field_of = lambda key, kind: json_field(rec, key, kind, where)
-        outcomes = field_of("outcomes", list)
-        if len(outcomes) != 3:
-            raise ValueError(f"{where}.outcomes: a kernel has 3 outcomes, found {len(outcomes)}")
-        docs = [field_of("entry", dict), field_of("reveal", dict), *outcomes]
-        bodies = tuple(body_from_json(b, f"{where}.{role}") for b, role in zip(docs, ROLE_KERNEL))
-        scaffold_digests.update(b.digests[1] for b in bodies)
-        kid = KernelId(*(field_of(name, int) for name in KernelId._fields))
-        if kid in kernels:
-            raise ValueError(f"{where}: repeats kernel {tuple(kid)}")
-        kernels[kid] = _kernel(
-            bodies,
-            id=kid,
-            left_commit=field_of("left_commit", bytes),
-            right_commit=field_of("right_commit", bytes),
-        )
-    compressions = {}
-    for i, rec in enumerate(json_value(obj.get("compressions", []), list, "scaffold.compressions")):
-        where = f"compressions[{i}]"
-        body = body_from_json(json_field(rec, "body", dict, where), f"{where}.body")
-        key = tuple(json_field(rec, k, int, where) for k in ("level", "match", "candidate"))
-        if key in compressions:
-            raise ValueError(f"{where}: repeats compression {key}")
-        scaffold_digests.add(body.digests[1])
-        compressions[key] = body
-    deposit_bodies = tuple(
-        body_from_json(b, f"deposits[{i}]") for i, b in enumerate(get("deposits", list))
-    )
-    keys = get("master_keys", list)
-    funding = get("funding", list)
-    return Tournament(
-        **{name: get(name, int) for name in _SCAFFOLD_INTS},
-        mode=mode,
-        deposit_option=deposit_option,
-        master_keys=tuple(
-            json_value(k, bytes, f"scaffold.master_keys[{i}]") for i, k in enumerate(keys)
-        ),
-        funding=tuple(OutputRef.from_json(r, f"scaffold.funding[{i}]") for i, r in enumerate(funding)),
-        kernels=kernels,
-        compressions=compressions,
-        deposit_bodies=deposit_bodies,
-        mpc_digest=get("mpc_digest", bytes) if obj.get("mpc_digest") else None,
-        scaffold_digests=scaffold_digests,
-    )
+def _tournament(_format, mode, n, bet, tau, t_commit, deposit_option, keys, funding, kernels, compressions,
+                deposits, mpc_digest) -> Tournament:
+    """A scaffold from its file record's values; the approved digests are those of the bodies read."""
+    kernels = _keyed(((k.id, k) for k in kernels), KERNELS, "kernel")
+    compressions = _keyed(compressions, COMPRESSIONS, "compression")
+    bodies = [b for k in kernels.values() for b in k.bodies] + list(compressions.values())
+    return Tournament(mode, n, bet, tau, t_commit, deposit_option, keys, funding, kernels, compressions,
+                      deposits, mpc_digest, {b.digests[1] for b in bodies})
+
+
+# the file: parameters, commitments and bodies; secrets are never written,
+# nor anything the parameters fix, and `format` is checked before the rest is read
+SCAFFOLD_JSON = Record(
+    {
+        "format": str,
+        "mode": str, "n": int, "bet": int, "tau": int, "t_commit": int, "deposit_option": str,
+        "master_keys": ListOf(bytes),
+        "funding": ListOf(REF_JSON),
+        "kernels": ListOf(KERNEL_JSON),
+        "compressions": ListOf(COMPRESSION_JSON),
+        "deposits": ListOf(BODY_JSON),
+        "mpc_digest": Nullable(bytes),
+    },
+    _tournament,
+    lambda t: (
+        FORMAT_TAG, t.mode, t.n, t.bet, t.tau, t.t_commit, t.deposit_option, t.master_keys, t.funding,
+        [t.kernels[kid] for kid in sorted(t.kernels)], sorted(t.compressions.items()), t.deposit_bodies,
+        t.mpc_digest,
+    ),
+)
 
 
 def dump_tournament(t: Tournament) -> str:
-    return json.dumps(tournament_to_json(t), indent=2, sort_keys=True) + "\n"
+    return json.dumps(to_json(t, SCAFFOLD_JSON), indent=2, sort_keys=True) + "\n"
 
 
 def load_tournament(text: str) -> Tournament:
     """Decode a scaffold file; malformed input, nesting too deep to decode included, raises ValueError."""
     try:
-        return tournament_from_json(json.loads(text))
+        doc = json.loads(text)
+        if isinstance(doc, dict) and doc.get("format") != FORMAT_TAG:
+            raise ValueError(f"not a scaffold file (format {doc.get('format')!r})")
+        t = json_value(doc, SCAFFOLD_JSON, "scaffold")
     except RecursionError:
         raise ValueError("scaffold: nested too deeply to decode") from None
+    if t.mode not in (MODE_PLAIN, MODE_MULTIINPUT):
+        raise ValueError(f"mode: unknown mode {t.mode!r}")
+    if t.deposit_option not in (DEPOSIT_ATOMIC, DEPOSIT_HASHLOCKED):
+        raise ValueError(f"deposit_option: unknown deposit option {t.deposit_option!r}")
+    return t
 
 
 # DAG export

@@ -20,7 +20,7 @@ import operator
 from dataclasses import dataclass, field
 from typing import Container, Mapping, Optional, Union
 
-from .primitives import OutputRef, json_field, json_value, lp_bytes, lp_str, sha256, u32, u64
+from .primitives import ListOf, OutputRef, Record, Tagged, lp_bytes, lp_str, sha256, u32, u64
 
 
 @dataclass(frozen=True)
@@ -130,48 +130,17 @@ _ENCODERS = {
 }
 
 
-def predicate_to_json(p: Predicate) -> dict:
-    if isinstance(p, KeySign):
-        return {"op": "key-sign", "key": p.key.hex()}
-    if isinstance(p, AllSign):
-        return {"op": "all-sign", "keys": [k.hex() for k in p.keys]}
-    if isinstance(p, HashPreimage):
-        return {"op": "hash-preimage", "digest": p.digest.hex(), "slot": p.slot}
-    if isinstance(p, AfterHeight):
-        return {"op": "after-height", "height": p.height}
-    if isinstance(p, XorParityOdd):
-        return {"op": "xor-parity-odd", "slot_a": p.slot_a, "slot_b": p.slot_b}
-    if isinstance(p, AllOf):
-        return {"op": "all-of", "terms": [predicate_to_json(t) for t in p.terms]}
-    if isinstance(p, AnyOf):
-        return {"op": "any-of", "branches": [predicate_to_json(b) for b in p.branches]}
-    raise TypeError(f"not a predicate: {p!r}")
-
-
-def predicate_from_json(obj: dict, where: str = "predicate") -> Predicate:
-    """Decode `predicate_to_json` output; malformed input raises ValueError naming `where`."""
-    get = lambda key, kind: json_field(obj, key, kind, where)
-    op = get("op", str)
-    if op == "key-sign":
-        return KeySign(get("key", bytes))
-    if op == "all-sign":
-        keys = get("keys", list)
-        return AllSign(tuple(json_value(k, bytes, f"{where}.keys[{i}]") for i, k in enumerate(keys)))
-    if op == "hash-preimage":
-        return HashPreimage(get("digest", bytes), get("slot", str))
-    if op == "after-height":
-        return AfterHeight(get("height", int))
-    if op == "xor-parity-odd":
-        return XorParityOdd(get("slot_a", str), get("slot_b", str))
-    if op == "all-of":
-        terms = get("terms", list)
-        return AllOf(tuple(predicate_from_json(t, f"{where}.terms[{i}]") for i, t in enumerate(terms)))
-    if op == "any-of":
-        branches = get("branches", list)
-        return AnyOf(
-            tuple(predicate_from_json(b, f"{where}.branches[{i}]") for i, b in enumerate(branches))
-        )
-    raise ValueError(f"{where}.op: unknown predicate op {op!r}")
+# the JSON record of a predicate node, by its "op"; the compound nodes'
+# children are predicates, so their cases are added once the table exists
+PREDICATE_JSON = Tagged("op", {
+    "key-sign": (KeySign, Record({"key": bytes}, KeySign)),
+    "all-sign": (AllSign, Record({"keys": ListOf(bytes)}, AllSign)),
+    "hash-preimage": (HashPreimage, Record({"digest": bytes, "slot": str}, HashPreimage)),
+    "after-height": (AfterHeight, Record({"height": int}, AfterHeight)),
+    "xor-parity-odd": (XorParityOdd, Record({"slot_a": str, "slot_b": str}, XorParityOdd)),
+})
+PREDICATE_JSON.cases["all-of"] = (AllOf, Record({"terms": ListOf(PREDICATE_JSON)}, AllOf))
+PREDICATE_JSON.cases["any-of"] = (AnyOf, Record({"branches": ListOf(PREDICATE_JSON)}, AnyOf))
 
 
 def commitment(secret: bytes) -> bytes:

@@ -24,6 +24,7 @@ from commitlotto.harness import (
 from commitlotto.scaffold import (
     MODE_MULTIINPUT,
     KernelId,
+    dump_tournament,
     iter_bodies,
     kernel_count,
     load_tournament,
@@ -31,7 +32,6 @@ from commitlotto.scaffold import (
     num_levels,
     scaffold_stats,
     signing_ceremony,
-    tournament_to_json,
     verify_as_honest,
 )
 from commitlotto.script import KeySign, SignatureOracle, parity_bit
@@ -250,7 +250,7 @@ def test_criterion_08_replay_defense(criterion, dominance_sweeps, tmp_path, caps
     # refuses to sign, and no funded output ever moves
     t = small_tournament(4, seed="c8")
     donor = t.kernels[KernelId(0, 0, 0)]
-    doc = tournament_to_json(t)
+    doc = json.loads(dump_tournament(t))
     for k in doc["kernels"]:
         if (k["level"], k["match"], k["combo"]) == (0, 1, 0):
             k["left_commit"] = donor.left_commit.hex()

@@ -10,7 +10,7 @@ import pytest
 
 from commitlotto import cli, scaffold
 from commitlotto.cli import _parse_seed, main
-from commitlotto.scaffold import KernelId, load_tournament, tournament_to_json
+from commitlotto.scaffold import KernelId, load_tournament
 
 from conftest import ETH_MIXED_SEATS
 
@@ -101,7 +101,7 @@ def test_verify_rejects_doctored_scaffold(capsys, scaffold_file, tmp_path):
     t = load_tournament(scaffold_file.read_text())
     donor = t.kernels[KernelId(0, 0, 0)]
     victim = t.kernels[KernelId(0, 1, 0)]
-    doc = tournament_to_json(t)
+    doc = json.loads(scaffold_file.read_text())
     for k in doc["kernels"]:
         if (k["level"], k["match"], k["combo"]) == (0, 1, 0):
             k["left_commit"] = donor.left_commit.hex()
@@ -248,26 +248,98 @@ def _unknown_predicate_op(doc):
     doc["deposits"][0]["outputs"][0]["predicate"]["op"] = "mystery"
 
 
+def _drop_predicate_op(doc):
+    del doc["deposits"][0]["outputs"][0]["predicate"]["op"]
+
+
+def _drop_input_kind(doc):
+    del doc["deposits"][0]["inputs"][0]["kind"]
+
+
+def _short_funding_txid(doc):
+    # the canonical encoding writes a txid with no length prefix, so it is
+    # unambiguous only while every txid is 32 bytes
+    doc["funding"][0]["txid"] = doc["funding"][0]["txid"][:62]
+
+
+def _add_a_field(steps):
+    """An edit giving the record at `steps` (keys and indexes from the top) a field the format lacks."""
+    def edit(doc):
+        record = doc
+        for step in steps:
+            record = record[step]
+        record["extra"] = 1
+    return edit
+
+
+# a record of each kind and the path an error names it by
+RECORDS = {
+    "top-level": ((), "scaffold"),
+    "kernel": (("kernels", 0), "kernels[0]"),
+    "compression": (("compressions", 0), "compressions[0]"),
+    "deposit-body": (("deposits", 0), "deposits[0]"),
+    "input": (("deposits", 0, "inputs", 0), "deposits[0].inputs[0]"),
+    "output": (("deposits", 0, "outputs", 0), "deposits[0].outputs[0]"),
+    "ref": (("compressions", 0, "body", "inputs", 0, "refs", 0), "compressions[0].body.inputs[0].refs[0]"),
+    "predicate-node": (
+        ("deposits", 0, "outputs", 0, "predicate", "branches", 1), "deposits[0].outputs[0].predicate.branches[1]"
+    ),
+}
+
+# each edit of a multiinput hashlocked file, which has every kind of record, and the error it gives
 MALFORMED = {
-    "no-kernels": _drop_kernels,
-    "ref-without-txid": _drop_ref_txid,
-    "two-outcomes": _two_outcomes,
-    "n-as-word": _word_for_n,
-    "unknown-predicate-op": _unknown_predicate_op,
-    "top-level-list": lambda doc: [doc],
+    "no-kernels": (_drop_kernels, "scaffold: missing field 'kernels'"),
+    "ref-without-txid": (_drop_ref_txid, "kernels[0].entry.inputs[0]: missing field 'txid'"),
+    "two-outcomes": (_two_outcomes, "kernels[0].outcomes: expected 3 items, got 2"),
+    "n-as-word": (_word_for_n, "n: expected a non-negative 32-bit integer, got 'four'"),
+    "unknown-predicate-op": (_unknown_predicate_op, "deposits[0].outputs[0].predicate: unknown op 'mystery'"),
+    "predicate-without-op": (_drop_predicate_op, "deposits[0].outputs[0].predicate: missing field 'op'"),
+    "input-without-kind": (_drop_input_kind, "deposits[0].inputs[0]: missing field 'kind'"),
+    "txid-of-31-bytes": (_short_funding_txid, "funding[0].txid: expected 32 bytes, got 31"),
+    "top-level-list": (
+        lambda doc: [doc], "scaffold: expected an object, got [{'bet': 1, 'compressions': [{'body': {'"
+    ),
+    **{
+        f"unknown-field-in-{record}": (_add_a_field(steps), f"{where}: unknown field 'extra'")
+        for record, (steps, where) in RECORDS.items()
+    },
 }
 
 
 @pytest.mark.parametrize("name", sorted(MALFORMED))
-def test_verify_malformed_scaffold_is_input_error(capsys, scaffold_file, tmp_path, name):
-    doc = json.loads(scaffold_file.read_text())
-    doc = MALFORMED[name](doc) or doc
+def test_verify_malformed_scaffold_is_input_error(capsys, tmp_path, name):
+    path = tmp_path / "multi4.json"
+    argv = ("--n", "4", "--mode", "multiinput", "--deposit", "hashlocked", "--out", str(tmp_path / "s.json"))
+    assert run_cli(capsys, "build", *argv, "--scaffold-out", str(path))[0] == 0
+    edit, error = MALFORMED[name]
+    doc = json.loads(path.read_text())
+    doc = edit(doc) or doc
     bad = tmp_path / f"{name}.json"
     bad.write_text(json.dumps(doc))
-    code, _, err = run_cli(capsys, "verify", str(bad))
-    assert code == 2
-    assert err.startswith("error: ")
-    assert "internal error" not in err
+    code, out, err = run_cli(capsys, "verify", str(bad))
+    assert (code, out) == (2, "")
+    assert err == f"error: {error}\n"
+
+
+@pytest.mark.parametrize(
+    "command", [("verify",), ("export-dot", "--scaffold")], ids=["verify", "export-dot"]
+)
+def test_a_v3_file_that_also_carries_derived_facts_is_malformed_input(
+    capsys, scaffold_file, tmp_path, command
+):
+    # the workflow's plain4.json with players, a pot, a level stride and stats
+    # beside its records, at values no check compares; read by looking up
+    # only the keys the format has, it passed verify with "scaffold ok"
+    assert hashlib.sha256(scaffold_file.read_bytes()).hexdigest() == WORKFLOW_SCAFFOLD_GOLDEN["plain4"][1]
+    doc = json.loads(scaffold_file.read_text())
+    for k in doc["kernels"]:
+        k.update(left_player=3, right_player=3, pot=999)
+    doc.update(level_stride=77, stats={"total_offchain": 1})
+    bad = tmp_path / "plain4.json"
+    bad.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
+    code, out, err = run_cli(capsys, *command, str(bad))
+    assert (code, out) == (2, "")
+    assert err == "error: scaffold: unknown field 'level_stride'\n"
 
 
 @pytest.mark.parametrize(

@@ -1,14 +1,18 @@
-"""Canonical encoding: the table-driven encoder against the recursive one it replaced."""
+"""Canonical encoding: the table-driven encoder against the recursive one it
+replaced; the JSON codec: each record read back as its table writes it."""
 
+import json
 import struct
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as hs
 
-from commitlotto.chain import FixedInput, MultiInput, TransactionBody, TxOutput, body_bytes
-from commitlotto.primitives import OutputRef
+from commitlotto.chain import BODY_JSON, FixedInput, MultiInput, TransactionBody, TxOutput, body_bytes
+from commitlotto.primitives import OutputRef, json_value, to_json
+from commitlotto.scaffold import dump_tournament, load_tournament
 from commitlotto.script import (
+    PREDICATE_JSON,
     AfterHeight,
     AllOf,
     AllSign,
@@ -18,6 +22,8 @@ from commitlotto.script import (
     XorParityOdd,
     predicate_bytes,
 )
+
+from conftest import small_tournament
 
 # The reference: `predicate_bytes` and `body_bytes` as they stood while
 # every digest in the goldens was recorded, copied with the helpers they
@@ -94,33 +100,42 @@ BLOB = hs.binary(max_size=40)
 # any text UTF-8 can encode, so non-ASCII and astral characters but no lone surrogates
 SLOT = hs.text(hs.characters(codec="utf-8"), max_size=8)
 
-LEAVES = hs.one_of(
-    hs.builds(KeySign, BLOB),
-    hs.builds(lambda keys: AllSign(tuple(keys)), hs.lists(BLOB, max_size=64)),
-    hs.builds(HashPreimage, BLOB, SLOT),
-    hs.builds(AfterHeight, U64),
-    hs.builds(XorParityOdd, SLOT, SLOT),
-    hs.just(AllOf(())),
-    hs.just(AnyOf(())),
-)
-COMPOUND = hs.sampled_from([AllOf, AnyOf])
-
-
-def trees(depth: int):
-    """Predicate trees with a chain of compound nodes `depth` deep; 0 to 4 children a node."""
-    if depth == 0:
-        return LEAVES
-    deeper = trees(depth - 1)
-    return hs.builds(
-        lambda kind, before, child, after: kind((*before, child, *after)),
-        COMPOUND,
-        hs.lists(hs.one_of(LEAVES, deeper), max_size=2),
-        deeper,
-        hs.lists(LEAVES, max_size=1),
+def leaves(ints):
+    """Leaf predicates, each height drawn from `ints`."""
+    return hs.one_of(
+        hs.builds(KeySign, BLOB),
+        hs.builds(lambda keys: AllSign(tuple(keys)), hs.lists(BLOB, max_size=64)),
+        hs.builds(HashPreimage, BLOB, SLOT),
+        hs.builds(AfterHeight, ints),
+        hs.builds(XorParityOdd, SLOT, SLOT),
+        hs.just(AllOf(())),
+        hs.just(AnyOf(())),
     )
 
 
-DEEP_TREES = hs.integers(3, 4).flatmap(trees)
+LEAVES = leaves(U64)
+COMPOUND = hs.sampled_from([AllOf, AnyOf])
+
+
+def trees(depth: int, ints=U64):
+    """Predicate trees with a chain of compound nodes `depth` deep; 0 to 4 children a node."""
+    if depth == 0:
+        return leaves(ints)
+    deeper = trees(depth - 1, ints)
+    return hs.builds(
+        lambda kind, before, child, after: kind((*before, child, *after)),
+        COMPOUND,
+        hs.lists(hs.one_of(leaves(ints), deeper), max_size=2),
+        deeper,
+        hs.lists(leaves(ints), max_size=1),
+    )
+
+
+def deep_trees(ints):
+    return hs.integers(3, 4).flatmap(lambda depth: trees(depth, ints))
+
+
+DEEP_TREES = deep_trees(U64)
 
 
 @settings(max_examples=100, deadline=None)
@@ -138,13 +153,20 @@ INPUTS = hs.one_of(
         lambda refs: MultiInput(tuple(refs))
     ),
 )
-OUTPUTS = hs.builds(TxOutput, U64, hs.integers(0, 3).flatmap(trees))
-BODIES = hs.builds(
-    TransactionBody,
-    hs.lists(INPUTS, max_size=4).map(tuple),
-    hs.lists(OUTPUTS, max_size=3).map(tuple),
-    U64,
-)
+
+
+def bodies(ints):
+    """Bodies whose values, heights and locktime are drawn from `ints`."""
+    outputs = hs.builds(TxOutput, ints, hs.integers(0, 3).flatmap(lambda depth: trees(depth, ints)))
+    return hs.builds(
+        TransactionBody,
+        hs.lists(INPUTS, max_size=4).map(tuple),
+        hs.lists(outputs, max_size=3).map(tuple),
+        ints,
+    )
+
+
+BODIES = bodies(U64)
 
 
 @settings(max_examples=100, deadline=None)
@@ -189,3 +211,30 @@ def test_a_non_predicate_at_any_depth_is_a_type_error_naming_it(case):
         assert str(err.value) == f"not a predicate: {bad!r}"
     with pytest.raises(TypeError, match="not a predicate"):
         body_bytes(TransactionBody((), (TxOutput(1, p),)))
+
+
+# the JSON codec: a file holds no integer from 2**32 up, so the round trips
+# draw below that bound
+
+
+def read_back(value, kind):
+    return json_value(json.loads(json.dumps(to_json(value, kind))), kind, "value")
+
+
+@settings(max_examples=100, deadline=None)
+@given(deep_trees(U32))
+def test_a_predicate_reads_back_as_its_table_writes_it(p):
+    assert read_back(p, PREDICATE_JSON) == p
+
+
+@settings(max_examples=100, deadline=None)
+@given(bodies(U32))
+def test_a_body_reads_back_as_its_table_writes_it(body):
+    assert read_back(body, BODY_JSON) == body
+
+
+@pytest.mark.parametrize("mode", ["plain", "multiinput"])
+@pytest.mark.parametrize("deposit_option", ["atomic", "hashlocked"])
+def test_a_scaffold_file_reads_back_to_the_same_text(mode, deposit_option):
+    text = dump_tournament(small_tournament(4, mode=mode, deposit_option=deposit_option))
+    assert dump_tournament(load_tournament(text)) == text

@@ -19,8 +19,6 @@ from commitlotto.script import (
     commitment,
     evaluate_explain,
     parity_bit,
-    predicate_from_json,
-    predicate_to_json,
 )
 
 KEY_A = b"\xaa" * 32
@@ -267,30 +265,3 @@ def test_anyof_uses_only_the_selected_branch():
 def test_evaluate_rejects_non_predicate():
     with pytest.raises(TypeError):
         evaluate_explain("not a predicate", witness(), ctx())
-
-
-# serialization
-
-
-def test_predicate_json_round_trip():
-    secret = b"\x09" * 32
-    p = AnyOf(
-        (
-            AllOf(
-                (
-                    AllSign((KEY_A, KEY_B)),
-                    HashPreimage(commitment(secret), "sL"),
-                    XorParityOdd("sL", "sR"),
-                )
-            ),
-            AfterHeight(42),
-            KeySign(KEY_A),
-        )
-    )
-    doc = predicate_to_json(p)
-    assert predicate_from_json(doc) == p
-
-
-def test_predicate_json_rejects_unknown_op():
-    with pytest.raises(ValueError):
-        predicate_from_json({"op": "mystery"})
