@@ -25,6 +25,10 @@ from .harness import (
     write_trials_csv,
 )
 from .primitives import OutputRef, Rng, sha256
+
+# at module level, unlike `harness`: in a contract-only process this import
+# is what puts `scaffold`, `chain` and `script` in sys.modules, where the
+# benchmark's tracer looks up the layers it wraps
 from .scaffold import (
     DEPOSIT_ATOMIC,
     DEPOSIT_HASHLOCKED,

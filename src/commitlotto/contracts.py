@@ -35,7 +35,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, NamedTuple, Optional
 
-from .primitives import check_params, level_schedule, level_stride, num_levels, sha256
+from .primitives import check_params, level_schedule, level_stride, matches_at, num_levels, sha256
 
 SECRET_BYTES = 32
 ZERO_HASH = b"\x00" * 32
@@ -438,7 +438,7 @@ def build_tree(vm: Vm, n: int, bet: int, tau: int, t_commit: int) -> ContractTre
     lotteries: dict[tuple[int, int], str] = {}
     for level in range(levels):
         t0, t1, t2 = level_schedule(t_commit, stride, tau, level)
-        for match in range(n >> (level + 1)):
+        for match in range(matches_at(n, level)):
             if level == 0:
                 lot = TwoPartyLottery(t0, t1, t2, master=master_addr, seats=(2 * match, 2 * match + 1))
             else:

@@ -197,11 +197,30 @@ class NotPowerOfTwo(ConfigError):
     pass
 
 
+# The names both backends' trials read, here so that a contract trial
+# loads no part of the scaffold stack; `scaffold` re-exports them.
+MODE_PLAIN = "plain"
+MODE_MULTIINPUT = "multiinput"
+
+DEPOSIT_ATOMIC = "atomic"
+DEPOSIT_HASHLOCKED = "hashlocked"
+
+# the scaffold roles a strategy tells apart (`BroadcastView.kind`)
+ROLE_REVEAL = "reveal"
+ROLE_OUTCOME_BP = "outcome-bp"
+ROLE_DEPOSIT = "deposit"
+
+
 def num_levels(n: int) -> int:
     """Levels of a bracket over n players; n must be a power of two >= 2."""
     if n < 2 or n & (n - 1):
         raise NotPowerOfTwo(f"player count {n} is not a power of two >= 2")
     return n.bit_length() - 1
+
+
+def matches_at(n: int, level: int) -> int:
+    """Matches at a bracket level: the one definition of a level's width."""
+    return n >> (level + 1)
 
 
 def level_stride(tau: int, compressed: bool = False) -> int:

@@ -57,12 +57,22 @@ from .chain import (
     multi_input,
     sig_digest_for,
 )
+# re-exported, as the names both backends read: DEPOSIT_*, MODE_*, ROLE_DEPOSIT,
+# ROLE_OUTCOME_BP, ROLE_REVEAL, NotPowerOfTwo, matches_at and num_levels
 from .primitives import (
+    DEPOSIT_ATOMIC,
+    DEPOSIT_HASHLOCKED,
+    HASH_BYTES,
+    MODE_MULTIINPUT,
+    MODE_PLAIN,
     REF_JSON,
+    ROLE_DEPOSIT,
+    ROLE_OUTCOME_BP,
+    ROLE_REVEAL,
     SIG_LAMBDA,
     ConfigError,
     ListOf,
-    NotPowerOfTwo,  # re-exported with num_levels
+    NotPowerOfTwo,
     Nullable,
     OutputRef,
     Record,
@@ -72,6 +82,7 @@ from .primitives import (
     json_value,
     level_schedule,
     level_stride,
+    matches_at,
     num_levels,
     sha256,
     to_json,
@@ -89,12 +100,6 @@ from .script import (
     commitment,
 )
 
-MODE_PLAIN = "plain"
-MODE_MULTIINPUT = "multiinput"
-
-DEPOSIT_ATOMIC = "atomic"
-DEPOSIT_HASHLOCKED = "hashlocked"
-
 SLOT_LEFT = "left"
 SLOT_RIGHT = "right"
 SLOT_MPC = "mpc"
@@ -106,14 +111,11 @@ BRANCH_DEPOSIT_SPEND = 0
 BRANCH_DEPOSIT_REFUND = 1
 
 ROLE_ENTRY = "entry"
-ROLE_REVEAL = "reveal"
 ROLE_OUTCOME_A = "outcome-a"
 ROLE_OUTCOME_B = "outcome-b"
-ROLE_OUTCOME_BP = "outcome-bp"
 ROLE_OUTCOMES = (ROLE_OUTCOME_A, ROLE_OUTCOME_B, ROLE_OUTCOME_BP)
 ROLE_KERNEL = (ROLE_ENTRY, ROLE_REVEAL) + ROLE_OUTCOMES  # `Kernel.bodies` order
 ROLE_COMPRESSION = "compression"
-ROLE_DEPOSIT = "deposit"
 ROLE_REFUND = "refund"  # a hashlocked deposit's owner taking it back (`build_refunds`); never signed
 
 SIDE_LEFT = 0
@@ -128,10 +130,6 @@ class KernelId(NamedTuple):
     level: int
     match: int
     combo: int
-
-
-def matches_at(n: int, level: int) -> int:
-    return n >> (level + 1)
 
 
 def kernel_count(level: int, mode: str = MODE_PLAIN) -> int:
@@ -552,6 +550,9 @@ def _param_problem(
         return "need one distinct key per player"
     if len(funding) != n or len(set(funding)) != n:
         return "need one distinct funding output per player"
+    if any(len(ref.txid) != HASH_BYTES for ref in funding):
+        # `body_bytes` writes a txid with no length prefix
+        return f"every funding txid must be {HASH_BYTES} bytes"
     if mode not in (MODE_PLAIN, MODE_MULTIINPUT):
         return f"unknown mode {mode!r}"
     if deposit_option not in (DEPOSIT_ATOMIC, DEPOSIT_HASHLOCKED):

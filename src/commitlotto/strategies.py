@@ -34,8 +34,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .contracts import commit_digest
-from .primitives import Rng
-from .scaffold import ROLE_DEPOSIT, ROLE_OUTCOME_BP, ROLE_REVEAL
+from .primitives import ROLE_DEPOSIT, ROLE_OUTCOME_BP, ROLE_REVEAL, Rng
 
 ETH = "ethereum"
 BTC_PLAIN = "bitcoin-plain"

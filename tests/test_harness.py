@@ -14,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as hs
 
 from commitlotto.chain import SCRIPT_FAIL, FixedInput, TransactionBody, TxOutput, sig_digest_for
-from commitlotto import chain, contracts, harness, scaffold
+from commitlotto import chain, contracts, harness, scaffold, utxo
 from commitlotto.contracts import Master, TwoPartyLottery, Vm, match_winner
 from commitlotto.primitives import OutputRef, Rng, level_schedule, level_stride, num_levels
 from commitlotto.scaffold import (
@@ -673,10 +673,10 @@ def test_each_body_is_encoded_at_most_once_per_trial(monkeypatch, backend, depos
         built.append(body)
         return body
 
-    for module in (chain, scaffold, harness):
+    for module in (chain, scaffold, utxo):
         if getattr(module, "body_bytes", None) is body_bytes:
             monkeypatch.setattr(module, "body_bytes", recording_body_bytes)
-    for module in (scaffold, harness):  # chain builds only mints
+    for module in (scaffold, utxo):  # chain builds only mints
         monkeypatch.setattr(module, "TransactionBody", counted_body)
     rt = ScaffoldRuntime(config, trial_rng(config.master_seed, 1), 1)
     assert rt.run().winner is not None

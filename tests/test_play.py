@@ -6,8 +6,6 @@ from commitlotto import harness
 from commitlotto.harness import (
     BTC_MULTI,
     BTC_PLAIN,
-    PLAYS,
-    Candidate,
     ScaffoldRuntime,
     ScenarioConfig,
 )
@@ -23,6 +21,7 @@ from commitlotto.scaffold import (
     SLOT_RIGHT,
     players_of,
 )
+from commitlotto.utxo import PLAYS, Candidate
 
 # The reference: `ScaffoldRuntime._play` as it stood when `OFFER_GOLDEN`
 # was recorded, which built one `PLAYS` row of a reached kernel per call.

@@ -316,6 +316,15 @@ def test_funding_refs_must_be_distinct():
         build_tournament(4, make_keys(4), funding, Rng("t"), t_commit=10, bet=1, tau=6)
 
 
+def test_a_funding_txid_must_be_32_bytes():
+    # `body_bytes` writes a txid with no length prefix, so a short one lets
+    # two different bodies share their bytes; only the file reader refused it
+    funding = make_funding(4)
+    funding[0] = OutputRef(funding[0].txid[:31], 0)
+    with pytest.raises(ValueError, match="^every funding txid must be 32 bytes$"):
+        build_tournament(4, make_keys(4), funding, Rng("t"), t_commit=10, bet=1, tau=6)
+
+
 def test_kernel_population_matches_counts(plain4):
     for level in range(plain4.levels):
         for match in range(matches_at(4, level)):
