@@ -3,9 +3,12 @@
 The VM is just enough to express the protocol honestly: accounts with
 balances, contracts with state, height-gated calls with value transfer,
 and transactional semantics (an outer call that reverts leaves no trace of
-its nested effects). Each outer call opens an undo journal that records a
-contract's snapshot when a non-view method first enters it and an
-account's old balance, or its absence, when the call first moves it; a
+its nested effects). `Vm.call` is the one entry of a transaction: each
+deposit, commit, open, refund and payout is one `call`, recorded once in
+`Vm.trace`, and a call that reverts raises `Reverted` to its caller, which
+carries on past it if it plays on. Each outer call opens an undo journal
+that records a contract's snapshot when a non-view method first enters it
+and an account's old balance, or its absence, when the call first moves it; a
 reverted `call` replays the journal and a `static_call` always does, so a
 call costs what it can write rather than what is deployed. A view, a
 method a contract names in `VIEWS`, writes no state, so entering one
@@ -58,14 +61,16 @@ class CallRecord(NamedTuple):
     info: str
 
 
-@dataclass
 class CallContext:
-    """Execution context handed to contract methods."""
+    """Execution context handed to contract methods; one per entered method."""
 
-    vm: "Vm"
-    sender: str
-    this: str
-    value: int
+    __slots__ = ("vm", "sender", "this", "value")
+
+    def __init__(self, vm: "Vm", sender: str, this: str, value: int):
+        self.vm = vm
+        self.sender = sender
+        self.this = this
+        self.value = value
 
     @property
     def height(self) -> int:
@@ -82,6 +87,9 @@ class CallContext:
 class Vm:
     """Single-chain account model with per-call rollback by an undo journal.
 
+    `call` is the one outer entry of a transaction and `static_call` the
+    one of a read. A `call` appends one `CallRecord` to `trace`, ok or
+    not, and re-raises a revert, so the caller decides whether to go on.
     `call` and `static_call` each open an empty journal: a contract's
     `snapshot()` the first time a non-view method of it is entered, and an
     account's old balance (None when the account had no entry) the first
@@ -176,13 +184,6 @@ class Vm:
             CallRecord(self.height, sender, address, method, len(args), value, True, "")
         )
         return result
-
-    def try_call(self, sender: str, address: str, method: str, *args, value: int = 0):
-        """Outer call that swallows the revert; returns (ok, result_or_reason)."""
-        try:
-            return True, self.call(sender, address, method, *args, value=value)
-        except Reverted as e:
-            return False, e.reason
 
     def static_call(self, sender: str, address: str, method: str, *args):
         """Read-only call: state is always rolled back, nothing is traced."""

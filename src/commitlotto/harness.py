@@ -34,7 +34,7 @@ import statistics
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
-from .contracts import CallRecord, Vm, build_tree, match_winner
+from .contracts import CallRecord, Reverted, TwoPartyLottery, Vm, build_tree, match_winner
 from .primitives import (
     DEPOSIT_ATOMIC,
     DEPOSIT_HASHLOCKED,
@@ -182,7 +182,10 @@ class ContractRuntime(Runtime):
     are read from the master, and the winner and final height from the one
     successful withdraw once the table is complete. The runtime visits only
     the heights at which an action can land (`stops`), and holds the
-    players' secrets and, per match, its two players once resolved.
+    players' secrets and, per match, its two players once resolved. Each
+    action is one `Vm.call`; a revert is recorded in the trace and play
+    goes on. Each level's schedule and each match's lottery are looked up
+    once, when the tree is deployed.
     """
 
     def __init__(self, cfg: ScenarioConfig, rng: Rng, trial_index: int = 0):
@@ -193,9 +196,15 @@ class ContractRuntime(Runtime):
             self.vm.fund(account, self.funded)
         self.tree = build_tree(self.vm, cfg.n, cfg.bet, cfg.tau, cfg.t_commit)
         self.master = self.vm.contracts[self.tree.master]
+        # per level its (t0, t1, t2) and, per match, its lottery's (address, contract)
+        self._schedules = [self.tree.schedule(level) for level in range(cfg.levels)]
+        self._lotteries: list[list[tuple[str, TwoPartyLottery]]] = []
+        for level in range(cfg.levels):
+            addrs = [self.tree.lottery(level, match) for match in range(matches_at(cfg.n, level))]
+            self._lotteries.append([(addr, self.vm.contracts[addr]) for addr in addrs])
         self.player_of = {self.accounts[i]: i for i in range(cfg.n)}
         self._secrets: dict[tuple[int, int, int], int] = {}
-        self._participants: dict[tuple[int, int], tuple[Optional[str], Optional[str]]] = {}
+        self._participants: dict[str, tuple[Optional[str], Optional[str]]] = {}  # by lottery address
 
     @property
     def value_moves(self) -> int:
@@ -223,12 +232,10 @@ class ContractRuntime(Runtime):
             self._secrets[key] = self.strats[player].choose_secret(rng)
         return self._secrets[key]
 
-    def _resolve_participants(self, level: int, match: int):
-        key = (level, match)
-        if key not in self._participants:
-            addr = self.tree.lottery(level, match)
-            self._participants[key] = self.vm.static_call("observer", addr, "participants")
-        return self._participants[key]
+    def _resolve_participants(self, addr: str):
+        if addr not in self._participants:
+            self._participants[addr] = self.vm.static_call("observer", addr, "participants")
+        return self._participants[addr]
 
     def _play_match(self, level: int, match: int, h: int) -> None:
         """Offer each player of a match its commit or its opening at height h.
@@ -239,13 +246,12 @@ class ContractRuntime(Runtime):
         open view's flag is `match_winner` with the player's own opening
         added.
         """
-        addr = self.tree.lottery(level, match)
-        lot = self.vm.contracts[addr]
+        addr, lot = self._lotteries[level][match]
         committing = h < lot.t1
         # only players commit and only committers open: two entries mean both have acted
         if len(lot.commits if committing else lot.opens) == 2:
             return
-        a, b = self._resolve_participants(level, match)
+        a, b = self._resolve_participants(addr)
         for mine, theirs in ((a, b), (b, a)):
             player = self.player_of.get(mine)
             if committing:
@@ -273,15 +279,17 @@ class ContractRuntime(Runtime):
                 )
                 method, arg = "open", self.strats[player].at_open(view)
             if arg is not None:
-                self.vm.try_call(mine, addr, method, arg)
+                try:
+                    self.vm.call(mine, addr, method, arg)
+                except Reverted:
+                    pass
 
     def stops(self) -> list[int]:
         """Each height at which an action can land: 1 (deposits), t_commit
         (refunds), t_final (the payout), and per level the first and last
         height of the commit and the open window, (t0, t1) and (t1, t2)."""
         stops = {1, self.cfg.t_commit, self.tree.t_final}
-        for level in range(self.cfg.levels):
-            t0, t1, t2 = self.tree.schedule(level)
+        for t0, t1, t2 in self._schedules:
             stops.update((t0 + 1, t1 - 1, t1 + 1, t2 - 1))
         return sorted(stops)
 
@@ -296,22 +304,30 @@ class ContractRuntime(Runtime):
                 if account in master.players:
                     continue
                 if self.strats[i].at_deposit(None):
-                    vm.try_call(account, tree.master, "deposit", value=cfg.bet)
+                    try:
+                        vm.call(account, tree.master, "deposit", value=cfg.bet)
+                    except Reverted:
+                        pass
         if not master.is_complete():
             if h >= cfg.t_commit:
                 for account in self.accounts:
                     if account in master.players and account not in master.refunded:
-                        vm.try_call(account, tree.master, "withdraw")
+                        try:
+                            vm.call(account, tree.master, "withdraw")
+                        except Reverted:
+                            pass
             return
-        for level in range(cfg.levels):
-            t0, _, t2 = tree.schedule(level)
+        for level, (t0, _, t2) in enumerate(self._schedules):
             if t0 < h < t2:
-                for match in range(matches_at(cfg.n, level)):
+                for match in range(len(self._lotteries[level])):
                     self._play_match(level, match, h)
         if h == tree.t_final:
             winner = vm.static_call("observer", tree.final, "get_winner")
             if winner in self.player_of:
-                vm.try_call(winner, tree.master, "withdraw")
+                try:
+                    vm.call(winner, tree.master, "withdraw")
+                except Reverted:
+                    pass
 
     def done(self, h: int) -> bool:
         """A table that never filled refunds every deposit at t_commit; nothing

@@ -553,6 +553,9 @@ def _param_problem(
     if any(len(ref.txid) != HASH_BYTES for ref in funding):
         # `body_bytes` writes a txid with no length prefix
         return f"every funding txid must be {HASH_BYTES} bytes"
+    if any(not 0 <= ref.index < 1 << 32 for ref in funding):
+        # `body_bytes` writes an index as an unsigned 32-bit integer
+        return "every funding output index must be in 0..2**32-1"
     if mode not in (MODE_PLAIN, MODE_MULTIINPUT):
         return f"unknown mode {mode!r}"
     if deposit_option not in (DEPOSIT_ATOMIC, DEPOSIT_HASHLOCKED):

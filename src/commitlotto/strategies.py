@@ -46,7 +46,7 @@ BTC_BACKENDS = (BTC_PLAIN, BTC_MULTI)
 DISCLOSING_ROLES = (ROLE_REVEAL, ROLE_OUTCOME_BP)
 
 
-@dataclass
+@dataclass(slots=True)
 class CommitView:
     """Asks for a commitment to the player's match secret (contract backend)."""
 
@@ -56,7 +56,7 @@ class CommitView:
     opponent_commit: Optional[bytes]
 
 
-@dataclass
+@dataclass(slots=True)
 class OpenView(CommitView):
     """Asks a committed player for its opening (contract backend).
 

@@ -18,7 +18,7 @@ multiinput compression choosing its match's settled outcome, and, while
 the table has not committed, the refunds. Every body offered is built by
 `scaffold`, the refunds too (`build_refunds`); of the hashlocked
 deposits, play decides only when the joint preimage is released
-(`ScaffoldRuntime.step`). `PLAYS` describes a kernel's five transactions
+(`ScaffoldRuntime._drain`). `PLAYS` describes a kernel's five transactions
 once; offers go in the order (priority, level, match, ntxid). Each
 reached match has one record: its kernel, its candidates and, once
 settled, its result. A settled match offers nothing, as each of its
@@ -166,7 +166,7 @@ class ScaffoldRuntime(Runtime):
         for key in self.keys:
             self.chain.mint(cfg.bet, KeySign(key))  # the untouched margin
 
-        # the joint preimage that hashlocked deposits lock on, no one's until `step` releases it
+        # the joint preimage that hashlocked deposits lock on, no one's until `_drain` releases it
         self.mpc = joint_preimage(n, rng) if cfg.deposit_option == DEPOSIT_HASHLOCKED else None
 
         self.t: Tournament = build_tournament(
@@ -417,11 +417,6 @@ class ScaffoldRuntime(Runtime):
 
     def step(self, h: int) -> None:
         self.chain.advance_to(h)
-        if self.mpc is not None and h >= self.cfg.t_commit and not self._committed():
-            if self.deposit_complete_h is not None:
-                # the ideal functionality hands everyone the joint preimage
-                # once the full deposit set is observable
-                self.public[self.t.mpc_digest] = self.mpc
         self._drain(h)
 
     def done(self, h: int) -> bool:
@@ -435,9 +430,18 @@ class ScaffoldRuntime(Runtime):
         return self._trial()
 
     def _drain(self, h: int) -> None:
-        """Offer the candidates in order; after each accept, enumerate them again."""
-        while any(self._offer(cand) for cand in self._candidates(h) if h >= cand.not_before):
-            pass
+        """Offer the candidates in order; after each accept, enumerate them
+        again. Each pass first applies the release rule: from t_commit, once
+        every hashlocked deposit is on chain, the ideal functionality hands
+        everyone the joint preimage. So a deposit that lands in this drain
+        releases it before the next pass, and the entries it opens go out
+        ahead of the refunds."""
+        while True:
+            if self.mpc is not None and h >= self.cfg.t_commit and not self._committed():
+                if self.deposit_complete_h is not None:
+                    self.public[self.t.mpc_digest] = self.mpc
+            if not any(self._offer(cand) for cand in self._candidates(h) if h >= cand.not_before):
+                return
 
     def _offer(self, cand: Candidate) -> bool:
         witness, players = self._witness(cand) or (None, ())

@@ -15,6 +15,8 @@ from commitlotto.contracts import (
     commit_digest,
     match_winner,
 )
+from commitlotto.harness import ETH, ContractRuntime, ScenarioConfig, trial_rng
+from commitlotto.strategies import Strategy
 
 from conftest import fresh_players, fresh_winner
 
@@ -98,11 +100,47 @@ def test_revert_rolls_back_state_and_money():
     assert (rec.ok, rec.info) == (False, "Boom")
 
 
-def test_try_call_reports_reason_without_raising():
-    vm = Vm()
-    vm.create("f", Flaky())
-    assert vm.try_call("alice", "f", "poke") == (True, 1)
-    assert vm.try_call("alice", "f", "poke", None, True) == (False, "Boom")
+class WrongOpening(Strategy):
+    """Test-only seat: commits to its secret, then opens with another."""
+
+    def at_open(self, view):
+        return view.my_secret ^ 1
+
+
+def test_every_runtime_action_is_one_vm_call(monkeypatch):
+    # the runtime's only way onto the chain is `Vm.call`, once per action,
+    # whether the action lands or reverts; the benchmark's tracer counts it there
+    calls = []
+    call = Vm.call
+
+    def counted(self, *args, **kw):
+        calls.append(args)
+        return call(self, *args, **kw)
+
+    monkeypatch.setattr(Vm, "call", counted)
+    # 64 deposits, 2 commits and 2 opens in each of 63 matches, and the payout
+    c = ScenarioConfig(backend=ETH, n=64, strategies=("honest",) * 64)
+    rt = ContractRuntime(c, trial_rng(c.master_seed, 0), 0)
+    rt.run()
+    assert len(calls) == len(rt.vm.trace) == 64 + 4 * 63 + 1
+    assert all(rec.ok for rec in rt.vm.trace)
+
+    # no catalogued strategy sends a call that reverts, so a test seat does:
+    # its opening, offered at the first and the last height of the open
+    # window, reverts each time, is traced once each time, and play goes on
+    c = ScenarioConfig(backend=ETH, n=8, strategies=("honest",) * 8)
+    rt = ContractRuntime(c, trial_rng(c.master_seed, 0), 0)
+    rt.strats[2] = WrongOpening(2)
+    calls.clear()
+    r = rt.run()
+    assert len(calls) == len(rt.vm.trace)
+    _, t1, t2 = rt.tree.schedule(0)
+    reverted = [
+        (rec.height, rec.sender, rec.contract, rec.method, rec.info) for rec in rt.vm.trace if not rec.ok
+    ]
+    assert reverted == [(h, "P2", "lot:0:1", "open", "BadOpening") for h in (t1 + 1, t2 - 1)]
+    assert r.committed and r.winner is not None and sum(r.payoffs) == 0
+    assert rt.vm.static_call("observer", "lot:0:1", "get_winner") == "P3"
 
 
 def test_static_call_rolls_back_and_leaves_no_trace():

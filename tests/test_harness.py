@@ -361,15 +361,28 @@ def test_refund_is_rejected_once_every_deposit_is_on_chain(backend):
 
 @pytest.mark.xfail(
     strict=True,
-    reason="ROADMAP 4(b): at t_commit = 2 the deposits land at refund_time, and each honest "
-    "refund lands in the same drain, before the joint preimage is released; every trial "
-    "ends committed, with no winner and every stake returned",
+    reason="ROADMAP 4(b): every trial has a winner, but check_dominance needs each of the four "
+    "honest seats to win at least 5 of the 20 trials, and the wins are (7, 3, 3, 7) plain "
+    "and (6, 3, 5, 6) multiinput",
 )
 @pytest.mark.parametrize("backend", [BTC_PLAIN, BTC_MULTI])
 def test_an_honest_hashlocked_table_at_the_earliest_commit_height_has_a_winner(backend):
     s = run_monte_carlo(cfg(backend=backend, deposit_option="hashlocked", t_commit=2, trials=20))
     assert all(r.winner is not None for r in s.results)
     assert check_dominance(s).ok
+
+
+@pytest.mark.parametrize("backend", [BTC_PLAIN, BTC_MULTI])
+def test_an_honest_hashlocked_table_at_the_earliest_commit_height_plays_to_the_end(backend):
+    # ROADMAP 4(b), runtime half: at t_commit = 2 the deposits land inside the
+    # drain at t_commit; the release rule is applied before the next pass, so
+    # the entries go out ahead of the refunds and no honest owner takes one
+    c = cfg(backend=backend, deposit_option="hashlocked", t_commit=2, trials=20)
+    s = run_monte_carlo(c)
+    assert all(r.committed and r.winner is not None for r in s.results)
+    assert all(r.returned == (0,) * c.n for r in s.results)
+    assert all(sum(r.payoffs) == 0 for r in s.results) and s.zero_sum_ok
+    assert min(s.payoff_min) >= -c.bet
 
 
 # transaction-count bounds

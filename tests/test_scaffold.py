@@ -325,6 +325,18 @@ def test_a_funding_txid_must_be_32_bytes():
         build_tournament(4, make_keys(4), funding, Rng("t"), t_commit=10, bet=1, tau=6)
 
 
+@pytest.mark.parametrize("index", [1 << 32, -1])
+def test_a_funding_output_index_must_fit_in_32_bits(index):
+    # `body_bytes` packs an index as an unsigned 32-bit integer, so an index
+    # outside that range raised struct.error from deep in the build
+    funding = make_funding(4)
+    funding[2] = OutputRef(funding[2].txid, index)
+    with pytest.raises(ValueError, match=r"^every funding output index must be in 0\.\.2\*\*32-1$"):
+        build_tournament(4, make_keys(4), funding, Rng("t"), t_commit=10, bet=1, tau=6)
+    funding[2] = OutputRef(funding[2].txid, (1 << 32) - 1)
+    build_tournament(4, make_keys(4), funding, Rng("t"), t_commit=10, bet=1, tau=6)
+
+
 def test_kernel_population_matches_counts(plain4):
     for level in range(plain4.levels):
         for match in range(matches_at(4, level)):
