@@ -173,22 +173,30 @@ def cmd_build(args) -> int:
     _write(args.out, json.dumps(doc, indent=2, sort_keys=True) + "\n")
     if args.scaffold_out is not None:
         _write(args.scaffold_out, dump_tournament(t))
-        print(f"wrote scaffold with {stats.total_offchain} bodies -> {args.scaffold_out}", file=sys.stderr)
+        print(f"wrote scaffold of {stats.total_offchain} bodies -> {args.scaffold_out}", file=sys.stderr)
     if args.dot is not None:
         _write(args.dot, export_dot(t))
     return EXIT_OK
 
 
-def cmd_verify(args) -> int:
-    with open(args.scaffold) as fp:
+def _read_scaffold(path: str):
+    """The scaffold file at `path` and what verify finds wrong with it, each as one line."""
+    with open(path) as fp:
         t = load_tournament(fp.read())
-    violations = verify_as_honest(t)
+    found = []
+    for v in verify_as_honest(t):
+        where = f"kernel {tuple(v.kernel)}" if v.kernel is not None else "scaffold"
+        found.append(f"{v.rule} at {where}: {v.detail}")
+    return t, found
+
+
+def cmd_verify(args) -> int:
+    t, violations = _read_scaffold(args.scaffold)
     if not violations:
         print(f"scaffold ok: n={t.n} mode={t.mode} bodies={t.stats.total_offchain}")
         return EXIT_OK
-    for v in violations:
-        where = f"kernel {tuple(v.kernel)}" if v.kernel is not None else "scaffold"
-        print(f"VIOLATION {v.rule} at {where}: {v.detail}")
+    for line in violations:
+        print(f"VIOLATION {line}")
     print(f"{len(violations)} violation(s); do not sign", file=sys.stderr)
     return EXIT_VIOLATIONS
 
@@ -235,8 +243,15 @@ def cmd_costs(args) -> int:
 
 
 def cmd_export_dot(args) -> int:
-    with open(args.scaffold) as fp:
-        t = load_tournament(fp.read())
+    """Draw what honest construction builds from a scaffold file.
+
+    A file verify rejects is refused before anything is built: its player
+    count may have no bracket, a kernel may lack the commitments to build
+    it from, or the bracket may be too large to build.
+    """
+    t, violations = _read_scaffold(args.scaffold)
+    if violations:
+        raise ConfigError(f"cannot draw a scaffold verify rejects: {violations[0]}")
     _write(args.out, export_dot(t))
     return EXIT_OK
 

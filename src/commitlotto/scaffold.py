@@ -28,7 +28,10 @@ outcome ntxids that pay its candidate, so `Tournament.kernels` and
 `Tournament.compressions` build each entry the first time it is read,
 with what it spends, and keep it (`LazyTable`). A trial builds only what
 play reaches and what that spends: a plain trial one kernel per match;
-iterating a table builds the rest of it, with the same bytes. The signing
+reading every entry builds the rest, with the same bytes. A scaffold
+file is therefore only the parameters and the commitments, and reading
+one runs the same construction (`_honest_scaffold`) on them, so a
+scaffold has one constructor however it was made. The signing
 ceremony approves the honest scaffold as a whole: a key's approval is
 membership in the tournament's registry of signature digests, which
 honest construction fills as it builds bodies.
@@ -44,12 +47,11 @@ from __future__ import annotations
 import dataclasses
 import functools
 import json
-from collections.abc import MutableMapping
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 from typing import Callable, Iterator, NamedTuple, Optional, Sequence
 
 from .chain import (
-    BODY_JSON,
     FixedInput,
     TransactionBody,
     TxOutput,
@@ -77,7 +79,6 @@ from .primitives import (
     OutputRef,
     Record,
     Rng,
-    Sized,
     check_params,
     json_value,
     level_schedule,
@@ -280,14 +281,6 @@ class Kernel:
         return (self.entry_ntxid, self.reveal_ntxid, *self.outcome_ntxids)
 
 
-KERNEL_JSON = Record(
-    {"level": int, "match": int, "combo": int, "left_commit": bytes, "right_commit": bytes,
-     "entry": BODY_JSON, "reveal": BODY_JSON, "outcomes": Sized(ListOf(BODY_JSON), len(ROLE_OUTCOMES))},
-    lambda level, match, combo, *rest: Kernel(KernelId(level, match, combo), *rest),
-    lambda k: (*k.id, k.left_commit, k.right_commit, k.entry_tx, k.reveal_tx, k.outcome_txs),
-)
-
-
 @dataclass(frozen=True)
 class TransactionStats:
     total_offchain: int
@@ -303,21 +296,23 @@ class TransactionStats:
         return {**dataclasses.asdict(self), "per_level": list(self.per_level)}
 
 
-@dataclass
+@dataclass(frozen=True)
 class Tournament:
-    """A scaffold: public parameters, commitments and bodies. Treat as
-    immutable once constructed.
+    """A scaffold: public parameters, commitments and the bodies they fix.
 
-    An honestly constructed scaffold builds its kernels and compressions on
-    first read (see `LazyTable`); one decoded from a file has them all. The
-    registries `scaffold_digests` and `secrets` hold what the built bodies
-    and kernels contribute, so they grow with the tables. No id is an
-    argument: `deposit_ntxids` is derived from `deposit_bodies` whenever
-    they are set, the kernels derive theirs, and a compression is its body.
-    Nor is any fact that the parameters fix: `level_stride`, `refund_time`,
-    `stats` and `schedule`, and a kernel's players and pot, are derived
-    from them when read, so none is stored, written to a file or checked
-    by `verify_as_honest`.
+    Honest construction (`_honest_scaffold`) makes every one, whether for
+    a build or from a file: it builds the deposits, and the kernels and
+    compressions on first read (see `LazyTable`). `commitments` holds each
+    kernel's (left, right) digests: a file's records, or in a build pairs
+    over fresh secrets, drawn when first read. The registries
+    `scaffold_digests` and `secrets` hold what the built bodies and drawn
+    commitments contribute, so they grow with the tables. No id is an
+    argument: `deposit_ntxids` is derived from `deposit_bodies`, the
+    kernels derive theirs, and a compression is its body. Nor is any fact
+    that the parameters fix: `level_stride`, `refund_time`, `stats` and
+    `schedule`, and a kernel's players and pot, are derived from them when
+    read, so none is stored, written to a file or checked by
+    `verify_as_honest`.
     """
 
     mode: str
@@ -328,8 +323,9 @@ class Tournament:
     deposit_option: str
     master_keys: tuple[bytes, ...]
     funding: tuple[OutputRef, ...]
-    kernels: MutableMapping[KernelId, Kernel]
-    compressions: MutableMapping[tuple[int, int, int], TransactionBody]  # (level, match, candidate)
+    commitments: Mapping[KernelId, tuple[bytes, bytes]] = field(repr=False)
+    kernels: Mapping[KernelId, Kernel]
+    compressions: Mapping[tuple[int, int, int], TransactionBody]  # (level, match, candidate)
     deposit_bodies: tuple[TransactionBody, ...]
     mpc_digest: Optional[bytes]
     # signature digests of the built kernel and compression bodies: what the ceremony approves
@@ -337,12 +333,10 @@ class Tournament:
     secrets: dict[tuple[KernelId, int], bytes] = field(default_factory=dict, repr=False)
     deposit_ntxids: tuple[bytes, ...] = field(init=False, repr=False, compare=False)
 
-    def __setattr__(self, name, value):
-        super().__setattr__(name, value)
-        # the ids follow the bodies whenever they are set; kept, not a
-        # property, because play reads them many times per trial
-        if name == "deposit_bodies":
-            super().__setattr__("deposit_ntxids", tuple(b.digests[0] for b in value))
+    def __post_init__(self):
+        # the dataclass is frozen, so the ids go straight into its dict; kept,
+        # not a property, because play reads them many times per trial
+        vars(self)["deposit_ntxids"] = tuple(b.digests[0] for b in self.deposit_bodies)
 
     @property
     def levels(self) -> int:
@@ -369,29 +363,6 @@ class Tournament:
 
     def secret(self, kid: KernelId, side: int) -> bytes:
         return self.secrets[(kid, side)]
-
-
-class ScaffoldTx(NamedTuple):
-    """A body in canonical signing/export order."""
-
-    role: str
-    key: object  # KernelId, (level, match, candidate) or deposit index
-    body: TransactionBody
-
-    @property
-    def ntxid(self) -> bytes:
-        return self.body.digests[0]
-
-
-def iter_bodies(t: Tournament) -> list[ScaffoldTx]:
-    """All scaffold bodies in deterministic order; deposits come last."""
-    out: list[ScaffoldTx] = []
-    for kid in sorted(t.kernels):
-        out.extend(ScaffoldTx(role, kid, b) for role, b in zip(ROLE_KERNEL, t.kernels[kid].bodies))
-    for ckey in sorted(t.compressions):
-        out.append(ScaffoldTx(ROLE_COMPRESSION, ckey, t.compressions[ckey]))
-    out.extend(ScaffoldTx(ROLE_DEPOSIT, i, body) for i, body in enumerate(t.deposit_bodies))
-    return out
 
 
 def _entry_predicate(master: Predicate, left_commit: bytes, t1: int) -> Predicate:
@@ -575,7 +546,7 @@ class _HonestWiring:
 
     The parameters are fixed when the scaffold is constructed, so an entry
     built later is the one construction would have built then.
-    `commits(kid)` supplies a kernel's (left, right) commitment digests.
+    `commits[kid]` is a kernel's (left, right) commitment digests.
     The signature digest of every body built goes into `scaffold_digests`,
     and every entry into `built`, by table; the `LazyTable`s read through
     here, so nothing the wiring holds refers back to them.
@@ -590,13 +561,18 @@ class _HonestWiring:
     deposit_option: str
     master: Predicate
     deposit_ntxids: tuple[bytes, ...]
-    commits: Callable[[KernelId], tuple[bytes, bytes]]
+    commits: Mapping[KernelId, tuple[bytes, bytes]]
     scaffold_digests: set[bytes] = field(default_factory=set)
 
     def __post_init__(self):
-        self.levels = num_levels(self.n)
         self.stride = level_stride(self.tau, self.mode == MODE_MULTIINPUT)
         self.built: dict[str, dict] = {KERNELS: {}, COMPRESSIONS: {}}
+
+    @functools.cached_property
+    def levels(self) -> int:
+        # taken when a key is first asked about, so that a file whose player
+        # count no bracket has still loads, for `verify_as_honest` to refuse
+        return num_levels(self.n)
 
     def _indexes(self, table: str, level: int, match: int) -> range:
         """The last coordinate of a table's keys in one match: the kernel
@@ -615,13 +591,16 @@ class _HonestWiring:
                 for index in self._indexes(table, level, match):
                     yield KernelId(level, match, index) if table == KERNELS else (level, match, index)
 
+    def has(self, table: str, key: tuple[int, int, int]) -> bool:
+        level, match, index = key
+        return index in self._indexes(table, level, match)
+
     def get(self, table: str, key):
         """Entry `key` of `table`, built and kept the first time it is read."""
         memo = self.built[table]
         entry = memo.get(key)
         if entry is None:
-            level, match, index = key
-            if index not in self._indexes(table, level, match):
+            if not self.has(table, key):
                 raise KeyError(key)
             if table == KERNELS:
                 key = KernelId(*key)
@@ -654,7 +633,7 @@ class _HonestWiring:
         pays = (self.master, self.master)
         if level == self.levels - 1 and self.mode == MODE_PLAIN:  # multiinput pays out in the compression
             pays = tuple(KeySign(self.keys[p]) for p in players_of(self.n, *kid, self.mode))
-        left_commit, right_commit = self.commits(kid)
+        left_commit, right_commit = self.commits[kid]
         bodies = _kernel_bodies(
             self.master,
             left_commit,
@@ -692,44 +671,31 @@ class _HonestWiring:
         return body
 
 
-class LazyTable(MutableMapping):
-    """The kernels or the compressions of an honestly constructed scaffold,
-    each built the first time it is read.
+class LazyTable(Mapping):
+    """The kernels or the compressions of an honestly constructed scaffold.
 
-    Reading an entry builds it, and the entries it spends, and keeps it.
-    Iterating, taking the length or writing first builds every entry not
-    yet built, in bracket order; from then on the table is a plain dict, so
-    an entry a write deletes stays deleted. The construction state lives on
-    the table, so a deep copy builds into its own registries.
+    Its keys are those the parameters fix, in bracket order, known without
+    building anything. Reading an entry builds it, and the entries it
+    spends, and keeps it; nothing writes to the table. The construction
+    state lives on the table, so a deep copy builds into its own
+    registries.
     """
 
     def __init__(self, wiring: _HonestWiring, table: str):
-        self._wiring: Optional[_HonestWiring] = wiring  # None once `_all` built every entry
+        self._wiring = wiring
         self._table = table
 
     def __getitem__(self, key):
-        if self._wiring is None:
-            return self._built[key]
         return self._wiring.get(self._table, key)
 
-    def _all(self) -> dict:
-        if self._wiring is not None:
-            wiring, table = self._wiring, self._table
-            self._built = {key: wiring.get(table, key) for key in wiring.ids(table)}
-            self._wiring = None
-        return self._built
+    def __contains__(self, key) -> bool:
+        return self._wiring.has(self._table, key)
 
     def __iter__(self) -> Iterator:
-        return iter(self._all())
+        return self._wiring.ids(self._table)
 
     def __len__(self) -> int:
-        return len(self._all())
-
-    def __setitem__(self, key, entry) -> None:
-        self._all()[key] = entry
-
-    def __delitem__(self, key) -> None:
-        del self._all()[key]
+        return sum(1 for _ in self)
 
 
 def _honest_scaffold(
@@ -742,24 +708,24 @@ def _honest_scaffold(
     mode: str,
     deposit_option: str,
     mpc_digest: Optional[bytes],
-    commits: Callable[[KernelId], tuple[bytes, bytes]],
+    commits: Mapping[KernelId, tuple[bytes, bytes]],
     secrets: dict[tuple[KernelId, int], bytes],
 ) -> Tournament:
     """The scaffold honest construction gives for these parameters.
 
     Everything in a scaffold is public except the kernels' commitment
-    digests, which `commits(kid)` supplies as (left, right) when kernel
-    `kid` is built. Build draws them from fresh secrets; verify passes the
-    ones a scaffold carries, so the result differs from that scaffold
-    exactly where it is not honest. The deposits are built here; kernels
-    and compressions in either mode when first read (`LazyTable`).
-    `secrets` is stored as given; what the parameters fix is derived by
+    digests, which `commits[kid]` supplies as (left, right) when kernel
+    `kid` is built: build draws them from fresh secrets, and a file
+    carries them. The deposits are built here; kernels and compressions
+    in either mode when first read (`LazyTable`), so nothing here reads
+    the player count, and a file whose parameters construction cannot
+    run on still loads for `verify_as_honest` to refuse. `commits` and
+    `secrets` are stored as given; what the parameters fix is derived by
     the `Tournament` itself.
     """
     master = AllSign(tuple(keys))
     if deposit_option == DEPOSIT_ATOMIC:
         deposit_bodies = (build_deposit_atomic(funding, bet, master),)
-        mpc_digest = None
     else:
         deposit_bodies = build_deposit_hashlocked(
             funding, bet, master, keys, mpc_digest, refund_time_for(t_commit)
@@ -785,6 +751,7 @@ def _honest_scaffold(
         deposit_option=deposit_option,
         master_keys=tuple(keys),
         funding=tuple(funding),
+        commitments=commits,
         kernels=LazyTable(wiring, KERNELS),
         compressions=LazyTable(wiring, COMPRESSIONS),
         deposit_bodies=deposit_bodies,
@@ -794,18 +761,22 @@ def _honest_scaffold(
     )
 
 
-@dataclass
-class _FreshSecrets:
-    """Commitments over fresh kernel secrets, drawn by label from `source` and kept in `secrets`."""
+class _FreshSecrets(dict):
+    """A build's commitments: each kernel's (left, right) digests over fresh
+    secrets, drawn by the kernel's label from `source` the first time they
+    are read and kept, the secrets in `secrets`."""
 
-    source: Rng
-    secrets: dict[tuple[KernelId, int], bytes] = field(default_factory=dict)
+    def __init__(self, source: Rng):
+        super().__init__()
+        self.source = source
+        self.secrets: dict[tuple[KernelId, int], bytes] = {}
 
-    def __call__(self, kid: KernelId) -> tuple[bytes, bytes]:
+    def __missing__(self, kid: KernelId) -> tuple[bytes, bytes]:
         label = f"{kid.level}.{kid.match}.{kid.combo}"
         left = self.secrets[(kid, SIDE_LEFT)] = self.source.child(f"{label}.L").nonzero_bytes(32)
         right = self.secrets[(kid, SIDE_RIGHT)] = self.source.child(f"{label}.R").nonzero_bytes(32)
-        return commitment(left), commitment(right)
+        pair = self[kid] = (commitment(left), commitment(right))
+        return pair
 
 
 # a plain match at level l has 9^(2^l - 1) kernels, so beyond this player
@@ -834,15 +805,19 @@ def build_tournament(
     """Construct the unsigned honest scaffold; its kernels are built when first read.
 
     Secrets are drawn per kernel per player from `secret_source`, by the
-    kernel's label, when the kernel is built; their commitment digests are
-    baked into the spending predicates. The returned object carries the
-    secrets for simulation purposes; exports strip them. Its schedule
-    stride, refund height and stats follow from the parameters (`Tournament`).
+    kernel's label, when the kernel is built or its commitments are read;
+    their commitment digests are baked into the spending predicates. The
+    returned object carries the secrets for simulation purposes; exports
+    strip them. Its schedule stride, refund height and stats follow from
+    the parameters (`Tournament`). An atomic deposit takes no joint digest,
+    so one given with it is dropped.
     """
     check_params(n, tau, t_commit, bet)
     problem = _param_problem(n, player_keys, funding, mode, deposit_option, mpc_digest)
     if problem:
         raise ValueError(problem)
+    if deposit_option == DEPOSIT_ATOMIC:
+        mpc_digest = None
     fresh = _FreshSecrets(secret_source.child("kernel-secrets"))
     return _honest_scaffold(
         n, player_keys, funding, bet, tau, t_commit, mode, deposit_option, mpc_digest, fresh,
@@ -955,22 +930,20 @@ class Violation(NamedTuple):
 
 
 def verify_as_honest(t: Tournament) -> list[Violation]:
-    """Rebuild the scaffold honestly from its public fields and diff.
+    """Check what honest construction cannot fix by itself: its inputs.
 
-    Everything except the secret preimages is public, so the verifier runs
-    honest construction on the tournament's own parameters and the
-    commitment digests it carries, then flags every divergence: rewired
-    inputs, altered locktimes or predicates (a deposit's refund height
-    included), pots or payout keys, and duplicated commitment digests (the
-    replay defense). What the parameters fix (`level_stride`,
-    `refund_time`, `stats`, and each kernel's players, heights and pot) is
-    derived, not carried, so there is no copy of it to check: a kernel's
-    t1 and t2 are in its bodies' locktimes and `AfterHeight` predicates,
-    its pot in their output values and its payees in the `KeySign`
-    payouts, all compared body by body, and t0 is in no body at all.
-    A scaffold too large to write out is refused as it
-    stands, before anything is rebuilt. An empty list means the scaffold
-    is safe to sign, from every seat.
+    Every body is a function of the public parameters and of the two
+    commitment digests of its kernel, and a scaffold, built or read from a
+    file, has only the bodies honest construction builds from those
+    (`_honest_scaffold`). So no body is compared; a signer approves
+    digests its own construction registered. What is checked: parameters
+    construction can run on (`check_params` and `_param_problem`), and a
+    scaffold small enough to write out; that an atomic deposit carries no
+    joint digest; one commitment record per kernel of the bracket; and
+    commitment digests pairwise distinct across the tree (the replay
+    defense). Nothing is built, and bad parameters are refused before
+    anything else is read. An empty list means the scaffold is safe to
+    sign, from every seat.
     """
     try:
         check_params(t.n, t.tau, t.t_commit, t.bet)
@@ -982,79 +955,28 @@ def verify_as_honest(t: Tournament) -> list[Violation]:
     if not _writable(t.n, t.mode):
         return [Violation(None, "BadParams", f"{t.mode} scaffolds with n={t.n} are too large to verify")]
 
-    def commits(kid: KernelId) -> tuple[bytes, bytes]:
-        k = t.kernels.get(kid)
-        # a missing kernel gets placeholders: it is reported before anything is compared
-        return (k.left_commit, k.right_commit) if k else (bytes(32), bytes(32))
-
-    h = _honest_scaffold(
-        t.n, t.master_keys, t.funding, t.bet, t.tau, t.t_commit, t.mode, t.deposit_option,
-        t.mpc_digest, commits, {},
-    )
     v: list[Violation] = []
-    if t.mpc_digest != h.mpc_digest:
+    if t.deposit_option == DEPOSIT_ATOMIC and t.mpc_digest is not None:
         v.append(Violation(None, "BadDeposit", "atomic deposits take no joint mpc digest"))
-    for kid in sorted(h.kernels.keys() - t.kernels.keys()):
-        v.append(Violation(kid, "MissingKernel", "kernel absent from scaffold"))
-    for kid in sorted(t.kernels.keys() - h.kernels.keys()):
+    pairs: dict[KernelId, tuple[bytes, bytes]] = {}
+    for kid in t.kernels:  # the bracket's kernel ids, in order
+        try:
+            pairs[kid] = t.commitments[kid]  # a build draws the pair here
+        except KeyError:
+            v.append(Violation(kid, "MissingKernel", "kernel absent from scaffold"))
+    for kid in sorted(t.commitments.keys() - pairs.keys()):
         v.append(Violation(kid, "UnexpectedKernel", "kernel not part of the bracket"))
-    if any(rule == "MissingKernel" for _, rule, _ in v):
-        return v
 
-    # commitment digests must be pairwise distinct across the whole tree
     seen: dict[bytes, tuple[KernelId, int]] = {}
-    for kid in sorted(h.kernels):
-        k = t.kernels[kid]
-        for side, digest in ((SIDE_LEFT, k.left_commit), (SIDE_RIGHT, k.right_commit)):
+    for kid, sides in pairs.items():
+        for side, digest in enumerate(sides):
             if digest in seen:
                 other_kid, other_side = seen[digest]
                 detail = f"side {side} repeats commitment of kernel {other_kid} side {other_side}"
                 v.append(Violation(kid, "DuplicateCommitment", detail))
             else:
                 seen[digest] = (kid, side)
-
-    # The ceremony approves the digest registry, so it must be that of the
-    # stored bodies, or signing would cover something other than what was checked.
-    stored = {}
-    signable = set()
-    for item in iter_bodies(t):
-        stored[(item.role, item.key)] = item.body
-        if item.role != ROLE_DEPOSIT:
-            signable.add(item.body.digests[1])
-    if t.scaffold_digests != signable:
-        detail = "the approved digests are not those of the kernel and compression bodies"
-        v.append(Violation(None, "BadDigest", detail))
-    for item in iter_bodies(h):
-        body = stored.pop((item.role, item.key), None)
-        if body != item.body:
-            v.append(_body_divergence(item.role, item.key, body, item.body))
-    for (role, key), body in stored.items():
-        if not isinstance(key, KernelId):  # bodies of extra kernels are reported above
-            v.append(_body_divergence(role, key, body, None))
     return v
-
-
-def _body_divergence(
-    role: str, key: object, stored: Optional[TransactionBody], rebuilt: Optional[TransactionBody]
-) -> Violation:
-    """Classify a body that differs from honest construction; None marks a side that lacks it."""
-    kid = key if isinstance(key, KernelId) else None
-    if role == ROLE_DEPOSIT:
-        rule = "BadDeposit"
-    elif role == ROLE_COMPRESSION:
-        rule = "BadCompression"
-    elif stored.inputs != rebuilt.inputs:
-        rule = "BadWiring"
-    elif stored.locktime != rebuilt.locktime:
-        rule = "BadTimeout"
-    else:
-        rule = "BadScript"
-    what = f"{role} transaction" if kid else f"{role} {key}"
-    if stored is None:
-        return Violation(kid, rule, f"{what} is missing")
-    if rebuilt is None:
-        return Violation(kid, rule, f"{what} is not part of honest construction")
-    return Violation(kid, rule, f"{what} diverges from honest construction")
 
 
 # signing ceremony
@@ -1094,13 +1016,14 @@ def signing_ceremony(
     its signature over a digest verifies if and only if the digest is in
     the tournament's registry `scaffold_digests`. The registry holds the
     bodies built so far and grows as play builds kernels, but only with
-    bodies of the honest scaffold that was approved, and a body's inputs
-    can be on chain only once play has built its kernel, so this is the
-    same as approving the whole scaffold up front. The count of bodies
-    signed comes from the closed form in `t.stats`. The atomic deposit is
-    asked about (`at_deposit`) and signed last, so no player is ever
-    exposed without a full scaffold; hashlocked deposits are authorized
-    solo by their owners at submission time.
+    bodies honest construction built from the approved parameters and
+    commitments, whether the scaffold was built or read from a file, and
+    a body's inputs can be on chain only once play has built its kernel,
+    so this is the same as approving the whole scaffold up front. The
+    count of bodies signed comes from the closed form in `t.stats`. The
+    atomic deposit is asked about (`at_deposit`) and signed last, so no
+    player is ever exposed without a full scaffold; hashlocked deposits
+    are authorized solo by their owners at submission time.
     """
     atomic = t.deposit_option == DEPOSIT_ATOMIC
     scaffold_bodies = t.stats.kernel_bodies + t.stats.compression_count
@@ -1124,15 +1047,16 @@ def signing_ceremony(
 # serialization
 
 
-# v2 drops v1's `level_stride`, `refund_time` and `stats`, and v3 each
-# kernel's players, heights and pot: the parameters fix them all
-FORMAT_TAG = "tournament-scaffold-v3"
+# v2 drops v1's `level_stride`, `refund_time` and `stats`, v3 each
+# kernel's players, heights and pot, and v4 every body: the parameters and
+# commitments fix them all
+FORMAT_TAG = "tournament-scaffold-v4"
 
-# a compression record is one ((level, match, candidate), body) item of `Tournament.compressions`
-COMPRESSION_JSON = Record(
-    {"level": int, "match": int, "candidate": int, "body": BODY_JSON},
-    lambda level, match, candidate, body: ((level, match, candidate), body),
-    lambda item: (*item[0], item[1]),
+# a kernel record is one (id, (left, right)) item of `Tournament.commitments`
+KERNEL_JSON = Record(
+    {"level": int, "match": int, "combo": int, "left_commit": bytes, "right_commit": bytes},
+    lambda level, match, combo, *pair: (KernelId(level, match, combo), pair),
+    lambda item: (*item[0], *item[1]),
 )
 
 
@@ -1146,18 +1070,8 @@ def _keyed(items, table: str, what: str) -> dict:
     return keyed
 
 
-def _tournament(_format, mode, n, bet, tau, t_commit, deposit_option, keys, funding, kernels, compressions,
-                deposits, mpc_digest) -> Tournament:
-    """A scaffold from its file record's values; the approved digests are those of the bodies read."""
-    kernels = _keyed(((k.id, k) for k in kernels), KERNELS, "kernel")
-    compressions = _keyed(compressions, COMPRESSIONS, "compression")
-    bodies = [b for k in kernels.values() for b in k.bodies] + list(compressions.values())
-    return Tournament(mode, n, bet, tau, t_commit, deposit_option, keys, funding, kernels, compressions,
-                      deposits, mpc_digest, {b.digests[1] for b in bodies})
-
-
-# the file: parameters, commitments and bodies; secrets are never written,
-# nor anything the parameters fix, and `format` is checked before the rest is read
+# the file: parameters and commitments; secrets are never written, nor
+# anything they fix, and `format` is checked before the rest is read
 SCAFFOLD_JSON = Record(
     {
         "format": str,
@@ -1165,15 +1079,12 @@ SCAFFOLD_JSON = Record(
         "master_keys": ListOf(bytes),
         "funding": ListOf(REF_JSON),
         "kernels": ListOf(KERNEL_JSON),
-        "compressions": ListOf(COMPRESSION_JSON),
-        "deposits": ListOf(BODY_JSON),
         "mpc_digest": Nullable(bytes),
     },
-    _tournament,
+    lambda *values: values,
     lambda t: (
         FORMAT_TAG, t.mode, t.n, t.bet, t.tau, t.t_commit, t.deposit_option, t.master_keys, t.funding,
-        [t.kernels[kid] for kid in sorted(t.kernels)], sorted(t.compressions.items()), t.deposit_bodies,
-        t.mpc_digest,
+        [(kid, t.commitments[kid]) for kid in t.kernels], t.mpc_digest,
     ),
 )
 
@@ -1183,19 +1094,31 @@ def dump_tournament(t: Tournament) -> str:
 
 
 def load_tournament(text: str) -> Tournament:
-    """Decode a scaffold file; malformed input, nesting too deep to decode included, raises ValueError."""
+    """The scaffold honest construction gives for a file's parameters and
+    commitments, the object `build_tournament` makes, with no secrets.
+
+    Malformed input, nesting too deep to decode included, raises
+    ValueError. Parameters construction cannot run on still load, for
+    `verify_as_honest` to refuse before anything is built.
+    """
     try:
         doc = json.loads(text)
         if isinstance(doc, dict) and doc.get("format") != FORMAT_TAG:
             raise ValueError(f"not a scaffold file (format {doc.get('format')!r})")
-        t = json_value(doc, SCAFFOLD_JSON, "scaffold")
+        _, mode, n, bet, tau, t_commit, deposit_option, keys, funding, records, mpc_digest = json_value(
+            doc, SCAFFOLD_JSON, "scaffold"
+        )
     except RecursionError:
         raise ValueError("scaffold: nested too deeply to decode") from None
-    if t.mode not in (MODE_PLAIN, MODE_MULTIINPUT):
-        raise ValueError(f"mode: unknown mode {t.mode!r}")
-    if t.deposit_option not in (DEPOSIT_ATOMIC, DEPOSIT_HASHLOCKED):
-        raise ValueError(f"deposit_option: unknown deposit option {t.deposit_option!r}")
-    return t
+    if mode not in (MODE_PLAIN, MODE_MULTIINPUT):
+        raise ValueError(f"mode: unknown mode {mode!r}")
+    if deposit_option not in (DEPOSIT_ATOMIC, DEPOSIT_HASHLOCKED):
+        raise ValueError(f"deposit_option: unknown deposit option {deposit_option!r}")
+    if deposit_option == DEPOSIT_HASHLOCKED and mpc_digest is None:
+        # the deposits lock on it, so without it there is nothing to build them from
+        raise ValueError("mpc_digest: hashlocked deposits need the joint mpc digest")
+    commits = _keyed(records, KERNELS, "kernel")
+    return _honest_scaffold(n, keys, funding, bet, tau, t_commit, mode, deposit_option, mpc_digest, commits, {})
 
 
 # DAG export

@@ -1,12 +1,21 @@
 """Shared builders, plus the acceptance-criteria reporter."""
 
 import re
+from typing import NamedTuple
 
 import pytest
 
+from commitlotto import scaffold
+from commitlotto.chain import TransactionBody
 from commitlotto.contracts import match_winner
 from commitlotto.primitives import OutputRef, Rng
-from commitlotto.scaffold import build_tournament
+from commitlotto.scaffold import (
+    ROLE_COMPRESSION,
+    ROLE_DEPOSIT,
+    ROLE_KERNEL,
+    Tournament,
+    build_tournament,
+)
 
 _criterion_lines: list[str] = []
 
@@ -86,6 +95,43 @@ def small_tournament(n=4, mode="plain", deposit_option="atomic", seed="t", **kw)
         mpc_digest=mpc_digest,
         **kw,
     )
+
+
+class ScaffoldTx(NamedTuple):
+    """A body in canonical order (`iter_bodies`), with its role and table key."""
+
+    role: str
+    key: object  # KernelId, (level, match, candidate) or deposit index
+    body: TransactionBody
+
+    @property
+    def ntxid(self) -> bytes:
+        return self.body.digests[0]
+
+
+def iter_bodies(t: Tournament) -> list[ScaffoldTx]:
+    """All scaffold bodies in deterministic order, building any not yet built; deposits come last."""
+    out: list[ScaffoldTx] = []
+    for kid in sorted(t.kernels):
+        out.extend(ScaffoldTx(role, kid, b) for role, b in zip(ROLE_KERNEL, t.kernels[kid].bodies))
+    for ckey in sorted(t.compressions):
+        out.append(ScaffoldTx(ROLE_COMPRESSION, ckey, t.compressions[ckey]))
+    out.extend(ScaffoldTx(ROLE_DEPOSIT, i, body) for i, body in enumerate(t.deposit_bodies))
+    return out
+
+
+def count_builds(monkeypatch) -> dict[str, list]:
+    """Record every kernel and compression honest construction builds, while `monkeypatch` holds."""
+    built = {"kernel": [], "compression": []}
+    for name, keys in built.items():
+        build = getattr(scaffold._HonestWiring, name)
+
+        def counted(wiring, *key, build=build, keys=keys):
+            keys.append(key)
+            return build(wiring, *key)
+
+        monkeypatch.setattr(scaffold._HonestWiring, name, counted)
+    return built
 
 
 @pytest.fixture(scope="session")

@@ -25,7 +25,6 @@ from commitlotto.scaffold import (
     MODE_MULTIINPUT,
     KernelId,
     dump_tournament,
-    iter_bodies,
     kernel_count,
     load_tournament,
     matches_at,
@@ -37,7 +36,7 @@ from commitlotto.scaffold import (
 from commitlotto.script import KeySign, SignatureOracle, parity_bit
 from commitlotto.strategies import BTC_MULTI, adversary_library, supports
 
-from conftest import small_tournament
+from conftest import iter_bodies, small_tournament
 
 TAU = 6
 T_COMMIT = 10

@@ -1,6 +1,5 @@
 """CLI: exit codes, output contracts, determinism."""
 
-import copy
 import hashlib
 import json
 import re
@@ -9,10 +8,12 @@ from pathlib import Path
 import pytest
 
 from commitlotto import cli, scaffold
+from commitlotto.chain import BODY_JSON
 from commitlotto.cli import _parse_seed, main
+from commitlotto.primitives import to_json
 from commitlotto.scaffold import KernelId, load_tournament
 
-from conftest import ETH_MIXED_SEATS
+from conftest import ETH_MIXED_SEATS, count_builds
 
 
 def run_cli(capsys, *argv):
@@ -113,22 +114,46 @@ def test_verify_rejects_doctored_scaffold(capsys, scaffold_file, tmp_path):
     assert "do not sign" in err
 
 
-# sha256 of files `build --scaffold-out` wrote in older formats: versions 1
-# and 2 also stored each kernel's players, heights and pot, and version 1
-# the level stride, refund time and stats; the version-2 digests are the
-# ones the workflow pinned then
+def test_export_dot_refuses_a_doctored_scaffold(capsys, scaffold_file, tmp_path, monkeypatch):
+    # the same doctored file: export-dot draws honest construction, so it
+    # names verify's violation in one line and builds nothing
+    doc = json.loads(scaffold_file.read_text())
+    left = {(k["level"], k["match"], k["combo"]): k for k in doc["kernels"]}
+    left[(0, 1, 0)]["left_commit"] = left[(0, 0, 0)]["left_commit"]
+    bad = tmp_path / "doctored.json"
+    bad.write_text(json.dumps(doc))
+    built = count_builds(monkeypatch)
+    dot = tmp_path / "g.dot"
+    code, out, err = run_cli(capsys, "export-dot", "--scaffold", str(bad), "--out", str(dot))
+    assert (code, out) == (2, "")
+    assert err == (
+        "configuration error: cannot draw a scaffold verify rejects: DuplicateCommitment at "
+        "kernel (0, 1, 0): side 0 repeats commitment of kernel KernelId(level=0, match=0, combo=0) side 0\n"
+    )
+    assert not dot.exists()
+    assert built == {"kernel": [], "compression": []}
+
+
+# sha256 of files `build --scaffold-out` wrote in older formats: versions
+# 1 to 3 also stored every body (each kernel's five, the compressions and
+# the deposits), versions 1 and 2 each kernel's players, heights and pot,
+# and version 1 the level stride, refund time and stats; the version-2 and
+# version-3 digests are the ones the workflow pinned then
 OLD_SCAFFOLD_FILES = {
     "v1-plain4": (1, "plain4", "6e5166a9d8d7d6d9b6d5b988936db5699240f04b10d2d2dcf5371bc2e1ca96cd"),
     "v2-plain4": (2, "plain4", "b44038aeaf82dadd7215524125224d07772525b4ecebf4c85d7b662bba9fe94e"),
     "v2-multi8": (2, "multi8", "704fda7493bf9af86d27ea5f55d55921637077c80fabdc865f12a0e07e8b0b7c"),
+    "v3-plain4": (3, "plain4", "59aafba1e228e2d7594cde60eccfc1d02a1afa12ce0f8688090d7e89a28535c8"),
+    "v3-multi8": (3, "multi8", "d8f167769ff76165667ed3d4ff50d9e795583cce379472e4a5b1b3490d4b4370"),
 }
 
 
 @pytest.mark.parametrize("old", sorted(OLD_SCAFFOLD_FILES))
-def test_verify_refuses_a_version_1_scaffold_file(capsys, tmp_path, old):
-    # an older file is the current one plus what the parameters fix, under
-    # its old tag; that it hashes to the old pin shows the derived facts
-    # are the ones a file used to store
+def test_verify_refuses_an_older_scaffold_file(capsys, tmp_path, old):
+    # an older file is the current one plus the bodies honest construction
+    # builds from it and what the parameters fix, under its old tag; that
+    # it hashes to the old pin shows the dropped bodies and facts are the
+    # ones a file used to store
     version, name, digest = OLD_SCAFFOLD_FILES[old]
     path = tmp_path / f"{name}.json"
     argv = ("--out", str(tmp_path / "s.json"), "--scaffold-out", str(path))
@@ -137,9 +162,18 @@ def test_verify_refuses_a_version_1_scaffold_file(capsys, tmp_path, old):
     t = load_tournament(path.read_text())
     for k in doc["kernels"]:
         kid = (k["level"], k["match"], k["combo"])
-        k["left_player"], k["right_player"] = scaffold.players_of(t.n, *kid, t.mode)
-        k["t0"], k["t1"], k["t2"] = t.schedule(k["level"])
-        k["pot"] = (2 << k["level"]) * t.bet
+        kernel = t.kernel(*kid)
+        k["entry"], k["reveal"] = to_json(kernel.entry_tx, BODY_JSON), to_json(kernel.reveal_tx, BODY_JSON)
+        k["outcomes"] = [to_json(body, BODY_JSON) for body in kernel.outcome_txs]
+        if version < 3:
+            k["left_player"], k["right_player"] = scaffold.players_of(t.n, *kid, t.mode)
+            k["t0"], k["t1"], k["t2"] = t.schedule(k["level"])
+            k["pot"] = (2 << k["level"]) * t.bet
+    doc["compressions"] = [
+        {"level": level, "match": match, "candidate": cand, "body": to_json(body, BODY_JSON)}
+        for (level, match, cand), body in t.compressions.items()
+    ]
+    doc["deposits"] = [to_json(body, BODY_JSON) for body in t.deposit_bodies]
     if version == 1:
         doc.update(level_stride=t.level_stride, refund_time=t.refund_time, stats=t.stats.to_json())
     doc["format"] = f"tournament-scaffold-v{version}"
@@ -152,10 +186,8 @@ def test_verify_refuses_a_version_1_scaffold_file(capsys, tmp_path, old):
 
 
 def _repeat_a_funding_ref(doc):
-    # the deposit spends funding 0 twice, so the chain would never accept it
+    # the deposit would spend funding 0 twice, so the chain would never accept it
     doc["funding"][1] = doc["funding"][0]
-    inputs = doc["deposits"][0]["inputs"]
-    inputs[1] = dict(inputs[0])
 
 
 def _give_an_atomic_scaffold_a_joint_digest(doc):
@@ -197,35 +229,59 @@ def test_verify_reports_out_of_range_params(capsys, scaffold_file, tmp_path, fie
     assert out.startswith(f"VIOLATION BadParams at scaffold: {field} must be ")
 
 
-def test_verify_refuses_a_plain_scaffold_too_large_to_write_out(
-    capsys, scaffold_file, tmp_path, monkeypatch
-):
+def _relabel_n16(doc):
     # an n=4 file relabelled n=16: honest plain construction at that size
-    # has 23,922,356 bodies, so verify must refuse before it rebuilds any
-    doc = json.loads(scaffold_file.read_text())
+    # has 23,922,356 bodies, so neither command may build any
     doc["n"] = 16
     doc["master_keys"] = [hashlib.sha256(b"key%d" % i).hexdigest() for i in range(16)]
     doc["funding"] = [
         {"txid": hashlib.sha256(b"funding%d" % i).hexdigest(), "index": 0} for i in range(16)
     ]
-    big = tmp_path / "n16.json"
-    big.write_text(json.dumps(doc))
-    built = []
-    honest_kernel = scaffold._HonestWiring.kernel
 
-    def kernel(wiring, kid):
-        built.append(kid)
-        if len(built) > 1000:
-            raise RuntimeError("verify is rebuilding the whole bracket")
-        return honest_kernel(wiring, kid)
 
-    monkeypatch.setattr(scaffold._HonestWiring, "kernel", kernel)
-    code, out, err = run_cli(capsys, "verify", str(big))
-    assert code == 3
-    assert out.count("VIOLATION") == 1
-    assert out.startswith("VIOLATION BadParams at scaffold: ")
-    assert "do not sign" in err
-    assert built == []
+def _relabel_n3(doc):
+    # no bracket has three players, so there is no kernel id to build
+    doc["n"] = 3
+
+
+def _drop_the_last_record(doc):
+    # the final kernel has no commitments to build it from
+    last = doc["kernels"].pop()
+    assert (last["level"], last["match"], last["combo"]) == (1, 0, 8)
+
+
+# a file honest construction cannot draw, and the one violation verify finds in it
+UNBUILDABLE = {
+    "plain-n16": (_relabel_n16, "BadParams at scaffold: plain scaffolds with n=16 are too large to verify"),
+    "n3": (_relabel_n3, "BadParams at scaffold: player count 3 is not a power of two >= 2"),
+    "missing-kernel": (_drop_the_last_record, "MissingKernel at kernel (1, 0, 8): kernel absent from scaffold"),
+}
+
+
+@pytest.mark.parametrize("command", ["verify", "export-dot"])
+@pytest.mark.parametrize("name", sorted(UNBUILDABLE))
+def test_a_scaffold_construction_cannot_draw_is_refused_before_anything_is_built(
+    capsys, scaffold_file, tmp_path, monkeypatch, command, name
+):
+    # verify reports the violation and exits 3; export-dot, which draws
+    # honest construction, says in one line why it cannot and exits 2
+    edit, violation = UNBUILDABLE[name]
+    doc = json.loads(scaffold_file.read_text())
+    edit(doc)
+    bad = tmp_path / f"{name}.json"
+    bad.write_text(json.dumps(doc))
+    built = count_builds(monkeypatch)
+    dot = tmp_path / "g.dot"
+    if command == "verify":
+        code, out, err = run_cli(capsys, "verify", str(bad))
+        assert (code, out) == (3, f"VIOLATION {violation}\n")
+        assert "do not sign" in err
+    else:
+        code, out, err = run_cli(capsys, "export-dot", "--scaffold", str(bad), "--out", str(dot))
+        assert (code, out) == (2, "")
+        assert err == f"configuration error: cannot draw a scaffold verify rejects: {violation}\n"
+        assert not dot.exists()
+    assert built == {"kernel": [], "compression": []}
 
 
 def _drop_kernels(doc):
@@ -233,27 +289,15 @@ def _drop_kernels(doc):
 
 
 def _drop_ref_txid(doc):
-    del doc["kernels"][0]["entry"]["inputs"][0]["txid"]
+    del doc["funding"][0]["txid"]
 
 
-def _two_outcomes(doc):
-    doc["kernels"][0]["outcomes"].pop()
+def _drop_right_commit(doc):
+    del doc["kernels"][0]["right_commit"]
 
 
 def _word_for_n(doc):
     doc["n"] = "four"
-
-
-def _unknown_predicate_op(doc):
-    doc["deposits"][0]["outputs"][0]["predicate"]["op"] = "mystery"
-
-
-def _drop_predicate_op(doc):
-    del doc["deposits"][0]["outputs"][0]["predicate"]["op"]
-
-
-def _drop_input_kind(doc):
-    del doc["deposits"][0]["inputs"][0]["kind"]
 
 
 def _short_funding_txid(doc):
@@ -262,13 +306,26 @@ def _short_funding_txid(doc):
     doc["funding"][0]["txid"] = doc["funding"][0]["txid"][:62]
 
 
-def _add_a_field(steps):
+def _unknown_mode(doc):
+    doc["mode"] = "segwit"
+
+
+def _unknown_deposit_option(doc):
+    doc["deposit_option"] = "escrow"
+
+
+def _drop_mpc_digest(doc):
+    # hashlocked deposits lock on it, so there is nothing to build them from
+    doc["mpc_digest"] = None
+
+
+def _add_a_field(steps, key="extra"):
     """An edit giving the record at `steps` (keys and indexes from the top) a field the format lacks."""
     def edit(doc):
         record = doc
         for step in steps:
             record = record[step]
-        record["extra"] = 1
+        record[key] = 1
     return edit
 
 
@@ -276,33 +333,32 @@ def _add_a_field(steps):
 RECORDS = {
     "top-level": ((), "scaffold"),
     "kernel": (("kernels", 0), "kernels[0]"),
-    "compression": (("compressions", 0), "compressions[0]"),
-    "deposit-body": (("deposits", 0), "deposits[0]"),
-    "input": (("deposits", 0, "inputs", 0), "deposits[0].inputs[0]"),
-    "output": (("deposits", 0, "outputs", 0), "deposits[0].outputs[0]"),
-    "ref": (("compressions", 0, "body", "inputs", 0, "refs", 0), "compressions[0].body.inputs[0].refs[0]"),
-    "predicate-node": (
-        ("deposits", 0, "outputs", 0, "predicate", "branches", 1), "deposits[0].outputs[0].predicate.branches[1]"
-    ),
+    "ref": (("funding", 0), "funding[0]"),
 }
 
 # each edit of a multiinput hashlocked file, which has every kind of record, and the error it gives
 MALFORMED = {
     "no-kernels": (_drop_kernels, "scaffold: missing field 'kernels'"),
-    "ref-without-txid": (_drop_ref_txid, "kernels[0].entry.inputs[0]: missing field 'txid'"),
-    "two-outcomes": (_two_outcomes, "kernels[0].outcomes: expected 3 items, got 2"),
+    "ref-without-txid": (_drop_ref_txid, "funding[0]: missing field 'txid'"),
+    "kernel-without-right-commit": (_drop_right_commit, "kernels[0]: missing field 'right_commit'"),
     "n-as-word": (_word_for_n, "n: expected a non-negative 32-bit integer, got 'four'"),
-    "unknown-predicate-op": (_unknown_predicate_op, "deposits[0].outputs[0].predicate: unknown op 'mystery'"),
-    "predicate-without-op": (_drop_predicate_op, "deposits[0].outputs[0].predicate: missing field 'op'"),
-    "input-without-kind": (_drop_input_kind, "deposits[0].inputs[0]: missing field 'kind'"),
     "txid-of-31-bytes": (_short_funding_txid, "funding[0].txid: expected 32 bytes, got 31"),
+    "unknown-mode": (_unknown_mode, "mode: unknown mode 'segwit'"),
+    "unknown-deposit-option": (_unknown_deposit_option, "deposit_option: unknown deposit option 'escrow'"),
+    "hashlocked-without-mpc-digest": (
+        _drop_mpc_digest, "mpc_digest: hashlocked deposits need the joint mpc digest"
+    ),
     "top-level-list": (
-        lambda doc: [doc], "scaffold: expected an object, got [{'bet': 1, 'compressions': [{'body': {'"
+        lambda doc: [doc], "scaffold: expected an object, got [{'bet': 1, 'deposit_option': 'hashlocke"
     ),
     **{
         f"unknown-field-in-{record}": (_add_a_field(steps), f"{where}: unknown field 'extra'")
         for record, (steps, where) in RECORDS.items()
     },
+    # the bodies a version-3 file carried: honest construction builds them now
+    "deposits": (_add_a_field((), "deposits"), "scaffold: unknown field 'deposits'"),
+    "compressions": (_add_a_field((), "compressions"), "scaffold: unknown field 'compressions'"),
+    "kernel-body": (_add_a_field(("kernels", 0), "entry"), "kernels[0]: unknown field 'entry'"),
 }
 
 
@@ -329,7 +385,8 @@ def test_a_v3_file_that_also_carries_derived_facts_is_malformed_input(
 ):
     # the workflow's plain4.json with players, a pot, a level stride and stats
     # beside its records, at values no check compares; read by looking up
-    # only the keys the format has, it passed verify with "scaffold ok"
+    # only the keys the format had, a version-3 file like it passed verify
+    # with "scaffold ok"
     assert hashlib.sha256(scaffold_file.read_bytes()).hexdigest() == WORKFLOW_SCAFFOLD_GOLDEN["plain4"][1]
     doc = json.loads(scaffold_file.read_text())
     for k in doc["kernels"]:
@@ -345,63 +402,46 @@ def test_a_v3_file_that_also_carries_derived_facts_is_malformed_input(
 @pytest.mark.parametrize(
     "command", [("verify",), ("export-dot", "--scaffold")], ids=["verify", "export-dot"]
 )
-def test_a_slot_utf8_cannot_encode_is_malformed_input(capsys, scaffold_file, tmp_path, command):
+def test_a_string_utf8_cannot_encode_is_malformed_input(capsys, scaffold_file, tmp_path, command):
     # the JSON escape "\udc80" decodes to a lone surrogate, which the
     # canonical encoding cannot take; the error names the field, not the codec
     doc = json.loads(scaffold_file.read_text())
-    term = doc["kernels"][0]["entry"]["outputs"][0]["predicate"]["branches"][0]["terms"][1]
-    assert term["op"] == "hash-preimage"
-    term["slot"] = "\udc80"
+    doc["mode"] = "\udc80"
     bad = tmp_path / "surrogate.json"
     bad.write_text(json.dumps(doc))
     assert '"\\udc80"' in bad.read_text()
     code, out, err = run_cli(capsys, *command, str(bad))
     assert (code, out) == (2, "")
-    where = "kernels[0].entry.outputs[0].predicate.branches[0].terms[1].slot"
-    assert err == f"error: {where}: expected a string UTF-8 can encode, got '\\udc80'\n"
+    assert err == "error: mode: expected a string UTF-8 can encode, got '\\udc80'\n"
 
 
 @pytest.mark.parametrize(
     "command", [("verify",), ("export-dot", "--scaffold")], ids=["verify", "export-dot"]
 )
-@pytest.mark.parametrize(
-    "table, mode, body, key",
-    [
-        ("kernels", "plain", "entry", "kernel (0, 0, 0)"),
-        ("compressions", "multiinput", "body", "compression (0, 0, 0)"),
-    ],
-    ids=["kernels", "compressions"],
-)
-def test_a_repeated_record_is_malformed_input(capsys, tmp_path, command, table, mode, body, key):
+def test_a_repeated_record_is_malformed_input(capsys, scaffold_file, tmp_path, command):
     # a tampered copy placed before the genuine record must not be dropped
-    # silently: the file names two records for one key
-    path = tmp_path / "scaffold.json"
-    argv = ("build", "--n", "4", "--mode", mode, "--out", str(tmp_path / "s.json"))
-    assert run_cli(capsys, *argv, "--scaffold-out", str(path))[0] == 0
-    doc = json.loads(path.read_text())
-    tampered = copy.deepcopy(doc[table][0])
-    tampered[body]["locktime"] += 1
-    doc[table].insert(0, tampered)
+    # silently: the file names two records for one kernel
+    doc = json.loads(scaffold_file.read_text())
+    tampered = dict(doc["kernels"][0], left_commit="ab" * 32)
+    doc["kernels"].insert(0, tampered)
     bad = tmp_path / "repeated.json"
     bad.write_text(json.dumps(doc))
     code, out, err = run_cli(capsys, *command, str(bad))
     assert (code, out) == (2, "")
-    assert err == f"error: {table}[1]: repeats {key}\n"
+    assert err == "error: kernels[1]: repeats kernel (0, 0, 0)\n"
 
 
-def _deep_predicate(scaffold_file):
-    # a scaffold whose first entry output nests its predicate in 5,000 all-of levels
+def _deep_record(scaffold_file):
+    # a scaffold whose first kernel record nests its left commitment in 5,000 objects
     doc = json.loads(scaffold_file.read_text())
-    out = doc["kernels"][0]["entry"]["outputs"][0]
-    predicate, out["predicate"] = json.dumps(out["predicate"]), "DEEP"
+    doc["kernels"][0]["left_commit"] = "DEEP"
     levels = 5000
-    deep = '{"op": "all-of", "terms": [' * levels + predicate + "]}" * levels
-    return json.dumps(doc).replace('"DEEP"', deep)
+    return json.dumps(doc).replace('"DEEP"', '{"a": ' * levels + "1" + "}" * levels)
 
 
 NESTED_TOO_DEEP = {
     "arrays": lambda scaffold_file: "[" * 100000 + "]" * 100000,
-    "predicate": _deep_predicate,
+    "record": _deep_record,
 }
 
 
@@ -689,29 +729,32 @@ def test_statistics_only_branches_reject_bad_input(capsys, command, flag):
 
 
 # sha256 of each scaffold file the workflow builds and verifies, recorded
-# when the format became version 3: each is the version-2 file minus each
-# kernel's players, heights and pot, under the new format tag
+# when the format became version 4: each is the version-3 file minus every
+# body, under the new format tag
 WORKFLOW_SCAFFOLD_GOLDEN = {
-    "plain4": (("--n", "4"), "59aafba1e228e2d7594cde60eccfc1d02a1afa12ce0f8688090d7e89a28535c8"),
+    "plain4": (("--n", "4"), "a55d0b1d11811ca50fb51e6f3d983c5b224ee4ab6673312b4b2fe6cefe6cf6bb"),
     "multi8": (
         ("--n", "8", "--mode", "multiinput", "--deposit", "hashlocked"),
-        "d8f167769ff76165667ed3d4ff50d9e795583cce379472e4a5b1b3490d4b4370",
+        "a620e501ba0e14e567034514138fd0b0afd85be6e6c99bb3d5d7f67f630ecac5",
     ),
     "multi16": (
         ("--n", "16", "--mode", "multiinput", "--deposit", "hashlocked"),
-        "1f58d187631f9f6abe928967950cefb4cd4aba47dd8d0d709ef580d6aa9ea837",
+        "45408158898c70891a74b9edd75b3955632bf912d290225b551bdc89a6be138b",
     ),
 }
 
 
 @pytest.mark.parametrize("name", sorted(WORKFLOW_SCAFFOLD_GOLDEN))
-def test_the_workflow_scaffold_files_match_their_pinned_digests(capsys, tmp_path, name):
+def test_the_workflow_scaffold_files_match_their_pinned_digests(capsys, tmp_path, monkeypatch, name):
     argv, digest = WORKFLOW_SCAFFOLD_GOLDEN[name]
     path = tmp_path / f"{name}.json"
     argv += ("--out", str(tmp_path / "s.json"), "--scaffold-out", str(path))
     assert run_cli(capsys, "build", *argv)[0] == 0
-    assert run_cli(capsys, "verify", str(path))[0] == 0
     assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
+    # verify judges the parameters and commitments as they stand: it builds no body
+    built = count_builds(monkeypatch)
+    assert run_cli(capsys, "verify", str(path))[0] == 0
+    assert built == {"kernel": [], "compression": []}
 
 
 def test_export_dot_from_file(capsys, scaffold_file, tmp_path):
@@ -742,9 +785,16 @@ DOT_GOLDEN = [
 ]
 
 
+@pytest.mark.parametrize("command", ["build", "export-dot"])
 @pytest.mark.parametrize("argv, digest", DOT_GOLDEN, ids=["plain-n4", "multiinput-n8-hashlocked"])
-def test_build_dot_golden(capsys, tmp_path, argv, digest):
-    code, out, _ = run_cli(capsys, "build", *argv, "--out", str(tmp_path / "s.json"), "--dot", "-")
+def test_build_dot_golden(capsys, tmp_path, monkeypatch, argv, digest, command):
+    # export-dot draws the file build --scaffold-out wrote, by honest construction
+    monkeypatch.chdir(tmp_path)
+    if command == "build":
+        code, out, _ = run_cli(capsys, "build", *argv, "--out", "s.json", "--dot", "-")
+    else:
+        assert run_cli(capsys, "build", *argv, "--out", "s.json", "--scaffold-out", "t.json")[0] == 0
+        code, out, _ = run_cli(capsys, "export-dot", "--scaffold", "t.json")
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 

@@ -25,7 +25,6 @@ from commitlotto.scaffold import (
     SIDE_RIGHT,
     SIG_MODELS,
     auth_bytes,
-    iter_bodies,
     players_of,
     scaffold_stats,
     signing_ceremony,
@@ -52,7 +51,7 @@ from commitlotto.harness import (
     write_trials_csv,
 )
 
-from conftest import ETH_MIXED_SEATS, fresh_players
+from conftest import ETH_MIXED_SEATS, fresh_players, iter_bodies
 
 HONEST4 = ("honest",) * 4
 MIXED8 = (

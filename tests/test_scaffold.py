@@ -26,7 +26,6 @@ from commitlotto.scaffold import (
     DEPOSIT_HASHLOCKED,
     FORMAT_TAG,
     MODE_MULTIINPUT,
-    ROLE_OUTCOMES,
     SIDE_LEFT,
     SIDE_RIGHT,
     SLOT_MPC,
@@ -41,7 +40,6 @@ from commitlotto.scaffold import (
     candidates,
     dump_tournament,
     export_dot,
-    iter_bodies,
     joint_preimage,
     kernel_count,
     load_tournament,
@@ -74,7 +72,7 @@ from commitlotto import scaffold as scaffold_module
 from commitlotto.harness import BTC_PLAIN, ScaffoldRuntime, ScenarioConfig, run_trial, trial_rng
 from commitlotto.strategies import BTC_MULTI
 
-from conftest import make_funding, make_keys, small_tournament
+from conftest import count_builds, iter_bodies, make_funding, make_keys, small_tournament
 
 
 # counting
@@ -716,20 +714,6 @@ def test_kernels_built_in_play_equal_an_upfront_build(backend, n, deposit_option
     assert verify_as_honest(t) == []
 
 
-def count_builds(monkeypatch) -> dict[str, list]:
-    """Record every kernel and compression honest construction builds."""
-    built = {"kernel": [], "compression": []}
-    for name, keys in built.items():
-        build = getattr(scaffold_module._HonestWiring, name)
-
-        def counted(wiring, *key, build=build, keys=keys):
-            keys.append(key)
-            return build(wiring, *key)
-
-        monkeypatch.setattr(scaffold_module._HonestWiring, name, counted)
-    return built
-
-
 def test_honest_plain_trial_builds_one_kernel_per_match(monkeypatch):
     built = count_builds(monkeypatch)
     cfg = ScenarioConfig(backend=BTC_PLAIN, n=8, strategies=("honest",) * 8)
@@ -771,11 +755,9 @@ def test_copies_of_a_partly_built_scaffold_stay_independent():
     assert len(twin.secrets) > built[0]
     t.kernels[KernelId(1, 1, 3)]
     assert (KernelId(1, 1, 3), SIDE_LEFT) not in twin.secrets
-    del twin.kernels[top]
-    assert top in t.kernels and top not in twin.kernels
 
     # the table builds from the parameters it was constructed with, not from
-    # the fields of a tournament that shares it
+    # the fields of a tournament that shares it, and takes no writes
     fresh = dict(small_tournament(8).kernels)
     swapped = dataclasses.replace(t, master_keys=tuple(reversed(t.master_keys)))
     late = KernelId(2, 0, 8)
@@ -783,14 +765,14 @@ def test_copies_of_a_partly_built_scaffold_stay_independent():
     flat = dataclasses.replace(t, kernels=dict(t.kernels))
     flat.kernels[top] = flat.kernels[other]
     assert t.kernels[top] == fresh[top] != flat.kernels[top]
-    assert dict(t.kernels) == fresh == {**twin.kernels, top: fresh[top]}
+    with pytest.raises(TypeError):
+        t.kernels[top] = fresh[other]
+    with pytest.raises(TypeError):
+        del twin.kernels[top]
+    assert dict(t.kernels) == fresh == dict(twin.kernels)
 
 
 # honest verification
-
-
-def clone(t):
-    return copy.deepcopy(t)
 
 
 def test_verify_accepts_honest_build(plain4, multi8):
@@ -800,99 +782,41 @@ def test_verify_accepts_honest_build(plain4, multi8):
     assert verify_as_honest(t) == []
 
 
-def rules_of(violations):
-    return {v.rule for v in violations}
+def doctored(t, edit):
+    """`t` written out, its file record edited in place by `edit`, and read back."""
+    doc = json.loads(dump_tournament(t))
+    edit(doc)
+    return load_tournament(json.dumps(doc))
+
+
+def kernel_record(doc, kid):
+    (record,) = [k for k in doc["kernels"] if (k["level"], k["match"], k["combo"]) == tuple(kid)]
+    return record
 
 
 def test_verify_flags_duplicate_commitment(plain4):
-    t = clone(plain4)
-    a = t.kernels[KernelId(0, 0, 0)]
-    b = t.kernels[KernelId(0, 1, 0)]
-    t.kernels[KernelId(0, 1, 0)] = dataclasses.replace(b, left_commit=a.left_commit)
-    assert "DuplicateCommitment" in rules_of(verify_as_honest(t))
+    def edit(doc):
+        kernel_record(doc, (0, 1, 0))["left_commit"] = kernel_record(doc, (0, 0, 0))["left_commit"]
 
-
-def test_verify_flags_timeout_tampering(plain4):
-    t = clone(plain4)
-    k = t.kernels[KernelId(0, 0, 0)]
-    worse = k.outcome_txs[1]._replace(locktime=k.outcome_txs[1].locktime + 1)
-    t.kernels[KernelId(0, 0, 0)] = dataclasses.replace(
-        k, outcome_txs=(k.outcome_txs[0], worse, k.outcome_txs[2])
-    )
-    assert "BadTimeout" in rules_of(verify_as_honest(t))
-
-
-def test_verify_flags_rewired_input(plain4):
-    from commitlotto.chain import FixedInput
-    from commitlotto.primitives import OutputRef
-
-    t = clone(plain4)
-    k = t.kernels[KernelId(1, 0, 0)]
-    bogus = TransactionBody(
-        inputs=(FixedInput(OutputRef(b"\xee" * 32, 0)), k.entry_tx.inputs[1]),
-        outputs=k.entry_tx.outputs,
-        locktime=k.entry_tx.locktime,
-    )
-    t.kernels[KernelId(1, 0, 0)] = dataclasses.replace(k, entry_tx=bogus)
-    assert "BadWiring" in rules_of(verify_as_honest(t))
-
-
-def test_verify_flags_payout_redirection(plain4):
-    t = clone(plain4)
-    k = t.kernels[KernelId(1, 0, 0)]
-    # outcome 1 should pay the right player; point it at the left player
-    stolen = k.outcome_txs[1]._replace(
-        outputs=(
-            k.outcome_txs[1].outputs[0]._replace(
-                predicate=KeySign(t.master_keys[players_of(4, *k.id)[0]])
-            ),
+    assert verify_as_honest(doctored(plain4, edit)) == [
+        scaffold_module.Violation(
+            KernelId(0, 1, 0), "DuplicateCommitment", "side 0 repeats commitment of kernel "
+            "KernelId(level=0, match=0, combo=0) side 0"
         )
-    )
-    t.kernels[KernelId(1, 0, 0)] = dataclasses.replace(
-        k, outcome_txs=(k.outcome_txs[0], stolen, k.outcome_txs[2])
-    )
-    assert "BadScript" in rules_of(verify_as_honest(t))
-
-
-def test_verify_flags_missing_and_extra_kernels(plain4):
-    t = clone(plain4)
-    del t.kernels[KernelId(1, 0, 8)]
-    assert "MissingKernel" in rules_of(verify_as_honest(t))
-
-    t = clone(plain4)
-    k = t.kernels[KernelId(1, 0, 8)]
-    t.kernels[KernelId(1, 0, 9)] = k
-    assert "UnexpectedKernel" in rules_of(verify_as_honest(t))
-
-
-def test_verify_flags_deposit_tampering(plain4):
-    t = clone(plain4)
-    dep = t.deposit_bodies[0]
-    t.deposit_bodies = (
-        dep._replace(outputs=dep.outputs[:-1] + (dep.outputs[-1]._replace(value=2),)),
-    )
-    assert "BadDeposit" in rules_of(verify_as_honest(t))
-
-
-def test_verify_flags_a_late_refund_branch():
-    # the refund height lives in each hashlocked deposit's predicate, on chain
-    t = clone(small_tournament(4, deposit_option=DEPOSIT_HASHLOCKED))
-    dep = t.deposit_bodies[2]
-    spend, refund = dep.outputs[0].predicate.branches
-    owner = KeySign(t.master_keys[2])
-    assert refund == AllOf((owner, AfterHeight(t.t_commit)))
-    late = dep.outputs[0]._replace(predicate=AnyOf((spend, AllOf((owner, AfterHeight(t.t_commit + 5))))))
-    t.deposit_bodies = t.deposit_bodies[:2] + (dep._replace(outputs=(late,)),) + t.deposit_bodies[3:]
-    assert verify_as_honest(t) == [
-        scaffold_module.Violation(None, "BadDeposit", "deposit 2 diverges from honest construction")
     ]
 
 
-def test_verify_flags_stale_digests(plain4):
-    # an approval set that covers a body the scaffold lacks
-    t = clone(plain4)
-    t.scaffold_digests.add(b"\x00" * 32)
-    assert rules_of(verify_as_honest(t)) == {"BadDigest"}
+def test_verify_flags_missing_and_extra_kernels(plain4):
+    def drop(doc):
+        doc["kernels"].remove(kernel_record(doc, (1, 0, 8)))
+
+    def extra(doc):
+        doc["kernels"].append({**kernel_record(doc, (1, 0, 8)), "combo": 9})
+
+    missing = scaffold_module.Violation(KernelId(1, 0, 8), "MissingKernel", "kernel absent from scaffold")
+    assert verify_as_honest(doctored(plain4, drop)) == [missing]
+    unexpected = scaffold_module.Violation(KernelId(1, 0, 9), "UnexpectedKernel", "kernel not part of the bracket")
+    assert verify_as_honest(doctored(plain4, extra)) == [unexpected]
 
 
 def test_a_replaced_body_brings_its_own_id(multi8):
@@ -912,66 +836,46 @@ def test_a_replaced_body_brings_its_own_id(multi8):
     deposits = (forged,) + multi8.deposit_bodies[1:]
     t = dataclasses.replace(multi8, deposit_bodies=deposits)
     assert t.deposit_ntxids == tuple(b.digests[0] for b in deposits) != multi8.deposit_ntxids
-    t = clone(multi8)
-    t.deposit_bodies = deposits
-    assert t.deposit_ntxids[0] == want
-    # an id cannot be passed in, nor set on a kernel afterwards
+    # an id cannot be passed in, nor set afterwards, on a kernel or a scaffold
     fields = {f.name: getattr(k, f.name) for f in dataclasses.fields(k) if f.init}
     with pytest.raises(TypeError):
         Kernel(**fields, entry_ntxid=want)
     with pytest.raises(dataclasses.FrozenInstanceError):
         k.entry_ntxid = want
-
-
-def with_body(t, item, body):
-    """A copy of `t` with the body of one iter_bodies item replaced."""
-    t = dataclasses.replace(t, kernels=dict(t.kernels), compressions=dict(t.compressions))
-    if item.role == "deposit":
-        t.deposit_bodies = tuple(body if i == item.key else b for i, b in enumerate(t.deposit_bodies))
-    elif item.role == "compression":
-        t.compressions[item.key] = body
-    elif item.role in ("entry", "reveal"):
-        t.kernels[item.key] = dataclasses.replace(t.kernels[item.key], **{f"{item.role}_tx": body})
-    else:
-        k = t.kernels[item.key]
-        idx = ROLE_OUTCOMES.index(item.role)
-        outcomes = tuple(body if i == idx else b for i, b in enumerate(k.outcome_txs))
-        t.kernels[item.key] = dataclasses.replace(k, outcome_txs=outcomes)
-    return t
-
-
-@pytest.mark.parametrize("mode,deposit_option", [("plain", "atomic"), ("multiinput", "hashlocked")])
-def test_verify_flags_every_tampered_body(mode, deposit_option):
-    t = small_tournament(4, mode=mode, deposit_option=deposit_option)
-    expected = {"deposit": "BadDeposit", "compression": "BadCompression"}
-    items = iter_bodies(t)
-    assert {item.role for item in items} >= {"deposit", "entry", "reveal", *ROLE_OUTCOMES}
-    for item in items:
-        bad = with_body(t, item, item.body._replace(locktime=item.body.locktime + 1))
-        rules = rules_of(verify_as_honest(bad))
-        assert expected.get(item.role, "BadTimeout") in rules, (item.role, item.key, rules)
-    assert verify_as_honest(t) == []
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        t.deposit_bodies = multi8.deposit_bodies
 
 
 def test_verify_rejects_bad_player_count():
-    t = clone(small_tournament(4))
-    t.master_keys = t.master_keys[:3] + (t.master_keys[0],)
-    assert rules_of(verify_as_honest(t)) == {"BadParams"}
+    t = small_tournament(4)
+    t = dataclasses.replace(t, master_keys=t.master_keys[:3] + (t.master_keys[0],))
+    assert {v.rule for v in verify_as_honest(t)} == {"BadParams"}
 
 
 # serialization
 
 
-def test_json_round_trip_preserves_public_state(plain4):
-    text = dump_tournament(plain4)
+@pytest.mark.parametrize(
+    "n,mode,deposit_option",
+    [
+        (4, "plain", "atomic"), (8, "plain", "atomic"), (8, "multiinput", DEPOSIT_HASHLOCKED),
+        (4, "multiinput", "atomic"), (8, "plain", DEPOSIT_HASHLOCKED),
+    ],
+)
+def test_json_round_trip_preserves_public_state(n, mode, deposit_option):
+    # a file read back is the object the build made: construction runs on
+    # the same parameters and commitments, so every body, and every digest
+    # a signer approves, is the one the build has
+    t = small_tournament(n, mode=mode, deposit_option=deposit_option)
+    text = dump_tournament(t)
     assert json.loads(text)["format"] == FORMAT_TAG
     back = load_tournament(text)
-    assert back.n == plain4.n and back.mode == plain4.mode
+    assert back.n == t.n and back.mode == t.mode
     assert back.secrets == {}  # secrets never travel
-    assert set(back.kernels) == set(plain4.kernels)
-    for kid in plain4.kernels:
-        a, b = plain4.kernels[kid], back.kernels[kid]
-        assert (a.entry_tx, a.reveal_tx, a.outcome_txs) == (b.entry_tx, b.reveal_tx, b.outcome_txs)
+    assert dict(back.kernels) == dict(t.kernels)
+    assert dict(back.compressions) == dict(t.compressions)
+    assert back.deposit_bodies == t.deposit_bodies
+    assert back.scaffold_digests == t.scaffold_digests  # both tables iterated
     assert verify_as_honest(back) == []
 
 
