@@ -30,8 +30,8 @@ with what it spends, and keep it (`LazyTable`). A trial builds only what
 play reaches and what that spends: a plain trial one kernel per match;
 reading every entry builds the rest, with the same bytes. A scaffold
 file is therefore only the parameters and the commitments, and reading
-one runs the same construction (`_honest_scaffold`) on them, so a
-scaffold has one constructor however it was made. The signing
+one constructs a `Tournament` from them as a build does: a scaffold has
+one constructor, `Tournament` itself, however it was made. The signing
 ceremony approves the honest scaffold as a whole: a key's approval is
 membership in the tournament's registry of signature digests, which
 honest construction fills as it builds bodies.
@@ -296,15 +296,62 @@ class TransactionStats:
         return {**dataclasses.asdict(self), "per_level": list(self.per_level)}
 
 
+class LazyTable(Mapping):
+    """A view of the kernels or the compressions of a `Tournament`.
+
+    Its keys are those the parameters fix, in bracket order, known without
+    building anything: per match of the bracket, the indexes
+    `per_match(level, match)` gives, each made a key by `key`. Reading an
+    entry builds it with `build`, with the entries it spends, and keeps it
+    in `memo`, the tournament's; nothing writes to the table. The view is
+    made afresh on each read of `Tournament.kernels` or `.compressions` and
+    the tournament never holds it, so nothing the tournament stores refers
+    back to it, and a deep copy builds into its own memos and registries.
+    """
+
+    __slots__ = ("_n", "_per_match", "_build", "_key", "_memo")
+
+    def __init__(self, n: int, per_match: Callable, build: Callable, key: Callable, memo: dict):
+        self._n, self._per_match, self._build, self._key, self._memo = n, per_match, build, key, memo
+
+    def __getitem__(self, key):
+        entry = self._memo.get(key)
+        if entry is None:
+            if key not in self:
+                raise KeyError(key)
+            key = self._key(key)
+            entry = self._memo[key] = self._build(key)
+        return entry
+
+    def __contains__(self, key) -> bool:
+        level, match, index = key
+        # the levels are taken only when a key is asked about, so that a file
+        # whose player count no bracket has still loads, for `verify_as_honest`
+        if not (0 <= level < num_levels(self._n) and 0 <= match < matches_at(self._n, level)):
+            return False
+        return index in self._per_match(level, match)
+
+    def __iter__(self) -> Iterator:
+        for level in range(num_levels(self._n)):
+            for match in range(matches_at(self._n, level)):
+                for index in self._per_match(level, match):
+                    yield self._key((level, match, index))
+
+    def __len__(self) -> int:
+        return sum(1 for _ in self)
+
+
 @dataclass(frozen=True)
 class Tournament:
     """A scaffold: public parameters, commitments and the bodies they fix.
 
-    Honest construction (`_honest_scaffold`) makes every one, whether for
-    a build or from a file: it builds the deposits, and the kernels and
-    compressions on first read (see `LazyTable`). `commitments` holds each
-    kernel's (left, right) digests: a file's records, or in a build pairs
-    over fresh secrets, drawn when first read. The registries
+    It is its own constructor, whether for a build or from a file: the
+    arguments are the parameters, `commitments` and `secrets`, and the
+    rest is derived from them. `__post_init__` builds the deposits; the
+    kernels and compressions are built on first read (`LazyTable`), with
+    what they spend, and kept in a memo per table. `commitments` holds
+    each kernel's (left, right) digests: a file's records, or in a build
+    pairs over fresh secrets, drawn when first read. The registries
     `scaffold_digests` and `secrets` hold what the built bodies and drawn
     commitments contribute, so they grow with the tables. No id is an
     argument: `deposit_ntxids` is derived from `deposit_bodies`, the
@@ -312,7 +359,9 @@ class Tournament:
     that the parameters fix: `level_stride`, `refund_time`, `stats` and
     `schedule`, and a kernel's players and pot, are derived from them when
     read, so none is stored, written to a file or checked by
-    `verify_as_honest`.
+    `verify_as_honest`. Only a kernel or compression read needs the
+    player count, so parameters construction cannot run on still make a
+    tournament, for `verify_as_honest` to refuse.
     """
 
     mode: str
@@ -324,19 +373,33 @@ class Tournament:
     master_keys: tuple[bytes, ...]
     funding: tuple[OutputRef, ...]
     commitments: Mapping[KernelId, tuple[bytes, bytes]] = field(repr=False)
-    kernels: Mapping[KernelId, Kernel]
-    compressions: Mapping[tuple[int, int, int], TransactionBody]  # (level, match, candidate)
-    deposit_bodies: tuple[TransactionBody, ...]
     mpc_digest: Optional[bytes]
-    # signature digests of the built kernel and compression bodies: what the ceremony approves
-    scaffold_digests: set[bytes] = field(repr=False)
     secrets: dict[tuple[KernelId, int], bytes] = field(default_factory=dict, repr=False)
+    # derived, never arguments
+    master: Predicate = field(init=False, repr=False, compare=False)
+    deposit_bodies: tuple[TransactionBody, ...] = field(init=False, repr=False, compare=False)
     deposit_ntxids: tuple[bytes, ...] = field(init=False, repr=False, compare=False)
+    # signature digests of the built kernel and compression bodies: what the ceremony approves
+    scaffold_digests: set[bytes] = field(init=False, repr=False, compare=False)
+    _kernel_memo: dict = field(init=False, repr=False, compare=False)
+    _compression_memo: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        # the dataclass is frozen, so the ids go straight into its dict; kept,
-        # not a property, because play reads them many times per trial
-        vars(self)["deposit_ntxids"] = tuple(b.digests[0] for b in self.deposit_bodies)
+        master = AllSign(self.master_keys)
+        if self.deposit_option == DEPOSIT_ATOMIC:
+            deposits = (build_deposit_atomic(self.funding, self.bet, master),)
+        else:
+            deposits = build_deposit_hashlocked(
+                self.funding, self.bet, master, self.master_keys, self.mpc_digest,
+                refund_time_for(self.t_commit),
+            )
+        # the dataclass is frozen, so what is derived goes straight into its
+        # dict; the ids are kept, not a property, because play reads them many
+        # times per trial
+        vars(self).update(
+            master=master, deposit_bodies=deposits, deposit_ntxids=tuple(b.digests[0] for b in deposits),
+            scaffold_digests=set(), _kernel_memo={}, _compression_memo={},
+        )
 
     @property
     def levels(self) -> int:
@@ -355,6 +418,15 @@ class Tournament:
     def stats(self) -> TransactionStats:
         return scaffold_stats(self.n, self.mode, self.deposit_option)
 
+    @property
+    def kernels(self) -> LazyTable:
+        return LazyTable(self.n, self._combos, self._kernel, KernelId._make, self._kernel_memo)
+
+    @property
+    def compressions(self) -> LazyTable:
+        """Keyed (level, match, candidate); plain mode has none."""
+        return LazyTable(self.n, self._candidates, self._compression, tuple, self._compression_memo)
+
     def schedule(self, level: int) -> tuple[int, int, int]:
         return level_schedule(self.t_commit, self.level_stride, self.tau, level)
 
@@ -363,6 +435,77 @@ class Tournament:
 
     def secret(self, kid: KernelId, side: int) -> bytes:
         return self.secrets[(kid, side)]
+
+    def _combos(self, level: int, match: int) -> range:
+        return range(kernel_count(level, self.mode))
+
+    def _candidates(self, level: int, match: int) -> range:
+        width = 1 << (level + 1) if self.mode == MODE_MULTIINPUT else 0
+        return range(match * width, (match + 1) * width)
+
+    def _stake_ref(self, kid: KernelId, side: int) -> OutputRef:
+        """Where the stake on one side of kernel `kid` lives: plain, above
+        level 0, the child outcome its combination names; otherwise the
+        deposit output or the child compression of that side's player."""
+        level, match, combo = kid
+        child_match = 2 * match + side
+        if level > 0 and self.mode == MODE_PLAIN:
+            lk, lt, rk, rt = unpack_index(level, match, combo)
+            child_kernel, child_tx = (lk, lt) if side == SIDE_LEFT else (rk, rt)
+            child = self.kernel(level - 1, child_match, child_kernel)
+            return OutputRef(child.outcome_ntxids[child_tx], 0)
+        player = players_of(self.n, *kid, self.mode)[side]
+        if level > 0:
+            return OutputRef(self.compressions[(level - 1, child_match, player)].digests[0], 0)
+        if self.deposit_option == DEPOSIT_ATOMIC:
+            return OutputRef(self.deposit_ntxids[0], player)
+        return OutputRef(self.deposit_ntxids[player], 0)
+
+    def _kernel(self, kid: KernelId) -> Kernel:
+        level = kid.level
+        _t0, t1, t2 = self.schedule(level)
+        pays = (self.master, self.master)
+        if level == self.levels - 1 and self.mode == MODE_PLAIN:  # multiinput pays out in the compression
+            pays = tuple(KeySign(self.master_keys[p]) for p in players_of(self.n, *kid, self.mode))
+        left_commit, right_commit = self.commitments[kid]
+        bodies = _kernel_bodies(
+            self.master,
+            left_commit,
+            right_commit,
+            t1,
+            t2,
+            (1 << (level + 1)) * self.bet,
+            self._stake_ref(kid, SIDE_LEFT),
+            self._stake_ref(kid, SIDE_RIGHT),
+            *pays,
+        )
+        self.scaffold_digests.update(b.digests[1] for b in bodies)
+        return Kernel(kid, left_commit, right_commit, bodies[0], bodies[1], bodies[2:])
+
+    def _compression(self, key: tuple[int, int, int]) -> TransactionBody:
+        """The multiinput compression paying a candidate: it spends every
+        outcome output of its match that pays the candidate, so it reads
+        the kernels that do."""
+        level, match, cand = key
+        side = 1 << level
+        idx = cand - 2 * match * side  # the candidate's place among the match's 2 * side
+        if idx < side:  # a left candidate wins by outcome a of the combos it plays
+            combos, outcomes = range(idx * side, (idx + 1) * side), (0,)
+        else:  # a right candidate wins by outcome b or b'
+            combos, outcomes = range(idx - side, side * side, side), (1, 2)
+        kernels = self.kernels
+        members = [
+            OutputRef(kernels[KernelId(level, match, combo)].outcome_ntxids[tx], 0)
+            for combo in combos
+            for tx in outcomes
+        ]
+        pot = (1 << (level + 1)) * self.bet
+        body = TransactionBody(
+            inputs=(multi_input(members),),
+            outputs=(TxOutput(pot, _payout(self.master, self.master_keys[cand], level == self.levels - 1)),),
+        )
+        self.scaffold_digests.add(body.digests[1])
+        return body
 
 
 def _entry_predicate(master: Predicate, left_commit: bytes, t1: int) -> Predicate:
@@ -536,231 +679,6 @@ def _param_problem(
     return None
 
 
-KERNELS = "kernels"
-COMPRESSIONS = "compressions"
-
-
-@dataclass
-class _HonestWiring:
-    """What honest construction of one kernel or compression reads and where it registers.
-
-    The parameters are fixed when the scaffold is constructed, so an entry
-    built later is the one construction would have built then.
-    `commits[kid]` is a kernel's (left, right) commitment digests.
-    The signature digest of every body built goes into `scaffold_digests`,
-    and every entry into `built`, by table; the `LazyTable`s read through
-    here, so nothing the wiring holds refers back to them.
-    """
-
-    n: int
-    keys: tuple[bytes, ...]
-    bet: int
-    tau: int
-    t_commit: int
-    mode: str
-    deposit_option: str
-    master: Predicate
-    deposit_ntxids: tuple[bytes, ...]
-    commits: Mapping[KernelId, tuple[bytes, bytes]]
-    scaffold_digests: set[bytes] = field(default_factory=set)
-
-    def __post_init__(self):
-        self.stride = level_stride(self.tau, self.mode == MODE_MULTIINPUT)
-        self.built: dict[str, dict] = {KERNELS: {}, COMPRESSIONS: {}}
-
-    @functools.cached_property
-    def levels(self) -> int:
-        # taken when a key is first asked about, so that a file whose player
-        # count no bracket has still loads, for `verify_as_honest` to refuse
-        return num_levels(self.n)
-
-    def _indexes(self, table: str, level: int, match: int) -> range:
-        """The last coordinate of a table's keys in one match: the kernel
-        combinations, or the compression candidates (multiinput only)."""
-        if not (0 <= level < self.levels and 0 <= match < matches_at(self.n, level)):
-            return range(0)
-        if table == KERNELS:
-            return range(kernel_count(level, self.mode))
-        width = 1 << (level + 1) if self.mode == MODE_MULTIINPUT else 0  # plain mode has none
-        return range(match * width, (match + 1) * width)
-
-    def ids(self, table: str) -> Iterator[tuple[int, int, int]]:
-        """Every key of a table, in bracket order."""
-        for level in range(self.levels):
-            for match in range(matches_at(self.n, level)):
-                for index in self._indexes(table, level, match):
-                    yield KernelId(level, match, index) if table == KERNELS else (level, match, index)
-
-    def has(self, table: str, key: tuple[int, int, int]) -> bool:
-        level, match, index = key
-        return index in self._indexes(table, level, match)
-
-    def get(self, table: str, key):
-        """Entry `key` of `table`, built and kept the first time it is read."""
-        memo = self.built[table]
-        entry = memo.get(key)
-        if entry is None:
-            if not self.has(table, key):
-                raise KeyError(key)
-            if table == KERNELS:
-                key = KernelId(*key)
-                entry = memo[key] = self.kernel(key)
-            else:
-                entry = memo[key] = self.compression(*key)
-        return entry
-
-    def _stake_ref(self, kid: KernelId, side: int) -> OutputRef:
-        """Where the stake on one side of kernel `kid` lives: plain, above
-        level 0, the child outcome its combination names; otherwise the
-        deposit output or the child compression of that side's player."""
-        level, match, combo = kid
-        child_match = 2 * match + side
-        if level > 0 and self.mode == MODE_PLAIN:
-            lk, lt, rk, rt = unpack_index(level, match, combo)
-            child_kernel, child_tx = (lk, lt) if side == SIDE_LEFT else (rk, rt)
-            child = self.get(KERNELS, KernelId(level - 1, child_match, child_kernel))
-            return OutputRef(child.outcome_ntxids[child_tx], 0)
-        player = players_of(self.n, *kid, self.mode)[side]
-        if level > 0:
-            return OutputRef(self.get(COMPRESSIONS, (level - 1, child_match, player)).digests[0], 0)
-        if self.deposit_option == DEPOSIT_ATOMIC:
-            return OutputRef(self.deposit_ntxids[0], player)
-        return OutputRef(self.deposit_ntxids[player], 0)
-
-    def kernel(self, kid: KernelId) -> Kernel:
-        level = kid.level
-        _t0, t1, t2 = level_schedule(self.t_commit, self.stride, self.tau, level)
-        pays = (self.master, self.master)
-        if level == self.levels - 1 and self.mode == MODE_PLAIN:  # multiinput pays out in the compression
-            pays = tuple(KeySign(self.keys[p]) for p in players_of(self.n, *kid, self.mode))
-        left_commit, right_commit = self.commits[kid]
-        bodies = _kernel_bodies(
-            self.master,
-            left_commit,
-            right_commit,
-            t1,
-            t2,
-            (1 << (level + 1)) * self.bet,
-            self._stake_ref(kid, SIDE_LEFT),
-            self._stake_ref(kid, SIDE_RIGHT),
-            *pays,
-        )
-        self.scaffold_digests.update(b.digests[1] for b in bodies)
-        return Kernel(kid, left_commit, right_commit, bodies[0], bodies[1], bodies[2:])
-
-    def compression(self, level: int, match: int, cand: int) -> TransactionBody:
-        """The multiinput compression paying `cand`: it spends every outcome
-        output of its match that pays `cand`, so it reads the kernels that do."""
-        side = 1 << level
-        idx = cand - 2 * match * side  # the candidate's place among the match's 2 * side
-        if idx < side:  # a left candidate wins by outcome a of the combos it plays
-            combos, outcomes = range(idx * side, (idx + 1) * side), (0,)
-        else:  # a right candidate wins by outcome b or b'
-            combos, outcomes = range(idx - side, side * side, side), (1, 2)
-        members = [
-            OutputRef(self.get(KERNELS, KernelId(level, match, combo)).outcome_ntxids[tx], 0)
-            for combo in combos
-            for tx in outcomes
-        ]
-        pot = (1 << (level + 1)) * self.bet
-        body = TransactionBody(
-            inputs=(multi_input(members),),
-            outputs=(TxOutput(pot, _payout(self.master, self.keys[cand], level == self.levels - 1)),),
-        )
-        self.scaffold_digests.add(body.digests[1])
-        return body
-
-
-class LazyTable(Mapping):
-    """The kernels or the compressions of an honestly constructed scaffold.
-
-    Its keys are those the parameters fix, in bracket order, known without
-    building anything. Reading an entry builds it, and the entries it
-    spends, and keeps it; nothing writes to the table. The construction
-    state lives on the table, so a deep copy builds into its own
-    registries.
-    """
-
-    def __init__(self, wiring: _HonestWiring, table: str):
-        self._wiring = wiring
-        self._table = table
-
-    def __getitem__(self, key):
-        return self._wiring.get(self._table, key)
-
-    def __contains__(self, key) -> bool:
-        return self._wiring.has(self._table, key)
-
-    def __iter__(self) -> Iterator:
-        return self._wiring.ids(self._table)
-
-    def __len__(self) -> int:
-        return sum(1 for _ in self)
-
-
-def _honest_scaffold(
-    n: int,
-    keys: Sequence[bytes],
-    funding: Sequence[OutputRef],
-    bet: int,
-    tau: int,
-    t_commit: int,
-    mode: str,
-    deposit_option: str,
-    mpc_digest: Optional[bytes],
-    commits: Mapping[KernelId, tuple[bytes, bytes]],
-    secrets: dict[tuple[KernelId, int], bytes],
-) -> Tournament:
-    """The scaffold honest construction gives for these parameters.
-
-    Everything in a scaffold is public except the kernels' commitment
-    digests, which `commits[kid]` supplies as (left, right) when kernel
-    `kid` is built: build draws them from fresh secrets, and a file
-    carries them. The deposits are built here; kernels and compressions
-    in either mode when first read (`LazyTable`), so nothing here reads
-    the player count, and a file whose parameters construction cannot
-    run on still loads for `verify_as_honest` to refuse. `commits` and
-    `secrets` are stored as given; what the parameters fix is derived by
-    the `Tournament` itself.
-    """
-    master = AllSign(tuple(keys))
-    if deposit_option == DEPOSIT_ATOMIC:
-        deposit_bodies = (build_deposit_atomic(funding, bet, master),)
-    else:
-        deposit_bodies = build_deposit_hashlocked(
-            funding, bet, master, keys, mpc_digest, refund_time_for(t_commit)
-        )
-    wiring = _HonestWiring(
-        n=n,
-        keys=tuple(keys),
-        bet=bet,
-        tau=tau,
-        t_commit=t_commit,
-        mode=mode,
-        deposit_option=deposit_option,
-        master=master,
-        deposit_ntxids=tuple(b.digests[0] for b in deposit_bodies),
-        commits=commits,
-    )
-    return Tournament(
-        mode=mode,
-        n=n,
-        bet=bet,
-        tau=tau,
-        t_commit=t_commit,
-        deposit_option=deposit_option,
-        master_keys=tuple(keys),
-        funding=tuple(funding),
-        commitments=commits,
-        kernels=LazyTable(wiring, KERNELS),
-        compressions=LazyTable(wiring, COMPRESSIONS),
-        deposit_bodies=deposit_bodies,
-        mpc_digest=mpc_digest,
-        scaffold_digests=wiring.scaffold_digests,
-        secrets=secrets,
-    )
-
-
 class _FreshSecrets(dict):
     """A build's commitments: each kernel's (left, right) digests over fresh
     secrets, drawn by the kernel's label from `source` the first time they
@@ -819,8 +737,8 @@ def build_tournament(
     if deposit_option == DEPOSIT_ATOMIC:
         mpc_digest = None
     fresh = _FreshSecrets(secret_source.child("kernel-secrets"))
-    return _honest_scaffold(
-        n, player_keys, funding, bet, tau, t_commit, mode, deposit_option, mpc_digest, fresh,
+    return Tournament(
+        mode, n, bet, tau, t_commit, deposit_option, tuple(player_keys), tuple(funding), fresh, mpc_digest,
         fresh.secrets,
     )
 
@@ -934,16 +852,16 @@ def verify_as_honest(t: Tournament) -> list[Violation]:
 
     Every body is a function of the public parameters and of the two
     commitment digests of its kernel, and a scaffold, built or read from a
-    file, has only the bodies honest construction builds from those
-    (`_honest_scaffold`). So no body is compared; a signer approves
-    digests its own construction registered. What is checked: parameters
-    construction can run on (`check_params` and `_param_problem`), and a
-    scaffold small enough to write out; that an atomic deposit carries no
-    joint digest; one commitment record per kernel of the bracket; and
-    commitment digests pairwise distinct across the tree (the replay
-    defense). Nothing is built, and bad parameters are refused before
-    anything else is read. An empty list means the scaffold is safe to
-    sign, from every seat.
+    file, has only the bodies its `Tournament` builds from those, the
+    deposits on construction and the rest when first read. So no body is
+    compared; a signer approves digests its own construction registered.
+    What is checked: parameters construction can run on (`check_params`
+    and `_param_problem`), and a scaffold small enough to write out; that
+    an atomic deposit carries no joint digest; one commitment record per
+    kernel of the bracket; and commitment digests pairwise distinct across
+    the tree (the replay defense). No kernel or compression is built, and
+    bad parameters are refused before anything else is read. An empty list
+    means the scaffold is safe to sign, from every seat.
     """
     try:
         check_params(t.n, t.tau, t.t_commit, t.bet)
@@ -972,7 +890,7 @@ def verify_as_honest(t: Tournament) -> list[Violation]:
         for side, digest in enumerate(sides):
             if digest in seen:
                 other_kid, other_side = seen[digest]
-                detail = f"side {side} repeats commitment of kernel {other_kid} side {other_side}"
+                detail = f"side {side} repeats commitment of kernel {tuple(other_kid)} side {other_side}"
                 v.append(Violation(kid, "DuplicateCommitment", detail))
             else:
                 seen[digest] = (kid, side)
@@ -1094,8 +1012,9 @@ def dump_tournament(t: Tournament) -> str:
 
 
 def load_tournament(text: str) -> Tournament:
-    """The scaffold honest construction gives for a file's parameters and
-    commitments, the object `build_tournament` makes, with no secrets.
+    """The `Tournament` of a file's parameters and commitments: the
+    object `build_tournament` makes, constructed the same way, with no
+    secrets.
 
     Malformed input, nesting too deep to decode included, raises
     ValueError. Parameters construction cannot run on still load, for
@@ -1117,8 +1036,8 @@ def load_tournament(text: str) -> Tournament:
     if deposit_option == DEPOSIT_HASHLOCKED and mpc_digest is None:
         # the deposits lock on it, so without it there is nothing to build them from
         raise ValueError("mpc_digest: hashlocked deposits need the joint mpc digest")
-    commits = _keyed(records, KERNELS, "kernel")
-    return _honest_scaffold(n, keys, funding, bet, tau, t_commit, mode, deposit_option, mpc_digest, commits, {})
+    commits = _keyed(records, "kernels", "kernel")
+    return Tournament(mode, n, bet, tau, t_commit, deposit_option, keys, funding, commits, mpc_digest)
 
 
 # DAG export

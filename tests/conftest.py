@@ -124,13 +124,13 @@ def count_builds(monkeypatch) -> dict[str, list]:
     """Record every kernel and compression honest construction builds, while `monkeypatch` holds."""
     built = {"kernel": [], "compression": []}
     for name, keys in built.items():
-        build = getattr(scaffold._HonestWiring, name)
+        build = getattr(scaffold.Tournament, f"_{name}")
 
-        def counted(wiring, *key, build=build, keys=keys):
+        def counted(t, key, build=build, keys=keys):
             keys.append(key)
-            return build(wiring, *key)
+            return build(t, key)
 
-        monkeypatch.setattr(scaffold._HonestWiring, name, counted)
+        monkeypatch.setattr(scaffold.Tournament, f"_{name}", counted)
     return built
 
 

@@ -128,7 +128,7 @@ def test_export_dot_refuses_a_doctored_scaffold(capsys, scaffold_file, tmp_path,
     assert (code, out) == (2, "")
     assert err == (
         "configuration error: cannot draw a scaffold verify rejects: DuplicateCommitment at "
-        "kernel (0, 1, 0): side 0 repeats commitment of kernel KernelId(level=0, match=0, combo=0) side 0\n"
+        "kernel (0, 1, 0): side 0 repeats commitment of kernel (0, 0, 0) side 0\n"
     )
     assert not dot.exists()
     assert built == {"kernel": [], "compression": []}

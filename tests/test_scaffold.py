@@ -2,6 +2,7 @@
 
 import copy
 import dataclasses
+import gc
 import hashlib
 import json
 import types
@@ -721,7 +722,7 @@ def test_honest_plain_trial_builds_one_kernel_per_match(monkeypatch):
     assert result.committed and result.onchain_tx_count == 22
     kernels = built["kernel"]
     assert len(kernels) == len(set(kernels)) == 7
-    assert sorted(kid.level for (kid,) in kernels) == [0, 0, 0, 0, 1, 1, 2]
+    assert sorted(kid.level for kid in kernels) == [0, 0, 0, 0, 1, 1, 2]
     assert built["compression"] == []
 
 
@@ -756,20 +757,53 @@ def test_copies_of_a_partly_built_scaffold_stay_independent():
     t.kernels[KernelId(1, 1, 3)]
     assert (KernelId(1, 1, 3), SIDE_LEFT) not in twin.secrets
 
-    # the table builds from the parameters it was constructed with, not from
-    # the fields of a tournament that shares it, and takes no writes
-    fresh = dict(small_tournament(8).kernels)
-    swapped = dataclasses.replace(t, master_keys=tuple(reversed(t.master_keys)))
+    # a tournament is its own constructor: one made with other keys builds
+    # from them, as a fresh build with those keys does, and leaves `t` as it
+    # was; the tables take no writes
+    base = small_tournament(8)
+    fresh = dict(base.kernels)
+    keys = tuple(reversed(t.master_keys))
+    swapped = dataclasses.replace(t, master_keys=keys)
+    rebuilt = build_tournament(8, keys, make_funding(8), Rng("t"), t_commit=10, bet=1, tau=6)
     late = KernelId(2, 0, 8)
-    assert swapped.kernels[late] == fresh[late]
-    flat = dataclasses.replace(t, kernels=dict(t.kernels))
-    flat.kernels[top] = flat.kernels[other]
-    assert t.kernels[top] == fresh[top] != flat.kernels[top]
+    assert swapped.kernels[late] == rebuilt.kernels[late] != fresh[late]
+    assert dict(swapped.kernels) == dict(rebuilt.kernels)
+    assert swapped == rebuilt and swapped.deposit_bodies == rebuilt.deposit_bodies
+    assert swapped.scaffold_digests == rebuilt.scaffold_digests
+    assert t.kernels[top] == fresh[top]
     with pytest.raises(TypeError):
         t.kernels[top] = fresh[other]
     with pytest.raises(TypeError):
         del twin.kernels[top]
     assert dict(t.kernels) == fresh == dict(twin.kernels)
+    assert t == base != swapped
+
+
+@pytest.mark.parametrize("mode,deposit_option", [("plain", "atomic"), ("multiinput", DEPOSIT_HASHLOCKED)])
+@pytest.mark.parametrize("source", ["build", "file"])
+def test_a_scaffold_read_whole_leaves_no_garbage(mode, deposit_option, source):
+    # the tables are views made on each read, so nothing a tournament
+    # stores refers back to it, however much of it has been built; the
+    # file is written first, as json's indenting encoder leaves cycles
+    text = dump_tournament(small_tournament(8, mode=mode, deposit_option=deposit_option))
+
+    def read_whole():
+        if source == "file":
+            t = load_tournament(text)
+        else:
+            t = small_tournament(8, mode=mode, deposit_option=deposit_option)
+        assert len(dict(t.kernels)) == t.stats.kernel_bodies // 5
+        assert len(dict(t.compressions)) == t.stats.compression_count
+        assert verify_as_honest(t) == []
+        assert export_dot(t).startswith("digraph")
+
+    gc.collect()
+    gc.disable()
+    try:
+        read_whole()
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 # honest verification
@@ -800,8 +834,7 @@ def test_verify_flags_duplicate_commitment(plain4):
 
     assert verify_as_honest(doctored(plain4, edit)) == [
         scaffold_module.Violation(
-            KernelId(0, 1, 0), "DuplicateCommitment", "side 0 repeats commitment of kernel "
-            "KernelId(level=0, match=0, combo=0) side 0"
+            KernelId(0, 1, 0), "DuplicateCommitment", "side 0 repeats commitment of kernel (0, 0, 0) side 0"
         )
     ]
 
@@ -833,17 +866,19 @@ def test_a_replaced_body_brings_its_own_id(multi8):
     item = iter_bodies(multi8)[0]
     assert item._replace(body=forged).ntxid == want != item.ntxid
     assert LogEntry(item.body, None, 0)._replace(body=forged).ntxid == want
-    deposits = (forged,) + multi8.deposit_bodies[1:]
-    t = dataclasses.replace(multi8, deposit_bodies=deposits)
-    assert t.deposit_ntxids == tuple(b.digests[0] for b in deposits) != multi8.deposit_ntxids
-    # an id cannot be passed in, nor set afterwards, on a kernel or a scaffold
+    # an id cannot be passed in, nor set afterwards, on a kernel; a
+    # scaffold's deposits are built from its parameters, so neither they
+    # nor their ids can be passed in or set
     fields = {f.name: getattr(k, f.name) for f in dataclasses.fields(k) if f.init}
     with pytest.raises(TypeError):
         Kernel(**fields, entry_ntxid=want)
     with pytest.raises(dataclasses.FrozenInstanceError):
         k.entry_ntxid = want
-    with pytest.raises(dataclasses.FrozenInstanceError):
-        t.deposit_bodies = multi8.deposit_bodies
+    for name in ("deposit_bodies", "deposit_ntxids"):
+        with pytest.raises(ValueError):
+            dataclasses.replace(multi8, **{name: getattr(multi8, name)})
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(multi8, name, getattr(multi8, name))
 
 
 def test_verify_rejects_bad_player_count():
