@@ -135,6 +135,14 @@ def _write(path: str, text: str) -> None:
             fp.write(text)
 
 
+def _write_all(outputs: list[tuple[str, str]]) -> None:
+    """Write each rendered (path, text) in order, but stdout last: a file
+    that cannot be written fails the command before anything reaches
+    stdout. `_one_stdout` has left at most one path aimed there."""
+    for path, text in sorted(outputs, key=lambda output: output[0] in STDOUT_PATHS):
+        _write(path, text)
+
+
 def _scenario_from_args(args, trials: int) -> ScenarioConfig:
     names = [s.strip() for s in args.strategies.split(",") if s.strip()]
     if len(names) == 1:
@@ -170,12 +178,14 @@ def cmd_build(args) -> int:
         "materialized": stats.materialized,
         "stats": stats.to_json(),
     }
-    _write(args.out, json.dumps(doc, indent=2, sort_keys=True) + "\n")
+    outputs = [(args.out, json.dumps(doc, indent=2, sort_keys=True) + "\n")]
     if args.scaffold_out is not None:
-        _write(args.scaffold_out, dump_tournament(t))
-        print(f"wrote scaffold of {stats.total_offchain} bodies -> {args.scaffold_out}", file=sys.stderr)
+        outputs.append((args.scaffold_out, dump_tournament(t)))
     if args.dot is not None:
-        _write(args.dot, export_dot(t))
+        outputs.append((args.dot, export_dot(t)))
+    _write_all(outputs)
+    if args.scaffold_out is not None:
+        print(f"wrote scaffold of {stats.total_offchain} bodies -> {args.scaffold_out}", file=sys.stderr)
     return EXIT_OK
 
 
@@ -214,11 +224,13 @@ def cmd_sweep(args) -> int:
     if not 0 <= args.eps <= 1:
         raise ConfigError(f"eps must be in [0, 1], got {args.eps}")
     summary = run_monte_carlo(cfg)
+    outputs = []
     if args.csv is not None:
         rows = io.StringIO()
         write_trials_csv(rows, summary.results, cfg.n)
-        _write(args.csv, rows.getvalue())
-    _write(args.json, dump_summary(summary))
+        outputs.append((args.csv, rows.getvalue()))
+    outputs.append((args.json, dump_summary(summary)))
+    _write_all(outputs)
     report = check_dominance(summary, eps=args.eps)
     # keep stdout parseable when the summary goes there
     for line in report.lines:

@@ -5,15 +5,18 @@ by a family of five-transaction kernels: an entry that joins the two stakes,
 a reveal that opens the left player's commitment, and three mutually
 exclusive outcomes (left wins by reveal timeout, right wins by entry
 timeout, right wins by revealing odd parity). Because a match at level l+1
-must be wired to concrete child outputs, plain mode needs one kernel per
-combination of child (kernel, outcome) pairs, which squares per level:
+must be wired to concrete child outputs, a kernel's combo names the child
+result each of its two stakes comes from, one side choice per side,
+left-major (`split_combo`). Plain mode needs one kernel per pair of child
+(kernel, outcome) results, which squares per level:
 
     kernels(0) = 1,   kernels(l+1) = (3 * kernels(l)) ** 2
 
 Multiinput mode collapses that blowup: per candidate winner of a match, one
 compression transaction spends whichever outcome output actually paid that
-candidate (a MultiInput set), so the next level only needs one kernel per
-pair of candidate identities, 4^l per match.
+candidate (a MultiInput set), so a side choice is a candidate of the child
+match, and the next level only needs one kernel per pair of candidate
+identities, 4^l per match.
 
 Everything here is built unsigned, and NTXIDs never cover witness data.
 No record takes an id: a compression is its body, and kernels and
@@ -133,48 +136,46 @@ class KernelId(NamedTuple):
     combo: int
 
 
+def side_choices(level: int, mode: str = MODE_PLAIN) -> int:
+    """The child results one side of a kernel at a level can be wired to.
+
+    At level 0 there is one: the deposit output. Above it, plain, choice c
+    is outcome c % 3 of child kernel c // 3, so there are three per child
+    kernel; multiinput, choice c is the child match's c-th candidate winner,
+    of 2^l.
+    """
+    if level < 0:
+        raise IndexOutOfRange("level must be >= 0")
+    if level == 0:
+        return 1
+    if mode == MODE_MULTIINPUT:
+        return 1 << level
+    return 3 * kernel_count(level - 1)
+
+
 def kernel_count(level: int, mode: str = MODE_PLAIN) -> int:
-    """Kernels needed per match at a level.
+    """Kernels needed per match at a level: one per pair of side choices.
 
     Plain mode follows the squaring recurrence (closed form 9^(2^l - 1)).
     Multiinput mode needs one kernel per pair of candidate winners, 4^l.
     """
-    if level < 0:
-        raise IndexOutOfRange("level must be >= 0")
-    if mode == MODE_MULTIINPUT:
-        return 4**level
-    count = 1
-    for _ in range(level):
-        count = 9 * count * count
-    return count
+    return side_choices(level, mode) ** 2
 
 
-def unpack_index(level: int, match: int, combo: int) -> tuple[int, int, int, int]:
-    """Split a plain-mode combination index into child coordinates.
-
-    Returns (left_kernel, left_tx, right_kernel, right_tx) for the two child
-    matches of `match`. The combination index enumerates left-major over
-    3 * kernels(level-1) child outcomes per side.
-    """
-    if level < 1:
-        raise IndexOutOfRange("level-0 kernels have no child coordinates")
-    child_kernels = kernel_count(level - 1)
-    per_side = 3 * child_kernels
-    if not (0 <= combo < per_side * per_side):
+def split_combo(level: int, combo: int, mode: str = MODE_PLAIN) -> tuple[int, int]:
+    """A combination index -> its (left, right) side choices; combos enumerate them left-major."""
+    choices = side_choices(level, mode)
+    if not (0 <= combo < choices * choices):
         raise IndexOutOfRange(f"combo {combo} out of range for level {level}")
-    left_idx, right_idx = divmod(combo, per_side)
-    return (left_idx // 3, left_idx % 3, right_idx // 3, right_idx % 3)
+    return divmod(combo, choices)
 
 
-def pack_index(level: int, left_kernel: int, left_tx: int, right_kernel: int, right_tx: int) -> int:
-    """Inverse of `unpack_index`: child coordinates -> plain-mode combination index."""
-    if level < 1:
-        raise IndexOutOfRange("level-0 kernels have no child coordinates")
-    child_kernels = kernel_count(level - 1)
-    for kernel, tx in ((left_kernel, left_tx), (right_kernel, right_tx)):
-        if not (0 <= kernel < child_kernels and 0 <= tx < 3):
-            raise IndexOutOfRange(f"child ({kernel}, {tx}) out of range for level {level}")
-    return (3 * left_kernel + left_tx) * 3 * child_kernels + 3 * right_kernel + right_tx
+def join_combo(level: int, left: int, right: int, mode: str = MODE_PLAIN) -> int:
+    """Inverse of `split_combo`: (left, right) side choices -> combination index."""
+    choices = side_choices(level, mode)
+    if not (0 <= left < choices and 0 <= right < choices):
+        raise IndexOutOfRange(f"side choices ({left}, {right}) out of range for level {level}")
+    return left * choices + right
 
 
 def winner_side(tx_index: int) -> int:
@@ -184,50 +185,20 @@ def winner_side(tx_index: int) -> int:
     return SIDE_LEFT if tx_index == 0 else SIDE_RIGHT
 
 
-def candidates(n: int, level: int, match: int) -> list[int]:
-    """Players whose bracket path can reach match `match` at `level`."""
-    num_levels(n)
-    width = 1 << (level + 1)
-    if not (0 <= match < matches_at(n, level)):
-        raise IndexOutOfRange(f"match {match} out of range at level {level}")
-    return list(range(match * width, (match + 1) * width))
-
-
-def multi_candidate_pair(n: int, level: int, match: int, combo: int) -> tuple[int, int]:
-    """Multiinput combination index -> (left candidate, right candidate)."""
-    side = 1 << level
-    if not (0 <= combo < side * side):
-        raise IndexOutOfRange(f"combo {combo} out of range for level {level}")
-    left_cands = candidates(n, level - 1, 2 * match) if level else [2 * match]
-    right_cands = candidates(n, level - 1, 2 * match + 1) if level else [2 * match + 1]
-    return left_cands[combo // side], right_cands[combo % side]
-
-
-def multi_combo_index(n: int, level: int, match: int, left: int, right: int) -> int:
-    """Inverse of `multi_candidate_pair`: (left, right candidate) -> combination index."""
-    if not (0 <= match < matches_at(n, level)):
-        raise IndexOutOfRange(f"match {match} out of range at level {level}")
-    side = 1 << level
-    left_idx, right_idx = left - 2 * match * side, right - (2 * match + 1) * side
-    if not (0 <= left_idx < side and 0 <= right_idx < side):
-        raise IndexOutOfRange(f"players {left}, {right} do not meet in match {match}")
-    return left_idx * side + right_idx
-
-
 def players_of(n: int, level: int, match: int, combo: int, mode: str = MODE_PLAIN) -> tuple[int, int]:
-    """Left and right player identity of a kernel, by pure index arithmetic."""
+    """Left and right player identity of a kernel, by pure index arithmetic:
+    at level 0 the bracket's seeding, above it the winner each side choice names."""
     levels = num_levels(n)
     if not (0 <= level < levels):
         raise IndexOutOfRange(f"level {level} out of range")
     if not (0 <= match < matches_at(n, level)):
         raise IndexOutOfRange(f"match {match} out of range at level {level}")
+    left, right = split_combo(level, combo, mode)
     if level == 0:
-        if combo != 0:
-            raise IndexOutOfRange("level 0 has a single kernel per match")
         return 2 * match, 2 * match + 1
-    if mode == MODE_MULTIINPUT:
-        return multi_candidate_pair(n, level, match, combo)
-    lk, lt, rk, rt = unpack_index(level, match, combo)
+    if mode == MODE_MULTIINPUT:  # a child match's candidates are 2^l consecutive players
+        return ((2 * match) << level) + left, ((2 * match + 1) << level) + right
+    (lk, lt), (rk, rt) = divmod(left, 3), divmod(right, 3)
     left_pair = players_of(n, level - 1, 2 * match, lk, mode)
     right_pair = players_of(n, level - 1, 2 * match + 1, rk, mode)
     return left_pair[winner_side(lt)], right_pair[winner_side(rt)]
@@ -444,22 +415,22 @@ class Tournament:
         return range(match * width, (match + 1) * width)
 
     def _stake_ref(self, kid: KernelId, side: int) -> OutputRef:
-        """Where the stake on one side of kernel `kid` lives: plain, above
-        level 0, the child outcome its combination names; otherwise the
-        deposit output or the child compression of that side's player."""
+        """Where the stake on one side of kernel `kid` lives: the child result
+        its side choice names. At level 0, the deposit output of that side's
+        player; above, plain, the child kernel's outcome, and multiinput, the
+        child compression paying the candidate."""
         level, match, combo = kid
-        child_match = 2 * match + side
-        if level > 0 and self.mode == MODE_PLAIN:
-            lk, lt, rk, rt = unpack_index(level, match, combo)
-            child_kernel, child_tx = (lk, lt) if side == SIDE_LEFT else (rk, rt)
-            child = self.kernel(level - 1, child_match, child_kernel)
-            return OutputRef(child.outcome_ntxids[child_tx], 0)
-        player = players_of(self.n, *kid, self.mode)[side]
-        if level > 0:
-            return OutputRef(self.compressions[(level - 1, child_match, player)].digests[0], 0)
-        if self.deposit_option == DEPOSIT_ATOMIC:
-            return OutputRef(self.deposit_ntxids[0], player)
-        return OutputRef(self.deposit_ntxids[player], 0)
+        choice = split_combo(level, combo, self.mode)[side]
+        child_match = 2 * match + side  # at level 0, the side's player
+        if level == 0:
+            if self.deposit_option == DEPOSIT_ATOMIC:
+                return OutputRef(self.deposit_ntxids[0], child_match)
+            return OutputRef(self.deposit_ntxids[child_match], 0)
+        if self.mode == MODE_PLAIN:
+            child_kernel, outcome = divmod(choice, 3)
+            return OutputRef(self.kernel(level - 1, child_match, child_kernel).outcome_ntxids[outcome], 0)
+        candidate = (child_match << level) + choice
+        return OutputRef(self.compressions[(level - 1, child_match, candidate)].digests[0], 0)
 
     def _kernel(self, kid: KernelId) -> Kernel:
         level = kid.level

@@ -68,11 +68,9 @@ from .scaffold import (
     Tournament,
     build_refunds,
     build_tournament,
+    join_combo,
     joint_preimage,
     matches_at,
-    multi_combo_index,
-    pack_index,
-    players_of,
     signing_ceremony,
     winner_side,
 )
@@ -127,8 +125,11 @@ def _spends(body: TransactionBody) -> frozenset[OutputRef]:
 @dataclass
 class MatchRecord:
     """A reached match: its kernel, that kernel's (left, right) players and
-    candidates and, once the match has settled, its result (outcome index,
-    winner, carrier ntxid)."""
+    candidates and, once the match has settled, its result (the side choice
+    it hands its parent, winner, carrier ntxid). The side choice is what
+    `scaffold.split_combo` reads from a parent's combo: plain, outcome o of
+    kernel k is 3 * k + o; multiinput, the winner's place among the
+    match's candidates."""
 
     kernel: Kernel
     players: tuple[int, int]
@@ -224,26 +225,19 @@ class ScaffoldRuntime(Runtime):
         return record is None or record.kernel.entry_ntxid not in self.chain.entries
 
     def _reach(self, level: int, match: int) -> Optional[MatchRecord]:
-        """A match's record, made when play reaches it: at level 0, combo 0;
-        above, once both child matches have settled, the kernel their results
-        enter. Its players are that kernel's, found once here, and its
-        candidates the kernel's `PLAYS` rows."""
-        record = self._matches.get((level, match))
-        if record is not None:
-            return record
-        combo = 0
+        """A match's record, made once, when play reaches it: at level 0,
+        combo 0 between the seeded players; above, once both child matches
+        have settled, the kernel their side choices join into a combo,
+        between their winners. Its candidates are the kernel's `PLAYS` rows."""
+        combo, players = 0, (2 * match, 2 * match + 1)
         if level > 0:
             left = self._result(level - 1, 2 * match)
             right = self._result(level - 1, 2 * match + 1) if left else None
             if right is None:
                 return None  # a child is unsettled, or the final match has no parent
-            if self._multi:
-                combo = multi_combo_index(self.cfg.n, level, match, left.result[1], right.result[1])
-            else:
-                lk, rk = left.kernel.id.combo, right.kernel.id.combo
-                combo = pack_index(level, lk, left.result[0], rk, right.result[0])
+            combo = join_combo(level, left.result[0], right.result[0], self.cfg.mode)
+            players = (left.result[1], right.result[1])
         kernel = self.t.kernel(level, match, combo)
-        players = players_of(self.cfg.n, level, match, combo, self.cfg.mode)
         record = self._matches[(level, match)] = MatchRecord(kernel, players, self._rows(kernel, players))
         return record
 
@@ -260,6 +254,7 @@ class ScaffoldRuntime(Runtime):
             return None
         winner = record.players[winner_side(tx_idx)]
         carrier = kernel.outcome_ntxids[tx_idx]
+        choice = 3 * kernel.id.combo + tx_idx
         if self._multi:
             comp = self.t.compressions[(level, match, winner)]
             if len(record.candidates) == len(PLAYS):
@@ -269,9 +264,10 @@ class ScaffoldRuntime(Runtime):
                     comp.locktime, frozenset((chosen,)), beneficiary=winner, chosen_ref=chosen,
                 ))
             carrier = comp.digests[0]
+            choice = winner - (match << (level + 1))
         if carrier not in entries:
             return None
-        record.result = (tx_idx, winner, carrier)
+        record.result = (choice, winner, carrier)
         return record
 
     def _final(self) -> Optional[tuple[int, int]]:

@@ -782,11 +782,16 @@ DOT_GOLDEN = [
         ("--n", "8", "--mode", "multiinput", "--deposit", "hashlocked"),
         "3e54b744876a909b27a6bfabad5a6324842f2b16939196826a4580a93a2f195b",
     ),
+    # every kernel's wiring two levels of combos deep (3,756 bodies) and five (2,641 bodies)
+    (("--n", "8"), "e3b4922dc77466813454c4b6b17dc89ee19212d3fb074a9f3b18cc0fd9937038"),
+    (("--n", "32", "--mode", "multiinput"), "23a589eb096d32dbea93a836d71d1dd8b46454d2d2d8024c44935e6c4d68eec9"),
 ]
 
 
 @pytest.mark.parametrize("command", ["build", "export-dot"])
-@pytest.mark.parametrize("argv, digest", DOT_GOLDEN, ids=["plain-n4", "multiinput-n8-hashlocked"])
+@pytest.mark.parametrize(
+    "argv, digest", DOT_GOLDEN, ids=["plain-n4", "multiinput-n8-hashlocked", "plain-n8", "multiinput-n32"]
+)
 def test_build_dot_golden(capsys, tmp_path, monkeypatch, argv, digest, command):
     # export-dot draws the file build --scaffold-out wrote, by honest construction
     monkeypatch.chdir(tmp_path)
@@ -890,6 +895,24 @@ def test_two_outputs_aimed_at_stdout_are_refused(capsys, tmp_path, monkeypatch, 
     assert out == ""
     assert err.startswith("configuration error: ") and "cannot share stdout" in err
     assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize(
+    "argv, flag",
+    [
+        (("build", "--n", "4"), "--scaffold-out"),
+        (("sweep", "--backend", "ethereum", "--n", "2", "--trials", "3", "--csv", "-"), "--json"),
+    ],
+    ids=["build", "sweep"],
+)
+def test_a_failed_command_writes_nothing_to_stdout(capsys, tmp_path, argv, flag):
+    # every output is rendered first and stdout written last, so an output
+    # that cannot be written leaves stdout empty instead of half the command's work
+    path = str(tmp_path / "missing" / "out.json")
+    code, out, err = run_cli(capsys, *argv, flag, path)
+    assert code == 2
+    assert out == ""
+    assert path in err
 
 
 SEED_COMMANDS = {

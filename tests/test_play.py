@@ -76,6 +76,8 @@ def test_each_reached_kernel_offers_the_rows_play_built(backend, deposit, n, sea
     for rt in trials(backend, deposit, n, seats):
         for record in rt._matches.values():
             kernel = record.kernel
+            # play takes the players from the child results; the arithmetic must agree
+            assert record.players == players_of(n, *kernel.id, rt.cfg.mode)
             want = [ref_play(rt, kernel, *row) for row in zip(PLAYS, kernel.bodies, kernel.ntxids)]
             got = record.candidates[: len(PLAYS)]
             assert [c._asdict() for c in got] == [c._asdict() for c in want]

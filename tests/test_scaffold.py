@@ -27,6 +27,7 @@ from commitlotto.scaffold import (
     DEPOSIT_HASHLOCKED,
     FORMAT_TAG,
     MODE_MULTIINPUT,
+    MODE_PLAIN,
     SIDE_LEFT,
     SIDE_RIGHT,
     SLOT_MPC,
@@ -38,21 +39,19 @@ from commitlotto.scaffold import (
     build_deposit_atomic,
     build_refunds,
     build_tournament,
-    candidates,
     dump_tournament,
     export_dot,
+    join_combo,
     joint_preimage,
     kernel_count,
     load_tournament,
     matches_at,
-    multi_candidate_pair,
-    multi_combo_index,
     num_levels,
-    pack_index,
     players_of,
     scaffold_stats,
+    side_choices,
     signing_ceremony,
-    unpack_index,
+    split_combo,
     verify_as_honest,
     winner_side,
 )
@@ -173,7 +172,7 @@ def measured_worst_case_bytes(t, sig_model):
         per_match = size(k.entry_tx) + size(k.reveal_tx) + size(k.outcome_txs[0])
         if t.mode == MODE_MULTIINPUT:
             per_match += max(
-                size(t.compressions[(level, 0, cand)]) for cand in candidates(t.n, level, 0)
+                size(t.compressions[(level, 0, cand)]) for cand in range(2 << level)
             )
         total += per_match * matches_at(t.n, level)
     return total
@@ -217,45 +216,61 @@ def test_built_stats_bytes_match_the_built_bodies(n, mode, deposit_option, sig_m
 # index packing
 
 
-def test_unpack_index_frozen_examples():
-    assert unpack_index(1, 0, 7) == (0, 2, 0, 1)
-    assert unpack_index(2, 0, 80) == (0, 2, 8, 2)
+def test_side_choices_square_to_the_kernel_count():
+    assert [side_choices(l) for l in range(4)] == [1, 3, 27, 2187]
+    assert [side_choices(l, MODE_MULTIINPUT) for l in range(4)] == [1, 2, 4, 8]
+    for mode in (MODE_PLAIN, MODE_MULTIINPUT):
+        for level in range(5):
+            assert kernel_count(level, mode) == side_choices(level, mode) ** 2
+    with pytest.raises(IndexOutOfRange):
+        side_choices(-1)
 
 
-def test_unpack_index_round_trip():
+def test_split_combo_frozen_examples():
+    # plain: (left, right) choices; choice c is outcome c % 3 of child kernel c // 3
+    assert split_combo(1, 7) == (2, 1)  # (kernel 0, outcome 2), (kernel 0, outcome 1)
+    assert split_combo(2, 80) == (2, 26)  # (kernel 0, outcome 2), (kernel 8, outcome 2)
+    assert [divmod(c, 3) for c in split_combo(2, 80)] == [(0, 2), (8, 2)]
+
+
+def test_split_combo_round_trip():
     for level in (1, 2):
         per_side = 3 * kernel_count(level - 1)
         for combo in range(kernel_count(level)):
-            lk, lt, rk, rt = unpack_index(level, 0, combo)
+            left, right = split_combo(level, combo)
+            (lk, lt), (rk, rt) = divmod(left, 3), divmod(right, 3)
             assert 0 <= lk < kernel_count(level - 1) and lt in (0, 1, 2)
             assert 0 <= rk < kernel_count(level - 1) and rt in (0, 1, 2)
             assert (lk * 3 + lt) * per_side + (rk * 3 + rt) == combo
     with pytest.raises(IndexOutOfRange):
-        unpack_index(0, 0, 0)
-    with pytest.raises(IndexOutOfRange):
-        unpack_index(1, 0, 81)
+        split_combo(1, 81)
 
 
-@pytest.mark.parametrize("level", [1, 2])
-def test_bracket_index_inverses_round_trip(level):
-    n = 8
-    for match in range(matches_at(n, level)):
-        for combo in range(kernel_count(level)):
-            assert pack_index(level, *unpack_index(level, match, combo)) == combo
-        for combo in range(kernel_count(level, MODE_MULTIINPUT)):
-            pair = multi_candidate_pair(n, level, match, combo)
-            assert multi_combo_index(n, level, match, *pair) == combo
+@pytest.mark.parametrize("mode", [MODE_PLAIN, MODE_MULTIINPUT])
+@pytest.mark.parametrize("level", [0, 1, 2, 3])
+def test_bracket_index_inverses_round_trip(level, mode):
+    # level 0 has one combo: each side's one choice is the deposit output
+    n = 16
+    choices = side_choices(level, mode)
+    for combo in range(min(kernel_count(level, mode), 1000)):
+        assert join_combo(level, *split_combo(level, combo, mode), mode) == combo
+        # each side's player comes from that side's child match, never the other's
+        for match in range(matches_at(n, level)):
+            left, right = players_of(n, level, match, combo, mode)
+            assert (left >> level, right >> level) == (2 * match, 2 * match + 1)
+    last = kernel_count(level, mode) - 1
+    assert split_combo(level, last, mode) == (choices - 1, choices - 1)
+    assert join_combo(level, *split_combo(level, last, mode), mode) == last
     with pytest.raises(IndexOutOfRange):
-        pack_index(level, kernel_count(level - 1), 0, 0, 0)
+        split_combo(level, last + 1, mode)
     with pytest.raises(IndexOutOfRange):
-        pack_index(level, 0, 3, 0, 0)
+        join_combo(level, choices, 0, mode)
     with pytest.raises(IndexOutOfRange):
-        pack_index(0, 0, 0, 0, 0)
-    left, right = multi_candidate_pair(n, level, 0, 0)
+        join_combo(level, 0, choices, mode)
     with pytest.raises(IndexOutOfRange):
-        multi_combo_index(n, level, 0, right, left)  # the sides swapped
+        join_combo(level, -1, 0, mode)
     with pytest.raises(IndexOutOfRange):
-        multi_combo_index(n, level, matches_at(n, level), left, right)
+        players_of(n, level, matches_at(n, level), 0, mode)
 
 
 def test_winner_side_mapping():
@@ -274,24 +289,29 @@ def test_players_of_plain_tracks_child_winners():
     # level 0 is just the fixed bracket seeding
     assert players_of(4, 0, 1, 0) == (2, 3)
     for combo in range(9):
-        lk, lt, rk, rt = unpack_index(1, 0, combo)
+        lt, rt = split_combo(1, combo)  # one child kernel per side, so a choice is its outcome
         lp = 0 if winner_side(lt) == SIDE_LEFT else 1
         rp = 2 if winner_side(rt) == SIDE_LEFT else 3
         assert players_of(4, 1, 0, combo) == (lp, rp)
+    with pytest.raises(IndexOutOfRange):
+        players_of(4, 0, 0, 1)  # level 0 has a single kernel per match
 
 
 def test_candidates_and_multi_pairs():
-    assert candidates(8, 0, 2) == [4, 5]
-    assert candidates(8, 1, 1) == [4, 5, 6, 7]
-    assert candidates(8, 2, 0) == list(range(8))
+    # a match's candidates are the players whose bracket path can reach it
+    n = 8
+    assert players_of(n, 0, 2, 0, MODE_MULTIINPUT) == (4, 5)
+    assert {p for c in range(16) for p in players_of(n, 2, 0, c, MODE_MULTIINPUT)} == set(range(8))
+    assert {p for c in range(4) for p in players_of(n, 1, 1, c, MODE_MULTIINPUT)} == {4, 5, 6, 7}
     with pytest.raises(IndexOutOfRange):
-        candidates(8, 1, 2)
+        players_of(n, 1, 2, 0, MODE_MULTIINPUT)
     # multiinput combos enumerate candidate pairs left-major
-    n, level, match = 8, 1, 0
-    pairs = [multi_candidate_pair(n, level, match, c) for c in range(kernel_count(level, MODE_MULTIINPUT))]
+    level, match = 1, 0
+    pairs = [players_of(n, level, match, c, MODE_MULTIINPUT) for c in range(kernel_count(level, MODE_MULTIINPUT))]
     assert pairs == [(0, 2), (0, 3), (1, 2), (1, 3)]
-    for combo, pair in enumerate(pairs):
-        assert players_of(n, level, match, combo, MODE_MULTIINPUT) == pair
+    # a side choice is the candidate's place among its child match's candidates
+    assert [split_combo(level, c, MODE_MULTIINPUT) for c in range(4)] == [(0, 0), (0, 1), (1, 0), (1, 1)]
+    assert players_of(n, 2, 0, join_combo(2, 3, 1, MODE_MULTIINPUT), MODE_MULTIINPUT) == (3, 5)
 
 
 # built structure
@@ -364,7 +384,8 @@ def test_kernel_wiring_plain(plain4):
     # named by its combination index
     kid = KernelId(1, 0, 7)
     k = plain4.kernels[kid]
-    lk, lt, rk, rt = unpack_index(1, 0, 7)
+    (lk, lt), (rk, rt) = (divmod(choice, 3) for choice in split_combo(1, 7))
+    assert (lk, lt, rk, rt) == (0, 2, 0, 1)
     left_child = plain4.kernels[KernelId(0, 0, lk)]
     right_child = plain4.kernels[KernelId(0, 1, rk)]
     refs = [spec.ref for spec in k.entry_tx.inputs]
@@ -420,7 +441,8 @@ def test_multiinput_compressions_gather_candidate_wins(multi8):
     # entries spend one specific compression output per side
     k = multi8.kernel(1, 0, 0)
     assert all(isinstance(spec, FixedInput) for spec in k.entry_tx.inputs)
-    a, b = multi_candidate_pair(8, 1, 0, 0)
+    a, b = players_of(8, 1, 0, 0, MODE_MULTIINPUT)
+    assert (a, b) == (0, 2)
     assert k.entry_tx.inputs[0].ref.txid == multi8.compressions[(0, 0, a)].digests[0]
     assert k.entry_tx.inputs[1].ref.txid == multi8.compressions[(0, 1, b)].digests[0]
 
