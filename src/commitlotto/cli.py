@@ -24,7 +24,7 @@ from .harness import (
     run_trial,
     write_trials_csv,
 )
-from .primitives import OutputRef, Rng, sha256
+from .primitives import OutputRef, Rng, check_params, sha256
 
 # at module level, unlike `harness`: in a contract-only process this import
 # is what puts `scaffold`, `chain` and `script` in sys.modules, where the
@@ -325,6 +325,8 @@ def main(argv=None) -> int:
         for dest, value in vars(args).items():
             if isinstance(value, list):  # argparse hands a flag given `--` over as []
                 raise ConfigError(f"--{dest.replace('_', '-')}: expected a value, got '--'")
+        if "n" in vars(args):  # a bracket command: refused before it makes any per-player table
+            check_params(args.n, args.tau, args.t_commit, getattr(args, "bet", ScenarioConfig.bet))
         return args.fn(args)
     except ConfigError as e:
         print(f"configuration error: {e}", file=sys.stderr)

@@ -238,11 +238,19 @@ def level_schedule(t_commit: int, stride: int, tau: int, level: int) -> tuple[in
     return t0, t0 + tau, t0 + 2 * tau
 
 
+MAX_PLAYERS = 1 << 16  # the largest player count; its reason is in `check_params`
+
+
 def check_params(n: int, tau: int, t_commit: int, bet: int) -> None:
     """Raise ConfigError unless the bracket parameters leave every window usable.
 
     The one check of these bounds: every command and both backends' builders
-    call it, and verify reports its message as BadParams. A level's entry
+    call it, and verify reports its message as BadParams. A command makes
+    per-player tables (keys, funding outputs, seats) before it plays, and a
+    contract bracket deploys n - 1 lotteries, so n is at most `MAX_PLAYERS`,
+    2^16: sixteen levels, 256 times the largest bracket any test, CI step
+    or workload plays, whose tables fit in megabytes; at n = 2^31 they
+    alone would take tens of gigabytes. A level's entry
     and reveal windows each need a height strictly inside them, so tau >= 2;
     setup and deposits need heights before the commit deadline. Heights and
     pots stay below 2**32, the cap of `json_value`, so every scaffold written
@@ -250,6 +258,8 @@ def check_params(n: int, tau: int, t_commit: int, bet: int) -> None:
     through the end of the last level, so it does not depend on the mode.
     """
     levels = num_levels(n)
+    if n > MAX_PLAYERS:
+        raise ConfigError(f"player count {n} is above the largest, 2^16 = {MAX_PLAYERS}")
     if tau < 2:
         raise ConfigError("tau must be >= 2 so action windows have usable heights")
     if t_commit < 2:

@@ -4,13 +4,17 @@ A tournament over N = 2^L players is a binary bracket. Each match is played
 by a family of five-transaction kernels: an entry that joins the two stakes,
 a reveal that opens the left player's commitment, and three mutually
 exclusive outcomes (left wins by reveal timeout, right wins by entry
-timeout, right wins by revealing odd parity). Because a match at level l+1
-must be wired to concrete child outputs, a kernel's combo names the child
-result each of its two stakes comes from, one side choice per side,
+timeout, right wins by revealing odd parity). `KERNEL` states that shape
+once, one row per body: what it spends and through which branch, its lock,
+the sides it opens, the side it pays and its offer priority. Construction
+(`_kernel_bodies`), play (`utxo`) and the cost model (`scaffold_stats`)
+read it, and `OUTCOMES` are its rows that pay. Because a match at level
+l+1 must be wired to concrete child outputs, a kernel's combo names the
+child result each of its two stakes comes from, one side choice per side,
 left-major (`split_combo`). Plain mode needs one kernel per pair of child
 (kernel, outcome) results, which squares per level:
 
-    kernels(0) = 1,   kernels(l+1) = (3 * kernels(l)) ** 2
+    kernels(0) = 1,   kernels(l+1) = (len(OUTCOMES) * kernels(l)) ** 2
 
 Multiinput mode collapses that blowup: per candidate winner of a match, one
 compression transaction spends whichever outcome output actually paid that
@@ -117,13 +121,43 @@ BRANCH_DEPOSIT_REFUND = 1
 ROLE_ENTRY = "entry"
 ROLE_OUTCOME_A = "outcome-a"
 ROLE_OUTCOME_B = "outcome-b"
-ROLE_OUTCOMES = (ROLE_OUTCOME_A, ROLE_OUTCOME_B, ROLE_OUTCOME_BP)
-ROLE_KERNEL = (ROLE_ENTRY, ROLE_REVEAL) + ROLE_OUTCOMES  # `Kernel.bodies` order
 ROLE_COMPRESSION = "compression"
 ROLE_REFUND = "refund"  # a hashlocked deposit's owner taking it back (`build_refunds`); never signed
 
 SIDE_LEFT = 0
 SIDE_RIGHT = 1
+
+T1, T2 = 1, 2  # a lock: the index of the height it waits for in `Tournament.schedule`
+
+
+class KernelRow(NamedTuple):
+    """One body of a match kernel: a row of `KERNEL`."""
+
+    role: str
+    spends: Optional[int]  # the row whose output it spends; None: the two stakes
+    branch: Optional[int]  # the AnyOf branch of that output it takes; None for the stakes
+    lock: Optional[int]  # T1 or T2, its locktime; None: none
+    opens: tuple[int, ...]  # the sides whose commitments its witness opens
+    pays: Optional[int]  # the side it pays; None: later rows spend its output
+    priority: int  # first key of play's offer order (priority, level, match, ntxid)
+
+
+# a kernel's five transactions, in `Kernel.bodies` order: the one statement
+# of their shape, which construction, play and the cost model read
+KERNEL = (
+    KernelRow(ROLE_ENTRY, None, None, None, (), None, 3),
+    KernelRow(ROLE_REVEAL, 0, BRANCH_REVEAL, None, (SIDE_LEFT,), None, 4),
+    KernelRow(ROLE_OUTCOME_A, 1, BRANCH_TIMEOUT, T2, (), SIDE_LEFT, 1),
+    KernelRow(ROLE_OUTCOME_B, 0, BRANCH_TIMEOUT, T1, (), SIDE_RIGHT, 1),
+    KernelRow(ROLE_OUTCOME_BP, 1, BRANCH_REVEAL, None, (SIDE_LEFT, SIDE_RIGHT), SIDE_RIGHT, 5),
+)
+OUTCOMES = tuple(row for row in KERNEL if row.pays is not None)  # `Kernel.outcome_txs` order
+# per row, the rows that spend its output, in its predicate's branch order
+_SPENDERS = tuple(
+    tuple(sorted((r for r in KERNEL if r.spends == i), key=lambda r: r.branch)) for i in range(len(KERNEL))
+)
+# per side, the indexes of the outcomes that pay it
+_PAYING = tuple(tuple(i for i, row in enumerate(OUTCOMES) if row.pays == side) for side in (SIDE_LEFT, SIDE_RIGHT))
 
 
 class IndexOutOfRange(IndexError):
@@ -140,9 +174,9 @@ def side_choices(level: int, mode: str = MODE_PLAIN) -> int:
     """The child results one side of a kernel at a level can be wired to.
 
     At level 0 there is one: the deposit output. Above it, plain, choice c
-    is outcome c % 3 of child kernel c // 3, so there are three per child
-    kernel; multiinput, choice c is the child match's c-th candidate winner,
-    of 2^l.
+    is outcome c % len(OUTCOMES) of child kernel c // len(OUTCOMES), one per
+    outcome of each child kernel; multiinput, choice c is the child match's
+    c-th candidate winner, of 2^l.
     """
     if level < 0:
         raise IndexOutOfRange("level must be >= 0")
@@ -150,7 +184,7 @@ def side_choices(level: int, mode: str = MODE_PLAIN) -> int:
         return 1
     if mode == MODE_MULTIINPUT:
         return 1 << level
-    return 3 * kernel_count(level - 1)
+    return len(OUTCOMES) * kernel_count(level - 1)
 
 
 def kernel_count(level: int, mode: str = MODE_PLAIN) -> int:
@@ -179,10 +213,10 @@ def join_combo(level: int, left: int, right: int, mode: str = MODE_PLAIN) -> int
 
 
 def winner_side(tx_index: int) -> int:
-    """Which side a kernel outcome pays: outcome 0 pays left, 1 and 2 pay right."""
-    if tx_index not in (0, 1, 2):
+    """Which side a kernel outcome pays, by its index in `OUTCOMES`."""
+    if not 0 <= tx_index < len(OUTCOMES):
         raise IndexOutOfRange(f"outcome index {tx_index} out of range")
-    return SIDE_LEFT if tx_index == 0 else SIDE_RIGHT
+    return OUTCOMES[tx_index].pays
 
 
 def players_of(n: int, level: int, match: int, combo: int, mode: str = MODE_PLAIN) -> tuple[int, int]:
@@ -198,7 +232,7 @@ def players_of(n: int, level: int, match: int, combo: int, mode: str = MODE_PLAI
         return 2 * match, 2 * match + 1
     if mode == MODE_MULTIINPUT:  # a child match's candidates are 2^l consecutive players
         return ((2 * match) << level) + left, ((2 * match + 1) << level) + right
-    (lk, lt), (rk, rt) = divmod(left, 3), divmod(right, 3)
+    (lk, lt), (rk, rt) = divmod(left, len(OUTCOMES)), divmod(right, len(OUTCOMES))
     left_pair = players_of(n, level - 1, 2 * match, lk, mode)
     right_pair = players_of(n, level - 1, 2 * match + 1, rk, mode)
     return left_pair[winner_side(lt)], right_pair[winner_side(rt)]
@@ -244,7 +278,7 @@ class Kernel:
 
     @property
     def bodies(self) -> tuple[TransactionBody, ...]:
-        """Entry, reveal, outcome a, b and b' (`ROLE_KERNEL` order)."""
+        """Entry, reveal, outcome a, b and b' (`KERNEL` order)."""
         return (self.entry_tx, self.reveal_tx, *self.outcome_txs)
 
     @property
@@ -427,31 +461,23 @@ class Tournament:
                 return OutputRef(self.deposit_ntxids[0], child_match)
             return OutputRef(self.deposit_ntxids[child_match], 0)
         if self.mode == MODE_PLAIN:
-            child_kernel, outcome = divmod(choice, 3)
+            child_kernel, outcome = divmod(choice, len(OUTCOMES))
             return OutputRef(self.kernel(level - 1, child_match, child_kernel).outcome_ntxids[outcome], 0)
         candidate = (child_match << level) + choice
         return OutputRef(self.compressions[(level - 1, child_match, candidate)].digests[0], 0)
 
     def _kernel(self, kid: KernelId) -> Kernel:
         level = kid.level
-        _t0, t1, t2 = self.schedule(level)
         pays = (self.master, self.master)
         if level == self.levels - 1 and self.mode == MODE_PLAIN:  # multiinput pays out in the compression
             pays = tuple(KeySign(self.master_keys[p]) for p in players_of(self.n, *kid, self.mode))
-        left_commit, right_commit = self.commitments[kid]
+        commits = self.commitments[kid]
+        stakes = (self._stake_ref(kid, SIDE_LEFT), self._stake_ref(kid, SIDE_RIGHT))
         bodies = _kernel_bodies(
-            self.master,
-            left_commit,
-            right_commit,
-            t1,
-            t2,
-            (1 << (level + 1)) * self.bet,
-            self._stake_ref(kid, SIDE_LEFT),
-            self._stake_ref(kid, SIDE_RIGHT),
-            *pays,
+            self.master, commits, self.schedule(level), (1 << (level + 1)) * self.bet, stakes, pays
         )
         self.scaffold_digests.update(b.digests[1] for b in bodies)
-        return Kernel(kid, left_commit, right_commit, bodies[0], bodies[1], bodies[2:])
+        return Kernel(kid, *commits, bodies[0], bodies[1], bodies[2:])
 
     def _compression(self, key: tuple[int, int, int]) -> TransactionBody:
         """The multiinput compression paying a candidate: it spends every
@@ -460,10 +486,11 @@ class Tournament:
         level, match, cand = key
         side = 1 << level
         idx = cand - 2 * match * side  # the candidate's place among the match's 2 * side
-        if idx < side:  # a left candidate wins by outcome a of the combos it plays
-            combos, outcomes = range(idx * side, (idx + 1) * side), (0,)
-        else:  # a right candidate wins by outcome b or b'
-            combos, outcomes = range(idx - side, side * side, side), (1, 2)
+        # a candidate wins by the outcomes paying its side, of the combos it plays
+        if idx < side:
+            combos, outcomes = range(idx * side, (idx + 1) * side), _PAYING[SIDE_LEFT]
+        else:
+            combos, outcomes = range(idx - side, side * side, side), _PAYING[SIDE_RIGHT]
         kernels = self.kernels
         members = [
             OutputRef(kernels[KernelId(level, match, combo)].outcome_ntxids[tx], 0)
@@ -479,31 +506,6 @@ class Tournament:
         return body
 
 
-def _entry_predicate(master: Predicate, left_commit: bytes, t1: int) -> Predicate:
-    return AnyOf(
-        (
-            AllOf((master, HashPreimage(left_commit, SLOT_LEFT))),
-            AllOf((master, AfterHeight(t1))),
-        )
-    )
-
-
-def _reveal_predicate(master: Predicate, left_commit: bytes, right_commit: bytes, t2: int) -> Predicate:
-    return AnyOf(
-        (
-            AllOf(
-                (
-                    master,
-                    HashPreimage(left_commit, SLOT_LEFT),
-                    HashPreimage(right_commit, SLOT_RIGHT),
-                    XorParityOdd(SLOT_LEFT, SLOT_RIGHT),
-                )
-            ),
-            AllOf((master, AfterHeight(t2))),
-        )
-    )
-
-
 def _hashlocked_deposit_predicate(
     master: Predicate, mpc_digest: bytes, player_key: bytes, refund_time: int
 ) -> Predicate:
@@ -517,48 +519,44 @@ def _hashlocked_deposit_predicate(
 
 def _kernel_bodies(
     master: Predicate,
-    left_commit: bytes,
-    right_commit: bytes,
-    t1: int,
-    t2: int,
+    commits: tuple[bytes, bytes],
+    schedule: tuple[int, int, int],
     pot: int,
-    left_ref: OutputRef,
-    right_ref: OutputRef,
-    pay_left: Predicate,
-    pay_right: Predicate,
+    stakes: tuple[OutputRef, OutputRef],
+    pays: tuple[Predicate, Predicate],
 ) -> tuple[TransactionBody, ...]:
-    """The bodies entry, reveal, outcome a, b and b'.
+    """A kernel's bodies, one per `KERNEL` row, from its (left, right)
+    commitments, stakes and payees and its level's schedule (t0, t1, t2).
 
-    Outcome a pays `pay_left`, b and b' pay `pay_right`.
+    A row that pays a side locks the pot to that side's payee. Any other
+    carries it on under `master`, with one branch per row that spends it:
+    a reveal branch opens the spender's sides, and tests odd parity when it
+    opens both; a timeout branch waits for the spender's lock.
     """
-    entry = TransactionBody(
-        inputs=(FixedInput(left_ref), FixedInput(right_ref)),
-        outputs=(TxOutput(pot, _entry_predicate(master, left_commit, t1)),),
-    )
-    entry_ref = OutputRef(entry.digests[0], 0)
-    reveal = TransactionBody(
-        inputs=(FixedInput(entry_ref),),
-        outputs=(TxOutput(pot, _reveal_predicate(master, left_commit, right_commit, t2)),),
-    )
-    reveal_ref = OutputRef(reveal.digests[0], 0)
-    # outcome 0: left wins after the reveal times out at t2
-    # outcome 1: right wins after the entry times out at t1 (left never revealed)
-    # outcome 2: right wins by revealing odd parity
-    tx_a = TransactionBody(
-        inputs=(FixedInput(reveal_ref),),
-        outputs=(TxOutput(pot, pay_left),),
-        locktime=t2,
-    )
-    tx_b = TransactionBody(
-        inputs=(FixedInput(entry_ref),),
-        outputs=(TxOutput(pot, pay_right),),
-        locktime=t1,
-    )
-    tx_bp = TransactionBody(
-        inputs=(FixedInput(reveal_ref),),
-        outputs=(TxOutput(pot, pay_right),),
-    )
-    return entry, reveal, tx_a, tx_b, tx_bp
+    opened = (HashPreimage(commits[SIDE_LEFT], SLOT_LEFT), HashPreimage(commits[SIDE_RIGHT], SLOT_RIGHT))
+    bodies: list[TransactionBody] = []
+    for row, spenders in zip(KERNEL, _SPENDERS):
+        if row.spends is None:
+            inputs = (FixedInput(stakes[SIDE_LEFT]), FixedInput(stakes[SIDE_RIGHT]))
+        else:
+            inputs = (FixedInput(OutputRef(bodies[row.spends].digests[0], 0)),)
+        if row.pays is None:
+            pay = AnyOf(tuple([AllOf(_branch(s, master, opened, schedule)) for s in spenders]))
+        else:
+            pay = pays[row.pays]
+        bodies.append(TransactionBody(inputs, (TxOutput(pot, pay),), schedule[row.lock] if row.lock else 0))
+    return tuple(bodies)
+
+
+_PARITY = XorParityOdd(SLOT_LEFT, SLOT_RIGHT)
+
+
+def _branch(spender: KernelRow, master: Predicate, opened: tuple, schedule: tuple[int, int, int]) -> tuple:
+    """The terms of the branch `spender` takes, given each side's preimage term."""
+    if spender.branch == BRANCH_TIMEOUT:
+        return (master, AfterHeight(schedule[spender.lock]))
+    terms = (master, *[opened[side] for side in spender.opens])
+    return terms + (_PARITY,) if len(spender.opens) == len(opened) else terms
 
 
 def build_deposit_atomic(funding: Sequence[OutputRef], bet: int, master: Predicate) -> TransactionBody:
@@ -745,13 +743,19 @@ def scaffold_stats(n: int, mode: str = MODE_PLAIN, deposit_option: str = DEPOSIT
     bet, tau, t_commit = 1, 6, 10
     levels = num_levels(n)
     per_level = tuple(
-        matches_at(n, level) * kernel_count(level, mode) * 5 for level in range(levels)
+        matches_at(n, level) * kernel_count(level, mode) * len(KERNEL) for level in range(levels)
     )
     kernel_bodies = sum(per_level)
     compression_count = n * levels if mode == MODE_MULTIINPUT else 0
     deposit_count = 1 if deposit_option == DEPOSIT_ATOMIC else n
     total = kernel_bodies + compression_count + deposit_count
-    txs_per_match = 4 if mode == MODE_MULTIINPUT else 3
+    # the slowest path through a match publishes the outcome that waits
+    # longest and the rows it spends; multiinput adds the winner's compression
+    path, i = [], KERNEL.index(max(OUTCOMES, key=lambda row: row.lock or 0))
+    while i is not None:
+        path.append(i)
+        i = KERNEL[i].spends
+    txs_per_match = len(path) + (mode == MODE_MULTIINPUT)
     on_chain_worst = txs_per_match * (n - 1) + deposit_count
 
     dummy_keys = tuple(sha256(b"size-probe-key:%d" % i) for i in range(n))
@@ -771,25 +775,21 @@ def scaffold_stats(n: int, mode: str = MODE_PLAIN, deposit_option: str = DEPOSIT
 
     stride = level_stride(tau, mode == MODE_MULTIINPUT)
     for level in range(levels):
-        _t0, t1, t2 = level_schedule(t_commit, stride, tau, level)
         pot = (1 << (level + 1)) * bet
         final = level == levels - 1
         last = final and mode == MODE_PLAIN
-        # the slowest path through a match publishes entry, reveal and the
-        # reveal-timeout outcome; multiinput adds the winner's compression
-        entry, reveal, outcome_a, *_ = _kernel_bodies(
-            master, dummy_digest, sha256(dummy_digest), t1, t2, pot, dummy_ref,
-            OutputRef(b"\x22" * 32, 0),
-            _payout(master, dummy_keys[0], last),
-            _payout(master, dummy_keys[1], last),
+        bodies = _kernel_bodies(
+            master, (dummy_digest, sha256(dummy_digest)), level_schedule(t_commit, stride, tau, level), pot,
+            (dummy_ref, OutputRef(b"\x22" * 32, 0)),
+            (_payout(master, dummy_keys[0], last), _payout(master, dummy_keys[1], last)),
         )
-        per_match = (
-            len(body_bytes(entry)) + len(body_bytes(reveal)) + len(body_bytes(outcome_a))
-        ) + 3 * auth
+        per_match = sum(len(body_bytes(bodies[row])) for row in path) + len(path) * auth
         if mode == MODE_MULTIINPUT:
-            # representative compression set: a right-side candidate has two
-            # outcome outputs per kernel it appears in, the worst case
-            members = [OutputRef(sha256(b"m%d" % i), 0) for i in range(2 * (1 << level))]
+            # representative compression set: the side paid by the most
+            # outcomes has that many outcome outputs per kernel it appears in,
+            # the worst case
+            paying = max(len(outcomes) for outcomes in _PAYING)
+            members = [OutputRef(sha256(b"m%d" % i), 0) for i in range(paying << level)]
             comp = TransactionBody(
                 inputs=(multi_input(members),),
                 outputs=(TxOutput(pot, _payout(master, dummy_keys[0], final)),),
@@ -1028,8 +1028,8 @@ def export_dot(t: Tournament) -> str:
         nodes.append((name, name, body))
     for kid in sorted(t.kernels):
         base = f"k{kid.level}_{kid.match}_{kid.combo}"
-        for role, body in zip(ROLE_KERNEL, t.kernels[kid].bodies):
-            role = role.replace("-", "_")
+        for row, body in zip(KERNEL, t.kernels[kid].bodies):
+            role = row.role.replace("-", "_")
             # outcome a waits for t2 and b for t1: exactly their locktimes
             label = f"{base}.{role}" + (f"\\nlock={body.locktime}" if body.locktime else "")
             nodes.append((f"{base}_{role}", label, body))

@@ -18,7 +18,8 @@ multiinput compression choosing its match's settled outcome, and, while
 the table has not committed, the refunds. Every body offered is built by
 `scaffold`, the refunds too (`build_refunds`); of the hashlocked
 deposits, play decides only when the joint preimage is released
-(`ScaffoldRuntime._drain`). `PLAYS` describes a kernel's five transactions
+(`ScaffoldRuntime._drain`). A kernel's five transactions are offered and
+witnessed by their rows of `scaffold.KERNEL`, which states their shape
 once; offers go in the order (priority, level, match, ntxid). Each
 reached match has one record: its kernel, its candidates and, once
 settled, its result. A settled match offers nothing, as each of its
@@ -46,18 +47,13 @@ from .script import (
 from .scaffold import (
     BRANCH_DEPOSIT_REFUND,
     BRANCH_DEPOSIT_SPEND,
-    BRANCH_REVEAL,
-    BRANCH_TIMEOUT,
     DEPOSIT_HASHLOCKED,
+    KERNEL,
     MODE_MULTIINPUT,
+    OUTCOMES,
     ROLE_COMPRESSION,
     ROLE_DEPOSIT,
-    ROLE_ENTRY,
-    ROLE_OUTCOME_A,
-    ROLE_OUTCOME_B,
-    ROLE_OUTCOME_BP,
     ROLE_REFUND,
-    ROLE_REVEAL,
     SLOT_LEFT,
     SLOT_MPC,
     SLOT_RIGHT,
@@ -76,25 +72,7 @@ from .scaffold import (
 )
 from .strategies import BroadcastView
 
-class Play(NamedTuple):
-    """How one kernel body is offered and witnessed; a row of `PLAYS`."""
-
-    role: str
-    priority: int  # first key of the offer order (priority, level, match, ntxid)
-    opens: tuple[int, ...]  # the sides whose commitments the witness opens
-    branch: Optional[int]  # the AnyOf branch of the spent output's predicate
-    pays: Optional[int]  # the side the body pays
-
-
-# a kernel's five transactions, in `Kernel.bodies` order (entry, reveal,
-# outcome a, b, b'); each is offered from max(t0, its locktime)
-PLAYS = (
-    Play(ROLE_ENTRY, 3, (), None, None),
-    Play(ROLE_REVEAL, 4, (SIDE_LEFT,), BRANCH_REVEAL, None),
-    Play(ROLE_OUTCOME_A, 1, (), BRANCH_TIMEOUT, SIDE_LEFT),
-    Play(ROLE_OUTCOME_B, 1, (), BRANCH_TIMEOUT, SIDE_RIGHT),
-    Play(ROLE_OUTCOME_BP, 5, (SIDE_LEFT, SIDE_RIGHT), BRANCH_REVEAL, SIDE_RIGHT),
-)
+# a kernel's bodies are offered by their `KERNEL` rows' priorities; these are the rest
 PRIORITY_DEPOSIT, PRIORITY_COMPRESSION, PRIORITY_REFUND = 0, 2, 6
 SIDE_SLOTS = (SLOT_LEFT, SLOT_RIGHT)
 
@@ -128,7 +106,8 @@ class MatchRecord:
     candidates and, once the match has settled, its result (the side choice
     it hands its parent, winner, carrier ntxid). The side choice is what
     `scaffold.split_combo` reads from a parent's combo: plain, outcome o of
-    kernel k is 3 * k + o; multiinput, the winner's place among the
+    kernel k is len(OUTCOMES) * k + o, o indexing `scaffold.OUTCOMES`, the
+    `KERNEL` rows that pay; multiinput, the winner's place among the
     match's candidates."""
 
     kernel: Kernel
@@ -228,7 +207,7 @@ class ScaffoldRuntime(Runtime):
         """A match's record, made once, when play reaches it: at level 0,
         combo 0 between the seeded players; above, once both child matches
         have settled, the kernel their side choices join into a combo,
-        between their winners. Its candidates are the kernel's `PLAYS` rows."""
+        between their winners. Its candidates are the kernel's `KERNEL` rows."""
         combo, players = 0, (2 * match, 2 * match + 1)
         if level > 0:
             left = self._result(level - 1, 2 * match)
@@ -254,10 +233,10 @@ class ScaffoldRuntime(Runtime):
             return None
         winner = record.players[winner_side(tx_idx)]
         carrier = kernel.outcome_ntxids[tx_idx]
-        choice = 3 * kernel.id.combo + tx_idx
+        choice = len(OUTCOMES) * kernel.id.combo + tx_idx
         if self._multi:
             comp = self.t.compressions[(level, match, winner)]
-            if len(record.candidates) == len(PLAYS):
+            if len(record.candidates) == len(KERNEL):
                 chosen = OutputRef(carrier, 0)
                 record.candidates.append(Candidate(
                     ROLE_COMPRESSION, PRIORITY_COMPRESSION, level, match, comp.digests[0], comp,
@@ -295,7 +274,7 @@ class ScaffoldRuntime(Runtime):
                 if record.result is not None:
                     continue
                 level, match, _ = record.kernel.id
-                if self._multi and len(record.candidates) == len(PLAYS):
+                if self._multi and len(record.candidates) == len(KERNEL):
                     self._result(level, match)  # adds the compression once an outcome lands
                 live = [c for c in record.candidates if c.spends <= utxo]
                 out.extend(live)
@@ -307,7 +286,7 @@ class ScaffoldRuntime(Runtime):
         return out
 
     def _rows(self, kernel: Kernel, players: tuple[int, int]) -> list[Candidate]:
-        """A reached kernel's five candidates, one per `PLAYS` row, each
+        """A reached kernel's five candidates, one per `KERNEL` row, each
         offered from its level's t0 or its locktime, whichever is later."""
         level, match, _ = kernel.id
         t0 = self.t.schedule(level)[0]
@@ -319,7 +298,7 @@ class ScaffoldRuntime(Runtime):
                 row.role, row.priority, level, match, ntxid, body, max(t0, body.locktime),
                 _spends(body), kernel, opens[row.opens], row.branch, pays[row.pays],
             )
-            for row, body, ntxid in zip(PLAYS, kernel.bodies, kernel.ntxids)
+            for row, body, ntxid in zip(KERNEL, kernel.bodies, kernel.ntxids)
         ]
         if level == 0 and self.mpc is not None:
             # the entry spends the hashlocked deposits, which the joint preimage opens
@@ -361,8 +340,8 @@ class ScaffoldRuntime(Runtime):
         until released. Every input names all keys as its signers, whose
         approval the ceremony recorded, or its owner alone, who signs it
         once it chooses to broadcast (`_offer`). Input i of the atomic
-        deposit names key i alone, and outcome b' is not assembled on even
-        parity, since its predicate can never pass.
+        deposit names key i alone, and a row that opens both sides is not
+        assembled on even parity, since its predicate can never pass.
         """
         players = (cand.owner,) if cand.owner is not None else range(self.cfg.n)
         kernel = cand.kernel
@@ -377,7 +356,7 @@ class ScaffoldRuntime(Runtime):
                 players = [p for p in players if p in holders]
                 pre = self.t.secret(kernel.id, side)
             preimages[slot] = pre
-        if cand.role == ROLE_OUTCOME_BP:
+        if len(preimages) == len(SIDE_SLOTS):  # both sides opened: their parity must be odd
             if parity_bit(preimages[SLOT_LEFT]) ^ parity_bit(preimages[SLOT_RIGHT]) != 1:
                 return None
         signers = self.keys

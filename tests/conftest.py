@@ -10,9 +10,9 @@ from commitlotto.chain import TransactionBody
 from commitlotto.contracts import match_winner
 from commitlotto.primitives import OutputRef, Rng
 from commitlotto.scaffold import (
+    KERNEL,
     ROLE_COMPRESSION,
     ROLE_DEPOSIT,
-    ROLE_KERNEL,
     Tournament,
     build_tournament,
 )
@@ -113,7 +113,7 @@ def iter_bodies(t: Tournament) -> list[ScaffoldTx]:
     """All scaffold bodies in deterministic order, building any not yet built; deposits come last."""
     out: list[ScaffoldTx] = []
     for kid in sorted(t.kernels):
-        out.extend(ScaffoldTx(role, kid, b) for role, b in zip(ROLE_KERNEL, t.kernels[kid].bodies))
+        out.extend(ScaffoldTx(role, kid, b) for role, b in zip((row.role for row in KERNEL), t.kernels[kid].bodies))
     for ckey in sorted(t.compressions):
         out.append(ScaffoldTx(ROLE_COMPRESSION, ckey, t.compressions[ckey]))
     out.extend(ScaffoldTx(ROLE_DEPOSIT, i, body) for i, body in enumerate(t.deposit_bodies))

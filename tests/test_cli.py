@@ -3,6 +3,7 @@
 import hashlib
 import json
 import re
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -10,7 +11,7 @@ import pytest
 from commitlotto import cli, scaffold
 from commitlotto.chain import BODY_JSON
 from commitlotto.cli import _parse_seed, main
-from commitlotto.primitives import to_json
+from commitlotto.primitives import MAX_PLAYERS, check_params, to_json
 from commitlotto.scaffold import KernelId, load_tournament
 
 from conftest import ETH_MIXED_SEATS, count_builds
@@ -38,6 +39,26 @@ def test_build_rejects_bad_player_count(capsys):
     code, _, err = run_cli(capsys, "build", "--n", "3")
     assert code == 2
     assert "power of two" in err
+
+
+# sha256 of build's stats JSON on stdout, recorded before the kernel's shape
+# was read from one table: `bytes_on_chain` is otherwise checked only
+# against bodies the same builder built
+STATS_GOLDEN = [
+    (("--n", "4"), "f20b049c8fe7f19d955b3e221b692474418e031bf57bc1fe1f9ceb2c26293832"),
+    (("--n", "64"), "e6d3327584a740494be01248b3e39c2d690dd1c129aadf3752c95ed14de2e011"),
+    (
+        ("--n", "64", "--mode", "multiinput", "--deposit", "hashlocked"),
+        "b77518771b0dffe8cd73b17effd5e63c4c01a87ea112f1dd3c542c1b1614acad",
+    ),
+]
+
+
+@pytest.mark.parametrize("argv,digest", STATS_GOLDEN, ids=[" ".join(argv) for argv, _ in STATS_GOLDEN])
+def test_build_stats_match_their_pinned_digests(capsys, argv, digest):
+    code, out, _ = run_cli(capsys, "build", *argv)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 def test_build_large_plain_is_statistics_only(capsys, tmp_path):
@@ -725,6 +746,47 @@ def test_statistics_only_branches_reject_bad_input(capsys, command, flag):
     assert small[1] == big[1] == ""
 
 
+def run_cli_peak(capsys, *argv):
+    """`run_cli`, with the peak of the bytes Python allocated during the call."""
+    tracemalloc.start()
+    try:
+        return (*run_cli(capsys, *argv), tracemalloc.get_traced_memory()[1])
+    finally:
+        tracemalloc.stop()
+
+
+# a player count above the largest: each per-player table would take tens of GB
+HUGE_N = [
+    ("run", "--backend", "ethereum", "--n", str(2**31)),
+    ("sweep", "--backend", "ethereum", "--n", str(2**31)),
+    ("costs", "--backend", "ethereum", "--n", str(2**31)),
+    ("build", "--n", str(2**31)),
+    ("costs", "--backend", "bitcoin-multiinput", "--n", str(2**30)),
+]
+
+
+@pytest.mark.parametrize("argv", HUGE_N, ids=[" ".join(argv) for argv in HUGE_N])
+def test_a_player_count_above_the_largest_is_refused_before_anything_is_made(capsys, argv):
+    code, out, err, peak = run_cli_peak(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err == f"configuration error: player count {argv[-1]} is above the largest, 2^16 = 65536\n"
+    assert peak < 1 << 20
+    # the largest is admitted, and every n a test, CI step or workload plays is below it
+    check_params(MAX_PLAYERS, 6, 10, 1)
+    assert MAX_PLAYERS == 1 << 16
+
+
+def test_verify_reports_a_player_count_above_the_largest_as_bad_params(capsys, scaffold_file, tmp_path):
+    doc = json.loads(scaffold_file.read_text())
+    doc["n"] = 2**31
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps(doc))
+    code, out, _, peak = run_cli_peak(capsys, "verify", str(path))
+    assert code == 3
+    assert out == f"VIOLATION BadParams at scaffold: player count {2**31} is above the largest, 2^16 = 65536\n"
+    assert peak < 1 << 20
+
+
 # export-dot
 
 
@@ -810,7 +872,7 @@ WORKFLOW = Path(__file__).resolve().parent.parent / ".github" / "workflows" / "t
 def test_every_digest_the_workflow_pins_is_checked_in_process():
     # the workflow runs only in CI, so each output it pins has a golden here
     pinned = set(re.findall(r"\b[0-9a-f]{64}\b", WORKFLOW.read_text()))
-    goldens = {digest for _, digest in WORKFLOW_SWEEP_GOLDEN + WORKFLOW_COSTS_GOLDEN + DOT_GOLDEN}
+    goldens = {digest for _, digest in WORKFLOW_SWEEP_GOLDEN + WORKFLOW_COSTS_GOLDEN + DOT_GOLDEN + STATS_GOLDEN}
     goldens |= {digest for _, digest in WORKFLOW_SCAFFOLD_GOLDEN.values()}
     assert pinned, "no digest found in the workflow"
     assert pinned - goldens == set()

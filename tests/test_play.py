@@ -13,6 +13,7 @@ from commitlotto.scaffold import (
     BRANCH_DEPOSIT_SPEND,
     DEPOSIT_ATOMIC,
     DEPOSIT_HASHLOCKED,
+    KERNEL,
     ROLE_DEPOSIT,
     ROLE_ENTRY,
     ROLE_REFUND,
@@ -21,10 +22,11 @@ from commitlotto.scaffold import (
     SLOT_RIGHT,
     players_of,
 )
-from commitlotto.utxo import PLAYS, Candidate
+from commitlotto.utxo import Candidate
 
 # The reference: `ScaffoldRuntime._play` as it stood when `OFFER_GOLDEN`
-# was recorded, which built one `PLAYS` row of a reached kernel per call.
+# was recorded, which built one offer row of a reached kernel per call;
+# the rows it read then are `scaffold.KERNEL`'s now.
 
 SIDE_SLOTS = (SLOT_LEFT, SLOT_RIGHT)
 
@@ -78,8 +80,8 @@ def test_each_reached_kernel_offers_the_rows_play_built(backend, deposit, n, sea
             kernel = record.kernel
             # play takes the players from the child results; the arithmetic must agree
             assert record.players == players_of(n, *kernel.id, rt.cfg.mode)
-            want = [ref_play(rt, kernel, *row) for row in zip(PLAYS, kernel.bodies, kernel.ntxids)]
-            got = record.candidates[: len(PLAYS)]
+            want = [ref_play(rt, kernel, *row) for row in zip(KERNEL, kernel.bodies, kernel.ntxids)]
+            got = record.candidates[: len(KERNEL)]
             assert [c._asdict() for c in got] == [c._asdict() for c in want]
             reached += 1
     assert reached

@@ -24,13 +24,24 @@ from commitlotto.primitives import OutputRef, Rng, level_stride
 from commitlotto.scaffold import (
     BRANCH_DEPOSIT_REFUND,
     BRANCH_DEPOSIT_SPEND,
+    BRANCH_REVEAL,
+    BRANCH_TIMEOUT,
     DEPOSIT_HASHLOCKED,
     FORMAT_TAG,
+    KERNEL,
     MODE_MULTIINPUT,
     MODE_PLAIN,
+    OUTCOMES,
+    ROLE_ENTRY,
+    ROLE_OUTCOME_A,
+    ROLE_OUTCOME_B,
+    ROLE_OUTCOME_BP,
+    ROLE_REVEAL,
     SIDE_LEFT,
     SIDE_RIGHT,
+    SLOT_LEFT,
     SLOT_MPC,
+    SLOT_RIGHT,
     IndexOutOfRange,
     Kernel,
     KernelId,
@@ -65,6 +76,7 @@ from commitlotto.script import (
     InputWitness,
     KeySign,
     SignatureOracle,
+    XorParityOdd,
     evaluate_explain,
 )
 
@@ -411,6 +423,56 @@ def test_outcome_locktimes_follow_kernel_windows(plain4):
         assert k.outcome_txs[1].locktime == t1  # right wins on silence at t1
         assert k.outcome_txs[2].locktime == 0  # parity win is immediate
         assert k.entry_tx.locktime == 0  # entries gate on availability, not height
+
+
+# the kernel table
+
+
+def test_the_kernel_table_races_two_rows_on_each_carried_output():
+    # the rows spending each row's output, by the branch each takes: the
+    # reveal against outcome b on the entry, and outcome b' against outcome
+    # a on the reveal, each carried output with one spender per branch
+    races: dict[str, dict[int, list[str]]] = {}
+    for row in KERNEL:
+        if row.spends is not None:
+            races.setdefault(KERNEL[row.spends].role, {}).setdefault(row.branch, []).append(row.role)
+    assert races == {
+        ROLE_ENTRY: {BRANCH_REVEAL: [ROLE_REVEAL], BRANCH_TIMEOUT: [ROLE_OUTCOME_B]},
+        ROLE_REVEAL: {BRANCH_REVEAL: [ROLE_OUTCOME_BP], BRANCH_TIMEOUT: [ROLE_OUTCOME_A]},
+    }
+    # what a row pays no one is carried on, and the rows that pay are the outcomes
+    assert set(races) == {row.role for row in KERNEL if row.pays is None}
+    assert [row.role for row in OUTCOMES] == [ROLE_OUTCOME_A, ROLE_OUTCOME_B, ROLE_OUTCOME_BP]
+
+
+@pytest.mark.parametrize(
+    "n,mode,deposit_option", [(4, MODE_PLAIN, "atomic"), (8, MODE_MULTIINPUT, DEPOSIT_HASHLOCKED)]
+)
+def test_each_built_row_takes_the_branch_its_table_row_names(n, mode, deposit_option):
+    # the branch a row takes of the output it spends holds its lock, for a
+    # timeout, or one preimage per side it opens, and odd parity when it opens both
+    t = small_tournament(n, mode=mode, deposit_option=deposit_option)
+    for kernel in t.kernels.values():
+        _, t1, t2 = schedule = t.schedule(kernel.id.level)
+        commits = (kernel.left_commit, kernel.right_commit)
+        bodies = kernel.bodies
+        assert [body.locktime for body in bodies] == [0, 0, t2, t1, 0]
+        for row, body in zip(KERNEL, bodies):
+            if row.spends is None:
+                continue
+            spent = bodies[row.spends]
+            assert [spec.ref for spec in body.inputs] == [OutputRef(spent.digests[0], 0)]
+            assert body.locktime == (schedule[row.lock] if row.lock else 0)
+            branches = spent.outputs[0].predicate.branches
+            assert len(branches) == 2
+            master, *terms = branches[row.branch].terms
+            assert master == t.master
+            if row.branch == BRANCH_TIMEOUT:
+                assert terms == [AfterHeight(body.locktime)]
+            else:
+                opened = [HashPreimage(commits[side], (SLOT_LEFT, SLOT_RIGHT)[side]) for side in row.opens]
+                parity = [XorParityOdd(SLOT_LEFT, SLOT_RIGHT)] if len(row.opens) == 2 else []
+                assert terms == opened + parity
 
 
 def test_deposit_atomic_shape(plain4):

@@ -6,7 +6,9 @@ import pytest
 
 from commitlotto import primitives
 from commitlotto.primitives import Rng
+from commitlotto.scaffold import KERNEL
 from commitlotto.strategies import (
+    DISCLOSING_ROLES,
     adversary_library,
     make_strategy,
     strategy_names,
@@ -29,6 +31,11 @@ ALL = (
 
 def test_registry_names_frozen():
     assert tuple(strategy_names()) == ALL
+
+
+def test_the_disclosing_roles_are_the_kernel_rows_that_open_a_side():
+    # `strategies` may not import `scaffold`, so this ties its copy to the table
+    assert DISCLOSING_ROLES == tuple(row.role for row in KERNEL if row.opens)
 
 
 def test_adversary_library_excludes_honest():
