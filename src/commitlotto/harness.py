@@ -546,6 +546,7 @@ def measure_costs(
     from .scaffold import auth_bytes
 
     auth = auth_bytes(sig_model, n)  # an unknown model is refused before the probe plays
+    check_params(n, tau, t_commit, ScenarioConfig.bet)  # before the seats, a per-player table
     cfg = ScenarioConfig(
         backend=backend,
         n=n,

@@ -151,13 +151,13 @@ KERNEL = (
     KernelRow(ROLE_OUTCOME_B, 0, BRANCH_TIMEOUT, T1, (), SIDE_RIGHT, 1),
     KernelRow(ROLE_OUTCOME_BP, 1, BRANCH_REVEAL, None, (SIDE_LEFT, SIDE_RIGHT), SIDE_RIGHT, 5),
 )
-OUTCOMES = tuple(row for row in KERNEL if row.pays is not None)  # `Kernel.outcome_txs` order
+OUTCOMES = tuple(i for i, row in enumerate(KERNEL) if row.pays is not None)  # the rows that pay, by place
 # per row, the rows that spend its output, in its predicate's branch order
 _SPENDERS = tuple(
     tuple(sorted((r for r in KERNEL if r.spends == i), key=lambda r: r.branch)) for i in range(len(KERNEL))
 )
-# per side, the indexes of the outcomes that pay it
-_PAYING = tuple(tuple(i for i, row in enumerate(OUTCOMES) if row.pays == side) for side in (SIDE_LEFT, SIDE_RIGHT))
+# per side, the rows that pay it
+_PAYING = tuple(tuple(i for i in OUTCOMES if KERNEL[i].pays == side) for side in (SIDE_LEFT, SIDE_RIGHT))
 
 
 class IndexOutOfRange(IndexError):
@@ -216,7 +216,7 @@ def winner_side(tx_index: int) -> int:
     """Which side a kernel outcome pays, by its index in `OUTCOMES`."""
     if not 0 <= tx_index < len(OUTCOMES):
         raise IndexOutOfRange(f"outcome index {tx_index} out of range")
-    return OUTCOMES[tx_index].pays
+    return KERNEL[OUTCOMES[tx_index]].pays
 
 
 def players_of(n: int, level: int, match: int, combo: int, mode: str = MODE_PLAIN) -> tuple[int, int]:
@@ -254,36 +254,22 @@ def joint_preimage(n: int, rng: Rng) -> bytes:
 @dataclass(frozen=True)
 class Kernel:
     """One five-transaction match kernel, fully wired and unsigned: its id,
-    its two commitment digests and its bodies. Its ids are not arguments:
-    each is derived from its body, also by `dataclasses.replace`. What the
-    id fixes is not held: the players are `players_of` the id, the heights
-    the level's `Tournament.schedule`, and t1, t2 and the pot are in the
-    bodies' locktimes, predicates and output values."""
+    its (left, right) commitment digests and its bodies, one per `KERNEL`
+    row, in that order, so row i's body is `bodies[i]` and outcome o's id
+    `ntxids[OUTCOMES[o]]`. Its ids are not arguments: they are derived from
+    its bodies, also by `dataclasses.replace`. What the id fixes is not
+    held: the players are `players_of` the id, the heights the level's
+    `Tournament.schedule`, and t1, t2 and the pot are in the bodies'
+    locktimes, predicates and output values."""
 
     id: KernelId
-    left_commit: bytes
-    right_commit: bytes
-    entry_tx: TransactionBody
-    reveal_tx: TransactionBody
-    outcome_txs: tuple[TransactionBody, TransactionBody, TransactionBody]
-    entry_ntxid: bytes = field(init=False)
-    reveal_ntxid: bytes = field(init=False)
-    outcome_ntxids: tuple[bytes, bytes, bytes] = field(init=False)
+    commits: tuple[bytes, bytes]
+    bodies: tuple[TransactionBody, ...]
+    ntxids: tuple[bytes, ...] = field(init=False)
 
     def __post_init__(self):
-        ids = vars(self)  # the dataclass is frozen, so the ids go straight into its dict
-        ids["entry_ntxid"] = self.entry_tx.digests[0]
-        ids["reveal_ntxid"] = self.reveal_tx.digests[0]
-        ids["outcome_ntxids"] = tuple(b.digests[0] for b in self.outcome_txs)
-
-    @property
-    def bodies(self) -> tuple[TransactionBody, ...]:
-        """Entry, reveal, outcome a, b and b' (`KERNEL` order)."""
-        return (self.entry_tx, self.reveal_tx, *self.outcome_txs)
-
-    @property
-    def ntxids(self) -> tuple[bytes, ...]:
-        return (self.entry_ntxid, self.reveal_ntxid, *self.outcome_ntxids)
+        # the dataclass is frozen, so the ids go straight into its dict
+        vars(self)["ntxids"] = tuple([b.digests[0] for b in self.bodies])
 
 
 @dataclass(frozen=True)
@@ -364,9 +350,11 @@ class Tournament:
     that the parameters fix: `level_stride`, `refund_time`, `stats` and
     `schedule`, and a kernel's players and pot, are derived from them when
     read, so none is stored, written to a file or checked by
-    `verify_as_honest`. Only a kernel or compression read needs the
-    player count, so parameters construction cannot run on still make a
-    tournament, for `verify_as_honest` to refuse.
+    `verify_as_honest`. The deposits need the mode, deposit option and
+    joint digest, so construction refuses those (ValueError, naming the
+    field); only a kernel or compression read needs the player count, so
+    other parameters construction cannot run on still make a tournament,
+    for `verify_as_honest` to refuse.
     """
 
     mode: str
@@ -390,6 +378,13 @@ class Tournament:
     _compression_memo: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        # the deposits cannot be built without these, so they are checked here, once
+        if self.mode not in (MODE_PLAIN, MODE_MULTIINPUT):
+            raise ValueError(f"mode: unknown mode {self.mode!r}")
+        if self.deposit_option not in (DEPOSIT_ATOMIC, DEPOSIT_HASHLOCKED):
+            raise ValueError(f"deposit_option: unknown deposit option {self.deposit_option!r}")
+        if self.deposit_option == DEPOSIT_HASHLOCKED and self.mpc_digest is None:
+            raise ValueError("mpc_digest: hashlocked deposits need the joint mpc digest")
         master = AllSign(self.master_keys)
         if self.deposit_option == DEPOSIT_ATOMIC:
             deposits = (build_deposit_atomic(self.funding, self.bet, master),)
@@ -462,7 +457,7 @@ class Tournament:
             return OutputRef(self.deposit_ntxids[child_match], 0)
         if self.mode == MODE_PLAIN:
             child_kernel, outcome = divmod(choice, len(OUTCOMES))
-            return OutputRef(self.kernel(level - 1, child_match, child_kernel).outcome_ntxids[outcome], 0)
+            return OutputRef(self.kernel(level - 1, child_match, child_kernel).ntxids[OUTCOMES[outcome]], 0)
         candidate = (child_match << level) + choice
         return OutputRef(self.compressions[(level - 1, child_match, candidate)].digests[0], 0)
 
@@ -477,26 +472,22 @@ class Tournament:
             self.master, commits, self.schedule(level), (1 << (level + 1)) * self.bet, stakes, pays
         )
         self.scaffold_digests.update(b.digests[1] for b in bodies)
-        return Kernel(kid, *commits, bodies[0], bodies[1], bodies[2:])
+        return Kernel(kid, commits, bodies)
 
     def _compression(self, key: tuple[int, int, int]) -> TransactionBody:
         """The multiinput compression paying a candidate: it spends every
         outcome output of its match that pays the candidate, so it reads
         the kernels that do."""
         level, match, cand = key
-        side = 1 << level
-        idx = cand - 2 * match * side  # the candidate's place among the match's 2 * side
-        # a candidate wins by the outcomes paying its side, of the combos it plays
-        if idx < side:
-            combos, outcomes = range(idx * side, (idx + 1) * side), _PAYING[SIDE_LEFT]
-        else:
-            combos, outcomes = range(idx - side, side * side, side), _PAYING[SIDE_RIGHT]
-        kernels = self.kernels
-        members = [
-            OutputRef(kernels[KernelId(level, match, combo)].outcome_ntxids[tx], 0)
-            for combo in combos
-            for tx in outcomes
-        ]
+        # the candidate's side of the match and its side choice there
+        choices = side_choices(level, self.mode)
+        side, choice = divmod(cand - (match << (level + 1)), choices)
+        kernels, members = self.kernels, []
+        # it wins by the rows paying its side, of each kernel its choice plays in
+        for other in range(choices):
+            pair = (choice, other) if side == SIDE_LEFT else (other, choice)
+            ntxids = kernels[KernelId(level, match, join_combo(level, *pair, self.mode))].ntxids
+            members.extend([OutputRef(ntxids[row], 0) for row in _PAYING[side]])
         pot = (1 << (level + 1)) * self.bet
         body = TransactionBody(
             inputs=(multi_input(members),),
@@ -620,15 +611,9 @@ def _payout(master: Predicate, key: bytes, last: bool) -> Predicate:
     return KeySign(key) if last else master
 
 
-def _param_problem(
-    n: int,
-    keys: Sequence[bytes],
-    funding: Sequence[OutputRef],
-    mode: str,
-    deposit_option: str,
-    mpc_digest: Optional[bytes],
-) -> Optional[str]:
-    """Why honest construction cannot run on these inputs, or None; `check_params` has passed."""
+def _param_problem(n: int, keys: Sequence[bytes], funding: Sequence[OutputRef]) -> Optional[str]:
+    """Why honest construction cannot run on these keys and funding outputs,
+    or None; `check_params` has passed, and `Tournament` checks the rest."""
     if len(keys) != n or len(set(keys)) != n:
         return "need one distinct key per player"
     if len(funding) != n or len(set(funding)) != n:
@@ -639,12 +624,6 @@ def _param_problem(
     if any(not 0 <= ref.index < 1 << 32 for ref in funding):
         # `body_bytes` writes an index as an unsigned 32-bit integer
         return "every funding output index must be in 0..2**32-1"
-    if mode not in (MODE_PLAIN, MODE_MULTIINPUT):
-        return f"unknown mode {mode!r}"
-    if deposit_option not in (DEPOSIT_ATOMIC, DEPOSIT_HASHLOCKED):
-        return f"unknown deposit option {deposit_option!r}"
-    if deposit_option == DEPOSIT_HASHLOCKED and mpc_digest is None:
-        return "hashlocked deposits need the joint mpc digest"
     return None
 
 
@@ -700,7 +679,7 @@ def build_tournament(
     so one given with it is dropped.
     """
     check_params(n, tau, t_commit, bet)
-    problem = _param_problem(n, player_keys, funding, mode, deposit_option, mpc_digest)
+    problem = _param_problem(n, player_keys, funding)
     if problem:
         raise ValueError(problem)
     if deposit_option == DEPOSIT_ATOMIC:
@@ -751,7 +730,7 @@ def scaffold_stats(n: int, mode: str = MODE_PLAIN, deposit_option: str = DEPOSIT
     total = kernel_bodies + compression_count + deposit_count
     # the slowest path through a match publishes the outcome that waits
     # longest and the rows it spends; multiinput adds the winner's compression
-    path, i = [], KERNEL.index(max(OUTCOMES, key=lambda row: row.lock or 0))
+    path, i = [], max(OUTCOMES, key=lambda i: KERNEL[i].lock or 0)
     while i is not None:
         path.append(i)
         i = KERNEL[i].spends
@@ -838,7 +817,7 @@ def verify_as_honest(t: Tournament) -> list[Violation]:
         check_params(t.n, t.tau, t.t_commit, t.bet)
     except ConfigError as e:
         return [Violation(None, "BadParams", str(e))]
-    problem = _param_problem(t.n, t.master_keys, t.funding, t.mode, t.deposit_option, t.mpc_digest)
+    problem = _param_problem(t.n, t.master_keys, t.funding)
     if problem:
         return [Violation(None, "BadParams", problem)]
     if not _writable(t.n, t.mode):
@@ -988,8 +967,9 @@ def load_tournament(text: str) -> Tournament:
     secrets.
 
     Malformed input, nesting too deep to decode included, raises
-    ValueError. Parameters construction cannot run on still load, for
-    `verify_as_honest` to refuse before anything is built.
+    ValueError, as do the mode, deposit option and joint digest
+    `Tournament` refuses. Other parameters construction cannot run on
+    still load, for `verify_as_honest` to refuse before anything is built.
     """
     try:
         doc = json.loads(text)
@@ -1000,13 +980,6 @@ def load_tournament(text: str) -> Tournament:
         )
     except RecursionError:
         raise ValueError("scaffold: nested too deeply to decode") from None
-    if mode not in (MODE_PLAIN, MODE_MULTIINPUT):
-        raise ValueError(f"mode: unknown mode {mode!r}")
-    if deposit_option not in (DEPOSIT_ATOMIC, DEPOSIT_HASHLOCKED):
-        raise ValueError(f"deposit_option: unknown deposit option {deposit_option!r}")
-    if deposit_option == DEPOSIT_HASHLOCKED and mpc_digest is None:
-        # the deposits lock on it, so without it there is nothing to build them from
-        raise ValueError("mpc_digest: hashlocked deposits need the joint mpc digest")
     commits = _keyed(records, "kernels", "kernel")
     return Tournament(mode, n, bet, tau, t_commit, deposit_option, keys, funding, commits, mpc_digest)
 

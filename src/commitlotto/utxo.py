@@ -201,7 +201,7 @@ class ScaffoldRuntime(Runtime):
         if self.mpc is None or not self.chain.was_spent(OutputRef(self.t.deposit_ntxids[player], 0)):
             return False
         record = self._matches.get((0, player // 2))  # reached once the table committed
-        return record is None or record.kernel.entry_ntxid not in self.chain.entries
+        return record is None or record.kernel.ntxids[0] not in self.chain.entries  # row 0: the entry
 
     def _reach(self, level: int, match: int) -> Optional[MatchRecord]:
         """A match's record, made once, when play reaches it: at level 0,
@@ -228,12 +228,12 @@ class ScaffoldRuntime(Runtime):
         if record is None or record.result is not None:
             return record
         kernel, entries = record.kernel, self.chain.entries
-        tx_idx = next((i for i, ntxid in enumerate(kernel.outcome_ntxids) if ntxid in entries), None)
-        if tx_idx is None:
+        outcome = next((o for o, row in enumerate(OUTCOMES) if kernel.ntxids[row] in entries), None)
+        if outcome is None:
             return None
-        winner = record.players[winner_side(tx_idx)]
-        carrier = kernel.outcome_ntxids[tx_idx]
-        choice = len(OUTCOMES) * kernel.id.combo + tx_idx
+        winner = record.players[winner_side(outcome)]
+        carrier = kernel.ntxids[OUTCOMES[outcome]]
+        choice = len(OUTCOMES) * kernel.id.combo + outcome
         if self._multi:
             comp = self.t.compressions[(level, match, winner)]
             if len(record.candidates) == len(KERNEL):
@@ -290,13 +290,11 @@ class ScaffoldRuntime(Runtime):
         offered from its level's t0 or its locktime, whichever is later."""
         level, match, _ = kernel.id
         t0 = self.t.schedule(level)[0]
-        left, right = (SLOT_LEFT, kernel.left_commit), (SLOT_RIGHT, kernel.right_commit)
-        opens = {(): (), (SIDE_LEFT,): (left,), (SIDE_LEFT, SIDE_RIGHT): (left, right)}
         pays = {None: None, SIDE_LEFT: players[0], SIDE_RIGHT: players[1]}
         rows = [
             Candidate(
-                row.role, row.priority, level, match, ntxid, body, max(t0, body.locktime),
-                _spends(body), kernel, opens[row.opens], row.branch, pays[row.pays],
+                row.role, row.priority, level, match, ntxid, body, max(t0, body.locktime), _spends(body), kernel,
+                tuple([(SIDE_SLOTS[side], kernel.commits[side]) for side in row.opens]), row.branch, pays[row.pays],
             )
             for row, body, ntxid in zip(KERNEL, kernel.bodies, kernel.ntxids)
         ]

@@ -23,6 +23,7 @@ from commitlotto.harness import (
 )
 from commitlotto.scaffold import (
     MODE_MULTIINPUT,
+    OUTCOMES,
     KernelId,
     dump_tournament,
     kernel_count,
@@ -252,7 +253,7 @@ def test_criterion_08_replay_defense(criterion, dominance_sweeps, tmp_path, caps
     doc = json.loads(dump_tournament(t))
     for k in doc["kernels"]:
         if (k["level"], k["match"], k["combo"]) == (0, 1, 0):
-            k["left_commit"] = donor.left_commit.hex()
+            k["left_commit"] = donor.commits[0].hex()
     bad_path = tmp_path / "doctored.json"
     bad_path.write_text(json.dumps(doc))
     exit_code = cli_main(["verify", str(bad_path)])
@@ -316,7 +317,7 @@ def test_criterion_09_exclusivity_and_conservation(criterion, monkeypatch, accep
                     landed = sum(
                         1
                         for entry in rt.chain.log
-                        if entry.ntxid in k.outcome_ntxids
+                        if entry.ntxid in [k.ntxids[i] for i in OUTCOMES]
                     )
                     if landed > 1:
                         ok = False
@@ -335,7 +336,7 @@ def test_criterion_09_exclusivity_and_conservation(criterion, monkeypatch, accep
                 k = rt.t.kernel(0, 0, 0)
                 landed = [
                     j
-                    for j, ntxid in enumerate(k.outcome_ntxids)
+                    for j, ntxid in enumerate([k.ntxids[i] for i in OUTCOMES])
                     if any(e.ntxid == ntxid for e in rt.chain.log)
                 ]
                 if "abort-at-deposit" in (left, right):

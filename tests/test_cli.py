@@ -126,7 +126,7 @@ def test_verify_rejects_doctored_scaffold(capsys, scaffold_file, tmp_path):
     doc = json.loads(scaffold_file.read_text())
     for k in doc["kernels"]:
         if (k["level"], k["match"], k["combo"]) == (0, 1, 0):
-            k["left_commit"] = donor.left_commit.hex()
+            k["left_commit"] = donor.commits[0].hex()
     bad = tmp_path / "doctored.json"
     bad.write_text(json.dumps(doc))
     code, out, err = run_cli(capsys, "verify", str(bad))
@@ -184,8 +184,8 @@ def test_verify_refuses_an_older_scaffold_file(capsys, tmp_path, old):
     for k in doc["kernels"]:
         kid = (k["level"], k["match"], k["combo"])
         kernel = t.kernel(*kid)
-        k["entry"], k["reveal"] = to_json(kernel.entry_tx, BODY_JSON), to_json(kernel.reveal_tx, BODY_JSON)
-        k["outcomes"] = [to_json(body, BODY_JSON) for body in kernel.outcome_txs]
+        k["entry"], k["reveal"] = to_json(kernel.bodies[0], BODY_JSON), to_json(kernel.bodies[1], BODY_JSON)
+        k["outcomes"] = [to_json(kernel.bodies[i], BODY_JSON) for i in scaffold.OUTCOMES]
         if version < 3:
             k["left_player"], k["right_player"] = scaffold.players_of(t.n, *kid, t.mode)
             k["t0"], k["t1"], k["t2"] = t.schedule(k["level"])

@@ -21,6 +21,7 @@ from commitlotto.scaffold import (
     BRANCH_DEPOSIT_REFUND,
     MODE_MULTIINPUT,
     MODE_PLAIN,
+    OUTCOMES,
     SIDE_LEFT,
     SIDE_RIGHT,
     SIG_MODELS,
@@ -711,16 +712,16 @@ def test_a_forged_outcome_is_encoded_afresh_and_rejected():
             rt.step(h)
     rt.chain.advance_to(t2)
     k = rt.t.kernel(0, 0, 0)
-    genuine = k.outcome_txs[0]
-    assert k.reveal_ntxid in rt.chain.entries and k.outcome_ntxids[0] not in rt.chain.entries
+    genuine = k.bodies[OUTCOMES[0]]
+    assert k.ntxids[1] in rt.chain.entries and k.ntxids[OUTCOMES[0]] not in rt.chain.entries
     thief = KeySign(rt.keys[players_of(4, 0, 0, 0)[1]])
     forged = genuine._replace(outputs=(genuine.outputs[0]._replace(predicate=thief),))
     assert "digests" not in vars(forged)
     timed_out = Witness((InputWitness(rt.keys, {}, 1, None),))  # the reveal's timeout branch
     res = rt.chain.submit(forged, timed_out)
     assert res.reason == SCRIPT_FAIL and "signature check failed" in res.detail
-    assert forged.digests[0] != k.outcome_ntxids[0]
-    assert rt.chain.submit(genuine, timed_out).ntxid == k.outcome_ntxids[0]
+    assert forged.digests[0] != k.ntxids[OUTCOMES[0]]
+    assert rt.chain.submit(genuine, timed_out).ntxid == k.ntxids[OUTCOMES[0]]
 
 
 # dominance checks
@@ -888,6 +889,19 @@ def test_an_unknown_signature_model_is_refused_before_the_probe_plays(monkeypatc
             measure_costs(backend, 4, sig_model="schnorr")
 
 
+@pytest.mark.parametrize("backend,n", [(ETH, 2**31), (BTC_MULTI, 2**30)])
+def test_a_player_count_above_the_largest_is_refused_before_the_seats_are_made(backend, n):
+    # the probe's seats are a per-player table: at these n they would take
+    # gigabytes, and once raised MemoryError ahead of the bracket check
+    tracemalloc.start()
+    try:
+        with pytest.raises(ConfigError, match=f"player count {n} is above the largest"):
+            measure_costs(backend, n)
+        assert tracemalloc.get_traced_memory()[1] < 1 << 20
+    finally:
+        tracemalloc.stop()
+
+
 # csv export
 
 
@@ -961,7 +975,7 @@ def test_a_settled_match_has_nothing_left_to_offer(backend, deposit_option):
         assert rt.run().winner is not None
         entries, utxo = rt.chain.entries, rt.chain.utxo.keys()
         outcomes = [
-            (k, ntxid) for k in rt.t.kernels.values() for ntxid in k.outcome_ntxids if ntxid in entries
+            (k, ntxid) for k in rt.t.kernels.values() for ntxid in [k.ntxids[i] for i in OUTCOMES] if ntxid in entries
         ]
         assert len(outcomes) == 7  # one per match of the bracket
         for k, ntxid in outcomes:
@@ -1049,9 +1063,9 @@ def seats_with_every_preimage(rt, cand):
             return pre
         k, allies = cand.kernel, rt.allies[player]
         left, right = players_of(rt.cfg.n, *k.id, rt.cfg.mode)
-        if digest == k.left_commit and left in allies:
+        if digest == k.commits[0] and left in allies:
             return rt.t.secret(k.id, SIDE_LEFT)
-        if digest == k.right_commit and right in allies:
+        if digest == k.commits[1] and right in allies:
             return rt.t.secret(k.id, SIDE_RIGHT)
         return None
 
@@ -1181,13 +1195,13 @@ def test_broadcast_views_name_who_a_transaction_pays_and_who_plays(
     hashlocked = deposit_option == "hashlocked"
     on_chain = {
         kid: players_of(n, *kid, t.mode) for kid, k in t.kernels.items()
-        if k.entry_ntxid in rt.chain.entries
+        if k.ntxids[0] in rt.chain.entries
     }
     pairs = set(on_chain.values())
     winners = {
         pair[winner_side(i)]
         for kid, pair in on_chain.items()
-        for i, ntxid in enumerate(t.kernels[kid].outcome_ntxids)
+        for i, ntxid in enumerate([t.kernels[kid].ntxids[o] for o in OUTCOMES])
         if ntxid in rt.chain.entries
     }
     paid_side = {"outcome-a": 0, "outcome-b": 1, "outcome-bp": 1}  # entry and reveal pay no one

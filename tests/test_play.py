@@ -33,8 +33,7 @@ SIDE_SLOTS = (SLOT_LEFT, SLOT_RIGHT)
 
 def ref_play(rt, kernel, row, body, ntxid):
     level, match, _ = kernel.id
-    commits = (kernel.left_commit, kernel.right_commit)
-    opens = tuple((SIDE_SLOTS[side], commits[side]) for side in row.opens)
+    opens = tuple((SIDE_SLOTS[side], kernel.commits[side]) for side in row.opens)
     branch = row.branch
     if row.role == ROLE_ENTRY and level == 0 and rt.mpc is not None:
         opens, branch = ((SLOT_MPC, rt.t.mpc_digest),), BRANCH_DEPOSIT_SPEND

@@ -181,7 +181,7 @@ def measured_worst_case_bytes(t, sig_model):
     total = sum(size(b) for b in t.deposit_bodies)
     for level in range(t.levels):
         k = t.kernel(level, 0, 0)
-        per_match = size(k.entry_tx) + size(k.reveal_tx) + size(k.outcome_txs[0])
+        per_match = size(k.bodies[0]) + size(k.bodies[1]) + size(k.bodies[OUTCOMES[0]])
         if t.mode == MODE_MULTIINPUT:
             per_match += max(
                 size(t.compressions[(level, 0, cand)]) for cand in range(2 << level)
@@ -388,7 +388,7 @@ def test_schedule_and_stride(plain4, multi8):
             )
             # a kernel holds no heights: t1 and t2 are its outcomes' locktimes
             k = t.kernel(level, 0, 0)
-            assert (k.outcome_txs[1].locktime, k.outcome_txs[0].locktime) == (t1, t2)
+            assert (k.bodies[OUTCOMES[1]].locktime, k.bodies[OUTCOMES[0]].locktime) == (t1, t2)
 
 
 def test_kernel_wiring_plain(plain4):
@@ -400,29 +400,29 @@ def test_kernel_wiring_plain(plain4):
     assert (lk, lt, rk, rt) == (0, 2, 0, 1)
     left_child = plain4.kernels[KernelId(0, 0, lk)]
     right_child = plain4.kernels[KernelId(0, 1, rk)]
-    refs = [spec.ref for spec in k.entry_tx.inputs]
-    assert refs[0].txid == compute_ntxid(left_child.outcome_txs[lt])
-    assert refs[1].txid == compute_ntxid(right_child.outcome_txs[rt])
+    refs = [spec.ref for spec in k.bodies[0].inputs]
+    assert refs[0].txid == compute_ntxid(left_child.bodies[OUTCOMES[lt]])
+    assert refs[1].txid == compute_ntxid(right_child.bodies[OUTCOMES[rt]])
     # pot doubles per level, outcomes each pay the full pot to one side
-    for tx in k.outcome_txs:
+    for tx in (k.bodies[i] for i in OUTCOMES):
         assert sum(o.value for o in tx.outputs) == 4 * plain4.bet
 
 
 def test_final_level_outcomes_pay_single_key(plain4):
     k = plain4.kernel(1, 0, 0)
     left_key, right_key = (plain4.master_keys[p] for p in players_of(4, 1, 0, 0))
-    assert k.outcome_txs[0].outputs[0].predicate == KeySign(left_key)
-    assert k.outcome_txs[1].outputs[0].predicate == KeySign(right_key)
-    assert k.outcome_txs[2].outputs[0].predicate == KeySign(right_key)
+    assert k.bodies[OUTCOMES[0]].outputs[0].predicate == KeySign(left_key)
+    assert k.bodies[OUTCOMES[1]].outputs[0].predicate == KeySign(right_key)
+    assert k.bodies[OUTCOMES[2]].outputs[0].predicate == KeySign(right_key)
 
 
 def test_outcome_locktimes_follow_kernel_windows(plain4):
     for k in plain4.kernels.values():
         _, t1, t2 = plain4.schedule(k.id.level)
-        assert k.outcome_txs[0].locktime == t2  # left wins by waiting out t2
-        assert k.outcome_txs[1].locktime == t1  # right wins on silence at t1
-        assert k.outcome_txs[2].locktime == 0  # parity win is immediate
-        assert k.entry_tx.locktime == 0  # entries gate on availability, not height
+        assert k.bodies[OUTCOMES[0]].locktime == t2  # left wins by waiting out t2
+        assert k.bodies[OUTCOMES[1]].locktime == t1  # right wins on silence at t1
+        assert k.bodies[OUTCOMES[2]].locktime == 0  # parity win is immediate
+        assert k.bodies[0].locktime == 0  # entries gate on availability, not height
 
 
 # the kernel table
@@ -442,7 +442,7 @@ def test_the_kernel_table_races_two_rows_on_each_carried_output():
     }
     # what a row pays no one is carried on, and the rows that pay are the outcomes
     assert set(races) == {row.role for row in KERNEL if row.pays is None}
-    assert [row.role for row in OUTCOMES] == [ROLE_OUTCOME_A, ROLE_OUTCOME_B, ROLE_OUTCOME_BP]
+    assert [KERNEL[i].role for i in OUTCOMES] == [ROLE_OUTCOME_A, ROLE_OUTCOME_B, ROLE_OUTCOME_BP]
 
 
 @pytest.mark.parametrize(
@@ -454,7 +454,7 @@ def test_each_built_row_takes_the_branch_its_table_row_names(n, mode, deposit_op
     t = small_tournament(n, mode=mode, deposit_option=deposit_option)
     for kernel in t.kernels.values():
         _, t1, t2 = schedule = t.schedule(kernel.id.level)
-        commits = (kernel.left_commit, kernel.right_commit)
+        commits = kernel.commits
         bodies = kernel.bodies
         assert [body.locktime for body in bodies] == [0, 0, t2, t1, 0]
         for row, body in zip(KERNEL, bodies):
@@ -502,11 +502,11 @@ def test_multiinput_compressions_gather_candidate_wins(multi8):
 
     # entries spend one specific compression output per side
     k = multi8.kernel(1, 0, 0)
-    assert all(isinstance(spec, FixedInput) for spec in k.entry_tx.inputs)
+    assert all(isinstance(spec, FixedInput) for spec in k.bodies[0].inputs)
     a, b = players_of(8, 1, 0, 0, MODE_MULTIINPUT)
     assert (a, b) == (0, 2)
-    assert k.entry_tx.inputs[0].ref.txid == multi8.compressions[(0, 0, a)].digests[0]
-    assert k.entry_tx.inputs[1].ref.txid == multi8.compressions[(0, 1, b)].digests[0]
+    assert k.bodies[0].inputs[0].ref.txid == multi8.compressions[(0, 0, a)].digests[0]
+    assert k.bodies[0].inputs[1].ref.txid == multi8.compressions[(0, 1, b)].digests[0]
 
     # one compression per (match, candidate); its choice set holds every
     # outcome of that match paying the candidate, and exactly one can land
@@ -526,8 +526,8 @@ def test_secrets_are_fresh_per_kernel_per_side(plain4):
     assert len(values) == len(set(values))
     assert all(len(s) == 32 and any(s) for s in values)
     for kid, k in plain4.kernels.items():
-        assert hashlib.sha256(plain4.secret(kid, SIDE_LEFT)).digest() == k.left_commit
-        assert hashlib.sha256(plain4.secret(kid, SIDE_RIGHT)).digest() == k.right_commit
+        assert hashlib.sha256(plain4.secret(kid, SIDE_LEFT)).digest() == k.commits[0]
+        assert hashlib.sha256(plain4.secret(kid, SIDE_RIGHT)).digest() == k.commits[1]
 
 
 # the joint preimage and the refunds
@@ -672,7 +672,7 @@ def test_ceremony_approvals_pass_the_all_key_check_by_either_path(plain4):
     assert signing_ceremony(plain4, [YesDecider() for _ in range(4)], oracle).complete
     keys = plain4.master_keys
     master, named = AllSign(keys), InputWitness(keys)
-    entry = sig_digest_for(plain4.kernel(0, 0, 0).entry_tx)
+    entry = sig_digest_for(plain4.kernel(0, 0, 0).bodies[0])
     deposit = sig_digest_for(plain4.deposit_bodies[0])
     assert oracle.verify_all(keys, entry) and not oracle.verify_all(keys, deposit)
     for digest in (entry, deposit):
@@ -718,7 +718,7 @@ def test_oracle_accepts_exactly_the_approved_scaffold(mode, deposit_option):
             continue
         assert verifying_keys(oracle, t, item.body) == list(t.master_keys)
     k = t.kernels[KernelId(0, 0, 0)]
-    outsiders = [k.entry_tx._replace(locktime=k.entry_tx.locktime + 1)]
+    outsiders = [k.bodies[0]._replace(locktime=k.bodies[0].locktime + 1)]
     if not atomic:
         # hashlocked deposits and their refunds are signed solo at submission
         outsiders.extend(t.deposit_bodies)
@@ -939,14 +939,13 @@ def test_verify_flags_missing_and_extra_kernels(plain4):
 def test_a_replaced_body_brings_its_own_id(multi8):
     # no record stores an id beside its body, so none can go stale
     k = multi8.kernel(1, 0, 0)
-    forged = k.entry_tx._replace(locktime=k.entry_tx.locktime + 1)
+    forged = k.bodies[0]._replace(locktime=k.bodies[0].locktime + 1)
     want = forged.digests[0]
-    assert dataclasses.replace(k, entry_tx=forged).entry_ntxid == want != k.entry_ntxid
-    assert dataclasses.replace(k, reveal_tx=forged).reveal_ntxid == want
-    for i in range(3):
-        outcomes = tuple(forged if j == i else b for j, b in enumerate(k.outcome_txs))
-        got = dataclasses.replace(k, outcome_txs=outcomes).outcome_ntxids
-        assert got == tuple(want if j == i else n for j, n in enumerate(k.outcome_ntxids))
+    assert want != k.ntxids[0]
+    for i in range(len(KERNEL)):
+        bodies = tuple(forged if j == i else b for j, b in enumerate(k.bodies))
+        got = dataclasses.replace(k, bodies=bodies).ntxids
+        assert got == tuple(want if j == i else n for j, n in enumerate(k.ntxids))
     item = iter_bodies(multi8)[0]
     assert item._replace(body=forged).ntxid == want != item.ntxid
     assert LogEntry(item.body, None, 0)._replace(body=forged).ntxid == want
@@ -955,9 +954,9 @@ def test_a_replaced_body_brings_its_own_id(multi8):
     # nor their ids can be passed in or set
     fields = {f.name: getattr(k, f.name) for f in dataclasses.fields(k) if f.init}
     with pytest.raises(TypeError):
-        Kernel(**fields, entry_ntxid=want)
+        Kernel(**fields, ntxids=(want,) * len(KERNEL))
     with pytest.raises(dataclasses.FrozenInstanceError):
-        k.entry_ntxid = want
+        k.ntxids = (want,) * len(KERNEL)
     for name in ("deposit_bodies", "deposit_ntxids"):
         with pytest.raises(ValueError):
             dataclasses.replace(multi8, **{name: getattr(multi8, name)})
