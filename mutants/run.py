@@ -41,6 +41,7 @@ def _ignore(directory: str, names: list[str]) -> set[str]:
 
 TIMEOUT_S = 300  # per child process; the kernel tests take about 5 s
 KERNEL_TESTS = ("tests/test_scaffold.py", "tests/test_play.py", "tests/test_strategies.py")
+TEMPLATE_TESTS = ("tests/test_encoding.py::test_kernel_templates_encode_every_body_as_the_reference_encoder",)
 
 
 class Mutant(NamedTuple):
@@ -100,6 +101,22 @@ MUTANTS = (
         "for row in _PAYING[side]]",
         "for row in _PAYING[1 - side]]",
         KERNEL_TESTS,
+    ),
+    Mutant(
+        "template-commitments-swapped",
+        "a kernel's ids and digests are those of its bodies' bytes: each commitment fills its own hole",
+        "src/commitlotto/scaffold.py",
+        ".fill(_hole_values(*args))",
+        ".fill(_hole_values(args[0], args[1][::-1], *args[2:]))",
+        TEMPLATE_TESTS,
+    ),
+    Mutant(
+        "template-sig-digest-is-the-ntxid",
+        "a built body's signature digest hashes its bytes under the sigmsg tag",
+        "src/commitlotto/scaffold.py",
+        "sha256(SIGMSG_TAG + data) for data in encoded[0]",
+        'sha256(b"ntxid:" + data) for data in encoded[0]',
+        TEMPLATE_TESTS,
     ),
 )
 

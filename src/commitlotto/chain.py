@@ -16,7 +16,8 @@ choice leaves the NTXID and the signature digest unchanged.
 from __future__ import annotations
 
 import json
-from typing import NamedTuple, Optional, Union
+import operator
+from typing import Callable, Iterator, NamedTuple, Optional, Sequence, Union
 
 from .primitives import (
     NULL_TXID, REF_JSON, ListOf, Nullable, OutputRef, Record, Tagged, lp_bytes, sha256, to_json, u32, u64,
@@ -74,6 +75,10 @@ class TxOutput(NamedTuple):
 OUTPUT_JSON = Record({"value": int, "predicate": PREDICATE_JSON}, TxOutput)
 
 
+# the domain tags a body's two digests hash before its canonical bytes
+NTXID_TAG, SIGMSG_TAG = b"ntxid:", b"sigmsg:"
+
+
 class _BodyFields(NamedTuple):
     inputs: tuple[TxInput, ...]
     outputs: tuple[TxOutput, ...]
@@ -105,10 +110,12 @@ class _kept:
 class TransactionBody(_BodyFields):
     """An unsigned transaction: inputs, outputs and an absolute locktime.
 
-    A body is immutable and carries its own digests (`digests`), computed
-    from its canonical bytes the first time anyone reads them and kept
-    with it, so each body is encoded once whoever asks first. A forged or
-    `_replace`d body is a new object and is encoded afresh.
+    A body is immutable and carries its own digests (`digests`): computed
+    from its canonical bytes the first time anyone reads them, or filled
+    at construction from the bytes a `BodyTemplate` encoded for it
+    (`scaffold._kernel_bodies`), and kept with it, so each body is encoded
+    once whoever asks first. A forged or `_replace`d body is a new object
+    and is encoded afresh.
     """
 
     @_kept
@@ -122,7 +129,7 @@ class TransactionBody(_BodyFields):
         and all inputs of a body share a single digest.
         """
         data = body_bytes(self)
-        return sha256(b"ntxid:" + data), sha256(b"sigmsg:" + data)
+        return sha256(NTXID_TAG + data), sha256(SIGMSG_TAG + data)
 
     def __setattr__(self, name, value):
         raise AttributeError(f"TransactionBody is immutable: cannot set {name!r}")
@@ -147,6 +154,72 @@ def body_bytes(body: TransactionBody) -> bytes:
         parts.append(u64(out.value) + lp_bytes(predicate_bytes(out.predicate)))
     parts.append(u64(body.locktime))
     return b"".join(parts)
+
+
+class BodyTemplate(NamedTuple):
+    """The canonical bytes of a run of bodies of one shape, with holes:
+    what `fill` joins into each body's bytes and ntxid, in order. A body's
+    parts index `segments`, the fixed bytes between holes, then the hole
+    values and the ntxids of the bodies before it, which it may spend."""
+
+    widths: tuple[int, ...]  # each hole value's length, which the fixed bytes assume
+    segments: tuple[bytes, ...]
+    rows: tuple[Callable, ...]  # per body, an itemgetter of its parts
+
+    def fill(self, values: list[bytes]) -> Optional[tuple[list[bytes], list[bytes]]]:
+        """Each body's canonical bytes and ntxid, one join and one hash a
+        body; None if a value's length is not its hole's."""
+        if tuple(map(len, values)) != self.widths:
+            return None
+        pool = [*self.segments, *values]
+        rows = []
+        for parts in self.rows:
+            data = b"".join(parts(pool))
+            rows.append(data)
+            pool.append(sha256(NTXID_TAG + data))
+        return rows, pool[-len(rows):]
+
+    @classmethod
+    def derive(cls, probe: Callable[[bytes], tuple[list[bytes], Sequence[TransactionBody]]]) -> BodyTemplate:
+        """The template of the bodies `probe(tag)` builds from its hole
+        values, sentinels that differ with `tag`: each body's bytes are
+        split where a sentinel, or an earlier body's ntxid, sits. A second
+        probe must fill back to its own bytes, so no fixed byte depends on
+        a hole; and no two holes may overlap."""
+        values, bodies = probe(b"probe")
+        rows = [body_bytes(body) for body in bodies]
+        known = values + [sha256(NTXID_TAG + data) for data in rows]
+        split = []
+        for i, data in enumerate(rows):
+            # every place a hole value sits; an empty one fills nothing
+            holes = sorted(
+                (at, hole) for hole, value in enumerate(known) if value for at in _places(data, value)
+            )
+            parts, end = [], 0
+            for at, hole in holes:
+                assert at >= end, f"body {i}: two holes overlap"
+                assert hole < len(values) + i, f"body {i}: holds the ntxid of a later body"
+                parts += [data[end:at], hole]
+                end = at + len(known[hole])
+            split.append(parts + [data[end:]])
+        segments = [part for parts in split for part in parts if isinstance(part, bytes)]
+        place = iter(range(len(segments)))
+        template = cls(tuple(map(len, values)), tuple(segments), tuple(
+            operator.itemgetter(*[next(place) if isinstance(p, bytes) else len(segments) + p for p in parts])
+            for parts in split
+        ))
+        values, bodies = probe(b"check")
+        filled = template.fill(values)[0]
+        assert filled == [body_bytes(body) for body in bodies], "a fixed byte depends on a hole"
+        return template
+
+
+def _places(data: bytes, value: bytes) -> Iterator[int]:
+    """Every place `value` starts in `data`."""
+    at = data.find(value)
+    while at >= 0:
+        yield at
+        at = data.find(value, at + 1)
 
 
 def compute_ntxid(body: TransactionBody) -> bytes:

@@ -25,23 +25,33 @@ identities, 4^l per match.
 Everything here is built unsigned, and NTXIDs never cover witness data.
 No record takes an id: a compression is its body, and kernels and
 deposits derive theirs from their bodies (`TransactionBody.digests`), so
-none can disagree. Nor does a record hold a fact its key and the
-parameters fix: a kernel is its id, its two commitments and its five
-bodies, and its players, heights and pot are `players_of` its id,
-`Tournament.schedule` of its level and `(2 << level) * bet`. A kernel is
-a pure function of the public parameters, its two commitments and its
-two stake refs, and a compression of the
-outcome ntxids that pay its candidate, so `Tournament.kernels` and
-`Tournament.compressions` build each entry the first time it is read,
-with what it spends, and keep it (`LazyTable`). A trial builds only what
-play reaches and what that spends: a plain trial one kernel per match;
-reading every entry builds the rest, with the same bytes. A scaffold
-file is therefore only the parameters and the commitments, and reading
-one constructs a `Tournament` from them as a build does: a scaffold has
-one constructor, `Tournament` itself, however it was made. The signing
-ceremony approves the honest scaffold as a whole: a key's approval is
-membership in the tournament's registry of signature digests, which
-honest construction fills as it builds bodies.
+none can disagree; a body's digests are computed from its bytes, or
+filled by the kernel template that encoded them. Nor does a record hold
+a fact its key and the parameters fix: a kernel is its id, its two
+commitments and its five bodies, and its players, heights and pot are
+`players_of` its id, `Tournament.schedule` of its level and
+`(2 << level) * bet`. A kernel is a pure function of the public
+parameters, its two commitments and its two stake refs, and a
+compression of the outcome ntxids that pay its candidate, so
+`Tournament.kernels` and `Tournament.compressions` build each entry the
+first time it is read, with what it spends, and keep it (`LazyTable`).
+
+A kernel's bytes come from its level's byte template
+(`_kernel_template`), which `_kernel_bodies` and `body_bytes` make once
+per parameter tuple: filled with the kernel's commitments, stakes and
+payees, it gives each row's bytes and ntxid with one join and one hash a
+row. So a compression reads the ids of the kernels it spends
+(`Tournament.kernel_ids`) without building them, and a built kernel's
+bodies carry the digests of the bytes the template encoded. A trial
+builds only what play reaches: one kernel per match, and in multiinput
+mode the compressions their stakes and winners name; reading every entry
+builds the rest, with the same bytes. A scaffold file is therefore only
+the parameters and the commitments, and reading one constructs a
+`Tournament` from them as a build does: a scaffold has one constructor,
+`Tournament` itself, however it was made. The signing ceremony approves
+the honest scaffold as a whole: a key's approval is membership in the
+tournament's registry of signature digests, which honest construction
+fills as it builds bodies.
 
 Each fact of the hashlocked deposits is stated once, here: the joint
 preimage they lock on (`joint_preimage`), the height their refund branch
@@ -59,6 +69,8 @@ from dataclasses import dataclass, field
 from typing import Callable, Iterator, NamedTuple, Optional, Sequence
 
 from .chain import (
+    SIGMSG_TAG,
+    BodyTemplate,
     FixedInput,
     TransactionBody,
     TxOutput,
@@ -94,6 +106,7 @@ from .primitives import (
     num_levels,
     sha256,
     to_json,
+    u32,
 )
 from .script import (
     AfterHeight,
@@ -345,8 +358,10 @@ class Tournament:
     pairs over fresh secrets, drawn when first read. The registries
     `scaffold_digests` and `secrets` hold what the built bodies and drawn
     commitments contribute, so they grow with the tables. No id is an
-    argument: `deposit_ntxids` is derived from `deposit_bodies`, the
-    kernels derive theirs, and a compression is its body. Nor is any fact
+    argument: `deposit_ntxids` is derived from `deposit_bodies`, a kernel's
+    ids are its level's template filled with its wiring (`kernel_ids`,
+    kept for built and unbuilt kernels alike, and the digests its bodies
+    carry), and a compression is its body. Nor is any fact
     that the parameters fix: `level_stride`, `refund_time`, `stats` and
     `schedule`, and a kernel's players and pot, are derived from them when
     read, so none is stored, written to a file or checked by
@@ -376,6 +391,7 @@ class Tournament:
     scaffold_digests: set[bytes] = field(init=False, repr=False, compare=False)
     _kernel_memo: dict = field(init=False, repr=False, compare=False)
     _compression_memo: dict = field(init=False, repr=False, compare=False)
+    _ids_memo: dict = field(init=False, repr=False, compare=False)  # `kernel_ids`, built or not
 
     def __post_init__(self):
         # the deposits cannot be built without these, so they are checked here, once
@@ -398,7 +414,7 @@ class Tournament:
         # times per trial
         vars(self).update(
             master=master, deposit_bodies=deposits, deposit_ntxids=tuple(b.digests[0] for b in deposits),
-            scaffold_digests=set(), _kernel_memo={}, _compression_memo={},
+            scaffold_digests=set(), _kernel_memo={}, _compression_memo={}, _ids_memo={},
         )
 
     @property
@@ -457,36 +473,54 @@ class Tournament:
             return OutputRef(self.deposit_ntxids[child_match], 0)
         if self.mode == MODE_PLAIN:
             child_kernel, outcome = divmod(choice, len(OUTCOMES))
-            return OutputRef(self.kernel(level - 1, child_match, child_kernel).ntxids[OUTCOMES[outcome]], 0)
+            ntxids = self.kernel_ids(KernelId(level - 1, child_match, child_kernel))
+            return OutputRef(ntxids[OUTCOMES[outcome]], 0)
         candidate = (child_match << level) + choice
         return OutputRef(self.compressions[(level - 1, child_match, candidate)].digests[0], 0)
 
-    def _kernel(self, kid: KernelId) -> Kernel:
-        level = kid.level
-        pays = (self.master, self.master)
+    def kernel_ids(self, kid: KernelId) -> tuple[bytes, ...]:
+        """A kernel's ntxids, one per `KERNEL` row, read without building
+        it, and kept: the ids its bodies carry once built."""
+        ids = self._ids_memo.get(kid)
+        if ids is None:
+            filled = self._encode(kid)[1]
+            ids = self._ids_memo[kid] = tuple(filled[1]) if filled else self.kernels[kid].ntxids
+        return ids
+
+    def _encode(self, kid: KernelId) -> tuple[tuple, Optional[tuple[list[bytes], list[bytes]]]]:
+        """The arguments `_kernel_bodies` builds a kernel from, and its
+        level's template filled with them: each row's bytes and ntxid, or
+        None for a value of another length than its hole's (a file's odd
+        key or commitment), whose kernel is encoded only by building it."""
+        level, payees = kid.level, ()
         if level == self.levels - 1 and self.mode == MODE_PLAIN:  # multiinput pays out in the compression
-            pays = tuple(KeySign(self.master_keys[p]) for p in players_of(self.n, *kid, self.mode))
-        commits = self.commitments[kid]
+            payees = tuple(self.master_keys[p] for p in players_of(self.n, *kid, self.mode))
         stakes = (self._stake_ref(kid, SIDE_LEFT), self._stake_ref(kid, SIDE_RIGHT))
-        bodies = _kernel_bodies(
-            self.master, commits, self.schedule(level), (1 << (level + 1)) * self.bet, stakes, pays
-        )
+        pot = (1 << (level + 1)) * self.bet
+        args = (self.master, self.commitments[kid], self.schedule(level), pot, stakes, payees)
+        return args, _kernel_template(self.n, *args[2:4], bool(payees)).fill(_hole_values(*args))
+
+    def _kernel(self, kid: KernelId) -> Kernel:
+        args, encoded = self._encode(kid)
+        bodies = _kernel_bodies(*args, encoded)
+        kernel = Kernel(kid, self.commitments[kid], bodies)
+        self._ids_memo[kid] = kernel.ntxids
         self.scaffold_digests.update(b.digests[1] for b in bodies)
-        return Kernel(kid, commits, bodies)
+        return kernel
 
     def _compression(self, key: tuple[int, int, int]) -> TransactionBody:
         """The multiinput compression paying a candidate: it spends every
         outcome output of its match that pays the candidate, so it reads
-        the kernels that do."""
+        the ids of the kernels that do, and builds none of them."""
         level, match, cand = key
         # the candidate's side of the match and its side choice there
         choices = side_choices(level, self.mode)
         side, choice = divmod(cand - (match << (level + 1)), choices)
-        kernels, members = self.kernels, []
+        members = []
         # it wins by the rows paying its side, of each kernel its choice plays in
         for other in range(choices):
             pair = (choice, other) if side == SIDE_LEFT else (other, choice)
-            ntxids = kernels[KernelId(level, match, join_combo(level, *pair, self.mode))].ntxids
+            ntxids = self.kernel_ids(KernelId(level, match, join_combo(level, *pair, self.mode)))
             members.extend([OutputRef(ntxids[row], 0) for row in _PAYING[side]])
         pot = (1 << (level + 1)) * self.bet
         body = TransactionBody(
@@ -514,18 +548,24 @@ def _kernel_bodies(
     schedule: tuple[int, int, int],
     pot: int,
     stakes: tuple[OutputRef, OutputRef],
-    pays: tuple[Predicate, Predicate],
+    payees: tuple[bytes, ...],
+    encoded: Optional[tuple[list[bytes], list[bytes]]] = None,
 ) -> tuple[TransactionBody, ...]:
     """A kernel's bodies, one per `KERNEL` row, from its (left, right)
-    commitments, stakes and payees and its level's schedule (t0, t1, t2).
+    commitments, stakes and payee keys and its level's schedule (t0, t1,
+    t2); with no payee keys, `master` keeps the pot.
 
     A row that pays a side locks the pot to that side's payee. Any other
     carries it on under `master`, with one branch per row that spends it:
     a reveal branch opens the spender's sides, and tests odd parity when it
-    opens both; a timeout branch waits for the spender's lock.
+    opens both; a timeout branch waits for the spender's lock. Given each
+    row's bytes and ntxid as its template `encoded` them, each body carries
+    their digests from construction, and none is encoded again.
     """
     opened = (HashPreimage(commits[SIDE_LEFT], SLOT_LEFT), HashPreimage(commits[SIDE_RIGHT], SLOT_RIGHT))
+    pays = tuple(map(KeySign, payees)) or (master, master)
     bodies: list[TransactionBody] = []
+    digests = None if encoded is None else zip(encoded[1], [sha256(SIGMSG_TAG + data) for data in encoded[0]])
     for row, spenders in zip(KERNEL, _SPENDERS):
         if row.spends is None:
             inputs = (FixedInput(stakes[SIDE_LEFT]), FixedInput(stakes[SIDE_RIGHT]))
@@ -536,6 +576,9 @@ def _kernel_bodies(
         else:
             pay = pays[row.pays]
         bodies.append(TransactionBody(inputs, (TxOutput(pot, pay),), schedule[row.lock] if row.lock else 0))
+        if digests is not None:
+            # a body is immutable, so its digests go straight into its dict
+            vars(bodies[-1])["digests"] = next(digests)
     return tuple(bodies)
 
 
@@ -548,6 +591,47 @@ def _branch(spender: KernelRow, master: Predicate, opened: tuple, schedule: tupl
         return (master, AfterHeight(schedule[spender.lock]))
     terms = (master, *[opened[side] for side in spender.opens])
     return terms + (_PARITY,) if len(spender.opens) == len(opened) else terms
+
+
+def _hole_values(
+    master: AllSign,
+    commits: tuple[bytes, bytes],
+    schedule: tuple[int, int, int],
+    pot: int,
+    stakes: tuple[OutputRef, OutputRef],
+    payees: tuple[bytes, ...],
+) -> list[bytes]:
+    """The holes in the template of the kernel `_kernel_bodies` builds from
+    these arguments: each stake's txid and index, each commitment, the
+    master's encoding and each payee key, or none."""
+    left, right = stakes
+    payees = payees or (b"", b"")
+    return [left.txid + u32(left.index), right.txid + u32(right.index), *commits, master.encoded, *payees]
+
+
+@functools.cache
+def _kernel_template(n: int, schedule: tuple[int, int, int], pot: int, final: bool) -> BodyTemplate:
+    """The byte template of a kernel of n players at a level with this
+    schedule and pot, paying payee keys at plain mode's final level.
+
+    `_kernel_bodies` builds its probes, so no second byte layout is
+    written. The master's keys are a hole, so the template depends only on
+    the parameters and is made once per process.
+    """
+
+    def probe(tag: bytes) -> tuple[list[bytes], tuple[TransactionBody, ...]]:
+        sentinel = lambda what: sha256(b"kernel-template/%s/%s" % (tag, what))
+        args = (
+            AllSign((sentinel(b"master"),) * n),  # a hole as a whole, so one key will do
+            (sentinel(b"commit-left"), sentinel(b"commit-right")),
+            schedule,
+            pot,
+            (OutputRef(sentinel(b"stake-left"), 0), OutputRef(sentinel(b"stake-right"), 1)),
+            (sentinel(b"payee-left"), sentinel(b"payee-right")) if final else (),
+        )
+        return _hole_values(*args), _kernel_bodies(*args)
+
+    return BodyTemplate.derive(probe)
 
 
 def build_deposit_atomic(funding: Sequence[OutputRef], bet: int, master: Predicate) -> TransactionBody:
@@ -759,8 +843,7 @@ def scaffold_stats(n: int, mode: str = MODE_PLAIN, deposit_option: str = DEPOSIT
         last = final and mode == MODE_PLAIN
         bodies = _kernel_bodies(
             master, (dummy_digest, sha256(dummy_digest)), level_schedule(t_commit, stride, tau, level), pot,
-            (dummy_ref, OutputRef(b"\x22" * 32, 0)),
-            (_payout(master, dummy_keys[0], last), _payout(master, dummy_keys[1], last)),
+            (dummy_ref, OutputRef(b"\x22" * 32, 0)), dummy_keys[:2] if last else (),
         )
         per_match = sum(len(body_bytes(bodies[row])) for row in path) + len(path) * auth
         if mode == MODE_MULTIINPUT:

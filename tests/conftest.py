@@ -84,7 +84,7 @@ def small_tournament(n=4, mode="plain", deposit_option="atomic", seed="t", **kw)
         mpc_digest = b"\x99" * 32
     return build_tournament(
         n,
-        make_keys(n),
+        kw.pop("keys", None) or make_keys(n),
         make_funding(n),
         Rng(seed),
         t_commit=kw.pop("t_commit", 10),

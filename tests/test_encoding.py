@@ -9,7 +9,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as hs
 
 from commitlotto.chain import BODY_JSON, FixedInput, MultiInput, TransactionBody, TxOutput, body_bytes
-from commitlotto.primitives import OutputRef, json_value, to_json
+from commitlotto.primitives import OutputRef, json_value, sha256, to_json
 from commitlotto.scaffold import dump_tournament, load_tournament
 from commitlotto.script import (
     PREDICATE_JSON,
@@ -23,7 +23,7 @@ from commitlotto.script import (
     predicate_bytes,
 )
 
-from conftest import small_tournament
+from conftest import count_builds, small_tournament
 
 # The reference: `predicate_bytes` and `body_bytes` as they stood while
 # every digest in the goldens was recorded, copied with the helpers they
@@ -238,3 +238,39 @@ def test_a_body_reads_back_as_its_table_writes_it(body):
 def test_a_scaffold_file_reads_back_to_the_same_text(mode, deposit_option):
     text = dump_tournament(small_tournament(4, mode=mode, deposit_option=deposit_option))
     assert dump_tournament(load_tournament(text)) == text
+
+
+# kernel templates: every kernel body's digests are those of its reference
+# bytes, and ids read without building are a full build's, for plain at
+# n = 2, 4 and 8 (whose final level pays `KeySign` payees), multiinput at
+# n = 2 to 16, both deposit options and other bet, tau and t_commit; keys
+# of another length than the template's are encoded by building the kernel
+PARAMS = {"bet": 3, "tau": 5, "t_commit": 17}
+TEMPLATE_CASES = [
+    *[("plain", n, "atomic", {}) for n in (2, 4, 8)],
+    *[("multiinput", n, "atomic", {}) for n in (2, 4, 8, 16)],
+    ("plain", 4, "hashlocked", {}),
+    ("multiinput", 8, "hashlocked", {}),
+    ("plain", 4, "hashlocked", PARAMS),
+    ("multiinput", 8, "atomic", PARAMS),
+    ("plain", 4, "atomic", {"keys": [bytes([0x40 + i]) * 20 for i in range(4)]}),
+    ("multiinput", 4, "hashlocked", {"keys": [bytes([0x40 + i]) * (30 + i) for i in range(4)]}),
+]
+
+
+@pytest.mark.parametrize("mode,n,deposit_option,params", TEMPLATE_CASES)
+def test_kernel_templates_encode_every_body_as_the_reference_encoder(monkeypatch, mode, n, deposit_option, params):
+    def tournament():
+        return small_tournament(n, mode=mode, deposit_option=deposit_option, **params)
+
+    kernels = dict(tournament().kernels)  # every kernel, built up front
+    for kernel in kernels.values():
+        for body in kernel.bodies:
+            data = ref_body_bytes(body)
+            assert body.digests == (sha256(b"ntxid:" + data), sha256(b"sigmsg:" + data))
+    unbuilt = tournament()
+    built = count_builds(monkeypatch)
+    for kid in sorted(kernels, reverse=True):  # the top level first: its stakes' ids are read on the way
+        assert unbuilt.kernel_ids(kid) == kernels[kid].ntxids
+    if "keys" not in params:
+        assert built["kernel"] == []

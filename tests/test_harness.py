@@ -988,12 +988,18 @@ def test_a_settled_match_has_nothing_left_to_offer(backend, deposit_option):
 # sha256 over `Chain.export_log_jsonl()` of the first three trials of each mix
 # in order, recorded before the scaffold runtime derived its candidates and
 # witnesses from one table of kernel plays; the export records each
-# witness's branch, preimage slots, chosen ref and signature count
+# witness's branch, preimage slots, chosen ref and signature count. The
+# mixed seats repeat MIXED8 past n = 8. The multiinput n = 16 and 32
+# entries were recorded before kernel ids came from byte templates: a
+# wrong member id in a compression's set changes no winner, height or
+# payoff, only the ntxids these logs carry
 CHAIN_LOG_GOLDEN = {
     (BTC_MULTI, 4, "atomic"): "73057196ac68d65ea5c22cd140cc0131fa086f267b05bf3f65fcd09ba1da4336",
     (BTC_MULTI, 4, "hashlocked"): "b26c2bf9afa243724577947138b88b4596010c76fce2ceecb034d1621e0e0728",
     (BTC_MULTI, 8, "atomic"): "07495caf841edccf7ebebf62d53f27a0460d57f3c33fc9f3d545d1ea57805b9d",
     (BTC_MULTI, 8, "hashlocked"): "ba08027f76ac30533f169038f537ccc3de43c583d5cd1b02a09a3eed27f9fb56",
+    (BTC_MULTI, 16, "hashlocked"): "a5e1f7c9808a5f85383b1d1dff198da4f1de698233b788db00dba0a00db8e13d",
+    (BTC_MULTI, 32, "atomic"): "9a03a31f9da7f602ed26eab88c1064e82be4087b419faed18f733f852eff3479",
     (BTC_PLAIN, 4, "atomic"): "cd1012a103f5dfe610e40d9b9b7b34ef8d131fb47d29c4a379c9f97b614e5f42",
     (BTC_PLAIN, 4, "hashlocked"): "f6b1d319af93a220f41612eb7d5a6e2abaa7f0446bb2c10a88cebfb88b8b694a",
     (BTC_PLAIN, 8, "atomic"): "78f15a0c7e66f60eda3570cdc6e99a2cf629f65279960bdbb3eaa28fbf8de343",
@@ -1006,7 +1012,7 @@ def test_chain_logs_match_the_golden_digests(backend, n, deposit_option):
     digest = hashlib.sha256()
     for mix in (
         ("honest",) * n,
-        MIXED8[:n],
+        (MIXED8 * n)[:n],
         ("honest", "withhold-broadcast") + ("honest",) * (n - 2),
     ):
         c = cfg(backend, n, mix, deposit_option=deposit_option, master_seed="golden")

@@ -810,15 +810,16 @@ def test_honest_plain_trial_builds_one_kernel_per_match(monkeypatch):
     assert built["compression"] == []
 
 
-@pytest.mark.parametrize("n,kernels,compressions", [(8, 14, 13), (32, 186, 103)])
+@pytest.mark.parametrize("n,kernels,compressions", [(8, 7, 13), (32, 31, 103)])
 def test_honest_multiinput_trial_builds_what_its_compressions_spend(
     monkeypatch, n, kernels, compressions
 ):
     # a compression spends every outcome that pays its candidate, and each
     # of those kernels spends the compressions of its opponents, so play
-    # forces more than one kernel and one compression per match; but fewer
-    # than the whole scaffold (28 kernels and 24 compressions at n=8, 496
-    # and 160 at n=32)
+    # forces more than one compression per match, though fewer than the
+    # whole scaffold (24 at n=8, 160 at n=32); but a compression reads only
+    # the ids of the kernels it spends (`Tournament.kernel_ids`), so play
+    # builds one kernel per match, of 28 at n=8 and 496 at n=32
     built = count_builds(monkeypatch)
     cfg = ScenarioConfig(backend=BTC_MULTI, n=n, strategies=("honest",) * n)
     result = run_trial(cfg, 0)
